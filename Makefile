@@ -10,16 +10,22 @@ GO ?= go
 # at random.
 ci: vet fmt-check build test race fuzz-smoke bench-smoke obs-smoke
 
+# bench/ is its own module, invisible to ./...; building and vetting it
+# here is what makes an API change that breaks the benchmark fail the gate.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # gofmt -l prints nonconforming files; fail loudly when there are any.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# -o /dev/null: bench/ holds a single main package, which a bare build
+# would otherwise drop as bench/bench.
 build:
 	$(GO) build ./...
+	$(GO) build -C bench -o /dev/null ./...
 
 test:
 	$(GO) test ./...
@@ -56,8 +62,9 @@ bench-smoke: serve-bench recovery-bench ingest-bench
 
 # Serve-layer throughput against the committed BENCH_serve.json baseline:
 # the cached/uncached pairs quantify the answer cache (the UTK hit path
-# runs several times the uncached qps), the parallel pair quantifies the
-# replica tier, the batch row (BenchmarkServeQueryBatchTopK, per item)
+# runs several times the uncached qps), the parallel row
+# (BenchmarkServeWriterTopKParallel) is the read-lock throughput under
+# GOMAXPROCS goroutines, the batch row (BenchmarkServeQueryBatchTopK, per item)
 # quantifies the /v1/query/batch envelope, and the cache-package hit
 # benchmark pins the zero-alloc lookup. Same 2x ns/op gate and
 # BENCH_NO_GATE escape as the query gate.

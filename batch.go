@@ -2,7 +2,6 @@ package tlevelindex
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"tlevelindex/internal/index"
@@ -57,12 +56,10 @@ func (ix *Index) TopKBatchContext(ctx context.Context, ws [][]float64, k int) ([
 
 func (ix *Index) topKBatch(ctx context.Context, ws [][]float64, k int, strict bool) ([]TopKBatchItem, error) {
 	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
+		return nil, errBadK
 	}
-	if strict {
-		if err := ix.needsData(k); err != nil {
-			return nil, err
-		}
+	if err := ix.needsData(k, strict); err != nil {
+		return nil, err
 	}
 	items := make([]TopKBatchItem, len(ws))
 	dim := ix.inner.RDim()
@@ -121,30 +118,21 @@ func (ix *Index) KSPRBatchContext(ctx context.Context, k int, focals []int) ([]*
 
 func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int, strict bool) ([]*KSPRResult, error) {
 	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
+		return nil, errBadK
 	}
 	for _, f := range focals {
 		if f < 0 {
 			return nil, fmt.Errorf("tlevelindex: invalid focal option %d", f)
 		}
 	}
-	if strict {
-		if err := ix.needsData(k); err != nil {
-			return nil, err
-		}
+	if err := ix.needsData(k, strict); err != nil {
+		return nil, err
 	}
 	out := make([]*KSPRResult, len(focals))
 	fids := make([]int32, 0, len(focals))
 	live := make([]int, 0, len(focals))
 	for i, f := range focals {
-		fid := ix.filteredID(f)
-		if fid < 0 && k > ix.inner.MaxMaterializedLevel() && !strict {
-			// The option may enter deeper levels; extending refreshes the
-			// pool (plain-variant behavior, like KSPR).
-			ix.inner.EnsureLevels(k)
-			ix.idMap.Store(nil)
-			fid = ix.filteredID(f)
-		}
+		fid := ix.focalID(k, f)
 		if fid < 0 {
 			out[i] = &KSPRResult{}
 			continue

@@ -11,9 +11,7 @@
 //	curl 'localhost:8080/stats'
 //
 // Queries are answered through a cell-keyed, LSN-stamped result cache
-// (size it with -cache-entries, disable with a negative value) and, with
-// -replicas N, round-robin across N lock-free read-only index replicas
-// that are republished before every insert acknowledgement.
+// (size it with -cache-entries, disable with a negative value).
 //
 // With -data-dir the index is durable: accepted inserts are written to a
 // CRC-checked write-ahead log and fsync'd before the HTTP 200, snapshots
@@ -96,7 +94,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	progress := flag.Bool("progress", false, "log per-level build progress (cells/sec)")
-	replicas := flag.Int("replicas", 0, "read-only index replicas for lock-free query serving (0: writer only)")
 	cacheEntries := flag.Int("cache-entries", 0, "answer-cache capacity (0: default size, negative: cache off)")
 	traceBuffer := flag.Int("trace-buffer", 0, "flight-recorder trace capacity (0: default size, negative: recorder off)")
 	slowQueryMs := flag.Float64("slow-query-ms", 0, "slow-query threshold in ms (0: default 100ms, negative: slow tier off)")
@@ -144,7 +141,6 @@ func main() {
 		Logger:       log,
 		Pprof:        *pprofOn,
 		CacheEntries: *cacheEntries,
-		Replicas:     *replicas,
 		TraceBuffer:  *traceBuffer,
 		SlowQuery:    time.Duration(*slowQueryMs * float64(time.Millisecond)),
 		TraceSample:  *traceSample,

@@ -10,16 +10,19 @@ import (
 	"tlevelindex/internal/obs"
 )
 
-// This file holds the context-aware query variants. Each one behaves like
-// its plain counterpart with two differences:
+// This file holds the one implementation of every query family and its
+// context-aware entry point; the plain methods in queries.go are adapters
+// over the same implementations. Each family is an unexported method taking
+// (ctx, …, strict): the *Context variant passes its caller's ctx and
+// strict=true, the plain method context.Background() and strict=false. The
+// two differ in exactly two ways:
 //
 //   - Cancellation: the traversal polls ctx between cell visits and
 //     abandons the query with the context's error, so a slow region walk
 //     cannot outlive its HTTP request or caller deadline.
 //   - Strict depth: when k exceeds MaxMaterializedLevel and the index holds
-//     no full dataset, the variant fails fast with ErrNeedsFullData instead
-//     of extending best-effort over the filtered pool like the plain
-//     methods do.
+//     no full dataset, strict=true fails fast with ErrNeedsFullData;
+//     strict=false extends best-effort over the filtered pool.
 //
 // Partial stats on cancellation: when a traversal is abandoned mid-walk,
 // every variant returns the context's error together with a non-nil result
@@ -44,9 +47,9 @@ type querySpan struct {
 // startQuerySpan begins the traversal span for one query. The span joins the
 // request trace carried in ctx when there is one (parented under the
 // caller's span, delivered to the context's tracer when the index has none
-// of its own — this covers replica copies and follower index swaps, which
-// never see SetTracer); otherwise it behaves like the pre-tracing span: a
-// standalone span to the index tracer, or nothing at all.
+// of its own — this covers follower index swaps, which never see
+// SetTracer); otherwise it behaves like the pre-tracing span: a standalone
+// span to the index tracer, or nothing at all.
 func (ix *Index) startQuerySpan(ctx context.Context, name string) querySpan {
 	q := querySpan{tr: ix.loadTracer()}
 	sc, traced := obs.SpanContextFrom(ctx)
@@ -82,12 +85,40 @@ func (q *querySpan) finish(st QueryStats, err error) {
 	q.sp.FinishTo(q.tr)
 }
 
-// needsData enforces the strict-depth rule of the context variants.
-func (ix *Index) needsData(k int) error {
-	if k > ix.inner.MaxMaterializedLevel() && !ix.inner.HasFullData() {
+var errBadK = errors.New("tlevelindex: k must be >= 1")
+
+// needsData enforces the strict-depth rule.
+func (ix *Index) needsData(k int, strict bool) error {
+	if strict && k > ix.inner.MaxMaterializedLevel() && !ix.inner.HasFullData() {
 		return ErrNeedsFullData
 	}
 	return nil
+}
+
+// checkFocal validates the parameters of the focal-option families (kSPR
+// and the three queries built on it).
+func (ix *Index) checkFocal(k, focal int, strict bool) error {
+	if k < 1 {
+		return errBadK
+	}
+	if focal < 0 {
+		return fmt.Errorf("tlevelindex: invalid focal option %d", focal)
+	}
+	return ix.needsData(k, strict)
+}
+
+// focalID resolves a focal option for a depth-k query, or -1 when it ranks
+// below k everywhere. An option outside the current pool may enter deeper
+// levels, so a k beyond the materialized depth extends the index first,
+// which refreshes the pool.
+func (ix *Index) focalID(k, focal int) int32 {
+	fid := ix.filteredID(focal)
+	if fid < 0 && k > ix.inner.MaxMaterializedLevel() {
+		ix.inner.EnsureLevels(k)
+		ix.idMap.Store(nil)
+		fid = ix.filteredID(focal)
+	}
+	return fid
 }
 
 // TopKResult carries a ranked retrieval answer together with its traversal
@@ -105,10 +136,14 @@ type TopKResult struct {
 // carrying the partial QueryStats and the ranks resolved before the
 // abandonment.
 func (ix *Index) TopKContext(ctx context.Context, w []float64, k int) (*TopKResult, error) {
+	return ix.topK(ctx, w, k, true)
+}
+
+func (ix *Index) topK(ctx context.Context, w []float64, k int, strict bool) (*TopKResult, error) {
 	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
+		return nil, errBadK
 	}
-	if err := ix.needsData(k); err != nil {
+	if err := ix.needsData(k, strict); err != nil {
 		return nil, err
 	}
 	x, err := ix.reduce(w)
@@ -130,22 +165,14 @@ func (ix *Index) TopKContext(ctx context.Context, w []float64, k int) (*TopKResu
 // Stats carry the traversal work done before the abandonment (Regions is
 // left empty).
 func (ix *Index) KSPRContext(ctx context.Context, k, focal int) (*KSPRResult, error) {
-	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
-	}
-	if focal < 0 {
-		return nil, fmt.Errorf("tlevelindex: invalid focal option %d", focal)
-	}
-	if err := ix.needsData(k); err != nil {
+	return ix.kspr(ctx, k, focal, true)
+}
+
+func (ix *Index) kspr(ctx context.Context, k, focal int, strict bool) (*KSPRResult, error) {
+	if err := ix.checkFocal(k, focal, strict); err != nil {
 		return nil, err
 	}
-	fid := ix.filteredID(focal)
-	if fid < 0 && k > ix.inner.MaxMaterializedLevel() {
-		// The option may enter deeper levels; extending refreshes the pool.
-		ix.inner.EnsureLevels(k)
-		ix.idMap.Store(nil)
-		fid = ix.filteredID(focal)
-	}
+	fid := ix.focalID(k, focal)
 	if fid < 0 {
 		return &KSPRResult{}, nil
 	}
@@ -166,8 +193,12 @@ func (ix *Index) KSPRContext(ctx context.Context, k, focal int) (*KSPRResult, er
 // cancellation it returns ctx's error together with a non-nil result whose
 // Stats carry the traversal work done before the abandonment.
 func (ix *Index) UTKContext(ctx context.Context, k int, lo, hi []float64) (*UTKResult, error) {
+	return ix.utk(ctx, k, lo, hi, true)
+}
+
+func (ix *Index) utk(ctx context.Context, k int, lo, hi []float64, strict bool) (*UTKResult, error) {
 	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
+		return nil, errBadK
 	}
 	if len(lo) != ix.inner.RDim() || len(hi) != ix.inner.RDim() {
 		return nil, fmt.Errorf("tlevelindex: query box must have %d reduced coordinates", ix.inner.RDim())
@@ -177,7 +208,7 @@ func (ix *Index) UTKContext(ctx context.Context, k int, lo, hi []float64) (*UTKR
 			return nil, errors.New("tlevelindex: box lo exceeds hi")
 		}
 	}
-	if err := ix.needsData(k); err != nil {
+	if err := ix.needsData(k, strict); err != nil {
 		return nil, err
 	}
 	q := ix.startQuerySpan(ctx, "query.utk")
@@ -204,10 +235,14 @@ func (ix *Index) UTKContext(ctx context.Context, k int, lo, hi []float64) (*UTKR
 // cancellation it returns ctx's error together with a non-nil result
 // carrying the partial QueryStats and the options collected so far.
 func (ix *Index) ORUContext(ctx context.Context, k int, w []float64, m int) (*ORUResult, error) {
+	return ix.oru(ctx, k, w, m, true)
+}
+
+func (ix *Index) oru(ctx context.Context, k int, w []float64, m int, strict bool) (*ORUResult, error) {
 	if k < 1 || m < 1 {
 		return nil, errors.New("tlevelindex: k and m must be >= 1")
 	}
-	if err := ix.needsData(k); err != nil {
+	if err := ix.needsData(k, strict); err != nil {
 		return nil, err
 	}
 	x, err := ix.reduce(w)
@@ -235,8 +270,9 @@ type MaxRankResult struct {
 
 // MaxRankContext is MaxRank with cancellation; it also exports QueryStats,
 // which the plain MaxRank does not. MaxRank never extends the index, so no
-// strict-depth check applies. On cancellation it returns ctx's error
-// together with a non-nil result carrying the partial QueryStats (Rank is
+// strict-depth check applies and the plain method is the same call under
+// context.Background(). On cancellation it returns ctx's error together
+// with a non-nil result carrying the partial QueryStats (Rank is
 // meaningless then).
 func (ix *Index) MaxRankContext(ctx context.Context, opt int) (*MaxRankResult, error) {
 	if opt < 0 {
@@ -267,24 +303,17 @@ type MonoRTopKResult struct {
 // Stats carry the traversal work done before the abandonment (Intervals is
 // left empty).
 func (ix *Index) MonoRTopKContext(ctx context.Context, k, focal int) (*MonoRTopKResult, error) {
+	return ix.monoRTopK(ctx, k, focal, true)
+}
+
+func (ix *Index) monoRTopK(ctx context.Context, k, focal int, strict bool) (*MonoRTopKResult, error) {
 	if ix.Dim() != 2 {
 		return nil, errors.New("tlevelindex: MonoRTopK requires 2-attribute options")
 	}
-	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
-	}
-	if focal < 0 {
-		return nil, fmt.Errorf("tlevelindex: invalid focal option %d", focal)
-	}
-	if err := ix.needsData(k); err != nil {
+	if err := ix.checkFocal(k, focal, strict); err != nil {
 		return nil, err
 	}
-	fid := ix.filteredID(focal)
-	if fid < 0 && k > ix.inner.MaxMaterializedLevel() {
-		ix.inner.EnsureLevels(k)
-		ix.idMap.Store(nil)
-		fid = ix.filteredID(focal)
-	}
+	fid := ix.focalID(k, focal)
 	if fid < 0 {
 		return &MonoRTopKResult{}, nil
 	}
@@ -317,21 +346,14 @@ type MarketShareResult struct {
 // together with a non-nil result whose Stats carry the work done so far
 // (Share is meaningless then).
 func (ix *Index) MarketShareContext(ctx context.Context, focal, k int) (*MarketShareResult, error) {
-	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
-	}
-	if focal < 0 {
-		return nil, fmt.Errorf("tlevelindex: invalid focal option %d", focal)
-	}
-	if err := ix.needsData(k); err != nil {
+	return ix.marketShare(ctx, focal, k, true)
+}
+
+func (ix *Index) marketShare(ctx context.Context, focal, k int, strict bool) (*MarketShareResult, error) {
+	if err := ix.checkFocal(k, focal, strict); err != nil {
 		return nil, err
 	}
-	fid := ix.filteredID(focal)
-	if fid < 0 && k > ix.inner.MaxMaterializedLevel() {
-		ix.inner.EnsureLevels(k)
-		ix.idMap.Store(nil)
-		fid = ix.filteredID(focal)
-	}
+	fid := ix.focalID(k, focal)
 	if fid < 0 {
 		return &MarketShareResult{}, nil
 	}
@@ -376,17 +398,15 @@ type ReverseTopKResult struct {
 // non-nil result whose Stats carry the work done so far and whose Users
 // hold the matches found up to that point (incomplete).
 func (ix *Index) ReverseTopKContext(ctx context.Context, k, focal int, users [][]float64) (*ReverseTopKResult, error) {
-	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
-	}
-	if focal < 0 {
-		return nil, fmt.Errorf("tlevelindex: invalid focal option %d", focal)
-	}
-	if err := ix.needsData(k); err != nil {
+	return ix.reverseTopK(ctx, k, focal, users, true)
+}
+
+func (ix *Index) reverseTopK(ctx context.Context, k, focal int, users [][]float64, strict bool) (*ReverseTopKResult, error) {
+	if err := ix.checkFocal(k, focal, strict); err != nil {
 		return nil, err
 	}
 	// Validate the whole population up front: a malformed user is an input
-	// error (like the plain variant's), never a partial result.
+	// error, never a partial result.
 	xs := make([][]float64, len(users))
 	for ui, w := range users {
 		x, err := ix.reduce(w)
@@ -395,12 +415,7 @@ func (ix *Index) ReverseTopKContext(ctx context.Context, k, focal int, users [][
 		}
 		xs[ui] = x
 	}
-	fid := ix.filteredID(focal)
-	if fid < 0 && k > ix.inner.MaxMaterializedLevel() {
-		ix.inner.EnsureLevels(k)
-		ix.idMap.Store(nil)
-		fid = ix.filteredID(focal)
-	}
+	fid := ix.focalID(k, focal)
 	if fid < 0 {
 		return &ReverseTopKResult{}, nil
 	}
@@ -435,10 +450,14 @@ func (ix *Index) ReverseTopKContext(ctx context.Context, k, focal int, users [][
 // cancellation it returns ctx's error together with a non-nil result whose
 // Stats carry the work done before the abandonment.
 func (ix *Index) WhyNotContext(ctx context.Context, opt int, w []float64, k int) (*WhyNotResult, error) {
+	return ix.whyNot(ctx, opt, w, k, true)
+}
+
+func (ix *Index) whyNot(ctx context.Context, opt int, w []float64, k int, strict bool) (*WhyNotResult, error) {
 	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
+		return nil, errBadK
 	}
-	if err := ix.needsData(k); err != nil {
+	if err := ix.needsData(k, strict); err != nil {
 		return nil, err
 	}
 	x, err := ix.reduce(w)

@@ -191,3 +191,108 @@ func TestNewContextVariantsSentinels(t *testing.T) {
 		t.Error("ReverseTopKContext accepted a negative focal")
 	}
 }
+
+// TestPlainMatchesContext pins every plain query method to its Context
+// twin, both within τ and beyond it on an index that still holds its full
+// dataset. The beyond-τ focal (43) lies outside the τ-skyband but inside
+// the k-skyband, so an implementation that forgets to refresh the option
+// pool after extending answers "ranks nowhere" for it.
+func TestPlainMatchesContext(t *testing.T) {
+	data := datagen.Generate(datagen.IND, 400, 2, 7)
+	const tau = 2
+	ctx := context.Background()
+	w := []float64{0.4, 0.6}
+	users := [][]float64{{0.2, 0.8}, {0.5, 0.5}, {0.7, 0.3}}
+	families := []struct {
+		name  string
+		plain func(ix *Index, k, focal int) (any, error)
+		twin  func(ix *Index, k, focal int) (any, error)
+	}{
+		{"TopK",
+			func(ix *Index, k, _ int) (any, error) { return ix.TopK(w, k) },
+			func(ix *Index, k, _ int) (any, error) {
+				r, err := ix.TopKContext(ctx, w, k)
+				return r.Options, err
+			}},
+		{"KSPR",
+			func(ix *Index, k, f int) (any, error) { return ix.KSPR(k, f) },
+			func(ix *Index, k, f int) (any, error) { return ix.KSPRContext(ctx, k, f) }},
+		{"UTK",
+			func(ix *Index, k, _ int) (any, error) { return ix.UTK(k, []float64{0.3}, []float64{0.5}) },
+			func(ix *Index, k, _ int) (any, error) { return ix.UTKContext(ctx, k, []float64{0.3}, []float64{0.5}) }},
+		{"ORU",
+			func(ix *Index, k, _ int) (any, error) { return ix.ORU(k, w, k+2) },
+			func(ix *Index, k, _ int) (any, error) { return ix.ORUContext(ctx, k, w, k+2) }},
+		{"MaxRank",
+			func(ix *Index, _, f int) (any, error) { return ix.MaxRank(f) },
+			func(ix *Index, _, f int) (any, error) {
+				r, err := ix.MaxRankContext(ctx, f)
+				return r.Rank, err
+			}},
+		{"WhyNot",
+			func(ix *Index, k, f int) (any, error) { return ix.WhyNot(f, w, k) },
+			func(ix *Index, k, f int) (any, error) { return ix.WhyNotContext(ctx, f, w, k) }},
+		{"MonoRTopK",
+			func(ix *Index, k, f int) (any, error) { return ix.MonoRTopK(k, f) },
+			func(ix *Index, k, f int) (any, error) {
+				r, err := ix.MonoRTopKContext(ctx, k, f)
+				return r.Intervals, err
+			}},
+		{"MarketShare",
+			func(ix *Index, k, f int) (any, error) { return ix.MarketShare(f, k) },
+			func(ix *Index, k, f int) (any, error) {
+				r, err := ix.MarketShareContext(ctx, f, k)
+				return r.Share, err
+			}},
+		{"ReverseTopK",
+			func(ix *Index, k, f int) (any, error) { return ix.ReverseTopK(k, f, users) },
+			func(ix *Index, k, f int) (any, error) {
+				r, err := ix.ReverseTopKContext(ctx, k, f, users)
+				return r.Users, err
+			}},
+	}
+	probe, err := Build(data, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inPool := probe.LevelOptions(tau)[0]
+	for _, c := range []struct{ k, focal int }{{tau, inPool}, {5, 43}} {
+		for _, fam := range families {
+			// A k > τ query extends the index it runs on, so each side gets
+			// a fresh build.
+			var got [2]any
+			for side, run := range []func(*Index, int, int) (any, error){fam.plain, fam.twin} {
+				ix, err := Build(data, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[side], err = run(ix, c.k, c.focal); err != nil {
+					t.Fatalf("%s k=%d side %d: %v", fam.name, c.k, side, err)
+				}
+			}
+			if !reflect.DeepEqual(got[0], got[1]) {
+				t.Errorf("%s(k=%d, focal=%d): plain = %+v, Context = %+v", fam.name, c.k, c.focal, got[0], got[1])
+			}
+		}
+	}
+	// The beyond-τ focal must actually be answerable, or the comparison
+	// above proves nothing.
+	ix, _ := Build(data, tau)
+	if share, _ := ix.MarketShare(43, 5); share == 0 {
+		t.Error("MarketShare(43, 5) = 0: focal 43 should rank top-5 somewhere")
+	}
+	if _, err := ix.MonoRTopK(5, -1); err == nil {
+		t.Error("MonoRTopK accepted a negative focal")
+	}
+	// The batch twins resolve the focal the same way.
+	want, _ := ix.KSPR(5, 43)
+	for name, batch := range map[string]func(*Index) ([]*KSPRResult, error){
+		"KSPRBatch":        func(ix *Index) ([]*KSPRResult, error) { return ix.KSPRBatch(5, []int{43}) },
+		"KSPRBatchContext": func(ix *Index) ([]*KSPRResult, error) { return ix.KSPRBatchContext(ctx, 5, []int{43}) },
+	} {
+		fresh, _ := Build(data, tau)
+		if got, err := batch(fresh); err != nil || !reflect.DeepEqual(got[0].Regions, want.Regions) {
+			t.Errorf("%s(5, [43]): %d regions (err %v), KSPR has %d", name, len(got[0].Regions), err, len(want.Regions))
+		}
+	}
+}

@@ -245,9 +245,9 @@ func TestTraceTree(t *testing.T) {
 	root := StartSpanIn(sc, "serve/v1/query/batch")
 	under := sc.ChildOf(root.ID)
 
-	pick := StartSpanIn(under, "serve.pick")
-	pick.Set("replica", 1)
-	pick.FinishTo(r)
+	single := StartSpanIn(under, "item.maxrank")
+	single.Set("cached", 1)
+	single.FinishTo(r)
 
 	walk := StartSpanIn(under, "query.topkbatch")
 	item := StartSpanIn(under.ChildOf(walk.ID), "item.topk")
@@ -269,7 +269,7 @@ func TestTraceTree(t *testing.T) {
 	if tree.Name != "serve/v1/query/batch" || tree.SpanID != SpanIDString(root.ID) {
 		t.Fatalf("root node = %+v", tree)
 	}
-	// pick, walk, orphan attach to the root; item nests under the walk.
+	// single, walk, orphan attach to the root; item nests under the walk.
 	if len(tree.Children) != 3 {
 		t.Fatalf("root children = %d, want 3", len(tree.Children))
 	}
@@ -278,8 +278,8 @@ func TestTraceTree(t *testing.T) {
 		if c.Name == "query.topkbatch" {
 			walkNode = c
 		}
-		if c.Name == "serve.pick" && c.Attrs["replica"] != 1 {
-			t.Fatalf("pick attrs = %v", c.Attrs)
+		if c.Name == "item.maxrank" && c.Attrs["cached"] != 1 {
+			t.Fatalf("single item attrs = %v", c.Attrs)
 		}
 	}
 	if walkNode == nil || len(walkNode.Children) != 1 || walkNode.Children[0].Name != "item.topk" {

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	tlx "tlevelindex"
@@ -12,12 +10,12 @@ import (
 )
 
 // POST /v1/query/batch: many QueryRequests through one envelope and one
-// replica/lock decision. Top-k items are grouped by depth and carried
+// lock decision. Top-k items are grouped by depth and carried
 // through the index's shared-frontier batch traversal (DESIGN.md §18), and
 // their cache lookups are batched by cell key, so N same-cell queries cost
 // one index visit and N−1 cache hits. Every other family runs through the
-// same per-item pipeline as POST /v1/query, just without re-picking a
-// serving index per item.
+// same per-item pipeline as POST /v1/query, just without re-taking the
+// lock per item.
 //
 // The envelope is {"queries": [<QueryRequest>, ...]} in and
 // {"results": [<item>, ...]} out, index-aligned with the request. A
@@ -61,8 +59,7 @@ func batchOKItem(result any, stats tlx.QueryStats, cached bool, lsn uint64) batc
 // handleQueryBatch is POST /v1/query/batch.
 func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	var body batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		badRequest(w, "bad batch body: %v", err)
+	if !decodeBody(w, r, "batch", &body) {
 		return
 	}
 	if len(body.Queries) == 0 {
@@ -74,55 +71,30 @@ func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i := range body.Queries {
-		// Same omitted-parameter defaults as POST /v1/query.
-		if body.Queries[i].K == 0 {
-			body.Queries[i].K = 10
-		}
-		if body.Queries[i].M == 0 {
-			body.Queries[i].M = 10
-		}
+		body.Queries[i].defaults()
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Results []batchResponseItem `json:"results"`
 	}{h.dispatchBatch(r.Context(), body.Queries)})
 }
 
-// dispatchBatch validates every item, then routes the whole batch to one
-// serving index: a replica able to answer the deepest item lock-free, or
-// the writer under the lock its deepest item requires. One pick and one
-// lock acquisition cover the entire envelope.
+// dispatchBatch validates every item, then runs the whole batch under the
+// lock its deepest item requires: one acquisition covers the envelope.
 func (h *Handler) dispatchBatch(ctx context.Context, qs []QueryRequest) []batchResponseItem {
 	out := make([]batchResponseItem, len(qs))
 	specs := make([]*familySpec, len(qs))
 	maxDepth := 0
 	for i := range qs {
-		q := &qs[i]
-		spec, ok := families[q.Family]
-		if !ok {
-			out[i] = batchErrItem(fmt.Errorf("unknown query family %q", q.Family))
-			continue
-		}
-		if spec.needsFocal && q.Focal == nil {
-			out[i] = batchErrItem(fmt.Errorf("missing parameter %q", "focal"))
+		spec, err := resolve(&qs[i])
+		if err != nil {
+			out[i] = batchErrItem(err)
 			continue
 		}
 		specs[i] = spec
-		if d := spec.depth(q); d > maxDepth {
-			maxDepth = d
-		}
+		maxDepth = max(maxDepth, spec.depth(&qs[i]))
 	}
-	if state, idx, ok := h.reps.pick(maxDepth); ok {
-		h.reps.counters[idx].Inc()
-		notePick(ctx, idx)
-		h.runBatchOn(ctx, qs, specs, out, state.ix, state.lsn)
-		return out
-	}
-	if h.reps != nil {
-		h.writerReqs.Inc()
-	}
-	notePick(ctx, -1)
-	h.runQuery(maxDepth, func() {
-		h.runBatchOn(ctx, qs, specs, out, h.index(), h.lsnNow())
+	h.runQuery(maxDepth, func(ix *tlx.Index, lsn uint64) {
+		h.runBatchOn(ctx, qs, specs, out, ix, lsn)
 	})
 	return out
 }

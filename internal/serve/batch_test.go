@@ -199,41 +199,6 @@ func TestBatchEndpointLSNInvalidation(t *testing.T) {
 	}
 }
 
-// TestBatchEndpointReplicated: a replicated handler serves a whole batch
-// from one replica pick; answers still match the single path.
-func TestBatchEndpointReplicated(t *testing.T) {
-	ix, err := tlx.Build(hotels, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewReplicatedHandler(ix, 2, Config{CacheEntries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(h.Mux())
-	defer srv.Close()
-	code, items := postBatch(t, srv.URL,
-		`{"queries":[{"family":"topk","w":[0.18,0.82],"k":2},{"family":"topk","w":[0.7,0.3],"k":3}]}`)
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	var want struct {
-		Options []int `json:"options"`
-	}
-	if code := getJSON(t, srv.URL+"/topk?w=0.18,0.82&k=2", &want); code != http.StatusOK {
-		t.Fatalf("single status %d", code)
-	}
-	var got struct {
-		Options []int `json:"options"`
-	}
-	if err := json.Unmarshal(items[0].Result, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Options, want.Options) {
-		t.Fatalf("replicated batch %v != single %v", got.Options, want.Options)
-	}
-}
-
 // FuzzBatchEnvelope hardens the batch envelope decoder: arbitrary client
 // bytes must produce a well-formed JSON response with a sane status, never
 // a panic. The handler and its index are built once; the fuzz target only

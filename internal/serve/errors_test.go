@@ -88,3 +88,21 @@ func TestErrorEnvelopes(t *testing.T) {
 		t.Errorf("snapshot on drained store: code=%d msg=%q", code, msg)
 	}
 }
+
+// TestRequestBodyCap: every POST endpoint refuses a body over maxBodyBytes
+// with a 413 envelope before buffering it, while the largest legal
+// envelope — 1024 items — stays far below the cap.
+func TestRequestBodyCap(t *testing.T) {
+	srv := newServer(t)
+	huge := strings.Repeat(" ", maxBodyBytes+1) + "{}"
+	for _, path := range []string{"/v1/query", "/v1/query/batch", "/v1/insert", "/v1/insert/batch"} {
+		code, msg := doEnvelope(t, http.MethodPost, srv.URL+path, huge)
+		if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "too large") {
+			t.Errorf("%s over-cap body: code=%d msg=%q, want 413", path, code, msg)
+		}
+	}
+	full := `{"queries":[` + strings.TrimSuffix(strings.Repeat(`{"family":"maxrank","focal":0},`, maxBatchQueries), ",") + `]}`
+	if code, items := postBatch(t, srv.URL, full); code != http.StatusOK || len(items) != maxBatchQueries {
+		t.Errorf("full batch: code=%d items=%d, want 200/%d", code, len(items), maxBatchQueries)
+	}
+}

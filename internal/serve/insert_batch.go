@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"tlevelindex/internal/obs"
@@ -10,10 +9,10 @@ import (
 )
 
 // POST /v1/insert/batch: many options through one envelope, one engine
-// batch apply, one WAL fsync group, one cache-invalidation LSN advance,
-// and one replica republish. The envelope is {"options": [[attr, ...],
-// ...]} in and {"results": [<item>, ...]} out, index-aligned with the
-// request. A successful item is {"id": n, "lsn": m} — the same fields as a
+// batch apply, one WAL fsync group, and one cache-invalidation LSN
+// advance. The envelope is {"options": [[attr, ...], ...]} in and
+// {"results": [<item>, ...]} out, index-aligned with the request. A
+// successful item is {"id": n, "lsn": m} — the same fields as a
 // /v1/insert response, with n = -1 for a filtered option — and a failed
 // item is {"error": "...", "status": n} with the status the single-insert
 // endpoint would have answered, failing no neighbors. The whole batch is
@@ -47,8 +46,7 @@ func (h *Handler) handleInsertBatch(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Options [][]float64 `json:"options"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		badRequest(w, "bad insert batch body: %v", err)
+	if !decodeBody(w, r, "insert batch", &body) {
 		return
 	}
 	if len(body.Options) == 0 {
@@ -59,23 +57,12 @@ func (h *Handler) handleInsertBatch(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "batch of %d inserts exceeds the limit of %d", len(body.Options), maxBatchInserts)
 		return
 	}
-	if h.fol != nil {
-		writeJSON(w, http.StatusForbidden, struct {
-			Error   string `json:"error"`
-			Primary string `json:"primary"`
-		}{"follower is read-only; insert on the primary", h.fol.PrimaryURL()})
-		return
-	}
 	insertBatchRecordsTotal.Add(uint64(len(body.Options)))
 	results, _, err := h.applyInsertBatch(r.Context(), body.Options)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	// One republish covers every record in the batch: the read-your-writes
-	// argument only needs the replicas current as of the last acknowledged
-	// LSN, and that is exactly what a single post-batch publish installs.
-	h.publishAfterInserts(results)
 	items := make([]insertBatchItem, len(results))
 	for i, res := range results {
 		if res.Err != nil {
@@ -92,12 +79,18 @@ func (h *Handler) handleInsertBatch(w http.ResponseWriter, r *http.Request) {
 
 // applyInsertBatch runs one batch of options through the write path the
 // handler serves: the store's group-commit WAL in durable mode, the
-// in-memory index under the write lock otherwise. Per-item LSN semantics
-// match N sequential single inserts — each logged record gets its own
-// stamp, filtered and failed items echo the last preceding one — but the
+// in-memory index under the write lock otherwise; a follower refuses with
+// a readOnlyError. Per-item LSN semantics match N sequential single
+// inserts — each logged record gets its own stamp, filtered and failed items echo the last preceding one — but the
 // in-memory LSN counter is published once, after the whole batch, so
 // concurrent cached readers see one invalidation instead of N.
 func (h *Handler) applyInsertBatch(ctx context.Context, opts [][]float64) ([]store.BatchResult, store.GroupStats, error) {
+	if h.fol != nil {
+		// A follower's state is a strict copy of the primary's history; a
+		// local insert would fork it. Point the client at the write master.
+		return nil, store.GroupStats{}, &readOnlyError{
+			"follower is read-only; insert on the primary", h.fol.PrimaryURL()}
+	}
 	var (
 		results []store.BatchResult
 		stats   store.GroupStats
@@ -148,17 +141,5 @@ func (h *Handler) memInsertBatch(opts [][]float64) ([]store.BatchResult, store.G
 	return out, store.GroupStats{
 		Requests: 1, Records: len(opts), Logged: logged,
 		ThawNS: bs.ThawNS, FinalizeNS: bs.FinalizeNS,
-	}
-}
-
-// publishAfterInserts republishes the replica set once when any item in the
-// batch resolved to a dataset id, before the acknowledgement is written —
-// the same read-your-writes ordering the single-insert path keeps.
-func (h *Handler) publishAfterInserts(results []store.BatchResult) {
-	for _, res := range results {
-		if res.Err == nil && res.ID >= 0 {
-			h.publishReplicas()
-			return
-		}
 	}
 }

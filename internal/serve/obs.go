@@ -170,7 +170,7 @@ func quiet(endpoint string) bool {
 // package doc's status table); their counters are resolved at registration
 // so the request path performs no registry lookup. Anything rarer falls
 // back to a registry lookup.
-var commonCodes = [...]int{200, 400, 403, 404, 405, 409, 410, 422, 499, 500}
+var commonCodes = [...]int{200, 400, 403, 404, 405, 409, 410, 413, 422, 499, 500}
 
 func requestCounter(endpoint string, code int) *obs.Counter {
 	return obs.Default().Counter("tlx_http_requests_total", "HTTP requests served.",
@@ -305,7 +305,7 @@ func (h *Handler) sampleTrace() bool {
 }
 
 // mountPprof registers the net/http/pprof handlers on the mux. Opt-in via
-// WithPprof: the profiling endpoints reveal internals and cost CPU, so the
+// Config.Pprof: the profiling endpoints reveal internals and cost CPU, so the
 // default mux stays without them.
 func mountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

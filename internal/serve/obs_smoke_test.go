@@ -202,7 +202,7 @@ func TestMetricNamesLint(t *testing.T) {
 	}
 }
 
-// TestPprofOptIn: the profiling endpoints exist only with WithPprof.
+// TestPprofOptIn: the profiling endpoints exist only with Config.Pprof.
 func TestPprofOptIn(t *testing.T) {
 	plain := newServer(t)
 	resp, err := http.Get(plain.URL + "/debug/pprof/")
@@ -218,7 +218,7 @@ func TestPprofOptIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandlerOpts(ix, WithPprof()).Mux())
+	srv := httptest.NewServer(NewHandler(ix, Config{Pprof: true}).Mux())
 	defer srv.Close()
 	resp, err = http.Get(srv.URL + "/debug/pprof/")
 	if err != nil {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -15,9 +14,9 @@ import (
 
 // Unified query decode/dispatch. Every query family — whether it arrives
 // as the POST /v1/query JSON envelope or through a legacy GET route — is
-// decoded into one QueryRequest and routed through dispatch, which picks
-// the serving index (replica or writer), consults the answer cache, runs
-// the traversal, and returns a uniform outcome. The legacy GET handlers
+// decoded into one QueryRequest and routed through dispatch, which takes
+// the lock the query's depth requires, consults the answer cache, runs the
+// traversal, and returns a uniform outcome. The legacy GET handlers
 // are thin shells: URL decode on the way in, historical response shape on
 // the way out.
 
@@ -32,6 +31,18 @@ type QueryRequest struct {
 	Lo     []float64 `json:"lo,omitempty"`
 	Hi     []float64 `json:"hi,omitempty"`
 	M      int       `json:"m,omitempty"`
+}
+
+// defaults gives omitted k/m the values the GET routes apply. (JSON cannot
+// distinguish an explicit 0 from omission without pointer fields; an
+// explicit 0 therefore also selects the default here, unlike ?k=0.)
+func (q *QueryRequest) defaults() {
+	if q.K == 0 {
+		q.K = 10
+	}
+	if q.M == 0 {
+		q.M = 10
+	}
 }
 
 // queryStatsBody is the envelope rendering of tlx.QueryStats.
@@ -93,7 +104,7 @@ type familySpec struct {
 	// historical messages.
 	fromURL func(r *http.Request) (*QueryRequest, error)
 	// depth is the materialization depth the query needs — the k handed
-	// to the lock/routing decision.
+	// to the lock decision.
 	depth func(q *QueryRequest) int
 	// cacheKey derives the answer-cache key on the index about to serve
 	// the query; ok=false means the answer must not be cached (e.g. the
@@ -104,20 +115,6 @@ type familySpec struct {
 	// alongside an error when partial traversal statistics should still
 	// be recorded (cancellation).
 	run func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, error)
-	// fastLocate, when non-nil, computes the cache key by pure point
-	// location — no extension, no answer materialization — so a
-	// cache-warm request costs exactly one locate plus one cache Get
-	// (the point-location fast path: for top-k the located cell chain
-	// already determines every rank, so on a hit nothing else need run).
-	// engaged=false means the preconditions did not hold (depth beyond
-	// the materialized levels, which the fast path must never extend, or
-	// a chain that ran short of the requested depth) and the
-	// cacheKey/run pair must serve the query.
-	fastLocate func(ix *tlx.Index, q *QueryRequest) (key cache.Key, engaged bool)
-	// fastRun materializes the answer after a fastLocate cache miss. It
-	// re-locates internally, which is still far cheaper than the full
-	// run traversal the slow path would pay on the same miss.
-	fastRun func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (cacheable bool, result any, stats tlx.QueryStats, err error)
 	// legacy writes the historical flat response shape.
 	legacy func(w http.ResponseWriter, result any, stats tlx.QueryStats)
 }
@@ -158,9 +155,10 @@ var families = map[string]*familySpec{
 		depth: func(q *QueryRequest) int { return q.K },
 		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
 			// The cell-chain key is the index's own statement that every
-			// weight vector reaching it has this exact ordered answer. A
-			// walk that falls short of k (or invalid weights) is not
-			// cacheable; the run path reports the condition properly.
+			// weight vector reaching it has this exact ordered answer, so a
+			// cache-warm request costs one locate plus one Get. A walk that
+			// falls short of k (or invalid weights) is not cacheable; the
+			// run path reports the condition properly.
 			ck, level, err := ix.LocateDepth(q.W, q.K)
 			if err != nil || level != q.K {
 				return cache.Key{}, false
@@ -173,25 +171,6 @@ var families = map[string]*familySpec{
 				return nil, tlx.QueryStats{}, err
 			}
 			return &topkBody{Options: res.Options}, res.Stats, err
-		},
-		fastLocate: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
-			if q.K < 1 || q.K > ix.MaxMaterializedLevel() {
-				return cache.Key{}, false
-			}
-			ck, level, err := ix.LocateDepth(q.W, q.K)
-			if err != nil || level != q.K {
-				// Invalid weights or a chain short of depth k: the slow
-				// path owns both (error reporting and uncached partials).
-				return cache.Key{}, false
-			}
-			return cache.Key{Family: "topk", Cell: ck.Sum64(), K: q.K}, true
-		},
-		fastRun: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (bool, any, tlx.QueryStats, error) {
-			_, level, res, err := ix.LocateTopK(ctx, q.W, q.K)
-			if res == nil {
-				return false, nil, tlx.QueryStats{}, err
-			}
-			return err == nil && level == q.K, &topkBody{Options: res.Options}, res.Stats, err
 		},
 		legacy: func(w http.ResponseWriter, result any, stats tlx.QueryStats) {
 			b := result.(*topkBody)
@@ -434,22 +413,8 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// notePick emits the replica-pick child span into the request trace: which
-// serving index the routing decision landed on (the replica's position, or
-// -1 for the writer index). Untraced requests cost one context lookup.
-func notePick(ctx context.Context, replica int) {
-	sc, ok := obs.SpanContextFrom(ctx)
-	if !ok {
-		return
-	}
-	sp := obs.StartSpanIn(sc, "serve.pick")
-	sp.Set("replica", float64(replica))
-	sp.FinishTo(sc.Tracer)
-}
-
-// dispatch validates the request, routes it to a replica or the writer,
-// consults the cache, and runs the traversal on a miss.
-func (h *Handler) dispatch(ctx context.Context, q *QueryRequest) (*queryOutcome, error) {
+// resolve finds the request's family and checks its required parameters.
+func resolve(q *QueryRequest) (*familySpec, error) {
 	spec, ok := families[q.Family]
 	if !ok {
 		return nil, fmt.Errorf("unknown query family %q", q.Family)
@@ -457,27 +422,18 @@ func (h *Handler) dispatch(ctx context.Context, q *QueryRequest) (*queryOutcome,
 	if spec.needsFocal && q.Focal == nil {
 		return nil, fmt.Errorf("missing parameter %q", "focal")
 	}
-	depth := spec.depth(q)
-	if state, idx, ok := h.reps.pick(depth); ok {
-		h.reps.counters[idx].Inc()
-		notePick(ctx, idx)
-		// Replica states are immutable and never mutated in place, so the
-		// query runs with no locking; the state's LSN stamps the answer.
-		return h.runOn(ctx, spec, q, state.ix, state.lsn)
+	return spec, nil
+}
+
+// dispatch validates the request, consults the cache, and runs the
+// traversal on a miss, all under the lock the query's depth requires.
+func (h *Handler) dispatch(ctx context.Context, q *QueryRequest) (out *queryOutcome, err error) {
+	spec, err := resolve(q)
+	if err != nil {
+		return nil, err
 	}
-	if h.reps != nil {
-		h.writerReqs.Inc()
-	}
-	notePick(ctx, -1)
-	var (
-		out *queryOutcome
-		err error
-	)
-	h.runQuery(depth, func() {
-		// The LSN is read inside the lock: inserts take the write lock
-		// (or the store's, which is the same), so it cannot move while
-		// the traversal runs.
-		out, err = h.runOn(ctx, spec, q, h.index(), h.lsnNow())
+	h.runQuery(spec.depth(q), func(ix *tlx.Index, lsn uint64) {
+		out, err = h.runOn(ctx, spec, q, ix, lsn)
 	})
 	return out, err
 }
@@ -518,33 +474,6 @@ func (h *Handler) runOnInner(ctx context.Context, spec *familySpec, q *QueryRequ
 		key       cache.Key
 		cacheable bool
 	)
-	if h.cache != nil && spec.fastLocate != nil {
-		// Pure point location yields the cache key before any answer is
-		// materialized, so a cache-warm request costs one locate plus one
-		// Get — no traversal, no materialization. Only a miss pays
-		// fastRun, which is still cheaper than the slow path's
-		// cacheKey-then-run pair on the same miss.
-		if key, engaged := spec.fastLocate(ix, q); engaged {
-			if keyOut != nil {
-				*keyOut = key
-			}
-			if v, ok := h.cache.Get(key, lsn); ok {
-				ans := v.(*cachedAnswer)
-				return &queryOutcome{result: ans.result, stats: ans.stats, cached: true, lsn: lsn}, nil
-			}
-			cacheable, result, stats, err := spec.fastRun(ctx, ix, q)
-			if result != nil {
-				recordQueryStats(spec.name, stats)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if cacheable {
-				h.cache.Put(key, lsn, &cachedAnswer{result: result, stats: stats})
-			}
-			return &queryOutcome{result: result, stats: stats, lsn: lsn}, nil
-		}
-	}
 	if h.cache != nil {
 		key, cacheable = spec.cacheKey(ix, q)
 		if cacheable {
@@ -575,19 +504,10 @@ func (h *Handler) runOnInner(ctx context.Context, spec *familySpec, q *QueryRequ
 // handleQuery is POST /v1/query: the unified JSON envelope.
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		badRequest(w, "bad query body: %v", err)
+	if !decodeBody(w, r, "query", &q) {
 		return
 	}
-	// Omitted k/m take the same defaults the GET routes apply. (JSON cannot
-	// distinguish an explicit 0 from omission without pointer fields; an
-	// explicit 0 therefore also selects the default here, unlike ?k=0.)
-	if q.K == 0 {
-		q.K = 10
-	}
-	if q.M == 0 {
-		q.M = 10
-	}
+	q.defaults()
 	out, err := h.dispatch(r.Context(), &q)
 	if err != nil {
 		writeErr(w, err)

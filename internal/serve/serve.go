@@ -1,8 +1,9 @@
 // Package serve exposes a τ-LevelIndex over HTTP with JSON responses — the
 // deployment shape a product team would actually run: build the index once,
-// then answer preference queries from many clients with cheap lookups,
-// optionally fanned out over read replicas behind a cell-keyed answer
-// cache.
+// then answer preference queries from many clients with cheap lookups
+// behind a cell-keyed answer cache. A Handler runs in one of three modes,
+// fixed by its constructor: memory-only (NewHandler), store-backed
+// (NewStoreHandler) or follower (NewFollowerHandler).
 //
 // # Endpoints
 //
@@ -16,9 +17,9 @@
 //
 //	/v1/query/batch                 JSON body {"queries": [<query body>, ...]}
 //
-// carrying up to 1024 query bodies through one round trip, one replica
-// pick, and — for top-k items — one shared index traversal with the cache
-// consulted in a single batched lookup, so same-cell queries cost one
+// carrying up to 1024 query bodies through one round trip, one lock
+// acquisition, and — for top-k items — one shared index traversal with the
+// cache consulted in a single batched lookup, so same-cell queries cost one
 // index visit and N−1 cache hits. The answer is {"results": [...]},
 // index-aligned with the request: each success item has the /v1/query
 // fields, each failure item is {"error": "...", "status": n} with the
@@ -40,8 +41,8 @@
 //
 //	/v1/insert                      add an option to the index
 //	/v1/insert/batch                add up to 1024 options through one
-//	                                engine batch apply, one WAL fsync
-//	                                group, and one replica republish
+//	                                engine batch apply and one WAL fsync
+//	                                group
 //
 // # JSON envelope
 //
@@ -60,6 +61,7 @@
 //	409  insert after on-demand extension (tlevelindex.ErrExtended)
 //	410  snapshot-stream tail request for records the primary has pruned
 //	     (store.ErrShipGap; the follower must re-bootstrap)
+//	413  POST body larger than the 4 MiB cap
 //	422  k beyond the materialized levels on an index without its full
 //	     dataset (tlevelindex.ErrNeedsFullData)
 //	499  client disconnected mid-query (context canceled)
@@ -82,19 +84,6 @@
 // one answer — so any number of distinct weight vectors inside one cell
 // chain share a single cache entry. The cache is on by default; size it
 // with Config.CacheEntries or disable it with a negative value.
-//
-// # Replication
-//
-// A handler with Config.Replicas > 0 (or built by NewReplicatedHandler)
-// keeps N read-only replicas of the index, each behind an atomic pointer.
-// Queries within the replicas' materialized depth are routed round-robin
-// and run without any locking; deeper queries and everything else fall
-// back to the writer index under its lock. The writer republishes the
-// replicas synchronously after every accepted insert, before the insert
-// is acknowledged, so a client that observes an insert's 200 can never
-// read a pre-insert answer afterwards (read-your-writes). Replicas are
-// deserialized copies without the full dataset: queries needing k beyond
-// their depth go to the writer.
 //
 // # Durability
 //
@@ -123,27 +112,26 @@
 // index — while /v1/insert answers 403 with the primary's URL and
 // GET /v1/admin/status reports {"role": "follower"} with the follow
 // state, the applied and primary LSNs, the lag between them, and the
-// index backing ("mmap"/"heap"). The store admin endpoints and the
-// replica tier do not apply in this mode.
+// index backing ("mmap"/"heap"). The store admin endpoints do not apply
+// in this mode.
 //
 // # Observability
 //
 // Every endpoint is instrumented: request counts and latency histograms,
 // per-query-type traversal counters, cache hit/miss/stale/eviction
-// counters, per-replica request counters and swap-latency histograms,
-// WAL/snapshot latency, VerdictCache statistics, and runtime gauges are
-// all exposed in Prometheus text format at GET /v1/metrics (metric names
-// are prefixed tlx_; see DESIGN.md §14 for the full list). Config.Logger
-// attaches a structured access log; Config.Pprof mounts the
+// counters, WAL/snapshot latency, VerdictCache statistics, and runtime
+// gauges are all exposed in Prometheus text format at GET /v1/metrics
+// (metric names are prefixed tlx_; see DESIGN.md §14 for the full list).
+// Config.Logger attaches a structured access log; Config.Pprof mounts the
 // net/http/pprof profiling endpoints under /debug/pprof/.
 //
 // # Concurrency
 //
 // Queries whose depth is already materialized are pure lookups and run
-// concurrently — lock-free on a replica, under a read lock on the writer.
-// A query with larger k mutates the index (on-demand extension), so it
-// briefly takes the write lock, as do /v1/insert and any request that
-// arrives before the depth check can prove read-only access is safe.
+// concurrently under a read lock. A query with larger k mutates the index
+// (on-demand extension), so it briefly takes the write lock, as do
+// /v1/insert and any request that arrives before the depth check can prove
+// read-only access is safe.
 // Handlers honor the request context: a client disconnect cancels the
 // index traversal between cell visits.
 package serve
@@ -182,8 +170,7 @@ const defaultCacheEntries = 4096
 const DefaultTraceSample = 64
 
 // Config configures a Handler. The zero value is a production-reasonable
-// default: silent, no pprof, answer cache on at its default size, no
-// replicas.
+// default: silent, no pprof, answer cache on at its default size.
 type Config struct {
 	// Logger receives the access log. Requests log at Info; scraper
 	// traffic (/v1/metrics, /debug/pprof) logs at Debug. Nil is silent.
@@ -195,9 +182,6 @@ type Config struct {
 	// CacheEntries bounds the answer cache: 0 selects the default size,
 	// a negative value disables caching entirely.
 	CacheEntries int
-	// Replicas is the number of read-only index replicas to keep; 0 (the
-	// default) serves every query from the writer index under its lock.
-	Replicas int
 	// TraceBuffer bounds the flight recorder's recent-trace ring: 0 selects
 	// obs.DefaultTraceBuffer, a negative value disables the recorder (and
 	// with it request tracing and GET /v1/admin/trace).
@@ -242,8 +226,8 @@ type Follower interface {
 	StateName() string
 }
 
-// Handler answers preference queries against one index, optionally through
-// a replica set and an LSN-stamped answer cache.
+// Handler answers preference queries against one index through an
+// LSN-stamped answer cache.
 type Handler struct {
 	mu    *sync.RWMutex
 	ix    *tlx.Index
@@ -252,7 +236,6 @@ type Handler struct {
 	log   *slog.Logger
 	pprof bool
 	cache *cache.Cache  // nil when disabled
-	reps  *replicaSet   // nil without replicas
 	rec   *obs.Recorder // flight recorder; nil when disabled
 	hot   *obs.HotCells // sampled cell-traffic sketch; nil without a cache
 	// traceEvery is the resolved head-sampling rate: a fresh trace starts on
@@ -261,9 +244,6 @@ type Handler struct {
 	// the rate divides.
 	traceEvery uint64
 	traceTick  atomic.Uint64
-	// writerReqs counts queries that fell through to the writer index in
-	// replicated mode (label replica="writer").
-	writerReqs *obs.Counter
 	// memLSN is the memory-only insert counter standing in for the
 	// store's applied LSN; bumped under the write lock for every
 	// accepted insert.
@@ -272,10 +252,7 @@ type Handler struct {
 
 // NewHandler wraps an index in a memory-only handler: inserts are accepted
 // but lost on restart. The handler owns all index synchronization; the
-// caller must not use the index concurrently with the handler. A replica
-// set requested via cfg.Replicas that cannot be built (the index fails to
-// serialize) is logged and disabled — the handler still serves everything
-// from the writer. Use NewReplicatedHandler to treat that as an error.
+// caller must not use the index concurrently with the handler.
 func NewHandler(ix *tlx.Index, cfg Config) *Handler {
 	return newHandler(&Handler{mu: new(sync.RWMutex), ix: ix}, cfg)
 }
@@ -291,28 +268,12 @@ func NewStoreHandler(st *store.Store, cfg Config) *Handler {
 // NewFollowerHandler serves a follower replica: queries run against the
 // follower's index (mmap-backed when the platform allows) under the
 // follower's lock, inserts are refused with a pointer at the primary, and
-// /v1/admin/status reports the follow state. Replicas and the store admin
-// endpoints do not apply in this mode.
+// /v1/admin/status reports the follow state. The store admin endpoints do
+// not apply in this mode.
 func NewFollowerHandler(f Follower, cfg Config) *Handler {
-	cfg.Replicas = 0
 	h := newHandler(&Handler{mu: f.Mutex(), fol: f}, cfg)
 	h.registerFollowerGauges()
 	return h
-}
-
-// NewReplicatedHandler is NewHandler with replicas required: it builds n
-// read-only replicas of ix up front and fails if the replica set cannot be
-// constructed instead of silently degrading to writer-only service.
-func NewReplicatedHandler(ix *tlx.Index, n int, cfg Config) (*Handler, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("serve: replica count %d, want >= 1", n)
-	}
-	cfg.Replicas = n
-	h := NewHandler(ix, cfg)
-	if h.reps == nil || h.reps.broken.Load() {
-		return nil, errors.New("serve: replica set construction failed (index did not round-trip)")
-	}
-	return h, nil
 }
 
 func newHandler(h *Handler, cfg Config) *Handler {
@@ -344,17 +305,9 @@ func newHandler(h *Handler, cfg Config) *Handler {
 	case cfg.TraceSample == 0:
 		h.traceEvery = DefaultTraceSample
 	}
-	if cfg.Replicas > 0 {
-		h.reps = newReplicaSet(cfg.Replicas)
-		h.writerReqs = obs.Default().Counter("tlx_replica_requests_total",
-			"Requests served per replica (label \"writer\" is the primary).",
-			obs.Label{Name: "replica", Value: "writer"})
-		h.publishReplicas()
-	}
 	registerProcessGauges()
 	h.registerIndexGauges()
 	h.registerCacheGauges()
-	h.registerReplicaGauges()
 	return h
 }
 
@@ -372,9 +325,9 @@ func (h *Handler) lsnNow() uint64 {
 	return h.memLSN.Load()
 }
 
-// index returns the serving writer index. In follower mode the pointer
-// lives with the follower (a re-bootstrap swaps it), so it must be read
-// under h.mu — which every caller already holds.
+// index returns the serving index. In follower mode the pointer lives with
+// the follower (a re-bootstrap swaps it), so it must be read under h.mu —
+// which every caller already holds.
 func (h *Handler) index() *tlx.Index {
 	if h.fol != nil {
 		return h.fol.Index()
@@ -450,23 +403,25 @@ func methodOnly(method string, fn http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// runQuery executes fn with the locking its depth requires: a read lock
-// when every level up to k is already materialized (the query is then a
-// pure lookup and may run alongside other readers), the write lock
-// otherwise (the query extends the index on demand). The depth is
-// re-checked after acquiring the read lock because a concurrent writer may
-// have been mid-extension during the first check.
-func (h *Handler) runQuery(k int, fn func()) {
+// runQuery hands fn the serving index and its LSN under the locking depth k
+// requires: a read lock when every level up to k is already materialized
+// (the query is then a pure lookup and may run alongside other readers),
+// the write lock otherwise (the query extends the index on demand). The
+// depth is checked under the read lock because a concurrent writer may be
+// mid-extension. The LSN is read inside the lock: inserts take the write
+// lock (or the store's, which is the same), so it cannot move while fn
+// runs.
+func (h *Handler) runQuery(k int, fn func(ix *tlx.Index, lsn uint64)) {
 	h.mu.RLock()
-	if k <= h.index().MaxMaterializedLevel() {
+	if ix := h.index(); k <= ix.MaxMaterializedLevel() {
 		defer h.mu.RUnlock()
-		fn()
+		fn(ix, h.lsnNow())
 		return
 	}
 	h.mu.RUnlock()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	fn()
+	fn(h.index(), h.lsnNow())
 }
 
 // statusCanceled is the nonstandard 499 nginx popularized for client
@@ -504,29 +459,54 @@ func statusFor(err error) int {
 	return http.StatusBadRequest
 }
 
+// readOnlyError refuses a write on a follower. It is its own 403 body: the
+// usual error envelope plus the primary to write to.
+type readOnlyError struct {
+	Msg     string `json:"error"`
+	Primary string `json:"primary"`
+}
+
+func (e *readOnlyError) Error() string { return e.Msg }
+
 func writeErr(w http.ResponseWriter, err error) {
+	var ro *readOnlyError
+	if errors.As(err, &ro) {
+		writeJSON(w, http.StatusForbidden, ro)
+		return
+	}
 	writeJSON(w, statusFor(err), errorBody{Error: err.Error()})
+}
+
+// maxBodyBytes caps every POST body. The largest legal envelope, 1024
+// items, is well under 1 MiB, so the cap never refuses a valid request.
+const maxBodyBytes = 4 << 20
+
+// decodeBody decodes a POST body of at most maxBodyBytes into v. On failure
+// it answers the error envelope — 413 for an over-cap body, otherwise 400
+// "bad <what> body" — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
+	} else {
+		badRequest(w, "bad %s body: %v", what, err)
+	}
+	return false
 }
 
 func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Option []float64 `json:"option"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		badRequest(w, "bad insert body: %v", err)
+	if !decodeBody(w, r, "insert", &body) {
 		return
 	}
 	if len(body.Option) == 0 {
 		badRequest(w, "missing option attributes")
-		return
-	}
-	if h.fol != nil {
-		// A follower's state is a strict copy of the primary's history; a
-		// local insert would fork it. Point the client at the write master.
-		writeJSON(w, http.StatusForbidden, struct {
-			Error   string `json:"error"`
-			Primary string `json:"primary"`
-		}{"follower is read-only; insert on the primary", h.fol.PrimaryURL()})
 		return
 	}
 	// A single insert is a batch of one through the shared write path: the
@@ -543,14 +523,9 @@ func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, res.Err)
 		return
 	}
-	// Republish the replicas before acknowledging so a client that sees
-	// this 200 can never read a pre-insert answer afterwards
-	// (read-your-writes). Filtered options change nothing; skip the swap.
-	h.publishAfterInserts(results)
 	// The acknowledged LSN is this insert's own version stamp (captured
-	// under the write lock), not the LSN at response time: a concurrent
-	// not-yet-published insert must not leak into the ack, or a client
-	// could demand a version the replicas do not have yet.
+	// under the write lock), not the LSN at response time, which a
+	// concurrent insert may already have advanced.
 	writeJSON(w, http.StatusOK, struct {
 		ID  int    `json:"id"`
 		LSN uint64 `json:"lsn"`

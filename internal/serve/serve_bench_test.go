@@ -123,32 +123,9 @@ func BenchmarkServeQueryTopKCached(b *testing.B) {
 	}
 }
 
-// BenchmarkServeReplicatedTopKParallel is the concurrent-throughput number:
-// GOMAXPROCS goroutines hammering a 4-replica handler with the cache off,
-// so every request runs a real traversal lock-free on a replica.
-func BenchmarkServeReplicatedTopKParallel(b *testing.B) {
-	h, err := NewReplicatedHandler(serveBenchIndex(b), 4, Config{CacheEntries: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mux := h.Mux()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		req := httptest.NewRequest(http.MethodGet, sbTopKURL, nil)
-		for pb.Next() {
-			w := httptest.NewRecorder()
-			mux.ServeHTTP(w, req)
-			if w.Code != http.StatusOK {
-				b.Fatalf("status %d", w.Code)
-			}
-		}
-	})
-}
-
-// BenchmarkServeWriterTopKParallel is the same parallel workload without
-// replicas: every request contends on the writer's read lock. The gap to
-// BenchmarkServeReplicatedTopKParallel is what the replica tier buys.
+// BenchmarkServeWriterTopKParallel is the concurrent-throughput number:
+// GOMAXPROCS goroutines hammering a handler with the cache off, so every
+// request runs a real traversal under the read lock.
 func BenchmarkServeWriterTopKParallel(b *testing.B) {
 	mux := NewHandler(serveBenchIndex(b), Config{CacheEntries: -1}).Mux()
 	b.ReportAllocs()

@@ -198,87 +198,6 @@ func TestInsertBatchDurable(t *testing.T) {
 	}
 }
 
-// TestInsertBatchReplicatedReadYourWrites: the batched republish keeps the
-// read-your-writes guarantee — after a batch's 200, every query must answer
-// at an LSN at least the batch's last acknowledged stamp, even while more
-// batches race in. Run under -race.
-func TestInsertBatchReplicatedReadYourWrites(t *testing.T) {
-	srv := newReplicatedServer(t, 2)
-	var wg sync.WaitGroup
-	type stamp struct{ lsn uint64 }
-	stamps := make(chan stamp, 64)
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 6; i++ {
-				// Strictly improving options are never filtered.
-				v := 1.0 + float64(g*6+i)/100
-				body := struct {
-					Options [][]float64 `json:"options"`
-				}{[][]float64{{v, v}, {v + 0.001, v + 0.001}}}
-				raw, _ := json.Marshal(body)
-				resp, err := http.Post(srv.URL+"/v1/insert/batch", "application/json",
-					strings.NewReader(string(raw)))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				var env struct {
-					Results []insertAck `json:"results"`
-				}
-				if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-					t.Error(err)
-					resp.Body.Close()
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("batch status %d", resp.StatusCode)
-					return
-				}
-				last := env.Results[len(env.Results)-1]
-				if last.LSN == nil {
-					t.Error("missing lsn on accepted item")
-					return
-				}
-				// The ack is complete: any query issued from here on must
-				// see at least this LSN.
-				watermark := *last.LSN
-				var q struct {
-					LSN uint64 `json:"lsn"`
-				}
-				resp2, err := http.Post(srv.URL+"/v1/query", "application/json",
-					strings.NewReader(`{"family":"topk","w":[0.18,0.82],"k":2}`))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := json.NewDecoder(resp2.Body).Decode(&q); err != nil {
-					t.Error(err)
-					resp2.Body.Close()
-					return
-				}
-				resp2.Body.Close()
-				if q.LSN < watermark {
-					t.Errorf("stale answer after batch ack: lsn %d < %d", q.LSN, watermark)
-					return
-				}
-				stamps <- stamp{watermark}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(stamps)
-	n := 0
-	for range stamps {
-		n++
-	}
-	if n != 18 {
-		t.Fatalf("%d acknowledged batches, want 18", n)
-	}
-}
-
 // fakeFollower is the minimal Follower for testing the read-only gate.
 type fakeFollower struct {
 	ix *tlx.Index

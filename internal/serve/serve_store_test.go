@@ -1,7 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	tlx "tlevelindex"
@@ -150,4 +156,97 @@ func TestStoreBackedQueries(t *testing.T) {
 	if len(body.Options) != 2 || body.Options[0] != 0 || body.Options[1] != 3 {
 		t.Errorf("topk = %v, want [0 3]", body.Options)
 	}
+}
+
+// TestLSNHappensBefore is the -race consistency check on both writable
+// modes: no query may observe an answer — cached or fresh — with an LSN
+// older than the last acked insert that happened-before it. Inserters
+// record the LSN of each accepted insert after its 200; queriers snapshot
+// that watermark before issuing and require the response LSN to be at
+// least the snapshot.
+func TestLSNHappensBefore(t *testing.T) {
+	t.Run("memory", func(t *testing.T) { checkLSNHappensBefore(t, newServer(t).URL) })
+	t.Run("store", func(t *testing.T) {
+		srv, _ := newStoreServer(t, t.TempDir())
+		checkLSNHappensBefore(t, srv.URL)
+	})
+}
+
+func checkLSNHappensBefore(t *testing.T, base string) {
+	// post decodes a 200 answer into out; it reports on the calling
+	// goroutine with t.Error, never t.Fatal.
+	post := func(path, body string, out any) bool {
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s status %d", path, resp.StatusCode)
+			return false
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Error(err)
+			return false
+		}
+		return true
+	}
+	var lastAcked atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				// Strictly improving options are never filtered, so every
+				// insert advances the LSN.
+				v := 1.0 + float64(g*8+i)/100
+				var ins struct {
+					ID  int    `json:"id"`
+					LSN uint64 `json:"lsn"`
+				}
+				if !post("/v1/insert", fmt.Sprintf(`{"option":[%g,%g]}`, v, v), &ins) {
+					return
+				}
+				if ins.ID < 0 {
+					continue
+				}
+				// CAS-max: the watermark only moves forward.
+				for {
+					cur := lastAcked.Load()
+					if ins.LSN <= cur || lastAcked.CompareAndSwap(cur, ins.LSN) {
+						break
+					}
+				}
+			}
+		}(g)
+	}
+	queries := []string{
+		`{"family":"topk","w":[0.18,0.82],"k":2}`,
+		`{"family":"kspr","focal":0,"k":2}`,
+		`{"family":"maxrank","focal":1}`,
+	}
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				watermark := lastAcked.Load() // happens-before the query
+				var env struct {
+					Cached bool   `json:"cached"`
+					LSN    uint64 `json:"lsn"`
+				}
+				if !post("/v1/query", queries[(g+i)%len(queries)], &env) {
+					return
+				}
+				if env.LSN < watermark {
+					t.Errorf("stale answer: lsn %d < acked watermark %d (cached=%v)",
+						env.LSN, watermark, env.Cached)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

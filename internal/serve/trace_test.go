@@ -42,10 +42,9 @@ func walkTree(n *obs.SpanNode, into map[string][]*obs.SpanNode) {
 }
 
 // TestBatchTraceTree is the tentpole acceptance test: one
-// POST /v1/query/batch against a replicated handler must surface as a
-// single retrievable trace whose tree shows the envelope, the replica
-// pick, the shared batch walk, and a per-item child span with its cache
-// status. The handler keeps the default config on purpose: a fresh
+// POST /v1/query/batch must surface as a single retrievable trace whose
+// tree shows the envelope, the shared batch walk, and a per-item child
+// span with its cache status. The handler keeps the default config on purpose: a fresh
 // handler's first request must be head-sampled, so tracing works out of
 // the box without TraceSample tuning.
 func TestBatchTraceTree(t *testing.T) {
@@ -53,11 +52,7 @@ func TestBatchTraceTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewReplicatedHandler(ix, 2, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(h.Mux())
+	srv := httptest.NewServer(NewHandler(ix, Config{}).Mux())
 	defer srv.Close()
 
 	// Two identical top-k items: the batch dedupes them to one cache fill,
@@ -100,13 +95,6 @@ func TestBatchTraceTree(t *testing.T) {
 
 	names := make(map[string][]*obs.SpanNode)
 	walkTree(found, names)
-	picks := names["serve.pick"]
-	if len(picks) != 1 {
-		t.Fatalf("serve.pick spans = %d, want 1", len(picks))
-	}
-	if r, ok := picks[0].Attrs["replica"]; !ok || r < 0 {
-		t.Fatalf("pick did not land on a replica: attrs %v", picks[0].Attrs)
-	}
 	if len(names["query.topkbatch"]) != 1 {
 		t.Fatalf("shared batch walk span missing: %v", names)
 	}

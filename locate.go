@@ -66,7 +66,7 @@ func (ix *Index) LocateDepth(w []float64, k int) (CellKey, int, error) {
 // partial ranks and stats.
 func (ix *Index) LocateTopK(ctx context.Context, w []float64, k int) (CellKey, int, *TopKResult, error) {
 	if k < 1 {
-		return CellKey{}, 0, nil, fmt.Errorf("tlevelindex: k must be >= 1")
+		return CellKey{}, 0, nil, errBadK
 	}
 	x, err := ix.reduce(w)
 	if err != nil {

@@ -1,9 +1,7 @@
 package tlevelindex
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
+	"context"
 
 	"tlevelindex/internal/geom"
 	"tlevelindex/internal/index"
@@ -87,28 +85,7 @@ type KSPRResult struct {
 // (a dataset index) ranks top-k. An option outside the k-skyband yields an
 // empty result: it ranks below k everywhere.
 func (ix *Index) KSPR(k, focal int) (*KSPRResult, error) {
-	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
-	}
-	if focal < 0 {
-		return nil, fmt.Errorf("tlevelindex: invalid focal option %d", focal)
-	}
-	fid := ix.filteredID(focal)
-	if fid < 0 && k > ix.inner.MaxMaterializedLevel() {
-		// The option may enter deeper levels; extending refreshes the pool.
-		ix.inner.EnsureLevels(k)
-		ix.idMap.Store(nil)
-		fid = ix.filteredID(focal)
-	}
-	if fid < 0 {
-		return &KSPRResult{}, nil
-	}
-	res := ix.inner.KSPR(k, fid)
-	out := &KSPRResult{Stats: exportStats(res.Stats)}
-	for _, id := range res.Cells {
-		out.Regions = append(out.Regions, exportRegion(ix.inner.Region(id)))
-	}
-	return out, nil
+	return ix.kspr(context.Background(), k, focal, false)
 }
 
 // UTKPartition is one piece of the query region with a fixed top-k set.
@@ -131,30 +108,7 @@ type UTKResult struct {
 // [lo, hi] in reduced preference coordinates, along with the partitioning
 // of the box by top-k result set.
 func (ix *Index) UTK(k int, lo, hi []float64) (*UTKResult, error) {
-	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
-	}
-	if len(lo) != ix.inner.RDim() || len(hi) != ix.inner.RDim() {
-		return nil, fmt.Errorf("tlevelindex: query box must have %d reduced coordinates", ix.inner.RDim())
-	}
-	for i := range lo {
-		if lo[i] > hi[i] {
-			return nil, errors.New("tlevelindex: box lo exceeds hi")
-		}
-	}
-	res := ix.inner.UTK(k, geom.NewBox(lo, hi))
-	out := &UTKResult{Stats: exportStats(res.Stats)}
-	for _, o := range res.Options {
-		out.Options = append(out.Options, ix.origID(o))
-	}
-	for _, p := range res.Partitions {
-		part := UTKPartition{Region: exportRegion(ix.inner.Region(p.Cell))}
-		for _, o := range p.TopK {
-			part.TopK = append(part.TopK, ix.origID(o))
-		}
-		out.Partitions = append(out.Partitions, part)
-	}
-	return out, nil
+	return ix.utk(context.Background(), k, lo, hi, false)
 }
 
 // ORUResult answers an output-size specified utility-based query
@@ -172,52 +126,28 @@ type ORUResult struct {
 // ORU reports m options, each of which ranks top-k for at least one weight
 // within the minimum expansion distance ρ of w (a full weight vector).
 func (ix *Index) ORU(k int, w []float64, m int) (*ORUResult, error) {
-	if k < 1 || m < 1 {
-		return nil, errors.New("tlevelindex: k and m must be >= 1")
-	}
-	x, err := ix.reduce(w)
-	if err != nil {
-		return nil, err
-	}
-	res := ix.inner.ORU(k, x, m)
-	out := &ORUResult{Rho: res.Rho, Stats: exportStats(res.Stats)}
-	for _, o := range res.Options {
-		out.Options = append(out.Options, ix.origID(o))
-	}
-	return out, nil
+	return ix.oru(context.Background(), k, w, m, false)
 }
 
 // TopK returns the k best dataset indices for the full weight vector w, in
 // rank order. With k ≤ τ this is a pure index walk; deeper k extends the
 // index on demand.
 func (ix *Index) TopK(w []float64, k int) ([]int, error) {
-	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
-	}
-	x, err := ix.reduce(w)
+	res, err := ix.topK(context.Background(), w, k, false)
 	if err != nil {
 		return nil, err
 	}
-	res, _ := ix.inner.TopK(x, k)
-	out := make([]int, 0, len(res))
-	for _, o := range res {
-		out = append(out, ix.origID(o))
-	}
-	return out, nil
+	return res.Options, nil
 }
 
 // MaxRank returns the best (smallest) rank the option attains anywhere in
 // preference space, or -1 when the option never ranks within τ.
 func (ix *Index) MaxRank(opt int) (int, error) {
-	if opt < 0 {
-		return 0, fmt.Errorf("tlevelindex: invalid option %d", opt)
+	res, err := ix.MaxRankContext(context.Background(), opt)
+	if err != nil {
+		return 0, err
 	}
-	fid := ix.filteredID(opt)
-	if fid < 0 {
-		return -1, nil
-	}
-	rank, _ := ix.inner.MaxRank(fid)
-	return rank, nil
+	return res.Rank, nil
 }
 
 // WhyNotResult explains an option's absence from a user's top-k.
@@ -243,24 +173,7 @@ type WhyNotResult struct {
 // WhyNot explains why the option is or is not among the user's top-k and
 // how far the weights must move to change that.
 func (ix *Index) WhyNot(opt int, w []float64, k int) (*WhyNotResult, error) {
-	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
-	}
-	x, err := ix.reduce(w)
-	if err != nil {
-		return nil, err
-	}
-	fid := ix.filteredID(opt)
-	if fid < 0 {
-		return &WhyNotResult{Rank: -1, MinShift: -1}, nil
-	}
-	res := ix.inner.WhyNot(fid, x, k)
-	out := &WhyNotResult{Rank: res.RankAtW, InTopK: res.InTopK, MinShift: res.NearestDist,
-		Stats: exportStats(res.Stats)}
-	if res.NearestPoint != nil {
-		out.SuggestedW = geom.Lift(res.NearestPoint)
-	}
-	return out, nil
+	return ix.whyNot(context.Background(), opt, w, k, false)
 }
 
 // Interval is a segment of the 1-dimensional reduced preference space of a
@@ -274,22 +187,11 @@ type Interval struct {
 // focal option ranks top-k (merged and sorted). It errors for d != 2; use
 // KSPR for general dimensionalities.
 func (ix *Index) MonoRTopK(k, focal int) ([]Interval, error) {
-	if ix.Dim() != 2 {
-		return nil, errors.New("tlevelindex: MonoRTopK requires 2-attribute options")
+	res, err := ix.monoRTopK(context.Background(), k, focal, false)
+	if err != nil {
+		return nil, err
 	}
-	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
-	}
-	fid := ix.filteredID(focal)
-	if fid < 0 {
-		return nil, nil
-	}
-	segs, _ := ix.inner.MonoRTopK(k, fid)
-	out := make([]Interval, len(segs))
-	for i, s := range segs {
-		out[i] = Interval{Lo: s.Lo, Hi: s.Hi}
-	}
-	return out, nil
+	return res.Intervals, nil
 }
 
 // MarketShare returns the fraction of preference space (by volume) in which
@@ -298,27 +200,11 @@ func (ix *Index) MonoRTopK(k, focal int) ([]Interval, error) {
 // for 2- and 3-attribute datasets, Monte-Carlo estimated (with the given
 // deterministic seed) above that.
 func (ix *Index) MarketShare(focal, k int) (float64, error) {
-	if k < 1 {
-		return 0, errors.New("tlevelindex: k must be >= 1")
+	res, err := ix.marketShare(context.Background(), focal, k, false)
+	if err != nil {
+		return 0, err
 	}
-	if focal < 0 {
-		return 0, fmt.Errorf("tlevelindex: invalid focal option %d", focal)
-	}
-	fid := ix.filteredID(focal)
-	if fid < 0 {
-		return 0, nil
-	}
-	res := ix.inner.KSPR(k, fid)
-	rng := rand.New(rand.NewSource(1))
-	total := 0.0
-	for _, id := range res.Cells {
-		total += ix.inner.Region(id).Volume(20000, rng.Float64)
-	}
-	share := total / geom.SimplexVolume(ix.inner.RDim())
-	if share > 1 {
-		share = 1 // Monte-Carlo noise can overshoot marginally
-	}
-	return share, nil
+	return res.Share, nil
 }
 
 // ReverseTopK answers the bichromatic reverse top-k query of type DD
@@ -328,25 +214,9 @@ func (ix *Index) MarketShare(focal, k int) (float64, error) {
 // point-membership test — the acceleration the paper's related-work
 // discussion promises for DD-type queries.
 func (ix *Index) ReverseTopK(k, focal int, users [][]float64) ([]int, error) {
-	if k < 1 {
-		return nil, errors.New("tlevelindex: k must be >= 1")
-	}
-	res, err := ix.KSPR(k, focal)
+	res, err := ix.reverseTopK(context.Background(), k, focal, users, false)
 	if err != nil {
 		return nil, err
 	}
-	var out []int
-	for ui, w := range users {
-		x, err := ix.reduce(w)
-		if err != nil {
-			return nil, fmt.Errorf("tlevelindex: user %d: %w", ui, err)
-		}
-		for _, r := range res.Regions {
-			if r.Contains(x) {
-				out = append(out, ui)
-				break
-			}
-		}
-	}
-	return out, nil
+	return res.Users, nil
 }

@@ -41,9 +41,10 @@ import (
 )
 
 // Tracer receives completed spans from instrumented operations: one span
-// per context-aware query (names "query.topk", "query.kspr", ...) carrying
-// VisitedCells/LPCalls/witness fast-path measurements, and — when attached
-// at build time via WithTracer — per-phase and per-level build spans.
+// per query, plain or context-aware (names "query.topk", "query.kspr", ...)
+// carrying VisitedCells/LPCalls/witness fast-path measurements, and — when
+// attached at build time via WithTracer — per-phase and per-level build
+// spans.
 // Implementations must be safe for concurrent use and return quickly. A nil
 // Tracer disables tracing entirely; the disabled path performs no span work
 // beyond a single atomic load and nil check.
@@ -174,9 +175,9 @@ type Index struct {
 	// nextExternal is the dataset id the next externally inserted option
 	// receives; cached so Insert need not rescan OrigIDs.
 	nextExternal int
-	// tracer receives per-query spans from the *Context variants. Stored
-	// behind an atomic pointer so SetTracer is safe against in-flight
-	// concurrent queries; nil (the default) disables query tracing.
+	// tracer receives per-query spans. Stored behind an atomic pointer so
+	// SetTracer is safe against in-flight concurrent queries; nil (the
+	// default) disables query tracing.
 	tracer atomic.Pointer[tracerBox]
 }
 
@@ -184,7 +185,7 @@ type Index struct {
 // atomic.Pointer.
 type tracerBox struct{ t Tracer }
 
-// SetTracer attaches t to the index: every subsequent *Context query emits
+// SetTracer attaches t to the index: every subsequent query emits
 // one completed span ("query.topk", "query.kspr", "query.utk", "query.oru",
 // "query.maxrank", "query.whynot") with duration, VisitedCells, LPCalls,
 // and witness fast-path counts. Passing nil detaches the tracer. Safe to
