@@ -36,24 +36,25 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx .
 
-# One-iteration pass over the predicate-layer microbenchmarks (LP kernel,
-# region predicates, projection): catches compile breakage and allocation
-# regressions in seconds, and archives the numbers as BENCH_lp.json.
-# The query-side benchmarks then run against the committed BENCH_query.json
-# baseline: a >2x ns/op regression on any of them fails the build, as does
-# a baseline benchmark missing from the run (set BENCH_NO_GATE=1 to
-# downgrade the gate to a warning on slow machines). 2000 iterations is
-# the point where the sub-microsecond rows reach steady state (caches and
-# branch predictors warm) while the ORU row still finishes in ~1s; at
-# 100x the batch-vs-single top-k comparison was measuring cold-start
-# noise, not the traversal sharing it gates. The alternation is
-# exact-anchored on purpose: several names are prefixes of others
-# (BenchmarkTopK/BenchmarkTopKBatch, BenchmarkKSPR/BenchmarkKSPRBatch,
+# The predicate-layer microbenchmarks (LP kernel, region predicates,
+# projection) and then the query-side benchmarks, each against its
+# committed baseline (BENCH_lp.json, BENCH_query.json): a >2x ns/op
+# regression on any row fails the build, as does a baseline benchmark
+# missing from the run (set BENCH_NO_GATE=1 to downgrade the gate to a
+# warning on slow machines). 2000 iterations is the point where the
+# sub-microsecond rows reach steady state (caches and branch predictors
+# warm) while the ORU row still finishes in ~1s; at 1x the LP file recorded
+# its pooled "workspace" row 6x slower than the allocating "wrapper" beside
+# it, and at 100x the batch-vs-single top-k comparison was measuring
+# cold-start noise, not the traversal sharing it gates. The query
+# alternation is exact-anchored on purpose: several names are prefixes of
+# others (BenchmarkTopK/BenchmarkTopKBatch, BenchmarkKSPR/BenchmarkKSPRBatch,
 # BenchmarkLocate/BenchmarkLocateTopK), so every addition must be spelled
 # out rather than relying on prefix matching.
 bench-smoke: serve-bench recovery-bench ingest-bench
-	$(GO) test -bench . -benchtime 1x -benchmem -run xxx \
-		./internal/lp ./internal/geom | $(GO) run ./cmd/benchjson > BENCH_lp.json
+	$(GO) test -bench . -benchtime 2000x -benchmem -run xxx \
+		./internal/lp ./internal/geom \
+		| $(GO) run ./cmd/benchjson -baseline BENCH_lp.json -out BENCH_lp.json
 	@echo "wrote BENCH_lp.json"
 	$(GO) test -bench '^(BenchmarkKSPR|BenchmarkUTK|BenchmarkORU|BenchmarkTopK|BenchmarkTopKBatch|BenchmarkTopKBatchUniform|BenchmarkKSPRBatch|BenchmarkLocate|BenchmarkLocateTopK)$$' \
 		-benchtime 2000x -benchmem -run xxx ./internal/index \
@@ -90,9 +91,9 @@ recovery-bench:
 # BenchmarkIngestBatch/batch=64 staying well under Single's ns/op), and
 # ≥8 concurrent writers coalescing through group commit (fsyncs/rec must
 # sit well under 1; the custom column lands in the JSON's "extra" map).
-# 64 fixed iterations: realistic never-dominated arrivals cost hundreds of
-# ms each on the single path, and a fixed count keeps skyband growth
-# identical between baseline and fresh runs. Same 2x ns/op gate — with the
+# 64 fixed iterations: every arrival is a realistic never-dominated one that
+# grows the skyband, and a fixed count keeps that growth identical between
+# baseline and fresh runs. Same 2x ns/op gate — with the
 # missing-baseline-name failure rule — and BENCH_NO_GATE escape as the
 # query gate.
 ingest-bench:

@@ -468,21 +468,33 @@ func (r *Region) maximize(a []float64) (float64, bool) {
 	}
 	ws := lp.Get()
 	defer lp.Put(ws)
-	return r.maximizeWS(ws, a)
+	if !r.load(ws) {
+		return 0, false
+	}
+	return r.maxOver(ws, a)
 }
 
-func (r *Region) maximizeWS(ws *lp.Workspace, a []float64) (float64, bool) {
+// load assembles the region's rows in ws for any number of maxOver calls.
+// It returns false, and marks the region empty, when one of its halfspaces
+// is trivially empty.
+func (r *Region) load(ws *lp.Workspace) bool {
 	ws.Begin(r.Dim)
 	for _, h := range r.HS {
 		if triv, whole := h.Trivial(); triv {
 			if !whole {
 				r.empty = true
-				return 0, false
+				return false
 			}
 			continue
 		}
 		copy(ws.AppendRow(h.B), h.A)
 	}
+	return true
+}
+
+// maxOver maximizes a·x over the rows load assembled in ws, with the
+// results of maximize.
+func (r *Region) maxOver(ws *lp.Workspace, a []float64) (float64, bool) {
 	res := ws.SolveMax(a)
 	switch res.Status {
 	case lp.Infeasible:
@@ -578,14 +590,21 @@ func Classify(r *Region, h Halfspace) Rel {
 			return RelSplit
 		}
 	}
-	max, ok := r.maximize(h.A)
-	if !ok {
+	// Both sides are open: assemble the rows once and solve the two
+	// objectives over them.
+	ws := lp.Get()
+	defer lp.Put(ws)
+	if !r.load(ws) {
 		return RelInside // empty region: vacuous, callers prune separately
+	}
+	max, ok := r.maxOver(ws, h.A)
+	if !ok {
+		return RelInside
 	}
 	if max <= h.B+ContainTol {
 		return RelInside
 	}
-	min, ok := r.maximize(neg.A)
+	min, ok := r.maxOver(ws, neg.A)
 	if !ok {
 		return RelInside
 	}

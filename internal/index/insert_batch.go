@@ -23,18 +23,24 @@ type BatchStats struct {
 	FinalizeNS int64
 }
 
-// InsertBatch applies a batch of newly arrived options in order, with the
-// per-record semantics of InsertOption — each option is τ-skyband-tested
-// and duplicate-tested against the pool as grown by the records before it,
-// so the returned ids and the final structure are exactly those of N
-// sequential InsertOption calls — but the O(total-cells) maintenance is
+// InsertBatch adds newly arrived options to a built index, in order: the
+// update path of §6.2 ("For a new arriving option r, IBA inserts it into
+// the τ-LevelIndex accordingly"). The insertion-based machinery classifies
+// each option against the existing cells, splits and shifts where needed,
+// merges duplicates, and re-derives exact edges. An option joins the
+// filtered set only when it can rank within τ — it survives the τ-skyband
+// test against the pool as grown by the records before it — and is not an
+// exact duplicate of a pool member; otherwise it changes nothing.
+//
+// The returned ids and the final structure are exactly those of inserting
+// the options in N batches of one, but the O(total-cells) maintenance is
 // amortized: one thaw() materializes the staging adjacency for the whole
 // batch, the IBA scratch (inserted list, visited/created sets) is reused
 // across records, and the compact (CSR re-freeze) plus fillCellStats tail
 // runs once. fixupEdges still runs after every record: the next record's
 // traversal classifies against the adjacency it sees, and only the exact
 // Definition-4 edges keep the batch result byte-identical to the
-// sequential path (structural creation-time edges steer later insertions
+// one-at-a-time path (structural creation-time edges steer later insertions
 // down different traversal orders, permuting cell ids).
 //
 // ids[i] is the filtered id of rs[i], or -1 when it was filtered out or
@@ -72,8 +78,9 @@ func (ix *Index) InsertBatch(rs [][]float64) ([]int32, []error, BatchStats) {
 			errs[bi] = errors.New("index: option dimensionality mismatch")
 			continue
 		}
-		// τ-skyband check against the pool as of this record — earlier batch
-		// members count as dominators exactly as they would sequentially.
+		// τ-skyband check against the pool as of this record: if τ options of
+		// it (earlier batch members included) dominate r, it can never rank
+		// top-τ.
 		dominators := 0
 		filtered := false
 		for _, p := range ix.Pts {
@@ -100,6 +107,9 @@ func (ix *Index) InsertBatch(rs [][]float64) ([]int32, []error, BatchStats) {
 			continue
 		}
 		if !thawed {
+			// The insertion machinery does slice surgery on the staging
+			// adjacency; materialize it from the flat form first. compact()
+			// re-freezes at the end.
 			thawStart := time.Now()
 			ix.thaw()
 			stats.ThawNS = time.Since(thawStart).Nanoseconds()
@@ -124,9 +134,9 @@ func (ix *Index) InsertBatch(rs [][]float64) ([]int32, []error, BatchStats) {
 		ix.mergeAllLevels()
 		// Re-derive exact edges before the next record's traversal: the next
 		// insertion classifies against this adjacency, and matching the
-		// sequential path record for record is what keeps a batch-built
-		// index byte-identical to the sequentially built one. The expensive
-		// compact (CSR re-freeze) still runs only once, below.
+		// one-at-a-time path record for record is what keeps a batch-built
+		// index byte-identical to it. The expensive compact (CSR re-freeze)
+		// still runs only once, below.
 		ix.fixupEdgesWith(cache)
 		ids[bi] = rj
 		stats.Accepted++

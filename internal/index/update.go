@@ -1,73 +1,18 @@
 package index
 
-import (
-	"errors"
-
-	"tlevelindex/internal/skyline"
-)
+import "errors"
 
 // ErrExtended reports that an insert was attempted after on-demand level
 // extension; the extension's lazy levels are not maintained incrementally,
 // so updates are rejected until the extension is promoted via ExtendTau.
 var ErrExtended = errors.New("index: cannot insert after on-demand extension")
 
-// InsertOption adds a newly arrived option to a built index, the update
-// path of §6.2 ("For a new arriving option r, IBA inserts it into the
-// τ-LevelIndex accordingly"): the insertion-based machinery classifies the
-// new option against the existing cells, splits and shifts where needed,
-// merges duplicates, and re-derives exact edges. The option is added to the
-// filtered set only when it can rank within τ (it survives the τ-skyband
-// test against the current pool); otherwise the index is unchanged. Returns
-// the option's filtered id, or -1 when it was filtered out.
+// InsertOption adds one newly arrived option to a built index: InsertBatch
+// of that option alone. Returns the option's filtered id, or -1 when it was
+// filtered out.
 func (ix *Index) InsertOption(r []float64) (int32, error) {
-	if len(r) != ix.Dim {
-		return -1, errors.New("index: option dimensionality mismatch")
-	}
-	if ix.ext != nil {
-		return -1, ErrExtended
-	}
-	// τ-skyband check against the current filtered pool: if τ options of
-	// the pool dominate r, it can never rank top-τ.
-	dominators := 0
-	for _, p := range ix.Pts {
-		if skyline.Dominates(p, r) {
-			dominators++
-			if dominators >= ix.Tau {
-				return -1, nil
-			}
-		}
-	}
-	for i, p := range ix.Pts {
-		if equalVec(p, r) {
-			return int32(i), nil // exact duplicate: already represented
-		}
-	}
-	// The insertion machinery does slice surgery on the staging adjacency;
-	// materialize it from the flat form first. compact() re-freezes at the
-	// end.
-	ix.thaw()
-	rj := int32(len(ix.Pts))
-	ix.Pts = append(ix.Pts, append([]float64(nil), r...))
-	ix.OrigIDs = append(ix.OrigIDs, -1) // externally inserted
-	if ix.fullPts != nil {
-		ix.fullPts = append(ix.fullPts, append([]float64(nil), r...))
-	}
-
-	// All existing options count as "inserted before rj"; regions derived
-	// during the insertion use the Definition-2 form over that set.
-	inserted := make([]int32, 0, int(rj))
-	for i := int32(0); i < rj; i++ {
-		inserted = append(inserted, i)
-	}
-	st := &ibaState{ix: ix, rj: rj, inserted: inserted,
-		visited: make(map[int32]bool), created: make(map[int32]bool)}
-	st.insert(ix.Root())
-	ix.mergeAllLevels()
-	ix.fixupEdges()
-	ix.compact()
-	ix.fillCellStats()
-	// compact renumbers cells but not options; rj is still valid.
-	return rj, nil
+	ids, errs, _ := ix.InsertBatch([][]float64{r})
+	return ids[0], errs[0]
 }
 
 func equalVec(a, b []float64) bool {

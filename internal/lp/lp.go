@@ -1,10 +1,16 @@
-// Package lp implements a dense two-phase primal simplex solver for the
-// small linear programs that arise in preference-space geometry: feasibility
-// of halfspace intersections, halfspace-containment tests, and Chebyshev
+// Package lp implements a two-phase primal simplex solver for the small
+// linear programs that arise in preference-space geometry: feasibility of
+// halfspace intersections, halfspace-containment tests, and Chebyshev
 // margins. Problems have at most a handful of structural variables (the
-// reduced preference dimension, d-1 <= 7 in practice) and up to a few
-// thousand inequality constraints, so a dense tableau is both simple and
-// fast. The solver replaces the lp_solve library used by the paper.
+// reduced preference dimension, d-1 <= 7 in practice) under anything from a
+// dozen to a few thousand inequality constraints, so the tableau is kept
+// condensed: m rows of the n+1 nonbasic columns and the rhs, O(m·n) to
+// store, to build and to pivot, where the textbook layout with a column per
+// slack and per artificial is O(m²). Phase 1 uses the single shared
+// artificial x0 of a_i·x − x0 ≤ b_i: one forced pivot into the most
+// negative rhs makes the basis feasible, and maximizing −x0 from there
+// either drives x0 to zero or proves the constraints empty. The solver
+// replaces the lp_solve library used by the paper.
 //
 // The solver core lives in Workspace (workspace.go): a reusable flat-array
 // tableau that performs zero heap allocations at steady state. Solve and

@@ -2,17 +2,27 @@ package lp
 
 import (
 	"math"
+	"slices"
 
 	"tlevelindex/internal/pool"
 )
 
-// Workspace is a reusable linear-programming scratch space: one flat
-// []float64 backs the dense simplex tableau (rows addressed by stride, not
-// [][]float64), and a second flat buffer holds the constraint matrix being
-// assembled. All buffers grow monotonically and are recycled, so a warmed-up
-// Workspace solves LPs with zero heap allocations — the property the
-// predicate layer (geom.Region) depends on to keep builders out of the
-// garbage collector.
+// Workspace is a reusable linear-programming scratch space holding a
+// condensed simplex tableau: only the nonbasic columns are stored, so a
+// problem with m rows and n variables occupies m rows of n+2 floats — the n
+// columns that start out as the structural variables, one column for the
+// phase-1 artificial x0, and the rhs — and a pivot, the tableau build and
+// the memory are all O(m·n) however many constraints there are. basis[i]
+// and nonbasic[j] record which variable row i and column j currently stand
+// for; a pivot swaps one label pair and rewrites the entering column in
+// place as the leaving variable's. Variables are labelled structurals
+// [0,n), slacks [n,n+m), x0 = n+m.
+//
+// One flat []float64 backs the tableau (rows addressed by stride, not
+// [][]float64) and a second holds the constraint matrix being assembled.
+// All buffers grow monotonically and are recycled, so a warmed-up Workspace
+// solves LPs with zero heap allocations — the property the predicate layer
+// (geom.Region) depends on to keep builders out of the garbage collector.
 //
 // Usage:
 //
@@ -31,17 +41,18 @@ type Workspace struct {
 	a    []float64 // m×n, row i at a[i*n : (i+1)*n]
 	b    []float64
 
-	// Tableau state. Columns are ordered structural vars [0,n), slacks
-	// [n, n+m), artificials [n+m, n+m+nart); each row is stride wide with
-	// the rhs in its last slot. obj holds the current phase's reduced costs.
-	stride     int
-	ncol, nart int
-	artCol     int
-	needPhase1 bool
-	tab        []float64
-	obj        []float64
-	basis      []int
-	banned     []bool
+	// Tableau state. Row i is basis[i] + Σ_j tab[i][j]·nonbasic[j] = rhs,
+	// stride wide with the rhs in its last slot (index ncol). obj holds the
+	// current phase's reduced costs, and minus its objective value in the
+	// rhs slot.
+	ncol, stride int // ncol = n+1: x0's column is n until a pivot moves it
+	tab          []float64
+	obj          []float64
+	basis        []int
+	nonbasic     []int
+
+	pivots    uint64 // of the current SolveMax
+	exhausted bool   // iterate ran out of budget during the current SolveMax
 
 	x []float64 // extraction buffer aliased by Result.X
 	c []float64 // cost buffer handed out by Cost
@@ -89,13 +100,26 @@ func (ws *Workspace) Cost() []float64 {
 }
 
 // SolveMax maximizes c·x subject to the appended constraints and x ≥ 0,
-// using the two-phase dense simplex method. Result.X aliases workspace
-// memory: it is valid until the next SolveMax, Begin, or Put. A warmed-up
-// workspace performs no heap allocations here.
+// using the two-phase simplex method on the condensed tableau. Result.X
+// aliases workspace memory: it is valid until the next SolveMax, Begin, or
+// Put. The appended rows are left untouched, so several objectives can be
+// solved over one assembled constraint set. A warmed-up workspace performs
+// no heap allocations here.
 func (ws *Workspace) SolveMax(c []float64) Result {
 	solveCount.Add(1)
-	n, m := ws.n, ws.m
-	if m == 0 {
+	ws.pivots, ws.exhausted = 0, false
+	res := ws.solve(c)
+	if ws.pivots > 0 {
+		pivotCount.Add(ws.pivots)
+	}
+	if ws.exhausted {
+		exhaustedCount.Add(1)
+	}
+	return res
+}
+
+func (ws *Workspace) solve(c []float64) Result {
+	if ws.m == 0 {
 		// No constraints: optimum 0 at the origin unless some c_j > 0, in
 		// which case the problem is unbounded (x ≥ 0 only). No row storage
 		// or extraction work is needed — just the status and a zero point.
@@ -104,14 +128,11 @@ func (ws *Workspace) SolveMax(c []float64) Result {
 				return Result{Status: Unbounded}
 			}
 		}
-		ws.x = growZero(ws.x[:0], n)
+		ws.x = growZero(ws.x[:0], ws.n)
 		return Result{Status: Optimal, X: ws.x}
 	}
-	ws.buildTableau()
-	if ws.needPhase1 {
-		if !ws.phase1() {
-			return Result{Status: Infeasible}
-		}
+	if worst := ws.buildTableau(); worst >= 0 && !ws.phase1(worst) {
+		return Result{Status: Infeasible}
 	}
 	if ws.phase2(c) == phaseUnbounded {
 		return Result{Status: Unbounded}
@@ -129,122 +150,98 @@ func (ws *Workspace) row(i int) []float64 {
 	return ws.tab[i*ws.stride : (i+1)*ws.stride]
 }
 
-// buildTableau lays out the simplex tableau for the assembled constraints in
-// the flat backing array, adding one artificial variable per negative-rhs
-// row (those need a phase-1 basis).
-func (ws *Workspace) buildTableau() {
+// buildTableau lays out a_i·x − x0 + s_i = b_i with the slacks basic and
+// returns the row with the most negative rhs, or −1 when the origin is
+// feasible and no phase 1 is needed; x0's column is then zero from the
+// start, which is what banning it amounts to.
+func (ws *Workspace) buildTableau() (worst int) {
 	n, m := ws.n, ws.m
-	nart := 0
-	for _, bi := range ws.b {
-		if bi < 0 {
-			nart++
+	ws.ncol, ws.stride = n+1, n+2
+	worst = -1
+	least := 0.0
+	for i, bi := range ws.b {
+		if bi < least {
+			worst, least = i, bi
 		}
 	}
-	ncol := n + m + nart
-	stride := ncol + 1
-	ws.ncol, ws.nart, ws.stride = ncol, nart, stride
-	ws.artCol = n + m
-	ws.needPhase1 = nart > 0
-	ws.tab = growZero(ws.tab[:0], m*stride)
-	ws.obj = growZero(ws.obj[:0], stride)
-	ws.banned = growZeroBool(ws.banned[:0], ncol)
-	if cap(ws.basis) < m {
-		ws.basis = make([]int, m)
+	x0 := 0.0
+	if worst >= 0 {
+		x0 = -1
 	}
-	ws.basis = ws.basis[:m]
-	ai := 0
+	ws.tab = grow(ws.tab, m*ws.stride)
+	ws.obj = growZero(ws.obj[:0], ws.stride)
+	ws.basis = grow(ws.basis, m)
+	ws.nonbasic = grow(ws.nonbasic, ws.ncol)
 	for i := 0; i < m; i++ {
 		row := ws.row(i)
-		in := ws.a[i*n : (i+1)*n]
-		sign := 1.0
-		if ws.b[i] < 0 {
-			sign = -1.0
-		}
-		for j, v := range in {
-			row[j] = sign * v
-		}
-		row[n+i] = sign // slack
-		row[ncol] = sign * ws.b[i]
-		if sign < 0 {
-			col := ws.artCol + ai
-			row[col] = 1
-			ws.basis[i] = col
-			ai++
-		} else {
-			ws.basis[i] = n + i
-		}
+		copy(row, ws.a[i*n:(i+1)*n])
+		row[n] = x0
+		row[n+1] = ws.b[i]
+		ws.basis[i] = n + i
 	}
+	for j := 0; j < n; j++ {
+		ws.nonbasic[j] = j
+	}
+	ws.nonbasic[n] = n + m
+	return worst
 }
 
-// phase1 minimizes the sum of artificial variables. Returns false when the
-// problem is infeasible.
-func (ws *Workspace) phase1() bool {
-	// Objective: maximize -(sum of artificials). Reduced costs start from
-	// -1 on each artificial column, then are made consistent with the basis
-	// (artificials are basic, so add their rows back in).
-	for j := range ws.obj {
-		ws.obj[j] = 0
-	}
-	for c := ws.artCol; c < ws.artCol+ws.nart; c++ {
-		ws.obj[c] = -1
-	}
-	for i, b := range ws.basis {
-		if b >= ws.artCol {
-			addScaled(ws.obj, ws.row(i), 1)
-		}
-	}
+// phase1 maximizes −x0 from the basis that one forced pivot of x0 into the
+// most infeasible row makes feasible, then retires x0. Returns false when
+// the problem is infeasible.
+func (ws *Workspace) phase1(worst int) bool {
+	ws.obj[ws.n] = -1
+	ws.pivot(worst, ws.n)
 	if ws.iterate() == phaseUnbounded {
-		// Phase-1 objective is bounded above by 0; unbounded cannot happen
-		// with exact arithmetic. Treat as numerical failure => infeasible.
+		// −x0 is bounded above by 0; unbounded cannot happen with exact
+		// arithmetic. Treat as numerical failure => infeasible.
 		return false
 	}
-	// obj[ncol] holds -(current objective value); objective value is
-	// -(sum of artificials) which is <= 0. Feasible iff it reached ~0.
-	if -ws.obj[ws.ncol] < -feasTol {
+	// The rhs slot holds minus the objective, i.e. x0 itself. Feasible iff
+	// it reached ~0.
+	if ws.obj[ws.ncol] > feasTol {
 		return false
 	}
-	// Drive any artificial variables out of the basis.
-	for i := 0; i < ws.m; i++ {
-		if ws.basis[i] < ws.artCol {
-			continue
-		}
+	x0 := ws.n + ws.m
+	col := slices.Index(ws.nonbasic, x0)
+	if col < 0 {
+		// x0 is still basic, at ~0: pivot it out on its row's largest entry.
+		i := slices.Index(ws.basis, x0)
 		row := ws.row(i)
-		pivoted := false
-		for j := 0; j < ws.n+ws.m; j++ {
-			if math.Abs(row[j]) > pivotTol {
-				ws.pivot(i, j)
-				pivoted = true
-				break
+		big := pivotTol
+		for j, a := range row[:ws.ncol] {
+			if a = math.Abs(a); a > big {
+				col, big = j, a
 			}
 		}
-		if !pivoted {
-			// Redundant row: zero it out; keep the artificial basic at 0.
-			for j := range row {
-				row[j] = 0
-			}
+		if col < 0 {
+			// Redundant row: zero it out; keep x0 basic at 0. Every column
+			// is then a real variable and nothing is left to ban.
+			clear(row)
+			return true
 		}
+		ws.pivot(i, col)
+	}
+	// Ban x0 from re-entering: a zero column never prices in and stays zero
+	// under every later pivot.
+	for i := col; i < len(ws.tab); i += ws.stride {
+		ws.tab[i] = 0
 	}
 	return true
 }
 
 // phase2 maximizes c over the current basic feasible solution.
 func (ws *Workspace) phase2(c []float64) phaseOutcome {
-	for j := range ws.obj {
-		ws.obj[j] = 0
+	clear(ws.obj)
+	for j, v := range ws.nonbasic {
+		if v < ws.n {
+			ws.obj[j] = c[v]
+		}
 	}
-	for j := 0; j < ws.n; j++ {
-		ws.obj[j] = c[j]
-	}
-	// Forbid artificials from re-entering.
-	for cc := ws.artCol; cc < ws.artCol+ws.nart; cc++ {
-		ws.banned[cc] = true
-	}
-	// Price out the basic columns. A zero-valued artificial stuck in the
-	// basis of a redundant row has an all-zero row and never affects
-	// pricing.
-	for i, b := range ws.basis {
-		if b < ws.ncol && ws.obj[b] != 0 && !ws.banned[b] {
-			addScaled(ws.obj, ws.row(i), -ws.obj[b])
+	// Price out the basic structurals.
+	for i, v := range ws.basis {
+		if v < ws.n && c[v] != 0 {
+			addScaled(ws.obj, ws.row(i), -c[v])
 		}
 	}
 	return ws.iterate()
@@ -254,8 +251,9 @@ func (ws *Workspace) phase2(c []float64) phaseOutcome {
 // rule is used first; after a cycling-safe iteration budget it switches to
 // Bland's rule, which guarantees termination.
 func (ws *Workspace) iterate() phaseOutcome {
-	maxDantzig := 50 * (ws.m + ws.ncol)
-	maxTotal := 500*(ws.m+ws.ncol) + 10000
+	size := 2*ws.m + ws.ncol // rows plus variables
+	maxDantzig := 50 * size
+	maxTotal := 500*size + 10000
 	for iter := 0; iter < maxTotal; iter++ {
 		bland := iter >= maxDantzig
 		col := ws.chooseEntering(bland)
@@ -270,23 +268,31 @@ func (ws *Workspace) iterate() phaseOutcome {
 	}
 	// Iteration budget exhausted: accept the current (feasible) point as
 	// optimal-enough. This is unreachable in practice for our problem sizes.
+	ws.exhausted = true
 	return phaseOptimal
 }
 
+// chooseEntering picks the column with the largest reduced cost (Dantzig)
+// or the lowest-labelled improving one (Bland). Equal costs go to the lower
+// label — the order a full tableau's left-to-right column scan gives, so
+// that a phase runs through the pivots the dense reference kernel
+// (reference_test.go) would, to results equal bit for bit.
 func (ws *Workspace) chooseEntering(bland bool) int {
-	if bland {
-		for j := 0; j < ws.ncol; j++ {
-			if ws.obj[j] > costTol && !ws.banned[j] {
-				return j
-			}
-		}
-		return -1
-	}
 	best, bestv := -1, costTol
-	for j := 0; j < ws.ncol; j++ {
-		if v := ws.obj[j]; v > bestv && !ws.banned[j] {
-			best, bestv = j, v
+	for j, v := range ws.obj[:ws.ncol] {
+		if v <= costTol {
+			continue
 		}
+		switch {
+		case best < 0:
+		case bland || v == bestv:
+			if ws.nonbasic[j] > ws.nonbasic[best] {
+				continue
+			}
+		case v < bestv:
+			continue
+		}
+		best, bestv = j, v
 	}
 	return best
 }
@@ -316,37 +322,40 @@ func (ws *Workspace) chooseLeaving(col int, bland bool) int {
 	return best
 }
 
+// pivot makes nonbasic[col] basic in row and basis[row] nonbasic in col.
+// Column col is rewritten as the leaving variable's: 1/p in the pivot row,
+// −f/p elsewhere — the values a full tableau would hold there.
 func (ws *Workspace) pivot(row, col int) {
 	pr := ws.row(row)
-	pv := pr[col]
-	inv := 1 / pv
+	inv := 1 / pr[col]
 	for j := range pr {
 		pr[j] *= inv
 	}
-	pr[col] = 1 // exact
+	pr[col] = inv
 	for i := 0; i < ws.m; i++ {
 		if i == row {
 			continue
 		}
 		ri := ws.row(i)
 		if f := ri[col]; f != 0 {
-			addScaled(ri, pr, -f)
 			ri[col] = 0
+			addScaled(ri, pr, -f)
 		}
 	}
 	if f := ws.obj[col]; f != 0 {
-		addScaled(ws.obj, pr, -f)
 		ws.obj[col] = 0
+		addScaled(ws.obj, pr, -f)
 	}
-	ws.basis[row] = col
+	ws.basis[row], ws.nonbasic[col] = ws.nonbasic[col], ws.basis[row]
+	ws.pivots++
 }
 
 func (ws *Workspace) extract() []float64 {
 	ws.x = growZero(ws.x[:0], ws.n)
 	x := ws.x
-	for i, b := range ws.basis {
-		if b < ws.n {
-			x[b] = ws.tab[i*ws.stride+ws.ncol]
+	for i, v := range ws.basis {
+		if v < ws.n {
+			x[v] = ws.tab[i*ws.stride+ws.ncol]
 		}
 	}
 	// Clamp tiny negatives introduced by roundoff.
@@ -375,16 +384,11 @@ func growZero(s []float64, n int) []float64 {
 	return s
 }
 
-func growZeroBool(s []bool, n int) []bool {
+// grow returns s with length n, reusing capacity; the contents are stale
+// and the caller's to overwrite.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		ns := make([]bool, n)
-		copy(ns, s)
-		return ns
+		return make([]T, n)
 	}
-	old := len(s)
-	s = s[:n]
-	for i := old; i < n; i++ {
-		s[i] = false
-	}
-	return s
+	return s[:n]
 }

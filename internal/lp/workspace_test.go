@@ -116,19 +116,23 @@ func TestSolveStatusMatchesSolve(t *testing.T) {
 // steady-state Begin/AppendRow/SolveMax cycle must not touch the heap.
 func TestWorkspaceSolveZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	p := feasibleOrigin(rng, 4, 40)
 	ws := Get()
 	defer Put(ws)
-	solve := func() {
-		loadWorkspace(ws, p)
-		if res := ws.SolveMax(p.C); res.Status != Optimal {
-			t.Fatalf("status = %v, want optimal", res.Status)
+	// One problem the origin is feasible for, one that needs phase 1.
+	for _, p := range []Problem{feasibleOrigin(rng, 4, 40), mixedLP(rng, shapeBounded, 4, 40, 0)} {
+		solve := func() {
+			loadWorkspace(ws, p)
+			if res := ws.SolveMax(p.C); res.Status != Optimal {
+				t.Fatalf("status = %v, want optimal", res.Status)
+			}
+		}
+		solve() // warm up: grow all buffers
+		if allocs := testing.AllocsPerRun(100, solve); allocs != 0 {
+			t.Fatalf("steady-state Workspace.Solve allocates %.1f objects per run (%d negative rhs), want 0",
+				allocs, negatives(p.B))
 		}
 	}
-	solve() // warm up: grow all buffers
-	if allocs := testing.AllocsPerRun(100, solve); allocs != 0 {
-		t.Fatalf("steady-state Workspace.Solve allocates %.1f objects per run, want 0", allocs)
-	}
+	p := feasibleOrigin(rng, 4, 40)
 	// The trivial m == 0 path must be allocation-free too.
 	trivial := func() {
 		ws.Begin(4)
@@ -139,6 +143,63 @@ func TestWorkspaceSolveZeroAllocs(t *testing.T) {
 	trivial()
 	if allocs := testing.AllocsPerRun(100, trivial); allocs != 0 {
 		t.Fatalf("m==0 Workspace.Solve allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestPivotsCounted: the process-wide pivot tally moves by a solve's pivots,
+// once per solve, and a solve that reaches its optimum never counts as
+// budget-exhausted.
+func TestPivotsCounted(t *testing.T) {
+	ws := Get()
+	defer Put(ws)
+	p := Problem{C: []float64{3, 2}, A: [][]float64{{1, 1}, {1, 3}}, B: []float64{4, 6}}
+	loadWorkspace(ws, p)
+	before, exhausted := Pivots(), BudgetExhausted()
+	if res := ws.SolveMax(p.C); res.Status != Optimal {
+		t.Fatalf("status = %v, want optimal", res.Status)
+	}
+	if got := Pivots() - before; got != ws.pivots || got == 0 {
+		t.Fatalf("Pivots moved by %d, the solve made %d", got, ws.pivots)
+	}
+	ws.Begin(2)
+	ws.SolveMax([]float64{-1, -1}) // no rows, no pivots
+	if got := Pivots() - before; got != 1 {
+		t.Fatalf("Pivots moved by %d over a one-pivot and a no-pivot solve, want 1", got)
+	}
+	if BudgetExhausted() != exhausted {
+		t.Fatal("a solved-to-optimality LP counted as budget-exhausted")
+	}
+}
+
+// negatives counts the rows whose rhs puts the origin outside them.
+func negatives(b []float64) int {
+	n := 0
+	for _, v := range b {
+		if v < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTableauIsLinearInRows pins the condensed layout: the tableau of an
+// m-row problem is m rows of n+2 floats whatever share of them needs an
+// artificial, where the full tableau spent a column per row and another per
+// negative rhs (~48 MB here).
+func TestTableauIsLinearInRows(t *testing.T) {
+	const n = 3
+	p := mixedLP(rand.New(rand.NewSource(5)), shapeBounded, n, 2000, 0)
+	m := len(p.A)
+	if neg := negatives(p.B); neg < m/3 || neg > 2*m/3 {
+		t.Fatalf("%d of %d rhs negative, want about half", neg, m)
+	}
+	ws := new(Workspace) // not pooled: its capacity is this problem's alone
+	loadWorkspace(ws, p)
+	if res := ws.SolveMax(p.C); res.Status != Optimal {
+		t.Fatalf("status = %v, want optimal", res.Status)
+	}
+	if limit := 2 * m * (n + 2); cap(ws.tab) > limit {
+		t.Fatalf("tableau holds %d floats for m=%d n=%d, want at most %d", cap(ws.tab), m, n, limit)
 	}
 }
 
@@ -164,6 +225,20 @@ func BenchmarkLPSolve(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := Solve(p); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	// The insert path's shape: a Definition-2 region at d=3 is two variables
+	// under a hundred-odd rows, about half of which exclude the origin.
+	tall := mixedLP(rng, shapeBounded, 2, 131, 0) // 150 rows in all
+	b.Run("tall-phase1", func(b *testing.B) {
+		ws := Get()
+		defer Put(ws)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			loadWorkspace(ws, tall)
+			if res := ws.SolveMax(tall.C); res.Status != Optimal {
+				b.Fatalf("status = %v", res.Status)
 			}
 		}
 	})

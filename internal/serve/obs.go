@@ -16,7 +16,7 @@ import (
 )
 
 // registerProcessGauges registers the process-wide instruments that do not
-// depend on any particular handler: runtime gauges, the LP solve counter,
+// depend on any particular handler: runtime gauges, the LP solve counters,
 // and the geometry fast-path counters. Exposed as gauges reading the
 // package atomics so the hot paths stay free of registry lookups.
 var registerProcessGauges = sync.OnceFunc(func() {
@@ -25,6 +25,12 @@ var registerProcessGauges = sync.OnceFunc(func() {
 		"Linear programs solved since process start.", func() float64 {
 			return float64(lp.Solves())
 		})
+	obs.Default().GaugeFunc("tlx_lp_pivots_total",
+		"Simplex pivots since process start; over tlx_lp_solves_total, the pivots per solve.",
+		func() float64 { return float64(lp.Pivots()) })
+	obs.Default().GaugeFunc("tlx_lp_budget_exhausted_total",
+		"Linear programs that ran out of pivot budget and reported the point reached as optimal.",
+		func() float64 { return float64(lp.BudgetExhausted()) })
 	obs.Default().GaugeFunc("tlx_dykstra_calls_total",
 		"Dykstra projection calls since process start.", func() float64 {
 			calls, _ := geom.DykstraStats()

@@ -156,6 +156,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"tlx_snapshot_bytes",
 		"tlx_store_applied_lsn 4",
 		"tlx_lp_solves_total",
+		"tlx_lp_pivots_total",
+		"tlx_lp_budget_exhausted_total",
 		"tlx_dykstra_calls_total",
 		`tlx_witness_fastpath_total{kind="settle"}`,
 		"tlx_runtime_heap_bytes",
