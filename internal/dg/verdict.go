@@ -94,6 +94,18 @@ func (c *VerdictCache) StoreBool(k VerdictKey, verdict bool) {
 	}
 }
 
+// Reset forgets every memoized verdict, keeping the map's storage and the
+// traffic counters: the per-record scope of the insert path, whose keys name
+// the arriving option and can never be hit once its round is over.
+func (c *VerdictCache) Reset() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	clear(c.m)
+	c.mu.Unlock()
+}
+
 // Stats reports cache traffic: hits, misses, and resident entries.
 func (c *VerdictCache) Stats() (hits, misses uint64, size int) {
 	if c == nil {

@@ -111,25 +111,30 @@ func (f *flatDAG) fillOptR(ix *Index) {
 }
 
 // thaw materializes the staging slices back from the flat form so the
-// mutation machinery can operate on them. No-op when already staged.
+// mutation machinery can operate on them. No-op when already staged. Each
+// arena is copied once (it may alias a read-only mapping) and every cell's
+// list is a window of the copy with no spare capacity, so an append to one
+// list moves it out instead of running into its neighbour.
 func (ix *Index) thaw() {
 	f := ix.flat
 	if f == nil {
 		return
 	}
 	ix.flat = nil
+	parents := append([]int32(nil), f.parents...)
+	children := append([]int32(nil), f.children...)
+	bounds := append([]int32{}, f.bounds...)
 	for i := range ix.Cells {
 		c := &ix.Cells[i]
 		s := &f.spans[i]
 		if s.parentLen > 0 {
-			c.Parents = append([]int32(nil), f.parents[s.parentOff:s.parentOff+s.parentLen]...)
+			c.Parents = parents[s.parentOff : s.parentOff+s.parentLen : s.parentOff+s.parentLen]
 		}
 		if s.childLen > 0 {
-			c.Children = append([]int32(nil), f.children[s.childOff:s.childOff+s.childLen]...)
+			c.Children = children[s.childOff : s.childOff+s.childLen : s.childOff+s.childLen]
 		}
 		if s.boundLen >= 0 {
-			c.Bound = make([]int32, s.boundLen)
-			copy(c.Bound, f.bounds[s.boundOff:s.boundOff+s.boundLen])
+			c.Bound = bounds[s.boundOff : s.boundOff+s.boundLen : s.boundOff+s.boundLen]
 		}
 	}
 }

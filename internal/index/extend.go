@@ -43,6 +43,10 @@ func (ix *Index) ensureLevels(k int) {
 	if ext.maxLevel >= k {
 		return // already materialized: keep the hot query path read-only
 	}
+	// Inserts are refused from here on (and ExtendTau changes the depth the
+	// insert cache was sized for), so what the last batch left behind is
+	// dead weight.
+	ix.dropInsertCache()
 	// Extension creates cells and edges through the staging slices; thaw the
 	// flat form, extend, and re-freeze below.
 	ix.thaw()

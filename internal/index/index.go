@@ -13,10 +13,10 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
+	"slices"
 
 	"tlevelindex/internal/dg"
 	"tlevelindex/internal/geom"
@@ -109,6 +109,13 @@ type Index struct {
 	// serialized.
 	trace    obs.Tracer
 	progress func(BuildProgress)
+	// icache carries derived per-cell geometry from one InsertBatch to the
+	// next (see insertCache): nil until the first accepted insert, after a
+	// load, after on-demand extension, and whenever the last batch left it
+	// over budget. Writer-owned and never serialized. icacheDrops counts
+	// the times a cache was discarded.
+	icache      *insertCache
+	icacheDrops uint64
 
 	// aliasedBytes counts the bytes of index state (coords + CSR arenas)
 	// that alias a caller-owned buffer instead of the heap (ReadBytes with
@@ -148,6 +155,14 @@ func (ix *Index) refreshVerdictStats() {
 	ix.Stats.VerdictHits = hits
 	ix.Stats.VerdictMisses = misses
 	ix.Stats.VerdictEntries = size
+}
+
+// VerdictEntries returns the number of verdicts the build-time cache holds
+// right now (Stats.VerdictEntries is the figure as of the last build or
+// extension); 0 for a loaded index, which has no cache.
+func (ix *Index) VerdictEntries() int {
+	_, _, size := ix.verdicts.Stats()
+	return size
 }
 
 // Workers returns the configured worker bound (0 meaning the GOMAXPROCS
@@ -224,15 +239,12 @@ func (ix *Index) resultSetInto(id int32, buf []int32) []int32 {
 
 // rKey returns a canonical merge key for (R as a set, opt).
 func (ix *Index) rKey(id int32) string {
-	r := ix.ResultSet(id)
-	sorted := append([]int32(nil), r...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	var sb strings.Builder
-	for _, v := range sorted {
-		fmt.Fprintf(&sb, "%d,", v)
-	}
-	fmt.Fprintf(&sb, "|%d", ix.Cells[id].Opt)
-	return sb.String()
+	buf := rsetScratch.Get()
+	defer rsetScratch.Put(buf)
+	*buf = ix.resultSetInto(id, *buf)
+	var arr [64]byte
+	key := appendSetKey(arr[:0], *buf)
+	return string(binary.BigEndian.AppendUint32(key, uint32(ix.Cells[id].Opt)))
 }
 
 // Region reconstructs the cell's geometric region in reduced preference
@@ -377,8 +389,32 @@ func (ix *Index) compact() {
 		c.Children = remapIDs(c.Children, remap)
 	}
 	ix.Cells = live
+	if ix.icache != nil {
+		ix.icache.remap(remap, len(live))
+	}
 	ix.rebuildLevels()
 	ix.freeze()
+}
+
+// dropInsertCache discards the insert cache; the next accepted insert
+// starts cold.
+func (ix *Index) dropInsertCache() {
+	if ix.icache != nil {
+		ix.icache = nil
+		ix.icacheDrops++
+	}
+}
+
+// InsertCacheStats reports the estimated bytes held by the insert cache the
+// index keeps between batches (0 when it holds none) and how many times one
+// was discarded: over budget at the end of a batch, or invalidated by
+// on-demand extension. Like every read of the index it must not run
+// beside an insert.
+func (ix *Index) InsertCacheStats() (bytes int64, drops uint64) {
+	if ix.icache != nil {
+		bytes = ix.icache.bytes()
+	}
+	return bytes, ix.icacheDrops
 }
 
 func remapIDs(ids []int32, remap []int32) []int32 {
@@ -458,17 +494,8 @@ func replaceID(s *[]int32, from, to int32) {
 }
 
 func dedupeIDs(s []int32) []int32 {
-	if len(s) <= 1 {
-		return s
-	}
-	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // Validate checks structural invariants: level consistency along edges,
@@ -520,12 +547,19 @@ func (ix *Index) Validate(checkRegions bool) error {
 	return nil
 }
 
+// setKey returns a canonical key for r as a set.
 func setKey(r []int32) string {
-	s := append([]int32(nil), r...)
-	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	var sb strings.Builder
+	var arr [64]byte
+	return string(appendSetKey(arr[:0], r))
+}
+
+// appendSetKey appends setKey(r) to dst: the ids ascending, four bytes each.
+func appendSetKey(dst []byte, r []int32) []byte {
+	var arr [16]int32
+	s := append(arr[:0], r...)
+	slices.Sort(s)
 	for _, v := range s {
-		fmt.Fprintf(&sb, "%d,", v)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(v))
 	}
-	return sb.String()
+	return dst
 }

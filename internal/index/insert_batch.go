@@ -21,6 +21,18 @@ type BatchStats struct {
 	ThawNS int64
 	// FinalizeNS is the wall time of the shared compact/stats tail.
 	FinalizeNS int64
+	// RegionsReused counts the cell regions the batch's accepted records
+	// asked for (traversal and edge fix-up) that the insert cache served by
+	// appending to constraints it held; RegionsRebuilt those assembled from
+	// nothing — every one of a cold batch's first record.
+	RegionsReused, RegionsRebuilt int
+	// PairLPs counts the parent-intersection LPs the edge fix-up ran,
+	// PairSkips the pairs a cached certificate settled without one.
+	PairLPs, PairSkips int
+	// CacheBytes is the estimated footprint of the insert cache the index
+	// keeps for the next batch; 0 when the batch accepted nothing or left
+	// the cache over budget, so that it was dropped.
+	CacheBytes int64
 }
 
 // InsertBatch adds newly arrived options to a built index, in order: the
@@ -35,13 +47,15 @@ type BatchStats struct {
 // The returned ids and the final structure are exactly those of inserting
 // the options in N batches of one, but the O(total-cells) maintenance is
 // amortized: one thaw() materializes the staging adjacency for the whole
-// batch, the IBA scratch (inserted list, visited/created sets) is reused
-// across records, and the compact (CSR re-freeze) plus fillCellStats tail
-// runs once. fixupEdges still runs after every record: the next record's
-// traversal classifies against the adjacency it sees, and only the exact
-// Definition-4 edges keep the batch result byte-identical to the
-// one-at-a-time path (structural creation-time edges steer later insertions
-// down different traversal orders, permuting cell ids).
+// batch, the cells' regions and parent certificates and the insertion
+// scratch come from the index's insertCache — across records and, while it
+// stays within its budget, across batches — and the compact (CSR re-freeze)
+// plus fillCellStats tail runs once. fixupEdges still runs after every
+// record: the next record's traversal classifies against the adjacency it
+// sees, and only the exact Definition-4 edges keep the batch result
+// byte-identical to the one-at-a-time path (structural creation-time edges
+// steer later insertions down different traversal orders, permuting cell
+// ids).
 //
 // ids[i] is the filtered id of rs[i], or -1 when it was filtered out or
 // errs[i] is non-nil. A batch against an extended index rejects every item
@@ -61,18 +75,9 @@ func (ix *Index) InsertBatch(rs [][]float64) ([]int32, []error, BatchStats) {
 		}
 		return ids, errs, stats
 	}
-	// Lazily initialized on the first accepted record: a fully filtered
-	// batch must not thaw (and re-freeze) the index at all.
-	var (
-		thawed   bool
-		inserted []int32
-		visited  = make(map[int32]bool)
-		created  = make(map[int32]bool)
-		// cache carries regions and parent certificates from record to
-		// record (see insertCache); it is valid precisely until compact()
-		// renumbers cells, i.e. for the lifetime of this batch.
-		cache = newInsertCache()
-	)
+	// Set on the first accepted record: a fully filtered batch must not thaw
+	// (and re-freeze) the index at all.
+	var cache *insertCache
 	for bi, r := range rs {
 		if len(r) != ix.Dim {
 			errs[bi] = errors.New("index: option dimensionality mismatch")
@@ -106,18 +111,20 @@ func (ix *Index) InsertBatch(rs [][]float64) ([]int32, []error, BatchStats) {
 		if dup {
 			continue
 		}
-		if !thawed {
+		if cache == nil {
 			// The insertion machinery does slice surgery on the staging
 			// adjacency; materialize it from the flat form first. compact()
 			// re-freezes at the end.
 			thawStart := time.Now()
 			ix.thaw()
 			stats.ThawNS = time.Since(thawStart).Nanoseconds()
-			inserted = make([]int32, 0, len(ix.Pts)+len(rs)-bi)
-			for i := range ix.Pts {
-				inserted = append(inserted, int32(i))
+			// Regions and parent certificates come from the cache the last
+			// batch left behind, when it left one (see insertCache).
+			if ix.icache == nil {
+				ix.icache = newInsertCache()
 			}
-			thawed = true
+			cache = ix.icache
+			cache.beginBatch(ix)
 		}
 		rj := int32(len(ix.Pts))
 		ix.Pts = append(ix.Pts, append([]float64(nil), r...))
@@ -125,26 +132,30 @@ func (ix *Index) InsertBatch(rs [][]float64) ([]int32, []error, BatchStats) {
 		if ix.fullPts != nil {
 			ix.fullPts = append(ix.fullPts, append([]float64(nil), r...))
 		}
-		clear(visited)
-		clear(created)
-		st := &ibaState{ix: ix, rj: rj, inserted: inserted,
-			visited: visited, created: created, cache: cache}
-		st.insert(ix.Root())
-		inserted = append(inserted, rj)
-		ix.mergeAllLevels()
+		cache.verdicts.Reset()
+		cache.st.begin(rj)
+		cache.st.insert(ix.Root())
+		cache.st.mergeCreated()
 		// Re-derive exact edges before the next record's traversal: the next
 		// insertion classifies against this adjacency, and matching the
 		// one-at-a-time path record for record is what keeps a batch-built
 		// index byte-identical to it. The expensive compact (CSR re-freeze)
 		// still runs only once, below.
-		ix.fixupEdgesWith(cache)
+		ix.fixupEdges(cache)
 		ids[bi] = rj
 		stats.Accepted++
 	}
 	if stats.Accepted > 0 {
 		finalizeStart := time.Now()
-		ix.compact()
+		ix.compact() // renumbers the cells, and the cache's entries with them
 		ix.fillCellStats()
+		stats.RegionsReused, stats.RegionsRebuilt = cache.regionsReused, cache.regionsRebuilt
+		stats.PairLPs, stats.PairSkips = cache.pairLPs, cache.pairSkips
+		if held := cache.bytes(); held <= insertCacheBudget {
+			stats.CacheBytes = held
+		} else {
+			ix.dropInsertCache()
+		}
 		stats.FinalizeNS = time.Since(finalizeStart).Nanoseconds()
 	}
 	return ids, errs, stats

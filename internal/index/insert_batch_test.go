@@ -22,6 +22,18 @@ func serializeOrFail(t *testing.T, ix *Index) []byte {
 // byte-identical to the same options inserted one at a time — same ids,
 // same cells, same serialization — while thawing and re-freezing once.
 func TestInsertBatchMatchesSequential(t *testing.T) {
+	// The insert cache must not show in the result: kept from one call to
+	// the next (the sequential side's inserts after its first start warm),
+	// never kept, or absent because the index was loaded, not built.
+	t.Run("cache kept", func(t *testing.T) { testInsertBatchMatchesSequential(t, false) })
+	t.Run("over budget", func(t *testing.T) {
+		forceInsertCacheBudget(t, 0)
+		testInsertBatchMatchesSequential(t, false)
+	})
+	t.Run("reloaded", func(t *testing.T) { testInsertBatchMatchesSequential(t, true) })
+}
+
+func testInsertBatchMatchesSequential(t *testing.T, reload bool) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 12; trial++ {
 		n := 12 + rng.Intn(12)
@@ -43,6 +55,15 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 		cfg := Config{Algorithm: PBAPlus, Tau: tau}
 		seq := buildOrFail(t, data, cfg)
 		bat := buildOrFail(t, data, cfg)
+		if reload {
+			for _, ix := range []**Index{&seq, &bat} {
+				loaded, err := Read(bytes.NewReader(serializeOrFail(t, *ix)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				*ix = loaded
+			}
+		}
 		base := len(bat.Pts)
 
 		wantIDs := make([]int32, len(extra))

@@ -116,6 +116,11 @@ func (h *Handler) applyInsertBatch(ctx context.Context, opts [][]float64) ([]sto
 		sp.Set("logged", float64(stats.Logged))
 		sp.Set("thawNs", float64(stats.ThawNS))
 		sp.Set("finalizeNs", float64(stats.FinalizeNS))
+		sp.Set("regionsReused", float64(stats.RegionsReused))
+		sp.Set("regionsRebuilt", float64(stats.RegionsRebuilt))
+		sp.Set("pairLPs", float64(stats.PairLPs))
+		sp.Set("pairSkips", float64(stats.PairSkips))
+		sp.Set("cacheBytes", float64(stats.CacheBytes))
 		sp.FinishTo(sc.Tracer)
 	}
 	return results, stats, err
@@ -138,8 +143,5 @@ func (h *Handler) memInsertBatch(opts [][]float64) ([]store.BatchResult, store.G
 		out[i] = store.BatchResult{ID: res.ID, LSN: lsn, Err: res.Err}
 	}
 	h.memLSN.Store(lsn)
-	return out, store.GroupStats{
-		Requests: 1, Records: len(opts), Logged: logged,
-		ThawNS: bs.ThawNS, FinalizeNS: bs.FinalizeNS,
-	}
+	return out, store.GroupStats{Requests: 1, Records: len(opts), Logged: logged, BatchInsertStats: bs}
 }

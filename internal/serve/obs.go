@@ -61,9 +61,10 @@ var registerProcessGauges = sync.OnceFunc(func() {
 		}, obs.Label{Name: "kind", Value: "classify"})
 })
 
-// registerIndexGauges exposes the served index's VerdictCache statistics.
-// They reflect the last build or on-demand extension; GaugeFunc replaces
-// the reader on re-registration, so the newest handler's index wins.
+// registerIndexGauges exposes the served index's VerdictCache statistics
+// and the state of its insert cache. The verdict hit and miss counts reflect
+// the last build or on-demand extension, the rest is read live; GaugeFunc
+// replaces the reader on re-registration, so the newest handler's index wins.
 func (h *Handler) registerIndexGauges() {
 	stats := func() tlx.BuildStats {
 		h.mu.RLock()
@@ -81,6 +82,21 @@ func (h *Handler) registerIndexGauges() {
 	obs.Default().GaugeFunc("tlx_build_verdict_cache_entries",
 		"Entries held by the VerdictCache.", func() float64 {
 			return float64(stats().VerdictEntries)
+		})
+	cache := func() (int64, uint64) {
+		h.mu.RLock()
+		defer h.mu.RUnlock()
+		return h.index().InsertCacheStats()
+	}
+	obs.Default().GaugeFunc("tlx_insert_cache_bytes",
+		"Estimated bytes of per-cell regions and parent certificates kept so the next insert batch starts warm (0 = the next one starts cold).", func() float64 {
+			bytes, _ := cache()
+			return float64(bytes)
+		})
+	obs.Default().GaugeFunc("tlx_insert_cache_drops_total",
+		"Times the insert cache was discarded: over its budget at the end of a batch, or invalidated by on-demand extension.", func() float64 {
+			_, drops := cache()
+			return float64(drops)
 		})
 	obs.Default().GaugeFunc("tlx_build_verdict_cache_hit_ratio",
 		"VerdictCache hit ratio over construction and extension (0 when unused).", func() float64 {

@@ -146,6 +146,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`tlx_query_lp_calls_total{query="kspr"}`,
 		"tlx_build_verdict_cache_hits_total",
 		"tlx_build_verdict_cache_hit_ratio",
+		"tlx_build_verdict_cache_entries",
+		"tlx_insert_cache_bytes",
+		"tlx_insert_cache_drops_total 0",
 		"tlx_wal_append_seconds_bucket",
 		"tlx_wal_fsync_seconds_bucket",
 		"tlx_wal_ack_seconds_count 2",
@@ -168,6 +171,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition is missing %q", want)
 		}
+	}
+	// The inserts above were accepted, so the index holds their regions and
+	// certificates for the next batch.
+	if strings.Contains(body, "tlx_insert_cache_bytes 0\n") {
+		t.Error("tlx_insert_cache_bytes reads 0 after accepted inserts")
 	}
 	// The first topk request was head-sampled, so an exemplar is pending:
 	// it must stay out of the classic exposition (scrapeMetrics verified

@@ -318,3 +318,30 @@ func TestRecoveredStoreKeepsServing(t *testing.T) {
 		t.Errorf("inserted option unreachable after second restart: rank=%d err=%v", rank, err)
 	}
 }
+
+// TestRecoverReplaysLongTailInChunks: a WAL tail longer than two replay
+// chunks — fresh options, duplicates that resolve to earlier ids, and
+// records a mid-run snapshot already covers — recovers to the index the
+// one-record-at-a-time reference reaches, with every tail record counted.
+func TestRecoverReplaysLongTailInChunks(t *testing.T) {
+	inserts := ingestOptions(5 * replayChunk)
+	for i := 7; i < len(inserts); i += 13 {
+		inserts[i] = append([]float64(nil), inserts[i-5]...) // logged when inserts[i-5] was, resolving to its id
+	}
+	dir := t.TempDir()
+	logged := crashedStore(t, dir, inserts, 10)
+	s := reopen(t, dir)
+	st := s.Status()
+	if st.AppliedLSN != uint64(len(logged)) {
+		t.Fatalf("applied LSN %d, want %d", st.AppliedLSN, len(logged))
+	}
+	tail := len(logged) - int(st.SnapshotLSN)
+	if tail <= 2*replayChunk {
+		t.Fatalf("the tail holds %d records, want more than two chunks of %d", tail, replayChunk)
+	}
+	if st.RecordsReplayed != tail {
+		t.Fatalf("replayed %d records, want %d", st.RecordsReplayed, tail)
+	}
+	want, _ := reference(t, inserts)
+	assertSameAnswers(t, s.Index(), want)
+}

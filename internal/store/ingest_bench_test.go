@@ -146,3 +146,33 @@ func BenchmarkIngestGroupCommit(b *testing.B) {
 	b.StopTimer()
 	reportFsyncsPerRecord(b, fsyncs0, b.N)
 }
+
+// BenchmarkRecoverTail is one crash recovery per op (make recovery-bench →
+// BENCH_recovery.json): Open loads the snapshot of the ingest base and
+// replays a 64-record WAL tail of accepted inserts — one chunk of
+// store.replay. The store is killed, not closed, after every recovery, so
+// the directory keeps its tail for the next one.
+func BenchmarkRecoverTail(b *testing.B) {
+	dir := b.TempDir()
+	st, err := Open(Options{Dir: dir}, func() (*tlx.Index, error) {
+		return tlx.Build(ingestBase(), 4, tlx.WithSeed(7))
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := st.InsertBatchLSN(ingestOptions(replayChunk)); err != nil {
+		b.Fatal(err)
+	}
+	st.kill()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := Open(Options{Dir: dir}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.replayed != replayChunk {
+			b.Fatalf("recovery replayed %d records, want %d", st.replayed, replayChunk)
+		}
+		st.kill()
+	}
+}

@@ -174,10 +174,10 @@ type GroupStats struct {
 	// index or resolved to a duplicate — exactly the records replay will
 	// re-apply). The group paid one fsync for all of them.
 	Logged int
-	// ThawNS and FinalizeNS are the engine's shared maintenance phases for
-	// the whole group (see tlevelindex.BatchInsertStats).
-	ThawNS     int64
-	FinalizeNS int64
+	// BatchInsertStats is the engine's report of the one batch the whole
+	// group was applied as: its shared maintenance phases (ThawNS,
+	// FinalizeNS) and how warm it ran.
+	tlx.BatchInsertStats
 }
 
 // Open recovers a Store from dir. An empty directory is initialized from
@@ -302,25 +302,8 @@ func (s *Store) recover(snaps, segs []fileEntry) error {
 			return fmt.Errorf("%w: WAL gap: applied through %d but segment %s begins at %d",
 				ErrCorrupt, s.applied, sg.path, sd.base)
 		}
-		for _, rec := range sd.records {
-			if rec.lsn <= s.applied {
-				continue
-			}
-			if rec.lsn != s.applied+1 {
-				return fmt.Errorf("%w: WAL gap: applied through %d, next record %d (%s)",
-					ErrCorrupt, s.applied, rec.lsn, sg.path)
-			}
-			id, err := s.ix.Insert(rec.attrs)
-			if err != nil {
-				return fmt.Errorf("store: replay of record %d failed: %v", rec.lsn, err)
-			}
-			if int64(id) != rec.id {
-				return fmt.Errorf("%w: replay diverged at record %d: re-assigned id %d, acknowledged id %d",
-					ErrCorrupt, rec.lsn, id, rec.id)
-			}
-			s.applied++
-			s.appliedA.Store(s.applied)
-			s.replayed++
+		if err := s.replay(sd.records, sg.path); err != nil {
+			return err
 		}
 		if last {
 			seg, err := openSegmentForAppend(sg.path, sd.base, sd.validSize)
@@ -342,6 +325,58 @@ func (s *Store) recover(snaps, segs []fileEntry) error {
 	s.log.Info("store: recovered", "dir", s.opts.Dir, "from", s.recoveredFrom,
 		"replayed", s.replayed, "appliedLsn", s.applied, "fallbacks", s.fallbacks)
 	return nil
+}
+
+// replayChunk bounds how many WAL records recovery hands the engine at
+// once. One InsertBatch thaws and re-freezes the index once for the chunk
+// where one Insert per record paid that per record, and the result is
+// byte-identical either way; the bound keeps the memory of one apply flat
+// however long the tail is.
+const replayChunk = 64
+
+// replay applies the records of one segment (read from path) that lie
+// beyond the applied point, in chunks of at most replayChunk. Records at or
+// below it are already part of the loaded state and are skipped; a gap
+// above it means acknowledged records were lost. Every re-assigned id is
+// checked against the id that was acknowledged.
+func (s *Store) replay(recs []record, path string) error {
+	chunk := make([]record, 0, replayChunk)
+	attrs := make([][]float64, 0, replayChunk)
+	apply := func() error {
+		results, _ := s.ix.InsertBatch(attrs)
+		for i, res := range results {
+			rec := chunk[i]
+			if res.Err != nil {
+				return fmt.Errorf("store: replay of record %d failed: %v", rec.lsn, res.Err)
+			}
+			if int64(res.ID) != rec.id {
+				return fmt.Errorf("%w: replay diverged at record %d: re-assigned id %d, acknowledged id %d",
+					ErrCorrupt, rec.lsn, res.ID, rec.id)
+			}
+			s.applied++
+			s.appliedA.Store(s.applied)
+			s.replayed++
+		}
+		chunk, attrs = chunk[:0], attrs[:0]
+		return nil
+	}
+	for _, rec := range recs {
+		through := s.applied + uint64(len(chunk))
+		if rec.lsn <= through {
+			continue
+		}
+		if rec.lsn != through+1 {
+			return fmt.Errorf("%w: WAL gap: applied through %d, next record %d (%s)",
+				ErrCorrupt, through, rec.lsn, path)
+		}
+		chunk, attrs = append(chunk, rec), append(attrs, rec.attrs)
+		if len(chunk) == replayChunk {
+			if err := apply(); err != nil {
+				return err
+			}
+		}
+	}
+	return apply()
 }
 
 func (s *Store) loadSnapshot(path string) (*tlx.Index, error) {
@@ -510,8 +545,7 @@ func (s *Store) processGroup(group []*insertReq) {
 	if logged > 0 {
 		walGroupSize.Observe(float64(logged))
 	}
-	stats := GroupStats{Requests: len(group), Records: total, Logged: logged,
-		ThawNS: bstats.ThawNS, FinalizeNS: bstats.FinalizeNS}
+	stats := GroupStats{Requests: len(group), Records: total, Logged: logged, BatchInsertStats: bstats}
 	now := time.Now()
 	off := 0
 	for _, r := range group {

@@ -272,8 +272,22 @@ func (ix *Index) CellsPerLevel() []int {
 	return out
 }
 
-// Stats returns construction statistics.
-func (ix *Index) Stats() BuildStats { return ix.inner.Stats }
+// Stats returns construction statistics. VerdictEntries is read live: the
+// other verdict figures are as of the last build or extension.
+func (ix *Index) Stats() BuildStats {
+	s := ix.inner.Stats
+	s.VerdictEntries = ix.inner.VerdictEntries()
+	return s
+}
+
+// InsertCacheStats reports the estimated bytes of derived per-cell state
+// the index keeps between insert batches so that the next one starts warm
+// (0 before the first accepted insert, after a load, and whenever the last
+// batch left it over its fixed budget), and how many times that state was
+// discarded. It needs the same exclusion from inserts as a query.
+func (ix *Index) InsertCacheStats() (bytes int64, drops uint64) {
+	return ix.inner.InsertCacheStats()
+}
 
 // SizeBytes returns the serialized index size — the paper's index-size
 // metric.
@@ -427,15 +441,14 @@ type InsertResult struct {
 	Err error
 }
 
-// BatchInsertStats summarizes the amortized work of one InsertBatch call:
-// how many options actually mutated the index, and the wall time of the
-// two shared maintenance phases (the single staging thaw and the single
-// CSR re-freeze) that per-record Insert would have paid once per option.
-type BatchInsertStats struct {
-	Accepted   int
-	ThawNS     int64
-	FinalizeNS int64
-}
+// BatchInsertStats summarizes one InsertBatch call: how many options
+// actually mutated the index, the wall time of the two shared maintenance
+// phases (the single staging thaw and the single CSR re-freeze) that
+// per-record Insert would have paid once per option, and how warm the
+// batch ran — regions and parent-edge certificates taken from the state the
+// index keeps between batches against those derived from nothing, and the
+// bytes of such state held for the next batch (see InsertCacheStats).
+type BatchInsertStats = index.BatchStats
 
 // InsertBatch applies a batch of newly arrived options in order with
 // exactly the semantics of N sequential Insert calls — same ids, same
@@ -469,7 +482,7 @@ func (ix *Index) InsertBatch(options [][]float64) ([]InsertResult, BatchInsertSt
 	if touched {
 		ix.idMap.Store(nil)
 	}
-	return out, BatchInsertStats{Accepted: bs.Accepted, ThawNS: bs.ThawNS, FinalizeNS: bs.FinalizeNS}
+	return out, bs
 }
 
 // ExtendTau deepens the index to newTau levels permanently — the paper's
