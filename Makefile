@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt-check build test race bench bench-smoke serve-bench recovery-bench ingest-bench lvbench fuzz-smoke obs-smoke
+.PHONY: ci vet fmt-check build test race bench bench-smoke serve-bench recovery-bench ingest-bench lvbench fuzz-smoke obs-smoke loc
 
 # The plain (non-race) test pass is part of the gate because the
 # allocation pins skip themselves under -race, where sync.Pool drops puts
@@ -65,7 +65,9 @@ bench-smoke: serve-bench recovery-bench ingest-bench
 		| $(GO) run ./cmd/benchjson -baseline BENCH_query.json -out BENCH_query.json
 	@echo "wrote BENCH_query.json"
 
-# Serve-layer throughput against the committed BENCH_serve.json baseline:
+# Serve-layer throughput against the committed BENCH_serve.json baseline.
+# Every row but the batch one drives POST /v1/query through the whole
+# handler stack, JSON body decode included:
 # the cached/uncached pairs quantify the answer cache (the UTK hit path
 # runs several times the uncached qps), the parallel row
 # (BenchmarkServeWriterTopKParallel) is the read-lock throughput under
@@ -144,3 +146,14 @@ fuzz-smoke:
 
 lvbench:
 	$(GO) run ./cmd/lvbench -exp all -scale small
+
+# Non-test code lines per package — .go files outside _test.go, blank lines
+# and lines that are only a // comment left out. This is the count ROADMAP's
+# "net non-test LOC going down" and CHANGES.md's per-PR figures mean; "module"
+# is everything outside bench/ (its own module, with its own budget).
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -cvE '^[[:space:]]*(//|$$)'; }; \
+	echo "internal/serve  $$(count internal/serve -maxdepth 1)"; \
+	echo "internal/index  $$(count internal/index -maxdepth 1)"; \
+	echo "root package    $$(count . -maxdepth 1)"; \
+	echo "module          $$(count . -path ./bench -prune -o -type f)"

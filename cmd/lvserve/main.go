@@ -5,11 +5,12 @@
 // Usage:
 //
 //	lvserve -in hotels.txt -tau 10 -addr :8080
-//	curl 'localhost:8080/topk?w=0.18,0.82&k=2'
-//	curl 'localhost:8080/kspr?focal=0&k=2'
 //	curl -X POST -d '{"family":"topk","w":[0.18,0.82],"k":2}' localhost:8080/v1/query
-//	curl 'localhost:8080/stats'
+//	curl -X POST -d '{"family":"kspr","focal":0,"k":2}' localhost:8080/v1/query
+//	curl localhost:8080/v1/stats
 //
+// Every query family goes through POST /v1/query (or /v1/query/batch); every
+// endpoint lives under /v1/ only.
 // Queries are answered through a cell-keyed, LSN-stamped result cache
 // (size it with -cache-entries, disable with a negative value).
 //

@@ -771,11 +771,11 @@ func (ix *Index) KSPRBatchCtx(ctx context.Context, k int, focals []int32) ([]*KS
 	return out, nil
 }
 
-// LocateTopK is the point-location fast path: one Locate-style descent that
-// yields the chain key, the reached level, the ranked options, and TopKCtx-
-// identical QueryStats in a single walk. It never extends the index (k is
-// clamped like Locate), so it is a pure lookup safe under concurrent reads;
-// callers needing extension fall back to TopKCtx. res is appended into out.
+// LocateTopK is the top-k descent: one Locate-style walk that yields the
+// chain key, the reached level, the ranked options and the QueryStats. It
+// never extends the index (k is clamped like Locate), so it is a pure lookup
+// safe under concurrent reads; TopKCtx is this walk after extending to k.
+// res is appended into out.
 func (ix *Index) LocateTopK(ctx context.Context, x []float64, k int, out []int32) (key uint64, level int, res []int32, st QueryStats, err error) {
 	if max := ix.MaxMaterializedLevel(); k > max {
 		k = max
@@ -788,7 +788,10 @@ func (ix *Index) LocateTopK(ctx context.Context, x []float64, k int, out []int32
 		if len(children) == 0 {
 			break
 		}
-		// First-child seed: see the singleton-run note in topKBatchWalk.
+		// First-child seed: a non-finite weight vector scores NaN everywhere,
+		// leaving every comparison false; seeding with a real child keeps the
+		// walk in the DAG (descending like Locate does) instead of stepping
+		// to cell -1.
 		best := children[0]
 		bestScore := math.Inf(-1)
 		for _, ch := range children {

@@ -29,22 +29,36 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add([]byte("TLVLIDX3 not really"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, blob []byte) {
+		// A heap load and a zero-copy load are the one decoder with aliasing
+		// off and on; an input must pass or fail on both alike (a corrupt
+		// mmap'd snapshot can never sneak past where a heap load refuses) and
+		// decode to the same index.
 		got, err := Read(bytes.NewReader(blob))
-		// The zero-copy byte reader shares the streaming reader's range
-		// checks; an input must pass or fail on both paths alike (a corrupt
-		// mmap'd snapshot can never sneak past where a heap load refuses).
 		bgot, berr := ReadBytes(append([]byte(nil), blob...), true)
 		if (err == nil) != (berr == nil) {
-			t.Fatalf("Read err=%v but ReadBytes err=%v", err, berr)
+			t.Fatalf("Read err=%v but aliasing ReadBytes err=%v", err, berr)
 		}
 		if err != nil {
+			if !errors.Is(err, ErrBadFormat) || !errors.Is(berr, ErrBadFormat) {
+				t.Fatalf("errors %v / %v do not both wrap ErrBadFormat", err, berr)
+			}
 			return
 		}
-		if verr := got.Validate(false); verr != nil {
-			t.Fatalf("Read accepted an invalid index: %v", verr)
+		var a, b bytes.Buffer
+		for _, l := range []struct {
+			name string
+			ix   *Index
+			out  *bytes.Buffer
+		}{{"copying", got, &a}, {"aliasing", bgot, &b}} {
+			if verr := l.ix.Validate(false); verr != nil {
+				t.Fatalf("the %s decoder accepted an invalid index: %v", l.name, verr)
+			}
+			if _, werr := l.ix.WriteTo(l.out); werr != nil {
+				t.Fatal(werr)
+			}
 		}
-		if verr := bgot.Validate(false); verr != nil {
-			t.Fatalf("ReadBytes accepted an invalid index: %v", verr)
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("the copying and aliasing decoders built different indexes from one input")
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,15 +13,15 @@ import (
 	"tlevelindex/internal/dataio"
 )
 
-// Zero-copy X3 loading. ReadBytes decodes a serialized index directly from
-// a byte buffer — typically a memory-mapped snapshot — and, where the
-// platform allows, materializes the large arrays (option coordinates and
-// the three CSR adjacency arenas) as slices aliasing the buffer instead of
-// heap copies. The CRC footer is verified once over the whole buffer, and
-// every structural range check is the same code the streaming reader runs
-// (checkX3Header / checkX3CellMeta / x3ListTotals / checkX3Arena /
-// buildX3 in serialize.go), so a corrupt snapshot is rejected identically
-// on both paths.
+// X3 decoding, zero-copy where asked for. ReadBytes decodes a serialized
+// index directly from a byte buffer — Read's copy of its stream, or a
+// memory-mapped snapshot — and, with alias set and where the platform
+// allows, materializes the large arrays (option coordinates and the three
+// CSR adjacency arenas) as slices aliasing the buffer instead of heap
+// copies. The CRC footer is verified once over the whole buffer. It is the
+// only X3 decoder: a heap load and an mmap load differ in nothing but
+// whether an array is copied, so a corrupt snapshot is rejected identically
+// on both.
 //
 // Aliasing rules: the buffer must outlive the index (the caller parks its
 // releaser on the index via SetBacking), the platform must be
@@ -41,14 +40,16 @@ var nativeLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// ReadBytes is Read over an in-memory stream. With alias=true, an X3
-// stream is decoded zero-copy where possible: the returned index's
+// ReadBytes decodes a serialized index held in memory. With alias=true, an
+// X3 stream is decoded zero-copy where possible: the returned index's
 // MmapBytes reports how many bytes ended up aliasing data rather than
-// copied. Non-X3 streams (X1/X2) never alias. Every failure reports
-// ErrBadFormat, exactly like Read.
+// copied. Non-X3 streams (X1/X2) never alias; nothing in their per-cell
+// layout is worth it. Every failure reports ErrBadFormat.
 func ReadBytes(data []byte, alias bool) (*Index, error) {
 	ix, err := readBytes(data, alias)
 	if err != nil && !errors.Is(err, ErrBadFormat) {
+		// Truncations surface as io.ErrUnexpectedEOF from the cursor; fold
+		// them into the sentinel so callers need one check.
 		err = fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	if err != nil {
@@ -61,12 +62,14 @@ func readBytes(data []byte, alias bool) (*Index, error) {
 	if len(data) < len(magicX3) {
 		return nil, io.ErrUnexpectedEOF
 	}
-	var m [8]byte
-	copy(m[:], data)
-	if m != magicX3 {
-		// Legacy and foreign streams take the streaming path; nothing in
-		// their per-cell layout is worth aliasing.
-		return readIndex(bytes.NewReader(data))
+	switch [8]byte(data[:8]) {
+	case magicX1:
+		return readLegacy(data, false)
+	case magicX2:
+		return readLegacy(data, true)
+	case magicX3:
+	default:
+		return nil, ErrBadFormat
 	}
 	c := byteCursor{data: data, off: len(magicX3)}
 	hdr, _, err := c.int32s(4, false)
@@ -136,16 +139,8 @@ func readBytes(data []byte, alias bool) (*Index, error) {
 			aliasedBytes += 4 * int64(len(arena))
 		}
 	}
-	// The footer checksums every consumed byte, magic included — the same
-	// range the streaming reader hashes — and is itself outside the hash.
-	body := data[:c.off]
-	ftr, err := c.take(4)
-	if err != nil {
+	if err := c.checkCRC(); err != nil {
 		return nil, err
-	}
-	got := binary.LittleEndian.Uint32(ftr)
-	if sum := crc32.ChecksumIEEE(body); got != sum {
-		return nil, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrBadFormat, got, sum)
 	}
 	ix, err := buildX3(dim, tau, inputOptions, origIDs, coords, levels, opts, lens, arenas)
 	if err != nil {
@@ -158,15 +153,14 @@ func readBytes(data []byte, alias bool) (*Index, error) {
 	return ix, nil
 }
 
-// byteCursor walks a byte buffer handing out typed array views with the
-// same bounds discipline the streaming decoder gets from io.ReadFull.
+// byteCursor walks a byte buffer handing out typed array views, checking
+// every length against the bytes left before anything is allocated for it.
 type byteCursor struct {
 	data []byte
 	off  int
 }
 
-// take consumes n raw bytes; overruns report the same truncation error the
-// streaming reader surfaces.
+// take consumes n raw bytes; an overrun is a truncated stream.
 func (c *byteCursor) take(n int) ([]byte, error) {
 	if n < 0 || len(c.data)-c.off < n {
 		return nil, io.ErrUnexpectedEOF
@@ -174,6 +168,20 @@ func (c *byteCursor) take(n int) ([]byte, error) {
 	b := c.data[c.off : c.off+n]
 	c.off += n
 	return b, nil
+}
+
+// checkCRC consumes the four-byte footer and compares it with the CRC32
+// (IEEE) of every byte consumed before it, magic included.
+func (c *byteCursor) checkCRC() error {
+	sum := crc32.ChecksumIEEE(c.data[:c.off])
+	ftr, err := c.take(4)
+	if err != nil {
+		return err
+	}
+	if got := binary.LittleEndian.Uint32(ftr); got != sum {
+		return fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrBadFormat, got, sum)
+	}
+	return nil
 }
 
 // int32s consumes n little-endian int32s, aliasing the buffer when allowed
@@ -221,12 +229,11 @@ func OpenFile(path string) (*Index, error) {
 }
 
 func openFileHeap(path string) (*Index, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Read(f)
+	return ReadBytes(data, false)
 }
 
 // float64s is int32s for little-endian float64s (8-byte alignment).

@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// TestReadBytesRoundTrip loads the same X3 stream through the streaming
-// reader, the copying byte reader, and the aliasing byte reader, and
-// demands the three indexes re-serialize byte-identically.
+// TestReadBytesRoundTrip loads the same X3 stream through Read, the copying
+// byte reader, and the aliasing byte reader, and demands the three indexes
+// re-serialize byte-identically.
 func TestReadBytesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, n := range []int{11, 12} { // odd/even option counts: float64 block alignment differs
@@ -51,8 +51,8 @@ func TestReadBytesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadBytesLegacyFormats routes X1/X2 streams through the streaming
-// reader (never aliasing) and keeps the ErrBadFormat contract.
+// TestReadBytesLegacyFormats: X1/X2 streams decode through ReadBytes too
+// (never aliasing) and keep the ErrBadFormat contract.
 func TestReadBytesLegacyFormats(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	ix := buildOrFail(t, randData(rng, 10, 3), Config{Algorithm: PBAPlus, Tau: 2})

@@ -2,7 +2,6 @@ package index
 
 import (
 	"context"
-	"math"
 	"slices"
 	"sort"
 
@@ -382,36 +381,12 @@ func (ix *Index) TopK(x []float64, k int) ([]int32, QueryStats) {
 // walk is abandoned it returns the context's error together with the ranks
 // resolved so far and the QueryStats accumulated up to the abandonment.
 func (ix *Index) TopKCtx(ctx context.Context, x []float64, k int) ([]int32, QueryStats, error) {
-	var st QueryStats
 	if k > ix.Tau {
 		ix.ensureLevels(k)
 	}
-	cur := ix.Root()
-	out := make([]int32, 0, k)
-	for l := 1; l <= k; l++ {
-		children := ix.childrenOf(cur)
-		if len(children) == 0 {
-			break
-		}
-		// First-child seed: a non-finite weight vector scores NaN everywhere,
-		// leaving every comparison false; seeding with a real child keeps the
-		// walk in the DAG (descending like Locate does) instead of stepping
-		// to cell -1.
-		best := children[0]
-		bestScore := math.Inf(-1)
-		for _, ch := range children {
-			st.VisitedCells++
-			if err := checkCtx(ctx, st.VisitedCells); err != nil {
-				return out, st, err
-			}
-			if s := geom.Score(ix.Pts[ix.Cells[ch].Opt], x); s > bestScore {
-				best, bestScore = ch, s
-			}
-		}
-		cur = best
-		out = append(out, ix.Cells[cur].Opt)
-	}
-	return out, st, nil
+	// One descent serves both: LocateTopK is this walk plus the chain key.
+	_, _, out, st, err := ix.LocateTopK(ctx, x, k, make([]int32, 0, k))
+	return out, st, err
 }
 
 func maxViolation(reg *geom.Region, x []float64) float64 {

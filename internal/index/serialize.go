@@ -146,50 +146,38 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Read deserializes an index previously written with WriteTo, accepting
-// both the current X2 stream and the legacy X1 stream. Every failure —
-// foreign magic, structural corruption, truncation, checksum mismatch —
-// reports ErrBadFormat.
+// Read deserializes an index previously written with WriteTo, accepting the
+// current X3 stream and the legacy X2 and X1 streams. It reads r to its end
+// and decodes the bytes with ReadBytes, so the stream and byte loaders are
+// one decoder: every failure — a read error, foreign magic, structural
+// corruption, truncation, checksum mismatch — reports ErrBadFormat, and no
+// count in the stream sizes an allocation before the bytes it stands for
+// are known to be there.
 func Read(r io.Reader) (*Index, error) {
-	ix, err := readIndex(r)
-	if err != nil && !errors.Is(err, ErrBadFormat) {
-		// Truncations surface as io.EOF / io.ErrUnexpectedEOF from the
-		// decoder; fold them into the sentinel so callers need one check.
-		err = fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
-	return ix, nil
+	return ReadBytes(data, false)
 }
 
-func readIndex(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, err
-	}
-	var (
-		src     io.Reader = br
-		h       hash.Hash32
-		withCRC bool
-	)
-	switch m {
-	case magicX1:
-	case magicX2:
-		withCRC = true
-		h = crc32.NewIEEE()
-		h.Write(m[:])
-		src = io.TeeReader(br, h)
-	case magicX3:
-		return readIndexX3(br)
-	default:
-		return nil, ErrBadFormat
-	}
+// readLegacy decodes the per-cell X2 stream, or with withCRC false the X1
+// stream (no dataset cardinality, no checksum); data still starts with the
+// magic. Each count is checked against the bytes that remain before it
+// sizes an allocation — every option takes at least 4+8·dim bytes, every
+// cell at least six words, every list entry one — so a hostile header
+// cannot ask for more memory than a small multiple of the stream's length.
+func readLegacy(data []byte, withCRC bool) (*Index, error) {
+	c := byteCursor{data: data, off: len(magicX1)}
 	get := func() (int32, error) {
-		var v int32
-		err := binary.Read(src, binary.LittleEndian, &v)
-		return v, err
+		b, err := c.take(4)
+		if err != nil {
+			return 0, err
+		}
+		return int32(binary.LittleEndian.Uint32(b)), nil
+	}
+	fits := func(n int32, each int64) bool {
+		return n >= 0 && int64(n)*each <= int64(len(c.data)-c.off)
 	}
 	dim, err := get()
 	if err != nil {
@@ -215,7 +203,7 @@ func readIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nOpts < 0 || nOpts > 1<<28 {
+	if !fits(nOpts, 4+8*int64(dim)) {
 		return nil, ErrBadFormat
 	}
 	ix := &Index{Dim: int(dim), Tau: int(tau)}
@@ -228,13 +216,13 @@ func readIndex(r io.Reader) (*Index, error) {
 			return nil, err
 		}
 		ix.OrigIDs[i] = int(oid)
+		b, err := c.take(8 * int(dim))
+		if err != nil {
+			return nil, err
+		}
 		p := make([]float64, dim)
 		for k := range p {
-			var bits uint64
-			if err := binary.Read(src, binary.LittleEndian, &bits); err != nil {
-				return nil, err
-			}
-			p[k] = math.Float64frombits(bits)
+			p[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*k:]))
 		}
 		ix.Pts[i] = p
 	}
@@ -242,25 +230,25 @@ func readIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nCells < 1 || nCells > 1<<28 {
+	if nCells < 1 || !fits(nCells, 6*4) {
 		return nil, ErrBadFormat
 	}
 	ix.Cells = make([]Cell, nCells)
 	for i := int32(0); i < nCells; i++ {
-		c := &ix.Cells[i]
-		c.ID = i
-		if c.Level, err = get(); err != nil {
+		cell := &ix.Cells[i]
+		cell.ID = i
+		if cell.Level, err = get(); err != nil {
 			return nil, err
 		}
-		if c.Opt, err = get(); err != nil {
+		if cell.Opt, err = get(); err != nil {
 			return nil, err
 		}
-		for li, dst := range []*[]int32{&c.Parents, &c.Children, &c.Bound} {
+		for li, dst := range []*[]int32{&cell.Parents, &cell.Children, &cell.Bound} {
 			ln, err := get()
 			if err != nil {
 				return nil, err
 			}
-			if ln < 0 || ln > nCells+nOpts {
+			if !fits(ln, 4) {
 				return nil, fmt.Errorf("%w: list %d length %d", ErrBadFormat, li, ln)
 			}
 			// Parent/child entries are cell ids, bound entries option ids.
@@ -284,18 +272,12 @@ func readIndex(r io.Reader) (*Index, error) {
 			return nil, err
 		}
 		if nilFlag == 1 {
-			c.Bound = nil
+			cell.Bound = nil
 		}
 	}
 	if withCRC {
-		// The footer is read from the raw stream: it must not feed the hash.
-		sum := h.Sum32()
-		var got uint32
-		if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
+		if err := c.checkCRC(); err != nil {
 			return nil, err
-		}
-		if got != sum {
-			return nil, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrBadFormat, got, sum)
 		}
 	}
 	ix.rebuildLevels()
@@ -306,91 +288,6 @@ func readIndex(r io.Reader) (*Index, error) {
 	// a loaded index serves queries from flat storage like a built one.
 	ix.freeze()
 	return ix, nil
-}
-
-// readIndexX3 decodes the flat X3 stream (magic already consumed): bulk
-// column arrays straight into the in-memory CSR arenas. Every structural
-// oddity — negative lengths, arena totals that disagree with the per-cell
-// lengths, ids out of range — reports ErrBadFormat before any index is
-// assembled, so corrupt input can never panic a traversal later. All
-// checks live in the checkX3*/x3ListTotals/buildX3 helpers shared with the
-// zero-copy byte reader (mmap.go), so both load paths reject corruption
-// identically.
-func readIndexX3(br *bufio.Reader) (*Index, error) {
-	h := crc32.NewIEEE()
-	h.Write(magicX3[:])
-	src := io.TeeReader(br, h)
-	hdr, err := readInt32Array(src, 4)
-	if err != nil {
-		return nil, err
-	}
-	dim, tau, inputOptions, nOpts := hdr[0], hdr[1], hdr[2], hdr[3]
-	if err := checkX3Header(dim, tau, inputOptions, nOpts); err != nil {
-		return nil, err
-	}
-	origIDs, err := readInt32Array(src, int(nOpts))
-	if err != nil {
-		return nil, err
-	}
-	coords, err := readFloat64Array(src, int(nOpts)*int(dim))
-	if err != nil {
-		return nil, err
-	}
-	counts, err := readInt32Array(src, 1)
-	if err != nil {
-		return nil, err
-	}
-	nCells := counts[0]
-	if nCells < 1 || nCells > 1<<28 {
-		return nil, ErrBadFormat
-	}
-	levels, err := readInt32Array(src, int(nCells))
-	if err != nil {
-		return nil, err
-	}
-	opts, err := readInt32Array(src, int(nCells))
-	if err != nil {
-		return nil, err
-	}
-	if err := checkX3CellMeta(levels, opts, nOpts); err != nil {
-		return nil, err
-	}
-	var lens [3][]int32
-	for ki := range lens {
-		if lens[ki], err = readInt32Array(src, int(nCells)); err != nil {
-			return nil, err
-		}
-	}
-	totals, err := x3ListTotals(lens, nCells, nOpts)
-	if err != nil {
-		return nil, err
-	}
-	var arenas [3][]int32
-	for ki := range arenas {
-		sz, err := readInt32Array(src, 1)
-		if err != nil {
-			return nil, err
-		}
-		if int64(sz[0]) != totals[ki] {
-			return nil, fmt.Errorf("%w: arena %d length %d, want %d", ErrBadFormat, ki, sz[0], totals[ki])
-		}
-		if arenas[ki], err = readInt32Array(src, int(totals[ki])); err != nil {
-			return nil, err
-		}
-		if err := checkX3Arena(ki, arenas[ki], nCells, nOpts); err != nil {
-			return nil, err
-		}
-	}
-	// The CRC footer is read from the raw stream: it must not feed the hash.
-	sum := h.Sum32()
-	var footer [4]byte
-	if _, err := io.ReadFull(br, footer[:]); err != nil {
-		return nil, err
-	}
-	if got := binary.LittleEndian.Uint32(footer[:]); got != sum {
-		return nil, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrBadFormat, got, sum)
-	}
-	return buildX3(dim, tau, inputOptions, origIDs, coords, levels, opts, lens, arenas)
 }
 
 // checkX3Header validates the four-word X3 header.
@@ -503,32 +400,6 @@ func buildX3(dim, tau, inputOptions int32, origIDs []int32, coords []float64,
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	return ix, nil
-}
-
-// readInt32Array bulk-reads n little-endian int32s.
-func readInt32Array(src io.Reader, n int) ([]int32, error) {
-	b := make([]byte, 4*n)
-	if _, err := io.ReadFull(src, b); err != nil {
-		return nil, err
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out, nil
-}
-
-// readFloat64Array bulk-reads n little-endian float64s.
-func readFloat64Array(src io.Reader, n int) ([]float64, error) {
-	b := make([]byte, 8*n)
-	if _, err := io.ReadFull(src, b); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out, nil
 }
 
 // SizeBytes returns the serialized size of the index — the paper's index

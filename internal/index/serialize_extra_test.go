@@ -2,9 +2,11 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -69,6 +71,48 @@ func TestReadTruncatedStreams(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Log("corrupted stream happened to parse — acceptable only if validation passed")
+	}
+}
+
+// TestReadHostileHeaders: a few dozen bytes claiming 1<<28 options or cells
+// must be refused as ErrBadFormat before any count sizes an allocation — in
+// every format and through both entry points. (The X3 stream decoder this
+// replaced allocated 1 GiB for the first case, the X2 one asked for 6 GiB.)
+func TestReadHostileHeaders(t *testing.T) {
+	words := func(magic [8]byte, ws ...int32) []byte {
+		b := append([]byte(nil), magic[:]...)
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint32(b, uint32(w))
+		}
+		return b
+	}
+	const huge = 1 << 28
+	cases := map[string][]byte{
+		"X3 options": words(magicX3, 3, 9, 0, huge),
+		"X3 cells":   words(magicX3, 3, 9, 0, 0, huge),
+		"X2 options": words(magicX2, 3, 9, 0, huge),
+		"X2 cells":   words(magicX2, 3, 9, 0, 0, huge),
+		"X2 list":    words(magicX2, 3, 9, 0, 0, 1, 0, -1, huge),
+		"X1 options": words(magicX1, 3, 9, huge),
+		"X1 cells":   words(magicX1, 3, 9, 0, huge),
+		"X1 list":    words(magicX1, 3, 9, 0, 1, 0, -1, huge),
+	}
+	for name, blob := range cases {
+		for entry, read := range map[string]func() error{
+			"Read":      func() error { _, err := Read(bytes.NewReader(blob)); return err },
+			"ReadBytes": func() error { _, err := ReadBytes(blob, true); return err },
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadFormat) {
+				t.Errorf("%s via %s: err = %v, want ErrBadFormat", name, entry, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("%s via %s: allocated %d bytes before refusing", name, entry, got)
+			}
+		}
 	}
 }
 

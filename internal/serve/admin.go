@@ -113,3 +113,16 @@ func (h *Handler) handleHotCells(w http.ResponseWriter, r *http.Request) {
 		Cells       []hotCellBody `json:"cells"`
 	}{sampleEvery, cells})
 }
+
+// parseIntParam reads an optional integer query parameter.
+func parseIntParam(r *http.Request, name string, def int) (int, error) {
+	s := r.URL.Query().Get(name)
+	if s == "" {
+		return def, nil
+	}
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("bad integer parameter %q", name)
+	}
+	return v, nil
+}

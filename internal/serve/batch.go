@@ -20,7 +20,7 @@ import (
 // The envelope is {"queries": [<QueryRequest>, ...]} in and
 // {"results": [<item>, ...]} out, index-aligned with the request. A
 // successful item is {"result": ..., "stats": ..., "cached": bool,
-// "lsn": n} — the same fields as a /v1/query response; a failed item
+// "lsn": n} — a /v1/query response, the same queryItem; a failed item
 // carries {"error": ..., "status": n} with the HTTP status the single-query
 // endpoint would have answered, without failing its neighbors.
 
@@ -31,29 +31,6 @@ const maxBatchQueries = 1024
 // batchRequest is the POST /v1/query/batch body.
 type batchRequest struct {
 	Queries []QueryRequest `json:"queries"`
-}
-
-// batchResponseItem is one per-query outcome inside the batch envelope.
-type batchResponseItem struct {
-	Result any             `json:"result,omitempty"`
-	Stats  *queryStatsBody `json:"stats,omitempty"`
-	Cached bool            `json:"cached"`
-	LSN    uint64          `json:"lsn"`
-	Error  string          `json:"error,omitempty"`
-	Status int             `json:"status,omitempty"`
-}
-
-func batchErrItem(err error) batchResponseItem {
-	return batchResponseItem{Error: err.Error(), Status: statusFor(err)}
-}
-
-func batchOKItem(result any, stats tlx.QueryStats, cached bool, lsn uint64) batchResponseItem {
-	return batchResponseItem{
-		Result: result,
-		Stats:  &queryStatsBody{stats.VisitedCells, stats.LPCalls},
-		Cached: cached,
-		LSN:    lsn,
-	}
 }
 
 // handleQueryBatch is POST /v1/query/batch.
@@ -74,20 +51,20 @@ func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		body.Queries[i].defaults()
 	}
 	writeJSON(w, http.StatusOK, struct {
-		Results []batchResponseItem `json:"results"`
+		Results []queryItem `json:"results"`
 	}{h.dispatchBatch(r.Context(), body.Queries)})
 }
 
 // dispatchBatch validates every item, then runs the whole batch under the
 // lock its deepest item requires: one acquisition covers the envelope.
-func (h *Handler) dispatchBatch(ctx context.Context, qs []QueryRequest) []batchResponseItem {
-	out := make([]batchResponseItem, len(qs))
+func (h *Handler) dispatchBatch(ctx context.Context, qs []QueryRequest) []queryItem {
+	out := make([]queryItem, len(qs))
 	specs := make([]*familySpec, len(qs))
 	maxDepth := 0
 	for i := range qs {
 		spec, err := resolve(&qs[i])
 		if err != nil {
-			out[i] = batchErrItem(err)
+			out[i] = errItem(err)
 			continue
 		}
 		specs[i] = spec
@@ -103,7 +80,7 @@ func (h *Handler) dispatchBatch(ctx context.Context, qs []QueryRequest) []batchR
 // items are pulled out and grouped by depth for the shared batch walk; the
 // remaining families reuse the single-query cache-then-traverse path.
 func (h *Handler) runBatchOn(ctx context.Context, qs []QueryRequest, specs []*familySpec,
-	out []batchResponseItem, ix *tlx.Index, lsn uint64) {
+	out []queryItem, ix *tlx.Index, lsn uint64) {
 	var topkByK map[int][]int
 	for i, spec := range specs {
 		if spec == nil {
@@ -116,33 +93,11 @@ func (h *Handler) runBatchOn(ctx context.Context, qs []QueryRequest, specs []*fa
 			topkByK[qs[i].K] = append(topkByK[qs[i].K], i)
 			continue
 		}
-		oc, err := h.runOn(ctx, spec, &qs[i], ix, lsn)
-		if err != nil {
-			out[i] = batchErrItem(err)
-			continue
-		}
-		out[i] = batchOKItem(oc.result, oc.stats, oc.cached, oc.lsn)
+		out[i] = h.runOn(ctx, spec, &qs[i], ix, lsn)
 	}
 	for k, idxs := range topkByK {
 		h.runTopKBatch(ctx, qs, idxs, k, out, ix, lsn)
 	}
-}
-
-// noteItem emits one batch item's child span and trace annotation. Batch
-// items share one traversal span (the index's query.topkbatch, parented
-// under the envelope), so the per-item spans are markers carrying each
-// item's cache status, cell key, and traversal effort rather than timings.
-func (h *Handler) noteItem(sc obs.SpanContext, q *QueryRequest, cell uint64,
-	cached bool, st tlx.QueryStats, itemErr error) {
-	sp := obs.StartSpanIn(sc, "item.topk")
-	sp.Err = itemErr
-	sp.Set("cached", b2f(cached))
-	sp.Set("visitedCells", float64(st.VisitedCells))
-	sp.Set("lpCalls", float64(st.LPCalls))
-	meta := obs.QueryMeta{Family: "topk", W: q.W, K: q.K, Cell: obs.CellKey(cell),
-		Cached: cached, VisitedCells: st.VisitedCells, LPCalls: st.LPCalls}
-	h.rec.Annotate(sc.Trace, meta)
-	sp.FinishTo(sc.Tracer)
 }
 
 // runTopKBatch answers all depth-k top-k items through one shared
@@ -152,7 +107,7 @@ func (h *Handler) noteItem(sc obs.SpanContext, q *QueryRequest, cell uint64,
 // fill: the first miss publishes the answer, every duplicate reads it back
 // as a hit.
 func (h *Handler) runTopKBatch(ctx context.Context, qs []QueryRequest, idxs []int, k int,
-	out []batchResponseItem, ix *tlx.Index, lsn uint64) {
+	out []queryItem, ix *tlx.Index, lsn uint64) {
 	ws := make([][]float64, len(idxs))
 	for j, i := range idxs {
 		ws[j] = qs[i].W
@@ -162,7 +117,7 @@ func (h *Handler) runTopKBatch(ctx context.Context, qs []QueryRequest, idxs []in
 		// A batch-level failure (strict depth, cancellation) is what the
 		// single-query endpoint would have answered for each of these items.
 		for _, i := range idxs {
-			out[i] = batchErrItem(err)
+			out[i] = errItem(err)
 		}
 		return
 	}
@@ -186,57 +141,51 @@ func (h *Handler) runTopKBatch(ctx context.Context, qs []QueryRequest, idxs []in
 		oks = make([]bool, len(keys))
 		h.cache.GetMulti(keys, lsn, vals, oks)
 	}
+	// Items share one traversal span (the index's query.topkbatch, parented
+	// under the envelope), so the per-item spans are markers carrying each
+	// item's cache status, cell key and traversal effort rather than timings.
+	sc, traced := obs.SpanContextFrom(ctx)
+	put := func(i int, cell uint64, ans *cachedAnswer, cached bool, err error) {
+		out[i] = newItem(ans, cached, lsn, err)
+		if traced {
+			sp := obs.StartSpanIn(sc, "item.topk")
+			h.noteItem(sc, &sp, "topk", &qs[i], cell, ans, cached, err)
+		}
+	}
 	// hit[j]/filled share answers across duplicate keys within the batch.
 	hit := make(map[int]int, len(cpos)) // item position -> key position
 	for kj, j := range cpos {
 		hit[j] = kj
 	}
 	filled := make(map[cache.Key]*cachedAnswer)
-	sc, traced := obs.SpanContextFrom(ctx)
 	for j, i := range idxs {
 		it := &items[j]
 		if it.Err != nil {
-			out[i] = batchErrItem(it.Err)
-			if traced {
-				h.noteItem(sc, &qs[i], 0, false, tlx.QueryStats{}, it.Err)
-			}
+			put(i, 0, nil, false, it.Err)
 			continue
 		}
-		if kj, ok := hit[j]; ok {
+		kj, cacheable := hit[j]
+		if cacheable {
 			key := keys[kj]
 			if oks[kj] {
-				ans := vals[kj].(*cachedAnswer)
-				out[i] = batchOKItem(ans.result, ans.stats, true, lsn)
-				if traced {
-					h.noteItem(sc, &qs[i], key.Cell, true, ans.stats, nil)
-				}
+				put(i, key.Cell, vals[kj].(*cachedAnswer), true, nil)
 				continue
 			}
 			if ans, ok := filled[key]; ok {
 				// A duplicate of a key this batch already filled: a hit in
 				// all but timing.
-				out[i] = batchOKItem(ans.result, ans.stats, true, lsn)
-				if traced {
-					h.noteItem(sc, &qs[i], key.Cell, true, ans.stats, nil)
-				}
+				put(i, key.Cell, ans, true, nil)
 				continue
 			}
-			body := &topkBody{Options: it.Options}
-			ans := &cachedAnswer{result: body, stats: it.Stats}
-			h.cache.Put(key, lsn, ans)
-			filled[key] = ans
-			recordQueryStats("topk", it.Stats)
-			out[i] = batchOKItem(body, it.Stats, false, lsn)
-			if traced {
-				h.noteItem(sc, &qs[i], key.Cell, false, it.Stats, nil)
-			}
-			continue
 		}
-		// Cache off, or the walk fell short of k: fresh, uncached answer.
+		// A fresh answer: the first of its cell chain in this batch, or not
+		// cacheable at all (cache off, or the walk fell short of k).
+		ans := &cachedAnswer{result: &topkBody{Options: it.Options}, stats: queryStatsBody(it.Stats)}
 		recordQueryStats("topk", it.Stats)
-		out[i] = batchOKItem(&topkBody{Options: it.Options}, it.Stats, false, lsn)
-		if traced {
-			h.noteItem(sc, &qs[i], it.Key.Sum64(), false, it.Stats, nil)
+		if cacheable {
+			h.cache.Put(keys[kj], lsn, ans)
+			filled[keys[kj]] = ans
 		}
+		put(i, it.Key.Sum64(), ans, false, nil)
 	}
 }

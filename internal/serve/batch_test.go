@@ -231,7 +231,7 @@ func FuzzBatchEnvelope(f *testing.F) {
 
 // BenchmarkServeQueryBatchTopK is the batch row of BENCH_serve.json: a
 // 64-item clustered top-k batch through the full handler stack, reported
-// per item. Compare with BenchmarkServeQueryTopKCached for the per-request
+// per item. Compare with BenchmarkServeTopKCached for the per-request
 // envelope overhead the batch amortizes.
 func BenchmarkServeQueryBatchTopK(b *testing.B) {
 	mux := NewHandler(serveBenchIndex(b), Config{}).Mux()

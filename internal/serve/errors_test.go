@@ -80,7 +80,7 @@ func TestErrorEnvelopes(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(msg, "closed") {
 		t.Errorf("insert on drained store: code=%d msg=%q", code, msg)
 	}
-	if code := getJSON(t, srv.URL+"/v1/topk?w=0.5,0.5&k=1", nil); code != http.StatusOK {
+	if code, _ := postQuery(t, srv.URL, `{"family":"topk","w":[0.5,0.5],"k":1}`); code != http.StatusOK {
 		t.Errorf("query on drained store: code=%d, want 200", code)
 	}
 	code, msg = doEnvelope(t, http.MethodPost, srv.URL+"/v1/admin/snapshot", "")

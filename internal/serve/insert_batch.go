@@ -58,7 +58,7 @@ func (h *Handler) handleInsertBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	insertBatchRecordsTotal.Add(uint64(len(body.Options)))
-	results, _, err := h.applyInsertBatch(r.Context(), body.Options)
+	results, err := h.applyInsertBatch(r.Context(), body.Options)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -77,71 +77,29 @@ func (h *Handler) handleInsertBatch(w http.ResponseWriter, r *http.Request) {
 	}{items})
 }
 
-// applyInsertBatch runs one batch of options through the write path the
-// handler serves: the store's group-commit WAL in durable mode, the
-// in-memory index under the write lock otherwise; a follower refuses with
-// a readOnlyError. Per-item LSN semantics match N sequential single
-// inserts — each logged record gets its own stamp, filtered and failed items echo the last preceding one — but the
-// in-memory LSN counter is published once, after the whole batch, so
-// concurrent cached readers see one invalidation instead of N.
-func (h *Handler) applyInsertBatch(ctx context.Context, opts [][]float64) ([]store.BatchResult, store.GroupStats, error) {
-	if h.fol != nil {
-		// A follower's state is a strict copy of the primary's history; a
-		// local insert would fork it. Point the client at the write master.
-		return nil, store.GroupStats{}, &readOnlyError{
-			"follower is read-only; insert on the primary", h.fol.PrimaryURL()}
-	}
-	var (
-		results []store.BatchResult
-		stats   store.GroupStats
-		err     error
-	)
+// applyInsertBatch runs one batch of options through the backend's write
+// path — the store's group-commit WAL, the in-memory index under the write
+// lock, or a follower's refusal — inside an insert.batch span when the
+// request is traced. A store returns only after its fsync: the response is
+// the durability ack.
+func (h *Handler) applyInsertBatch(ctx context.Context, opts [][]float64) ([]store.BatchResult, error) {
 	sc, traced := obs.SpanContextFrom(ctx)
-	var sp obs.Span
-	if traced {
-		sp = obs.StartSpanIn(sc, "insert.batch")
+	if !traced {
+		results, _, err := h.be.InsertBatchLSN(opts)
+		return results, err
 	}
-	if h.st != nil {
-		// The store groups the batch with any concurrent writers and fsyncs
-		// once before returning: the response below is the durability ack.
-		results, stats, err = h.st.InsertBatchLSN(opts)
-	} else {
-		h.mu.Lock()
-		results, stats = h.memInsertBatch(opts)
-		h.mu.Unlock()
-	}
-	if traced {
-		sp.Err = err
-		sp.Set("records", float64(len(opts)))
-		sp.Set("logged", float64(stats.Logged))
-		sp.Set("thawNs", float64(stats.ThawNS))
-		sp.Set("finalizeNs", float64(stats.FinalizeNS))
-		sp.Set("regionsReused", float64(stats.RegionsReused))
-		sp.Set("regionsRebuilt", float64(stats.RegionsRebuilt))
-		sp.Set("pairLPs", float64(stats.PairLPs))
-		sp.Set("pairSkips", float64(stats.PairSkips))
-		sp.Set("cacheBytes", float64(stats.CacheBytes))
-		sp.FinishTo(sc.Tracer)
-	}
-	return results, stats, err
-}
-
-// memInsertBatch is the memory-mode write path; call with h.mu held. It
-// applies the batch through the engine's amortized InsertBatch and stamps
-// per-item LSNs against the in-memory counter, storing the advanced value
-// once at the end — the batch's single cache-invalidation bump.
-func (h *Handler) memInsertBatch(opts [][]float64) ([]store.BatchResult, store.GroupStats) {
-	results, bs := h.ix.InsertBatch(opts)
-	out := make([]store.BatchResult, len(results))
-	lsn := h.memLSN.Load()
-	logged := 0
-	for i, res := range results {
-		if res.Err == nil && res.ID >= 0 {
-			lsn++
-			logged++
-		}
-		out[i] = store.BatchResult{ID: res.ID, LSN: lsn, Err: res.Err}
-	}
-	h.memLSN.Store(lsn)
-	return out, store.GroupStats{Requests: 1, Records: len(opts), Logged: logged, BatchInsertStats: bs}
+	sp := obs.StartSpanIn(sc, "insert.batch")
+	results, stats, err := h.be.InsertBatchLSN(opts)
+	sp.Err = err
+	sp.Set("records", float64(len(opts)))
+	sp.Set("logged", float64(stats.Logged))
+	sp.Set("thawNs", float64(stats.ThawNS))
+	sp.Set("finalizeNs", float64(stats.FinalizeNS))
+	sp.Set("regionsReused", float64(stats.RegionsReused))
+	sp.Set("regionsRebuilt", float64(stats.RegionsRebuilt))
+	sp.Set("pairLPs", float64(stats.PairLPs))
+	sp.Set("pairSkips", float64(stats.PairSkips))
+	sp.Set("cacheBytes", float64(stats.CacheBytes))
+	sp.FinishTo(sc.Tracer)
+	return results, err
 }

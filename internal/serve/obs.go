@@ -69,7 +69,7 @@ func (h *Handler) registerIndexGauges() {
 	stats := func() tlx.BuildStats {
 		h.mu.RLock()
 		defer h.mu.RUnlock()
-		return h.index().Stats()
+		return h.be.Index().Stats()
 	}
 	obs.Default().GaugeFunc("tlx_build_verdict_cache_hits_total",
 		"VerdictCache hits during index construction and extension.", func() float64 {
@@ -86,7 +86,7 @@ func (h *Handler) registerIndexGauges() {
 	cache := func() (int64, uint64) {
 		h.mu.RLock()
 		defer h.mu.RUnlock()
-		return h.index().InsertCacheStats()
+		return h.be.Index().InsertCacheStats()
 	}
 	obs.Default().GaugeFunc("tlx_insert_cache_bytes",
 		"Estimated bytes of per-cell regions and parent certificates kept so the next insert batch starts warm (0 = the next one starts cold).", func() float64 {
@@ -102,27 +102,6 @@ func (h *Handler) registerIndexGauges() {
 		"VerdictCache hit ratio over construction and extension (0 when unused).", func() float64 {
 			s := stats()
 			return s.VerdictHitRate()
-		})
-}
-
-// registerFollowerGauges exposes a follower's sync state: how far it
-// trails the primary in LSNs and how much of its index aliases the
-// snapshot mapping. GaugeFunc replaces the reader on re-registration, so
-// the newest follower handler wins.
-func (h *Handler) registerFollowerGauges() {
-	obs.Default().GaugeFunc("tlx_replica_lag",
-		"LSNs the follower trails the primary by (0 when caught up).", func() float64 {
-			applied, primary := h.fol.AppliedLSN(), h.fol.PrimaryLSN()
-			if primary <= applied {
-				return 0
-			}
-			return float64(primary - applied)
-		})
-	obs.Default().GaugeFunc("tlx_mmap_bytes",
-		"Bytes of index state aliasing a snapshot memory mapping (0 = heap-backed).", func() float64 {
-			h.mu.RLock()
-			defer h.mu.RUnlock()
-			return float64(h.index().MmapBytes())
 		})
 }
 
@@ -183,7 +162,7 @@ func (w *statusWriter) Flush() {
 
 // quiet marks endpoints whose traffic is machine-generated and periodic;
 // their access logs drop to Debug so a scraper does not flood the log.
-// Endpoints are named by their canonical /v1 label, matching instrument.
+// Endpoints are named by their instrument label, the route pattern.
 func quiet(endpoint string) bool {
 	return endpoint == "/v1/metrics" || strings.HasPrefix(endpoint, "/debug/pprof")
 }
@@ -202,8 +181,7 @@ func requestCounter(endpoint string, code int) *obs.Counter {
 
 // instrument wraps an endpoint with the request counter, the latency
 // histogram, the access log, and — when the flight recorder is enabled —
-// the request's root trace span. The endpoint label is the canonical /v1
-// path, shared by the bare alias.
+// the request's root trace span. The endpoint label is the route pattern.
 //
 // Tracing: the wrapper adopts the caller's W3C traceparent when one is
 // presented with the sampled flag set (so a follower's fetches appear under

@@ -121,10 +121,10 @@ func scrapeOpenMetrics(t *testing.T, base string) string {
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := newStoreServer(t, t.TempDir())
 
-	if code := getJSON(t, srv.URL+"/v1/topk?w=0.18,0.82&k=2", nil); code != 200 {
+	if code, _ := postQuery(t, srv.URL, `{"family":"topk","w":[0.18,0.82],"k":2}`); code != 200 {
 		t.Fatalf("topk status %d", code)
 	}
-	if code := getJSON(t, srv.URL+"/v1/kspr?focal=0&k=2", nil); code != 200 {
+	if code, _ := postQuery(t, srv.URL, `{"family":"kspr","focal":0,"k":2}`); code != 200 {
 		t.Fatalf("kspr status %d", code)
 	}
 	if code := postJSON(t, srv.URL+"/v1/insert", `{"option":[0.95,0.95]}`, nil); code != 200 {
@@ -140,8 +140,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	body := scrapeMetrics(t, srv.URL)
 	required := []string{
-		`tlx_http_requests_total{endpoint="/v1/topk",code="200"}`,
-		`tlx_http_request_seconds_bucket{endpoint="/v1/topk",le="+Inf"}`,
+		`tlx_http_requests_total{endpoint="/v1/query",code="200"}`,
+		`tlx_http_request_seconds_bucket{endpoint="/v1/query",le="+Inf"}`,
 		`tlx_query_visited_cells_total{query="topk"}`,
 		`tlx_query_lp_calls_total{query="kspr"}`,
 		"tlx_build_verdict_cache_hits_total",
@@ -252,7 +252,8 @@ func TestCanceledQueryIs499(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := httptest.NewRequest(http.MethodGet, "/v1/topk?w=0.18,0.82&k=2", nil).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodPost, "/v1/query",
+		strings.NewReader(`{"family":"topk","w":[0.18,0.82],"k":2}`)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, req)
 	if rec.Code != statusCanceled {

@@ -5,20 +5,17 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	tlx "tlevelindex"
 	"tlevelindex/internal/cache"
 	"tlevelindex/internal/obs"
 )
 
-// Unified query decode/dispatch. Every query family — whether it arrives
-// as the POST /v1/query JSON envelope or through a legacy GET route — is
-// decoded into one QueryRequest and routed through dispatch, which takes
-// the lock the query's depth requires, consults the answer cache, runs the
-// traversal, and returns a uniform outcome. The legacy GET handlers
-// are thin shells: URL decode on the way in, historical response shape on
-// the way out.
+// Query decode/dispatch. Every query — a POST /v1/query body or one item
+// of a POST /v1/query/batch envelope — is a QueryRequest, routed through the
+// familySpec its Family names: take the lock the query's depth requires,
+// consult the answer cache, run the traversal on a miss, and hand back one
+// queryItem, the wire form both routes write.
 
 // QueryRequest is the unified query envelope accepted by POST /v1/query.
 // Family selects the query type; the remaining fields are family-specific
@@ -33,9 +30,9 @@ type QueryRequest struct {
 	M      int       `json:"m,omitempty"`
 }
 
-// defaults gives omitted k/m the values the GET routes apply. (JSON cannot
-// distinguish an explicit 0 from omission without pointer fields; an
-// explicit 0 therefore also selects the default here, unlike ?k=0.)
+// defaults gives an omitted k or m its value of 10. JSON cannot tell an
+// explicit 0 from omission without pointer fields, so an explicit 0 selects
+// the default too.
 func (q *QueryRequest) defaults() {
 	if q.K == 0 {
 		q.K = 10
@@ -51,10 +48,8 @@ type queryStatsBody struct {
 	LPCalls      int `json:"lpCalls"`
 }
 
-// Family result bodies. These are the "result" objects of the /v1/query
-// envelope and the values stored in the answer cache; the legacy shapers
-// reassemble the historical flat responses from them, so cached and fresh
-// answers marshal byte-identically on every route.
+// Family result bodies: the "result" objects of the query envelope, held by
+// the answer cache, so cached and fresh answers marshal byte-identically.
 type topkBody struct {
 	Options []int `json:"options"`
 }
@@ -77,19 +72,38 @@ type maxrankBody struct {
 	Rank int `json:"rank"`
 }
 
-// cachedAnswer pairs a result body with the traversal statistics of the
-// run that produced it, so a cache hit echoes both unchanged.
+// cachedAnswer is one computed answer — a result body and the traversal
+// statistics of the run that produced it. It is what the cache stores, and
+// every wire item that reports the answer points into it, so a hit echoes
+// both unchanged and copies neither. Immutable once built.
 type cachedAnswer struct {
 	result any
-	stats  tlx.QueryStats
+	stats  queryStatsBody
 }
 
-// queryOutcome is what dispatch hands back to the HTTP shells.
-type queryOutcome struct {
-	result any
-	stats  tlx.QueryStats
-	cached bool
-	lsn    uint64
+// queryItem is the wire form of one query's outcome: the whole /v1/query
+// response, and one element of a /v1/query/batch response. A success carries
+// result, stats, cached and lsn; a failure carries error and the HTTP status
+// /v1/query answers it with (plus zero cached and lsn).
+type queryItem struct {
+	Result any             `json:"result,omitempty"`
+	Stats  *queryStatsBody `json:"stats,omitempty"`
+	Cached bool            `json:"cached"`
+	LSN    uint64          `json:"lsn"`
+	Error  string          `json:"error,omitempty"`
+	Status int             `json:"status,omitempty"`
+}
+
+func errItem(err error) queryItem {
+	return queryItem{Error: err.Error(), Status: statusFor(err)}
+}
+
+// newItem is the item for one run of the cache-then-traverse path.
+func newItem(ans *cachedAnswer, cached bool, lsn uint64, err error) queryItem {
+	if err != nil {
+		return errItem(err)
+	}
+	return queryItem{Result: ans.result, Stats: &ans.stats, Cached: cached, LSN: lsn}
 }
 
 // familySpec wires one query family into the shared pipeline.
@@ -100,9 +114,6 @@ type familySpec struct {
 	itemSpan string
 	// needsFocal marks families whose Focal parameter is required.
 	needsFocal bool
-	// fromURL decodes a legacy GET request; parameter errors carry the
-	// historical messages.
-	fromURL func(r *http.Request) (*QueryRequest, error)
 	// depth is the materialization depth the query needs — the k handed
 	// to the lock decision.
 	depth func(q *QueryRequest) int
@@ -115,8 +126,6 @@ type familySpec struct {
 	// alongside an error when partial traversal statistics should still
 	// be recorded (cancellation).
 	run func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, error)
-	// legacy writes the historical flat response shape.
-	legacy func(w http.ResponseWriter, result any, stats tlx.QueryStats)
 }
 
 // fmtFloats renders a float slice canonically for cache-key params: 'g'
@@ -140,18 +149,7 @@ func init() {
 
 var families = map[string]*familySpec{
 	"topk": {
-		name: "topk",
-		fromURL: func(r *http.Request) (*QueryRequest, error) {
-			wv, err := parseVec(r.URL.Query().Get("w"))
-			if err != nil {
-				return nil, fmt.Errorf("w: %v", err)
-			}
-			k, err := parseIntParam(r, "k", 10)
-			if err != nil {
-				return nil, err
-			}
-			return &QueryRequest{Family: "topk", W: wv, K: k}, nil
-		},
+		name:  "topk",
 		depth: func(q *QueryRequest) int { return q.K },
 		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
 			// The cell-chain key is the index's own statement that every
@@ -172,29 +170,11 @@ var families = map[string]*familySpec{
 			}
 			return &topkBody{Options: res.Options}, res.Stats, err
 		},
-		legacy: func(w http.ResponseWriter, result any, stats tlx.QueryStats) {
-			b := result.(*topkBody)
-			writeJSON(w, http.StatusOK, struct {
-				Options      []int `json:"options"`
-				VisitedCells int   `json:"visitedCells"`
-			}{b.Options, stats.VisitedCells})
-		},
 	},
 	"kspr": {
 		name:       "kspr",
 		needsFocal: true,
-		fromURL: func(r *http.Request) (*QueryRequest, error) {
-			focal, err := parseIntParam(r, "focal", -1)
-			if err != nil {
-				return nil, err
-			}
-			k, err := parseIntParam(r, "k", 10)
-			if err != nil {
-				return nil, err
-			}
-			return &QueryRequest{Family: "kspr", Focal: &focal, K: k}, nil
-		},
-		depth: func(q *QueryRequest) int { return q.K },
+		depth:      func(q *QueryRequest) int { return q.K },
 		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
 			return cache.Key{Family: "kspr", K: q.K,
 				Params: "f" + strconv.Itoa(*q.Focal)}, true
@@ -206,31 +186,9 @@ var families = map[string]*familySpec{
 			}
 			return &ksprBody{Regions: res.Regions}, res.Stats, err
 		},
-		legacy: func(w http.ResponseWriter, result any, stats tlx.QueryStats) {
-			b := result.(*ksprBody)
-			writeJSON(w, http.StatusOK, struct {
-				Regions      []tlx.Region `json:"regions"`
-				VisitedCells int          `json:"visitedCells"`
-			}{b.Regions, stats.VisitedCells})
-		},
 	},
 	"utk": {
-		name: "utk",
-		fromURL: func(r *http.Request) (*QueryRequest, error) {
-			lo, err := parseVec(r.URL.Query().Get("lo"))
-			if err != nil {
-				return nil, fmt.Errorf("lo: %v", err)
-			}
-			hi, err := parseVec(r.URL.Query().Get("hi"))
-			if err != nil {
-				return nil, fmt.Errorf("hi: %v", err)
-			}
-			k, err := parseIntParam(r, "k", 10)
-			if err != nil {
-				return nil, err
-			}
-			return &QueryRequest{Family: "utk", Lo: lo, Hi: hi, K: k}, nil
-		},
+		name:  "utk",
 		depth: func(q *QueryRequest) int { return q.K },
 		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
 			p := append(fmtFloats([]byte("lo"), q.Lo), ";hi"...)
@@ -248,32 +206,9 @@ var families = map[string]*familySpec{
 			}
 			return &utkBody{Options: res.Options, Partitions: parts}, res.Stats, err
 		},
-		legacy: func(w http.ResponseWriter, result any, stats tlx.QueryStats) {
-			b := result.(*utkBody)
-			writeJSON(w, http.StatusOK, struct {
-				Options      []int   `json:"options"`
-				Partitions   [][]int `json:"partitionTopKSets"`
-				VisitedCells int     `json:"visitedCells"`
-			}{b.Options, b.Partitions, stats.VisitedCells})
-		},
 	},
 	"oru": {
-		name: "oru",
-		fromURL: func(r *http.Request) (*QueryRequest, error) {
-			wv, err := parseVec(r.URL.Query().Get("w"))
-			if err != nil {
-				return nil, fmt.Errorf("w: %v", err)
-			}
-			k, err := parseIntParam(r, "k", 10)
-			if err != nil {
-				return nil, err
-			}
-			m, err := parseIntParam(r, "m", 10)
-			if err != nil {
-				return nil, err
-			}
-			return &QueryRequest{Family: "oru", W: wv, K: k, M: m}, nil
-		},
+		name:  "oru",
 		depth: func(q *QueryRequest) int { return q.K },
 		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
 			p := fmtFloats([]byte("w"), q.W)
@@ -288,26 +223,11 @@ var families = map[string]*familySpec{
 			}
 			return &oruBody{Options: res.Options, Rho: res.Rho}, res.Stats, err
 		},
-		legacy: func(w http.ResponseWriter, result any, stats tlx.QueryStats) {
-			b := result.(*oruBody)
-			writeJSON(w, http.StatusOK, struct {
-				Options      []int   `json:"options"`
-				Rho          float64 `json:"rho"`
-				VisitedCells int     `json:"visitedCells"`
-			}{b.Options, b.Rho, stats.VisitedCells})
-		},
 	},
 	"maxrank": {
 		name:       "maxrank",
 		needsFocal: true,
-		fromURL: func(r *http.Request) (*QueryRequest, error) {
-			focal, err := parseIntParam(r, "focal", -1)
-			if err != nil {
-				return nil, err
-			}
-			return &QueryRequest{Family: "maxrank", Focal: &focal}, nil
-		},
-		depth: func(q *QueryRequest) int { return 0 },
+		depth:      func(q *QueryRequest) int { return 0 },
 		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
 			// MaxRank's answer depends on the materialized depth (a deeper
 			// pool can admit the option), which changes without an LSN
@@ -323,33 +243,11 @@ var families = map[string]*familySpec{
 			}
 			return &maxrankBody{Rank: res.Rank}, res.Stats, err
 		},
-		legacy: func(w http.ResponseWriter, result any, stats tlx.QueryStats) {
-			b := result.(*maxrankBody)
-			writeJSON(w, http.StatusOK, struct {
-				Rank         int `json:"rank"`
-				VisitedCells int `json:"visitedCells"`
-			}{b.Rank, stats.VisitedCells})
-		},
 	},
 	"whynot": {
 		name:       "whynot",
 		needsFocal: true,
-		fromURL: func(r *http.Request) (*QueryRequest, error) {
-			focal, err := parseIntParam(r, "focal", -1)
-			if err != nil {
-				return nil, err
-			}
-			wv, err := parseVec(r.URL.Query().Get("w"))
-			if err != nil {
-				return nil, fmt.Errorf("w: %v", err)
-			}
-			k, err := parseIntParam(r, "k", 10)
-			if err != nil {
-				return nil, err
-			}
-			return &QueryRequest{Family: "whynot", Focal: &focal, W: wv, K: k}, nil
-		},
-		depth: func(q *QueryRequest) int { return q.K },
+		depth:      func(q *QueryRequest) int { return q.K },
 		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
 			// The reported rank counts the indexed option pool, which
 			// grows with the materialized depth — include it like maxrank.
@@ -368,41 +266,7 @@ var families = map[string]*familySpec{
 			}
 			return res, res.Stats, err
 		},
-		legacy: func(w http.ResponseWriter, result any, stats tlx.QueryStats) {
-			writeJSON(w, http.StatusOK, result)
-		},
 	},
-}
-
-func parseVec(s string) ([]float64, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing vector parameter")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]float64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad vector component %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func parseIntParam(r *http.Request, name string, def int) (int, error) {
-	s := r.URL.Query().Get(name)
-	if s == "" {
-		if def >= 0 {
-			return def, nil
-		}
-		return 0, fmt.Errorf("missing parameter %q", name)
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad integer parameter %q", name)
-	}
-	return v, nil
 }
 
 // b2f renders a bool as a span attribute value.
@@ -427,111 +291,94 @@ func resolve(q *QueryRequest) (*familySpec, error) {
 
 // dispatch validates the request, consults the cache, and runs the
 // traversal on a miss, all under the lock the query's depth requires.
-func (h *Handler) dispatch(ctx context.Context, q *QueryRequest) (out *queryOutcome, err error) {
+func (h *Handler) dispatch(ctx context.Context, q *QueryRequest) (it queryItem) {
 	spec, err := resolve(q)
 	if err != nil {
-		return nil, err
+		return errItem(err)
 	}
 	h.runQuery(spec.depth(q), func(ix *tlx.Index, lsn uint64) {
-		out, err = h.runOn(ctx, spec, q, ix, lsn)
+		it = h.runOn(ctx, spec, q, ix, lsn)
 	})
-	return out, err
+	return it
 }
 
-// runOn is the shared cache-then-traverse path for one serving index. When
-// the request is traced it wraps the item in a child span carrying the
-// cache status and annotates the trace with the query's identity (family,
-// preference vector, k, cell key, stats) — the detail the slow tier retains
-// so a captured slow request can be replayed exactly.
+// runOn answers one query on one serving index. When the request is traced
+// the item runs inside a child span of its own, which noteItem finishes.
 func (h *Handler) runOn(ctx context.Context, spec *familySpec, q *QueryRequest,
-	ix *tlx.Index, lsn uint64) (*queryOutcome, error) {
+	ix *tlx.Index, lsn uint64) queryItem {
 	sc, traced := obs.SpanContextFrom(ctx)
 	if !traced {
-		return h.runOnInner(ctx, spec, q, ix, lsn, nil)
+		ans, cached, _, err := h.answer(ctx, spec, q, ix, lsn)
+		return newItem(ans, cached, lsn, err)
 	}
 	sp := obs.StartSpanIn(sc, spec.itemSpan)
-	var key cache.Key
-	out, err := h.runOnInner(obs.ContextWithSpan(ctx, sc.ChildOf(sp.ID)), spec, q, ix, lsn, &key)
-	meta := obs.QueryMeta{Family: spec.name, W: q.W, K: q.K, Cell: obs.CellKey(key.Cell)}
+	ans, cached, cell, err := h.answer(obs.ContextWithSpan(ctx, sc.ChildOf(sp.ID)), spec, q, ix, lsn)
+	h.noteItem(sc, &sp, spec.name, q, cell, ans, cached, err)
+	return newItem(ans, cached, lsn, err)
+}
+
+// noteItem finishes one item's span with its cache status and traversal
+// effort, and annotates the trace with the query's identity (family,
+// preference vector, k, cell key, stats) — the detail the slow tier retains
+// so a captured slow request can be replayed exactly. ans is nil when the
+// item failed.
+func (h *Handler) noteItem(sc obs.SpanContext, sp *obs.Span, family string, q *QueryRequest,
+	cell uint64, ans *cachedAnswer, cached bool, err error) {
+	meta := obs.QueryMeta{Family: family, W: q.W, K: q.K, Cell: obs.CellKey(cell), Cached: cached}
 	sp.Err = err
-	if out != nil {
-		meta.Cached = out.cached
-		meta.VisitedCells, meta.LPCalls = out.stats.VisitedCells, out.stats.LPCalls
-		sp.Set("cached", b2f(out.cached))
-		sp.Set("visitedCells", float64(out.stats.VisitedCells))
-		sp.Set("lpCalls", float64(out.stats.LPCalls))
+	if ans != nil {
+		meta.VisitedCells, meta.LPCalls = ans.stats.VisitedCells, ans.stats.LPCalls
+		sp.Set("cached", b2f(cached))
+		sp.Set("visitedCells", float64(ans.stats.VisitedCells))
+		sp.Set("lpCalls", float64(ans.stats.LPCalls))
 	}
 	h.rec.Annotate(sc.Trace, meta)
 	sp.FinishTo(sc.Tracer)
-	return out, err
 }
 
-// runOnInner does runOn's actual work; keyOut, when non-nil, receives the
-// cache key the item resolved to (for the trace annotation).
-func (h *Handler) runOnInner(ctx context.Context, spec *familySpec, q *QueryRequest,
-	ix *tlx.Index, lsn uint64, keyOut *cache.Key) (*queryOutcome, error) {
+// answer is the cache-then-traverse path: the answer, whether it came from
+// the cache, and the cell key it was looked up under (0 when the query has
+// none or is not cacheable).
+func (h *Handler) answer(ctx context.Context, spec *familySpec, q *QueryRequest,
+	ix *tlx.Index, lsn uint64) (ans *cachedAnswer, cached bool, cell uint64, err error) {
 	var (
 		key       cache.Key
 		cacheable bool
 	)
 	if h.cache != nil {
-		key, cacheable = spec.cacheKey(ix, q)
-		if cacheable {
-			if keyOut != nil {
-				*keyOut = key
-			}
+		if key, cacheable = spec.cacheKey(ix, q); cacheable {
 			if v, ok := h.cache.Get(key, lsn); ok {
-				ans := v.(*cachedAnswer)
-				return &queryOutcome{result: ans.result, stats: ans.stats, cached: true, lsn: lsn}, nil
+				return v.(*cachedAnswer), true, key.Cell, nil
 			}
 		}
 	}
 	result, stats, err := spec.run(ctx, ix, q)
 	if result != nil {
-		// Partial traversals (cancellation) still report their effort,
-		// matching the pre-dispatch behavior.
+		// Partial traversals (cancellation) still report their effort.
 		recordQueryStats(spec.name, stats)
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, key.Cell, err
 	}
+	ans = &cachedAnswer{result: result, stats: queryStatsBody(stats)}
 	if cacheable {
-		h.cache.Put(key, lsn, &cachedAnswer{result: result, stats: stats})
+		h.cache.Put(key, lsn, ans)
 	}
-	return &queryOutcome{result: result, stats: stats, lsn: lsn}, nil
+	return ans, false, key.Cell, nil
 }
 
-// handleQuery is POST /v1/query: the unified JSON envelope.
+// handleQuery is POST /v1/query: one query, answered with its item — or,
+// when the item failed, with the error envelope under the item's status.
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q QueryRequest
 	if !decodeBody(w, r, "query", &q) {
 		return
 	}
 	q.defaults()
-	out, err := h.dispatch(r.Context(), &q)
-	if err != nil {
-		writeErr(w, err)
+	it := h.dispatch(r.Context(), &q)
+	if it.Error != "" {
+		writeJSON(w, it.Status, errorBody{Error: it.Error})
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Result any            `json:"result"`
-		Stats  queryStatsBody `json:"stats"`
-		Cached bool           `json:"cached"`
-		LSN    uint64         `json:"lsn"`
-	}{out.result, queryStatsBody{out.stats.VisitedCells, out.stats.LPCalls}, out.cached, out.lsn})
-}
-
-// handleLegacy adapts one historical GET route onto the shared pipeline.
-func (h *Handler) handleLegacy(w http.ResponseWriter, r *http.Request, spec *familySpec) {
-	q, err := spec.fromURL(r)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-	out, err := h.dispatch(r.Context(), q)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	spec.legacy(w, out.result, out.stats)
+	writeJSON(w, http.StatusOK, it)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -40,8 +39,8 @@ func postQuery(t *testing.T, url, body string) (int, envelope) {
 }
 
 // TestQueryEnvelope drives every family through POST /v1/query and checks
-// the envelope carries the same answers the pinned GET tests expect, plus
-// the cached flag flipping to true on an identical repeat.
+// the envelope carries the pinned answers, plus the cached flag flipping to
+// true on an identical repeat.
 func TestQueryEnvelope(t *testing.T) {
 	srv := newServer(t)
 	cases := []struct {
@@ -185,30 +184,11 @@ func TestQueryEnvelopeLSN(t *testing.T) {
 	}
 }
 
-// fetchRaw returns the status and the exact response bytes.
-func fetchRaw(t *testing.T, method, url, body string) (int, []byte) {
-	t.Helper()
-	req, err := http.NewRequest(method, url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, raw
-}
-
 // TestCacheEquivalence is the acceptance check for cache transparency: a
-// randomized workload over every family must produce byte-identical bodies
-// from a cached handler and a cache-disabled one — on the legacy GET routes
-// outright, and for the result and stats objects of /v1/query (the cached
-// flag is the one intentional difference). Each request runs twice against
+// randomized workload over every family must produce byte-identical result
+// and stats objects (and equal LSNs) from a cached handler and a
+// cache-disabled one; the cached flag is the one intentional difference.
+// Each request runs twice against
 // the cached server so the second hit is exercised, and an insert partway
 // through exercises wholesale invalidation.
 func TestCacheEquivalence(t *testing.T) {
@@ -237,7 +217,6 @@ func TestCacheEquivalence(t *testing.T) {
 		}
 		return a, b, 1 - a - b
 	}
-	var urls []string
 	var bodies []string
 	genPhase := func(maxK int) {
 		for i := 0; i < 12; i++ {
@@ -246,33 +225,18 @@ func TestCacheEquivalence(t *testing.T) {
 			a, b, c := randW()
 			lo0, lo1 := rng.Float64()/2, rng.Float64()/2
 			hi0, hi1 := lo0+0.05, lo1+0.05
-			urls = append(urls,
-				fmt.Sprintf("/topk?w=%g,%g,%g&k=%d", a, b, c, k),
-				fmt.Sprintf("/kspr?focal=%d&k=%d", f, k),
-				fmt.Sprintf("/utk?lo=%g,%g&hi=%g,%g&k=%d", lo0, lo1, hi0, hi1, k),
-				fmt.Sprintf("/oru?w=%g,%g,%g&k=%d&m=3", a, b, c, k),
-				fmt.Sprintf("/maxrank?focal=%d", f),
-				fmt.Sprintf("/whynot?focal=%d&w=%g,%g,%g&k=%d", f, a, b, c, k),
-			)
 			bodies = append(bodies,
 				fmt.Sprintf(`{"family":"topk","w":[%g,%g,%g],"k":%d}`, a, b, c, k),
 				fmt.Sprintf(`{"family":"kspr","focal":%d,"k":%d}`, f, k),
 				fmt.Sprintf(`{"family":"utk","lo":[%g,%g],"hi":[%g,%g],"k":%d}`, lo0, lo1, hi0, hi1, k),
+				fmt.Sprintf(`{"family":"oru","w":[%g,%g,%g],"k":%d,"m":3}`, a, b, c, k),
+				fmt.Sprintf(`{"family":"maxrank","focal":%d}`, f),
+				fmt.Sprintf(`{"family":"whynot","focal":%d,"w":[%g,%g,%g],"k":%d}`, f, a, b, c, k),
 			)
 		}
 	}
 	run := func() {
 		t.Helper()
-		for _, u := range urls {
-			codeP, rawP := fetchRaw(t, http.MethodGet, plain.URL+u, "")
-			for pass := 0; pass < 2; pass++ { // second pass hits the cache
-				codeC, rawC := fetchRaw(t, http.MethodGet, cached.URL+u, "")
-				if codeC != codeP || !bytes.Equal(rawC, rawP) {
-					t.Fatalf("GET %s pass %d: cached (%d) %s vs plain (%d) %s",
-						u, pass, codeC, rawC, codeP, rawP)
-				}
-			}
-		}
 		for _, b := range bodies {
 			codeP, envP := postQuery(t, plain.URL, b)
 			for pass := 0; pass < 2; pass++ {
@@ -284,7 +248,7 @@ func TestCacheEquivalence(t *testing.T) {
 				}
 			}
 		}
-		urls, bodies = nil, nil
+		bodies = nil
 	}
 
 	genPhase(3) // k <= tau: no extension, inserts stay legal

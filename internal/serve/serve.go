@@ -1,19 +1,29 @@
 // Package serve exposes a τ-LevelIndex over HTTP with JSON responses — the
 // deployment shape a product team would actually run: build the index once,
 // then answer preference queries from many clients with cheap lookups
-// behind a cell-keyed answer cache. A Handler runs in one of three modes,
-// fixed by its constructor: memory-only (NewHandler), store-backed
-// (NewStoreHandler) or follower (NewFollowerHandler).
+// behind a cell-keyed answer cache. A Handler serves one Backend — an index
+// behind a lock, a version stamp, a write path — and its constructor picks
+// which: memory-only (NewHandler), store-backed (NewStoreHandler) or
+// follower (NewFollowerHandler).
 //
 // # Endpoints
 //
-// The API is versioned under /v1/; the bare paths remain as aliases for
-// existing clients. The unified query endpoint is POST:
+// Every endpoint is registered once, under /v1/. Queries are POST:
 //
 //	/v1/query                       JSON body {"family": "topk", "w": [...], "k": 5, ...}
 //
-// and answers the uniform envelope {"result": ..., "stats": {...},
-// "cached": bool, "lsn": n}. Its batched form is POST:
+// answers the uniform envelope {"result": ..., "stats": {"visitedCells": n,
+// "lpCalls": m}, "cached": bool, "lsn": n}. The families and their
+// parameters (k and m default to 10 when omitted or 0):
+//
+//	topk     w, k            ranked retrieval at a weight vector
+//	kspr     focal, k        regions where an option ranks top-k
+//	utk      lo, hi, k       options reachable for a weight region
+//	oru      w, k, m         m options around approximate weights
+//	maxrank  focal           best achievable rank of an option
+//	whynot   focal, w, k     why-not explanation with suggestion
+//
+// The batched form is
 //
 //	/v1/query/batch                 JSON body {"queries": [<query body>, ...]}
 //
@@ -21,36 +31,28 @@
 // acquisition, and — for top-k items — one shared index traversal with the
 // cache consulted in a single batched lookup, so same-cell queries cost one
 // index visit and N−1 cache hits. The answer is {"results": [...]},
-// index-aligned with the request: each success item has the /v1/query
-// fields, each failure item is {"error": "...", "status": n} with the
+// index-aligned with the request: each success item is the /v1/query
+// envelope, each failure item is {"error": "...", "status": n} with the
 // status /v1/query would have answered, failing no neighbors (batch.go
-// documents the envelope in full). The per-family GET routes remain as
-// thin adapters over the same decode/dispatch path, with their historical
-// response shapes:
-//
-//	/v1/topk?w=0.2,0.8&k=5          ranked retrieval at a weight vector
-//	/v1/kspr?focal=3&k=2            regions where an option ranks top-k
-//	/v1/utk?lo=0.3&hi=0.4&k=3       options reachable for a weight region
-//	/v1/oru?w=0.2,0.8&k=2&m=5       m options around approximate weights
-//	/v1/maxrank?focal=3             best achievable rank of an option
-//	/v1/whynot?focal=3&w=0.2,0.8&k=2  why-not explanation with suggestion
-//	/v1/stats                       index shape and construction statistics
-//	/v1/metrics                     Prometheus text exposition (see # Observability)
-//
-// Updates are POST:
+// documents the envelope in full). Updates are POST too:
 //
 //	/v1/insert                      add an option to the index
 //	/v1/insert/batch                add up to 1024 options through one
 //	                                engine batch apply and one WAL fsync
 //	                                group
 //
+// and the read-only introspection endpoints are GET:
+//
+//	/v1/stats                       index shape and construction statistics
+//	/v1/metrics                     Prometheus text exposition (see # Observability)
+//	/v1/admin/trace                 the flight recorder's retained traces
+//	/v1/admin/hotcells              the busiest answer-cache cells
+//
 // # JSON envelope
 //
-// Success responses are 200 with an endpoint-specific JSON object; query
-// responses carry the traversal statistics as "visitedCells" and "lpCalls"
-// fields where applicable. Failures — including unknown paths and wrong
-// methods — are a JSON object {"error": "..."} with the status encoding
-// the cause:
+// Success responses are 200 with an endpoint-specific JSON object.
+// Failures — including unknown paths and wrong methods — are a JSON object
+// {"error": "..."} with the status encoding the cause:
 //
 //	400  malformed parameters, including invalid weight vectors
 //	     (tlevelindex.ErrInvalidWeights)
@@ -89,7 +91,7 @@
 //
 // A handler constructed with NewStoreHandler serves a store-backed index:
 // accepted inserts are appended to a write-ahead log and fsync'd before the
-// 200 is written, and the admin endpoints manage the durable state:
+// 200 is written, and the constructor attaches the store's admin endpoints:
 //
 //	POST /v1/admin/snapshot         capture the index durably now
 //	GET  /v1/admin/status           applied/snapshot LSNs, WAL length,
@@ -99,21 +101,21 @@
 //	                                ?from=<lsn> just the records after that
 //	                                LSN (410 Gone once pruned)
 //
-// Admin endpoints exist only in store-backed mode; a memory-only handler
-// answers 404 for them. A snapshot request against an index holding
-// on-demand extension state is refused with 409 (tlevelindex.ErrExtended),
-// mirroring the insert rule.
+// A memory-only handler answers 404 for them. A snapshot request against an
+// index holding on-demand extension state is refused with 409
+// (tlevelindex.ErrExtended), mirroring the insert rule.
 //
 // # Followers
 //
 // A handler constructed with NewFollowerHandler serves a replica that
-// tracks a remote primary (internal/replicate): the full query surface is
-// available — under the follower's lock, against its mmap- or heap-backed
-// index — while /v1/insert answers 403 with the primary's URL and
-// GET /v1/admin/status reports {"role": "follower"} with the follow
-// state, the applied and primary LSNs, the lag between them, and the
-// index backing ("mmap"/"heap"). The store admin endpoints do not apply
-// in this mode.
+// tracks a remote primary (internal/replicate). Its Backend is the follower
+// with the write path closed: the full query surface runs under the
+// follower's lock against its mmap- or heap-backed index, stamped with the
+// follower's applied LSN, while /v1/insert and /v1/insert/batch answer 403
+// with the primary's URL. The constructor attaches one route of its own,
+// GET /v1/admin/status, reporting {"role": "follower"} with the follow
+// state, the applied and primary LSNs, the lag between them, and the index
+// backing ("mmap"/"heap"). The store's admin endpoints are not registered.
 //
 // # Observability
 //
@@ -127,11 +129,13 @@
 //
 // # Concurrency
 //
-// Queries whose depth is already materialized are pure lookups and run
-// concurrently under a read lock. A query with larger k mutates the index
-// (on-demand extension), so it briefly takes the write lock, as do
-// /v1/insert and any request that arrives before the depth check can prove
-// read-only access is safe.
+// All synchronization is the Backend's one lock. Queries whose depth is
+// already materialized are pure lookups and run concurrently under its read
+// side. A query with larger k mutates the index (on-demand extension), so
+// it briefly takes the write side, as does any request that arrives before
+// the depth check can prove read-only access is safe. Backend.InsertBatchLSN
+// takes the write side itself — for a store that is the group-commit path,
+// which holds it across the engine apply and the WAL fsync.
 // Handlers honor the request context: a client disconnect cancels the
 // index traversal between cell visits.
 package serve
@@ -143,7 +147,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -206,55 +209,36 @@ type Config struct {
 	Recorder *obs.Recorder
 }
 
-// Follower is a replica following a remote primary (internal/replicate
-// implements it). The handler serves queries from its index under its
-// lock, rejects writes toward the primary, and reports its sync state.
-// Index is read under the follower's Mutex: a re-bootstrap may swap the
-// index pointer.
-type Follower interface {
-	// Index returns the currently served index; call with Mutex held.
-	Index() *tlx.Index
-	// Mutex guards the index against the follow loop's applies and swaps.
-	Mutex() *sync.RWMutex
-	// AppliedLSN is the LSN the local index reflects (atomic, lock-free).
-	AppliedLSN() uint64
-	// PrimaryLSN is the primary's last observed applied LSN (atomic).
-	PrimaryLSN() uint64
-	// PrimaryURL is the primary's base URL, for redirecting writes.
-	PrimaryURL() string
-	// StateName is the bootstrap state machine's current state.
-	StateName() string
-}
-
-// Handler answers preference queries against one index through an
+// Handler answers preference queries against one Backend through an
 // LSN-stamped answer cache.
 type Handler struct {
-	mu    *sync.RWMutex
-	ix    *tlx.Index
-	st    *store.Store // nil in memory-only mode
-	fol   Follower     // non-nil only in follower mode
-	log   *slog.Logger
-	pprof bool
-	cache *cache.Cache  // nil when disabled
-	rec   *obs.Recorder // flight recorder; nil when disabled
-	hot   *obs.HotCells // sampled cell-traffic sketch; nil without a cache
+	be     Backend
+	mu     *sync.RWMutex // be.Mutex()
+	routes []route
+	log    *slog.Logger
+	pprof  bool
+	cache  *cache.Cache  // nil when disabled
+	rec    *obs.Recorder // flight recorder; nil when disabled
+	hot    *obs.HotCells // sampled cell-traffic sketch; nil without a cache
 	// traceEvery is the resolved head-sampling rate: a fresh trace starts on
 	// every traceEvery-th request without a caller traceparent (0 means only
 	// propagated traceparents are traced). traceTick is the request counter
 	// the rate divides.
 	traceEvery uint64
 	traceTick  atomic.Uint64
-	// memLSN is the memory-only insert counter standing in for the
-	// store's applied LSN; bumped under the write lock for every
-	// accepted insert.
-	memLSN atomic.Uint64
+}
+
+// route is one endpoint: its full /v1/ pattern and its method-gated handler.
+type route struct {
+	pattern string
+	fn      http.HandlerFunc
 }
 
 // NewHandler wraps an index in a memory-only handler: inserts are accepted
 // but lost on restart. The handler owns all index synchronization; the
 // caller must not use the index concurrently with the handler.
 func NewHandler(ix *tlx.Index, cfg Config) *Handler {
-	return newHandler(&Handler{mu: new(sync.RWMutex), ix: ix}, cfg)
+	return newHandler(&memBackend{ix: ix}, cfg)
 }
 
 // NewStoreHandler serves a store-backed index: inserts go through the
@@ -262,7 +246,7 @@ func NewHandler(ix *tlx.Index, cfg Config) *Handler {
 // are registered. The handler shares the store's lock, so the store's
 // background snapshotter and the query handlers stay mutually consistent.
 func NewStoreHandler(st *store.Store, cfg Config) *Handler {
-	return newHandler(&Handler{mu: st.Mutex(), ix: st.Index(), st: st}, cfg)
+	return newHandler(st, cfg).attachStore(st)
 }
 
 // NewFollowerHandler serves a follower replica: queries run against the
@@ -271,12 +255,11 @@ func NewStoreHandler(st *store.Store, cfg Config) *Handler {
 // /v1/admin/status reports the follow state. The store admin endpoints do
 // not apply in this mode.
 func NewFollowerHandler(f Follower, cfg Config) *Handler {
-	h := newHandler(&Handler{mu: f.Mutex(), fol: f}, cfg)
-	h.registerFollowerGauges()
-	return h
+	return newHandler(followerBackend{f}, cfg).attachFollower(f)
 }
 
-func newHandler(h *Handler, cfg Config) *Handler {
+func newHandler(be Backend, cfg Config) *Handler {
+	h := &Handler{be: be, mu: be.Mutex()}
 	h.log = cfg.Logger
 	if h.log == nil {
 		h.log = obs.NopLogger()
@@ -308,70 +291,32 @@ func newHandler(h *Handler, cfg Config) *Handler {
 	registerProcessGauges()
 	h.registerIndexGauges()
 	h.registerCacheGauges()
+	h.handle("/v1/query", post(h.handleQuery))
+	h.handle("/v1/query/batch", post(h.handleQueryBatch))
+	h.handle("/v1/stats", get(h.handleStats))
+	h.handle("/v1/insert", post(h.handleInsert))
+	h.handle("/v1/insert/batch", post(h.handleInsertBatch))
+	h.handle("/v1/metrics", get(obs.Default().Handler().ServeHTTP))
+	h.handle("/v1/admin/trace", get(h.handleTrace))
+	h.handle("/v1/admin/hotcells", get(h.handleHotCells))
 	return h
 }
 
-// lsnNow returns the current log sequence number: the store's applied LSN
-// in durable mode, the follower's applied LSN in follower mode, the
-// in-memory insert counter otherwise. One atomic load — safe with or
-// without the handler lock held.
-func (h *Handler) lsnNow() uint64 {
-	if h.st != nil {
-		return h.st.AppliedLSN()
-	}
-	if h.fol != nil {
-		return h.fol.AppliedLSN()
-	}
-	return h.memLSN.Load()
+// handle adds an endpoint to the set Mux registers.
+func (h *Handler) handle(pattern string, fn http.HandlerFunc) {
+	h.routes = append(h.routes, route{pattern, fn})
 }
 
-// index returns the serving index. In follower mode the pointer lives with
-// the follower (a re-bootstrap swaps it), so it must be read under h.mu —
-// which every caller already holds.
-func (h *Handler) index() *tlx.Index {
-	if h.fol != nil {
-		return h.fol.Index()
-	}
-	return h.ix
-}
-
-// Mux returns a ServeMux with every endpoint registered under /v1/ and at
-// its bare alias. Every endpoint is instrumented: requests count into
+// Mux returns a ServeMux with every endpoint registered once, under /v1/.
+// Every endpoint is instrumented: requests count into
 // tlx_http_requests_total{endpoint,code}, latency into
 // tlx_http_request_seconds{endpoint}, and each request emits an access log
-// record. The bare alias shares its /v1 path's endpoint label. Unknown
-// paths answer the JSON 404 envelope.
+// record, the endpoint label being the route's pattern. Unknown paths answer
+// the JSON 404 envelope.
 func (h *Handler) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	register := func(path string, fn http.HandlerFunc) {
-		// The instrument label is the canonical /v1 path (shared by the bare
-		// alias), so quiet(), dashboards, and the access log all name
-		// endpoints one way.
-		fn = h.instrument("/v1"+path, fn)
-		mux.HandleFunc("/v1"+path, fn)
-		mux.HandleFunc(path, fn)
-	}
-	register("/query", post(h.handleQuery))
-	register("/query/batch", post(h.handleQueryBatch))
-	for name := range families {
-		spec := families[name]
-		register("/"+name, get(func(w http.ResponseWriter, r *http.Request) {
-			h.handleLegacy(w, r, spec)
-		}))
-	}
-	register("/stats", get(h.handleStats))
-	register("/insert", post(h.handleInsert))
-	register("/insert/batch", post(h.handleInsertBatch))
-	register("/metrics", get(obs.Default().Handler().ServeHTTP))
-	register("/admin/trace", get(h.handleTrace))
-	register("/admin/hotcells", get(h.handleHotCells))
-	if h.st != nil {
-		register("/admin/snapshot", post(h.handleSnapshot))
-		register("/admin/status", get(h.handleStatus))
-		register("/admin/snapshot/stream", get(h.handleSnapshotStream))
-	}
-	if h.fol != nil {
-		register("/admin/status", get(h.handleStatus))
+	for _, rt := range h.routes {
+		mux.HandleFunc(rt.pattern, h.instrument(rt.pattern, rt.fn))
 	}
 	if h.pprof {
 		mountPprof(mux)
@@ -408,20 +353,19 @@ func methodOnly(method string, fn http.HandlerFunc) http.HandlerFunc {
 // (the query is then a pure lookup and may run alongside other readers),
 // the write lock otherwise (the query extends the index on demand). The
 // depth is checked under the read lock because a concurrent writer may be
-// mid-extension. The LSN is read inside the lock: inserts take the write
-// lock (or the store's, which is the same), so it cannot move while fn
-// runs.
+// mid-extension. The LSN is read inside the lock: it only moves under the
+// write side, so it cannot move while fn runs.
 func (h *Handler) runQuery(k int, fn func(ix *tlx.Index, lsn uint64)) {
 	h.mu.RLock()
-	if ix := h.index(); k <= ix.MaxMaterializedLevel() {
+	if ix := h.be.Index(); k <= ix.MaxMaterializedLevel() {
 		defer h.mu.RUnlock()
-		fn(ix, h.lsnNow())
+		fn(ix, h.be.AppliedLSN())
 		return
 	}
 	h.mu.RUnlock()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	fn(h.index(), h.lsnNow())
+	fn(h.be.Index(), h.be.AppliedLSN())
 }
 
 // statusCanceled is the nonstandard 499 nginx popularized for client
@@ -458,15 +402,6 @@ func statusFor(err error) int {
 	}
 	return http.StatusBadRequest
 }
-
-// readOnlyError refuses a write on a follower. It is its own 403 body: the
-// usual error envelope plus the primary to write to.
-type readOnlyError struct {
-	Msg     string `json:"error"`
-	Primary string `json:"primary"`
-}
-
-func (e *readOnlyError) Error() string { return e.Msg }
 
 func writeErr(w http.ResponseWriter, err error) {
 	var ro *readOnlyError
@@ -511,9 +446,9 @@ func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	// A single insert is a batch of one through the shared write path: the
 	// store groups it with any concurrent writers' records under one WAL
-	// fsync (group commit), and the memory path takes the same amortized
-	// engine batch. The wire contract is unchanged.
-	results, _, err := h.applyInsertBatch(r.Context(), [][]float64{body.Option})
+	// fsync (group commit), and the memory backend takes the same amortized
+	// engine batch.
+	results, err := h.applyInsertBatch(r.Context(), [][]float64{body.Option})
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -532,86 +467,9 @@ func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}{res.ID, res.LSN})
 }
 
-func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	info, err := h.st.Snapshot()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-// handleStatus reports the durability and replication state. The Role
-// field distinguishes a primary (store-backed, accepts writes) from a
-// follower (tracks a remote primary); the follower shape adds the sync
-// state, both LSNs, and the lag between them.
-func (h *Handler) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if h.fol != nil {
-		applied, primary := h.fol.AppliedLSN(), h.fol.PrimaryLSN()
-		var lag uint64
-		if primary > applied {
-			lag = primary - applied
-		}
-		h.mu.RLock()
-		ix := h.index()
-		backing, mmapBytes := "heap", ix.MmapBytes()
-		h.mu.RUnlock()
-		if mmapBytes > 0 {
-			backing = "mmap"
-		}
-		writeJSON(w, http.StatusOK, struct {
-			Role       string `json:"role"`
-			State      string `json:"state"`
-			Primary    string `json:"primary"`
-			AppliedLSN uint64 `json:"appliedLsn"`
-			PrimaryLSN uint64 `json:"primaryLsn"`
-			LagLSNs    uint64 `json:"lagLsns"`
-			Backing    string `json:"backing"`
-			MmapBytes  int64  `json:"mmapBytes"`
-		}{"follower", h.fol.StateName(), h.fol.PrimaryURL(), applied, primary, lag, backing, mmapBytes})
-		return
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Role string `json:"role"`
-		store.Status
-	}{"primary", h.st.Status()})
-}
-
-// handleSnapshotStream is GET /v1/admin/snapshot/stream: the replication
-// feed. Without a from parameter it ships a full bootstrap — the newest
-// durable snapshot plus the WAL tail beyond it; with ?from=<lsn> it ships
-// only the records after that LSN. A follower whose from has been pruned
-// away gets 410 Gone and must re-bootstrap from scratch.
-func (h *Handler) handleSnapshotStream(w http.ResponseWriter, r *http.Request) {
-	from := int64(-1)
-	if s := r.URL.Query().Get("from"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 63)
-		if err != nil {
-			badRequest(w, "bad integer parameter %q", "from")
-			return
-		}
-		from = int64(v)
-	}
-	sess, err := h.st.PrepareShip(from)
-	if err != nil {
-		if errors.Is(err, store.ErrShipGap) {
-			writeJSON(w, http.StatusGone, errorBody{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := sess.WriteTo(w); err != nil {
-		// Headers are out; the receiver detects the truncation through the
-		// stream checksums. Log for the operator.
-		h.log.Warn("serve: snapshot stream aborted", "err", err)
-	}
-}
-
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	h.mu.RLock()
-	ix := h.index()
+	ix := h.be.Index()
 	body := struct {
 		Tau           int            `json:"tau"`
 		Dim           int            `json:"dim"`

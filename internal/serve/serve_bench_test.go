@@ -50,16 +50,20 @@ func serveBenchIndex(b *testing.B) *tlx.Index {
 	return sbIndex
 }
 
-// serveBench drives one URL through the full handler stack — mux routing,
-// instrumentation, dispatch, JSON encoding — with an in-process recorder,
-// so ns/op is the server-side cost per request without socket noise.
-func serveBench(b *testing.B, h *Handler, url string) {
+// serveBench drives one POST /v1/query body through the full handler stack
+// — mux routing, instrumentation, body decode, dispatch, JSON encoding — with
+// an in-process recorder, so ns/op is the server-side cost per request
+// without socket noise. The request is built once and its body rewound per
+// iteration, keeping request construction out of the number.
+func serveBench(b *testing.B, h *Handler, body string) {
 	b.Helper()
 	mux := h.Mux()
-	req := httptest.NewRequest(http.MethodGet, url, nil)
+	rd := strings.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/query", rd)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
 		w := httptest.NewRecorder()
 		mux.ServeHTTP(w, req)
 		if w.Code != http.StatusOK {
@@ -69,16 +73,16 @@ func serveBench(b *testing.B, h *Handler, url string) {
 }
 
 const (
-	sbTopKURL = "/topk?w=0.31,0.27,0.42&k=4"
-	sbUTKURL  = "/utk?lo=0.3,0.3&hi=0.35,0.35&k=4"
+	sbTopK = `{"family":"topk","w":[0.31,0.27,0.42],"k":4}`
+	sbUTK  = `{"family":"utk","lo":[0.3,0.3],"hi":[0.35,0.35],"k":4}`
 )
 
 func BenchmarkServeTopKUncached(b *testing.B) {
-	serveBench(b, NewHandler(serveBenchIndex(b), Config{CacheEntries: -1}), sbTopKURL)
+	serveBench(b, NewHandler(serveBenchIndex(b), Config{CacheEntries: -1}), sbTopK)
 }
 
 func BenchmarkServeTopKCached(b *testing.B) {
-	serveBench(b, NewHandler(serveBenchIndex(b), Config{}), sbTopKURL)
+	serveBench(b, NewHandler(serveBenchIndex(b), Config{}), sbTopK)
 }
 
 // The flight-recorder cost pair around BenchmarkServeTopKCached (which
@@ -89,38 +93,21 @@ func BenchmarkServeTopKCached(b *testing.B) {
 // the full per-request tracing cost — trace id generation, root and item
 // spans, the trace annotation, and the ring insert.
 func BenchmarkServeTopKCachedRecorderOff(b *testing.B) {
-	serveBench(b, NewHandler(serveBenchIndex(b), Config{TraceBuffer: -1}), sbTopKURL)
+	serveBench(b, NewHandler(serveBenchIndex(b), Config{TraceBuffer: -1}), sbTopK)
 }
 
 func BenchmarkServeTopKCachedTraceAll(b *testing.B) {
-	serveBench(b, NewHandler(serveBenchIndex(b), Config{TraceSample: 1}), sbTopKURL)
+	serveBench(b, NewHandler(serveBenchIndex(b), Config{TraceSample: 1}), sbTopK)
 }
 
 // The UTK pair is the headline cache number: region reachability is the
 // most expensive family, so the hit/miss qps ratio is largest here.
 func BenchmarkServeUTKUncached(b *testing.B) {
-	serveBench(b, NewHandler(serveBenchIndex(b), Config{CacheEntries: -1}), sbUTKURL)
+	serveBench(b, NewHandler(serveBenchIndex(b), Config{CacheEntries: -1}), sbUTK)
 }
 
 func BenchmarkServeUTKCached(b *testing.B) {
-	serveBench(b, NewHandler(serveBenchIndex(b), Config{}), sbUTKURL)
-}
-
-// BenchmarkServeQueryTopKCached measures the POST /v1/query envelope path
-// on a cache hit: the unified decode plus the envelope encode.
-func BenchmarkServeQueryTopKCached(b *testing.B) {
-	mux := NewHandler(serveBenchIndex(b), Config{}).Mux()
-	const body = `{"family":"topk","w":[0.31,0.27,0.42],"k":4}`
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body))
-		w := httptest.NewRecorder()
-		mux.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", w.Code, w.Body.String())
-		}
-	}
+	serveBench(b, NewHandler(serveBenchIndex(b), Config{}), sbUTK)
 }
 
 // BenchmarkServeWriterTopKParallel is the concurrent-throughput number:
@@ -131,8 +118,10 @@ func BenchmarkServeWriterTopKParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		req := httptest.NewRequest(http.MethodGet, sbTopKURL, nil)
+		rd := strings.NewReader(sbTopK)
+		req := httptest.NewRequest(http.MethodPost, "/v1/query", rd)
 		for pb.Next() {
+			rd.Reset(sbTopK)
 			w := httptest.NewRecorder()
 			mux.ServeHTTP(w, req)
 			if w.Code != http.StatusOK {

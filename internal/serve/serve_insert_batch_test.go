@@ -98,10 +98,10 @@ func TestInsertBatchEndpoint(t *testing.T) {
 	var bTop, sTop struct {
 		Options []int `json:"options"`
 	}
-	if code := getJSON(t, bat.URL+"/v1/topk?w=0.5,0.5&k=3", &bTop); code != 200 {
+	if code, _ := queryResult(t, bat.URL, `{"family":"topk","w":[0.5,0.5],"k":3}`, &bTop); code != 200 {
 		t.Fatalf("topk status %d", code)
 	}
-	if code := getJSON(t, seq.URL+"/v1/topk?w=0.5,0.5&k=3", &sTop); code != 200 {
+	if code, _ := queryResult(t, seq.URL, `{"family":"topk","w":[0.5,0.5],"k":3}`, &sTop); code != 200 {
 		t.Fatalf("topk status %d", code)
 	}
 	if len(bTop.Options) != len(sTop.Options) {
@@ -140,7 +140,7 @@ func TestInsertBatchEndpointLimits(t *testing.T) {
 	}
 	// After an on-demand extension every item fails with the 409 the
 	// single-insert endpoint answers, but the envelope itself stays 200.
-	if code := getJSON(t, srv.URL+"/v1/topk?w=0.5,0.5&k=4", nil); code != 200 {
+	if code, _ := postQuery(t, srv.URL, `{"family":"topk","w":[0.5,0.5],"k":4}`); code != 200 {
 		t.Fatal("deep topk failed")
 	}
 	code, results := postInsertBatch(t, srv.URL, `{"options":[[0.9,0.9],[0.8,0.8]]}`)
@@ -184,7 +184,7 @@ func TestInsertBatchDurable(t *testing.T) {
 	var top struct {
 		Options []int `json:"options"`
 	}
-	if code := getJSON(t, srv2.URL+"/v1/topk?w=0.5,0.5&k=2", &top); code != 200 {
+	if code, _ := queryResult(t, srv2.URL, `{"family":"topk","w":[0.5,0.5],"k":2}`, &top); code != 200 {
 		t.Fatalf("topk after restart: status %d", code)
 	}
 	if len(top.Options) != 2 || top.Options[0] != 5 {
@@ -200,14 +200,15 @@ func TestInsertBatchDurable(t *testing.T) {
 
 // fakeFollower is the minimal Follower for testing the read-only gate.
 type fakeFollower struct {
-	ix *tlx.Index
-	mu sync.RWMutex
+	ix               *tlx.Index
+	mu               sync.RWMutex
+	applied, primary uint64
 }
 
 func (f *fakeFollower) Index() *tlx.Index    { return f.ix }
 func (f *fakeFollower) Mutex() *sync.RWMutex { return &f.mu }
-func (f *fakeFollower) AppliedLSN() uint64   { return 0 }
-func (f *fakeFollower) PrimaryLSN() uint64   { return 0 }
+func (f *fakeFollower) AppliedLSN() uint64   { return f.applied }
+func (f *fakeFollower) PrimaryLSN() uint64   { return f.primary }
 func (f *fakeFollower) PrimaryURL() string   { return "http://primary.example" }
 func (f *fakeFollower) StateName() string    { return "live" }
 

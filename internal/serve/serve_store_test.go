@@ -63,7 +63,7 @@ func TestInsertSurvivesRestart(t *testing.T) {
 	var top struct {
 		Options []int `json:"options"`
 	}
-	if code := getJSON(t, srv2.URL+"/v1/topk?w=0.5,0.5&k=1", &top); code != 200 {
+	if code, _ := queryResult(t, srv2.URL, `{"family":"topk","w":[0.5,0.5],"k":1}`, &top); code != 200 {
 		t.Fatalf("topk after restart: status %d", code)
 	}
 	if len(top.Options) != 1 || top.Options[0] != ins.ID {
@@ -123,7 +123,7 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Errorf("GET snapshot: status %d, want 405", code)
 	}
 	// Extend on demand via a deep query; snapshot must then 409.
-	if code := getJSON(t, srv.URL+"/v1/topk?w=0.5,0.5&k=5", nil); code != 200 {
+	if code, _ := postQuery(t, srv.URL, `{"family":"topk","w":[0.5,0.5],"k":5}`); code != 200 {
 		t.Fatal("deep topk failed")
 	}
 	if code := postJSON(t, srv.URL+"/v1/admin/snapshot", "", nil); code != 409 {
@@ -150,7 +150,7 @@ func TestStoreBackedQueries(t *testing.T) {
 	var body struct {
 		Options []int `json:"options"`
 	}
-	if code := getJSON(t, srv.URL+"/v1/topk?w=0.18,0.82&k=2", &body); code != 200 {
+	if code, _ := queryResult(t, srv.URL, `{"family":"topk","w":[0.18,0.82],"k":2}`, &body); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(body.Options) != 2 || body.Options[0] != 0 || body.Options[1] != 3 {

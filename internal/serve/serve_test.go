@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	tlx "tlevelindex"
+	"tlevelindex/internal/store"
 )
 
 var hotels = [][]float64{
@@ -44,12 +45,29 @@ func getJSON(t *testing.T, url string, out interface{}) int {
 	return resp.StatusCode
 }
 
+// queryResult posts one /v1/query body and, on 200, decodes the envelope's
+// result object into out and returns its stats.
+func queryResult(t *testing.T, base, body string, out any) (int, queryStatsBody) {
+	t.Helper()
+	code, env := postQuery(t, base, body)
+	var stats queryStatsBody
+	if code == http.StatusOK {
+		if err := json.Unmarshal(env.Result, out); err != nil {
+			t.Fatalf("decode result of %s: %v", body, err)
+		}
+		if err := json.Unmarshal(env.Stats, &stats); err != nil {
+			t.Fatalf("decode stats of %s: %v", body, err)
+		}
+	}
+	return code, stats
+}
+
 func TestTopKEndpoint(t *testing.T) {
 	srv := newServer(t)
 	var body struct {
 		Options []int `json:"options"`
 	}
-	code := getJSON(t, srv.URL+"/topk?w=0.18,0.82&k=2", &body)
+	code, _ := queryResult(t, srv.URL, `{"family":"topk","w":[0.18,0.82],"k":2}`, &body)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -61,14 +79,14 @@ func TestTopKEndpoint(t *testing.T) {
 func TestKSPREndpoint(t *testing.T) {
 	srv := newServer(t)
 	var body struct {
-		Regions      []tlx.Region `json:"regions"`
-		VisitedCells int          `json:"visitedCells"`
+		Regions []tlx.Region `json:"regions"`
 	}
-	if code := getJSON(t, srv.URL+"/kspr?focal=0&k=2", &body); code != http.StatusOK {
+	code, stats := queryResult(t, srv.URL, `{"family":"kspr","focal":0,"k":2}`, &body)
+	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if len(body.Regions) != 2 || body.VisitedCells != 5 {
-		t.Errorf("kspr: %d regions, %d visited", len(body.Regions), body.VisitedCells)
+	if len(body.Regions) != 2 || stats.VisitedCells != 5 {
+		t.Errorf("kspr: %d regions, %d visited", len(body.Regions), stats.VisitedCells)
 	}
 }
 
@@ -78,7 +96,7 @@ func TestUTKEndpoint(t *testing.T) {
 		Options    []int   `json:"options"`
 		Partitions [][]int `json:"partitionTopKSets"`
 	}
-	if code := getJSON(t, srv.URL+"/utk?lo=0.35&hi=0.45&k=3", &body); code != http.StatusOK {
+	if code, _ := queryResult(t, srv.URL, `{"family":"utk","lo":[0.35],"hi":[0.45],"k":3}`, &body); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if fmt.Sprint(body.Options) != "[0 1 2 3]" || len(body.Partitions) != 2 {
@@ -92,7 +110,7 @@ func TestORUEndpoint(t *testing.T) {
 		Options []int   `json:"options"`
 		Rho     float64 `json:"rho"`
 	}
-	if code := getJSON(t, srv.URL+"/oru?w=0.3,0.7&k=2&m=3", &body); code != http.StatusOK {
+	if code, _ := queryResult(t, srv.URL, `{"family":"oru","w":[0.3,0.7],"k":2,"m":3}`, &body); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if len(body.Options) != 3 || body.Rho < 0.09 || body.Rho > 0.11 {
@@ -105,7 +123,7 @@ func TestMaxRankAndWhyNotEndpoints(t *testing.T) {
 	var mr struct {
 		Rank int `json:"rank"`
 	}
-	if code := getJSON(t, srv.URL+"/maxrank?focal=4", &mr); code != http.StatusOK || mr.Rank != -1 {
+	if code, _ := queryResult(t, srv.URL, `{"family":"maxrank","focal":4}`, &mr); code != http.StatusOK || mr.Rank != -1 {
 		t.Errorf("maxrank: code=%d rank=%d", code, mr.Rank)
 	}
 	var wn struct {
@@ -114,7 +132,7 @@ func TestMaxRankAndWhyNotEndpoints(t *testing.T) {
 		MinShift   float64   `json:"MinShift"`
 		SuggestedW []float64 `json:"SuggestedW"`
 	}
-	if code := getJSON(t, srv.URL+"/whynot?focal=0&w=0.9,0.1&k=2", &wn); code != http.StatusOK {
+	if code, _ := queryResult(t, srv.URL, `{"family":"whynot","focal":0,"w":[0.9,0.1],"k":2}`, &wn); code != http.StatusOK {
 		t.Fatalf("whynot status %d", code)
 	}
 	if wn.Rank != 3 || wn.InTopK || len(wn.SuggestedW) != 2 {
@@ -128,7 +146,7 @@ func TestStatsEndpoint(t *testing.T) {
 		Tau      int `json:"tau"`
 		NumCells int `json:"numCells"`
 	}
-	if code := getJSON(t, srv.URL+"/stats", &body); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/v1/stats", &body); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if body.Tau != 3 || body.NumCells != 11 {
@@ -139,20 +157,20 @@ func TestStatsEndpoint(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	srv := newServer(t)
 	cases := []string{
-		"/topk",                  // missing w
-		"/topk?w=abc&k=2",        // bad vector
-		"/topk?w=0.5,0.5&k=zero", // bad int
-		"/topk?w=0.9,0.3&k=2",    // non-normalized weights
-		"/kspr?k=2",              // missing focal
-		"/utk?lo=0.5&hi=0.2&k=2", // inverted box
-		"/utk?hi=0.4&k=2",        // missing lo
-		"/oru?w=0.3,0.7&k=2&m=0", // bad m
-		"/whynot?focal=0&k=2",    // missing w
-		"/maxrank",               // missing focal
+		`{"family":"topk","k":2}`,                      // missing w
+		`{"family":"topk","w":"abc","k":2}`,            // bad vector
+		`{"family":"topk","w":[0.5,0.5],"k":"zero"}`,   // bad int
+		`{"family":"topk","w":[0.9,0.3],"k":2}`,        // non-normalized weights
+		`{"family":"kspr","k":2}`,                      // missing focal
+		`{"family":"utk","lo":[0.5],"hi":[0.2],"k":2}`, // inverted box
+		`{"family":"utk","hi":[0.4],"k":2}`,            // missing lo
+		`{"family":"oru","w":[0.3,0.7],"k":2,"m":-1}`,  // bad m
+		`{"family":"whynot","focal":0,"k":2}`,          // missing w
+		`{"family":"maxrank"}`,                         // missing focal
 	}
-	for _, path := range cases {
-		if code := getJSON(t, srv.URL+path, nil); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", path, code)
+	for _, body := range cases {
+		if code, _ := postQuery(t, srv.URL, body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, code)
 		}
 	}
 }
@@ -167,18 +185,11 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				url := srv.URL + "/topk?w=0.18,0.82&k=4" // k > tau: extension path
+				body := `{"family":"topk","w":[0.18,0.82],"k":4}` // k > tau: extension path
 				if g%2 == 0 {
-					url = srv.URL + "/kspr?focal=0&k=2"
+					body = `{"family":"kspr","focal":0,"k":2}`
 				}
-				resp, err := http.Get(url)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("status %d from %s", resp.StatusCode, url)
+				if !postOK(t, srv.URL+"/v1/query", body) {
 					return
 				}
 			}
@@ -187,24 +198,95 @@ func TestConcurrentQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// TestV1Aliases verifies every endpoint answers identically under /v1/ and
-// at its bare alias.
-func TestV1Aliases(t *testing.T) {
-	srv := newServer(t)
-	paths := []string{
-		"/topk?w=0.18,0.82&k=2",
-		"/kspr?focal=0&k=2",
-		"/utk?lo=0.35&hi=0.45&k=3",
-		"/oru?w=0.3,0.7&k=2&m=3",
-		"/maxrank?focal=4",
-		"/whynot?focal=0&w=0.9,0.1&k=2",
-		"/stats",
+// TestRoutes lists every (method, path) each constructor's mux serves: a
+// request with the right method must reach its handler (any answer but the
+// 404/405 envelopes), the other method must answer 405 naming the right one
+// in Allow, and everything else — another mode's admin routes, the retired
+// bare aliases and GET family routes — the JSON 404 envelope.
+func TestRoutes(t *testing.T) {
+	ix, err := tlx.Build(hotels, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range paths {
-		if code := getJSON(t, srv.URL+"/v1"+p, nil); code != http.StatusOK {
-			t.Errorf("/v1%s: status %d", p, code)
+	st, err := store.Open(store.Options{Dir: t.TempDir(), Logf: t.Logf},
+		func() (*tlx.Index, error) { return tlx.Build(hotels, 3) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	type route struct{ method, path string }
+	common := []route{
+		{"POST", "/v1/query"}, {"POST", "/v1/query/batch"},
+		{"POST", "/v1/insert"}, {"POST", "/v1/insert/batch"},
+		{"GET", "/v1/stats"}, {"GET", "/v1/metrics"},
+		{"GET", "/v1/admin/trace"}, {"GET", "/v1/admin/hotcells"},
+	}
+	storeOnly := []route{
+		{"POST", "/v1/admin/snapshot"}, {"GET", "/v1/admin/status"}, {"GET", "/v1/admin/snapshot/stream"},
+	}
+	followerOnly := []route{{"GET", "/v1/admin/status"}}
+	retired := []route{
+		{"GET", "/topk"}, {"POST", "/query"}, {"GET", "/stats"}, {"POST", "/insert"}, {"GET", "/metrics"},
+		{"GET", "/v1/topk"}, {"GET", "/v1/kspr"}, {"GET", "/v1/utk"},
+		{"GET", "/v1/oru"}, {"GET", "/v1/maxrank"}, {"GET", "/v1/whynot"},
+	}
+	for _, mode := range []struct {
+		name           string
+		h              *Handler
+		served, absent []route
+	}{
+		{"memory", NewHandler(ix, Config{}), common, storeOnly},
+		{"store", NewStoreHandler(st, Config{}), append(common[:len(common):len(common)], storeOnly...), nil},
+		{"follower", NewFollowerHandler(&fakeFollower{ix: ix}, Config{}),
+			append(common[:len(common):len(common)], followerOnly...), []route{storeOnly[0], storeOnly[2]}},
+	} {
+		if got := len(mode.h.routes); got != len(mode.served) {
+			t.Errorf("%s: %d routes registered, want %d", mode.name, got, len(mode.served))
+		}
+		mux := mode.h.Mux()
+		do := func(method, path string) (int, string, string) {
+			w := httptest.NewRecorder()
+			mux.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader("{}")))
+			var env errorBody
+			if w.Code == http.StatusNotFound || w.Code == http.StatusMethodNotAllowed {
+				if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+					t.Errorf("%s %s %s: %d without the JSON envelope: %s", mode.name, method, path, w.Code, w.Body)
+				}
+			}
+			return w.Code, w.Header().Get("Allow"), env.Error
+		}
+		for _, rt := range mode.served {
+			if code, _, _ := do(rt.method, rt.path); code == http.StatusNotFound || code == http.StatusMethodNotAllowed {
+				t.Errorf("%s: %s %s answered %d", mode.name, rt.method, rt.path, code)
+			}
+			other := map[string]string{"GET": "POST", "POST": "GET"}[rt.method]
+			if code, allow, msg := do(other, rt.path); code != http.StatusMethodNotAllowed || allow != rt.method || msg == "" {
+				t.Errorf("%s: %s %s answered %d Allow=%q %q, want 405 Allow=%s",
+					mode.name, other, rt.path, code, allow, msg, rt.method)
+			}
+		}
+		for _, rt := range append(retired[:len(retired):len(retired)], mode.absent...) {
+			if code, _, msg := do(rt.method, rt.path); code != http.StatusNotFound || !strings.HasPrefix(msg, "no such endpoint") {
+				t.Errorf("%s: %s %s answered %d %q, want the 404 envelope", mode.name, rt.method, rt.path, code, msg)
+			}
 		}
 	}
+}
+
+// postOK posts body and reports whether the answer was a 200; safe off the
+// test goroutine (it reports with t.Error, never t.Fatal).
+func postOK(t *testing.T, url, body string) bool {
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return false
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("status %d from %s %s", resp.StatusCode, url, body)
+		return false
+	}
+	return true
 }
 
 func postJSON(t *testing.T, url, body string, out interface{}) int {
@@ -240,7 +322,7 @@ func TestInsertEndpoint(t *testing.T) {
 	var top struct {
 		Options []int `json:"options"`
 	}
-	if code := getJSON(t, srv.URL+"/v1/topk?w=0.5,0.5&k=1", &top); code != http.StatusOK {
+	if code, _ := queryResult(t, srv.URL, `{"family":"topk","w":[0.5,0.5],"k":1}`, &top); code != http.StatusOK {
 		t.Fatal("topk after insert failed")
 	}
 	if len(top.Options) != 1 || top.Options[0] != ins.ID {
@@ -261,16 +343,11 @@ func TestInsertEndpoint(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v1/insert", nil); code != http.StatusMethodNotAllowed {
 		t.Errorf("GET insert: status %d", code)
 	}
-	resp, err := http.Post(srv.URL+"/v1/topk?w=0.5,0.5", "application/json", strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST topk: status %d", resp.StatusCode)
+	if code := postJSON(t, srv.URL+"/v1/stats", "", nil); code != http.StatusMethodNotAllowed {
+		t.Errorf("POST stats: status %d", code)
 	}
 	// Extend on demand via a deep query, then insert must 409.
-	if code := getJSON(t, srv.URL+"/v1/topk?w=0.5,0.5&k=4", nil); code != http.StatusOK {
+	if code, _ := postQuery(t, srv.URL, `{"family":"topk","w":[0.5,0.5],"k":4}`); code != http.StatusOK {
 		t.Fatal("deep topk failed")
 	}
 	if code := postJSON(t, srv.URL+"/v1/insert", `{"option":[0.9,0.9]}`, nil); code != http.StatusConflict {
@@ -289,23 +366,12 @@ func TestConcurrentReadersAndInserts(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				var url string
-				switch g % 3 {
-				case 0:
-					url = srv.URL + "/v1/topk?w=0.18,0.82&k=2"
-				case 1:
-					url = srv.URL + "/v1/kspr?focal=0&k=2"
-				case 2:
-					url = srv.URL + "/v1/maxrank?focal=1"
-				}
-				resp, err := http.Get(url)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("status %d from %s", resp.StatusCode, url)
+				body := [3]string{
+					`{"family":"topk","w":[0.18,0.82],"k":2}`,
+					`{"family":"kspr","focal":0,"k":2}`,
+					`{"family":"maxrank","focal":1}`,
+				}[g%3]
+				if !postOK(t, srv.URL+"/v1/query", body) {
 					return
 				}
 			}
@@ -315,15 +381,7 @@ func TestConcurrentReadersAndInserts(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			body := fmt.Sprintf(`{"option":[0.8,%0.2f]}`, 0.8+float64(i)/100)
-			resp, err := http.Post(srv.URL+"/v1/insert", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("insert status %d", resp.StatusCode)
+			if !postOK(t, srv.URL+"/v1/insert", fmt.Sprintf(`{"option":[0.8,%0.2f]}`, 0.8+float64(i)/100)) {
 				return
 			}
 		}

@@ -30,6 +30,14 @@ type traceOut struct {
 	DroppedSpans uint64  `json:"droppedSpans"`
 }
 
+// topkQuery is the one request the trace tests repeat.
+const topkQuery = `{"family":"topk","w":[0.18,0.82],"k":2}`
+
+func newTopKRequest(base string) *http.Request {
+	req, _ := http.NewRequest(http.MethodPost, base+"/v1/query", strings.NewReader(topkQuery))
+	return req
+}
+
 // walkTree flattens a span tree into name -> nodes.
 func walkTree(n *obs.SpanNode, into map[string][]*obs.SpanNode) {
 	if n == nil {
@@ -126,7 +134,7 @@ func TestTraceparentAdoption(t *testing.T) {
 	callerTrace := obs.NewTraceID()
 	callerSpan := obs.NewSpanID()
 
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/topk?w=0.18,0.82&k=2", nil)
+	req := newTopKRequest(srv.URL)
 	req.Header.Set("traceparent", obs.Traceparent(callerTrace, callerSpan))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -174,7 +182,7 @@ func TestUnsampledTraceparentHonored(t *testing.T) {
 	caller := obs.NewTraceID()
 	hdr := obs.Traceparent(caller, obs.NewSpanID())
 	hdr = hdr[:len(hdr)-2] + "00" // clear the sampled flag
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/topk?w=0.18,0.82&k=2", nil)
+	req := newTopKRequest(srv.URL)
 	req.Header.Set("traceparent", hdr)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -188,7 +196,7 @@ func TestUnsampledTraceparentHonored(t *testing.T) {
 
 	// The opt-out did not burn the head-sampling budget: the next bare
 	// request is still the handler's first sampled one.
-	resp2, err := http.Get(srv.URL + "/v1/topk?w=0.18,0.82&k=2")
+	resp2, err := http.DefaultClient.Do(newTopKRequest(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,38 +292,40 @@ func TestInstrumentedStreamingFlush(t *testing.T) {
 }
 
 // TestQuietCanonicalLabels: quiet() speaks the same endpoint names
-// instrument labels with — the canonical /v1 path — so scraper traffic is
-// demoted on both the alias and the versioned route, counts under one
-// label, and stays out of the flight recorder.
+// instrument labels with — the route pattern — so scraper traffic is
+// demoted, counts under its pattern, and stays out of the flight recorder;
+// a path that is no route (the retired bare alias) counts under /404, never
+// under a label of its own.
 func TestQuietCanonicalLabels(t *testing.T) {
 	if !quiet("/v1/metrics") || !quiet("/debug/pprof/heap") {
 		t.Fatal("quiet() misses the scraper endpoints")
 	}
-	if quiet("/v1/topk") {
+	if quiet("/v1/query") {
 		t.Fatal("quiet() demotes a real endpoint")
 	}
 
 	srv := newServer(t)
-	for _, path := range []string{"/metrics", "/v1/metrics"} {
+	for path, want := range map[string]int{"/v1/metrics": http.StatusOK, "/metrics": http.StatusNotFound} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("%s status %d, want %d", path, resp.StatusCode, want)
 		}
-		if resp.Header.Get("traceparent") != "" {
+		if want == http.StatusOK && resp.Header.Get("traceparent") != "" {
 			t.Fatalf("%s was traced; scraper endpoints must stay out of the recorder", path)
 		}
 	}
 	body := scrapeMetrics(t, srv.URL)
 	if !strings.Contains(body, `tlx_http_requests_total{endpoint="/v1/metrics",code="200"}`) {
-		t.Fatal("metrics endpoint not counted under its canonical label")
+		t.Fatal("metrics endpoint not counted under its route pattern")
 	}
-	if strings.Contains(body, `{endpoint="/metrics"`) {
-		t.Fatal("bare alias leaked its own endpoint label")
+	if !strings.Contains(body, `tlx_http_requests_total{endpoint="/404",code="404"}`) ||
+		strings.Contains(body, `{endpoint="/metrics"`) {
+		t.Fatal("an unrouted path must count under /404, not under a label of its own")
 	}
 	var out traceOut
 	getJSON(t, srv.URL+"/v1/admin/trace?n=100", &out)
@@ -331,7 +341,7 @@ func TestQuietCanonicalLabels(t *testing.T) {
 func TestTraceAdminSmoke(t *testing.T) {
 	srv := newServer(t)
 	for i := 0; i < 5; i++ {
-		if code := getJSON(t, srv.URL+"/v1/topk?w=0.18,0.82&k=2", nil); code != 200 {
+		if code, _ := postQuery(t, srv.URL, topkQuery); code != 200 {
 			t.Fatalf("topk status %d", code)
 		}
 	}
@@ -378,7 +388,7 @@ func TestRecorderDisabled(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewHandler(ix, Config{TraceBuffer: -1}).Mux())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/topk?w=0.18,0.82&k=2")
+	resp, err := http.DefaultClient.Do(newTopKRequest(srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +417,7 @@ func TestTraceSampling(t *testing.T) {
 	}
 	do := func(srv *httptest.Server, traceparent string) *http.Response {
 		t.Helper()
-		req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/topk?w=0.18,0.82&k=2", nil)
+		req := newTopKRequest(srv.URL)
 		if traceparent != "" {
 			req.Header.Set("traceparent", traceparent)
 		}
@@ -459,7 +469,7 @@ func TestTraceSampling(t *testing.T) {
 func TestHotCellsAdminSmoke(t *testing.T) {
 	srv := newServer(t)
 	for i := 0; i < 200; i++ {
-		if code := getJSON(t, srv.URL+"/v1/topk?w=0.18,0.82&k=2", nil); code != 200 {
+		if code, _ := postQuery(t, srv.URL, topkQuery); code != 200 {
 			t.Fatalf("topk status %d", code)
 		}
 	}

@@ -77,9 +77,9 @@ type Options struct {
 	// snapshots for bootstrapping replicas. Zero disables the timer.
 	SnapshotInterval time.Duration
 	// MmapLoad recovers the snapshot by memory-mapping it (zero-copy X3
-	// load) instead of reading it onto the heap, making startup cost
-	// independent of index size. Falls back to the heap load where the
-	// platform or file layout forbids aliasing.
+	// load) instead of reading it onto the heap: the large arrays stay in
+	// the page cache, which saves memory, not startup time. Falls back to
+	// the heap load where the platform or file layout forbids aliasing.
 	MmapLoad bool
 	// Logf receives recovery and snapshot diagnostics formatted as single
 	// lines; nil discards them. Logger takes precedence when both are set.
