@@ -137,12 +137,16 @@ obs-smoke:
 # zero-copy byte readers in lockstep), the snapshot-shipping stream
 # decoder a follower trusts with network data, and the batch-query and
 # batch-insert HTTP envelope decoders that take arbitrary client JSON.
+# FuzzProject is the odd one out: no parser, but a loop whose termination
+# rests on exact-arithmetic reasoning — every input must stop inside the
+# step bound with a KKT-certified projection or a proof of emptiness.
 fuzz-smoke:
 	$(GO) test ./internal/store -run xxx -fuzz FuzzWALReplay -fuzztime 10s
 	$(GO) test ./internal/index -run xxx -fuzz FuzzReadIndex -fuzztime 10s
 	$(GO) test ./internal/store -run xxx -fuzz FuzzShipRead -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzBatchEnvelope -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzInsertBatchEnvelope -fuzztime 10s
+	$(GO) test ./internal/geom -run xxx -fuzz FuzzProject -fuzztime 10s
 
 lvbench:
 	$(GO) run ./cmd/lvbench -exp all -scale small

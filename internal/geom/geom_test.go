@@ -423,12 +423,3 @@ func BenchmarkRegionFeasible(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkProject(b *testing.B) {
-	reg := NewRegion(3).Add(NewHalfspace([]float64{1, 1, 1}, 0.4))
-	q := []float64{0.5, 0.5, 0.5}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		reg.Project(q)
-	}
-}

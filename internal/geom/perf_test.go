@@ -158,7 +158,7 @@ func TestEmptyRegionSticky(t *testing.T) {
 }
 
 // TestProjectInteriorPoint: a point already inside projects to itself with
-// distance exactly zero, without any Dykstra iteration.
+// distance exactly zero, without entering the kernel.
 func TestProjectInteriorPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -179,26 +179,30 @@ func TestProjectInteriorPoint(t *testing.T) {
 	}
 }
 
-// TestProjectInfeasibleRegionTerminates: Project's contract assumes a
-// nonempty region, but a contradictory constraint set must still terminate
-// (cycle budget) and return finite values rather than hang or panic.
+// TestProjectInfeasibleRegionTerminates: a contradictory constraint set has
+// no nearest point. The kernel proves that in finitely many steps and says
+// so — distance +Inf, no point — where its predecessor ran out its cycle
+// budget and returned wherever it had got to.
 func TestProjectInfeasibleRegionTerminates(t *testing.T) {
 	reg := NewRegion(2)
 	a := []float64{1, 0}
 	reg.Add(NewHalfspace(a, -1)) // x0 <= -1 vs simplex's x0 >= 0
-	proj, d := reg.Project([]float64{0.3, 0.3})
-	if len(proj) != 2 || math.IsNaN(d) || math.IsInf(d, 0) {
-		t.Fatalf("infeasible projection returned proj=%v d=%v", proj, d)
+	x := []float64{0.3, 0.3}
+	_, steps := ProjectionStats()
+	proj, d := reg.Project(x)
+	if proj != nil || !math.IsInf(d, 1) {
+		t.Fatalf("infeasible projection returned proj=%v d=%v, want nil and +Inf", proj, d)
 	}
-	for _, v := range proj {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("non-finite projection coordinate: %v", proj)
-		}
+	if _, after := ProjectionStats(); after-steps > 3 {
+		t.Fatalf("emptiness took %d active-set steps", after-steps)
+	}
+	if d := reg.DistanceTo(x); !math.IsInf(d, 1) {
+		t.Fatalf("DistanceTo an empty region = %v, want +Inf", d)
 	}
 }
 
 // TestProjectSingleHalfspaceClosedForm: projection onto one halfspace has
-// the closed form x − max(0, A·x−B)·A (unit normal); Dykstra must match it.
+// the closed form x − max(0, A·x−B)·A (unit normal); the kernel must match it.
 func TestProjectSingleHalfspaceClosedForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 50; trial++ {
@@ -275,9 +279,12 @@ func BenchmarkClassify(b *testing.B) {
 	})
 }
 
-// BenchmarkDykstraProject measures the pooled alternating-projection loop on
-// an exterior point against a multi-constraint region.
-func BenchmarkDykstraProject(b *testing.B) {
+// BenchmarkProject measures the active-set projection: an exterior point
+// against a multi-constraint region with and without the returned point,
+// one step onto a single cut of the simplex, and a far exterior point
+// against a sliver — a cell-shaped region between two nearly parallel faces,
+// the shape alternating projections zigzag across without converging.
+func BenchmarkProject(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	reg, _ := randTightRegion(rng, 3, 10, 0.05)
 	x := []float64{0.9, 0.9, 0.9} // outside: coordinates sum past the simplex
@@ -291,6 +298,30 @@ func BenchmarkDykstraProject(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			reg.DistanceTo(x)
+		}
+	})
+	b.Run("halfspace", func(b *testing.B) {
+		cut := NewRegion(3).Add(NewHalfspace([]float64{1, 1, 1}, 0.4))
+		q := []float64{0.5, 0.5, 0.5}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cut.Project(q)
+		}
+	})
+	b.Run("sliver", func(b *testing.B) {
+		const ang = 1e-3
+		sliver := NewRegion(3).Add(
+			NewHalfspace([]float64{math.Sin(ang), math.Cos(ang), 0}, 0.3),
+			NewHalfspace([]float64{math.Sin(ang), -math.Cos(ang), 0}, -0.3+1e-4),
+			NewHalfspace([]float64{0.2, 1, -1}, 0.25),
+			NewHalfspace([]float64{-0.1, -1, 1.1}, -0.2))
+		if !sliver.Feasible() {
+			b.Fatal("sliver region should be feasible")
+		}
+		far := []float64{3, -2, 2.5}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sliver.DistanceTo(far)
 		}
 	})
 }

@@ -1,117 +1,215 @@
 package geom
 
-import (
-	"math"
+import "math"
 
-	"tlevelindex/internal/pool"
-)
-
-// Projection parameters for Dykstra's alternating-projection algorithm.
+// Projection tolerances; normals are unit length.
 const (
-	dykstraMaxCycles = 4000
-	dykstraTol       = 1e-10
+	// projFeasTol is the violation, relative to the iterate's largest
+	// coordinate when that exceeds one (it never does inside the simplex),
+	// below which the iterate counts as inside a halfspace; the loop stops
+	// when no halfspace exceeds it.
+	projFeasTol = 1e-12
+	// projDepTol bounds ‖z‖² for the component z of a normal orthogonal to
+	// the active normals: at or below it the normal counts as a combination
+	// of them (two unit normals closer than 1e-12 rad are parallel).
+	projDepTol = 1e-24
+	// projStackDim is the largest Dim whose working set fits the callers'
+	// stack buffers; above it one projection allocates its own.
+	projStackDim    = 8
+	projStackFloats = projStackDim * (2*projStackDim + 5)
 )
 
-// projScratch holds the Dykstra working set: the current iterate, the flat
-// m×dim correction matrix, and a temporary. Pooled so that query traversals
-// projecting onto many cells (ORU's priority-queue walk) stop allocating.
-type projScratch struct {
-	cur, corr, tmp []float64
+// activeSet is the state of one projection of x: the iterate y, the n
+// halfspaces act[:n] it is held tight against and their multipliers
+// lam[:n] ≥ 0, with x − y = Σ lam[i]·HS[act[i]].A throughout. The active
+// normals are linearly independent (so n ≤ Dim) and kept factored as
+// N = Q·R: q holds the orthonormal columns of Q and rt the columns of the
+// upper triangular R, Dim floats apiece; one spare column in each takes the
+// halfspace being added. coef is scratch.
+type activeSet struct {
+	y, lam, coef []float64
+	q, rt        []float64
+	act          []int
+	n            int
 }
 
-var projPool = pool.NewScratch(func() *projScratch { return new(projScratch) })
+// carveActiveSet lays an activeSet for dimension dim over the given buffers,
+// allocating instead when they are too small.
+func carveActiveSet(dim int, f []float64, act []int) activeSet {
+	if need := dim * (2*dim + 5); need > len(f) {
+		f, act = make([]float64, need), make([]int, dim)
+	}
+	col := (dim + 1) * dim
+	return activeSet{
+		y: f[:dim], lam: f[dim : 2*dim], coef: f[2*dim : 3*dim],
+		q: f[3*dim : 3*dim+col], rt: f[3*dim+col : 3*dim+2*col],
+		act: act[:dim],
+	}
+}
 
-// growZero extends s to length n reusing capacity, zeroing the added tail.
-func growZero(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// orthogonalize subtracts from v its components along the first n columns
+// of Q (modified Gram–Schmidt), stores them in col and returns what is left
+// of ‖v‖². When most of v cancels, the remainder is no longer orthogonal to
+// working precision and a second pass makes it so ("twice is enough"): the
+// active halfspaces then stay tight under a step along v however long.
+func (s *activeSet) orthogonalize(v, col []float64, n int) float64 {
+	dim := len(v)
+	clear(col[:n])
+	vv := Dot(v, v)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			qi := s.q[i*dim : (i+1)*dim]
+			d := Dot(qi, v)
+			col[i] += d
+			for k := range v {
+				v[k] -= d * qi[k]
+			}
+		}
+		before := vv
+		if vv = Dot(v, v); 2*vv > before {
+			break
+		}
 	}
-	old := len(s)
-	s = s[:n]
-	for i := old; i < n; i++ {
-		s[i] = 0
+	return vv
+}
+
+// drop removes active halfspace k and refactors the columns after it.
+func (s *activeSet) drop(hs []Halfspace, k int) {
+	dim := len(s.y)
+	s.n--
+	copy(s.act[k:], s.act[k+1:])
+	copy(s.lam[k:], s.lam[k+1:])
+	for j := k; j < s.n; j++ {
+		qj, col := s.q[j*dim:(j+1)*dim], s.rt[j*dim:(j+1)*dim]
+		copy(qj, hs[s.act[j]].A)
+		col[j] = math.Sqrt(s.orthogonalize(qj, col, j))
+		for i := range qj {
+			qj[i] /= col[j]
+		}
 	}
-	return s
+}
+
+// project computes the Euclidean projection of x onto the region into s.y
+// and returns the distance, +Inf when the region is empty. It is the
+// Goldfarb–Idnani dual active-set method for min ½‖y−x‖² s.t. A·y ≤ B with
+// an identity Hessian: y starts at x and is always the projection of x onto
+// the intersection of the active halfspaces' boundaries, so ‖x−y‖ only grows
+// and each active set is visited once — the loop is finite and its result
+// exact, not a tolerance-limited iterate. Each round takes the most violated
+// halfspace p and moves y along z, the part of p's normal orthogonal to the
+// active normals, until p is tight (p joins the active set) or an active
+// multiplier reaches zero first (that halfspace leaves and the round
+// repeats). When z vanishes and no multiplier can decrease, p's normal is a
+// nonpositive combination of active normals that y cannot satisfy: the
+// region is empty.
+func (r *Region) project(x []float64, s *activeSet) float64 {
+	dim := r.Dim
+	copy(s.y, x)
+	empty := false
+	steps, limit := 0, 8*(len(r.HS)+dim)
+rounds:
+	for {
+		p, v := -1, projFeasTol
+		for _, c := range s.y {
+			v = max(v, projFeasTol*math.Abs(c))
+		}
+		for i := range r.HS {
+			if e := r.HS[i].Eval(s.y); e > v {
+				p, v = i, e
+			}
+		}
+		if p < 0 {
+			break
+		}
+		lamP := 0.0
+		for {
+			if steps++; steps > limit {
+				// Unreachable in exact arithmetic; counted, and asserted zero
+				// by the tests. ‖x−y‖ is still a lower bound on the distance.
+				projectionStalls.Add(1)
+				break rounds
+			}
+			n := s.n
+			z, c := s.q[n*dim:(n+1)*dim], s.rt[n*dim:(n+1)*dim]
+			copy(z, r.HS[p].A)
+			zz := s.orthogonalize(z, c, n)
+			// coef = N⁺·a_p by back-substitution through R: moving t along
+			// −z takes t·coef[i] off lam[i] and adds t to p's multiplier.
+			t, out := math.Inf(1), -1
+			for i := n - 1; i >= 0; i-- {
+				ci := c[i]
+				for j := i + 1; j < n; j++ {
+					ci -= s.rt[j*dim+i] * s.coef[j]
+				}
+				ci /= s.rt[i*dim+i]
+				s.coef[i] = ci
+				if ci > 0 && s.lam[i] < t*ci {
+					t, out = s.lam[i]/ci, i
+				}
+			}
+			if zz > projDepTol && v <= t*zz {
+				t, out = v/zz, -1
+			}
+			if math.IsInf(t, 1) {
+				empty = true
+				break rounds
+			}
+			for i := 0; i < n; i++ {
+				s.lam[i] = max(0, s.lam[i]-t*s.coef[i])
+			}
+			lamP += t
+			for k := range z {
+				s.y[k] -= t * z[k]
+			}
+			if out < 0 {
+				c[n] = math.Sqrt(zz)
+				for k := range z {
+					z[k] /= c[n]
+				}
+				s.act[n], s.lam[n] = p, lamP
+				s.n++
+				break
+			}
+			s.drop(r.HS, out)
+			v = max(0, r.HS[p].Eval(s.y))
+		}
+	}
+	projectionCalls.Add(1)
+	projectionSteps.Add(uint64(steps))
+	if empty {
+		return math.Inf(1)
+	}
+	return Dist(x, s.y)
 }
 
 // Project returns the Euclidean projection of x onto the region and the
-// distance ‖x − proj‖. The region must be nonempty; for the convex cells of
-// a τ-LevelIndex this always holds. It uses Dykstra's algorithm over the
-// halfspaces, which converges to the exact projection onto their
-// intersection (unlike plain cyclic projection).
-//
-// The common ORU fast path — the query point already inside the cell — is
-// answered without any iteration.
+// distance ‖x − proj‖; an empty region has no projection and is at
+// distance +Inf. A point already inside (within PointTol) — the common ORU
+// case — is its own projection at distance exactly zero.
 func (r *Region) Project(x []float64) (proj []float64, dist float64) {
 	if r.ContainsPoint(x, PointTol) {
 		return append([]float64(nil), x...), 0
 	}
-	ps := projPool.Get()
-	defer projPool.Put(ps)
-	cur := r.dykstra(ps, x)
-	return append([]float64(nil), cur...), Dist(x, cur)
-}
-
-// dykstra runs the alternating projection loop on pooled buffers and returns
-// the final iterate (scratch-owned; valid until ps is recycled).
-func (r *Region) dykstra(ps *projScratch, x []float64) []float64 {
-	dim := r.Dim
-	ps.cur = append(ps.cur[:0], x...)
-	cur := ps.cur
-	// Dykstra correction vectors, one per halfspace, flattened to m×dim.
-	ps.corr = growZero(ps.corr[:0], len(r.HS)*dim)
-	corr := ps.corr
-	ps.tmp = growZero(ps.tmp[:0], dim)
-	tmp := ps.tmp
-	cycles := 0
-	for cycle := 0; cycle < dykstraMaxCycles; cycle++ {
-		cycles = cycle + 1
-		moved := 0.0
-		for i, h := range r.HS {
-			if triv, _ := h.Trivial(); triv {
-				continue
-			}
-			ci := corr[i*dim : (i+1)*dim]
-			// y = cur + corr[i]
-			for k := range tmp {
-				tmp[k] = cur[k] + ci[k]
-			}
-			// Project y onto halfspace h: subtract the positive violation
-			// along the (unit) normal.
-			v := h.Eval(tmp)
-			if v > 0 {
-				for k := range tmp {
-					tmp[k] -= v * h.A[k]
-				}
-			}
-			// corr[i] = y_old − proj; cur = proj.
-			for k := range tmp {
-				newCorr := cur[k] + ci[k] - tmp[k]
-				d := tmp[k] - cur[k]
-				moved += d * d
-				ci[k] = newCorr
-				cur[k] = tmp[k]
-			}
-		}
-		if moved < dykstraTol*dykstraTol {
-			break
-		}
+	var fb [projStackFloats]float64
+	var ib [projStackDim]int
+	s := carveActiveSet(r.Dim, fb[:], ib[:])
+	if dist = r.project(x, &s); math.IsInf(dist, 1) {
+		return nil, dist
 	}
-	dykstraCalls.Add(1)
-	dykstraCycles.Add(uint64(cycles))
-	return cur
+	return append([]float64(nil), s.y...), dist
 }
 
 // DistanceTo returns the Euclidean distance from x to the region (zero when
-// x is inside). Unlike Project it does not retain the projection, so the
-// whole computation runs on pooled buffers without heap allocation.
+// x is inside, +Inf when the region is empty). Unlike Project it does not
+// retain the projection, so it does not allocate.
 func (r *Region) DistanceTo(x []float64) float64 {
 	if r.ContainsPoint(x, PointTol) {
 		return 0
 	}
-	ps := projPool.Get()
-	defer projPool.Put(ps)
-	return Dist(x, r.dykstra(ps, x))
+	var fb [projStackFloats]float64
+	var ib [projStackDim]int
+	s := carveActiveSet(r.Dim, fb[:], ib[:])
+	return r.project(x, &s)
 }
 
 // RandomInteriorPoints samples up to k points from the interior of the

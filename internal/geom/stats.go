@@ -11,8 +11,9 @@ var (
 	witnessSettles    atomic.Uint64 // Feasible answered by a cached witness
 	witnessEscapes    atomic.Uint64 // ContainsHalfspace refuted by the witness
 	witnessClassifies atomic.Uint64 // Classify sides settled by the witness
-	dykstraCalls      atomic.Uint64
-	dykstraCycles     atomic.Uint64
+	projectionCalls   atomic.Uint64 // Project / DistanceTo runs past the inside check
+	projectionSteps   atomic.Uint64 // active-set steps those runs took
+	projectionStalls  atomic.Uint64 // runs cut off by the step bound; tests hold it at zero
 )
 
 // WitnessStats returns cumulative witness fast-path hits: Feasible calls
@@ -22,8 +23,9 @@ func WitnessStats() (settles, escapes, classifies uint64) {
 	return witnessSettles.Load(), witnessEscapes.Load(), witnessClassifies.Load()
 }
 
-// DykstraStats returns the number of Dykstra projection runs and the total
-// alternating-projection cycles they consumed.
-func DykstraStats() (calls, cycles uint64) {
-	return dykstraCalls.Load(), dykstraCycles.Load()
+// ProjectionStats returns the number of projections computed (points
+// already inside their region are not counted) and the total active-set
+// steps they took.
+func ProjectionStats() (calls, iterations uint64) {
+	return projectionCalls.Load(), projectionSteps.Load()
 }

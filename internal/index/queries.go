@@ -481,12 +481,14 @@ func (ix *Index) WhyNotCtx(ctx context.Context, focal int32, x []float64, k int)
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		proj, d := ix.RegionInto(id, scratch).Project(x)
+		d := ix.RegionInto(id, scratch).DistanceTo(x)
 		res.Stats.LPCalls++
 		if res.NearestCell < 0 || d < res.NearestDist {
 			res.NearestCell, res.NearestDist = id, d
-			res.NearestPoint = proj
 		}
+	}
+	if res.NearestCell >= 0 {
+		res.NearestPoint, _ = ix.RegionInto(res.NearestCell, scratch).Project(x)
 	}
 	if res.InTopK {
 		res.NearestDist = 0

@@ -3,9 +3,12 @@ package index
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
+	"tlevelindex/datagen"
 	"tlevelindex/internal/geom"
 )
 
@@ -240,5 +243,79 @@ func BenchmarkLocateTopK(b *testing.B) {
 		if err != nil || len(res) != qbTau {
 			b.Fatal("short fast-path answer")
 		}
+	}
+}
+
+// BenchmarkAnalyticFamilies profiles the three families of the load
+// benchmark's `analytic` workload one at a time, on that workload's own
+// index (IND n=8000, d=3, τ=9) and parameter draws: k uniform in 1..τ−1, a
+// uniform simplex point, a 0.03-wide UTK box, m = τ+4 for ORU, a kSPR focal
+// that holds some rank. Beside ns/op it reports the p99, cells visited and
+// LPCalls per query — in ORU, the point-to-cell distances computed — and
+// for ORU the projection kernel's steps per distance. It is the table in
+// EXPERIMENTS.md §"Where analytic's time goes"; no gate reads it.
+func BenchmarkAnalyticFamilies(b *testing.B) {
+	const tau = 9
+	ix, err := Build(datagen.Generate(datagen.IND, 8000, 3, 1), Config{Tau: tau})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var focals []int32
+	seen := make(map[int32]bool)
+	for l := 1; l <= tau; l++ {
+		for _, id := range ix.Levels[l] {
+			if o := ix.Cells[id].Opt; !seen[o] {
+				seen[o] = true
+				focals = append(focals, o)
+			}
+		}
+	}
+	ctx := context.Background()
+	families := []struct {
+		name string
+		run  func(k int, x []float64, focal int32) QueryStats
+	}{
+		{"utk", func(k int, x []float64, _ int32) QueryStats {
+			lo := []float64{max(x[0]-0.015, 0), max(x[1]-0.015, 0)}
+			res, _ := ix.UTKCtx(ctx, k, geom.NewBox(lo, []float64{lo[0] + 0.03, lo[1] + 0.03}))
+			return res.Stats
+		}},
+		{"oru", func(k int, x []float64, _ int32) QueryStats {
+			res, _ := ix.ORUCtx(ctx, k, x, tau+4)
+			return res.Stats
+		}},
+		{"kspr", func(k int, _ []float64, focal int32) QueryStats {
+			res, _ := ix.KSPRCtx(ctx, k, focal)
+			return res.Stats
+		}},
+	}
+	for _, f := range families {
+		b.Run(f.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			xs := datagen.Preferences(datagen.PrefUniform, b.N, 3, 1)
+			ks, fs := make([]int, b.N), make([]int32, b.N)
+			for i := range ks {
+				ks[i], fs[i] = 1+rng.Intn(tau-1), focals[rng.Intn(len(focals))]
+			}
+			lat := make([]time.Duration, b.N)
+			var sum QueryStats
+			calls, steps := geom.ProjectionStats()
+			b.ResetTimer()
+			for i := range lat {
+				start := time.Now()
+				st := f.run(ks[i], geom.Reduce(xs[i]), fs[i])
+				lat[i] = time.Since(start)
+				sum.VisitedCells += st.VisitedCells
+				sum.LPCalls += st.LPCalls
+			}
+			b.StopTimer()
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds()), "p99-us")
+			b.ReportMetric(float64(sum.VisitedCells)/float64(b.N), "visited/op")
+			b.ReportMetric(float64(sum.LPCalls)/float64(b.N), "lpcalls/op")
+			if c, s := geom.ProjectionStats(); c > calls {
+				b.ReportMetric(float64(s-steps)/float64(c-calls), "steps/projection")
+			}
+		})
 	}
 }

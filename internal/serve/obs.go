@@ -31,15 +31,15 @@ var registerProcessGauges = sync.OnceFunc(func() {
 	obs.Default().GaugeFunc("tlx_lp_budget_exhausted_total",
 		"Linear programs that ran out of pivot budget and reported the point reached as optimal.",
 		func() float64 { return float64(lp.BudgetExhausted()) })
-	obs.Default().GaugeFunc("tlx_dykstra_calls_total",
-		"Dykstra projection calls since process start.", func() float64 {
-			calls, _ := geom.DykstraStats()
+	obs.Default().GaugeFunc("tlx_projection_calls_total",
+		"Point-to-cell projections computed since process start.", func() float64 {
+			calls, _ := geom.ProjectionStats()
 			return float64(calls)
 		})
-	obs.Default().GaugeFunc("tlx_dykstra_iterations_total",
-		"Dykstra projection cycles since process start.", func() float64 {
-			_, cycles := geom.DykstraStats()
-			return float64(cycles)
+	obs.Default().GaugeFunc("tlx_projection_iterations_total",
+		"Active-set steps taken by projections since process start.", func() float64 {
+			_, steps := geom.ProjectionStats()
+			return float64(steps)
 		})
 	obs.Default().GaugeFunc("tlx_witness_fastpath_total",
 		"Feasibility checks settled by a cached witness point instead of an LP solve.",

@@ -161,7 +161,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"tlx_lp_solves_total",
 		"tlx_lp_pivots_total",
 		"tlx_lp_budget_exhausted_total",
-		"tlx_dykstra_calls_total",
+		"tlx_projection_calls_total",
+		"tlx_projection_iterations_total",
 		`tlx_witness_fastpath_total{kind="settle"}`,
 		"tlx_runtime_heap_bytes",
 		"tlx_runtime_goroutines",
