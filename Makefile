@@ -54,13 +54,17 @@ bench:
 # alternation is exact-anchored on purpose: several names are prefixes of
 # others (BenchmarkTopK/BenchmarkTopKBatch, BenchmarkKSPR/BenchmarkKSPRBatch,
 # BenchmarkLocate/BenchmarkLocateTopK), so every addition must be spelled
-# out rather than relying on prefix matching.
+# out rather than relying on prefix matching. BenchmarkAnalyticFamilies
+# builds the load benchmark's own index (IND n=8000, d=3, τ=9, ~2 s) and
+# gates the three families of its `analytic` workload on that shape;
+# BenchmarkCellRows is one visit's geometry, from the frozen entry table and
+# assembled.
 bench-smoke: serve-bench recovery-bench ingest-bench
 	$(GO) test -bench . -benchtime 2000x -benchmem -run xxx \
 		./internal/lp ./internal/geom \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_lp.json -out BENCH_lp.json
 	@echo "wrote BENCH_lp.json"
-	$(GO) test -bench '^(BenchmarkKSPR|BenchmarkUTK|BenchmarkORU|BenchmarkTopK|BenchmarkTopKBatch|BenchmarkTopKBatchUniform|BenchmarkKSPRBatch|BenchmarkLocate|BenchmarkLocateTopK)$$' \
+	$(GO) test -bench '^(BenchmarkKSPR|BenchmarkUTK|BenchmarkORU|BenchmarkTopK|BenchmarkTopKBatch|BenchmarkTopKBatchUniform|BenchmarkKSPRBatch|BenchmarkLocate|BenchmarkLocateTopK|BenchmarkCellRows|BenchmarkAnalyticFamilies)$$' \
 		-benchtime 2000x -benchmem -run xxx ./internal/index \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_query.json -out BENCH_query.json
 	@echo "wrote BENCH_query.json"

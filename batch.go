@@ -149,6 +149,8 @@ func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int, strict bool
 	// memo preserves the sharing in the public answer.
 	exported := make(map[*index.KSPRResult]*KSPRResult, len(live))
 	var agg QueryStats
+	buf := rowBufs.Get()
+	defer rowBufs.Put(buf)
 	for j, i := range live {
 		r := res[j]
 		if r == nil {
@@ -161,7 +163,7 @@ func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int, strict bool
 		if !ok {
 			pub = &KSPRResult{Stats: exportStats(r.Stats)}
 			for _, id := range r.Cells {
-				pub.Regions = append(pub.Regions, exportRegion(ix.inner.Region(id)))
+				pub.Regions = append(pub.Regions, exportRegion(ix.inner.RowsInto(id, buf)))
 			}
 			exported[r] = pub
 			agg.VisitedCells += pub.Stats.VisitedCells

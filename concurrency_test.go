@@ -80,7 +80,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	var mu sync.RWMutex
 	var wg sync.WaitGroup
 	ctx := context.Background()
-	readers := 8
+	readers := 10
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -89,7 +89,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				mu.RLock()
 				k := 1 + (i % ix.MaxMaterializedLevel())
-				switch g % 4 {
+				switch g % 5 {
 				case 0:
 					if _, err := ix.TopKContext(ctx, w, k); err != nil {
 						t.Error(err)
@@ -104,6 +104,10 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					}
 				case 3:
 					if _, err := ix.MaxRankContext(ctx, i%40); err != nil {
+						t.Error(err)
+					}
+				case 4: // with UTK, the readers of the frozen entry table
+					if _, err := ix.ORUContext(ctx, k, w, 6); err != nil {
 						t.Error(err)
 					}
 				}

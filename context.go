@@ -153,11 +153,7 @@ func (ix *Index) topK(ctx context.Context, w []float64, k int, strict bool) (*To
 	q := ix.startQuerySpan(ctx, "query.topk")
 	opts, st, err := ix.inner.TopKCtx(ctx, x, k)
 	q.finish(exportStats(st), err)
-	out := &TopKResult{Stats: exportStats(st)}
-	for _, o := range opts {
-		out.Options = append(out.Options, ix.origID(o))
-	}
-	return out, err
+	return &TopKResult{Options: ix.origIDs(opts), Stats: exportStats(st)}, err
 }
 
 // KSPRContext is KSPR with cancellation and strict-depth behavior. On
@@ -183,8 +179,10 @@ func (ix *Index) kspr(ctx context.Context, k, focal int, strict bool) (*KSPRResu
 	if err != nil {
 		return out, err
 	}
+	buf := rowBufs.Get()
+	defer rowBufs.Put(buf)
 	for _, id := range res.Cells {
-		out.Regions = append(out.Regions, exportRegion(ix.inner.Region(id)))
+		out.Regions = append(out.Regions, exportRegion(ix.inner.RowsInto(id, buf)))
 	}
 	return out, nil
 }
@@ -218,15 +216,16 @@ func (ix *Index) utk(ctx context.Context, k int, lo, hi []float64, strict bool) 
 	if err != nil {
 		return out, err
 	}
-	for _, o := range res.Options {
-		out.Options = append(out.Options, ix.origID(o))
+	out.Options = ix.origIDs(res.Options)
+	buf := rowBufs.Get()
+	defer rowBufs.Put(buf)
+	if n := len(res.Partitions); n > 0 { // none stays nil: "partitions":null on the wire
+		out.Partitions = make([]UTKPartition, n)
 	}
-	for _, p := range res.Partitions {
-		part := UTKPartition{Region: exportRegion(ix.inner.Region(p.Cell))}
-		for _, o := range p.TopK {
-			part.TopK = append(part.TopK, ix.origID(o))
-		}
-		out.Partitions = append(out.Partitions, part)
+	for i, p := range res.Partitions {
+		part := &out.Partitions[i]
+		part.Region = exportRegion(ix.inner.RowsInto(p.Cell, buf))
+		part.TopK = ix.origIDs(p.TopK)
 	}
 	return out, nil
 }
@@ -252,11 +251,7 @@ func (ix *Index) oru(ctx context.Context, k int, w []float64, m int, strict bool
 	q := ix.startQuerySpan(ctx, "query.oru")
 	res, err := ix.inner.ORUCtx(ctx, k, x, m)
 	q.finish(exportStats(res.Stats), err)
-	out := &ORUResult{Rho: res.Rho, Stats: exportStats(res.Stats)}
-	for _, o := range res.Options {
-		out.Options = append(out.Options, ix.origID(o))
-	}
-	return out, err
+	return &ORUResult{Options: ix.origIDs(res.Options), Rho: res.Rho, Stats: exportStats(res.Stats)}, err
 }
 
 // MaxRankResult carries a best-achievable-rank answer together with its

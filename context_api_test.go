@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tlevelindex/datagen"
+	"tlevelindex/internal/geom"
 )
 
 // TestMarketShareContextParity: the context-aware variant must return the
@@ -294,5 +295,77 @@ func TestPlainMatchesContext(t *testing.T) {
 		if got, err := batch(fresh); err != nil || !reflect.DeepEqual(got[0].Regions, want.Regions) {
 			t.Errorf("%s(5, [43]): %d regions (err %v), KSPR has %d", name, len(got[0].Regions), err, len(want.Regions))
 		}
+	}
+}
+
+// TestRegionExportFromRows: reported regions are copied out of the cells'
+// bare rows — the values a full geom.Region of the cell holds — at three
+// allocations per UTK partition (its halfspace slice, one coefficient slab
+// every A is a full-capped window of, its TopK) and three per answer (the
+// result, Options, Partitions) beyond what the traversal itself allocates.
+func TestRegionExportFromRows(t *testing.T) {
+	ix, err := Build(datagen.Generate(datagen.IND, 600, 3, 27), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const k = 4
+	lo, hi := []float64{0.2, 0.25}, []float64{0.4, 0.45}
+	res, err := ix.UTKContext(ctx, k, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, _ := ix.inner.UTKCtx(ctx, k, geom.NewBox(lo, hi))
+	parts := len(res.Partitions)
+	if parts < 5 || parts != len(inner.Partitions) {
+		t.Fatalf("%d partitions (traversal: %d), want at least 5", parts, len(inner.Partitions))
+	}
+	check := func(what string, got Region, cell int32) {
+		t.Helper()
+		want := ix.inner.Region(cell).HS
+		if len(got.Halfspaces) != len(want) {
+			t.Fatalf("%s: %d halfspaces, the cell's region has %d", what, len(got.Halfspaces), len(want))
+		}
+		for i, h := range got.Halfspaces {
+			if h.B != want[i].B || !reflect.DeepEqual(h.A, want[i].A) {
+				t.Fatalf("%s: halfspace %d = %v, the cell's region has %v", what, i, h, want[i])
+			}
+			if cap(h.A) != len(h.A) {
+				t.Fatalf("%s: halfspace %d has spare capacity: an append would write into its neighbour", what, i)
+			}
+		}
+	}
+	for i, p := range res.Partitions {
+		check("UTK partition", p.Region, inner.Partitions[i].Cell)
+	}
+	for focal := 0; focal < 20; focal++ {
+		pub, err := ix.KSPRContext(ctx, k, focal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fid := ix.focalID(k, focal)
+		if fid < 0 {
+			continue
+		}
+		cells := ix.inner.KSPR(k, fid).Cells
+		batch, err := ix.KSPRBatchContext(ctx, k, []int{focal})
+		if err != nil || len(pub.Regions) != len(cells) || len(batch[0].Regions) != len(cells) {
+			t.Fatalf("focal %d: %d and %d regions for %d cells (%v)", focal, len(pub.Regions), len(batch[0].Regions), len(cells), err)
+		}
+		for i, id := range cells {
+			check("kSPR region", pub.Regions[i], id)
+			check("kSPR batch region", batch[0].Regions[i], id)
+		}
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race; allocation counts are meaningless")
+	}
+	box := geom.NewBox(lo, hi)
+	traversal := testing.AllocsPerRun(50, func() { ix.inner.UTKCtx(ctx, k, box) })
+	total := testing.AllocsPerRun(50, func() { ix.UTKContext(ctx, k, lo, hi) })
+	// geom.NewBox copies lo and hi: two more that are the public call's own.
+	if export := total - traversal - 2; export > float64(3*parts+3) {
+		t.Fatalf("export allocates %.0f for %d partitions (traversal %.0f of %.0f), want at most 3 per partition and 3 per answer",
+			export, parts, traversal, total)
 	}
 }

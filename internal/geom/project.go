@@ -89,8 +89,8 @@ func (s *activeSet) drop(hs []Halfspace, k int) {
 	}
 }
 
-// project computes the Euclidean projection of x onto the region into s.y
-// and returns the distance, +Inf when the region is empty. It is the
+// project computes the Euclidean projection of x onto the intersection of
+// the rows into s.y and returns the distance, +Inf when it is empty. It is the
 // Goldfarb–Idnani dual active-set method for min ½‖y−x‖² s.t. A·y ≤ B with
 // an identity Hessian: y starts at x and is always the projection of x onto
 // the intersection of the active halfspaces' boundaries, so ‖x−y‖ only grows
@@ -102,19 +102,19 @@ func (s *activeSet) drop(hs []Halfspace, k int) {
 // repeats). When z vanishes and no multiplier can decrease, p's normal is a
 // nonpositive combination of active normals that y cannot satisfy: the
 // region is empty.
-func (r *Region) project(x []float64, s *activeSet) float64 {
-	dim := r.Dim
+func (rs Rows) project(x []float64, s *activeSet) float64 {
+	dim := len(x)
 	copy(s.y, x)
 	empty := false
-	steps, limit := 0, 8*(len(r.HS)+dim)
+	steps, limit := 0, 8*(len(rs)+dim)
 rounds:
 	for {
 		p, v := -1, projFeasTol
 		for _, c := range s.y {
 			v = max(v, projFeasTol*math.Abs(c))
 		}
-		for i := range r.HS {
-			if e := r.HS[i].Eval(s.y); e > v {
+		for i := range rs {
+			if e := rs[i].Eval(s.y); e > v {
 				p, v = i, e
 			}
 		}
@@ -131,7 +131,7 @@ rounds:
 			}
 			n := s.n
 			z, c := s.q[n*dim:(n+1)*dim], s.rt[n*dim:(n+1)*dim]
-			copy(z, r.HS[p].A)
+			copy(z, rs[p].A)
 			zz := s.orthogonalize(z, c, n)
 			// coef = N⁺·a_p by back-substitution through R: moving t along
 			// −z takes t·coef[i] off lam[i] and adds t to p's multiplier.
@@ -170,8 +170,8 @@ rounds:
 				s.n++
 				break
 			}
-			s.drop(r.HS, out)
-			v = max(0, r.HS[p].Eval(s.y))
+			s.drop(rs, out)
+			v = max(0, rs[p].Eval(s.y))
 		}
 	}
 	projectionCalls.Add(1)
@@ -187,13 +187,18 @@ rounds:
 // distance +Inf. A point already inside (within PointTol) — the common ORU
 // case — is its own projection at distance exactly zero.
 func (r *Region) Project(x []float64) (proj []float64, dist float64) {
-	if r.ContainsPoint(x, PointTol) {
+	return Rows(r.HS).Project(x)
+}
+
+// Project is Region.Project over bare rows, in dimension len(x).
+func (rs Rows) Project(x []float64) (proj []float64, dist float64) {
+	if rs.ContainsPoint(x, PointTol) {
 		return append([]float64(nil), x...), 0
 	}
 	var fb [projStackFloats]float64
 	var ib [projStackDim]int
-	s := carveActiveSet(r.Dim, fb[:], ib[:])
-	if dist = r.project(x, &s); math.IsInf(dist, 1) {
+	s := carveActiveSet(len(x), fb[:], ib[:])
+	if dist = rs.project(x, &s); math.IsInf(dist, 1) {
 		return nil, dist
 	}
 	return append([]float64(nil), s.y...), dist
@@ -202,14 +207,17 @@ func (r *Region) Project(x []float64) (proj []float64, dist float64) {
 // DistanceTo returns the Euclidean distance from x to the region (zero when
 // x is inside, +Inf when the region is empty). Unlike Project it does not
 // retain the projection, so it does not allocate.
-func (r *Region) DistanceTo(x []float64) float64 {
-	if r.ContainsPoint(x, PointTol) {
+func (r *Region) DistanceTo(x []float64) float64 { return Rows(r.HS).DistanceTo(x) }
+
+// DistanceTo is Region.DistanceTo over bare rows, in dimension len(x).
+func (rs Rows) DistanceTo(x []float64) float64 {
+	if rs.ContainsPoint(x, PointTol) {
 		return 0
 	}
 	var fb [projStackFloats]float64
 	var ib [projStackDim]int
-	s := carveActiveSet(r.Dim, fb[:], ib[:])
-	return r.project(x, &s)
+	s := carveActiveSet(len(x), fb[:], ib[:])
+	return rs.project(x, &s)
 }
 
 // RandomInteriorPoints samples up to k points from the interior of the

@@ -21,7 +21,7 @@ func kktProject(t testing.TB, reg *Region, x []float64, relative bool) float64 {
 	const feas = 1e-12
 	stalls := projectionStalls.Load()
 	s := carveActiveSet(reg.Dim, nil, nil)
-	d := reg.project(x, &s)
+	d := Rows(reg.HS).project(x, &s)
 	if projectionStalls.Load() != stalls {
 		t.Fatalf("projection of %v hit the step bound (%d halfspaces, dim %d)", x, len(reg.HS), reg.Dim)
 	}

@@ -67,9 +67,8 @@ type Region struct {
 
 	// arena backs the coefficient vectors of halfspaces built in place by
 	// AddPref (and rebased by CopyFrom), so reconstructing a region does not
-	// allocate per halfspace. When a chunk fills up, arenaAlloc abandons it
-	// for a larger one instead of copying — halfspaces already pointing into
-	// the old chunk stay valid. Reset truncates the current chunk.
+	// allocate per halfspace; see arenaAlloc. Reset truncates the current
+	// chunk.
 	arena []float64
 }
 
@@ -159,71 +158,21 @@ func PutRegion(r *Region) { regions.Put(r) }
 // incrementally.
 func (r *Region) Add(hs ...Halfspace) *Region {
 	for _, h := range hs {
-		k := h.key()
-		if r.hasKey(k, h) {
-			continue
-		}
-		r.HS = append(r.HS, h)
-		r.keys = append(r.keys, k)
-		r.hash += mix64(k)
-		if len(r.witness) == r.Dim && r.Dim > 0 {
-			if s := -h.Eval(r.witness); s < r.witnessSlack {
-				r.witnessSlack = s
-			}
-		}
+		r.push(h)
 	}
 	return r
 }
 
-// arenaAlloc returns n fresh float64 slots from the region's arena. When the
-// current chunk is full a larger one is started and the old chunk abandoned
-// (not copied), so coefficient slices handed out earlier remain valid.
-func (r *Region) arenaAlloc(n int) []float64 {
-	if len(r.arena)+n > cap(r.arena) {
-		newCap := 2 * cap(r.arena)
-		if newCap < 64 {
-			newCap = 64
-		}
-		if newCap < n {
-			newCap = n
-		}
-		r.arena = make([]float64, 0, newCap)
-	}
-	s := r.arena[len(r.arena) : len(r.arena)+n : len(r.arena)+n]
-	r.arena = r.arena[:len(r.arena)+n]
-	return s
-}
-
-// AddPref adds H⁺(ri, rj) — the halfspace where option ri scores at least
-// rj — computing its coefficients into the region's arena instead of a fresh
-// allocation. It is bit-for-bit equivalent to Add(PrefHalfspace(ri, rj)):
-// identical normalization order, so hashes, dedup keys, and LP rows match
-// the allocating path exactly. Deduplicated halfspaces roll their arena
-// reservation back.
-func (r *Region) AddPref(ri, rj []float64) *Region {
-	d := len(ri)
-	dim := d - 1
-	last := ri[d-1] - rj[d-1]
-	a := r.arenaAlloc(dim)
-	n := 0.0
-	for k := 0; k < dim; k++ {
-		v := -((ri[k] - rj[k]) - last)
-		a[k] = v
-		n += v * v
-	}
-	n = math.Sqrt(n)
-	b := last
-	if n != 0 {
-		for k := range a {
-			a[k] /= n
-		}
-		b = last / n
-	}
-	h := Halfspace{A: a, B: b}
+// push appends h with its bookkeeping — dedup key, region hash, witness
+// slack — and reports whether it was new to the region.
+func (r *Region) push(h Halfspace) bool {
 	k := h.key()
-	if r.hasKey(k, h) {
-		r.arena = r.arena[:len(r.arena)-dim]
-		return r
+	for i, ki := range r.keys {
+		// Equality is verified on a hash match, so a collision can never
+		// drop a distinct constraint.
+		if ki == k && sameRow(r.HS[i], h) {
+			return false
+		}
 	}
 	r.HS = append(r.HS, h)
 	r.keys = append(r.keys, k)
@@ -233,33 +182,21 @@ func (r *Region) AddPref(ri, rj []float64) *Region {
 			r.witnessSlack = s
 		}
 	}
-	return r
+	return true
 }
 
-// hasKey reports whether a halfspace with key k is already present,
-// verifying actual equality on a hash match so a collision can never drop a
-// distinct constraint.
-func (r *Region) hasKey(k uint64, h Halfspace) bool {
-	for i, ki := range r.keys {
-		if ki != k {
-			continue
-		}
-		e := r.HS[i]
-		if e.B != h.B || len(e.A) != len(h.A) {
-			continue
-		}
-		same := true
-		for j := range e.A {
-			if e.A[j] != h.A[j] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
-		}
+// AddPref adds H⁺(ri, rj) — the halfspace where option ri scores at least
+// rj — computing its coefficients into the region's arena instead of a fresh
+// allocation: RowBuf.AddPref's bare append plus push's bookkeeping, and
+// bit-for-bit equivalent to Add(PrefHalfspace(ri, rj)). Deduplicated
+// halfspaces roll their arena reservation back.
+func (r *Region) AddPref(ri, rj []float64) *Region {
+	dim := len(ri) - 1
+	a := arenaAlloc(&r.arena, dim)
+	if !r.push(Halfspace{A: a, B: prefInto(a, ri, rj)}) {
+		r.arena = r.arena[:len(r.arena)-dim]
 	}
-	return false
+	return r
 }
 
 // Hash returns an order-independent identity of the region's halfspace set.
@@ -285,7 +222,7 @@ func (r *Region) CopyFrom(src *Region) *Region {
 	r.HS = r.HS[:0]
 	r.arena = r.arena[:0]
 	for _, h := range src.HS {
-		a := r.arenaAlloc(len(h.A))
+		a := arenaAlloc(&r.arena, len(h.A))
 		copy(a, h.A)
 		r.HS = append(r.HS, Halfspace{A: a, B: h.B})
 	}
@@ -355,12 +292,7 @@ func (r *Region) WitnessSlack() (x []float64, slack float64, ok bool) {
 
 // ContainsPoint reports whether x satisfies every halfspace within tol.
 func (r *Region) ContainsPoint(x []float64, tol float64) bool {
-	for _, h := range r.HS {
-		if h.Eval(x) > tol {
-			return false
-		}
-	}
-	return true
+	return Rows(r.HS).ContainsPoint(x, tol)
 }
 
 // chebyshevWS builds and solves max t s.t. A_i·x + t ≤ b_i, t ≤ 1 over

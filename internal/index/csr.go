@@ -39,6 +39,18 @@ type flatDAG struct {
 	// entry per reference — freeze-time space traded for query-time
 	// locality. Derived alongside optR.
 	boundR []float64
+	// entryRows is the entry table: the halfspace rows (RowsInto) of every
+	// child of the entry cell, back to back in child-list order, their
+	// coefficient vectors windows of one slab. Those are the cells every UTK
+	// and ORU tests whatever its parameters, and under a partition-based
+	// build they carry far more rows than any cell below them, so they are
+	// assembled once per freeze instead of once per query. Child k's rows are
+	// entryRows[entryOff[k]:entryOff[k+1]], and entryAt[id] is k+1 for that
+	// child's cell id (0, or id past the end, for every other cell). Derived
+	// alongside optR: heap-owned, immutable once built, never serialized.
+	entryRows geom.Rows
+	entryOff  []int32
+	entryAt   []int32
 }
 
 // cellSpans locates one cell's adjacency lists inside the arenas.
@@ -89,7 +101,7 @@ func (ix *Index) freeze() {
 	ix.flat = f
 }
 
-// fillOptR builds the derived per-cell coefficient arena (see flatDAG).
+// fillOptR builds the derived arenas and the entry table (see flatDAG).
 func (f *flatDAG) fillOptR(ix *Index) {
 	d := ix.Dim
 	st := 2*d - 1
@@ -107,6 +119,56 @@ func (f *flatDAG) fillOptR(ix *Index) {
 			sp := f.boundR[e*st : (e+1)*st]
 			sp[0] = geom.SplitCoef(ix.Pts[opt], sp[1:d], sp[d:st])
 		}
+	}
+	// The entry table. It reads the adjacency from f, not through ix — f is
+	// not published yet, and under the loader not validated yet either, so
+	// nothing here may trust more than the range checks: a child of the entry
+	// cell has R = {Opt}, hence no prefix rows, and its bound rows are those
+	// assembleCell adds.
+	if len(f.spans) == 0 {
+		return
+	}
+	dim := ix.RDim()
+	root := &f.spans[ix.Root()]
+	kids := f.children[root.childOff : root.childOff+root.childLen]
+	// A child has its simplex rows and at most one row per bounding option;
+	// sized for that, neither the rows nor their coefficient slab ever move.
+	total := 0
+	for _, ch := range kids {
+		if n := int(f.spans[ch].boundLen); n >= 0 {
+			total += dim + 1 + n
+		} else {
+			total += dim + len(ix.Pts)
+		}
+	}
+	f.entryRows = make(geom.Rows, 0, total)
+	coef := make([]float64, 0, total*dim)
+	f.entryOff = make([]int32, 1, len(kids)+1)
+	var buf geom.RowBuf
+	for k, ch := range kids {
+		buf.Reset(dim)
+		if o := ix.Cells[ch].Opt; o >= 0 {
+			if s := &f.spans[ch]; s.boundLen >= 0 {
+				for _, b := range f.bounds[s.boundOff : s.boundOff+s.boundLen] {
+					buf.AddPref(ix.Pts[o], ix.Pts[b])
+				}
+			} else {
+				for j := range ix.Pts {
+					if int32(j) != o {
+						buf.AddPref(ix.Pts[o], ix.Pts[j])
+					}
+				}
+			}
+		}
+		for _, h := range buf.Rows {
+			coef = append(coef, h.A...)
+			f.entryRows = append(f.entryRows, geom.Halfspace{A: coef[len(coef)-dim : len(coef) : len(coef)], B: h.B})
+		}
+		f.entryOff = append(f.entryOff, int32(len(f.entryRows)))
+		if int(ch) >= len(f.entryAt) {
+			f.entryAt = append(f.entryAt, make([]int32, int(ch)+1-len(f.entryAt))...)
+		}
+		f.entryAt[ch] = int32(k + 1)
 	}
 }
 

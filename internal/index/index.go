@@ -277,31 +277,68 @@ var rsetScratch = pool.NewScratch(func() *[]int32 {
 // exact order of the allocating path, so region hashes and LP behavior are
 // unchanged.
 func (ix *Index) regionIntoBuf(id int32, reg *geom.Region, buf *[]int32) *geom.Region {
+	return assembleCell(ix, id, reg, buf)
+}
+
+// RowsInto returns the cell's halfspace rows — RegionInto(id, …).HS: same
+// rows, same order, same bits — without building a Region. The children of
+// Root() are served from the frozen entry table (shared and immutable, buf
+// untouched); any other cell is assembled into buf, and the result is valid
+// until buf's next use.
+func (ix *Index) RowsInto(id int32, buf *geom.RowBuf) geom.Rows {
+	rset := rsetScratch.Get()
+	defer rsetScratch.Put(rset)
+	return ix.rowsIntoBuf(id, buf, rset)
+}
+
+// rowsIntoBuf is RowsInto with an explicit result-set scratch buffer. With
+// the index thawed there is no table, and every cell is assembled.
+func (ix *Index) rowsIntoBuf(id int32, buf *geom.RowBuf, rset *[]int32) geom.Rows {
+	if f := ix.flat; f != nil && int(id) < len(f.entryAt) {
+		if k := f.entryAt[id]; k > 0 {
+			return f.entryRows[f.entryOff[k-1]:f.entryOff[k]:f.entryOff[k]]
+		}
+	}
+	return assembleCell(ix, id, buf, rset).Rows
+}
+
+// cellSink is what assembleCell builds a cell's halfspaces in: a full
+// *geom.Region for the builders and the LP-backed predicates, a bare
+// *geom.RowBuf for everything that only evaluates rows at points.
+type cellSink[T any] interface {
+	Reset(dim int)
+	AddPref(ri, rj []float64) T
+}
+
+// assembleCell resets sink and adds the cell's halfspaces to it: prefix
+// (each higher-ranked option beats Opt), then bound (Opt beats each bounding
+// option, or every option outside R under the Definition-2 bound).
+func assembleCell[T cellSink[T]](ix *Index, id int32, sink T, buf *[]int32) T {
 	c := &ix.Cells[id]
-	reg.Reset(ix.RDim())
+	sink.Reset(ix.RDim())
 	if c.Opt == NoOption {
-		return reg
+		return sink
 	}
 	r := ix.resultSetInto(id, *buf)
 	*buf = r
 	opt := ix.Pts[c.Opt]
 	for _, j := range r[:len(r)-1] {
-		reg.AddPref(ix.Pts[j], opt) // S_j >= S_opt
+		sink.AddPref(ix.Pts[j], opt) // S_j >= S_opt
 	}
 	if bound, isNil := ix.boundOf(id); !isNil {
 		for _, b := range bound {
-			reg.AddPref(opt, ix.Pts[b]) // S_opt >= S_b
+			sink.AddPref(opt, ix.Pts[b]) // S_opt >= S_b
 		}
-		return reg
+		return sink
 	}
 	// Definition-2 bound: every option outside R. R has at most
 	// MaxMaterializedLevel entries, so a linear scan beats a lookup set.
 	for j := int32(0); int(j) < len(ix.Pts); j++ {
 		if !containsID(r, j) {
-			reg.AddPref(opt, ix.Pts[j])
+			sink.AddPref(opt, ix.Pts[j])
 		}
 	}
-	return reg
+	return sink
 }
 
 func containsID(s []int32, v int32) bool {

@@ -161,16 +161,23 @@ func (ix *Index) UTKCtx(ctx context.Context, k int, box geom.Box) (*UTKResult, e
 				if err := checkCtx(ctx, res.Stats.VisitedCells); err != nil {
 					return res, err
 				}
-				reg := ix.regionIntoBuf(ch, qs.reg, &qs.rset)
+				// Most visits are settled on the cell's bare rows: a row that
+				// excludes the whole box (which no sample could then satisfy),
+				// or a sample inside every row. Only what is left pays for a
+				// Region and its LP.
+				rows := ix.cellRows(ch, qs)
+				if separatedFromBox(rows, box) {
+					continue
+				}
 				hit := false
 				for _, s := range samples {
-					if reg.ContainsPoint(s, -1e-9) {
+					if rows.ContainsPoint(s, -1e-9) {
 						hit = true
 						break
 					}
 				}
-				if !hit && !separatedFromBox(reg, box) {
-					reg.Add(boxHS...)
+				if !hit {
+					reg := ix.regionIntoBuf(ch, qs.reg, &qs.rset).Add(boxHS...)
 					res.Stats.LPCalls++
 					hit = reg.Feasible()
 				}
@@ -206,11 +213,11 @@ func (ix *Index) UTKCtx(ctx context.Context, k int, box geom.Box) (*UTKResult, e
 	return res, nil
 }
 
-// separatedFromBox reports whether one of the region's halfspaces excludes
+// separatedFromBox reports whether one of the cell's halfspaces excludes
 // the entire box (closed-form minimum over box corners): a sound, cheap
 // proof that cell and box are disjoint.
-func separatedFromBox(reg *geom.Region, box geom.Box) bool {
-	for _, h := range reg.HS {
+func separatedFromBox(rows geom.Rows, box geom.Box) bool {
+	for _, h := range rows {
 		min := -h.B
 		for j, a := range h.A {
 			if a >= 0 {
@@ -329,7 +336,7 @@ func (ix *Index) ORUCtx(ctx context.Context, k int, x []float64, m int) (*ORURes
 	for len(h) > 0 && len(res.Options) < m {
 		e, h = oruPop(h)
 		if !e.exact {
-			d := ix.regionIntoBuf(e.cell, qs.reg, &qs.rset).DistanceTo(x)
+			d := ix.cellRows(e.cell, qs).DistanceTo(x)
 			res.Stats.LPCalls++
 			h = oruPush(h, oruEntry{cell: e.cell, dist: d, exact: true})
 			continue
@@ -355,7 +362,7 @@ func (ix *Index) ORUCtx(ctx context.Context, k int, x []float64, m int) (*ORURes
 				continue
 			}
 			qs.visited.set(ch)
-			lb := maxViolation(ix.regionIntoBuf(ch, qs.reg, &qs.rset), x)
+			lb := maxViolation(ix.cellRows(ch, qs), x)
 			h = oruPush(h, oruEntry{cell: ch, dist: lb})
 		}
 	}
@@ -389,9 +396,9 @@ func (ix *Index) TopKCtx(ctx context.Context, x []float64, k int) ([]int32, Quer
 	return out, st, err
 }
 
-func maxViolation(reg *geom.Region, x []float64) float64 {
+func maxViolation(rows geom.Rows, x []float64) float64 {
 	worst := 0.0
-	for _, h := range reg.HS {
+	for _, h := range rows {
 		if v := h.Eval(x); v > worst {
 			worst = v
 		}
@@ -475,20 +482,20 @@ func (ix *Index) WhyNotCtx(ctx context.Context, focal int32, x []float64, k int)
 	if err != nil {
 		return res, err
 	}
-	scratch := geom.GetRegion()
-	defer geom.PutRegion(scratch)
+	qs := getScratch(ix.RDim())
+	defer putScratch(qs)
 	for _, id := range kspr.Cells {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		d := ix.RegionInto(id, scratch).DistanceTo(x)
+		d := ix.cellRows(id, qs).DistanceTo(x)
 		res.Stats.LPCalls++
 		if res.NearestCell < 0 || d < res.NearestDist {
 			res.NearestCell, res.NearestDist = id, d
 		}
 	}
 	if res.NearestCell >= 0 {
-		res.NearestPoint, _ = ix.RegionInto(res.NearestCell, scratch).Project(x)
+		res.NearestPoint, _ = ix.cellRows(res.NearestCell, qs).Project(x)
 	}
 	if res.InTopK {
 		res.NearestDist = 0
@@ -540,15 +547,15 @@ func (ix *Index) MonoRTopKCtx(ctx context.Context, k int, focal int32) ([]Interv
 		return nil, st, err
 	}
 	segs := make([]Interval, 0, len(res.Cells))
-	scratch := geom.GetRegion()
-	defer geom.PutRegion(scratch)
+	qs := getScratch(ix.RDim())
+	defer putScratch(qs)
 	for _, id := range res.Cells {
 		if err := ctx.Err(); err != nil {
 			return nil, st, err
 		}
-		reg := ix.RegionInto(id, scratch)
-		lo, _ := reg.Project([]float64{-1})
-		hi, _ := reg.Project([]float64{2})
+		rows := ix.cellRows(id, qs)
+		lo, _ := rows.Project([]float64{-1})
+		hi, _ := rows.Project([]float64{2})
 		segs = append(segs, Interval{Lo: lo[0], Hi: hi[0]})
 	}
 	sort.Slice(segs, func(a, b int) bool { return segs[a].Lo < segs[b].Lo })

@@ -112,6 +112,35 @@ func BenchmarkORU(b *testing.B) {
 	}
 }
 
+// BenchmarkCellRows is one visit's geometry: "entry" the children of the
+// entry cell, whose rows are a window of the frozen entry table, "deep" the
+// level-τ cells, assembled into the query scratch. Neither allocates.
+func BenchmarkCellRows(b *testing.B) {
+	ix := queryBenchIndex(b)
+	qs := getScratch(ix.RDim())
+	defer putScratch(qs)
+	for _, c := range []struct {
+		name string
+		ids  []int32
+	}{{"entry", ix.childrenOf(ix.Root())}, {"deep", ix.Levels[qbTau]}} {
+		b.Run(c.name, func(b *testing.B) {
+			first := ix.cellRows(c.ids[0], qs)
+			if table := &first[0] == &ix.flat.entryRows[0]; table != (c.name == "entry") {
+				b.Fatalf("rows served from the entry table: %v", table)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				n += len(ix.cellRows(c.ids[i%len(c.ids)], qs))
+			}
+			if n < b.N*(ix.RDim()+1) {
+				b.Fatal("cells without their simplex rows")
+			}
+		})
+	}
+}
+
 func BenchmarkTopK(b *testing.B) {
 	ix := queryBenchIndex(b)
 	pts := qbPoints(64, qbD-1)
@@ -253,7 +282,7 @@ func BenchmarkLocateTopK(b *testing.B) {
 // that holds some rank. Beside ns/op it reports the p99, cells visited and
 // LPCalls per query — in ORU, the point-to-cell distances computed — and
 // for ORU the projection kernel's steps per distance. It is the table in
-// EXPERIMENTS.md §"Where analytic's time goes"; no gate reads it.
+// EXPERIMENTS.md §"Where analytic's time goes", and bench-smoke gates it.
 func BenchmarkAnalyticFamilies(b *testing.B) {
 	const tau = 9
 	ix, err := Build(datagen.Generate(datagen.IND, 8000, 3, 1), Config{Tau: tau})

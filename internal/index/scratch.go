@@ -9,7 +9,8 @@ import (
 
 // queryScratch is the per-query working memory of the traversals in
 // queries.go: visited/option bitsets, frontier stacks, the ORU heap backing
-// array, a region scratch, and the probe-point buffers of UTK. One scratch
+// array, a row buffer for the visited cell's halfspaces, a region scratch for
+// the visits that reach an LP, and the probe-point buffers of UTK. One scratch
 // serves one query at a time; the pool hands each concurrent query its own,
 // so steady-state queries at k ≤ MaxMaterializedLevel allocate nothing (or
 // O(result) for the answer itself).
@@ -21,7 +22,8 @@ type queryScratch struct {
 	frontB  []int32
 	heap    []oruEntry
 	opts    []int32
-	rset    []int32 // result-set buffer threaded through regionIntoBuf
+	rset    []int32 // result-set buffer threaded through cellRows/regionIntoBuf
+	rows    geom.RowBuf
 	reg     *geom.Region
 
 	// UTK probe machinery: sample points and box halfspaces, both backed by
@@ -44,6 +46,12 @@ func getScratch(dim int) *queryScratch {
 }
 
 func putScratch(qs *queryScratch) { queryScratchPool.Put(qs) }
+
+// cellRows returns the cell's halfspace rows (see RowsInto) over the
+// scratch's buffers: valid until the next cellRows on qs.
+func (ix *Index) cellRows(id int32, qs *queryScratch) geom.Rows {
+	return ix.rowsIntoBuf(id, &qs.rows, &qs.rset)
+}
 
 // bitset is a fixed-size bit vector over small int32 ids.
 type bitset []uint64

@@ -380,9 +380,7 @@ type errorBody struct {
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // headers are out; nothing useful to do on failure
+	_ = json.NewEncoder(w).Encode(v) // headers are out; nothing useful to do on failure
 }
 
 func badRequest(w http.ResponseWriter, format string, args ...interface{}) {

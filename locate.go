@@ -75,9 +75,5 @@ func (ix *Index) LocateTopK(ctx context.Context, w []float64, k int) (CellKey, i
 	q := ix.startQuerySpan(ctx, "query.locatetopk")
 	h, level, res, st, err := ix.inner.LocateTopK(ctx, x, k, nil)
 	q.finish(exportStats(st), err)
-	out := &TopKResult{Stats: exportStats(st)}
-	for _, o := range res {
-		out.Options = append(out.Options, ix.origID(o))
-	}
-	return CellKey{h: h}, level, out, err
+	return CellKey{h: h}, level, &TopKResult{Options: ix.origIDs(res), Stats: exportStats(st)}, err
 }

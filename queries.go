@@ -5,6 +5,7 @@ import (
 
 	"tlevelindex/internal/geom"
 	"tlevelindex/internal/index"
+	"tlevelindex/internal/pool"
 )
 
 // Halfspace is the closed set {x : A·x ≤ B} in reduced preference
@@ -50,13 +51,24 @@ func (r Region) Contains(x []float64) bool {
 	return true
 }
 
-func exportRegion(reg *geom.Region) Region {
-	out := Region{Halfspaces: make([]Halfspace, 0, len(reg.HS))}
-	for _, h := range reg.HS {
-		out.Halfspaces = append(out.Halfspaces, Halfspace{
-			A: append([]float64(nil), h.A...),
-			B: h.B,
-		})
+// rowBufs recycles the buffers reported cells' rows are assembled in on their
+// way to exportRegion.
+var rowBufs = pool.NewScratch(func() *geom.RowBuf { return &geom.RowBuf{} })
+
+// exportRegion copies a cell's rows into a caller-owned Region: one
+// Halfspace slice over one coefficient slab, each A a full-capped window of
+// it.
+func exportRegion(rows geom.Rows) Region {
+	out := Region{Halfspaces: make([]Halfspace, len(rows))}
+	if len(rows) == 0 {
+		return out
+	}
+	dim := len(rows[0].A)
+	slab := make([]float64, len(rows)*dim)
+	for i, h := range rows {
+		a := slab[i*dim : (i+1)*dim : (i+1)*dim]
+		copy(a, h.A)
+		out.Halfspaces[i] = Halfspace{A: a, B: h.B}
 	}
 	return out
 }

@@ -384,6 +384,19 @@ func (ix *Index) filteredID(orig int) int32 {
 
 func (ix *Index) origID(fid int32) int { return ix.inner.OrigIDs[fid] }
 
+// origIDs maps filtered ids to dataset indices in one allocation; no ids
+// give nil, as appending them one by one would.
+func (ix *Index) origIDs(fids []int32) []int {
+	if len(fids) == 0 {
+		return nil
+	}
+	out := make([]int, len(fids))
+	for i, fid := range fids {
+		out[i] = ix.origID(fid)
+	}
+	return out
+}
+
 // reduce validates a full weight vector and returns reduced coordinates.
 // Every validation failure wraps ErrInvalidWeights.
 func (ix *Index) reduce(w []float64) ([]float64, error) {
@@ -504,9 +517,5 @@ func (ix *Index) ExtendTau(newTau int) error {
 // the corresponding skyline or onion-layer answer: level 1 is exactly the
 // set of options that can be top-1.
 func (ix *Index) LevelOptions(l int) []int {
-	var out []int
-	for _, fid := range ix.inner.LevelOptions(l) {
-		out = append(out, ix.origID(fid))
-	}
-	return out
+	return ix.origIDs(ix.inner.LevelOptions(l))
 }
