@@ -49,10 +49,8 @@ bench:
 # sub-microsecond rows reach steady state (caches and branch predictors
 # warm) while the ORU row still finishes in ~1s; at 1x the LP file recorded
 # its pooled "workspace" row 6x slower than the allocating "wrapper" beside
-# it, and at 100x the batch-vs-single top-k comparison was measuring
-# cold-start noise, not the traversal sharing it gates. The query
-# alternation is exact-anchored on purpose: several names are prefixes of
-# others (BenchmarkTopK/BenchmarkTopKBatch, BenchmarkKSPR/BenchmarkKSPRBatch,
+# it. The query alternation is exact-anchored on purpose: several names are
+# prefixes of others (BenchmarkKSPR/BenchmarkKSPRBatch,
 # BenchmarkLocate/BenchmarkLocateTopK), so every addition must be spelled
 # out rather than relying on prefix matching. BenchmarkAnalyticFamilies
 # builds the load benchmark's own index (IND n=8000, d=3, τ=9, ~2 s) and
@@ -64,7 +62,7 @@ bench-smoke: serve-bench recovery-bench ingest-bench
 		./internal/lp ./internal/geom \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_lp.json -out BENCH_lp.json
 	@echo "wrote BENCH_lp.json"
-	$(GO) test -bench '^(BenchmarkKSPR|BenchmarkUTK|BenchmarkORU|BenchmarkTopK|BenchmarkTopKBatch|BenchmarkTopKBatchUniform|BenchmarkKSPRBatch|BenchmarkLocate|BenchmarkLocateTopK|BenchmarkCellRows|BenchmarkAnalyticFamilies)$$' \
+	$(GO) test -bench '^(BenchmarkKSPR|BenchmarkUTK|BenchmarkORU|BenchmarkTopK|BenchmarkKSPRBatch|BenchmarkLocate|BenchmarkLocateTopK|BenchmarkCellRows|BenchmarkAnalyticFamilies)$$' \
 		-benchtime 2000x -benchmem -run xxx ./internal/index \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_query.json -out BENCH_query.json
 	@echo "wrote BENCH_query.json"

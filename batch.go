@@ -7,13 +7,12 @@ import (
 	"tlevelindex/internal/index"
 )
 
-// Batched query entry points. A batch carries many preference vectors
-// through one shared index traversal (see DESIGN.md §18): vectors that
-// descend through the same cells share the child fetches and scoring kernel
-// calls, so clustered traffic — many users with similar preferences — costs
-// far less than the same queries issued one at a time. Every per-item
-// observable (options, rank order, stats, chain key, reached level) is
-// identical to running the corresponding single-query method per item.
+// Batched query entry points. A batch answers many queries in one call —
+// one lock decision for a serving tier, one round trip, per-item errors —
+// by running the single-query walk per item (see DESIGN.md §18), so every
+// per-item observable (options, rank order, stats, chain key, reached
+// level) is the corresponding single-query method's. It is not a faster
+// traversal: per item it costs what the single query does.
 //
 // Input validation is two-tier: conditions that apply to the whole batch
 // (k < 1, strict depth) fail the call, while a malformed weight vector
@@ -38,18 +37,20 @@ type TopKBatchItem struct {
 	Err error
 }
 
-// TopKBatch answers a top-k query for every weight vector in ws through one
-// shared traversal. With k ≤ τ it is a pure lookup; deeper k extends the
-// index on demand (best-effort over the filtered pool when no full dataset
-// is held, like TopK).
+// TopKBatch answers a top-k query for every weight vector in ws, each
+// through the TopK walk. With k ≤ τ it is a pure lookup; deeper k extends
+// the index on demand (best-effort over the filtered pool when no full
+// dataset is held, like TopK).
 func (ix *Index) TopKBatch(ws [][]float64, k int) ([]TopKBatchItem, error) {
 	return ix.topKBatch(context.Background(), ws, k, false)
 }
 
 // TopKBatchContext is TopKBatch with cancellation and strict-depth behavior
-// (see the context.go conventions). On cancellation it returns ctx's error
-// together with the items, each carrying the ranks resolved before the
-// abandonment and the stats accumulated so far.
+// (see the context.go conventions). Items are walked in order. On
+// cancellation it returns ctx's error together with the items: those walked
+// before the cancellation hold their full answers, the item being walked
+// holds the ranks it resolved and its stats so far, and later items hold
+// Level 0, no options and zero stats.
 func (ix *Index) TopKBatchContext(ctx context.Context, ws [][]float64, k int) ([]TopKBatchItem, error) {
 	return ix.topKBatch(ctx, ws, k, true)
 }
@@ -62,25 +63,12 @@ func (ix *Index) topKBatch(ctx context.Context, ws [][]float64, k int, strict bo
 		return nil, err
 	}
 	items := make([]TopKBatchItem, len(ws))
-	dim := ix.inner.RDim()
-	// Malformed vectors are dropped from the walk (their items carry the
-	// validation error); the survivors run as one dense batch.
-	flat := make([]float64, 0, len(ws)*dim)
-	live := make([]int, 0, len(ws))
-	for i, w := range ws {
-		x, err := ix.reduce(w)
-		if err != nil {
-			items[i].Err = err
-			continue
-		}
-		flat = append(flat, x...)
-		live = append(live, i)
-	}
+	xs, live := ix.reduceBatch(ws, func(i int, err error) { items[i].Err = err })
 	if len(live) == 0 {
 		return items, nil
 	}
 	q := ix.startQuerySpan(ctx, "query.topkbatch")
-	bt, err := ix.inner.TopKBatchFlatCtx(ctx, flat, len(live), k, true)
+	bt, err := ix.inner.TopKBatchCtx(ctx, xs, k, true)
 	var agg QueryStats
 	for j, i := range live {
 		it := &items[i]
@@ -188,23 +176,12 @@ type LocateBatchItem struct {
 }
 
 // LocateBatch computes the cell-chain identity of every weight vector in ws
-// at depth k through one shared traversal — the batched form of
-// LocateDepth. Like Locate it is a pure lookup: the depth is clamped to the
-// materialized levels and the index is never extended, so it is safe for
-// concurrent use with other read-only queries.
+// at depth k — LocateDepth per item. Like Locate it is a pure lookup: the
+// depth is clamped to the materialized levels and the index is never
+// extended, so it is safe for concurrent use with other read-only queries.
 func (ix *Index) LocateBatch(ws [][]float64, k int) []LocateBatchItem {
 	items := make([]LocateBatchItem, len(ws))
-	xs := make([][]float64, 0, len(ws))
-	live := make([]int, 0, len(ws))
-	for i, w := range ws {
-		x, err := ix.reduce(w)
-		if err != nil {
-			items[i].Err = err
-			continue
-		}
-		xs = append(xs, x)
-		live = append(live, i)
-	}
+	xs, live := ix.reduceBatch(ws, func(i int, err error) { items[i].Err = err })
 	if len(live) == 0 {
 		return items
 	}
@@ -214,4 +191,22 @@ func (ix *Index) LocateBatch(ws [][]float64, k int) []LocateBatchItem {
 		items[i].Level = levels[j]
 	}
 	return items
+}
+
+// reduceBatch reduces every weight vector in ws, reporting each malformed
+// one to reject: it returns the valid items' reduced vectors and their
+// positions in ws.
+func (ix *Index) reduceBatch(ws [][]float64, reject func(i int, err error)) (xs [][]float64, live []int) {
+	xs = make([][]float64, 0, len(ws))
+	live = make([]int, 0, len(ws))
+	for i, w := range ws {
+		x, err := ix.reduce(w)
+		if err != nil {
+			reject(i, err)
+			continue
+		}
+		xs = append(xs, x)
+		live = append(live, i)
+	}
+	return xs, live
 }

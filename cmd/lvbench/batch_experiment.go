@@ -12,11 +12,11 @@ import (
 // experiment runs ("uniform", "clustered", "correlated", or "all").
 var distFlag string
 
-// expBatch measures batched top-k execution against one-query-at-a-time
-// execution over the same preference stream (DESIGN.md §18). The workload
-// distribution is the experiment's real variable: batching pays off through
-// shared traversal prefixes, so clustered streams — a few dominant taste
-// profiles — amortize far better than uniform ones.
+// expBatch measures the public batch API against one-query-at-a-time
+// execution over the same preference stream (DESIGN.md §18). A batch runs
+// the single-query walk per item, so expect parity whatever the preference
+// distribution: the ratio shows the batch wrapper's own cost, not a shared
+// traversal.
 func expBatch(sc scale) {
 	data := datagen.Generate(datagen.IND, sc.defaultN, sc.defaultD, 1)
 	ix, _ := buildTimed(data, sc.queryTau, tlx.PBAPlus)

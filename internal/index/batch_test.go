@@ -219,40 +219,46 @@ func TestKSPRBatchMatchesSingle(t *testing.T) {
 }
 
 // TestTopKBatchCancellation: a mid-batch cancellation surfaces the context
-// error plus per-item partial results, each a prefix of the full answer.
+// error with per-item partials. Items are walked in order, so the items
+// before the one that saw the cancellation hold their full answers, that
+// item holds a prefix of its answer, and every later item is left zero.
 func TestTopKBatchCancellation(t *testing.T) {
 	ix := batchFixture(t, 130, 150, 3, 4)
 	rng := rand.New(rand.NewSource(131))
 	pts := batchPoints(rng, 32, ix.RDim())
-	full, err := ix.TopKBatchCtx(context.Background(), pts, 4, false)
+	full, err := ix.TopKBatchCtx(context.Background(), pts, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The walk polls once per popped run: limit 2 lets the first runs
-	// resolve and trips early, so at least some items hold a short prefix.
-	ctx := &trippingCtx{Context: context.Background(), limit: 2}
-	part, err := ix.TopKBatchCtx(ctx, pts, 4, false)
+	// Every item polls on its first visit, so the tenth poll trips within
+	// the first ten items and leaves later ones unwalked.
+	ctx := &trippingCtx{Context: context.Background(), limit: 10}
+	part, err := ix.TopKBatchCtx(ctx, pts, 4, true)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	short := 0
-	for i := range pts {
-		n := len(part.Outs[i])
-		if n < 4 {
-			short++
-		}
-		if !slices.Equal(part.Outs[i], full.Outs[i][:n]) {
-			t.Fatalf("item %d: partial %v is not a prefix of full %v", i, part.Outs[i], full.Outs[i])
-		}
-		if part.Levels[i] != n {
-			t.Fatalf("item %d: partial level %d != len(out) %d", i, part.Levels[i], n)
-		}
-		if part.Stats[i].VisitedCells > full.Stats[i].VisitedCells {
-			t.Fatalf("item %d: partial stats exceed full", i)
-		}
+	trip := 0
+	for trip < len(pts) && slices.Equal(part.Outs[trip], full.Outs[trip]) &&
+		part.Levels[trip] == full.Levels[trip] && part.Stats[trip] == full.Stats[trip] &&
+		part.Keys[trip] == full.Keys[trip] {
+		trip++
 	}
-	if short == 0 {
-		t.Fatal("cancellation produced no partial items; the trip point is wrong")
+	if trip == 0 || trip >= len(pts)-1 {
+		t.Fatalf("trip at item %d of %d, want one strictly inside the batch", trip, len(pts))
+	}
+	n := len(part.Outs[trip])
+	if n >= 4 || !slices.Equal(part.Outs[trip], full.Outs[trip][:n]) || part.Levels[trip] != n {
+		t.Fatalf("tripping item %d: partial %v at level %d is not a proper prefix of %v",
+			trip, part.Outs[trip], part.Levels[trip], full.Outs[trip])
+	}
+	if v := part.Stats[trip].VisitedCells; v < 1 || v > full.Stats[trip].VisitedCells {
+		t.Fatalf("tripping item %d: %d visits, want 1..%d", trip, v, full.Stats[trip].VisitedCells)
+	}
+	for i := trip + 1; i < len(pts); i++ {
+		if part.Levels[i] != 0 || len(part.Outs[i]) != 0 || part.Stats[i] != (QueryStats{}) {
+			t.Fatalf("item %d after the trip: level %d, options %v, stats %+v; want all zero",
+				i, part.Levels[i], part.Outs[i], part.Stats[i])
+		}
 	}
 }
 
@@ -264,10 +270,9 @@ func TestTopKBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestBatchSteadyStateAllocs pins the amortized allocation behavior: a
-// batch allocates its answer arrays (a handful of slices for the whole
-// batch) and nothing per level or per visited cell, so per-item allocations
-// stay well under 1.
+// TestBatchSteadyStateAllocs pins the allocation behavior: a top-k batch
+// allocates its answer arrays (a handful of slices for the whole batch,
+// however many items) and nothing per item, level or visited cell.
 func TestBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts at random; the pin runs in the non-race test pass")
@@ -275,12 +280,7 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 	ix := batchFixture(t, 150, 120, 3, 4)
 	rng := rand.New(rand.NewSource(151))
 	const nq = 64
-	pts := batchPoints(rng, nq, ix.RDim())
-	dim := ix.RDim()
-	flat := make([]float64, 0, nq*dim)
-	for _, x := range pts {
-		flat = append(flat, x...)
-	}
+	pts := batchPoints(rng, 512, ix.RDim())
 	focals := make([]int32, nq)
 	base := qbFocalsT(t, ix, 8)
 	for i := range focals {
@@ -290,11 +290,16 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 
 	cases := []struct {
 		name string
-		max  float64 // per batch of 64 items
+		max  float64 // per batch
 		run  func()
 	}{
-		{"TopKBatchFlatCtx", 8, func() {
-			if _, err := ix.TopKBatchFlatCtx(ctx, flat, nq, 4, true); err != nil {
+		{"TopKBatchCtx_n64", 8, func() {
+			if _, err := ix.TopKBatchCtx(ctx, pts[:nq], 4, true); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"TopKBatchCtx_n512", 8, func() {
+			if _, err := ix.TopKBatchCtx(ctx, pts, 4, true); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -23,22 +23,6 @@ type flatDAG struct {
 	children []int32
 	parents  []int32
 	bounds   []int32
-	// optR packs each cell's winning option's coordinate row at
-	// optR[id*d : (id+1)*d] — a derived, heap-owned copy of the Pts rows in
-	// cell-id order. Batched traversal resolves candidate coefficients from
-	// it with one dense read instead of the Cells→Opt→Pts pointer chase,
-	// and sibling cells (allocated together) land on adjacent rows. Never
-	// serialized; rebuilt whenever the flat form is.
-	optR []float64
-	// boundR packs, aligned entry-for-entry with the children arena, each
-	// child cell's option row in the sign-split bound form of
-	// geom.ScoreRangeSplit — [b, pos₀..pos_{d−2}, neg₀..neg_{d−2}] at
-	// stride 2d−1. The batch walk's interval bounds over one parent's
-	// children then stream a single contiguous block with no per-child
-	// indirection. A cell with multiple parents contributes one (repeated)
-	// entry per reference — freeze-time space traded for query-time
-	// locality. Derived alongside optR.
-	boundR []float64
 	// entryRows is the entry table: the halfspace rows (RowsInto) of every
 	// child of the entry cell, back to back in child-list order, their
 	// coefficient vectors windows of one slab. Those are the cells every UTK
@@ -46,8 +30,8 @@ type flatDAG struct {
 	// build they carry far more rows than any cell below them, so they are
 	// assembled once per freeze instead of once per query. Child k's rows are
 	// entryRows[entryOff[k]:entryOff[k+1]], and entryAt[id] is k+1 for that
-	// child's cell id (0, or id past the end, for every other cell). Derived
-	// alongside optR: heap-owned, immutable once built, never serialized.
+	// child's cell id (0, or id past the end, for every other cell). Derived:
+	// heap-owned, immutable once built, never serialized.
 	entryRows geom.Rows
 	entryOff  []int32
 	entryAt   []int32
@@ -97,34 +81,16 @@ func (ix *Index) freeze() {
 		}
 		c.Parents, c.Children, c.Bound = nil, nil, nil
 	}
-	f.fillOptR(ix)
+	f.fillEntryTable(ix)
 	ix.flat = f
 }
 
-// fillOptR builds the derived arenas and the entry table (see flatDAG).
-func (f *flatDAG) fillOptR(ix *Index) {
-	d := ix.Dim
-	st := 2*d - 1
-	f.optR = make([]float64, len(ix.Cells)*d)
-	for i := range ix.Cells {
-		// The root carries no option (Opt == −1); it is never anyone's
-		// child, so its row is left zero and never read.
-		if opt := ix.Cells[i].Opt; opt >= 0 {
-			copy(f.optR[i*d:(i+1)*d], ix.Pts[opt])
-		}
-	}
-	f.boundR = make([]float64, len(f.children)*st)
-	for e, ch := range f.children {
-		if opt := ix.Cells[ch].Opt; opt >= 0 {
-			sp := f.boundR[e*st : (e+1)*st]
-			sp[0] = geom.SplitCoef(ix.Pts[opt], sp[1:d], sp[d:st])
-		}
-	}
-	// The entry table. It reads the adjacency from f, not through ix — f is
-	// not published yet, and under the loader not validated yet either, so
-	// nothing here may trust more than the range checks: a child of the entry
-	// cell has R = {Opt}, hence no prefix rows, and its bound rows are those
-	// assembleCell adds.
+// fillEntryTable builds the entry table (see flatDAG). It reads the
+// adjacency from f, not through ix — f is not published yet, and under the
+// loader not validated yet either, so nothing here may trust more than the
+// range checks: a child of the entry cell has R = {Opt}, hence no prefix
+// rows, and its bound rows are those assembleCell adds.
+func (f *flatDAG) fillEntryTable(ix *Index) {
 	if len(f.spans) == 0 {
 		return
 	}

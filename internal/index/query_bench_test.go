@@ -154,75 +154,9 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
-// qbBatch is the canonical batch size of the batched-execution benchmarks;
-// ns/op is per item (the loop advances b.N by the batch size).
+// qbBatch is the batch size of BenchmarkKSPRBatch; its ns/op is per item
+// (the loop advances b.N by the batch size).
 const qbBatch = 64
-
-// qbClusteredFlat returns n reduced weights drawn from a handful of shared
-// preference profiles with small per-user jitter, flattened row-major: the
-// serving-collapse regime the batch path is built for (many concurrent
-// queries landing in the same handful of cells, per the cell geometry).
-// BenchmarkTopKBatchUniform covers the opposite, fully scattered extreme;
-// cmd/lvbench -dist measures the range in between.
-func qbClusteredFlat(n, dim int) []float64 {
-	rng := rand.New(rand.NewSource(11))
-	const nProfiles = 4
-	centers := make([][]float64, nProfiles)
-	for i := range centers {
-		centers[i] = randReduced(rng, dim)
-	}
-	flat := make([]float64, 0, n*dim)
-	for i := 0; i < n; i++ {
-		c := centers[i%nProfiles]
-		s := 0.0
-		x := make([]float64, dim)
-		for j := range x {
-			v := c[j] + rng.NormFloat64()*0.008
-			if v < 0 {
-				v = 0
-			}
-			x[j] = v
-			s += v
-		}
-		if s > 1 {
-			for j := range x {
-				x[j] /= s
-			}
-		}
-		flat = append(flat, x...)
-	}
-	return flat
-}
-
-// benchBatchTopK measures the steady-state (buffer-reusing) batch walk at
-// per-item ns/op over the given flattened workload.
-func benchBatchTopK(b *testing.B, flat []float64) {
-	ix := queryBenchIndex(b)
-	ctx := context.Background()
-	bt := &BatchTopK{Levels: make([]int, qbBatch), Stats: make([]QueryStats, qbBatch)}
-	out := make([]int32, qbBatch*qbTau)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += qbBatch {
-		if err := ix.TopKBatchInto(ctx, flat, qbBatch, qbTau, false, out, bt); err != nil || bt.Levels[0] != qbTau {
-			b.Fatal("bad batch answer")
-		}
-	}
-}
-
-func BenchmarkTopKBatch(b *testing.B) {
-	benchBatchTopK(b, qbClusteredFlat(qbBatch, qbD-1))
-}
-
-func BenchmarkTopKBatchUniform(b *testing.B) {
-	pts := qbPoints(qbBatch, qbD-1)
-	dim := qbD - 1
-	flat := make([]float64, 0, len(pts)*dim)
-	for _, x := range pts {
-		flat = append(flat, x...)
-	}
-	benchBatchTopK(b, flat)
-}
 
 // BenchmarkKSPRBatch models skewed focal traffic (8 popular options across
 // a 64-query batch): the dedupe in KSPRBatchCtx collapses repeats, so the

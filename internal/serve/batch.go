@@ -10,10 +10,10 @@ import (
 )
 
 // POST /v1/query/batch: many QueryRequests through one envelope and one
-// lock decision. Top-k items are grouped by depth and carried
-// through the index's shared-frontier batch traversal (DESIGN.md §18), and
-// their cache lookups are batched by cell key, so N same-cell queries cost
-// one index visit and N−1 cache hits. Every other family runs through the
+// lock decision. Top-k items are grouped by depth, each group answered by
+// one TopKBatchContext call (a loop of the single-query walk, DESIGN.md
+// §18), and their cache lookups are batched by cell key, so N same-cell
+// queries cost one cache fill and N−1 cache hits. Every other family runs through the
 // same per-item pipeline as POST /v1/query, just without re-taking the
 // lock per item.
 //
@@ -77,7 +77,7 @@ func (h *Handler) dispatchBatch(ctx context.Context, qs []QueryRequest) []queryI
 }
 
 // runBatchOn executes every valid item against one serving index. Top-k
-// items are pulled out and grouped by depth for the shared batch walk; the
+// items are pulled out and grouped by depth for one batch call each; the
 // remaining families reuse the single-query cache-then-traverse path.
 func (h *Handler) runBatchOn(ctx context.Context, qs []QueryRequest, specs []*familySpec,
 	out []queryItem, ix *tlx.Index, lsn uint64) {
@@ -100,12 +100,11 @@ func (h *Handler) runBatchOn(ctx context.Context, qs []QueryRequest, specs []*fa
 	}
 }
 
-// runTopKBatch answers all depth-k top-k items through one shared
-// traversal, with the cache consulted in one batched multi-get over the
-// located cell keys. Items that land in the same cell chain — the
-// clustered-traffic case the batch path exists for — dedupe to one cache
-// fill: the first miss publishes the answer, every duplicate reads it back
-// as a hit.
+// runTopKBatch answers all depth-k top-k items through one batch call,
+// with the cache consulted in one batched multi-get over the located cell
+// keys. Items that land in the same cell chain — clustered traffic — dedupe
+// to one cache fill: the first miss publishes the answer, every duplicate
+// reads it back as a hit.
 func (h *Handler) runTopKBatch(ctx context.Context, qs []QueryRequest, idxs []int, k int,
 	out []queryItem, ix *tlx.Index, lsn uint64) {
 	ws := make([][]float64, len(idxs))
@@ -141,7 +140,7 @@ func (h *Handler) runTopKBatch(ctx context.Context, qs []QueryRequest, idxs []in
 		oks = make([]bool, len(keys))
 		h.cache.GetMulti(keys, lsn, vals, oks)
 	}
-	// Items share one traversal span (the index's query.topkbatch, parented
+	// Items share one index span (the index's query.topkbatch, parented
 	// under the envelope), so the per-item spans are markers carrying each
 	// item's cache status, cell key and traversal effort rather than timings.
 	sc, traced := obs.SpanContextFrom(ctx)

@@ -28,9 +28,9 @@
 //	/v1/query/batch                 JSON body {"queries": [<query body>, ...]}
 //
 // carrying up to 1024 query bodies through one round trip, one lock
-// acquisition, and — for top-k items — one shared index traversal with the
+// acquisition, and — for top-k items — one index call per depth with the
 // cache consulted in a single batched lookup, so same-cell queries cost one
-// index visit and N−1 cache hits. The answer is {"results": [...]},
+// answer and N−1 cache hits. The answer is {"results": [...]},
 // index-aligned with the request: each success item is the /v1/query
 // envelope, each failure item is {"error": "...", "status": n} with the
 // status /v1/query would have answered, failing no neighbors (batch.go

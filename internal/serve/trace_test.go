@@ -51,7 +51,7 @@ func walkTree(n *obs.SpanNode, into map[string][]*obs.SpanNode) {
 
 // TestBatchTraceTree is the tentpole acceptance test: one
 // POST /v1/query/batch must surface as a single retrievable trace whose
-// tree shows the envelope, the shared batch walk, and a per-item child
+// tree shows the envelope, the batch's index span, and a per-item child
 // span with its cache status. The handler keeps the default config on purpose: a fresh
 // handler's first request must be head-sampled, so tracing works out of
 // the box without TraceSample tuning.
@@ -104,7 +104,7 @@ func TestBatchTraceTree(t *testing.T) {
 	names := make(map[string][]*obs.SpanNode)
 	walkTree(found, names)
 	if len(names["query.topkbatch"]) != 1 {
-		t.Fatalf("shared batch walk span missing: %v", names)
+		t.Fatalf("batch index span missing: %v", names)
 	}
 	items := names["item.topk"]
 	if len(items) != 2 {
