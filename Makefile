@@ -69,9 +69,10 @@ bench-smoke: serve-bench recovery-bench ingest-bench
 
 # Serve-layer throughput against the committed BENCH_serve.json baseline.
 # Every row but the batch one drives POST /v1/query through the whole
-# handler stack, JSON body decode included:
-# the cached/uncached pairs quantify the answer cache (the UTK hit path
-# runs several times the uncached qps), the parallel row
+# handler stack, JSON body decode included: BenchmarkServeTopK is one
+# (never cached) top-k walk per request, with its recorder-off and
+# trace-all pair, the UTK cached/uncached pair quantifies the answer cache
+# (the hit path runs several times the uncached qps), the parallel row
 # (BenchmarkServeWriterTopKParallel) is the read-lock throughput under
 # GOMAXPROCS goroutines, the batch row (BenchmarkServeQueryBatchTopK, per item)
 # quantifies the /v1/query/batch envelope, and the cache-package hit
@@ -160,6 +161,8 @@ lvbench:
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -cvE '^[[:space:]]*(//|$$)'; }; \
 	echo "internal/serve  $$(count internal/serve -maxdepth 1)"; \
+	echo "internal/cache  $$(count internal/cache -maxdepth 1)"; \
+	echo "internal/obs    $$(count internal/obs -maxdepth 1)"; \
 	echo "internal/index  $$(count internal/index -maxdepth 1)"; \
 	echo "root package    $$(count . -maxdepth 1)"; \
 	echo "module          $$(count . -path ./bench -prune -o -type f)"

@@ -224,14 +224,41 @@ func TestLocateTopKAPIMatchesSingle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(res.Options, want.Options) || res.Stats != want.Stats {
-					t.Fatalf("k=%d: LocateTopK %+v != TopKContext %+v", k, res, want)
+				if !reflect.DeepEqual(res.Options, want.Options) || res.Stats != want.Stats ||
+					res.Key != key || want.Key != key {
+					t.Fatalf("k=%d: LocateTopK %+v != TopKContext %+v (key %v)", k, res, want, key)
 				}
 			}
 		}
 	}
 	if _, _, _, err := ix.LocateTopK(context.Background(), []float64{0.5}, 2); !errors.Is(err, ErrInvalidWeights) {
 		t.Fatalf("invalid weights: err = %v", err)
+	}
+}
+
+// TestLocateTopKAllocs: the public LocateTopK sizes its answer buffer up
+// front like TopKContext, so the two allocate the same per query; answers
+// grown by append would cost one allocation per doubling.
+func TestLocateTopKAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	ix := batchAPIIndex(t)
+	ctx := context.Background()
+	w := randSimplexW(rand.New(rand.NewSource(26)), ix.Dim())
+	k := ix.MaxMaterializedLevel()
+	locate := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := ix.LocateTopK(ctx, w, k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	topk := testing.AllocsPerRun(100, func() {
+		if _, err := ix.TopKContext(ctx, w, k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if locate != topk {
+		t.Fatalf("k=%d: LocateTopK %.1f allocs/op, TopKContext %.1f", k, locate, topk)
 	}
 }
 

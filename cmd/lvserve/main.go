@@ -11,8 +11,9 @@
 //
 // Every query family goes through POST /v1/query (or /v1/query/batch); every
 // endpoint lives under /v1/ only.
-// Queries are answered through a cell-keyed, LSN-stamped result cache
-// (size it with -cache-entries, disable with a negative value).
+// Top-k queries are answered by one walk down the index; the other families
+// go through an LSN-stamped answer cache (size it with -cache-entries,
+// disable with a negative value).
 //
 // With -data-dir the index is durable: accepted inserts are written to a
 // CRC-checked write-ahead log and fsync'd before the HTTP 200, snapshots
@@ -51,8 +52,8 @@
 // headers are always honored, and 1 in -trace-sample other requests starts
 // a fresh trace (set 1 to trace everything). Recent traces are served at
 // GET /v1/admin/trace (-trace-buffer sizes it, negative disables;
-// -slow-query-ms tunes the slow threshold) and sampled answer-cache
-// traffic per cell at GET /v1/admin/hotcells:
+// -slow-query-ms tunes the slow threshold) and sampled top-k traffic per
+// cell chain at GET /v1/admin/hotcells:
 //
 //	curl 'localhost:8080/v1/admin/trace?min_ms=100&n=10'
 //	curl 'localhost:8080/v1/admin/hotcells?n=20'

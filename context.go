@@ -126,7 +126,10 @@ func (ix *Index) focalID(k, focal int) int32 {
 type TopKResult struct {
 	// Options are the k best dataset indices in rank order.
 	Options []int
-	Stats   QueryStats
+	// Key is the identity of the cell chain the walk descended, one cell per
+	// option; weight vectors with equal keys have equal answers (see CellKey).
+	Key   CellKey
+	Stats QueryStats
 }
 
 // TopKContext is TopK with cancellation and strict-depth behavior; it also
@@ -151,9 +154,9 @@ func (ix *Index) topK(ctx context.Context, w []float64, k int, strict bool) (*To
 		return nil, err
 	}
 	q := ix.startQuerySpan(ctx, "query.topk")
-	opts, st, err := ix.inner.TopKCtx(ctx, x, k)
+	h, opts, st, err := ix.inner.TopKCtx(ctx, x, k)
 	q.finish(exportStats(st), err)
-	return &TopKResult{Options: ix.origIDs(opts), Stats: exportStats(st)}, err
+	return &TopKResult{Options: ix.origIDs(opts), Key: CellKey{h: h}, Stats: exportStats(st)}, err
 }
 
 // KSPRContext is KSPR with cancellation and strict-depth behavior. On

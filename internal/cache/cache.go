@@ -1,10 +1,11 @@
 // Package cache provides the serving tier's LSN-stamped answer cache.
 //
-// The τ-LevelIndex partitions preference space into cells in which every
-// query at a fixed depth has the same answer, so the universe of distinct
-// answers is small and enumerable: the natural cache key is (query family,
-// cell-chain key, k, family parameters). Entries are stamped with the
-// store's applied LSN at fill time and are valid only while the caller's
+// It holds answers that cost a traversal to recompute — the region and
+// focal-option families (kSPR, UTK, ORU, MaxRank, WhyNot) — keyed by (query
+// family, k, canonical family parameters). Top-k answers are not cached: a
+// top-k answer is fixed by the cell chain its weights land in, and finding
+// that chain is the walk that answers the query. Entries are stamped with
+// the store's applied LSN at fill time and are valid only while the caller's
 // LSN still matches — an insert bumps the LSN and thereby invalidates every
 // cached answer wholesale, without touching the map. A replica that lags
 // the writer simply presents an older LSN and misses; it can never serve a
@@ -21,10 +22,10 @@ import (
 )
 
 // Key addresses one cached answer. Family is the query family name
-// ("topk", "kspr", ...); Cell is the cell-chain identity from
-// Index.Locate (zero for families keyed on parameters alone); K is the
-// query depth; Params folds any remaining family-specific parameters into
-// a canonical string.
+// ("kspr", "utk", ...); Cell is an optional cell-chain identity from
+// Index.Locate (zero for the serving tier's families, which are keyed on
+// parameters alone); K is the query depth; Params folds any remaining
+// family-specific parameters into a canonical string.
 type Key struct {
 	Family string
 	Cell   uint64
@@ -63,12 +64,6 @@ type Cache struct {
 	stale     atomic.Uint64
 	evictions atomic.Uint64
 	entries   atomic.Int64
-
-	// sampler, when set, observes cell-keyed lookups (hit=true only for a
-	// valid entry at the caller's LSN; stale counts as a miss). Lookups whose
-	// key has no cell component are not reported — cell analytics only cares
-	// about cells. Set before concurrent use; not synchronized afterwards.
-	sampler func(cell uint64, hit bool)
 }
 
 // numShards spreads lock contention; a power of two keeps selection a mask.
@@ -88,12 +83,6 @@ func New(maxEntries int) *Cache {
 	}
 	return c
 }
-
-// SetSampler installs fn as the cell-traffic observer (see the sampler
-// field); fn must be safe for concurrent use. Call before the cache sees
-// concurrent traffic — the field is read without synchronization on the
-// lookup path so the hook stays free when unset.
-func (c *Cache) SetSampler(fn func(cell uint64, hit bool)) { c.sampler = fn }
 
 // FNV-1a over the key fields selects the shard. Only the distribution
 // matters here; the map handles full equality.
@@ -127,15 +116,11 @@ func (c *Cache) Get(key Key, lsn uint64) (any, bool) {
 	s.mu.RLock()
 	e, ok := s.m[key]
 	s.mu.RUnlock()
-	hit := ok && e.lsn == lsn
-	if c.sampler != nil && key.Cell != 0 {
-		c.sampler(key.Cell, hit)
-	}
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
-	if !hit {
+	if e.lsn != lsn {
 		c.stale.Add(1)
 		return nil, false
 	}
@@ -145,8 +130,8 @@ func (c *Cache) Get(key Key, lsn uint64) (any, bool) {
 
 // GetMulti is Get over a batch: vals[i], oks[i] receive the lookup of
 // keys[i] at lsn (both slices must hold len(keys) elements). Lookups are
-// grouped by shard, so a batch of same-cell queries — whose keys collide on
-// one shard — takes each shard's read lock once instead of once per item.
+// grouped by shard, so a batch of equal keys — which collide on one shard —
+// takes each shard's read lock once instead of once per item.
 // Hit/miss/stale counters advance per key, exactly as per-key Gets would.
 func (c *Cache) GetMulti(keys []Key, lsn uint64, vals []any, oks []bool) {
 	var touched [numShards]bool
@@ -179,13 +164,6 @@ func (c *Cache) GetMulti(keys []Key, lsn uint64, vals []any, oks []bool) {
 			}
 		}
 		s.mu.RUnlock()
-	}
-	if c.sampler != nil {
-		for i := range keys {
-			if keys[i].Cell != 0 {
-				c.sampler(keys[i].Cell, oks[i])
-			}
-		}
 	}
 	c.hits.Add(hits)
 	c.misses.Add(misses)

@@ -52,7 +52,7 @@ func TestTopKBatchMatchesSingle(t *testing.T) {
 			wantOut := make([][]int32, len(pts))
 			wantStats := make([]QueryStats, len(pts))
 			for i, x := range pts {
-				out, st, err := ix.TopKCtx(context.Background(), x, k)
+				_, out, st, err := ix.TopKCtx(context.Background(), x, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +118,7 @@ func TestBatchNonFiniteVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, st, err := ix.TopKCtx(context.Background(), nan, 4)
+	_, out, st, err := ix.TopKCtx(context.Background(), nan, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestBatchNonFiniteVector(t *testing.T) {
 			}
 			continue
 		}
-		want, wantSt, err := ix.TopKCtx(context.Background(), x, 4)
+		_, want, wantSt, err := ix.TopKCtx(context.Background(), x, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,9 +174,12 @@ func TestLocateTopKMatchesSingle(t *testing.T) {
 					k, key, level, wantKey, wantLevel)
 			}
 			if k <= ix.MaxMaterializedLevel() {
-				out, wantSt, err := ix.TopKCtx(context.Background(), x, k)
+				topKey, out, wantSt, err := ix.TopKCtx(context.Background(), x, k)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if topKey != key {
+					t.Fatalf("k=%d: TopKCtx key %x != LocateTopK %x", k, topKey, key)
 				}
 				if !slices.Equal(res, out) {
 					t.Fatalf("k=%d: LocateTopK options %v != TopKCtx %v", k, res, out)

@@ -107,7 +107,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			}
 		}},
 		{"TopKCtx", 2, func() {
-			if _, _, err := ix.TopKCtx(ctx, x, 4); err != nil {
+			if _, _, _, err := ix.TopKCtx(ctx, x, 4); err != nil {
 				t.Fatal(err)
 			}
 		}},

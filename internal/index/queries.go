@@ -380,20 +380,21 @@ func (ix *Index) ORUCtx(ctx context.Context, k int, x []float64, m int) (*ORURes
 // (Corollary 1), and the child containing x is precisely the one whose
 // option scores highest at x. Each level is one scan of children's scores.
 func (ix *Index) TopK(x []float64, k int) ([]int32, QueryStats) {
-	out, st, _ := ix.TopKCtx(context.Background(), x, k)
+	_, out, st, _ := ix.TopKCtx(context.Background(), x, k)
 	return out, st
 }
 
-// TopKCtx is TopK with cancellation checks between cell visits. When the
-// walk is abandoned it returns the context's error together with the ranks
+// TopKCtx is TopK with cancellation checks between cell visits, also
+// returning the chain key of the cells walked (see locate.go). When the walk
+// is abandoned it returns the context's error together with the ranks
 // resolved so far and the QueryStats accumulated up to the abandonment.
-func (ix *Index) TopKCtx(ctx context.Context, x []float64, k int) ([]int32, QueryStats, error) {
+func (ix *Index) TopKCtx(ctx context.Context, x []float64, k int) (key uint64, out []int32, st QueryStats, err error) {
 	if k > ix.Tau {
 		ix.ensureLevels(k)
 	}
 	// One descent serves both: LocateTopK is this walk plus the chain key.
-	_, _, out, st, err := ix.LocateTopK(ctx, x, k, make([]int32, 0, k))
-	return out, st, err
+	key, _, out, st, err = ix.LocateTopK(ctx, x, k, make([]int32, 0, min(k, ix.MaxMaterializedLevel())))
+	return key, out, st, err
 }
 
 func maxViolation(rows geom.Rows, x []float64) float64 {

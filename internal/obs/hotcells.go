@@ -6,20 +6,18 @@ import (
 	"sync/atomic"
 )
 
-// HotCells is a sampled, bounded sketch of per-cell answer-cache traffic.
-// The index's core property — every preference vector in a cell shares one
+// HotCells is a sampled, bounded sketch of per-cell query traffic. The
+// index's core property — every preference vector in a cell shares one
 // answer — makes the cell the natural unit of production skew: a handful of
-// hot cells is the expected regime under clustered preference traffic, and
-// their hit/miss split is exactly the cache-sizing signal.
+// hot cells is the expected regime under clustered preference traffic.
 //
 // Observations are sampled 1-in-sampleEvery via one atomic counter, so the
-// cache hot path pays a single uncontended atomic add in the common case;
-// only sampled observations touch a shard. Each shard keeps a bounded map
-// of cell slots with atomic hit/miss counters; when a shard is full an
-// incoming cell evicts the coldest resident slot and inherits its total as
-// an overcount floor (the space-saving sketch's trick), so a genuinely hot
-// cell cannot be kept out by a full table while the table stays a fixed
-// size forever.
+// query path pays a single uncontended atomic add in the common case; only
+// sampled observations touch a shard. Each shard keeps a bounded map of
+// cell slots with atomic counters; when a shard is full an incoming cell
+// evicts the coldest resident slot and inherits its total as an overcount
+// floor (the space-saving sketch's trick), so a genuinely hot cell cannot be
+// kept out by a full table while the table stays a fixed size forever.
 type HotCells struct {
 	tick   atomic.Uint64
 	mask   uint64 // sample when tick&mask == 0
@@ -35,8 +33,7 @@ type hcShard struct {
 }
 
 type hcSlot struct {
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	n atomic.Uint64 // sampled observations
 	// floor is the evicted predecessor's total at takeover time: the
 	// space-saving overcount bound, kept so Top can report totals that
 	// never undercount a hot cell relative to an evicted cold one.
@@ -45,10 +42,8 @@ type hcSlot struct {
 
 // CellStat is one cell's sampled traffic in a Top snapshot.
 type CellStat struct {
-	Cell   uint64
-	Hits   uint64
-	Misses uint64
-	Total  uint64 // hits + misses + eviction floor
+	Cell  uint64
+	Total uint64 // sampled observations + eviction floor
 }
 
 // DefaultHotCellSample is the sampling divisor NewHotCells applies when
@@ -83,14 +78,14 @@ func NewHotCells(capacity, sampleEvery int) *HotCells {
 // SampleEvery is the effective sampling divisor (a power of two).
 func (h *HotCells) SampleEvery() int { return int(h.mask) + 1 }
 
-// Observe records one cache lookup against cell, subject to sampling. Safe
+// Observe records one query against cell, subject to sampling. Safe
 // for concurrent use and on a nil receiver; the unsampled path is one
 // atomic add. The increment always lands while a shard lock is held, so a
 // concurrent admit cannot evict the slot between lookup and bump — every
 // sampled observation is accounted in exactly one resident slot and the
 // space-saving invariant (the sum of slot totals equals the sampled
 // observation count) holds under eviction churn.
-func (h *HotCells) Observe(cell uint64, hit bool) {
+func (h *HotCells) Observe(cell uint64) {
 	if h == nil {
 		return
 	}
@@ -100,26 +95,18 @@ func (h *HotCells) Observe(cell uint64, hit bool) {
 	sh := &h.shards[splitmix64(cell)&(hcShards-1)]
 	sh.mu.RLock()
 	if slot := sh.m[cell]; slot != nil {
-		slot.bump(hit)
+		slot.n.Add(1)
 		sh.mu.RUnlock()
 		return
 	}
 	sh.mu.RUnlock()
-	h.admit(sh, cell, hit)
-}
-
-func (s *hcSlot) bump(hit bool) {
-	if hit {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
+	h.admit(sh, cell)
 }
 
 // admit records one observation against cell's slot, inserting it — and
 // evicting the coldest resident when the shard is full — under the write
 // lock. The newcomer inherits the victim's total as its floor.
-func (h *HotCells) admit(sh *hcShard, cell uint64, hit bool) {
+func (h *HotCells) admit(sh *hcShard, cell uint64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	slot := sh.m[cell]
@@ -138,11 +125,11 @@ func (h *HotCells) admit(sh *hcShard, cell uint64, hit bool) {
 		}
 		sh.m[cell] = slot
 	}
-	slot.bump(hit)
+	slot.n.Add(1)
 }
 
 func (s *hcSlot) total() uint64 {
-	return s.hits.Load() + s.misses.Load() + s.floor
+	return s.n.Load() + s.floor
 }
 
 // Top returns the n busiest sampled cells, hottest first. Counts are in
@@ -160,12 +147,7 @@ func (h *HotCells) Top(n int) []CellStat {
 		sh := &h.shards[i]
 		sh.mu.RLock()
 		for cell, slot := range sh.m {
-			out = append(out, CellStat{
-				Cell:   cell,
-				Hits:   slot.hits.Load(),
-				Misses: slot.misses.Load(),
-				Total:  slot.total(),
-			})
+			out = append(out, CellStat{Cell: cell, Total: slot.total()})
 		}
 		sh.mu.RUnlock()
 	}

@@ -328,7 +328,7 @@ func TestHistogramExemplar(t *testing.T) {
 
 func TestHotCells(t *testing.T) {
 	var nilH *HotCells
-	nilH.Observe(1, true) // nil-safe
+	nilH.Observe(1) // nil-safe
 	if got := nilH.Top(5); got != nil {
 		t.Fatalf("nil Top = %v", got)
 	}
@@ -338,14 +338,14 @@ func TestHotCells(t *testing.T) {
 		t.Fatalf("SampleEvery = %d, want 1", h.SampleEvery())
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(0xAA, i%2 == 0) // 5 hits, 5 misses
+		h.Observe(0xAA)
 	}
-	h.Observe(0xBB, false)
+	h.Observe(0xBB)
 	top := h.Top(0)
 	if len(top) != 2 || top[0].Cell != 0xAA {
 		t.Fatalf("Top = %+v", top)
 	}
-	if top[0].Hits != 5 || top[0].Misses != 5 || top[0].Total != 10 {
+	if top[0].Total != 10 || top[1].Total != 1 {
 		t.Fatalf("hot cell counts = %+v", top[0])
 	}
 	if got := h.Top(1); len(got) != 1 {
@@ -359,10 +359,10 @@ func TestHotCellsSampling(t *testing.T) {
 		t.Fatalf("SampleEvery = %d, want 4", h.SampleEvery())
 	}
 	for i := 0; i < 400; i++ {
-		h.Observe(0xCC, true)
+		h.Observe(0xCC)
 	}
 	top := h.Top(0)
-	if len(top) != 1 || top[0].Hits != 100 {
+	if len(top) != 1 || top[0].Total != 100 {
 		t.Fatalf("sampled counts = %+v", top)
 	}
 	// A non-power-of-two divisor rounds down to one.
@@ -385,7 +385,7 @@ func TestHotCellsChurnLosesNothing(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				h.Observe(uint64(g*per+i), i%2 == 0)
+				h.Observe(uint64(g*per + i))
 			}
 		}(g)
 	}
@@ -405,12 +405,12 @@ func TestHotCellsEviction(t *testing.T) {
 	shardOf := func(cell uint64) uint64 { return splitmix64(cell) & (hcShards - 1) }
 	hot := uint64(1)
 	for i := 0; i < 50; i++ {
-		h.Observe(hot, true)
+		h.Observe(hot)
 	}
 	evictions := 0
 	for c := uint64(2); evictions < 3; c++ {
 		if shardOf(c) == shardOf(hot) {
-			h.Observe(c, false)
+			h.Observe(c)
 			evictions++
 		}
 	}

@@ -72,18 +72,13 @@ func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // hotCellBody is one cell's sampled traffic in the hotcells response.
 type hotCellBody struct {
-	Cell   string  `json:"cell"` // hex cell-chain key, matching trace annotations
-	Hits   uint64  `json:"hits"`
-	Misses uint64  `json:"misses"`
-	Total  uint64  `json:"total"`
-	Ratio  float64 `json:"hitRatio"`
+	Cell  string `json:"cell"` // hex cell-chain key, matching trace annotations
+	Total uint64 `json:"total"`
 }
 
-// handleHotCells is GET /v1/admin/hotcells?n=: the busiest answer-cache
-// cells by sampled traffic, hottest first. Counts are in sampled
-// observations (multiply by sampleEvery for a traffic estimate); the hit
-// ratio is the cache-sizing signal — a hot cell with a low ratio is churn.
-// Without a cache the sketch does not exist and the list is empty.
+// handleHotCells is GET /v1/admin/hotcells?n=: the cell chains top-k queries
+// land in most, by sampled traffic, hottest first. Counts are in sampled
+// observations (multiply by sampleEvery for a traffic estimate).
 func (h *Handler) handleHotCells(w http.ResponseWriter, r *http.Request) {
 	n, err := parseIntParam(r, "n", 20)
 	if err != nil {
@@ -93,25 +88,12 @@ func (h *Handler) handleHotCells(w http.ResponseWriter, r *http.Request) {
 	stats := h.hot.Top(n)
 	cells := make([]hotCellBody, 0, len(stats))
 	for _, s := range stats {
-		b := hotCellBody{
-			Cell:   fmt.Sprintf("%016x", s.Cell),
-			Hits:   s.Hits,
-			Misses: s.Misses,
-			Total:  s.Total,
-		}
-		if obsvd := s.Hits + s.Misses; obsvd > 0 {
-			b.Ratio = float64(s.Hits) / float64(obsvd)
-		}
-		cells = append(cells, b)
-	}
-	sampleEvery := 0
-	if h.hot != nil {
-		sampleEvery = h.hot.SampleEvery()
+		cells = append(cells, hotCellBody{Cell: fmt.Sprintf("%016x", s.Cell), Total: s.Total})
 	}
 	writeJSON(w, http.StatusOK, struct {
 		SampleEvery int           `json:"sampleEvery"`
 		Cells       []hotCellBody `json:"cells"`
-	}{sampleEvery, cells})
+	}{h.hot.SampleEvery(), cells})
 }
 
 // parseIntParam reads an optional integer query parameter.

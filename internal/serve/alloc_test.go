@@ -10,10 +10,13 @@ import (
 )
 
 // TestDispatchAllocsRecorderOff pins the steady-state query path with the
-// flight recorder disabled: a cache-hit dispatch is one allocation (the item
-// points into the cached answer instead of copying it), and tracing must add
-// zero when off — the untraced path is a single context lookup. Excluded under -race, which
-// inflates allocation counts.
+// flight recorder disabled, where tracing must add zero allocations (the
+// untraced path is a single context lookup). A cache-hit dispatch (MaxRank)
+// is one allocation: the item points into the cached answer instead of
+// copying it. A top-k dispatch walks every time, at six: the reduced
+// weights, the rank buffer, the exported options and the TopKResult of the
+// walk, then the result body and the answer the item points into. Excluded
+// under -race, which inflates allocation counts.
 func TestDispatchAllocsRecorderOff(t *testing.T) {
 	ix, err := tlx.Build(hotels, 3)
 	if err != nil {
@@ -23,21 +26,30 @@ func TestDispatchAllocsRecorderOff(t *testing.T) {
 	if h.rec != nil {
 		t.Fatal("negative TraceBuffer did not disable the recorder")
 	}
-	q := &QueryRequest{Family: "topk", W: []float64{0.18, 0.82}, K: 2}
+	focal := 0
 	ctx := context.Background()
-	// Warm the cache and run the hot-cell sampler past its first slot
-	// allocation so the loop below measures only the steady state.
-	for i := 0; i < 200; i++ {
-		if it := h.dispatch(ctx, q); it.Error != "" {
-			t.Fatal(it.Error)
+	for _, c := range []struct {
+		q      QueryRequest
+		cached bool
+		allocs float64
+	}{
+		{QueryRequest{Family: "maxrank", Focal: &focal}, true, 1},
+		{QueryRequest{Family: "topk", W: []float64{0.18, 0.82}, K: 2}, false, 6},
+	} {
+		// Warm the cache and run the hot-cell sketch past its first slot
+		// allocation so the loop below measures only the steady state.
+		for i := 0; i < 200; i++ {
+			if it := h.dispatch(ctx, &c.q); it.Error != "" {
+				t.Fatal(it.Error)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if it := h.dispatch(ctx, q); !it.Cached {
-			t.Fatalf("not a cache hit: %+v", it)
+		allocs := testing.AllocsPerRun(200, func() {
+			if it := h.dispatch(ctx, &c.q); it.Cached != c.cached {
+				t.Fatalf("%s: cached=%v, want %v", c.q.Family, it.Cached, c.cached)
+			}
+		})
+		if allocs > c.allocs {
+			t.Fatalf("%s dispatch with recorder off = %.2f allocs/op, want <= %v", c.q.Family, allocs, c.allocs)
 		}
-	})
-	if allocs > 1 {
-		t.Fatalf("cache-hit dispatch with recorder off = %.2f allocs/op, want <= 1", allocs)
 	}
 }

@@ -14,8 +14,9 @@ import (
 // Query decode/dispatch. Every query — a POST /v1/query body or one item
 // of a POST /v1/query/batch envelope — is a QueryRequest, routed through the
 // familySpec its Family names: take the lock the query's depth requires,
-// consult the answer cache, run the traversal on a miss, and hand back one
-// queryItem, the wire form both routes write.
+// consult the answer cache when the family has a cache key, run the
+// traversal otherwise, and hand back one queryItem, the wire form both
+// routes write.
 
 // QueryRequest is the unified query envelope accepted by POST /v1/query.
 // Family selects the query type; the remaining fields are family-specific
@@ -49,7 +50,8 @@ type queryStatsBody struct {
 }
 
 // Family result bodies: the "result" objects of the query envelope, held by
-// the answer cache, so cached and fresh answers marshal byte-identically.
+// the answer cache for the cached families, so cached and fresh answers
+// marshal byte-identically.
 type topkBody struct {
 	Options []int `json:"options"`
 }
@@ -73,9 +75,10 @@ type maxrankBody struct {
 }
 
 // cachedAnswer is one computed answer — a result body and the traversal
-// statistics of the run that produced it. It is what the cache stores, and
-// every wire item that reports the answer points into it, so a hit echoes
-// both unchanged and copies neither. Immutable once built.
+// statistics of the run that produced it. It is what the cache stores for a
+// family with a cache key, and every wire item that reports the answer points
+// into it, so a hit echoes both unchanged and copies neither. Immutable once
+// built.
 type cachedAnswer struct {
 	result any
 	stats  queryStatsBody
@@ -118,14 +121,13 @@ type familySpec struct {
 	// to the lock decision.
 	depth func(q *QueryRequest) int
 	// cacheKey derives the answer-cache key on the index about to serve
-	// the query; ok=false means the answer must not be cached (e.g. the
-	// walk could not reach depth k, or the family is depth-sensitive in a
-	// way the key cannot express).
-	cacheKey func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool)
-	// run executes the traversal. It returns a non-nil result body even
-	// alongside an error when partial traversal statistics should still
-	// be recorded (cancellation).
-	run func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, error)
+	// the query. Nil for a family whose answers are never cached.
+	cacheKey func(ix *tlx.Index, q *QueryRequest) cache.Key
+	// run executes the traversal: the result body, its stats, and the
+	// cell-chain key the traversal walked (0 for a family without one). It
+	// returns a non-nil result body even alongside an error when partial
+	// traversal statistics should still be recorded (cancellation).
+	run func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, uint64, error)
 }
 
 // fmtFloats renders a float slice canonically for cache-key params: 'g'
@@ -151,104 +153,95 @@ var families = map[string]*familySpec{
 	"topk": {
 		name:  "topk",
 		depth: func(q *QueryRequest) int { return q.K },
-		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
-			// The cell-chain key is the index's own statement that every
-			// weight vector reaching it has this exact ordered answer, so a
-			// cache-warm request costs one locate plus one Get. A walk that
-			// falls short of k (or invalid weights) is not cacheable; the
-			// run path reports the condition properly.
-			ck, level, err := ix.LocateDepth(q.W, q.K)
-			if err != nil || level != q.K {
-				return cache.Key{}, false
-			}
-			return cache.Key{Family: "topk", Cell: ck.Sum64(), K: q.K}, true
-		},
-		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, error) {
+		// No cacheKey: a top-k answer is fixed by the cell chain the weights
+		// land in, and finding that chain is the walk that answers, so a
+		// cache lookup would cost what it saves.
+		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, uint64, error) {
 			res, err := ix.TopKContext(ctx, q.W, q.K)
 			if res == nil {
-				return nil, tlx.QueryStats{}, err
+				return nil, tlx.QueryStats{}, 0, err
 			}
-			return &topkBody{Options: res.Options}, res.Stats, err
+			return &topkBody{Options: res.Options}, res.Stats, res.Key.Sum64(), err
 		},
 	},
 	"kspr": {
 		name:       "kspr",
 		needsFocal: true,
 		depth:      func(q *QueryRequest) int { return q.K },
-		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
+		cacheKey: func(ix *tlx.Index, q *QueryRequest) cache.Key {
 			return cache.Key{Family: "kspr", K: q.K,
-				Params: "f" + strconv.Itoa(*q.Focal)}, true
+				Params: "f" + strconv.Itoa(*q.Focal)}
 		},
-		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, error) {
+		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, uint64, error) {
 			res, err := ix.KSPRContext(ctx, q.K, *q.Focal)
 			if res == nil {
-				return nil, tlx.QueryStats{}, err
+				return nil, tlx.QueryStats{}, 0, err
 			}
-			return &ksprBody{Regions: res.Regions}, res.Stats, err
+			return &ksprBody{Regions: res.Regions}, res.Stats, 0, err
 		},
 	},
 	"utk": {
 		name:  "utk",
 		depth: func(q *QueryRequest) int { return q.K },
-		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
+		cacheKey: func(ix *tlx.Index, q *QueryRequest) cache.Key {
 			p := append(fmtFloats([]byte("lo"), q.Lo), ";hi"...)
 			return cache.Key{Family: "utk", K: q.K,
-				Params: string(fmtFloats(p, q.Hi))}, true
+				Params: string(fmtFloats(p, q.Hi))}
 		},
-		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, error) {
+		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, uint64, error) {
 			res, err := ix.UTKContext(ctx, q.K, q.Lo, q.Hi)
 			if res == nil {
-				return nil, tlx.QueryStats{}, err
+				return nil, tlx.QueryStats{}, 0, err
 			}
 			parts := make([][]int, len(res.Partitions))
 			for i, p := range res.Partitions {
 				parts[i] = p.TopK
 			}
-			return &utkBody{Options: res.Options, Partitions: parts}, res.Stats, err
+			return &utkBody{Options: res.Options, Partitions: parts}, res.Stats, 0, err
 		},
 	},
 	"oru": {
 		name:  "oru",
 		depth: func(q *QueryRequest) int { return q.K },
-		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
+		cacheKey: func(ix *tlx.Index, q *QueryRequest) cache.Key {
 			p := fmtFloats([]byte("w"), q.W)
 			p = append(p, ";m"...)
 			p = strconv.AppendInt(p, int64(q.M), 10)
-			return cache.Key{Family: "oru", K: q.K, Params: string(p)}, true
+			return cache.Key{Family: "oru", K: q.K, Params: string(p)}
 		},
-		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, error) {
+		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, uint64, error) {
 			res, err := ix.ORUContext(ctx, q.K, q.W, q.M)
 			if res == nil {
-				return nil, tlx.QueryStats{}, err
+				return nil, tlx.QueryStats{}, 0, err
 			}
-			return &oruBody{Options: res.Options, Rho: res.Rho}, res.Stats, err
+			return &oruBody{Options: res.Options, Rho: res.Rho}, res.Stats, 0, err
 		},
 	},
 	"maxrank": {
 		name:       "maxrank",
 		needsFocal: true,
 		depth:      func(q *QueryRequest) int { return 0 },
-		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
+		cacheKey: func(ix *tlx.Index, q *QueryRequest) cache.Key {
 			// MaxRank's answer depends on the materialized depth (a deeper
 			// pool can admit the option), which changes without an LSN
 			// bump, so the depth joins the key.
 			return cache.Key{Family: "maxrank",
 				Params: "f" + strconv.Itoa(*q.Focal) +
-					";d" + strconv.Itoa(ix.MaxMaterializedLevel())}, true
+					";d" + strconv.Itoa(ix.MaxMaterializedLevel())}
 		},
-		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, error) {
+		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, uint64, error) {
 			res, err := ix.MaxRankContext(ctx, *q.Focal)
 			if res == nil {
-				return nil, tlx.QueryStats{}, err
+				return nil, tlx.QueryStats{}, 0, err
 			}
-			return &maxrankBody{Rank: res.Rank}, res.Stats, err
+			return &maxrankBody{Rank: res.Rank}, res.Stats, 0, err
 		},
 	},
 	"whynot": {
 		name:       "whynot",
 		needsFocal: true,
 		depth:      func(q *QueryRequest) int { return q.K },
-		cacheKey: func(ix *tlx.Index, q *QueryRequest) (cache.Key, bool) {
+		cacheKey: func(ix *tlx.Index, q *QueryRequest) cache.Key {
 			// The reported rank counts the indexed option pool, which
 			// grows with the materialized depth — include it like maxrank.
 			p := []byte("f")
@@ -257,14 +250,14 @@ var families = map[string]*familySpec{
 			p = strconv.AppendInt(p, int64(ix.MaxMaterializedLevel()), 10)
 			p = append(p, ";w"...)
 			return cache.Key{Family: "whynot", K: q.K,
-				Params: string(fmtFloats(p, q.W))}, true
+				Params: string(fmtFloats(p, q.W))}
 		},
-		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, error) {
+		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, uint64, error) {
 			res, err := ix.WhyNotContext(ctx, *q.Focal, q.W, q.K)
 			if res == nil {
-				return nil, tlx.QueryStats{}, err
+				return nil, tlx.QueryStats{}, 0, err
 			}
-			return res, res.Stats, err
+			return res, res.Stats, 0, err
 		},
 	},
 }
@@ -289,8 +282,8 @@ func resolve(q *QueryRequest) (*familySpec, error) {
 	return spec, nil
 }
 
-// dispatch validates the request, consults the cache, and runs the
-// traversal on a miss, all under the lock the query's depth requires.
+// dispatch validates the request and answers it under the lock the query's
+// depth requires.
 func (h *Handler) dispatch(ctx context.Context, q *QueryRequest) (it queryItem) {
 	spec, err := resolve(q)
 	if err != nil {
@@ -337,34 +330,35 @@ func (h *Handler) noteItem(sc obs.SpanContext, sp *obs.Span, family string, q *Q
 }
 
 // answer is the cache-then-traverse path: the answer, whether it came from
-// the cache, and the cell key it was looked up under (0 when the query has
-// none or is not cacheable).
+// the cache, and the cell-chain key the traversal walked (0 for a cache hit
+// and for a family without one). A walked chain counts into the hot-cell
+// sketch.
 func (h *Handler) answer(ctx context.Context, spec *familySpec, q *QueryRequest,
 	ix *tlx.Index, lsn uint64) (ans *cachedAnswer, cached bool, cell uint64, err error) {
-	var (
-		key       cache.Key
-		cacheable bool
-	)
-	if h.cache != nil {
-		if key, cacheable = spec.cacheKey(ix, q); cacheable {
-			if v, ok := h.cache.Get(key, lsn); ok {
-				return v.(*cachedAnswer), true, key.Cell, nil
-			}
+	var key cache.Key
+	cacheable := h.cache != nil && spec.cacheKey != nil
+	if cacheable {
+		key = spec.cacheKey(ix, q)
+		if v, ok := h.cache.Get(key, lsn); ok {
+			return v.(*cachedAnswer), true, 0, nil
 		}
 	}
-	result, stats, err := spec.run(ctx, ix, q)
+	result, stats, cell, err := spec.run(ctx, ix, q)
 	if result != nil {
 		// Partial traversals (cancellation) still report their effort.
 		recordQueryStats(spec.name, stats)
 	}
 	if err != nil {
-		return nil, false, key.Cell, err
+		return nil, false, cell, err
+	}
+	if cell != 0 {
+		h.hot.Observe(cell)
 	}
 	ans = &cachedAnswer{result: result, stats: queryStatsBody(stats)}
 	if cacheable {
 		h.cache.Put(key, lsn, ans)
 	}
-	return ans, false, key.Cell, nil
+	return ans, false, cell, nil
 }
 
 // handleQuery is POST /v1/query: one query, answered with its item — or,

@@ -39,20 +39,22 @@ func postQuery(t *testing.T, url, body string) (int, envelope) {
 }
 
 // TestQueryEnvelope drives every family through POST /v1/query and checks
-// the envelope carries the pinned answers, plus the cached flag flipping to
-// true on an identical repeat.
+// the envelope carries the pinned answers, plus the cached flag on an
+// identical repeat: true for the five cached families, false for top-k,
+// which is always answered by its walk.
 func TestQueryEnvelope(t *testing.T) {
 	srv := newServer(t)
 	cases := []struct {
 		body   string
 		result string // substring of the result object
+		cached bool   // the repeat is a cache hit
 	}{
-		{`{"family":"topk","w":[0.18,0.82],"k":2}`, `"options":[0,3]`},
-		{`{"family":"kspr","focal":0,"k":2}`, `"regions":[`},
-		{`{"family":"utk","lo":[0.35],"hi":[0.45],"k":3}`, `"options":[0,1,2,3]`},
-		{`{"family":"oru","w":[0.3,0.7],"k":2,"m":3}`, `"rho":`},
-		{`{"family":"maxrank","focal":4}`, `"rank":-1`},
-		{`{"family":"whynot","focal":0,"w":[0.9,0.1],"k":2}`, `"Rank":3`},
+		{`{"family":"topk","w":[0.18,0.82],"k":2}`, `"options":[0,3]`, false},
+		{`{"family":"kspr","focal":0,"k":2}`, `"regions":[`, true},
+		{`{"family":"utk","lo":[0.35],"hi":[0.45],"k":3}`, `"options":[0,1,2,3]`, true},
+		{`{"family":"oru","w":[0.3,0.7],"k":2,"m":3}`, `"rho":`, true},
+		{`{"family":"maxrank","focal":4}`, `"rank":-1`, true},
+		{`{"family":"whynot","focal":0,"w":[0.9,0.1],"k":2}`, `"Rank":3`, true},
 	}
 	for _, c := range cases {
 		code, env := postQuery(t, srv.URL, c.body)
@@ -77,22 +79,23 @@ func TestQueryEnvelope(t *testing.T) {
 		if err := json.Unmarshal(env.Stats, &stats); err != nil {
 			t.Errorf("%s: stats not decodable: %v", c.body, err)
 		}
-		// Repeat: every family is cacheable on this index, and the cached
-		// answer must be byte-identical to the fresh one.
+		// Repeat: the answer must be byte-identical to the first, whether it
+		// came from the cache or from a second walk.
 		code2, env2 := postQuery(t, srv.URL, c.body)
-		if code2 != http.StatusOK || !env2.Cached {
-			t.Errorf("%s: repeat code=%d cached=%v, want 200/true", c.body, code2, env2.Cached)
+		if code2 != http.StatusOK || env2.Cached != c.cached {
+			t.Errorf("%s: repeat code=%d cached=%v, want 200/%v", c.body, code2, env2.Cached, c.cached)
 		}
 		if !bytes.Equal(env.Result, env2.Result) || !bytes.Equal(env.Stats, env2.Stats) {
-			t.Errorf("%s: cached repeat differs: %s / %s vs %s / %s",
+			t.Errorf("%s: repeat differs: %s / %s vs %s / %s",
 				c.body, env.Result, env.Stats, env2.Result, env2.Stats)
 		}
 	}
 }
 
-// TestQueryEnvelopeTopKSharesCellChain pins the tentpole property: two
-// different weight vectors inside the same cell chain share one top-k cache
-// entry, so the second distinct vector is already a hit.
+// TestQueryEnvelopeTopKSharesCellChain pins what the cell chain means to the
+// serving tier now that top-k answers are not cached: two different weight
+// vectors inside one cell chain get byte-identical result and stats objects,
+// both walked rather than cached, and their traces name the same cell.
 func TestQueryEnvelopeTopKSharesCellChain(t *testing.T) {
 	ix, err := tlx.Build(hotels, 3)
 	if err != nil {
@@ -110,13 +113,28 @@ func TestQueryEnvelopeTopKSharesCellChain(t *testing.T) {
 	if k1 != k2 {
 		t.Skip("fixture drift: the two probe vectors no longer share a cell chain")
 	}
-	srv := httptest.NewServer(NewHandler(ix, Config{}).Mux())
+	srv := httptest.NewServer(NewHandler(ix, Config{TraceSample: 1}).Mux())
 	t.Cleanup(srv.Close)
-	if code, env := postQuery(t, srv.URL, `{"family":"topk","w":[0.18,0.82],"k":2}`); code != 200 || env.Cached {
-		t.Fatalf("first vector: code=%d cached=%v", code, env.Cached)
+	code1, env1 := postQuery(t, srv.URL, `{"family":"topk","w":[0.18,0.82],"k":2}`)
+	code2, env2 := postQuery(t, srv.URL, `{"family":"topk","w":[0.19,0.81],"k":2}`)
+	if code1 != 200 || code2 != 200 || env1.Cached || env2.Cached {
+		t.Fatalf("codes %d/%d cached %v/%v, want 200/200 false/false", code1, code2, env1.Cached, env2.Cached)
 	}
-	if _, env := postQuery(t, srv.URL, `{"family":"topk","w":[0.19,0.81],"k":2}`); !env.Cached {
-		t.Errorf("second vector in the same cell chain missed the cache")
+	if !bytes.Equal(env1.Result, env2.Result) || !bytes.Equal(env1.Stats, env2.Stats) {
+		t.Fatalf("same cell chain, different answers: %s / %s vs %s / %s",
+			env1.Result, env1.Stats, env2.Result, env2.Stats)
+	}
+	var out traceOut
+	if code := getJSON(t, srv.URL+"/v1/admin/trace?family=topk", &out); code != 200 {
+		t.Fatalf("admin/trace status %d", code)
+	}
+	if len(out.Traces) != 2 {
+		t.Fatalf("retained %d top-k traces, want 2", len(out.Traces))
+	}
+	for _, tr := range out.Traces {
+		if len(tr.Queries) != 1 || uint64(tr.Queries[0].Cell) != k1.Sum64() {
+			t.Fatalf("trace annotations %+v, want one query at cell %016x", tr.Queries, k1.Sum64())
+		}
 	}
 }
 
@@ -264,4 +282,50 @@ func TestCacheEquivalence(t *testing.T) {
 	run()
 	genPhase(4) // k = tau+1 reaches the on-demand extension path
 	run()
+}
+
+// TestTopKBypassesCache: top-k requests, single and batched, never reach the
+// answer cache. 1,000 of them over spread weights and depths leave its
+// lookup counters where two kSPR requests put them.
+func TestTopKBypassesCache(t *testing.T) {
+	ix, err := tlx.Build(hotels, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(ix, Config{})
+	mux := h.Mux()
+	post := func(path, body string) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, w.Code, w.Body.String())
+		}
+	}
+	lookups := func() uint64 {
+		st := h.cache.Stats()
+		return st.Hits + st.Misses + st.Stale
+	}
+	post("/v1/query", `{"family":"kspr","focal":0,"k":2}`)
+	post("/v1/query", `{"family":"kspr","focal":0,"k":2}`)
+	if got := lookups(); got != 2 {
+		t.Fatalf("two kSPR requests made %d cache lookups, want 2", got)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var batch strings.Builder
+	batch.WriteString(`{"queries":[`)
+	for i := 0; i < 500; i++ {
+		a := rng.Float64()
+		q := fmt.Sprintf(`{"family":"topk","w":[%g,%g],"k":%d}`, a, 1-a, 1+rng.Intn(3))
+		post("/v1/query", q)
+		if i > 0 {
+			batch.WriteByte(',')
+		}
+		batch.WriteString(q)
+	}
+	batch.WriteString(`]}`)
+	post("/v1/query/batch", batch.String())
+	if got := lookups(); got != 2 {
+		t.Fatalf("1,000 top-k requests moved the cache lookups from 2 to %d", got)
+	}
 }

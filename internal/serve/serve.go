@@ -1,10 +1,11 @@
 // Package serve exposes a τ-LevelIndex over HTTP with JSON responses — the
 // deployment shape a product team would actually run: build the index once,
-// then answer preference queries from many clients with cheap lookups
-// behind a cell-keyed answer cache. A Handler serves one Backend — an index
-// behind a lock, a version stamp, a write path — and its constructor picks
-// which: memory-only (NewHandler), store-backed (NewStoreHandler) or
-// follower (NewFollowerHandler).
+// then answer preference queries from many clients. Top-k is one walk down
+// the cell chain the weights land in; the costlier region and focal-option
+// families go through an LSN-stamped answer cache. A Handler serves one
+// Backend — an index behind a lock, a version stamp, a write path — and its
+// constructor picks which: memory-only (NewHandler), store-backed
+// (NewStoreHandler) or follower (NewFollowerHandler).
 //
 // # Endpoints
 //
@@ -27,10 +28,9 @@
 //
 //	/v1/query/batch                 JSON body {"queries": [<query body>, ...]}
 //
-// carrying up to 1024 query bodies through one round trip, one lock
-// acquisition, and — for top-k items — one index call per depth with the
-// cache consulted in a single batched lookup, so same-cell queries cost one
-// answer and N−1 cache hits. The answer is {"results": [...]},
+// carrying up to 1024 query bodies through one round trip and one lock
+// acquisition; each item is then answered exactly as /v1/query would answer
+// it. The answer is {"results": [...]},
 // index-aligned with the request: each success item is the /v1/query
 // envelope, each failure item is {"error": "...", "status": n} with the
 // status /v1/query would have answered, failing no neighbors (batch.go
@@ -46,7 +46,7 @@
 //	/v1/stats                       index shape and construction statistics
 //	/v1/metrics                     Prometheus text exposition (see # Observability)
 //	/v1/admin/trace                 the flight recorder's retained traces
-//	/v1/admin/hotcells              the busiest answer-cache cells
+//	/v1/admin/hotcells              the cell chains top-k traffic hits most
 //
 // # JSON envelope
 //
@@ -76,16 +76,16 @@
 //
 // # Result cache
 //
-// Query answers are cached under (family, cell key, k, parameters) and
-// stamped with the LSN they were computed at; a cached answer is served
-// only when its stamp equals the current LSN, so an insert invalidates
-// every cached answer at once and a cached response is byte-identical to
-// a freshly computed one (DESIGN.md §16 gives the soundness argument).
-// Top-k answers are keyed by the cell chain located for the query weights
-// — the index's core insight that a whole cell of preference space shares
-// one answer — so any number of distinct weight vectors inside one cell
-// chain share a single cache entry. The cache is on by default; size it
-// with Config.CacheEntries or disable it with a negative value.
+// kSPR, UTK, ORU, MaxRank and WhyNot answers are cached under (family, k,
+// parameters) and stamped with the LSN they were computed at; a cached
+// answer is served only when its stamp equals the current LSN, so an insert
+// invalidates every cached answer at once and a cached response is
+// byte-identical to a freshly computed one (DESIGN.md §16 gives the
+// soundness argument). Top-k answers are not cached and always report
+// "cached": false: a whole cell chain of preference space shares one top-k
+// answer, but finding the chain is the walk that answers, so a lookup would
+// cost what it saves. The cache is on by default; size it with
+// Config.CacheEntries or disable it with a negative value.
 //
 // # Durability
 //
@@ -158,9 +158,9 @@ import (
 )
 
 // defaultCacheEntries bounds the answer cache when Config.CacheEntries is
-// zero. Answers are small (a handful of ints or regions); the universe of
-// distinct cacheable answers is the cell count times the query families,
-// so a few thousand entries cover realistic indexes outright.
+// zero. Answers are small (a handful of ints or regions) and one entry holds
+// one distinct parameter set of a cached family, so a few thousand entries
+// keep the repeats of a realistic analytic workload resident.
 const defaultCacheEntries = 4096
 
 // DefaultTraceSample is the head-sampling rate applied when
@@ -219,7 +219,7 @@ type Handler struct {
 	pprof  bool
 	cache  *cache.Cache  // nil when disabled
 	rec    *obs.Recorder // flight recorder; nil when disabled
-	hot    *obs.HotCells // sampled cell-traffic sketch; nil without a cache
+	hot    *obs.HotCells // sampled per-cell top-k traffic
 	// traceEvery is the resolved head-sampling rate: a fresh trace starts on
 	// every traceEvery-th request without a caller traceparent (0 means only
 	// propagated traceparents are traced). traceTick is the request counter
@@ -259,7 +259,7 @@ func NewFollowerHandler(f Follower, cfg Config) *Handler {
 }
 
 func newHandler(be Backend, cfg Config) *Handler {
-	h := &Handler{be: be, mu: be.Mutex()}
+	h := &Handler{be: be, mu: be.Mutex(), hot: obs.NewHotCells(0, 0)}
 	h.log = cfg.Logger
 	if h.log == nil {
 		h.log = obs.NopLogger()
@@ -271,10 +271,6 @@ func newHandler(be Backend, cfg Config) *Handler {
 			n = defaultCacheEntries
 		}
 		h.cache = cache.New(n)
-		// Cell-keyed lookups feed the hot-cell sketch; sampled, so the
-		// common case stays one extra atomic add on the cache path.
-		h.hot = obs.NewHotCells(0, 0)
-		h.cache.SetSampler(h.hot.Observe)
 	}
 	switch {
 	case cfg.Recorder != nil:

@@ -77,30 +77,28 @@ const (
 	sbUTK  = `{"family":"utk","lo":[0.3,0.3],"hi":[0.35,0.35],"k":4}`
 )
 
-func BenchmarkServeTopKUncached(b *testing.B) {
-	serveBench(b, NewHandler(serveBenchIndex(b), Config{CacheEntries: -1}), sbTopK)
-}
-
-func BenchmarkServeTopKCached(b *testing.B) {
+// BenchmarkServeTopK is one top-k request through the whole stack. Top-k
+// answers are never cached, so every request walks its cell chain.
+func BenchmarkServeTopK(b *testing.B) {
 	serveBench(b, NewHandler(serveBenchIndex(b), Config{}), sbTopK)
 }
 
-// The flight-recorder cost pair around BenchmarkServeTopKCached (which
-// runs with the recorder at its default-on, 1-in-64-sampled setting):
-// RecorderOff disables the recorder outright, TraceAll collects a span
-// tree for every request. Cached-vs-RecorderOff is the amortized cost of
-// default sampling (should vanish into noise); TraceAll-vs-RecorderOff is
-// the full per-request tracing cost — trace id generation, root and item
+// The flight-recorder cost pair around BenchmarkServeTopK (which runs with
+// the recorder at its default-on, 1-in-64-sampled setting): RecorderOff
+// disables the recorder outright, TraceAll collects a span tree for every
+// request. TopK-vs-RecorderOff is the amortized cost of default sampling
+// (should vanish into noise); TraceAll-vs-RecorderOff is the full
+// per-request tracing cost — trace id generation, root, item and query
 // spans, the trace annotation, and the ring insert.
-func BenchmarkServeTopKCachedRecorderOff(b *testing.B) {
+func BenchmarkServeTopKRecorderOff(b *testing.B) {
 	serveBench(b, NewHandler(serveBenchIndex(b), Config{TraceBuffer: -1}), sbTopK)
 }
 
-func BenchmarkServeTopKCachedTraceAll(b *testing.B) {
+func BenchmarkServeTopKTraceAll(b *testing.B) {
 	serveBench(b, NewHandler(serveBenchIndex(b), Config{TraceSample: 1}), sbTopK)
 }
 
-// The UTK pair is the headline cache number: region reachability is the
+// The UTK pair is the answer cache's own row: region reachability is the
 // most expensive family, so the hit/miss qps ratio is largest here.
 func BenchmarkServeUTKUncached(b *testing.B) {
 	serveBench(b, NewHandler(serveBenchIndex(b), Config{CacheEntries: -1}), sbUTK)
@@ -111,10 +109,10 @@ func BenchmarkServeUTKCached(b *testing.B) {
 }
 
 // BenchmarkServeWriterTopKParallel is the concurrent-throughput number:
-// GOMAXPROCS goroutines hammering a handler with the cache off, so every
-// request runs a real traversal under the read lock.
+// GOMAXPROCS goroutines hammering one handler, every request a top-k walk
+// under the read lock.
 func BenchmarkServeWriterTopKParallel(b *testing.B) {
-	mux := NewHandler(serveBenchIndex(b), Config{CacheEntries: -1}).Mux()
+	mux := NewHandler(serveBenchIndex(b), Config{}).Mux()
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

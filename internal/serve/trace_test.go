@@ -49,12 +49,12 @@ func walkTree(n *obs.SpanNode, into map[string][]*obs.SpanNode) {
 	}
 }
 
-// TestBatchTraceTree is the tentpole acceptance test: one
-// POST /v1/query/batch must surface as a single retrievable trace whose
-// tree shows the envelope, the batch's index span, and a per-item child
-// span with its cache status. The handler keeps the default config on purpose: a fresh
-// handler's first request must be head-sampled, so tracing works out of
-// the box without TraceSample tuning.
+// TestBatchTraceTree: one POST /v1/query/batch must surface as a single
+// retrievable trace whose tree shows the envelope and, per item, an item span
+// with its cache status over that item's own index span, the same subtree a
+// POST /v1/query records. The handler keeps the default config on purpose: a
+// fresh handler's first request must be head-sampled, so tracing works out
+// of the box without TraceSample tuning.
 func TestBatchTraceTree(t *testing.T) {
 	ix, err := tlx.Build(hotels, 3)
 	if err != nil {
@@ -63,8 +63,8 @@ func TestBatchTraceTree(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(ix, Config{}).Mux())
 	defer srv.Close()
 
-	// Two identical top-k items: the batch dedupes them to one cache fill,
-	// so the trace must show one fresh item and one within-batch hit.
+	// Two identical top-k items: each is walked on its own, so the trace
+	// shows two fresh items, each over its own query.topk span.
 	body := `{"queries":[{"family":"topk","w":[0.18,0.82],"k":2},{"family":"topk","w":[0.18,0.82],"k":2}]}`
 	resp, err := http.Post(srv.URL+"/v1/query/batch", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -103,26 +103,28 @@ func TestBatchTraceTree(t *testing.T) {
 
 	names := make(map[string][]*obs.SpanNode)
 	walkTree(found, names)
-	if len(names["query.topkbatch"]) != 1 {
-		t.Fatalf("batch index span missing: %v", names)
+	if len(names["query.topkbatch"]) != 0 {
+		t.Fatalf("batch index span present: %v", names)
 	}
 	items := names["item.topk"]
 	if len(items) != 2 {
 		t.Fatalf("item spans = %d, want 2", len(items))
 	}
-	cachedVals := []float64{}
 	for _, it := range items {
-		v, ok := it.Attrs["cached"]
-		if !ok {
-			t.Fatalf("item span without cached attr: %v", it.Attrs)
+		if v, ok := it.Attrs["cached"]; !ok || v != 0 {
+			t.Fatalf("item span cached attr = %v (present %v), want 0", v, ok)
 		}
-		cachedVals = append(cachedVals, v)
+		if len(it.Children) != 1 || it.Children[0].Name != "query.topk" {
+			t.Fatalf("item span children = %+v, want one query.topk", it.Children)
+		}
 	}
-	if cachedVals[0]+cachedVals[1] != 1 {
-		t.Fatalf("want one fresh + one deduped hit, got cached attrs %v", cachedVals)
+	if len(queries) != 2 {
+		t.Fatalf("query annotations = %+v, want 2", queries)
 	}
-	if len(queries) != 2 || queries[0].Family != "topk" || queries[0].Cell == 0 {
-		t.Fatalf("query annotations = %+v", queries)
+	for _, q := range queries {
+		if q.Family != "topk" || q.Cell == 0 || q.Cached {
+			t.Fatalf("query annotation = %+v, want an uncached topk with its cell", q)
+		}
 	}
 }
 
@@ -463,45 +465,46 @@ func TestTraceSampling(t *testing.T) {
 	}
 }
 
-// TestHotCellsAdminSmoke: clustered traffic on one cell surfaces in the
-// hot-cell sketch with its hit/miss split. The sampler ticks once per
-// cache lookup, so 200 same-cell requests are sampled deterministically.
+// TestHotCellsAdminSmoke: clustered top-k traffic on one cell surfaces in
+// the hot-cell sketch, with the answer cache on and off. The sketch ticks
+// once per top-k answer, so 200 same-cell requests are sampled
+// deterministically.
 func TestHotCellsAdminSmoke(t *testing.T) {
-	srv := newServer(t)
-	for i := 0; i < 200; i++ {
-		if code, _ := postQuery(t, srv.URL, topkQuery); code != 200 {
-			t.Fatalf("topk status %d", code)
+	ix, err := tlx.Build(hotels, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entries := range []int{0, -1} {
+		srv := httptest.NewServer(NewHandler(ix, Config{CacheEntries: entries}).Mux())
+		for i := 0; i < 200; i++ {
+			if code, _ := postQuery(t, srv.URL, topkQuery); code != 200 {
+				t.Fatalf("topk status %d", code)
+			}
 		}
-	}
-	var out struct {
-		SampleEvery int `json:"sampleEvery"`
-		Cells       []struct {
-			Cell   string  `json:"cell"`
-			Hits   uint64  `json:"hits"`
-			Misses uint64  `json:"misses"`
-			Total  uint64  `json:"total"`
-			Ratio  float64 `json:"hitRatio"`
-		} `json:"cells"`
-	}
-	if code := getJSON(t, srv.URL+"/v1/admin/hotcells", &out); code != 200 {
-		t.Fatalf("hotcells status %d", code)
-	}
-	if out.SampleEvery != obs.DefaultHotCellSample {
-		t.Fatalf("sampleEvery = %d", out.SampleEvery)
-	}
-	if len(out.Cells) != 1 {
-		t.Fatalf("hot cells = %+v, want exactly the one clustered cell", out.Cells)
-	}
-	c := out.Cells[0]
-	// 200 lookups at 1-in-64 sampling: ticks 64, 128, 192 — all hits (only
-	// the very first request missed).
-	if c.Total != 3 || c.Hits != 3 || c.Ratio != 1 {
-		t.Fatalf("sampled counts = %+v", c)
-	}
-	if len(c.Cell) != 16 {
-		t.Fatalf("cell key %q is not 16 hex digits", c.Cell)
-	}
-	if code := getJSON(t, srv.URL+"/v1/admin/hotcells?n=banana", nil); code != 400 {
-		t.Fatalf("bad n status %d", code)
+		var out struct {
+			SampleEvery int `json:"sampleEvery"`
+			Cells       []struct {
+				Cell  string `json:"cell"`
+				Total uint64 `json:"total"`
+			} `json:"cells"`
+		}
+		if code := getJSON(t, srv.URL+"/v1/admin/hotcells", &out); code != 200 {
+			t.Fatalf("CacheEntries %d: hotcells status %d", entries, code)
+		}
+		if out.SampleEvery != obs.DefaultHotCellSample {
+			t.Fatalf("CacheEntries %d: sampleEvery = %d", entries, out.SampleEvery)
+		}
+		if len(out.Cells) != 1 {
+			t.Fatalf("CacheEntries %d: hot cells = %+v, want exactly the one clustered cell", entries, out.Cells)
+		}
+		// 200 answers at 1-in-64 sampling: ticks 64, 128, 192.
+		c := out.Cells[0]
+		if c.Total != 3 || len(c.Cell) != 16 {
+			t.Fatalf("CacheEntries %d: sampled cell = %+v, want total 3 under a 16-hex-digit key", entries, c)
+		}
+		if code := getJSON(t, srv.URL+"/v1/admin/hotcells?n=banana", nil); code != 400 {
+			t.Fatalf("bad n status %d", code)
+		}
+		srv.Close()
 	}
 }

@@ -9,8 +9,11 @@ import (
 // descends through: the index's cell identity at a fixed depth. Keys are
 // opaque and comparable; two weight vectors with equal keys obtained at
 // equal depth k followed the same cell chain, and therefore have the same
-// top-k answer in the same rank order. That is the soundness property the
-// serving tier's result cache is built on (DESIGN.md §16).
+// top-k answer in the same rank order. The key names an answer rather than
+// saving one: computing it is the same root-to-level-k walk that produces
+// the answer, so a top-k query returns its key (TopKResult.Key) instead of
+// looking the answer up under it. The serving tier uses keys to group
+// traffic by cell in traces and its hot-cell sketch (DESIGN.md §16).
 //
 // Keys are stable for a given logical index content: they survive
 // serialization round trips (WriteTo/ReadIndex) and on-demand extension to
@@ -57,11 +60,11 @@ func (ix *Index) LocateDepth(w []float64, k int) (CellKey, int, error) {
 
 // LocateTopK answers LocateDepth and TopKContext in one root-to-leaf walk:
 // the key, reached level, ranked options, and traversal stats all come from
-// the same descent, so a serving tier that needs the key for its result
-// cache gets the answer itself for free on a miss (DESIGN.md §18). Like
-// Locate it is a pure lookup — the depth is clamped to the materialized
-// levels, the index is never extended — and the per-item observables are
-// identical to calling LocateDepth and TopKContext separately. On
+// the same descent (DESIGN.md §18). It differs from TopKContext, whose
+// result carries the same key, only in being a pure lookup like Locate: the
+// depth is clamped to the materialized levels and the index is never
+// extended. The per-item observables are identical to calling LocateDepth
+// and TopKContext separately. On
 // cancellation it returns ctx's error with a non-nil result carrying the
 // partial ranks and stats.
 func (ix *Index) LocateTopK(ctx context.Context, w []float64, k int) (CellKey, int, *TopKResult, error) {
@@ -73,7 +76,8 @@ func (ix *Index) LocateTopK(ctx context.Context, w []float64, k int) (CellKey, i
 		return CellKey{}, 0, nil, err
 	}
 	q := ix.startQuerySpan(ctx, "query.locatetopk")
-	h, level, res, st, err := ix.inner.LocateTopK(ctx, x, k, nil)
+	h, level, res, st, err := ix.inner.LocateTopK(ctx, x, k, make([]int32, 0, min(k, ix.inner.MaxMaterializedLevel())))
 	q.finish(exportStats(st), err)
-	return CellKey{h: h}, level, &TopKResult{Options: ix.origIDs(res), Stats: exportStats(st)}, err
+	key := CellKey{h: h}
+	return key, level, &TopKResult{Options: ix.origIDs(res), Key: key, Stats: exportStats(st)}, err
 }
