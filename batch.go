@@ -3,8 +3,6 @@ package tlevelindex
 import (
 	"context"
 	"fmt"
-
-	"tlevelindex/internal/index"
 )
 
 // Batched query entry points. A batch answers many queries in one call —
@@ -87,19 +85,17 @@ func (ix *Index) topKBatch(ctx context.Context, ws [][]float64, k int, strict bo
 }
 
 // KSPRBatch answers a k-shortlist preference region query for every focal
-// option through one deduplicated pass: duplicate focals — the popular-
-// option skew of real reverse top-k traffic — are traversed once and share
-// one result pointer, so out[i] == out[j] whenever focals[i] == focals[j].
-// Items whose option was filtered out (it never ranks top-k anywhere) get
-// an empty, unshared result, like KSPR.
+// option, each item the KSPR lookup and its own result: repeated focals get
+// equal, separately allocated answers. Items whose option was filtered out
+// (it never ranks top-k anywhere) get an empty result, like KSPR.
 func (ix *Index) KSPRBatch(k int, focals []int) ([]*KSPRResult, error) {
 	return ix.ksprBatch(context.Background(), k, focals, false)
 }
 
 // KSPRBatchContext is KSPRBatch with cancellation and strict-depth
 // behavior. On cancellation it returns ctx's error together with the items:
-// focals traversed before the abandonment hold complete answers, the rest
-// carry partial stats only.
+// focals answered before the cancellation hold complete answers, the rest
+// empty results.
 func (ix *Index) KSPRBatchContext(ctx context.Context, k int, focals []int) ([]*KSPRResult, error) {
 	return ix.ksprBatch(ctx, k, focals, true)
 }
@@ -133,31 +129,24 @@ func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int, strict bool
 	}
 	q := ix.startQuerySpan(ctx, "query.ksprbatch")
 	res, err := ix.inner.KSPRBatchCtx(ctx, k, fids)
-	// Duplicate focals share one internal result; exporting through this
-	// memo preserves the sharing in the public answer.
-	exported := make(map[*index.KSPRResult]*KSPRResult, len(live))
 	var agg QueryStats
 	buf := rowBufs.Get()
 	defer rowBufs.Put(buf)
 	for j, i := range live {
+		pub := &KSPRResult{}
+		out[i] = pub
 		r := res[j]
 		if r == nil {
-			// Cancellation truncated the internal batch before this focal was
+			// Cancellation stopped the internal batch before this focal was
 			// reached; the item reports an empty result alongside ctx's error.
-			out[i] = &KSPRResult{}
 			continue
 		}
-		pub, ok := exported[r]
-		if !ok {
-			pub = &KSPRResult{Stats: exportStats(r.Stats)}
-			for _, id := range r.Cells {
-				pub.Regions = append(pub.Regions, exportRegion(ix.inner.RowsInto(id, buf)))
-			}
-			exported[r] = pub
-			agg.VisitedCells += pub.Stats.VisitedCells
-			agg.LPCalls += pub.Stats.LPCalls
+		pub.Stats = exportStats(r.Stats)
+		for _, id := range r.Cells {
+			pub.Regions = append(pub.Regions, exportRegion(ix.inner.RowsInto(id, buf)))
 		}
-		out[i] = pub
+		agg.VisitedCells += pub.Stats.VisitedCells
+		agg.LPCalls += pub.Stats.LPCalls
 	}
 	q.finish(agg, err)
 	return out, err

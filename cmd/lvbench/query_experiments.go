@@ -323,9 +323,11 @@ func expFig16(sc scale) {
 	printTable(header, rows)
 }
 
-// expTable5 — average visited cells per query across n and d sweeps.
+// expTable5 — average visited cells per query across n and d sweeps. kSPR
+// reads its answer from the option→cells column instead of walking, so its
+// column is cells reported, not the paper's visit count.
 func expTable5(sc scale) {
-	header := []string{"sweep", "kSPR", "UTK", "ORU"}
+	header := []string{"sweep", "kSPR (cells read)", "UTK", "ORU"}
 	var rows [][]string
 	for _, n := range sc.ns {
 		data := datagen.Generate(datagen.IND, n, sc.defaultD, 1)

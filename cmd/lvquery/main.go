@@ -71,8 +71,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("kSPR(%d, %d): %d regions, %d cells visited, %v\n",
-			*k, *focal, len(res.Regions), res.Stats.VisitedCells, time.Since(qstart))
+		fmt.Printf("kSPR(%d, %d): %d regions, %v\n", *k, *focal, len(res.Regions), time.Since(qstart))
 		for i, r := range res.Regions {
 			fmt.Printf("  region %d: %d halfspaces\n", i, len(r.Halfspaces))
 		}

@@ -159,10 +159,9 @@ func (ix *Index) topK(ctx context.Context, w []float64, k int, strict bool) (*To
 	return &TopKResult{Options: ix.origIDs(opts), Key: CellKey{h: h}, Stats: exportStats(st)}, err
 }
 
-// KSPRContext is KSPR with cancellation and strict-depth behavior. On
-// cancellation it returns ctx's error together with a non-nil result whose
-// Stats carry the traversal work done before the abandonment (Regions is
-// left empty).
+// KSPRContext is KSPR with cancellation and strict-depth behavior. The
+// lookup polls ctx once, before it reads; on cancellation it returns ctx's
+// error together with a non-nil, empty result.
 func (ix *Index) KSPRContext(ctx context.Context, k, focal int) (*KSPRResult, error) {
 	return ix.kspr(ctx, k, focal, true)
 }
@@ -269,9 +268,9 @@ type MaxRankResult struct {
 // MaxRankContext is MaxRank with cancellation; it also exports QueryStats,
 // which the plain MaxRank does not. MaxRank never extends the index, so no
 // strict-depth check applies and the plain method is the same call under
-// context.Background(). On cancellation it returns ctx's error together
-// with a non-nil result carrying the partial QueryStats (Rank is
-// meaningless then).
+// context.Background(). The lookup polls ctx once, before it reads; on
+// cancellation it returns ctx's error together with a non-nil result with
+// zero stats (Rank is meaningless then).
 func (ix *Index) MaxRankContext(ctx context.Context, opt int) (*MaxRankResult, error) {
 	if opt < 0 {
 		return nil, fmt.Errorf("tlevelindex: invalid option %d", opt)

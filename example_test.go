@@ -36,7 +36,7 @@ func ExampleIndex_KSPR() {
 	ix, _ := tlx.Build(exampleHotels, 3)
 	res, _ := ix.KSPR(2, 0) // where does VibesInn rank top-2?
 	fmt.Println("regions:", len(res.Regions), "visited:", res.Stats.VisitedCells)
-	// Output: regions: 2 visited: 5
+	// Output: regions: 2 visited: 2
 }
 
 func ExampleIndex_UTK() {

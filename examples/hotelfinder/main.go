@@ -57,8 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("top-3 preference regions: %d (visited %d cells in %v)\n",
-		len(kspr.Regions), kspr.Stats.VisitedCells, time.Since(qstart))
+	fmt.Printf("top-3 preference regions: %d (in %v)\n", len(kspr.Regions), time.Since(qstart))
 
 	// Why-not: a specific customer profile — equal weights — does not see
 	// the hotel in their top-3; how far are they from a segment that does?

@@ -43,8 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("VibesInn ranks top-2 in %d preference regions (%d cells visited)\n",
-		len(kspr.Regions), kspr.Stats.VisitedCells)
+	fmt.Printf("VibesInn ranks top-2 in %d preference regions\n", len(kspr.Regions))
 
 	// UTK: which hotels can be top-3 for users weighing value in
 	// [0.35, 0.45]?

@@ -7,10 +7,11 @@ import (
 	"tlevelindex/internal/geom"
 )
 
-// Batched query execution is a loop of single-query descents under one call:
-// TopKBatchCtx runs LocateTopK per item and LocateBatch runs Locate per item,
-// so every per-item observable — answer, rank order, QueryStats, chain key,
-// reached level — is the single-query path's by construction. A batch buys
+// Batched query execution is a loop of single queries under one call:
+// TopKBatchCtx runs LocateTopK per item, LocateBatch runs Locate per item and
+// KSPRBatchCtx runs KSPRCtx per item, so every per-item observable — answer,
+// rank order, QueryStats, chain key, reached level — is the single-query
+// path's by construction. A batch buys
 // its caller one call (one lock decision, one round trip, per-item errors),
 // not a cheaper traversal (DESIGN.md §18).
 
@@ -79,38 +80,18 @@ func (ix *Index) LocateBatch(xs [][]float64, k int) (keys []uint64, levels []int
 	return keys, levels
 }
 
-// KSPRBatchCtx answers KSPRCtx for every focal option through one scratch
-// checkout, deduplicating repeated focals: a kSPR answer depends only on
-// (k, focal), so duplicate entries share the same *KSPRResult pointer and
-// cost nothing beyond the first. Results and stats are element-wise
-// identical to calling KSPRCtx per item. On cancellation it returns the
-// context's error with the partial output: completed items keep their
-// results, the failing item holds its partial walk, later items are nil.
+// KSPRBatchCtx answers KSPRCtx for every focal option, in order. On
+// cancellation it returns the context's error with the items answered so
+// far; the item that saw the cancellation holds an empty result, and later
+// items are nil.
 func (ix *Index) KSPRBatchCtx(ctx context.Context, k int, focals []int32) ([]*KSPRResult, error) {
 	out := make([]*KSPRResult, len(focals))
-	if len(focals) == 0 {
-		return out, nil
-	}
-	if k > ix.Tau {
-		ix.ensureLevels(k)
-	}
-	qs := getScratch(ix.RDim())
-	defer putScratch(qs)
-	var seen map[int32]*KSPRResult
 	for i, f := range focals {
-		if r, ok := seen[f]; ok {
-			out[i] = r
-			continue
-		}
-		res := &KSPRResult{}
+		res, err := ix.KSPRCtx(ctx, k, f)
 		out[i] = res
-		if err := ix.ksprWalk(ctx, k, f, qs, res); err != nil {
+		if err != nil {
 			return out, err
 		}
-		if seen == nil {
-			seen = make(map[int32]*KSPRResult, len(focals))
-		}
-		seen[f] = res
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tlevelindex/internal/geom"
@@ -31,14 +32,13 @@ func cancelFixture(t *testing.T) *Index {
 	return buildOrFail(t, randData(rng, 120, 3), Config{Algorithm: PBAPlus, Tau: 4})
 }
 
-// TestKSPRCtxPartialResult: a mid-traversal cancellation must surface the
-// context error together with a non-nil partial result whose Stats reflect
-// the work done before the abandonment.
+// TestKSPRCtxPartialResult: kSPR is a column lookup that polls ctx once,
+// before it reads. A canceled context surfaces its error with a non-nil,
+// empty result that read nothing; a context that is live at that poll gets
+// the whole answer.
 func TestKSPRCtxPartialResult(t *testing.T) {
 	ix := cancelFixture(t)
-	// First poll (visit 1) passes, second poll (visit ctxCheckInterval)
-	// trips: the walk stops having visited exactly ctxCheckInterval cells.
-	ctx := &trippingCtx{Context: context.Background(), limit: 2}
+	ctx := &trippingCtx{Context: context.Background(), limit: 1}
 	res, err := ix.KSPRCtx(ctx, 4, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -46,8 +46,13 @@ func TestKSPRCtxPartialResult(t *testing.T) {
 	if res == nil {
 		t.Fatal("canceled KSPRCtx returned nil result")
 	}
-	if res.Stats.VisitedCells != ctxCheckInterval {
-		t.Errorf("partial VisitedCells = %d, want %d", res.Stats.VisitedCells, ctxCheckInterval)
+	if res.Stats.VisitedCells != 0 || len(res.Cells) != 0 {
+		t.Errorf("canceled kSPR read %d entries (%d cells), want none", res.Stats.VisitedCells, len(res.Cells))
+	}
+	ctx = &trippingCtx{Context: context.Background(), limit: 2}
+	res, err = ix.KSPRCtx(ctx, 4, 0)
+	if want := ix.KSPR(4, 0); err != nil || !slices.Equal(res.Cells, want.Cells) || res.Stats != want.Stats {
+		t.Errorf("kSPR live at its poll = %+v (err %v), want %+v", res, err, want)
 	}
 }
 
@@ -101,7 +106,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		{"KSPRCtx", 6, func() {
+		{"KSPRCtx", 1, func() { // the result; Cells is a window of the column
 			if _, err := ix.KSPRCtx(ctx, 4, focal); err != nil {
 				t.Fatal(err)
 			}

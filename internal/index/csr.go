@@ -1,6 +1,11 @@
 package index
 
-import "tlevelindex/internal/geom"
+import (
+	"slices"
+	"sort"
+
+	"tlevelindex/internal/geom"
+)
 
 // Flat CSR cell storage. A built index keeps its DAG adjacency in three
 // shared int32 arenas (children, parents, bound sets) with one per-cell
@@ -35,6 +40,14 @@ type flatDAG struct {
 	entryRows geom.Rows
 	entryOff  []int32
 	entryAt   []int32
+	// optCells is the option→cells column: option o's live cells are
+	// optCells[optOff[o]:optOff[o+1]], ascending by (level, id). A cell's
+	// option is its ℓ-th-ranked one and occurs once on any root path, so the
+	// cells where o ranks top-k are exactly the prefix at levels ≤ k (the
+	// kSPR answer), and the first entry's level is o's best rank (MaxRank).
+	// Derived like the entry table.
+	optCells []int32
+	optOff   []int32
 }
 
 // cellSpans locates one cell's adjacency lists inside the arenas.
@@ -82,7 +95,59 @@ func (ix *Index) freeze() {
 		c.Parents, c.Children, c.Bound = nil, nil, nil
 	}
 	f.fillEntryTable(ix)
+	f.fillOptCells(ix)
 	ix.flat = f
+}
+
+// fillOptCells builds the option→cells column (see flatDAG). Like
+// fillEntryTable it trusts nothing beyond the loader's range checks: a cell
+// holding no option is skipped.
+func (f *flatDAG) fillOptCells(ix *Index) {
+	n := len(ix.Pts)
+	off := make([]int32, n+1)
+	for i := range ix.Cells {
+		if c := &ix.Cells[i]; c.Level > 0 && c.Opt >= 0 {
+			off[c.Opt+1]++
+		}
+	}
+	for o := range n {
+		off[o+1] += off[o]
+	}
+	// Each option's entries are sorted as (level, id) keys, so "levels ≤ k"
+	// is a prefix; cell ids mostly ascend with level already, which the sort
+	// detects.
+	keys := make([]uint64, off[n])
+	next := slices.Clone(off[:n])
+	for i := range ix.Cells {
+		if c := &ix.Cells[i]; c.Level > 0 && c.Opt >= 0 {
+			keys[next[c.Opt]] = uint64(c.Level)<<32 | uint64(i)
+			next[c.Opt]++
+		}
+	}
+	for o := range n {
+		slices.Sort(keys[off[o]:off[o+1]])
+	}
+	f.optCells, f.optOff = make([]int32, len(keys)), off
+	for i, k := range keys {
+		f.optCells[i] = int32(uint32(k))
+	}
+}
+
+// focalCells returns the focal option's cells at levels ≤ k, ascending by
+// (level, id): a read-only window of the option→cells column, shared with
+// the index. A thawed index has no column, so one is built for the call.
+func (ix *Index) focalCells(focal int32, k int) []int32 {
+	f := ix.flat
+	if f == nil {
+		f = &flatDAG{}
+		f.fillOptCells(ix)
+	}
+	if focal < 0 || int(focal) >= len(f.optOff)-1 {
+		return nil
+	}
+	cells := f.optCells[f.optOff[focal]:f.optOff[focal+1]]
+	n := sort.Search(len(cells), func(i int) bool { return int(ix.Cells[cells[i]].Level) > k })
+	return cells[:n:n]
 }
 
 // fillEntryTable builds the entry table (see flatDAG). It reads the

@@ -34,71 +34,37 @@ func checkCtx(ctx context.Context, visits int) error {
 // option; their union is the preference region where the focal option
 // ranks top-k.
 type KSPRResult struct {
+	// Cells ascend by (level, id). The slice is a read-only window of the
+	// index's option→cells column.
 	Cells []int32
+	// Stats.VisitedCells counts the column entries read: len(Cells).
 	Stats QueryStats
 }
 
 // KSPR answers the kSPR query (Problem 2) for the focal option (filtered
-// id): traverse all paths from the entry cell until reaching level k or a
-// cell whose option is the focal option, whichever happens first. When a
-// focal cell is found, its entire region qualifies, so the search does not
-// descend below it.
+// id). The paper walks every path from the entry cell down to level k or
+// to a cell holding the focal option. That walk's answer is every cell at
+// a level ≤ k that holds the focal option, because an option occurs once on
+// any root path. The index keeps those cells as the option's entries in its
+// option→cells column (see flatDAG), so the answer is a prefix of them.
 func (ix *Index) KSPR(k int, focal int32) *KSPRResult {
 	res, _ := ix.KSPRCtx(context.Background(), k, focal)
 	return res
 }
 
-// KSPRCtx is KSPR with cancellation checks between cell visits. When the
-// traversal is abandoned it returns the context's error together with the
-// partial result: Stats reflects the work done up to the abandonment and
-// Cells holds whatever was collected (incomplete).
-//
-// The walk is an iterative depth-first descent over a pooled stack and a
-// visited bitset: children are pushed in reverse so cells pop in exactly the
-// order the historical recursive walk visited them.
+// KSPRCtx is KSPR under a context. It polls ctx once, before the lookup; a
+// canceled context yields the context's error and an empty result.
 func (ix *Index) KSPRCtx(ctx context.Context, k int, focal int32) (*KSPRResult, error) {
 	res := &KSPRResult{}
 	if k > ix.Tau {
 		ix.ensureLevels(k)
 	}
-	qs := getScratch(ix.RDim())
-	defer putScratch(qs)
-	err := ix.ksprWalk(ctx, k, focal, qs, res)
-	return res, err
-}
-
-// ksprWalk is the KSPRCtx traversal body over a caller-held scratch, so
-// batched callers (KSPRBatchCtx) amortize one scratch checkout over many
-// focal options. It accumulates into res, which must start empty.
-func (ix *Index) ksprWalk(ctx context.Context, k int, focal int32, qs *queryScratch, res *KSPRResult) error {
-	qs.visited.reset(len(ix.Cells))
-	stack := append(qs.stack[:0], ix.Root())
-	defer func() { qs.stack = stack[:0] }()
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if qs.visited.get(id) {
-			continue
-		}
-		qs.visited.set(id)
-		res.Stats.VisitedCells++
-		if err := checkCtx(ctx, res.Stats.VisitedCells); err != nil {
-			return err
-		}
-		c := &ix.Cells[id]
-		if c.Opt == focal {
-			res.Cells = append(res.Cells, id)
-			continue
-		}
-		if int(c.Level) >= k {
-			continue
-		}
-		children := ix.childrenOf(id)
-		for i := len(children) - 1; i >= 0; i-- {
-			stack = append(stack, children[i])
-		}
+	if err := ctx.Err(); err != nil {
+		return res, err
 	}
-	return nil
+	res.Cells = ix.focalCells(focal, k)
+	res.Stats.VisitedCells = len(res.Cells)
+	return res, nil
 }
 
 // UTKPartition is one piece of the level-k partitioning of the UTK query
@@ -409,30 +375,28 @@ func maxViolation(rows geom.Rows, x []float64) float64 {
 
 // MaxRank returns the best (smallest) rank the focal option attains
 // anywhere in preference space, or -1 when the option never ranks within
-// the materialized levels. A breadth-first sweep suffices: the first level
-// containing a cell with the focal option is the answer ([31]).
+// τ. The shallowest level holding a cell with the focal option is the answer
+// ([31]), and that cell is the option's first entry in the option→cells
+// column: one entry read, VisitedCells 1 (0 for an option with no cell).
 func (ix *Index) MaxRank(focal int32) (int, QueryStats) {
 	rank, st, _ := ix.MaxRankCtx(context.Background(), focal)
 	return rank, st
 }
 
-// MaxRankCtx is MaxRank with cancellation checks between cell visits. When
-// the sweep is abandoned it returns the context's error together with the
-// QueryStats accumulated up to the abandonment (the rank is meaningless).
+// MaxRankCtx is MaxRank under a context. It polls ctx once, before the
+// lookup; a canceled context yields the context's error and zero stats (the
+// rank is meaningless then).
 func (ix *Index) MaxRankCtx(ctx context.Context, focal int32) (int, QueryStats, error) {
 	var st QueryStats
-	for l := 1; l <= ix.Tau; l++ {
-		for _, id := range ix.levelCells(l) {
-			st.VisitedCells++
-			if err := checkCtx(ctx, st.VisitedCells); err != nil {
-				return 0, st, err
-			}
-			if ix.Cells[id].Opt == focal {
-				return l, st, nil
-			}
-		}
+	if err := ctx.Err(); err != nil {
+		return 0, st, err
 	}
-	return -1, st, nil
+	cells := ix.focalCells(focal, ix.Tau)
+	if len(cells) == 0 {
+		return -1, st, nil
+	}
+	st.VisitedCells = 1
+	return int(ix.Cells[cells[0]].Level), st, nil
 }
 
 // WhyNotResult explains why an option is not in a user's top-k (the
@@ -447,7 +411,8 @@ type WhyNotResult struct {
 	// the option into the top-k (0 when InTopK); -1 when no qualifying
 	// region exists within the materialized levels.
 	NearestDist float64
-	// NearestCell is the qualifying cell realizing NearestDist.
+	// NearestCell is the qualifying cell realizing NearestDist: among
+	// equally near cells, the first in kSPR order (ascending level, id).
 	NearestCell int32
 	// NearestPoint is the reduced weight vector realizing NearestDist (nil
 	// when no qualifying region exists).
@@ -463,7 +428,7 @@ func (ix *Index) WhyNot(focal int32, x []float64, k int) *WhyNotResult {
 	return res
 }
 
-// WhyNotCtx is WhyNot with cancellation checks between cell visits and
+// WhyNotCtx is WhyNot with cancellation checks before the kSPR lookup and
 // between region projections. When the query is abandoned it returns the
 // context's error together with the partial result, whose Stats reflect
 // the work done up to the abandonment.
@@ -533,8 +498,8 @@ func (ix *Index) MonoRTopK(k int, focal int32) ([]Interval, QueryStats) {
 	return segs, st
 }
 
-// MonoRTopKCtx is MonoRTopK with cancellation checks between cell visits and
-// between interval projections. When the query is abandoned it returns the
+// MonoRTopKCtx is MonoRTopK with cancellation checks before the kSPR lookup
+// and between interval projections. When the query is abandoned it returns the
 // context's error together with the partial QueryStats (the intervals are
 // incomplete and only cover the cells projected so far).
 func (ix *Index) MonoRTopKCtx(ctx context.Context, k int, focal int32) ([]Interval, QueryStats, error) {

@@ -46,7 +46,7 @@ func queryBenchIndex(b *testing.B) *Index {
 }
 
 // qbFocals returns filtered option ids that actually appear within the
-// materialized levels, so every KSPR traversal does real work.
+// materialized levels, so every KSPR answer is non-empty.
 func qbFocals(b *testing.B, ix *Index) []int32 {
 	b.Helper()
 	var out []int32
@@ -159,8 +159,8 @@ func BenchmarkTopK(b *testing.B) {
 const qbBatch = 64
 
 // BenchmarkKSPRBatch models skewed focal traffic (8 popular options across
-// a 64-query batch): the dedupe in KSPRBatchCtx collapses repeats, so the
-// per-item number reflects realistic clustered load, not 64 distinct walks.
+// a 64-query batch). Each item is one column lookup, repeated focal or not,
+// so the per-item number is BenchmarkKSPR's plus the batch's own slice.
 func BenchmarkKSPRBatch(b *testing.B) {
 	ix := queryBenchIndex(b)
 	focals := qbFocals(b, ix)

@@ -8,7 +8,7 @@ import (
 )
 
 // queryScratch is the per-query working memory of the traversals in
-// queries.go: visited/option bitsets, frontier stacks, the ORU heap backing
+// queries.go: visited/option bitsets, UTK's frontiers, the ORU heap backing
 // array, a row buffer for the visited cell's halfspaces, a region scratch for
 // the visits that reach an LP, and the probe-point buffers of UTK. One scratch
 // serves one query at a time; the pool hands each concurrent query its own,
@@ -17,7 +17,6 @@ import (
 type queryScratch struct {
 	visited bitset // cell ids
 	optSeen bitset // option ids
-	stack   []int32
 	frontA  []int32
 	frontB  []int32
 	heap    []oruEntry

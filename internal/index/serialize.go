@@ -394,6 +394,7 @@ func buildX3(dim, tau, inputOptions int32, origIDs []int32, coords []float64,
 		}
 	}
 	f.fillEntryTable(ix)
+	f.fillOptCells(ix)
 	ix.flat = f
 	ix.rebuildLevels()
 	if err := ix.Validate(false); err != nil {

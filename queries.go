@@ -75,7 +75,10 @@ func exportRegion(rows geom.Rows) Region {
 
 // QueryStats reports traversal effort — the cells visited during the index
 // walk and the linear programs solved on the way (the paper's Table 5
-// metrics). Every query type exports it.
+// metrics). Every query type exports it. The focal-option families read
+// cells from a per-option column instead of walking to them, so for kSPR
+// and the queries built on it VisitedCells is the number of kSPR cells, and
+// for MaxRank it is 1 (0 when the option has no cell).
 type QueryStats struct {
 	VisitedCells int
 	LPCalls      int
@@ -89,6 +92,8 @@ func exportStats(s index.QueryStats) QueryStats {
 type KSPRResult struct {
 	// Regions are the preference-space pieces (reduced coordinates) in
 	// which the focal option ranks top-k; their union is the full answer.
+	// They come in ascending order of the rank the focal option holds in
+	// them, and in index cell order within one rank.
 	Regions []Region
 	Stats   QueryStats
 }
