@@ -54,15 +54,16 @@ bench:
 # BenchmarkLocate/BenchmarkLocateTopK), so every addition must be spelled
 # out rather than relying on prefix matching. BenchmarkAnalyticFamilies
 # builds the load benchmark's own index (IND n=8000, d=3, τ=9, ~2 s) and
-# gates the three families of its `analytic` workload on that shape;
-# BenchmarkCellRows is one visit's geometry, from the frozen entry table and
-# assembled.
+# gates the three families of its `analytic` workload on that shape, with
+# UTK's box column filled before timing; BenchmarkUTKBoxFill is that fill,
+# one cell's box per op, on the same index; BenchmarkCellRows is one visit's
+# geometry, from the frozen entry table and assembled.
 bench-smoke: serve-bench recovery-bench ingest-bench
 	$(GO) test -bench . -benchtime 2000x -benchmem -run xxx \
 		./internal/lp ./internal/geom \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_lp.json -out BENCH_lp.json
 	@echo "wrote BENCH_lp.json"
-	$(GO) test -bench '^(BenchmarkKSPR|BenchmarkUTK|BenchmarkORU|BenchmarkTopK|BenchmarkKSPRBatch|BenchmarkLocate|BenchmarkLocateTopK|BenchmarkCellRows|BenchmarkAnalyticFamilies)$$' \
+	$(GO) test -bench '^(BenchmarkKSPR|BenchmarkUTK|BenchmarkORU|BenchmarkTopK|BenchmarkKSPRBatch|BenchmarkLocate|BenchmarkLocateTopK|BenchmarkCellRows|BenchmarkAnalyticFamilies|BenchmarkUTKBoxFill)$$' \
 		-benchtime 2000x -benchmem -run xxx ./internal/index \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_query.json -out BENCH_query.json
 	@echo "wrote BENCH_query.json"

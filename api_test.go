@@ -2,6 +2,7 @@ package tlevelindex
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -203,6 +204,20 @@ func TestInputValidation(t *testing.T) {
 	}
 	if _, err := ix.UTK(2, []float64{0.3, 0.3}, []float64{0.4, 0.4}); err == nil {
 		t.Error("wrong box dimension accepted")
+	}
+	// NaN passes every order check, so it needs its own rejection.
+	for _, box := range [][2][]float64{
+		{{math.NaN()}, {0.4}},
+		{{0.3}, {math.NaN()}},
+		{{math.Inf(-1)}, {0.4}},
+		{{0.3}, {math.Inf(1)}},
+	} {
+		if _, err := ix.UTK(2, box[0], box[1]); err == nil {
+			t.Errorf("box %v..%v accepted", box[0], box[1])
+		}
+		if _, err := ix.UTKContext(context.Background(), 2, box[0], box[1]); err == nil {
+			t.Errorf("box %v..%v accepted under a context", box[0], box[1])
+		}
 	}
 	if _, err := ix.ORU(2, []float64{0.3, 0.7}, 0); err == nil {
 		t.Error("m=0 accepted")

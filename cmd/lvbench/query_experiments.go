@@ -324,10 +324,11 @@ func expFig16(sc scale) {
 }
 
 // expTable5 — average visited cells per query across n and d sweeps. kSPR
-// reads its answer from the option→cells column instead of walking, so its
-// column is cells reported, not the paper's visit count.
+// reads its answer from the option→cells column and UTK scans level k's box
+// column instead of walking, so their columns are cells reported and cells
+// whose box meets the query box, not the paper's visit counts.
 func expTable5(sc scale) {
-	header := []string{"sweep", "kSPR (cells read)", "UTK", "ORU"}
+	header := []string{"sweep", "kSPR (cells read)", "UTK (box candidates)", "ORU"}
 	var rows [][]string
 	for _, n := range sc.ns {
 		data := datagen.Generate(datagen.IND, n, sc.defaultD, 1)

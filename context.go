@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"tlevelindex/internal/geom"
@@ -204,6 +205,12 @@ func (ix *Index) utk(ctx context.Context, k int, lo, hi []float64, strict bool) 
 		return nil, fmt.Errorf("tlevelindex: query box must have %d reduced coordinates", ix.inner.RDim())
 	}
 	for i := range lo {
+		// Every comparison with NaN is false, so a NaN coordinate would pass
+		// the order check below and meet every cell; ±Inf has no place in
+		// the simplex either.
+		if math.IsNaN(lo[i]) || math.IsNaN(hi[i]) || math.IsInf(lo[i], 0) || math.IsInf(hi[i], 0) {
+			return nil, errors.New("tlevelindex: box has a non-finite coordinate")
+		}
 		if lo[i] > hi[i] {
 			return nil, errors.New("tlevelindex: box lo exceeds hi")
 		}

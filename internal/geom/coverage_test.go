@@ -139,6 +139,49 @@ func TestVolumePolygon(t *testing.T) {
 	}
 }
 
+// TestBoundingBox: each of BoundingBox's three algorithms (the interval at
+// dim 1, the clipped polygon at dim 2, LPs beyond) gives the simplex the
+// unit box and a box region itself, padded by BoxPad, and reports an empty
+// region — cut empty by its rows or by a trivially empty row — as lo > hi.
+func TestBoundingBox(t *testing.T) {
+	for dim := 1; dim <= 4; dim++ {
+		lo, hi := make([]float64, dim), make([]float64, dim)
+		lo2, hi2 := make([]float64, dim), make([]float64, dim)
+		for j := range lo2 {
+			lo2[j], hi2[j] = 0.1, 0.2
+		}
+		zero := make([]float64, dim)
+		cut := NewRegion(dim).Add(NewHalfspace(append([]float64{1}, zero[1:]...), 0.1),
+			NewHalfspace(append([]float64{-1}, zero[1:]...), -0.2))
+		for _, c := range []struct {
+			name   string
+			rows   Rows
+			lo, hi []float64
+		}{
+			{"simplex", Rows(SimplexBounds(dim)), zero, []float64{1, 1, 1, 1}[:dim]},
+			{"box", Rows(NewBox(lo2, hi2).Region().HS), lo2, hi2},
+			{"cut empty", Rows(cut.HS), nil, nil},
+			{"trivially empty", append(Rows(SimplexBounds(dim)), Halfspace{A: zero, B: -1}), nil, nil},
+		} {
+			ok := c.rows.BoundingBox(lo, hi)
+			if ok != (c.lo != nil) {
+				t.Fatalf("dim %d %s: ok = %v", dim, c.name, ok)
+			}
+			for j := range lo {
+				if !ok {
+					if lo[j] <= hi[j] {
+						t.Errorf("dim %d %s: empty region, box [%v, %v] on axis %d", dim, c.name, lo[j], hi[j], j)
+					}
+					continue
+				}
+				if math.Abs(lo[j]-(c.lo[j]-BoxPad)) > 1e-12 || math.Abs(hi[j]-(c.hi[j]+BoxPad)) > 1e-12 {
+					t.Errorf("dim %d %s axis %d: box [%v, %v], want [%v, %v] padded by %v", dim, c.name, j, lo[j], hi[j], c.lo[j], c.hi[j], BoxPad)
+				}
+			}
+		}
+	}
+}
+
 func TestVolumeMonteCarlo(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	// 3-dim simplex volume = 1/6; a halfspace through the centroid cuts it

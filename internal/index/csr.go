@@ -3,6 +3,7 @@ package index
 import (
 	"slices"
 	"sort"
+	"sync"
 
 	"tlevelindex/internal/geom"
 )
@@ -48,6 +49,19 @@ type flatDAG struct {
 	// Derived like the entry table.
 	optCells []int32
 	optOff   []int32
+	// boxes is the box column: boxes[l] holds the bounding boxes of level
+	// l's cells in levelCells(l) order, 2·RDim floats each (lo, then hi),
+	// padded outward by geom.BoxPad, for UTK to skip the cells that miss its
+	// box. A level is filled by the first UTK that reads it, under its own
+	// sync.Once, so a publish or a load that no UTK reads pays nothing.
+	// Derived like the entry table.
+	boxes []boxLevel
+}
+
+// boxLevel is one level's slice of the box column.
+type boxLevel struct {
+	once sync.Once
+	box  []float64
 }
 
 // cellSpans locates one cell's adjacency lists inside the arenas.
@@ -94,9 +108,41 @@ func (ix *Index) freeze() {
 		}
 		c.Parents, c.Children, c.Bound = nil, nil, nil
 	}
+	f.fillDerived(ix)
+	ix.flat = f
+}
+
+// fillDerived builds the columns derived from the adjacency: the entry
+// table, the option→cells column, and the empty slots of the box column.
+func (f *flatDAG) fillDerived(ix *Index) {
 	f.fillEntryTable(ix)
 	f.fillOptCells(ix)
-	ix.flat = f
+	f.boxes = make([]boxLevel, ix.MaxMaterializedLevel()+1)
+}
+
+// levelBoxes returns level l's slice of the box column (see flatDAG),
+// filling it on first use. A thawed index has no column, so one is built
+// for the call.
+func (ix *Index) levelBoxes(l int) []float64 {
+	f := ix.flat
+	if f == nil || l >= len(f.boxes) {
+		return ix.fillBoxes(ix.levelCells(l))
+	}
+	lb := &f.boxes[l]
+	lb.once.Do(func() { lb.box = ix.fillBoxes(ix.levelCells(l)) })
+	return lb.box
+}
+
+// fillBoxes computes the bounding boxes of the given cells, back to back.
+func (ix *Index) fillBoxes(cells []int32) []float64 {
+	dim := ix.RDim()
+	out := make([]float64, 2*dim*len(cells))
+	var buf geom.RowBuf
+	for i, id := range cells {
+		b := out[2*dim*i : 2*dim*(i+1)]
+		ix.RowsInto(id, &buf).BoundingBox(b[:dim], b[dim:])
+	}
+	return out
 }
 
 // fillOptCells builds the option→cells column (see flatDAG). Like

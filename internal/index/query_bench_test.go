@@ -209,19 +209,43 @@ func BenchmarkLocateTopK(b *testing.B) {
 	}
 }
 
+// analyticTau is the depth of the load benchmark's `analytic` index.
+const analyticTau = 9
+
+var (
+	analyticOnce sync.Once
+	analyticIx   *Index
+)
+
+// analyticIndex builds (once) the load benchmark's `analytic` index: IND
+// n=8000, d=3, τ=9, ~2 s.
+func analyticIndex(b *testing.B) *Index {
+	b.Helper()
+	analyticOnce.Do(func() {
+		ix, err := Build(datagen.Generate(datagen.IND, 8000, 3, 1), Config{Tau: analyticTau})
+		if err != nil {
+			b.Fatal(err)
+		}
+		analyticIx = ix
+	})
+	return analyticIx
+}
+
 // BenchmarkAnalyticFamilies profiles the three families of the load
 // benchmark's `analytic` workload one at a time, on that workload's own
-// index (IND n=8000, d=3, τ=9) and parameter draws: k uniform in 1..τ−1, a
-// uniform simplex point, a 0.03-wide UTK box, m = τ+4 for ORU, a kSPR focal
-// that holds some rank. Beside ns/op it reports the p99, cells visited and
-// LPCalls per query — in ORU, the point-to-cell distances computed — and
-// for ORU the projection kernel's steps per distance. It is the table in
-// EXPERIMENTS.md §"Where analytic's time goes", and bench-smoke gates it.
+// index and parameter draws: k uniform in 1..τ−1, a uniform simplex point,
+// a 0.03-wide UTK box, m = τ+4 for ORU, a kSPR focal that holds some rank.
+// Beside ns/op it reports the p99, cells visited and LPCalls per query — in
+// UTK the box candidates, in ORU the point-to-cell distances computed — UTK's
+// partitions per query, and for ORU the projection kernel's steps per
+// distance. The box column is filled before timing; BenchmarkUTKBoxFill
+// measures the fill. It is the table in EXPERIMENTS.md §"Where analytic's
+// time goes", and bench-smoke gates it.
 func BenchmarkAnalyticFamilies(b *testing.B) {
-	const tau = 9
-	ix, err := Build(datagen.Generate(datagen.IND, 8000, 3, 1), Config{Tau: tau})
-	if err != nil {
-		b.Fatal(err)
+	const tau = analyticTau
+	ix := analyticIndex(b)
+	for l := 1; l <= tau; l++ {
+		ix.levelBoxes(l)
 	}
 	var focals []int32
 	seen := make(map[int32]bool)
@@ -234,6 +258,7 @@ func BenchmarkAnalyticFamilies(b *testing.B) {
 		}
 	}
 	ctx := context.Background()
+	parts := 0
 	families := []struct {
 		name string
 		run  func(k int, x []float64, focal int32) QueryStats
@@ -241,6 +266,7 @@ func BenchmarkAnalyticFamilies(b *testing.B) {
 		{"utk", func(k int, x []float64, _ int32) QueryStats {
 			lo := []float64{max(x[0]-0.015, 0), max(x[1]-0.015, 0)}
 			res, _ := ix.UTKCtx(ctx, k, geom.NewBox(lo, []float64{lo[0] + 0.03, lo[1] + 0.03}))
+			parts += len(res.Partitions)
 			return res.Stats
 		}},
 		{"oru", func(k int, x []float64, _ int32) QueryStats {
@@ -262,6 +288,7 @@ func BenchmarkAnalyticFamilies(b *testing.B) {
 			}
 			lat := make([]time.Duration, b.N)
 			var sum QueryStats
+			parts = 0
 			calls, steps := geom.ProjectionStats()
 			b.ResetTimer()
 			for i := range lat {
@@ -276,9 +303,37 @@ func BenchmarkAnalyticFamilies(b *testing.B) {
 			b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds()), "p99-us")
 			b.ReportMetric(float64(sum.VisitedCells)/float64(b.N), "visited/op")
 			b.ReportMetric(float64(sum.LPCalls)/float64(b.N), "lpcalls/op")
+			if parts > 0 {
+				b.ReportMetric(float64(parts)/float64(b.N), "partitions/op")
+			}
 			if c, s := geom.ProjectionStats(); c > calls {
 				b.ReportMetric(float64(s-steps)/float64(c-calls), "steps/projection")
 			}
 		})
 	}
+}
+
+// BenchmarkUTKBoxFill is the box column's fill on the `analytic` index: one
+// op is one cell's bounding box, cycling through levels 1..τ, and fill-ms is
+// one fill of every level, as the first UTK at each level pays it.
+func BenchmarkUTKBoxFill(b *testing.B) {
+	ix := analyticIndex(b)
+	var cells []int32
+	start := time.Now()
+	for l := 1; l <= analyticTau; l++ {
+		ix.fillBoxes(ix.levelCells(l))
+		cells = append(cells, ix.levelCells(l)...)
+	}
+	fill := time.Since(start)
+	dim := ix.RDim()
+	box := make([]float64, 2*dim)
+	var buf geom.RowBuf
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.RowsInto(cells[i%len(cells)], &buf).BoundingBox(box[:dim], box[dim:])
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(fill.Microseconds())/1000, "fill-ms")
+	b.ReportMetric(float64(len(cells)), "cells")
 }

@@ -8,17 +8,15 @@ import (
 )
 
 // queryScratch is the per-query working memory of the traversals in
-// queries.go: visited/option bitsets, UTK's frontiers, the ORU heap backing
-// array, a row buffer for the visited cell's halfspaces, a region scratch for
-// the visits that reach an LP, and the probe-point buffers of UTK. One scratch
+// queries.go: visited/option bitsets, the ORU heap backing array, a row
+// buffer for the visited cell's halfspaces, a region scratch for the visits
+// that reach an LP, and the probe-point buffers of UTK. One scratch
 // serves one query at a time; the pool hands each concurrent query its own,
 // so steady-state queries at k ≤ MaxMaterializedLevel allocate nothing (or
 // O(result) for the answer itself).
 type queryScratch struct {
 	visited bitset // cell ids
 	optSeen bitset // option ids
-	frontA  []int32
-	frontB  []int32
 	heap    []oruEntry
 	opts    []int32
 	rset    []int32 // result-set buffer threaded through cellRows/regionIntoBuf

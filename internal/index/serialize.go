@@ -393,8 +393,7 @@ func buildX3(dim, tau, inputOptions int32, origIDs []int32, coords []float64,
 			offs[2] += lens[2][i]
 		}
 	}
-	f.fillEntryTable(ix)
-	f.fillOptCells(ix)
+	f.fillDerived(ix)
 	ix.flat = f
 	ix.rebuildLevels()
 	if err := ix.Validate(false); err != nil {

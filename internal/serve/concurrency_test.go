@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,18 +16,22 @@ import (
 // Backend — its read lock, its index pointer — while a writer publishes 200
 // insert batches, each of which adds a child to the entry cell and so
 // replaces the frozen entry table the readers' traversals serve level 1
-// from. Under -race (make race) this is the check that the table is only
-// ever shared immutable; without it, that no reader is left with an answer
-// from a table the last publish retired.
+// from, and the box column every UTK scans. Every reader runs UTK at every
+// level, so after each publish several readers race to the first fill of
+// each level's boxes. Under -race (make race) this is the check that the
+// table is only ever shared immutable and that a level's fill is published
+// once to all of its readers; without it, that no reader is left with an
+// answer from a table or a column the last publish retired.
 func TestBackendReadersAcrossPublishes(t *testing.T) {
-	ix, err := tlx.Build(datagen.Generate(datagen.IND, 60, 3, 27), 3)
+	const tau = 3
+	ix, err := tlx.Build(datagen.Generate(datagen.IND, 60, 3, 27), tau)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var be Backend = &memBackend{ix: ix}
 	ctx := context.Background()
 	type answer struct {
-		utk *tlx.UTKResult
+		utk [tau]*tlx.UTKResult
 		oru *tlx.ORUResult
 	}
 	query := func(g int) (a answer) {
@@ -37,8 +42,10 @@ func TestBackendReadersAcrossPublishes(t *testing.T) {
 		be.Mutex().RLock()
 		defer be.Mutex().RUnlock()
 		var err error
-		if a.utk, err = be.Index().UTKContext(ctx, 1+g%3, lo, hi); err != nil {
-			t.Error(err)
+		for k := range a.utk {
+			if a.utk[k], err = be.Index().UTKContext(ctx, k+1, lo, hi); err != nil {
+				t.Error(err)
+			}
 		}
 		if a.oru, err = be.Index().ORUContext(ctx, 1+(g+1)%3, w, 5); err != nil {
 			t.Error(err)
@@ -84,7 +91,7 @@ func TestBackendReadersAcrossPublishes(t *testing.T) {
 		if want := query(g); !reflect.DeepEqual(got, want) {
 			t.Errorf("reader %d after the last publish:\n got %+v %+v\nwant %+v %+v", g, got.utk, got.oru, want.utk, want.oru)
 		}
-		if len(got.utk.Partitions) == 0 || len(got.oru.Options) == 0 {
+		if slices.ContainsFunc(got.utk[:], func(r *tlx.UTKResult) bool { return len(r.Partitions) == 0 }) || len(got.oru.Options) == 0 {
 			t.Errorf("reader %d: empty answers %+v %+v", g, got.utk, got.oru)
 		}
 	}

@@ -221,14 +221,8 @@ var families = map[string]*familySpec{
 		name:       "maxrank",
 		needsFocal: true,
 		depth:      func(q *QueryRequest) int { return 0 },
-		cacheKey: func(ix *tlx.Index, q *QueryRequest) cache.Key {
-			// MaxRank's answer depends on the materialized depth (a deeper
-			// pool can admit the option), which changes without an LSN
-			// bump, so the depth joins the key.
-			return cache.Key{Family: "maxrank",
-				Params: "f" + strconv.Itoa(*q.Focal) +
-					";d" + strconv.Itoa(ix.MaxMaterializedLevel())}
-		},
+		// No cacheKey: the answer is one read of the option→cells column,
+		// so a cache hit would cost what the read does.
 		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, uint64, error) {
 			res, err := ix.MaxRankContext(ctx, *q.Focal)
 			if res == nil {
@@ -243,7 +237,8 @@ var families = map[string]*familySpec{
 		depth:      func(q *QueryRequest) int { return q.K },
 		cacheKey: func(ix *tlx.Index, q *QueryRequest) cache.Key {
 			// The reported rank counts the indexed option pool, which
-			// grows with the materialized depth — include it like maxrank.
+			// grows with the materialized depth without an LSN bump, so the
+			// depth joins the key.
 			p := []byte("f")
 			p = strconv.AppendInt(p, int64(*q.Focal), 10)
 			p = append(p, ";d"...)

@@ -40,8 +40,9 @@ func postQuery(t *testing.T, url, body string) (int, envelope) {
 
 // TestQueryEnvelope drives every family through POST /v1/query and checks
 // the envelope carries the pinned answers, plus the cached flag on an
-// identical repeat: true for the five cached families, false for top-k,
-// which is always answered by its walk.
+// identical repeat: true for the four cached families, false for top-k,
+// which is always answered by its walk, and for MaxRank, always one column
+// read.
 func TestQueryEnvelope(t *testing.T) {
 	srv := newServer(t)
 	cases := []struct {
@@ -53,7 +54,7 @@ func TestQueryEnvelope(t *testing.T) {
 		{`{"family":"kspr","focal":0,"k":2}`, `"regions":[`, true},
 		{`{"family":"utk","lo":[0.35],"hi":[0.45],"k":3}`, `"options":[0,1,2,3]`, true},
 		{`{"family":"oru","w":[0.3,0.7],"k":2,"m":3}`, `"rho":`, true},
-		{`{"family":"maxrank","focal":4}`, `"rank":-1`, true},
+		{`{"family":"maxrank","focal":4}`, `"rank":-1`, false},
 		{`{"family":"whynot","focal":0,"w":[0.9,0.1],"k":2}`, `"Rank":3`, true},
 	}
 	for _, c := range cases {

@@ -78,7 +78,9 @@ func exportRegion(rows geom.Rows) Region {
 // metrics). Every query type exports it. The focal-option families read
 // cells from a per-option column instead of walking to them, so for kSPR
 // and the queries built on it VisitedCells is the number of kSPR cells, and
-// for MaxRank it is 1 (0 when the option has no cell).
+// for MaxRank it is 1 (0 when the option has no cell). UTK scans the level-k
+// cells' bounding boxes instead of walking down to them, so its VisitedCells
+// counts the cells whose box meets the query box.
 type QueryStats struct {
 	VisitedCells int
 	LPCalls      int
@@ -116,14 +118,16 @@ type UTKResult struct {
 	// Options are all dataset indices that rank top-k for some weight in
 	// the query region, ascending.
 	Options []int
-	// Partitions subdivide the query region by top-k result set.
+	// Partitions subdivide the query region by top-k result set, in index
+	// cell order.
 	Partitions []UTKPartition
 	Stats      QueryStats
 }
 
 // UTK reports every option that can rank top-k for a weight inside the box
 // [lo, hi] in reduced preference coordinates, along with the partitioning
-// of the box by top-k result set.
+// of the box by top-k result set. A box with a NaN or infinite coordinate
+// is an error.
 func (ix *Index) UTK(k int, lo, hi []float64) (*UTKResult, error) {
 	return ix.utk(context.Background(), k, lo, hi, false)
 }
