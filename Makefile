@@ -55,9 +55,10 @@ bench:
 # out rather than relying on prefix matching. BenchmarkAnalyticFamilies
 # builds the load benchmark's own index (IND n=8000, d=3, τ=9, ~2 s) and
 # gates the three families of its `analytic` workload on that shape, with
-# UTK's box column filled before timing; BenchmarkUTKBoxFill is that fill,
-# one cell's box per op, on the same index; BenchmarkCellRows is one visit's
-# geometry, from the frozen entry table and assembled.
+# the box and rows columns filled before timing; BenchmarkUTKBoxFill is the
+# box fill, one cell's box per op, on the same index; BenchmarkCellRows is
+# one visit's geometry from the rows column, reporting the column's fill
+# time and heap.
 bench-smoke: serve-bench recovery-bench ingest-bench
 	$(GO) test -bench . -benchtime 2000x -benchmem -run xxx \
 		./internal/lp ./internal/geom \

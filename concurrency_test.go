@@ -106,7 +106,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					if _, err := ix.MaxRankContext(ctx, i%40); err != nil {
 						t.Error(err)
 					}
-				case 4: // with UTK, the readers of the frozen entry table
+				case 4: // with UTK and kSPR, the readers of the rows column
 					if _, err := ix.ORUContext(ctx, k, w, 6); err != nil {
 						t.Error(err)
 					}

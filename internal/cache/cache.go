@@ -1,10 +1,11 @@
 // Package cache provides the serving tier's LSN-stamped answer cache.
 //
-// It holds answers that cost a traversal to recompute — the region and
-// focal-option families (kSPR, UTK, ORU, MaxRank, WhyNot) — keyed by (query
-// family, k, canonical family parameters). Top-k answers are not cached: a
-// top-k answer is fixed by the cell chain its weights land in, and finding
-// that chain is the walk that answers the query. Entries are stamped with
+// It holds answers that cost a scan, a walk or LPs to recompute — UTK, ORU
+// and WhyNot — keyed by (query family, k, canonical family parameters).
+// Top-k answers are not cached: a top-k answer is fixed by the cell chain
+// its weights land in, and finding that chain is the walk that answers the
+// query. Nor are kSPR and MaxRank answers, which are reads of the index's
+// columns. Entries are stamped with
 // the store's applied LSN at fill time and are valid only while the caller's
 // LSN still matches — an insert bumps the LSN and thereby invalidates every
 // cached answer wholesale, without touching the map. A replica that lags

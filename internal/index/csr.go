@@ -29,39 +29,36 @@ type flatDAG struct {
 	children []int32
 	parents  []int32
 	bounds   []int32
-	// entryRows is the entry table: the halfspace rows (RowsInto) of every
-	// child of the entry cell, back to back in child-list order, their
-	// coefficient vectors windows of one slab. Those are the cells every UTK
-	// and ORU tests whatever its parameters, and under a partition-based
-	// build they carry far more rows than any cell below them, so they are
-	// assembled once per freeze instead of once per query. Child k's rows are
-	// entryRows[entryOff[k]:entryOff[k+1]], and entryAt[id] is k+1 for that
-	// child's cell id (0, or id past the end, for every other cell). Derived:
-	// heap-owned, immutable once built, never serialized.
-	entryRows geom.Rows
-	entryOff  []int32
-	entryAt   []int32
 	// optCells is the option→cells column: option o's live cells are
 	// optCells[optOff[o]:optOff[o+1]], ascending by (level, id). A cell's
 	// option is its ℓ-th-ranked one and occurs once on any root path, so the
 	// cells where o ranks top-k are exactly the prefix at levels ≤ k (the
 	// kSPR answer), and the first entry's level is o's best rank (MaxRank).
-	// Derived like the entry table.
+	// Derived: heap-owned, immutable once built, never serialized.
 	optCells []int32
 	optOff   []int32
-	// boxes is the box column: boxes[l] holds the bounding boxes of level
-	// l's cells in levelCells(l) order, 2·RDim floats each (lo, then hi),
-	// padded outward by geom.BoxPad, for UTK to skip the cells that miss its
-	// box. A level is filled by the first UTK that reads it, under its own
-	// sync.Once, so a publish or a load that no UTK reads pays nothing.
-	// Derived like the entry table.
-	boxes []boxLevel
+	// levels holds one slot per level of two lazily filled columns, each
+	// level under its own sync.Once, so a publish or a load that no query
+	// reads pays nothing. Derived like optCells.
+	levels []levelCols
 }
 
-// boxLevel is one level's slice of the box column.
-type boxLevel struct {
-	once sync.Once
-	box  []float64
+// levelCols is one level's slot of the rows and box columns.
+//
+// The rows column holds the halfspace rows (RowsInto) of every live cell at
+// the level, assembled once by the first reader of any of them instead of
+// on every visit: rows is one slab whose coefficient vectors are windows of
+// one more, and a cell's rows are the window its cellSpans.rowOff/rowLen
+// record. A fill writes only its own level's cells' spans, which nothing
+// reads before the level's Once has returned.
+//
+// The box column holds the bounding boxes of the level's cells in
+// levelCells(l) order, 2·RDim floats each (lo, then hi), padded outward by
+// geom.BoxPad, for UTK to skip the cells that miss its box.
+type levelCols struct {
+	rowsOnce, boxOnce sync.Once
+	rows              geom.Rows
+	box               []float64
 }
 
 // cellSpans locates one cell's adjacency lists inside the arenas.
@@ -71,6 +68,7 @@ type cellSpans struct {
 	parentOff, parentLen int32
 	childOff, childLen   int32
 	boundOff, boundLen   int32
+	rowOff, rowLen       int32 // the cell's window of its level's rows column
 }
 
 // freeze moves the staging adjacency slices into a flatDAG and clears them.
@@ -112,25 +110,64 @@ func (ix *Index) freeze() {
 	ix.flat = f
 }
 
-// fillDerived builds the columns derived from the adjacency: the entry
-// table, the option→cells column, and the empty slots of the box column.
+// fillDerived builds the columns derived from the adjacency: the
+// option→cells column, and the empty level slots of the rows and box
+// columns.
 func (f *flatDAG) fillDerived(ix *Index) {
-	f.fillEntryTable(ix)
 	f.fillOptCells(ix)
-	f.boxes = make([]boxLevel, ix.MaxMaterializedLevel()+1)
+	f.levels = make([]levelCols, ix.MaxMaterializedLevel()+1)
 }
 
-// levelBoxes returns level l's slice of the box column (see flatDAG),
+// levelRows returns level l's slab of the rows column (see levelCols),
+// filling it on first use.
+func (ix *Index) levelRows(f *flatDAG, l int32) geom.Rows {
+	lc := &f.levels[l]
+	lc.rowsOnce.Do(func() { lc.rows = ix.fillRows(f, l) })
+	return lc.rows
+}
+
+// fillRows assembles every live cell at level l with assembleCell and
+// copies its rows into one slab, recording each cell's window in f.spans.
+// A cell has its simplex rows and at most one row per halfspace it adds;
+// sized for that, neither the rows nor their coefficient slab ever move.
+func (ix *Index) fillRows(f *flatDAG, l int32) geom.Rows {
+	dim := ix.RDim()
+	total := 0
+	for i := range ix.Cells {
+		if ix.Cells[i].Level == l {
+			total += dim + 1 + ix.HyperplaneCount(int32(i))
+		}
+	}
+	rows := make(geom.Rows, 0, total)
+	coef := make([]float64, 0, total*dim)
+	var buf geom.RowBuf
+	var rset []int32
+	for i := range ix.Cells {
+		if ix.Cells[i].Level != l {
+			continue
+		}
+		s := &f.spans[i]
+		s.rowOff = int32(len(rows))
+		for _, h := range assembleCell(ix, int32(i), &buf, &rset).Rows {
+			coef = append(coef, h.A...)
+			rows = append(rows, geom.Halfspace{A: coef[len(coef)-dim : len(coef) : len(coef)], B: h.B})
+		}
+		s.rowLen = int32(len(rows)) - s.rowOff
+	}
+	return rows
+}
+
+// levelBoxes returns level l's slice of the box column (see levelCols),
 // filling it on first use. A thawed index has no column, so one is built
 // for the call.
 func (ix *Index) levelBoxes(l int) []float64 {
 	f := ix.flat
-	if f == nil || l >= len(f.boxes) {
+	if f == nil || l >= len(f.levels) {
 		return ix.fillBoxes(ix.levelCells(l))
 	}
-	lb := &f.boxes[l]
-	lb.once.Do(func() { lb.box = ix.fillBoxes(ix.levelCells(l)) })
-	return lb.box
+	lc := &f.levels[l]
+	lc.boxOnce.Do(func() { lc.box = ix.fillBoxes(ix.levelCells(l)) })
+	return lc.box
 }
 
 // fillBoxes computes the bounding boxes of the given cells, back to back.
@@ -145,9 +182,9 @@ func (ix *Index) fillBoxes(cells []int32) []float64 {
 	return out
 }
 
-// fillOptCells builds the option→cells column (see flatDAG). Like
-// fillEntryTable it trusts nothing beyond the loader's range checks: a cell
-// holding no option is skipped.
+// fillOptCells builds the option→cells column (see flatDAG). It runs
+// before the loader validates the index, so it trusts nothing beyond the
+// loader's range checks: a cell holding no option is skipped.
 func (f *flatDAG) fillOptCells(ix *Index) {
 	n := len(ix.Pts)
 	off := make([]int32, n+1)
@@ -194,59 +231,6 @@ func (ix *Index) focalCells(focal int32, k int) []int32 {
 	cells := f.optCells[f.optOff[focal]:f.optOff[focal+1]]
 	n := sort.Search(len(cells), func(i int) bool { return int(ix.Cells[cells[i]].Level) > k })
 	return cells[:n:n]
-}
-
-// fillEntryTable builds the entry table (see flatDAG). It reads the
-// adjacency from f, not through ix — f is not published yet, and under the
-// loader not validated yet either, so nothing here may trust more than the
-// range checks: a child of the entry cell has R = {Opt}, hence no prefix
-// rows, and its bound rows are those assembleCell adds.
-func (f *flatDAG) fillEntryTable(ix *Index) {
-	if len(f.spans) == 0 {
-		return
-	}
-	dim := ix.RDim()
-	root := &f.spans[ix.Root()]
-	kids := f.children[root.childOff : root.childOff+root.childLen]
-	// A child has its simplex rows and at most one row per bounding option;
-	// sized for that, neither the rows nor their coefficient slab ever move.
-	total := 0
-	for _, ch := range kids {
-		if n := int(f.spans[ch].boundLen); n >= 0 {
-			total += dim + 1 + n
-		} else {
-			total += dim + len(ix.Pts)
-		}
-	}
-	f.entryRows = make(geom.Rows, 0, total)
-	coef := make([]float64, 0, total*dim)
-	f.entryOff = make([]int32, 1, len(kids)+1)
-	var buf geom.RowBuf
-	for k, ch := range kids {
-		buf.Reset(dim)
-		if o := ix.Cells[ch].Opt; o >= 0 {
-			if s := &f.spans[ch]; s.boundLen >= 0 {
-				for _, b := range f.bounds[s.boundOff : s.boundOff+s.boundLen] {
-					buf.AddPref(ix.Pts[o], ix.Pts[b])
-				}
-			} else {
-				for j := range ix.Pts {
-					if int32(j) != o {
-						buf.AddPref(ix.Pts[o], ix.Pts[j])
-					}
-				}
-			}
-		}
-		for _, h := range buf.Rows {
-			coef = append(coef, h.A...)
-			f.entryRows = append(f.entryRows, geom.Halfspace{A: coef[len(coef)-dim : len(coef) : len(coef)], B: h.B})
-		}
-		f.entryOff = append(f.entryOff, int32(len(f.entryRows)))
-		if int(ch) >= len(f.entryAt) {
-			f.entryAt = append(f.entryAt, make([]int32, int(ch)+1-len(f.entryAt))...)
-		}
-		f.entryAt[ch] = int32(k + 1)
-	}
 }
 
 // thaw materializes the staging slices back from the flat form so the

@@ -281,25 +281,25 @@ func (ix *Index) regionIntoBuf(id int32, reg *geom.Region, buf *[]int32) *geom.R
 }
 
 // RowsInto returns the cell's halfspace rows — RegionInto(id, …).HS: same
-// rows, same order, same bits — without building a Region. The children of
-// Root() are served from the frozen entry table (shared and immutable, buf
-// untouched); any other cell is assembled into buf, and the result is valid
-// until buf's next use.
+// rows, same order, same bits — without building a Region. A frozen index
+// serves every live cell from its rows column (shared and immutable, buf
+// untouched; see levelCols); a thawed one assembles into buf, and the
+// result is valid until buf's next use.
 func (ix *Index) RowsInto(id int32, buf *geom.RowBuf) geom.Rows {
 	rset := rsetScratch.Get()
 	defer rsetScratch.Put(rset)
 	return ix.rowsIntoBuf(id, buf, rset)
 }
 
-// rowsIntoBuf is RowsInto with an explicit result-set scratch buffer. With
-// the index thawed there is no table, and every cell is assembled.
+// rowsIntoBuf is RowsInto with an explicit result-set scratch buffer.
 func (ix *Index) rowsIntoBuf(id int32, buf *geom.RowBuf, rset *[]int32) geom.Rows {
-	if f := ix.flat; f != nil && int(id) < len(f.entryAt) {
-		if k := f.entryAt[id]; k > 0 {
-			return f.entryRows[f.entryOff[k-1]:f.entryOff[k]:f.entryOff[k]]
-		}
+	f, l := ix.flat, ix.Cells[id].Level
+	if f == nil || l < 0 || int(l) >= len(f.levels) {
+		return assembleCell(ix, id, buf, rset).Rows
 	}
-	return assembleCell(ix, id, buf, rset).Rows
+	rows := ix.levelRows(f, l)
+	s := &f.spans[id]
+	return rows[s.rowOff : s.rowOff+s.rowLen : s.rowOff+s.rowLen]
 }
 
 // cellSink is what assembleCell builds a cell's halfspaces in: a full

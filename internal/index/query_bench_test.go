@@ -1,12 +1,14 @@
 package index
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tlevelindex/datagen"
 	"tlevelindex/internal/geom"
@@ -112,33 +114,66 @@ func BenchmarkORU(b *testing.B) {
 	}
 }
 
-// BenchmarkCellRows is one visit's geometry: "entry" the children of the
-// entry cell, whose rows are a window of the frozen entry table, "deep" the
-// level-τ cells, assembled into the query scratch. Neither allocates.
+// BenchmarkCellRows is one visit's geometry, a window of the rows column:
+// "level1" cycles through the level-1 cells, "deep" through the level-τ
+// ones, "analytic" through every level of the load benchmark's `analytic`
+// index. None allocates. fill-ms and bytes are those levels' fill on a
+// freshly loaded copy of the index, as the first queries after a publish
+// or a load pay it, and the heap the filled slabs hold.
 func BenchmarkCellRows(b *testing.B) {
-	ix := queryBenchIndex(b)
-	qs := getScratch(ix.RDim())
-	defer putScratch(qs)
 	for _, c := range []struct {
-		name string
-		ids  []int32
-	}{{"entry", ix.childrenOf(ix.Root())}, {"deep", ix.Levels[qbTau]}} {
+		name   string
+		index  func(*testing.B) *Index
+		lo, hi int
+	}{{"level1", queryBenchIndex, 1, 1}, {"deep", queryBenchIndex, qbTau, qbTau}, {"analytic", analyticIndex, 1, analyticTau}} {
 		b.Run(c.name, func(b *testing.B) {
-			first := ix.cellRows(c.ids[0], qs)
-			if table := &first[0] == &ix.flat.entryRows[0]; table != (c.name == "entry") {
-				b.Fatalf("rows served from the entry table: %v", table)
+			ix := reloaded(b, c.index(b))
+			var ids []int32
+			size := 0
+			start := time.Now()
+			for l := c.lo; l <= c.hi; l++ {
+				size += rowsColumnBytes(ix, l)
+				ids = append(ids, ix.Levels[l]...)
 			}
+			fill := time.Since(start)
+			qs := getScratch(ix.RDim())
+			defer putScratch(qs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			n := 0
 			for i := 0; i < b.N; i++ {
-				n += len(ix.cellRows(c.ids[i%len(c.ids)], qs))
+				n += len(ix.cellRows(ids[i%len(ids)], qs))
 			}
+			b.StopTimer()
 			if n < b.N*(ix.RDim()+1) {
 				b.Fatal("cells without their simplex rows")
 			}
+			b.ReportMetric(float64(fill.Microseconds())/1000, "fill-ms")
+			b.ReportMetric(float64(size), "bytes")
 		})
 	}
+}
+
+// reloaded returns a copy of ix through its snapshot: same cells, every
+// derived column unfilled.
+func reloaded(tb testing.TB, ix *Index) *Index {
+	tb.Helper()
+	var snap bytes.Buffer
+	if _, err := ix.WriteTo(&snap); err != nil {
+		tb.Fatal(err)
+	}
+	out, err := Read(&snap)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// rowsColumnBytes fills level l of the rows column and returns the heap its
+// two slabs hold: each row slot a Halfspace header and RDim coefficients.
+func rowsColumnBytes(ix *Index, l int) int {
+	rows := ix.levelRows(ix.flat, int32(l))
+	return cap(rows) * (int(unsafe.Sizeof(geom.Halfspace{})) + 8*ix.RDim())
 }
 
 func BenchmarkTopK(b *testing.B) {
@@ -238,9 +273,10 @@ func analyticIndex(b *testing.B) *Index {
 // Beside ns/op it reports the p99, cells visited and LPCalls per query — in
 // UTK the box candidates, in ORU the point-to-cell distances computed — UTK's
 // partitions per query, and for ORU the projection kernel's steps per
-// distance. The box column is filled before timing; BenchmarkUTKBoxFill
-// measures the fill. It is the table in EXPERIMENTS.md §"Where analytic's
-// time goes", and bench-smoke gates it.
+// distance. The box and rows columns are filled before timing;
+// BenchmarkUTKBoxFill and BenchmarkCellRows/analytic measure the fills. It
+// is the table in EXPERIMENTS.md §"Where analytic's time goes", and
+// bench-smoke gates it.
 func BenchmarkAnalyticFamilies(b *testing.B) {
 	const tau = analyticTau
 	ix := analyticIndex(b)
@@ -315,9 +351,10 @@ func BenchmarkAnalyticFamilies(b *testing.B) {
 
 // BenchmarkUTKBoxFill is the box column's fill on the `analytic` index: one
 // op is one cell's bounding box, cycling through levels 1..τ, and fill-ms is
-// one fill of every level, as the first UTK at each level pays it.
+// one fill of every level on a freshly loaded copy, as the first UTK at each
+// level pays it — the level's rows column included.
 func BenchmarkUTKBoxFill(b *testing.B) {
-	ix := analyticIndex(b)
+	ix := reloaded(b, analyticIndex(b))
 	var cells []int32
 	start := time.Now()
 	for l := 1; l <= analyticTau; l++ {

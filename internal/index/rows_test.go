@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"tlevelindex/datagen"
 	"tlevelindex/internal/geom"
@@ -222,10 +223,10 @@ func sameRows(a, b []geom.Halfspace) bool {
 
 // checkCellRows holds every live cell's rows — through the scratch path the
 // queries use and through the exported RowsInto — to the reference region,
-// and regionIntoBuf with them. With the index frozen, every child of the
-// entry cell must come out of the entry table itself, and nothing else may.
-// It returns how many cells carry fewer rows than halfspaces were added, i.e.
-// went through the dedup branch.
+// and regionIntoBuf with them. With the index frozen, every live cell must
+// come out of its level's slab of the rows column, by address. It returns
+// how many cells carry fewer rows than halfspaces were added, i.e. went
+// through the dedup branch.
 func checkCellRows(t *testing.T, ix *Index, stage string) (deduped int) {
 	t.Helper()
 	qs := getScratch(ix.RDim())
@@ -233,13 +234,9 @@ func checkCellRows(t *testing.T, ix *Index, stage string) (deduped int) {
 	ref, reg := geom.NewRegion(ix.RDim()), geom.NewRegion(ix.RDim())
 	var rset []int32
 	var buf geom.RowBuf
-	isEntry := make(map[int32]bool)
-	for _, ch := range ix.childrenOf(ix.Root()) {
-		isEntry[ch] = true
-	}
 	for i := range ix.Cells {
-		id := int32(i)
-		if ix.Cells[i].Level < 0 {
+		id, l := int32(i), ix.Cells[i].Level
+		if l < 0 {
 			continue
 		}
 		want := ix.refRegionInto(id, ref, &rset).HS
@@ -249,14 +246,13 @@ func checkCellRows(t *testing.T, ix *Index, stage string) (deduped int) {
 		for name, got := range map[string]geom.Rows{"cellRows": ix.cellRows(id, qs), "RowsInto": ix.RowsInto(id, &buf)} {
 			if !sameRows(got, want) {
 				t.Fatalf("%s: cell %d (level %d): %s differs from the reference\n got %v\nwant %v",
-					stage, id, ix.Cells[i].Level, name, got, want)
+					stage, id, l, name, got, want)
 			}
 			f := ix.flat
-			fromTable := f != nil && len(f.entryRows) > 0 && len(got) > 0 &&
-				slices.ContainsFunc(f.entryOff, func(o int32) bool { return int(o) < len(f.entryRows) && &f.entryRows[o] == &got[0] })
-			if fromTable != (f != nil && isEntry[id]) {
-				t.Fatalf("%s: cell %d (entry child: %v, frozen: %v): %s served from the table: %v",
-					stage, id, isEntry[id], f != nil, name, fromTable)
+			fromColumn := f != nil && inSlab(got, f.levels[l].rows)
+			if fromColumn != (f != nil) {
+				t.Fatalf("%s: cell %d (level %d, frozen: %v): %s served from the rows column: %v",
+					stage, id, l, f != nil, name, fromColumn)
 			}
 		}
 		if len(want) < ix.RDim()+1+ix.HyperplaneCount(id) {
@@ -266,19 +262,43 @@ func checkCellRows(t *testing.T, ix *Index, stage string) (deduped int) {
 	return deduped
 }
 
-// entryRowsByOpt snapshots the entry table keyed by each child's option.
-func entryRowsByOpt(ix *Index) map[int32][]geom.Halfspace {
+// inSlab reports whether rows is a non-empty window of slab.
+func inSlab(rows, slab geom.Rows) bool {
+	if len(rows) == 0 || len(slab) == 0 {
+		return false
+	}
+	start := uintptr(unsafe.Pointer(&slab[0]))
+	p := uintptr(unsafe.Pointer(&rows[0]))
+	return p >= start && p+uintptr(len(rows))*unsafe.Sizeof(rows[0]) <= start+uintptr(len(slab))*unsafe.Sizeof(rows[0])
+}
+
+// checkUnfilled fails unless ix is frozen with every level of its rows and
+// box columns still empty: freezing, loading and publishing fill nothing.
+func checkUnfilled(t *testing.T, ix *Index, stage string) {
+	t.Helper()
+	if ix.flat == nil {
+		t.Fatalf("%s: index not frozen", stage)
+	}
+	for l := range ix.flat.levels {
+		if lc := &ix.flat.levels[l]; lc.rows != nil || lc.box != nil {
+			t.Fatalf("%s: level %d of the columns filled before any query", stage, l)
+		}
+	}
+}
+
+// level1RowsByOpt snapshots the level-1 rows keyed by each cell's option.
+func level1RowsByOpt(ix *Index) map[int32][]geom.Halfspace {
 	out := make(map[int32][]geom.Halfspace)
 	var buf geom.RowBuf
-	for _, ch := range ix.childrenOf(ix.Root()) {
-		out[ix.Cells[ch].Opt] = ix.RowsInto(ch, &buf)
+	for _, id := range ix.Levels[1] {
+		out[ix.Cells[id].Opt] = ix.RowsInto(id, &buf)
 	}
 	return out
 }
 
-// TestCellRowsIdentity is satellite (a): the bare rows equal the region's
-// halfspaces for every builder and dimension, and stay equal across every
-// lifecycle step that rebuilds or drops the entry table.
+// TestCellRowsIdentity: the bare rows equal the region's halfspaces for
+// every builder and dimension, and stay equal across every lifecycle step
+// that rebuilds or drops the rows column, which none of those steps fills.
 func TestCellRowsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2701))
 	changed := 0
@@ -291,6 +311,7 @@ func TestCellRowsIdentity(t *testing.T) {
 			data := randData(rng, n, d)
 			ix := buildOrFail(t, data, Config{Algorithm: alg, Tau: tau})
 			stage := alg.String() + " d=" + string(rune('0'+d))
+			checkUnfilled(t, ix, stage+" built")
 			checkCellRows(t, ix, stage+" built")
 
 			ix.thaw()
@@ -299,11 +320,12 @@ func TestCellRowsIdentity(t *testing.T) {
 			}
 			checkCellRows(t, ix, stage+" thawed")
 			ix.freeze()
+			checkUnfilled(t, ix, stage+" refrozen")
 			checkCellRows(t, ix, stage+" refrozen")
 
 			// Options near the top corner are accepted, take rank 1 somewhere
-			// and join the bound sets of the entry cell's other children.
-			before := entryRowsByOpt(ix)
+			// and join the bound sets of the other level-1 cells.
+			before := level1RowsByOpt(ix)
 			batch := make([][]float64, 3)
 			for i := range batch {
 				batch[i] = make([]float64, d)
@@ -314,7 +336,8 @@ func TestCellRowsIdentity(t *testing.T) {
 			if _, errs, _ := ix.InsertBatch(batch); slices.ContainsFunc(errs, func(e error) bool { return e != nil }) {
 				t.Fatalf("%s: insert: %v", stage, errs)
 			}
-			for opt, rows := range entryRowsByOpt(ix) {
+			checkUnfilled(t, ix, stage+" after InsertBatch")
+			for opt, rows := range level1RowsByOpt(ix) {
 				if old, ok := before[opt]; ok && !sameRows(old, rows) {
 					changed++
 				}
@@ -329,6 +352,7 @@ func TestCellRowsIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkUnfilled(t, heap, stage+" after Read")
 			checkCellRows(t, heap, stage+" after Read")
 			path := filepath.Join(t.TempDir(), "snap.tlx")
 			if err := os.WriteFile(path, snap.Bytes(), 0o644); err != nil {
@@ -338,6 +362,7 @@ func TestCellRowsIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkUnfilled(t, mapped, stage+" after OpenFile")
 			checkCellRows(t, mapped, stage+" after OpenFile")
 			if err := mapped.CloseBacking(); err != nil {
 				t.Fatal(err)
@@ -351,11 +376,12 @@ func TestCellRowsIdentity(t *testing.T) {
 			if len(ext.levelCells(tau+1)) == 0 {
 				t.Fatalf("%s: no cells beyond τ", stage)
 			}
+			checkUnfilled(t, ext, stage+" extended")
 			checkCellRows(t, ext, stage+" extended")
 		}
 	}
 	if changed == 0 {
-		t.Fatal("no insert changed an entry child's rows: a stale table would pass")
+		t.Fatal("no insert changed a level-1 cell's rows: a stale column would pass")
 	}
 
 	// The builders drop exact duplicates before they partition, so identical
@@ -571,8 +597,8 @@ func TestMonoRTopKMatchesReference(t *testing.T) {
 	}
 }
 
-// TestQueriesOnThawedIndex: with the staging slices live there is no entry
-// table, cellRows assembles every cell, and UTK and ORU answer as they do on
+// TestQueriesOnThawedIndex: with the staging slices live there is no rows
+// column, cellRows assembles every cell, and UTK and ORU answer as they do on
 // the frozen index.
 func TestQueriesOnThawedIndex(t *testing.T) {
 	ctx := context.Background()

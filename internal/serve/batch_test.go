@@ -105,7 +105,7 @@ func TestBatchEndpointMatchesSingle(t *testing.T) {
 
 // TestBatchEndpointCacheCollapse: same-cell top-k items in one batch get
 // identical answers, each walked rather than cached, and a cached family's
-// item (kSPR) fills the cache on the first envelope and hits on the second.
+// item (UTK) fills the cache on the first envelope and hits on the second.
 func TestBatchEndpointCacheCollapse(t *testing.T) {
 	ix, err := tlx.Build(hotels, 3)
 	if err != nil {
@@ -115,14 +115,14 @@ func TestBatchEndpointCacheCollapse(t *testing.T) {
 	srv := httptest.NewServer(h.Mux())
 	defer srv.Close()
 	// Three distinct weight vectors inside one cell chain, one from another
-	// cell, and a kSPR item; k fixed.
+	// cell, and a UTK item; k fixed.
 	body := `{"queries":[
 		{"family":"topk","w":[0.18,0.82],"k":2},
 		{"family":"topk","w":[0.19,0.81],"k":2},
 		{"family":"topk","w":[0.17,0.83],"k":2},
 		{"family":"topk","w":[0.7,0.3],"k":2},
-		{"family":"kspr","focal":0,"k":2}]}`
-	const kspr = 4
+		{"family":"utk","lo":[0.35],"hi":[0.45],"k":2}]}`
+	const utk = 4
 	code, items := postBatch(t, srv.URL, body)
 	if code != http.StatusOK || len(items) != 5 {
 		t.Fatalf("status %d, %d items", code, len(items))
@@ -138,11 +138,11 @@ func TestBatchEndpointCacheCollapse(t *testing.T) {
 				items[0].Result, *items[0].Stats, items[i].Result, *items[i].Stats)
 		}
 	}
-	// Re-issuing the batch hits the cache for the kSPR item only; every
+	// Re-issuing the batch hits the cache for the UTK item only; every
 	// answer is byte-identical to the first pass.
 	_, again := postBatch(t, srv.URL, body)
 	for i, it := range again {
-		if it.Cached != (i == kspr) {
+		if it.Cached != (i == utk) {
 			t.Fatalf("second pass item %d: cached=%v", i, it.Cached)
 		}
 		if !bytes.Equal(it.Result, items[i].Result) || *it.Stats != *items[i].Stats {
@@ -188,7 +188,7 @@ func TestBatchEndpointLimits(t *testing.T) {
 // batch recomputes instead of serving stale answers.
 func TestBatchEndpointLSNInvalidation(t *testing.T) {
 	srv := newServer(t)
-	body := `{"queries":[{"family":"kspr","focal":0,"k":2}]}`
+	body := `{"queries":[{"family":"utk","lo":[0.35],"hi":[0.45],"k":2}]}`
 	_, first := postBatch(t, srv.URL, body)
 	if _, warm := postBatch(t, srv.URL, body); !warm[0].Cached {
 		t.Fatal("repeat before the insert missed the cache")

@@ -12,16 +12,16 @@ import (
 	"tlevelindex/datagen"
 )
 
-// TestBackendReadersAcrossPublishes runs UTK and ORU readers through a
-// Backend — its read lock, its index pointer — while a writer publishes 200
-// insert batches, each of which adds a child to the entry cell and so
-// replaces the frozen entry table the readers' traversals serve level 1
-// from, and the box column every UTK scans. Every reader runs UTK at every
-// level, so after each publish several readers race to the first fill of
-// each level's boxes. Under -race (make race) this is the check that the
-// table is only ever shared immutable and that a level's fill is published
-// once to all of its readers; without it, that no reader is left with an
-// answer from a table or a column the last publish retired.
+// TestBackendReadersAcrossPublishes runs UTK, ORU and kSPR readers through
+// a Backend — its read lock, its index pointer — while a writer publishes
+// 200 insert batches, each of which adds a child to the entry cell and so
+// replaces the rows column every reader's cells are served from and the box
+// column every UTK scans. Every reader runs all three families at every
+// level 1..τ, so after each publish several readers race to the first fill
+// of each level's rows and boxes. Under -race (make race) this is the check
+// that a level's fill is published once to all of its readers and shared
+// immutable after; without it, that no reader is left with an answer from
+// a column the last publish retired.
 func TestBackendReadersAcrossPublishes(t *testing.T) {
 	const tau = 3
 	ix, err := tlx.Build(datagen.Generate(datagen.IND, 60, 3, 27), tau)
@@ -31,8 +31,9 @@ func TestBackendReadersAcrossPublishes(t *testing.T) {
 	var be Backend = &memBackend{ix: ix}
 	ctx := context.Background()
 	type answer struct {
-		utk [tau]*tlx.UTKResult
-		oru *tlx.ORUResult
+		utk  [tau]*tlx.UTKResult
+		oru  [tau]*tlx.ORUResult
+		kspr [tau]*tlx.KSPRResult
 	}
 	query := func(g int) (a answer) {
 		lo := []float64{0.05 * float64(g), 0.4 - 0.04*float64(g)}
@@ -41,14 +42,23 @@ func TestBackendReadersAcrossPublishes(t *testing.T) {
 		w[2] = 1 - w[0] - w[1]
 		be.Mutex().RLock()
 		defer be.Mutex().RUnlock()
-		var err error
-		for k := range a.utk {
+		// The option on top at w holds a rank at every level, so every kSPR
+		// answer has regions to export.
+		top, err := be.Index().TopKContext(ctx, w, 1)
+		if err != nil {
+			t.Error(err)
+			return a
+		}
+		for k := range tau {
 			if a.utk[k], err = be.Index().UTKContext(ctx, k+1, lo, hi); err != nil {
 				t.Error(err)
 			}
-		}
-		if a.oru, err = be.Index().ORUContext(ctx, 1+(g+1)%3, w, 5); err != nil {
-			t.Error(err)
+			if a.oru[k], err = be.Index().ORUContext(ctx, k+1, w, 5); err != nil {
+				t.Error(err)
+			}
+			if a.kspr[k], err = be.Index().KSPRContext(ctx, k+1, top.Options[0]); err != nil {
+				t.Error(err)
+			}
 		}
 		return a
 	}
@@ -88,11 +98,18 @@ func TestBackendReadersAcrossPublishes(t *testing.T) {
 		t.Fatalf("applied LSN %d after %d publishes", got, publishes)
 	}
 	for g, got := range last {
-		if want := query(g); !reflect.DeepEqual(got, want) {
-			t.Errorf("reader %d after the last publish:\n got %+v %+v\nwant %+v %+v", g, got.utk, got.oru, want.utk, want.oru)
+		want := query(g)
+		for k := range tau {
+			if !reflect.DeepEqual(got.utk[k], want.utk[k]) || !reflect.DeepEqual(got.oru[k], want.oru[k]) ||
+				!reflect.DeepEqual(got.kspr[k], want.kspr[k]) {
+				t.Errorf("reader %d after the last publish, k=%d:\n got %+v %+v %+v\nwant %+v %+v %+v", g, k+1,
+					got.utk[k], got.oru[k], got.kspr[k], want.utk[k], want.oru[k], want.kspr[k])
+			}
 		}
-		if slices.ContainsFunc(got.utk[:], func(r *tlx.UTKResult) bool { return len(r.Partitions) == 0 }) || len(got.oru.Options) == 0 {
-			t.Errorf("reader %d: empty answers %+v %+v", g, got.utk, got.oru)
+		if slices.ContainsFunc(got.utk[:], func(r *tlx.UTKResult) bool { return len(r.Partitions) == 0 }) ||
+			slices.ContainsFunc(got.oru[:], func(r *tlx.ORUResult) bool { return len(r.Options) == 0 }) ||
+			slices.ContainsFunc(got.kspr[:], func(r *tlx.KSPRResult) bool { return len(r.Regions) == 0 }) {
+			t.Errorf("reader %d: an empty answer", g)
 		}
 	}
 }

@@ -168,10 +168,9 @@ var families = map[string]*familySpec{
 		name:       "kspr",
 		needsFocal: true,
 		depth:      func(q *QueryRequest) int { return q.K },
-		cacheKey: func(ix *tlx.Index, q *QueryRequest) cache.Key {
-			return cache.Key{Family: "kspr", K: q.K,
-				Params: "f" + strconv.Itoa(*q.Focal)}
-		},
+		// No cacheKey: the answer is a prefix of the option→cells column
+		// and its regions are windows of the rows column, so a hit would
+		// save only the row copy, and the encoding is paid either way.
 		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, uint64, error) {
 			res, err := ix.KSPRContext(ctx, q.K, *q.Focal)
 			if res == nil {

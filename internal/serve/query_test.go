@@ -40,9 +40,9 @@ func postQuery(t *testing.T, url, body string) (int, envelope) {
 
 // TestQueryEnvelope drives every family through POST /v1/query and checks
 // the envelope carries the pinned answers, plus the cached flag on an
-// identical repeat: true for the four cached families, false for top-k,
-// which is always answered by its walk, and for MaxRank, always one column
-// read.
+// identical repeat: true for the three cached families, false for top-k,
+// which is always answered by its walk, and for kSPR and MaxRank, always
+// column reads.
 func TestQueryEnvelope(t *testing.T) {
 	srv := newServer(t)
 	cases := []struct {
@@ -51,7 +51,7 @@ func TestQueryEnvelope(t *testing.T) {
 		cached bool   // the repeat is a cache hit
 	}{
 		{`{"family":"topk","w":[0.18,0.82],"k":2}`, `"options":[0,3]`, false},
-		{`{"family":"kspr","focal":0,"k":2}`, `"regions":[`, true},
+		{`{"family":"kspr","focal":0,"k":2}`, `"regions":[`, false},
 		{`{"family":"utk","lo":[0.35],"hi":[0.45],"k":3}`, `"options":[0,1,2,3]`, true},
 		{`{"family":"oru","w":[0.3,0.7],"k":2,"m":3}`, `"rho":`, true},
 		{`{"family":"maxrank","focal":4}`, `"rank":-1`, false},
@@ -173,7 +173,7 @@ func TestQueryEnvelopeErrors(t *testing.T) {
 // inserts and that a post-insert repeat is a fresh (uncached) answer.
 func TestQueryEnvelopeLSN(t *testing.T) {
 	srv := newServer(t)
-	const q = `{"family":"kspr","focal":0,"k":2}`
+	const q = `{"family":"utk","lo":[0.35],"hi":[0.45],"k":2}`
 	if _, env := postQuery(t, srv.URL, q); env.LSN != 0 {
 		t.Fatalf("pre-insert lsn = %d", env.LSN)
 	}
@@ -285,17 +285,18 @@ func TestCacheEquivalence(t *testing.T) {
 	run()
 }
 
-// TestTopKBypassesCache: top-k requests, single and batched, never reach the
-// answer cache. 1,000 of them over spread weights and depths leave its
-// lookup counters where two kSPR requests put them.
-func TestTopKBypassesCache(t *testing.T) {
+// cacheProbeHandler is a handler over the hotels index with a post helper
+// that fails the test on a non-200, and the count of answer-cache lookups
+// made so far.
+func cacheProbeHandler(t *testing.T) (post func(path, body string), lookups func() uint64) {
+	t.Helper()
 	ix, err := tlx.Build(hotels, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := NewHandler(ix, Config{})
 	mux := h.Mux()
-	post := func(path, body string) {
+	post = func(path, body string) {
 		t.Helper()
 		w := httptest.NewRecorder()
 		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
@@ -303,14 +304,22 @@ func TestTopKBypassesCache(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", path, w.Code, w.Body.String())
 		}
 	}
-	lookups := func() uint64 {
+	lookups = func() uint64 {
 		st := h.cache.Stats()
 		return st.Hits + st.Misses + st.Stale
 	}
-	post("/v1/query", `{"family":"kspr","focal":0,"k":2}`)
-	post("/v1/query", `{"family":"kspr","focal":0,"k":2}`)
+	return post, lookups
+}
+
+// TestTopKBypassesCache: top-k requests, single and batched, never reach the
+// answer cache. 1,000 of them over spread weights and depths leave its
+// lookup counters where two UTK requests put them.
+func TestTopKBypassesCache(t *testing.T) {
+	post, lookups := cacheProbeHandler(t)
+	post("/v1/query", `{"family":"utk","lo":[0.35],"hi":[0.45],"k":2}`)
+	post("/v1/query", `{"family":"utk","lo":[0.35],"hi":[0.45],"k":2}`)
 	if got := lookups(); got != 2 {
-		t.Fatalf("two kSPR requests made %d cache lookups, want 2", got)
+		t.Fatalf("two UTK requests made %d cache lookups, want 2", got)
 	}
 	rng := rand.New(rand.NewSource(5))
 	var batch strings.Builder
@@ -328,5 +337,28 @@ func TestTopKBypassesCache(t *testing.T) {
 	post("/v1/query/batch", batch.String())
 	if got := lookups(); got != 2 {
 		t.Fatalf("1,000 top-k requests moved the cache lookups from 2 to %d", got)
+	}
+}
+
+// TestKSPRBypassesCache: kSPR requests, repeated single and batched, never
+// reach the answer cache.
+func TestKSPRBypassesCache(t *testing.T) {
+	post, lookups := cacheProbeHandler(t)
+	var batch strings.Builder
+	batch.WriteString(`{"queries":[`)
+	for i := 0; i < 12; i++ {
+		q := fmt.Sprintf(`{"family":"kspr","focal":%d,"k":%d}`, i%4, 1+i%3)
+		post("/v1/query", q)
+		post("/v1/query", q)
+		if i > 0 {
+			batch.WriteByte(',')
+		}
+		batch.WriteString(q)
+	}
+	batch.WriteString(`]}`)
+	post("/v1/query/batch", batch.String())
+	post("/v1/query/batch", batch.String())
+	if got := lookups(); got != 0 {
+		t.Fatalf("repeated kSPR requests made %d cache lookups, want 0", got)
 	}
 }

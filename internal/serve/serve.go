@@ -76,16 +76,16 @@
 //
 // # Result cache
 //
-// kSPR, UTK, ORU and WhyNot answers are cached under (family, k,
+// UTK, ORU and WhyNot answers are cached under (family, k,
 // parameters) and stamped with the LSN they were computed at; a cached
 // answer is served only when its stamp equals the current LSN, so an insert
 // invalidates every cached answer at once and a cached response is
 // byte-identical to a freshly computed one (DESIGN.md §16 gives the
-// soundness argument). Top-k and MaxRank answers are not cached and always
-// report "cached": false: a whole cell chain of preference space shares one
-// top-k answer, but finding the chain is the walk that answers, and a
-// MaxRank answer is one read of the index's option→cells column, so for
-// either a lookup would cost what it saves. The cache is on by default; size it with
+// soundness argument). Top-k, kSPR and MaxRank answers are not cached and
+// always report "cached": false: a whole cell chain of preference space
+// shares one top-k answer, but finding the chain is the walk that answers,
+// and kSPR and MaxRank answers are reads of the index's option→cells and
+// rows columns, so for each a lookup would cost what it saves. The cache is on by default; size it with
 // Config.CacheEntries or disable it with a negative value.
 //
 // # Durability
