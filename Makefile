@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt-check build test race bench bench-smoke serve-bench recovery-bench ingest-bench lvbench fuzz-smoke obs-smoke loc
+.PHONY: ci vet fmt-check build test race bench bench-smoke serve-bench recovery-bench ingest-bench build-bench lvbench fuzz-smoke obs-smoke loc
 
 # The plain (non-race) test pass is part of the gate because the
 # allocation pins skip themselves under -race, where sync.Pool drops puts
@@ -59,7 +59,7 @@ bench:
 # box fill, one cell's box per op, on the same index; BenchmarkCellRows is
 # one visit's geometry from the rows column, reporting the column's fill
 # time and heap.
-bench-smoke: serve-bench recovery-bench ingest-bench
+bench-smoke: serve-bench recovery-bench ingest-bench build-bench
 	$(GO) test -bench . -benchtime 2000x -benchmem -run xxx \
 		./internal/lp ./internal/geom \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_lp.json -out BENCH_lp.json
@@ -121,6 +121,19 @@ ingest-bench:
 		-benchtime 64x -timeout 1800s -run xxx ./internal/store ./internal/index \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_ingest.json -out BENCH_ingest.json
 	@echo "wrote BENCH_ingest.json"
+
+# PBA⁺ index builds against the committed BENCH_build.json baseline:
+# BenchmarkBuild builds the load benchmark's data (IND n=8000, seed 1) at its
+# own shape, d=3 τ=9, and at d=4 τ=4, reporting cells, LP calls and verdict
+# memo entries beside ns/op — a row whose ns/op moved because the index did
+# shows it in the same line. 3 timed builds per row; the target takes
+# 10–15 s on 2 vCPU.
+# Same 2x ns/op gate — with the missing-baseline-name failure rule — and
+# BENCH_NO_GATE escape as the query gate.
+build-bench:
+	$(GO) test -bench '^BenchmarkBuild$$' -benchtime 3x -benchmem -run xxx ./internal/index \
+		| $(GO) run ./cmd/benchjson -baseline BENCH_build.json -out BENCH_build.json
+	@echo "wrote BENCH_build.json"
 
 # Observability smoke: scrape /v1/metrics through httptest, assert both
 # expositions parse — classic 0.0.4 (which must stay exemplar-free) and

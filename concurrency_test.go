@@ -36,6 +36,51 @@ func TestParallelBuildDeterminism(t *testing.T) {
 			}
 		}
 	}
+	t.Run("PBA+ IND d=3 merging", checkMergeDeterminism)
+}
+
+// checkMergeDeterminism is the PBA⁺ case whose dominance graphs merge in
+// the parallel phase: an IND d=3 index whose children merge at several
+// levels must serialize identically, and report the same LP calls and memo
+// entries, at 1, 2 and 8 workers.
+func checkMergeDeterminism(t *testing.T) {
+	data := datagen.Generate(datagen.IND, 2000, 3, 1)
+	var ref []byte
+	var refStats BuildStats
+	for _, wk := range []int{1, 2, 8} {
+		ix, err := Build(data, 5, WithAlgorithm(PBAPlus), WithWorkers(wk))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", wk, err)
+		}
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatalf("workers=%d: serialize: %v", wk, err)
+		}
+		st := ix.Stats()
+		if wk == 1 {
+			ref, refStats = buf.Bytes(), st
+			// Children per cell times cells is the level's count before
+			// merging; the case is only worth having if merges happen.
+			merging := 0
+			for l := 1; l < len(st.CellsPerLevel); l++ {
+				before := st.ActualCandidates[l] * float64(st.CellsPerLevel[l-1])
+				if int(before+0.5) > st.CellsPerLevel[l] {
+					merging++
+				}
+			}
+			if merging < 2 {
+				t.Fatalf("cells merged at %d levels, want at least 2: %v", merging, st.CellsPerLevel)
+			}
+			continue
+		}
+		if !bytes.Equal(ref, buf.Bytes()) {
+			t.Errorf("serialized index differs between 1 and %d workers", wk)
+		}
+		if st.LPCalls != refStats.LPCalls || st.VerdictEntries != refStats.VerdictEntries {
+			t.Errorf("workers=%d: LPCalls %d, VerdictEntries %d; 1 worker: %d, %d",
+				wk, st.LPCalls, st.VerdictEntries, refStats.LPCalls, refStats.VerdictEntries)
+		}
+	}
 }
 
 // TestParallelExtensionDeterminism covers the on-demand extension path: the

@@ -4,7 +4,9 @@
 // shared Base; each cell carries a lightweight Graph view with consumed
 // options removed, cell-specific edges added, and dominator counts
 // maintained incrementally. Graphs are inherited parent→child (Lemma 4) and
-// merged with cell merges (node union, edge intersection).
+// merged with cell merges (node union, edge intersection). A Graph is four
+// sorted or dense slices and no maps, so a child's Clone is four copies and
+// a Merge is a walk over sorted slices.
 //
 // Soundness contract: every edge, base or added, must be a true dominance
 // statement for the cell's region; counts are then lower bounds on the true
@@ -15,7 +17,7 @@ package dg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tlevelindex/internal/skyline"
 )
@@ -26,18 +28,21 @@ type Base struct {
 	m   int
 	out [][]int32 // out[u] = options dominated by u, sorted
 	in  [][]int32 // in[v] = options dominating v, sorted
+	adj []uint64  // m×m bit matrix: bit u*m+v is set iff u dominates v
 }
 
 // NewBase computes pairwise coordinate dominance over pts. Quadratic in
 // len(pts); intended for the (small) τ-skyband-filtered option set.
 func NewBase(pts [][]float64) *Base {
 	m := len(pts)
-	b := &Base{m: m, out: make([][]int32, m), in: make([][]int32, m)}
+	b := &Base{m: m, out: make([][]int32, m), in: make([][]int32, m), adj: make([]uint64, (m*m+63)/64)}
 	for u := 0; u < m; u++ {
 		for v := 0; v < m; v++ {
 			if u != v && skyline.Dominates(pts[u], pts[v]) {
 				b.out[u] = append(b.out[u], int32(v))
 				b.in[v] = append(b.in[v], int32(u))
+				bit := u*m + v
+				b.adj[bit>>6] |= 1 << (bit & 63)
 			}
 		}
 	}
@@ -49,22 +54,24 @@ func (b *Base) Size() int { return b.m }
 
 // HasEdge reports whether u globally dominates v.
 func (b *Base) HasEdge(u, v int32) bool {
-	lst := b.out[u]
-	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= v })
-	return i < len(lst) && lst[i] == v
+	bit := int(u)*b.m + int(v)
+	return b.adj[bit>>6]&(1<<(bit&63)) != 0
 }
 
 // InDegree returns the number of global dominators of v.
 func (b *Base) InDegree(v int32) int { return len(b.in[v]) }
 
+// edgeKey packs an edge so that sorted keys order edges by (source,
+// target): the edges out of one source are one contiguous key range.
 func edgeKey(u, v int32) int64 { return int64(u)<<32 | int64(uint32(v)) }
+
+func edgeTarget(k int64) int32 { return int32(uint32(k)) }
 
 // Graph is a per-cell dominance graph view.
 type Graph struct {
 	base     *Base
-	consumed map[int32]bool
-	added    map[int64]struct{}
-	addedOut map[int32][]int32
+	consumed []int32 // consumed options, sorted
+	added    []int64 // cell-specific edges as edgeKeys, sorted
 	count    []int32 // current in-counts over unconsumed dominators
 	pool     []int32 // unconsumed, not-yet-pruned nodes, sorted
 }
@@ -73,12 +80,9 @@ type Graph struct {
 // global dominance, no consumed options, no added edges.
 func NewGraph(base *Base) *Graph {
 	g := &Graph{
-		base:     base,
-		consumed: make(map[int32]bool),
-		added:    make(map[int64]struct{}),
-		addedOut: make(map[int32][]int32),
-		count:    make([]int32, base.m),
-		pool:     make([]int32, base.m),
+		base:  base,
+		count: make([]int32, base.m),
+		pool:  make([]int32, base.m),
 	}
 	for v := 0; v < base.m; v++ {
 		g.count[v] = int32(len(base.in[v]))
@@ -89,24 +93,13 @@ func NewGraph(base *Base) *Graph {
 
 // Clone returns an independent copy for a child cell.
 func (g *Graph) Clone() *Graph {
-	ng := &Graph{
+	return &Graph{
 		base:     g.base,
-		consumed: make(map[int32]bool, len(g.consumed)),
-		added:    make(map[int64]struct{}, len(g.added)),
-		addedOut: make(map[int32][]int32, len(g.addedOut)),
-		count:    append([]int32(nil), g.count...),
-		pool:     append([]int32(nil), g.pool...),
+		consumed: slices.Clone(g.consumed),
+		added:    slices.Clone(g.added),
+		count:    slices.Clone(g.count),
+		pool:     slices.Clone(g.pool),
 	}
-	for k := range g.consumed {
-		ng.consumed[k] = true
-	}
-	for k := range g.added {
-		ng.added[k] = struct{}{}
-	}
-	for u, vs := range g.addedOut {
-		ng.addedOut[u] = append([]int32(nil), vs...)
-	}
-	return ng
 }
 
 // Pool returns the current candidate pool (unconsumed, unpruned), sorted.
@@ -116,7 +109,10 @@ func (g *Graph) Pool() []int32 { return g.pool }
 func (g *Graph) Count(v int32) int32 { return g.count[v] }
 
 // Consumed reports whether v has been consumed (is in the cell's top set).
-func (g *Graph) Consumed(v int32) bool { return g.consumed[v] }
+func (g *Graph) Consumed(v int32) bool {
+	_, ok := slices.BinarySearch(g.consumed, v)
+	return ok
+}
 
 // HasEdge reports whether the graph knows that u dominates v in this cell
 // (global dominance or an added cell-specific edge).
@@ -124,37 +120,49 @@ func (g *Graph) HasEdge(u, v int32) bool {
 	if g.base.HasEdge(u, v) {
 		return true
 	}
-	_, ok := g.added[edgeKey(u, v)]
+	_, ok := slices.BinarySearch(g.added, edgeKey(u, v))
 	return ok
+}
+
+// addedOut returns the added edges out of u: one key range of added.
+func (g *Graph) addedOut(u int32) []int64 {
+	lo, _ := slices.BinarySearch(g.added, edgeKey(u, 0))
+	hi, _ := slices.BinarySearch(g.added, edgeKey(u+1, 0))
+	return g.added[lo:hi]
 }
 
 // AddEdge records the cell-specific fact that u dominates v in this cell.
 // Duplicate additions are ignored. Adding an edge from a consumed node is a
 // bug in the caller and panics.
 func (g *Graph) AddEdge(u, v int32) {
-	if g.consumed[u] || g.consumed[v] {
+	if g.Consumed(u) || g.Consumed(v) {
 		panic(fmt.Sprintf("dg: edge %d->%d touches consumed node", u, v))
 	}
-	if g.HasEdge(u, v) {
+	if g.base.HasEdge(u, v) {
 		return
 	}
-	g.added[edgeKey(u, v)] = struct{}{}
-	g.addedOut[u] = append(g.addedOut[u], v)
+	k := edgeKey(u, v)
+	i, ok := slices.BinarySearch(g.added, k)
+	if ok {
+		return
+	}
+	g.added = slices.Insert(g.added, i, k)
 	g.count[v]++
 }
 
 // Consume removes u from the pool because it became the cell's top-ℓ-th
 // option: its out-edges stop counting against the remaining nodes.
 func (g *Graph) Consume(u int32) {
-	if g.consumed[u] {
+	i, ok := slices.BinarySearch(g.consumed, u)
+	if ok {
 		return
 	}
-	g.consumed[u] = true
+	g.consumed = slices.Insert(g.consumed, i, u)
 	for _, v := range g.base.out[u] {
 		g.count[v]--
 	}
-	for _, v := range g.addedOut[u] {
-		g.count[v]--
+	for _, k := range g.addedOut(u) {
+		g.count[edgeTarget(k)]--
 	}
 	g.pool = removeSorted(g.pool, u)
 }
@@ -199,78 +207,83 @@ func Merge(gs ...*Graph) *Graph {
 	}
 	first := gs[0]
 	for _, g := range gs[1:] {
-		if len(g.consumed) != len(first.consumed) {
+		if !slices.Equal(g.consumed, first.consumed) {
 			panic("dg: merging graphs with different consumed sets")
-		}
-		for k := range first.consumed {
-			if !g.consumed[k] {
-				panic("dg: merging graphs with different consumed sets")
-			}
 		}
 	}
 	ng := &Graph{
 		base:     first.base,
-		consumed: make(map[int32]bool, len(first.consumed)),
-		added:    make(map[int64]struct{}),
-		addedOut: make(map[int32][]int32),
+		consumed: slices.Clone(first.consumed),
 		count:    make([]int32, first.base.m),
-	}
-	for k := range first.consumed {
-		ng.consumed[k] = true
+		pool:     first.pool,
 	}
 	// Intersect added edges. Edges whose source has been consumed (ranked
 	// into R) are dropped: they must not contribute to dominator counts.
-	for k := range first.added {
-		u := int32(k >> 32)
-		if ng.consumed[u] {
-			continue
-		}
-		inAll := true
-		for _, g := range gs[1:] {
-			if _, ok := g.added[k]; !ok {
-				inAll = false
-				break
-			}
-		}
-		if inAll {
-			ng.added[k] = struct{}{}
-			ng.addedOut[u] = append(ng.addedOut[u], int32(uint32(k)))
+	ng.added = make([]int64, 0, len(first.added))
+	for _, k := range first.added {
+		if !ng.Consumed(int32(k >> 32)) {
+			ng.added = append(ng.added, k)
 		}
 	}
-	// Union pools.
-	poolSet := make(map[int32]bool)
-	for _, g := range gs {
-		for _, v := range g.pool {
-			poolSet[v] = true
-		}
+	for _, g := range gs[1:] {
+		ng.added = intersectSorted(ng.added, g.added)
+		ng.pool = unionSorted(ng.pool, g.pool)
 	}
-	ng.pool = make([]int32, 0, len(poolSet))
-	for v := range poolSet {
-		ng.pool = append(ng.pool, v)
-	}
-	sort.Slice(ng.pool, func(a, b int) bool { return ng.pool[a] < ng.pool[b] })
 	// Recompute counts: base in-degree minus consumed dominators, plus
 	// intersected added edges.
-	for v := 0; v < first.base.m; v++ {
+	for v := range ng.count {
 		ng.count[v] = int32(len(first.base.in[v]))
 	}
-	for u := range ng.consumed {
+	for _, u := range ng.consumed {
 		for _, v := range first.base.out[u] {
 			ng.count[v]--
 		}
 	}
-	for u, vs := range ng.addedOut {
-		_ = u
-		for _, v := range vs {
-			ng.count[v]++
-		}
+	for _, k := range ng.added {
+		ng.count[edgeTarget(k)]++
 	}
 	return ng
 }
 
+// intersectSorted keeps the keys of a that are also in b, in place.
+func intersectSorted(a, b []int64) []int64 {
+	out, j := a[:0], 0
+	for _, k := range a {
+		for j < len(b) && b[j] < k {
+			j++
+		}
+		if j < len(b) && b[j] == k {
+			out = append(out, k)
+			j++
+		}
+	}
+	return out
+}
+
+// unionSorted returns the sorted union of a and b in a new slice.
+func unionSorted(a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
 func removeSorted(s []int32, v int32) []int32 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
+	if i, ok := slices.BinarySearch(s, v); ok {
 		return append(s[:i], s[i+1:]...)
 	}
 	return s

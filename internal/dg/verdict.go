@@ -33,22 +33,47 @@ type VerdictKey struct {
 	Region uint64
 }
 
+// verdictShards is the number of independently locked shards of a
+// VerdictCache. Parallel builder workers store a verdict for nearly every
+// dominance test, so one lock serialized them; 64 shards make two workers
+// collide on a shard about once in 64 operations.
+const verdictShards = 64
+
 // VerdictCache memoizes pairwise C-dominance (and related predicate) LP
 // outcomes within a build. Cached values are exact LP outcomes, not
 // approximations: a hit returns precisely what re-running the LP on the same
 // constraint set would return, so memoization cannot change any builder
 // decision — it only skips redundant solves. Safe for concurrent use by the
-// parallel builder workers; a nil *VerdictCache is a valid always-miss cache.
+// parallel builder workers: keys are spread over verdictShards shards by a
+// hash of the key, each with its own lock, map and traffic counters. A nil
+// *VerdictCache is a valid always-miss cache.
 type VerdictCache struct {
+	shards [verdictShards]verdictShard
+}
+
+type verdictShard struct {
 	mu   sync.RWMutex
 	m    map[VerdictKey]int8
 	hits atomic.Uint64
 	miss atomic.Uint64
+	_    [16]byte // pad to 64 bytes, a cache line, so neighbouring shards rarely share one
 }
 
 // NewVerdictCache returns an empty cache.
 func NewVerdictCache() *VerdictCache {
-	return &VerdictCache{m: make(map[VerdictKey]int8)}
+	c := new(VerdictCache)
+	for i := range c.shards {
+		c.shards[i].m = make(map[VerdictKey]int8)
+	}
+	return c
+}
+
+// shard picks k's shard from the top bits of a multiplicative hash of every
+// key field.
+func (c *VerdictCache) shard(k VerdictKey) *verdictShard {
+	h := k.Region ^ uint64(uint32(k.U))<<32 ^ uint64(uint32(k.V)) ^ uint64(k.Kind)<<61
+	h *= 0x9e3779b97f4a7c15
+	return &c.shards[h>>58]
 }
 
 // Lookup returns the memoized verdict for k, if present.
@@ -56,13 +81,14 @@ func (c *VerdictCache) Lookup(k VerdictKey) (verdict int8, ok bool) {
 	if c == nil {
 		return 0, false
 	}
-	c.mu.RLock()
-	verdict, ok = c.m[k]
-	c.mu.RUnlock()
+	s := c.shard(k)
+	s.mu.RLock()
+	verdict, ok = s.m[k]
+	s.mu.RUnlock()
 	if ok {
-		c.hits.Add(1)
+		s.hits.Add(1)
 	} else {
-		c.miss.Add(1)
+		s.miss.Add(1)
 	}
 	return verdict, ok
 }
@@ -80,9 +106,10 @@ func (c *VerdictCache) Store(k VerdictKey, verdict int8) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	c.m[k] = verdict
-	c.mu.Unlock()
+	s := c.shard(k)
+	s.mu.Lock()
+	s.m[k] = verdict
+	s.mu.Unlock()
 }
 
 // StoreBool stores a boolean predicate outcome.
@@ -94,16 +121,19 @@ func (c *VerdictCache) StoreBool(k VerdictKey, verdict bool) {
 	}
 }
 
-// Reset forgets every memoized verdict, keeping the map's storage and the
+// Reset forgets every memoized verdict, keeping the maps' storage and the
 // traffic counters: the per-record scope of the insert path, whose keys name
 // the arriving option and can never be hit once its round is over.
 func (c *VerdictCache) Reset() {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	clear(c.m)
-	c.mu.Unlock()
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		clear(s.m)
+		s.mu.Unlock()
+	}
 }
 
 // Stats reports cache traffic: hits, misses, and resident entries.
@@ -111,8 +141,13 @@ func (c *VerdictCache) Stats() (hits, misses uint64, size int) {
 	if c == nil {
 		return 0, 0, 0
 	}
-	c.mu.RLock()
-	size = len(c.m)
-	c.mu.RUnlock()
-	return c.hits.Load(), c.miss.Load(), size
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.RLock()
+		size += len(s.m)
+		s.mu.RUnlock()
+		hits += s.hits.Load()
+		misses += s.miss.Load()
+	}
+	return hits, misses, size
 }

@@ -241,6 +241,7 @@ func (r *Region) SampleFrom(start []float64, k int, rnd func() float64) [][]floa
 
 func (r *Region) sampleFrom(center []float64, k int, rnd func() float64) [][]float64 {
 	pts := make([][]float64, 0, k)
+	slab := make([]float64, k*r.Dim) // the k points, one allocation
 	cur := append([]float64(nil), center...)
 	dir := make([]float64, r.Dim)
 	for len(pts) < k {
@@ -286,7 +287,10 @@ func (r *Region) sampleFrom(center []float64, k int, rnd func() float64) [][]flo
 		for i := range cur {
 			cur[i] += t * dir[i]
 		}
-		pts = append(pts, append([]float64(nil), cur...))
+		p := slab[:r.Dim:r.Dim]
+		slab = slab[r.Dim:]
+		pts = append(pts, p)
+		copy(p, cur)
 	}
 	return pts
 }

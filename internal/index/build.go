@@ -78,9 +78,10 @@ type Config struct {
 	Workers int
 	// Trace, when non-nil, receives build-phase spans: "build.filter",
 	// "build.<algorithm>", "build.compact", one "build.level" span per
-	// materialized level of the partition-based builders, and
-	// "extend.level" spans from later on-demand extension. nil disables
-	// tracing; instrumented code then only pays a nil check.
+	// materialized level of the partition-based builders with its
+	// "build.level.compute", "build.level.apply" and "build.level.merge"
+	// phases, and "extend.level" spans from later on-demand extension. nil
+	// disables tracing; instrumented code then only pays a nil check.
 	Trace obs.Tracer
 	// Progress, when non-nil, is called after every completed level of a
 	// partition-based build (and of on-demand extension) with cells/sec

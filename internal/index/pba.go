@@ -1,7 +1,7 @@
 package index
 
 import (
-	"math/rand"
+	"slices"
 	"time"
 
 	"tlevelindex/internal/dg"
@@ -18,20 +18,40 @@ import (
 // samples for the certificates to fire.
 func sampleCount(dim int) int { return 8 + 6*dim }
 
-// cellSeed derives the deterministic RNG seed for the sample set of the
+// cellSeed derives the deterministic seed of the sample stream of the
 // child cell created under parent for candidate opt. Keying the stream on
 // (parent id, option) rather than drawing from one shared sequential RNG is
 // what keeps parallel builds reproducible: cell ids are assigned in the
 // sequential apply phase, so the seed — and hence every sample — is the
 // same for any worker count.
-func cellSeed(parent, opt int32) int64 {
+//
+// The stream is part of the index's identity on degenerate input: a child
+// too thin for the Chebyshev LP (radius below its threshold) is kept only
+// when a sample certifies it. The 62-bit mask dates from when the seed fed
+// math/rand; with it the splitmix stream builds the same indexes, bit for
+// bit, and without it IND n=8000, d=4, τ=6 builds a different one.
+func cellSeed(parent, opt int32) splitmix {
 	h := uint64(uint32(parent))<<32 | uint64(uint32(opt))
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
-	return int64(h & (1<<62 - 1))
+	return splitmix(h & (1<<62 - 1))
+}
+
+// splitmix is a splitmix64 stream (Steele, Lea and Flood, 2014). Its whole
+// state is one word, so a child's stream costs nothing to seed; every
+// candidate child of every cell draws its ~30 samples from a fresh one.
+type splitmix uint64
+
+// Float64 returns the next draw, uniform in [0, 1).
+func (s *splitmix) Float64() float64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return float64((z^z>>31)>>11) / (1 << 53)
 }
 
 // pbaWork is the per-active-cell state of the partition-based builders.
@@ -78,7 +98,7 @@ func buildPBA(ix *Index, plus bool) {
 	if !ok {
 		return // dim 0 (d=1) is rejected earlier; defensive only
 	}
-	rootRng := rand.New(rand.NewSource(cellSeed(ix.Root(), NoOption)))
+	rootRng := cellSeed(ix.Root(), NoOption)
 	cur := []pbaWork{{
 		cell:    ix.Root(),
 		g:       dg.NewGraph(base),
@@ -104,11 +124,14 @@ func buildPBA(ix *Index, plus bool) {
 		}
 		lpBefore := ix.Stats.LPCalls
 		// Parallel compute phase: candidate refinement and feasibility.
+		phase := ix.startPhase("build.level.compute")
 		results := make([]pbaResult, len(cur))
 		pool.ForEach(ix.workers, len(cur), func(i int) {
 			results[i] = ix.partitionCompute(&cur[i], plus, int32(l), base)
 		})
+		ix.endPhase(&phase, l+1)
 		// Sequential apply phase: allocate cells and edges in input order.
+		phase = ix.startPhase("build.level.apply")
 		var next []pbaWork
 		var sumP, sumActual int
 		for i := range cur {
@@ -129,9 +152,11 @@ func buildPBA(ix *Index, plus bool) {
 			ix.Stats.PostFilterCandidates[l] = float64(sumP) / float64(len(cur))
 			ix.Stats.ActualCandidates[l] = float64(sumActual) / float64(len(cur))
 		}
+		ix.endPhase(&phase, l+1)
 		// Merge children with identical (R, opt), merging their dominance
 		// graphs, witnesses, and samples. Keys are computed before merging:
 		// tombstoned cells lose their parent chains.
+		phase = ix.startPhase("build.level.merge")
 		ids := make([]int32, len(next))
 		byKey := make(map[string][]pbaWork, len(next))
 		for i, wk := range next {
@@ -140,31 +165,68 @@ func buildPBA(ix *Index, plus bool) {
 			byKey[k] = append(byKey[k], wk)
 		}
 		merged := ix.mergeLevel(ids)
-		cur = cur[:0]
-		for _, id := range merged {
-			group := byKey[ix.rKey(id)]
-			wk := pbaWork{cell: id, witness: group[0].witness}
-			for _, m := range group {
-				wk.samples = append(wk.samples, m.samples...)
-			}
-			if max := 2 * sampleCount(ix.RDim()); len(wk.samples) > max {
-				wk.samples = wk.samples[:max]
-			}
-			if plus {
-				graphs := make([]*dg.Graph, len(group))
-				for i, m := range group {
-					graphs[i] = m.g
-				}
-				wk.g = dg.Merge(graphs...)
-			}
-			cur = append(cur, wk)
+		groups := make([][]pbaWork, len(merged))
+		for i, id := range merged {
+			groups[i] = byKey[ix.rKey(id)]
 		}
+		// Each merged cell's work item depends on its own group only, so
+		// the graph merges fan out like the compute phase, each writing
+		// its own slot.
+		cur = make([]pbaWork, len(merged))
+		pool.ForEach(ix.workers, len(merged), func(i int) {
+			cur[i] = mergeWork(merged[i], groups[i], plus, 2*sampleCount(ix.RDim()))
+		})
+		ix.endPhase(&phase, l+1)
 		ix.Levels[l+1] = append([]int32(nil), merged...)
 		if instrumented {
 			ix.reportLevel("build.level", l+1, ix.Tau, len(merged),
 				ix.Stats.LPCalls-lpBefore, buildStart, levelStart)
 		}
 	}
+}
+
+// mergeWork combines the work items of the cells merged into id: the first
+// witness, the samples of every part up to maxSamples, and (PBA⁺) the
+// dominance graphs.
+func mergeWork(id int32, group []pbaWork, plus bool, maxSamples int) pbaWork {
+	wk := group[0]
+	wk.cell = id
+	if len(group) == 1 {
+		return wk
+	}
+	wk.samples = nil
+	for _, m := range group {
+		wk.samples = append(wk.samples, m.samples...)
+	}
+	if len(wk.samples) > maxSamples {
+		wk.samples = wk.samples[:maxSamples]
+	}
+	if plus {
+		graphs := make([]*dg.Graph, len(group))
+		for i, m := range group {
+			graphs[i] = m.g
+		}
+		wk.g = dg.Merge(graphs...)
+	}
+	return wk
+}
+
+// startPhase begins the span of one phase of a build level. Without a
+// tracer it returns the zero span and reads no clock.
+func (ix *Index) startPhase(name string) obs.Span {
+	if ix.trace == nil {
+		return obs.Span{}
+	}
+	return obs.StartSpan(name)
+}
+
+// endPhase delivers a span begun by startPhase, tagged with its level.
+func (ix *Index) endPhase(sp *obs.Span, level int) {
+	if ix.trace == nil {
+		return
+	}
+	sp.Set("level", float64(level))
+	sp.FinishTo(ix.trace)
 }
 
 // reportLevel emits the per-level span and progress callback shared by the
@@ -203,7 +265,8 @@ func (ix *Index) reportLevel(spanName string, level, maxLevel, cells int, lpCall
 // work item, so calls for different cells can run concurrently.
 func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.Base) pbaResult {
 	var res pbaResult
-	reg := ix.Region(wk.cell)
+	reg := ix.RegionInto(wk.cell, geom.GetRegion())
+	defer geom.PutRegion(reg)
 	// Arm the region's witness fast paths with the interior point the work
 	// item already carries; SetWitness computes the exact slack, so a stale
 	// witness (possible after cell merges) simply leaves the fast paths cold.
@@ -232,32 +295,29 @@ func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.
 
 	const strictEps = 1e-9
 	// For each sample, the strict winner among candidates certifies its own
-	// child cell (the sample is an interior witness).
-	witnessOf := make(map[int32][]float64, len(p))
+	// child cell (the sample is an interior witness). witnessOf[i] is the
+	// first such sample for p[i].
+	witnessOf := make([][]float64, len(p))
 	for _, s := range wk.samples {
 		best, second := -1, -1
+		var bestSc, secondSc float64
 		for i, ri := range p {
 			sc := geom.Score(ix.Pts[ri], s)
-			if best < 0 || sc > geom.Score(ix.Pts[p[best]], s) {
-				second = best
-				best = i
-			} else if second < 0 || sc > geom.Score(ix.Pts[p[second]], s) {
-				second = i
+			if best < 0 || sc > bestSc {
+				second, secondSc = best, bestSc
+				best, bestSc = i, sc
+			} else if second < 0 || sc > secondSc {
+				second, secondSc = i, sc
 			}
 		}
-		if best >= 0 {
-			if second < 0 ||
-				geom.Score(ix.Pts[p[best]], s)-geom.Score(ix.Pts[p[second]], s) > strictEps {
-				if _, ok := witnessOf[p[best]]; !ok {
-					witnessOf[p[best]] = s
-				}
-			}
+		if best >= 0 && (second < 0 || bestSc-secondSc > strictEps) && witnessOf[best] == nil {
+			witnessOf[best] = s
 		}
 	}
 
 	childReg := geom.GetRegion()
 	defer geom.PutRegion(childReg)
-	for _, ri := range p {
+	for i, ri := range p {
 		bound := make([]int32, 0, len(p)-1)
 		for _, rj := range p {
 			if rj != ri {
@@ -266,10 +326,11 @@ func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.
 		}
 		childReg.CopyFrom(reg)
 		for _, rj := range bound {
-			childReg.Add(geom.PrefHalfspace(ix.Pts[ri], ix.Pts[rj]))
+			childReg.AddPref(ix.Pts[ri], ix.Pts[rj])
 		}
-		witness, ok := witnessOf[ri]
-		if !ok {
+		witness := witnessOf[i]
+		if witness == nil {
+			var ok bool
 			res.lpCalls++
 			witness, _, ok = childReg.ChebyshevCenter()
 			if !ok {
@@ -279,7 +340,7 @@ func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.
 			// outlives the scratch region, so take a copy.
 			witness = append([]float64(nil), witness...)
 		}
-		crng := rand.New(rand.NewSource(cellSeed(wk.cell, ri)))
+		crng := cellSeed(wk.cell, ri)
 		cs := childSpec{
 			opt: ri, bound: bound, witness: witness,
 			samples: childReg.SampleFrom(witness, sampleCount(ix.RDim()), crng.Float64),
@@ -309,27 +370,33 @@ func computeP(ix *Index, g *dg.Graph, reg *geom.Region, level int32, samples [][
 	if len(frontier) <= 1 {
 		return frontier
 	}
+	// Score every frontier option at every sample once: row i of scores
+	// holds frontier[i]'s, and the refutation test reads a pair's rows.
+	ns := len(samples)
+	buf := scoreScratch.Get()
+	defer scoreScratch.Put(buf)
+	scores := slices.Grow((*buf)[:0], len(frontier)*ns)[:len(frontier)*ns]
+	*buf = scores
+	for i, v := range frontier {
+		for j, s := range samples {
+			scores[i*ns+j] = geom.Score(ix.Pts[v], s)
+		}
+	}
 	out := make([]int32, 0, len(frontier))
-	for _, v := range frontier {
+	for i, v := range frontier {
 		if g.Count(v) > 0 {
 			continue // an edge added earlier in this loop already covers v
 		}
 		dominated := false
-		for _, u := range frontier {
+		sv := scores[i*ns : (i+1)*ns]
+		for j, u := range frontier {
 			if u == v || g.Count(u) > 0 {
 				continue
 			}
 			if g.HasEdge(u, v) || g.HasEdge(v, u) {
 				continue
 			}
-			refuted := false
-			for _, s := range samples {
-				if geom.Score(ix.Pts[v], s) > geom.Score(ix.Pts[u], s)+1e-12 {
-					refuted = true
-					break
-				}
-			}
-			if refuted {
+			if refutes(sv, scores[j*ns:(j+1)*ns]) {
 				continue
 			}
 			key := dg.VerdictKey{Kind: dg.KindDominates, U: u, V: v, Region: reg.Hash()}
@@ -351,3 +418,20 @@ func computeP(ix *Index, g *dg.Graph, reg *geom.Region, level int32, samples [][
 	}
 	return out
 }
+
+// refutes reports whether some sample scores v (scores sv) above u (scores
+// su): a sample where v wins refutes "u dominates v in this cell".
+func refutes(sv, su []float64) bool {
+	for s, x := range sv {
+		if x > su[s]+1e-12 {
+			return true
+		}
+	}
+	return false
+}
+
+// scoreScratch recycles computeP's frontier×sample score matrix.
+var scoreScratch = pool.NewScratch(func() *[]float64 {
+	s := make([]float64, 0, 1024)
+	return &s
+})

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	tlx "tlevelindex"
+	"tlevelindex/datagen"
 )
 
 var obsHotels = [][]float64{
@@ -83,6 +85,55 @@ func (c *spanCollector) names() []string {
 		out[i] = s.Name
 	}
 	return out
+}
+
+// TestBuildLevelPhaseSpans: every "build.level" span of a traced PBA⁺
+// build has exactly one compute, apply and merge span for its level, each
+// inside the level's interval, together no longer than the level.
+func TestBuildLevelPhaseSpans(t *testing.T) {
+	tr := &spanCollector{}
+	data := datagen.Generate(datagen.IND, 400, 3, 1)
+	if _, err := tlx.Build(data, 4, tlx.WithTracer(tr)); err != nil {
+		t.Fatal(err)
+	}
+	phases := map[string]bool{"build.level.compute": true, "build.level.apply": true, "build.level.merge": true}
+	byLevel := map[float64][]tlx.Span{}
+	var levels []tlx.Span
+	for _, sp := range tr.spans {
+		lv, _ := sp.Get("level")
+		switch {
+		case sp.Name == "build.level":
+			levels = append(levels, sp)
+		case phases[sp.Name]:
+			byLevel[lv] = append(byLevel[lv], sp)
+		}
+	}
+	if len(levels) != 4 {
+		t.Fatalf("%d build.level spans, want 4", len(levels))
+	}
+	for _, lvl := range levels {
+		lv, _ := lvl.Get("level")
+		kids := byLevel[lv]
+		seen := map[string]int{}
+		var sum time.Duration
+		end := lvl.Start.Add(lvl.Duration)
+		for _, k := range kids {
+			seen[k.Name]++
+			sum += k.Duration
+			if k.Start.Before(lvl.Start) || k.Start.Add(k.Duration).After(end) {
+				t.Errorf("level %v: %s [%v +%v] outside the level [%v +%v]",
+					lv, k.Name, k.Start, k.Duration, lvl.Start, lvl.Duration)
+			}
+		}
+		for name := range phases {
+			if seen[name] != 1 {
+				t.Errorf("level %v: %d %s spans, want 1", lv, seen[name], name)
+			}
+		}
+		if sum > lvl.Duration {
+			t.Errorf("level %v: phases sum to %v, more than the level's %v", lv, sum, lvl.Duration)
+		}
+	}
 }
 
 // TestQuerySpans: an attached tracer receives one completed span per

@@ -139,10 +139,11 @@ func WithOnionFilter() Option { return func(c *buildConfig) { c.onion = index.On
 func WithoutOnionFilter() Option { return func(c *buildConfig) { c.onion = index.OnionOff } }
 
 // WithTracer attaches t to the build (phase spans "build.filter",
-// "build.<algorithm>", "build.compact", and per-level "build.level" /
-// "extend.level" spans) and to the built index for query spans, as if
-// SetTracer(t) had been called on the result. nil is the default: tracing
-// off.
+// "build.<algorithm>", "build.compact", per-level "build.level" /
+// "extend.level" spans, and each build level's "build.level.compute",
+// "build.level.apply" and "build.level.merge") and to the built index for
+// query spans, as if SetTracer(t) had been called on the result. nil is the
+// default: tracing off.
 func WithTracer(t Tracer) Option { return func(c *buildConfig) { c.trace = t } }
 
 // WithProgress registers a callback invoked after every completed level of
