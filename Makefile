@@ -179,5 +179,7 @@ loc:
 	echo "internal/cache  $$(count internal/cache -maxdepth 1)"; \
 	echo "internal/obs    $$(count internal/obs -maxdepth 1)"; \
 	echo "internal/index  $$(count internal/index -maxdepth 1)"; \
+	echo "internal/store  $$(count internal/store -maxdepth 1)"; \
+	echo "internal/replicate $$(count internal/replicate -maxdepth 1)"; \
 	echo "root package    $$(count . -maxdepth 1)"; \
 	echo "module          $$(count . -path ./bench -prune -o -type f)"

@@ -13,7 +13,7 @@ import (
 // traversal: per item it costs what the single query does.
 //
 // Input validation is two-tier: conditions that apply to the whole batch
-// (k < 1, strict depth) fail the call, while a malformed weight vector
+// (k outside [1, τ]) fail the call, while a malformed weight vector
 // fails only its own item — its Err field wraps ErrInvalidWeights and the
 // remaining items are answered normally.
 
@@ -36,28 +36,23 @@ type TopKBatchItem struct {
 }
 
 // TopKBatch answers a top-k query for every weight vector in ws, each
-// through the TopK walk. With k ≤ τ it is a pure lookup; deeper k extends
-// the index on demand (best-effort over the filtered pool when no full
-// dataset is held, like TopK).
+// through the TopK walk. A k beyond τ fails the call with ErrBeyondTau.
 func (ix *Index) TopKBatch(ws [][]float64, k int) ([]TopKBatchItem, error) {
-	return ix.topKBatch(context.Background(), ws, k, false)
+	return ix.topKBatch(context.Background(), ws, k)
 }
 
-// TopKBatchContext is TopKBatch with cancellation and strict-depth behavior
-// (see the context.go conventions). Items are walked in order. On
+// TopKBatchContext is TopKBatch with cancellation (see the context.go
+// conventions). Items are walked in order. On
 // cancellation it returns ctx's error together with the items: those walked
 // before the cancellation hold their full answers, the item being walked
 // holds the ranks it resolved and its stats so far, and later items hold
 // Level 0, no options and zero stats.
 func (ix *Index) TopKBatchContext(ctx context.Context, ws [][]float64, k int) ([]TopKBatchItem, error) {
-	return ix.topKBatch(ctx, ws, k, true)
+	return ix.topKBatch(ctx, ws, k)
 }
 
-func (ix *Index) topKBatch(ctx context.Context, ws [][]float64, k int, strict bool) ([]TopKBatchItem, error) {
-	if k < 1 {
-		return nil, errBadK
-	}
-	if err := ix.needsData(k, strict); err != nil {
+func (ix *Index) topKBatch(ctx context.Context, ws [][]float64, k int) ([]TopKBatchItem, error) {
+	if err := ix.checkK(k); err != nil {
 		return nil, err
 	}
 	items := make([]TopKBatchItem, len(ws))
@@ -89,34 +84,30 @@ func (ix *Index) topKBatch(ctx context.Context, ws [][]float64, k int, strict bo
 // equal, separately allocated answers. Items whose option was filtered out
 // (it never ranks top-k anywhere) get an empty result, like KSPR.
 func (ix *Index) KSPRBatch(k int, focals []int) ([]*KSPRResult, error) {
-	return ix.ksprBatch(context.Background(), k, focals, false)
+	return ix.ksprBatch(context.Background(), k, focals)
 }
 
-// KSPRBatchContext is KSPRBatch with cancellation and strict-depth
-// behavior. On cancellation it returns ctx's error together with the items:
-// focals answered before the cancellation hold complete answers, the rest
-// empty results.
+// KSPRBatchContext is KSPRBatch with cancellation. On cancellation it
+// returns ctx's error together with the items: focals answered before the
+// cancellation hold complete answers, the rest empty results.
 func (ix *Index) KSPRBatchContext(ctx context.Context, k int, focals []int) ([]*KSPRResult, error) {
-	return ix.ksprBatch(ctx, k, focals, true)
+	return ix.ksprBatch(ctx, k, focals)
 }
 
-func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int, strict bool) ([]*KSPRResult, error) {
-	if k < 1 {
-		return nil, errBadK
+func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int) ([]*KSPRResult, error) {
+	if err := ix.checkK(k); err != nil {
+		return nil, err
 	}
 	for _, f := range focals {
 		if f < 0 {
 			return nil, fmt.Errorf("tlevelindex: invalid focal option %d", f)
 		}
 	}
-	if err := ix.needsData(k, strict); err != nil {
-		return nil, err
-	}
 	out := make([]*KSPRResult, len(focals))
 	fids := make([]int32, 0, len(focals))
 	live := make([]int, 0, len(focals))
 	for i, f := range focals {
-		fid := ix.focalID(k, f)
+		fid := ix.filteredID(f)
 		if fid < 0 {
 			out[i] = &KSPRResult{}
 			continue
@@ -156,8 +147,8 @@ func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int, strict bool
 type LocateBatchItem struct {
 	// Key is the cell-chain identity at the reached depth; see CellKey.
 	Key CellKey
-	// Level is the depth actually reached: min(k, materialized depth), or
-	// less when the chain ran out of cells.
+	// Level is the depth actually reached: min(k, τ), or less when the
+	// chain ran out of cells.
 	Level int
 	// Err is non-nil when this item's weight vector was rejected (it wraps
 	// ErrInvalidWeights).
@@ -165,9 +156,7 @@ type LocateBatchItem struct {
 }
 
 // LocateBatch computes the cell-chain identity of every weight vector in ws
-// at depth k — LocateDepth per item. Like Locate it is a pure lookup: the
-// depth is clamped to the materialized levels and the index is never
-// extended, so it is safe for concurrent use with other read-only queries.
+// at depth k — LocateDepth per item, so the depth is clamped to τ.
 func (ix *Index) LocateBatch(ws [][]float64, k int) []LocateBatchItem {
 	items := make([]LocateBatchItem, len(ws))
 	xs, live := ix.reduceBatch(ws, func(i int, err error) { items[i].Err = err })

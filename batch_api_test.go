@@ -81,14 +81,14 @@ func TestTopKBatchAPIMatchesSingle(t *testing.T) {
 			}
 		}
 	}
-	// Plain variant: same answers through the non-strict path.
+	// Plain variant: same answers as the context variant.
 	plain, err := ix.TopKBatch(ws, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, _ := ix.TopKBatchContext(context.Background(), ws, 2)
-	if !reflect.DeepEqual(plain, strict) {
-		t.Fatal("TopKBatch disagrees with TopKBatchContext on a materialized depth")
+	withCtx, _ := ix.TopKBatchContext(context.Background(), ws, 2)
+	if !reflect.DeepEqual(plain, withCtx) {
+		t.Fatal("TopKBatch disagrees with TopKBatchContext")
 	}
 	if _, err := ix.TopKBatch(ws, 0); err == nil {
 		t.Fatal("k=0 must fail the whole batch")
@@ -219,7 +219,11 @@ func TestLocateTopKAPIMatchesSingle(t *testing.T) {
 			if key != wantKey || level != wantLevel {
 				t.Fatalf("k=%d: key/level %v/%d != LocateDepth %v/%d", k, key, level, wantKey, wantLevel)
 			}
-			if k <= ix.MaxMaterializedLevel() {
+			if k > ix.Tau() {
+				if _, err := ix.TopKContext(context.Background(), w, k); !errors.Is(err, ErrBeyondTau) {
+					t.Fatalf("k=%d: TopKContext err %v, want ErrBeyondTau", k, err)
+				}
+			} else {
 				want, err := ix.TopKContext(context.Background(), w, k)
 				if err != nil {
 					t.Fatal(err)
@@ -246,7 +250,7 @@ func TestLocateTopKAllocs(t *testing.T) {
 	ix := batchAPIIndex(t)
 	ctx := context.Background()
 	w := randSimplexW(rand.New(rand.NewSource(26)), ix.Dim())
-	k := ix.MaxMaterializedLevel()
+	k := ix.Tau()
 	locate := testing.AllocsPerRun(100, func() {
 		if _, _, _, err := ix.LocateTopK(ctx, w, k); err != nil {
 			t.Fatal(err)
@@ -262,17 +266,26 @@ func TestLocateTopKAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchStrictDepth: the context variants refuse k beyond the
-// materialized levels on an index without the full dataset, like every
-// other *Context query.
+// TestBatchStrictDepth: the batch variants, plain and context, refuse k
+// beyond τ as a whole-batch error, with or without the full dataset, like
+// every other query.
 func TestBatchStrictDepth(t *testing.T) {
-	ix := buildHotels(t, WithoutFullData())
-	ws := [][]float64{{0.18, 0.82}}
-	if _, err := ix.TopKBatchContext(context.Background(), ws, ix.Tau()+1); !errors.Is(err, ErrNeedsFullData) {
-		t.Fatalf("TopKBatchContext err = %v, want ErrNeedsFullData", err)
-	}
-	if _, err := ix.KSPRBatchContext(context.Background(), ix.Tau()+1, []int{0}); !errors.Is(err, ErrNeedsFullData) {
-		t.Fatalf("KSPRBatchContext err = %v, want ErrNeedsFullData", err)
+	ctx := context.Background()
+	for _, ix := range []*Index{buildHotels(t), buildHotels(t, WithoutFullData())} {
+		ws := [][]float64{{0.18, 0.82}}
+		k := ix.Tau() + 1
+		if _, err := ix.TopKBatch(ws, k); !errors.Is(err, ErrBeyondTau) {
+			t.Fatalf("TopKBatch err = %v, want ErrBeyondTau", err)
+		}
+		if _, err := ix.TopKBatchContext(ctx, ws, k); !errors.Is(err, ErrBeyondTau) {
+			t.Fatalf("TopKBatchContext err = %v, want ErrBeyondTau", err)
+		}
+		if _, err := ix.KSPRBatch(k, []int{0}); !errors.Is(err, ErrBeyondTau) {
+			t.Fatalf("KSPRBatch err = %v, want ErrBeyondTau", err)
+		}
+		if _, err := ix.KSPRBatchContext(ctx, k, []int{0}); !errors.Is(err, ErrBeyondTau) {
+			t.Fatalf("KSPRBatchContext err = %v, want ErrBeyondTau", err)
+		}
 	}
 }
 

@@ -95,6 +95,24 @@ func measureKSPRIndex(ix *tlx.Index, k int, w *workload) measured {
 	return measured{total / time.Duration(n), float64(visited) / float64(n)}
 }
 
+// measureKSPRExtended is measureKSPRIndex on an index first deepened to k
+// by ExtendTau when k > τ, the extension's time spread over the kSPR
+// queries: the cost the first query past τ paid when queries extended the
+// index themselves.
+func measureKSPRExtended(ix *tlx.Index, k int, w *workload) measured {
+	var ext time.Duration
+	if k > ix.Tau() {
+		start := time.Now()
+		if err := ix.ExtendTau(k); err != nil {
+			panic(err)
+		}
+		ext = time.Since(start)
+	}
+	m := measureKSPRIndex(ix, k, w)
+	m.t += ext / time.Duration(len(w.focals))
+	return m
+}
+
 func measureKSPRBaseline(w *workload, k int) measured {
 	var total time.Duration
 	for _, f := range w.focals {
@@ -223,15 +241,15 @@ func expFig13(sc scale) {
 }
 
 // expFig14 — effect of k with a fixed-τ index; k beyond τ switches the
-// index to lookup-based computation (the paper's dotted line).
+// index to lookup-based computation (the paper's dotted line): an explicit
+// ExtendTau(k) before the queries.
 func expFig14(sc scale) {
 	data := datagen.Generate(datagen.IND, sc.defaultN, sc.defaultD, 1)
 	header := []string{"k", "regime", "kSPR idx", "kSPR LP-CTA", "UTK idx", "UTK JAA", "ORU idx", "ORU bl"}
 	var rows [][]string
 	brs := baseline.NewBRS(data)
 	for _, k := range sc.ks {
-		// Fresh index per k so on-demand extension cost is charged to the
-		// first query past τ, as in the paper.
+		// Fresh τ-level index per k, so a k past τ pays its ExtendTau.
 		ix, _ := buildTimed(data, sc.queryTau, tlx.PBAPlus)
 		w := newWorkload(data, k, sc.queries, 11)
 		regime := "lookup"
@@ -241,7 +259,7 @@ func expFig14(sc scale) {
 		m := 2 * k
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", k), regime,
-			measureKSPRIndex(ix, k, w).String(),
+			measureKSPRExtended(ix, k, w).String(),
 			measureKSPRBaseline(w, k).String(),
 			measureUTKIndex(ix, k, w).String(),
 			measureUTKBaseline(brs, k, w).String(),
@@ -265,11 +283,11 @@ func expFig15(sc scale) {
 		w := newWorkload(data, k, sc.queries, 11)
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", tau),
-			measureKSPRIndex(ix, k, w).String(),
+			measureKSPRExtended(ix, k, w).String(),
 			measureUTKIndex(ix, k, w).String(),
 		})
 	}
-	fmt.Printf("(k = %d; tau < k triggers on-demand computation)\n", k)
+	fmt.Printf("(k = %d; tau < k pays ExtendTau(k) in its kSPR column)\n", k)
 	printTable(header, rows)
 }
 

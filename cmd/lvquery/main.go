@@ -8,6 +8,9 @@
 //	lvquery -in hotels.txt -tau 10 -query oru  -k 2 -w 0.3,0.7 -m 3
 //	lvquery -in hotels.txt -tau 10 -query topk -k 5 -w 0.18,0.82
 //	lvquery -in hotels.txt -tau 10 -query maxrank -focal 3
+//
+// A -k above -tau is refused: the query exits with the index's
+// ErrBeyondTau message instead of deepening the index.
 package main
 
 import (

@@ -83,9 +83,9 @@ func checkMergeDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelExtensionDeterminism covers the on-demand extension path: the
-// same deep query against copies of one index built with different worker
-// counts must materialize identical deeper levels.
+// TestParallelExtensionDeterminism covers ExtendTau's parallel path: copies
+// of one index built with different worker counts must materialize
+// identical deeper levels, and answer the same deep query alike.
 func TestParallelExtensionDeterminism(t *testing.T) {
 	data := datagen.Generate(datagen.IND, 50, 3, 9)
 	var ref []int
@@ -94,7 +94,10 @@ func TestParallelExtensionDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		top, err := ix.TopK([]float64{0.3, 0.3, 0.4}, 5) // k > τ: extends
+		if err := ix.ExtendTau(5); err != nil {
+			t.Fatal(err)
+		}
+		top, err := ix.TopK([]float64{0.3, 0.3, 0.4}, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,10 +114,9 @@ func TestParallelExtensionDeterminism(t *testing.T) {
 }
 
 // TestConcurrentReadersWithWriter exercises the documented concurrency
-// contract under the race detector: queries within the materialized depth
-// are safe from many goroutines at once, while mutations (Insert,
-// ExtendTau, deep queries) take a write lock — the same discipline the
-// serve package uses. The shared filteredID memo is the subtle part: every
+// contract under the race detector: queries are safe from many goroutines
+// at once, while mutations (Insert, ExtendTau) take a write lock — the same
+// discipline the serve package uses. The shared filteredID memo is the subtle part: every
 // reader exercises it concurrently.
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	data := datagen.Generate(datagen.IND, 40, 3, 11)
@@ -133,7 +135,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 			w := []float64{0.2, 0.3, 0.5}
 			for i := 0; i < 30; i++ {
 				mu.RLock()
-				k := 1 + (i % ix.MaxMaterializedLevel())
+				k := 1 + (i % ix.Tau())
 				switch g % 5 {
 				case 0:
 					if _, err := ix.TopKContext(ctx, w, k); err != nil {
@@ -232,20 +234,21 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := ix.TopK([]float64{0.5, 0.5}, 2); !errors.Is(err, ErrInvalidWeights) {
 		t.Errorf("short weights: %v", err)
 	}
-	// Deep query on an index without full data → ErrNeedsFullData.
+	// A query deeper than τ → ErrBeyondTau, with or without the dataset.
+	if _, err := ix.TopKContext(ctx, []float64{0.2, 0.3, 0.5}, 4); !errors.Is(err, ErrBeyondTau) {
+		t.Errorf("query past τ: %v", err)
+	}
+	// Deepening an index without full data → ErrNeedsFullData.
 	nf, err := Build(data, 2, WithoutFullData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nf.TopKContext(ctx, []float64{0.2, 0.3, 0.5}, 5); !errors.Is(err, ErrNeedsFullData) {
-		t.Errorf("deep query without data: %v", err)
+	if err := nf.ExtendTau(5); !errors.Is(err, ErrNeedsFullData) {
+		t.Errorf("ExtendTau without data: %v", err)
 	}
-	// Insert after extension → ErrExtended.
-	if _, err := ix.TopK([]float64{0.2, 0.3, 0.5}, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.Insert([]float64{0.8, 0.8, 0.8}); !errors.Is(err, ErrExtended) {
-		t.Errorf("insert after extension: %v", err)
+	// The refused query changed nothing: inserts still land.
+	if _, err := ix.Insert([]float64{0.8, 0.8, 0.8}); err != nil {
+		t.Errorf("insert after a refused deep query: %v", err)
 	}
 }
 

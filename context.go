@@ -13,27 +13,23 @@ import (
 
 // This file holds the one implementation of every query family and its
 // context-aware entry point; the plain methods in queries.go are adapters
-// over the same implementations. Each family is an unexported method taking
-// (ctx, …, strict): the *Context variant passes its caller's ctx and
-// strict=true, the plain method context.Background() and strict=false. The
-// two differ in exactly two ways:
+// over the same implementations under context.Background(). The *Context
+// variants add two things:
 //
 //   - Cancellation: the traversal polls ctx between cell visits and
 //     abandons the query with the context's error, so a slow region walk
 //     cannot outlive its HTTP request or caller deadline.
-//   - Strict depth: when k exceeds MaxMaterializedLevel and the index holds
-//     no full dataset, strict=true fails fast with ErrNeedsFullData;
-//     strict=false extends best-effort over the filtered pool.
+//   - Stats: every result carries the QueryStats of its traversal.
+//
+// Every query only reads the index, so any number of them may run at once.
+// A k beyond τ is refused with ErrBeyondTau; ExtendTau deepens the index.
 //
 // Partial stats on cancellation: when a traversal is abandoned mid-walk,
 // every variant returns the context's error together with a non-nil result
 // whose Stats field reports the QueryStats accumulated before the
 // abandonment (the answer fields themselves are incomplete and must not be
-// interpreted). Validation failures — bad weights, bad k, ErrNeedsFullData —
+// interpreted). Validation failures — bad weights, bad k, ErrBeyondTau —
 // still return a nil result: no traversal ran, so there are no stats.
-//
-// Variants whose depth stays within the materialized levels are pure
-// lookups and safe to call concurrently from many goroutines.
 
 // querySpan bundles the per-query tracing state. With no tracer attached
 // (the default) and an untraced context, starting and finishing it performs
@@ -88,38 +84,27 @@ func (q *querySpan) finish(st QueryStats, err error) {
 
 var errBadK = errors.New("tlevelindex: k must be >= 1")
 
-// needsData enforces the strict-depth rule.
-func (ix *Index) needsData(k int, strict bool) error {
-	if strict && k > ix.inner.MaxMaterializedLevel() && !ix.inner.HasFullData() {
-		return ErrNeedsFullData
+// checkK validates a query depth: 1 ≤ k ≤ τ.
+func (ix *Index) checkK(k int) error {
+	if k < 1 {
+		return errBadK
+	}
+	if k > ix.inner.Tau {
+		return ErrBeyondTau
 	}
 	return nil
 }
 
-// checkFocal validates the parameters of the focal-option families (kSPR
-// and the three queries built on it).
-func (ix *Index) checkFocal(k, focal int, strict bool) error {
-	if k < 1 {
-		return errBadK
+// checkFocal validates the parameters of the focal-option families (kSPR,
+// the three queries built on it, and why-not).
+func (ix *Index) checkFocal(k, focal int) error {
+	if err := ix.checkK(k); err != nil {
+		return err
 	}
 	if focal < 0 {
 		return fmt.Errorf("tlevelindex: invalid focal option %d", focal)
 	}
-	return ix.needsData(k, strict)
-}
-
-// focalID resolves a focal option for a depth-k query, or -1 when it ranks
-// below k everywhere. An option outside the current pool may enter deeper
-// levels, so a k beyond the materialized depth extends the index first,
-// which refreshes the pool.
-func (ix *Index) focalID(k, focal int) int32 {
-	fid := ix.filteredID(focal)
-	if fid < 0 && k > ix.inner.MaxMaterializedLevel() {
-		ix.inner.EnsureLevels(k)
-		ix.idMap.Store(nil)
-		fid = ix.filteredID(focal)
-	}
-	return fid
+	return nil
 }
 
 // TopKResult carries a ranked retrieval answer together with its traversal
@@ -133,21 +118,18 @@ type TopKResult struct {
 	Stats QueryStats
 }
 
-// TopKContext is TopK with cancellation and strict-depth behavior; it also
-// exports QueryStats, which the plain TopK does not.
+// TopKContext is TopK with cancellation; it also exports QueryStats, which
+// the plain TopK does not.
 //
 // On cancellation it returns ctx's error together with a non-nil result
 // carrying the partial QueryStats and the ranks resolved before the
 // abandonment.
 func (ix *Index) TopKContext(ctx context.Context, w []float64, k int) (*TopKResult, error) {
-	return ix.topK(ctx, w, k, true)
+	return ix.topK(ctx, w, k)
 }
 
-func (ix *Index) topK(ctx context.Context, w []float64, k int, strict bool) (*TopKResult, error) {
-	if k < 1 {
-		return nil, errBadK
-	}
-	if err := ix.needsData(k, strict); err != nil {
+func (ix *Index) topK(ctx context.Context, w []float64, k int) (*TopKResult, error) {
+	if err := ix.checkK(k); err != nil {
 		return nil, err
 	}
 	x, err := ix.reduce(w)
@@ -160,18 +142,18 @@ func (ix *Index) topK(ctx context.Context, w []float64, k int, strict bool) (*To
 	return &TopKResult{Options: ix.origIDs(opts), Key: CellKey{h: h}, Stats: exportStats(st)}, err
 }
 
-// KSPRContext is KSPR with cancellation and strict-depth behavior. The
-// lookup polls ctx once, before it reads; on cancellation it returns ctx's
-// error together with a non-nil, empty result.
+// KSPRContext is KSPR with cancellation. The lookup polls ctx once, before
+// it reads; on cancellation it returns ctx's error together with a non-nil,
+// empty result.
 func (ix *Index) KSPRContext(ctx context.Context, k, focal int) (*KSPRResult, error) {
-	return ix.kspr(ctx, k, focal, true)
+	return ix.kspr(ctx, k, focal)
 }
 
-func (ix *Index) kspr(ctx context.Context, k, focal int, strict bool) (*KSPRResult, error) {
-	if err := ix.checkFocal(k, focal, strict); err != nil {
+func (ix *Index) kspr(ctx context.Context, k, focal int) (*KSPRResult, error) {
+	if err := ix.checkFocal(k, focal); err != nil {
 		return nil, err
 	}
-	fid := ix.focalID(k, focal)
+	fid := ix.filteredID(focal)
 	if fid < 0 {
 		return &KSPRResult{}, nil
 	}
@@ -190,16 +172,16 @@ func (ix *Index) kspr(ctx context.Context, k, focal int, strict bool) (*KSPRResu
 	return out, nil
 }
 
-// UTKContext is UTK with cancellation and strict-depth behavior. On
-// cancellation it returns ctx's error together with a non-nil result whose
-// Stats carry the traversal work done before the abandonment.
+// UTKContext is UTK with cancellation. On cancellation it returns ctx's
+// error together with a non-nil result whose Stats carry the traversal work
+// done before the abandonment.
 func (ix *Index) UTKContext(ctx context.Context, k int, lo, hi []float64) (*UTKResult, error) {
-	return ix.utk(ctx, k, lo, hi, true)
+	return ix.utk(ctx, k, lo, hi)
 }
 
-func (ix *Index) utk(ctx context.Context, k int, lo, hi []float64, strict bool) (*UTKResult, error) {
-	if k < 1 {
-		return nil, errBadK
+func (ix *Index) utk(ctx context.Context, k int, lo, hi []float64) (*UTKResult, error) {
+	if err := ix.checkK(k); err != nil {
+		return nil, err
 	}
 	if len(lo) != ix.inner.RDim() || len(hi) != ix.inner.RDim() {
 		return nil, fmt.Errorf("tlevelindex: query box must have %d reduced coordinates", ix.inner.RDim())
@@ -214,9 +196,6 @@ func (ix *Index) utk(ctx context.Context, k int, lo, hi []float64, strict bool) 
 		if lo[i] > hi[i] {
 			return nil, errors.New("tlevelindex: box lo exceeds hi")
 		}
-	}
-	if err := ix.needsData(k, strict); err != nil {
-		return nil, err
 	}
 	q := ix.startQuerySpan(ctx, "query.utk")
 	res, err := ix.inner.UTKCtx(ctx, k, geom.NewBox(lo, hi))
@@ -239,18 +218,18 @@ func (ix *Index) utk(ctx context.Context, k int, lo, hi []float64, strict bool) 
 	return out, nil
 }
 
-// ORUContext is ORU with cancellation and strict-depth behavior. On
-// cancellation it returns ctx's error together with a non-nil result
-// carrying the partial QueryStats and the options collected so far.
+// ORUContext is ORU with cancellation. On cancellation it returns ctx's
+// error together with a non-nil result carrying the partial QueryStats and
+// the options collected so far.
 func (ix *Index) ORUContext(ctx context.Context, k int, w []float64, m int) (*ORUResult, error) {
-	return ix.oru(ctx, k, w, m, true)
+	return ix.oru(ctx, k, w, m)
 }
 
-func (ix *Index) oru(ctx context.Context, k int, w []float64, m int, strict bool) (*ORUResult, error) {
+func (ix *Index) oru(ctx context.Context, k int, w []float64, m int) (*ORUResult, error) {
 	if k < 1 || m < 1 {
 		return nil, errors.New("tlevelindex: k and m must be >= 1")
 	}
-	if err := ix.needsData(k, strict); err != nil {
+	if err := ix.checkK(k); err != nil {
 		return nil, err
 	}
 	x, err := ix.reduce(w)
@@ -273,11 +252,9 @@ type MaxRankResult struct {
 }
 
 // MaxRankContext is MaxRank with cancellation; it also exports QueryStats,
-// which the plain MaxRank does not. MaxRank never extends the index, so no
-// strict-depth check applies and the plain method is the same call under
-// context.Background(). The lookup polls ctx once, before it reads; on
-// cancellation it returns ctx's error together with a non-nil result with
-// zero stats (Rank is meaningless then).
+// which the plain MaxRank does not. The lookup polls ctx once, before it
+// reads; on cancellation it returns ctx's error together with a non-nil
+// result with zero stats (Rank is meaningless then).
 func (ix *Index) MaxRankContext(ctx context.Context, opt int) (*MaxRankResult, error) {
 	if opt < 0 {
 		return nil, fmt.Errorf("tlevelindex: invalid option %d", opt)
@@ -301,23 +278,22 @@ type MonoRTopKResult struct {
 	Stats     QueryStats
 }
 
-// MonoRTopKContext is MonoRTopK with cancellation and strict-depth behavior;
-// it also exports QueryStats, which the plain MonoRTopK does not. On
-// cancellation it returns ctx's error together with a non-nil result whose
-// Stats carry the traversal work done before the abandonment (Intervals is
-// left empty).
+// MonoRTopKContext is MonoRTopK with cancellation; it also exports
+// QueryStats, which the plain MonoRTopK does not. On cancellation it returns
+// ctx's error together with a non-nil result whose Stats carry the
+// traversal work done before the abandonment (Intervals is left empty).
 func (ix *Index) MonoRTopKContext(ctx context.Context, k, focal int) (*MonoRTopKResult, error) {
-	return ix.monoRTopK(ctx, k, focal, true)
+	return ix.monoRTopK(ctx, k, focal)
 }
 
-func (ix *Index) monoRTopK(ctx context.Context, k, focal int, strict bool) (*MonoRTopKResult, error) {
+func (ix *Index) monoRTopK(ctx context.Context, k, focal int) (*MonoRTopKResult, error) {
 	if ix.Dim() != 2 {
 		return nil, errors.New("tlevelindex: MonoRTopK requires 2-attribute options")
 	}
-	if err := ix.checkFocal(k, focal, strict); err != nil {
+	if err := ix.checkFocal(k, focal); err != nil {
 		return nil, err
 	}
-	fid := ix.focalID(k, focal)
+	fid := ix.filteredID(focal)
 	if fid < 0 {
 		return &MonoRTopKResult{}, nil
 	}
@@ -343,21 +319,20 @@ type MarketShareResult struct {
 	Stats QueryStats
 }
 
-// MarketShareContext is MarketShare with cancellation and strict-depth
-// behavior; it also exports QueryStats, which the plain MarketShare does
-// not. Cancellation is polled during the kSPR traversal and between the
-// per-cell volume integrations; on abandonment it returns ctx's error
-// together with a non-nil result whose Stats carry the work done so far
-// (Share is meaningless then).
+// MarketShareContext is MarketShare with cancellation; it also exports
+// QueryStats, which the plain MarketShare does not. Cancellation is polled
+// during the kSPR traversal and between the per-cell volume integrations;
+// on abandonment it returns ctx's error together with a non-nil result
+// whose Stats carry the work done so far (Share is meaningless then).
 func (ix *Index) MarketShareContext(ctx context.Context, focal, k int) (*MarketShareResult, error) {
-	return ix.marketShare(ctx, focal, k, true)
+	return ix.marketShare(ctx, focal, k)
 }
 
-func (ix *Index) marketShare(ctx context.Context, focal, k int, strict bool) (*MarketShareResult, error) {
-	if err := ix.checkFocal(k, focal, strict); err != nil {
+func (ix *Index) marketShare(ctx context.Context, focal, k int) (*MarketShareResult, error) {
+	if err := ix.checkFocal(k, focal); err != nil {
 		return nil, err
 	}
-	fid := ix.focalID(k, focal)
+	fid := ix.filteredID(focal)
 	if fid < 0 {
 		return &MarketShareResult{}, nil
 	}
@@ -395,18 +370,18 @@ type ReverseTopKResult struct {
 	Stats QueryStats
 }
 
-// ReverseTopKContext is ReverseTopK with cancellation and strict-depth
-// behavior; it also exports QueryStats, which the plain ReverseTopK does
-// not. Cancellation is polled during the kSPR traversal and between user
-// membership tests; on abandonment it returns ctx's error together with a
-// non-nil result whose Stats carry the work done so far and whose Users
-// hold the matches found up to that point (incomplete).
+// ReverseTopKContext is ReverseTopK with cancellation; it also exports
+// QueryStats, which the plain ReverseTopK does not. Cancellation is polled
+// during the kSPR traversal and between user membership tests; on
+// abandonment it returns ctx's error together with a non-nil result whose
+// Stats carry the work done so far and whose Users hold the matches found
+// up to that point (incomplete).
 func (ix *Index) ReverseTopKContext(ctx context.Context, k, focal int, users [][]float64) (*ReverseTopKResult, error) {
-	return ix.reverseTopK(ctx, k, focal, users, true)
+	return ix.reverseTopK(ctx, k, focal, users)
 }
 
-func (ix *Index) reverseTopK(ctx context.Context, k, focal int, users [][]float64, strict bool) (*ReverseTopKResult, error) {
-	if err := ix.checkFocal(k, focal, strict); err != nil {
+func (ix *Index) reverseTopK(ctx context.Context, k, focal int, users [][]float64) (*ReverseTopKResult, error) {
+	if err := ix.checkFocal(k, focal); err != nil {
 		return nil, err
 	}
 	// Validate the whole population up front: a malformed user is an input
@@ -419,7 +394,7 @@ func (ix *Index) reverseTopK(ctx context.Context, k, focal int, users [][]float6
 		}
 		xs[ui] = x
 	}
-	fid := ix.focalID(k, focal)
+	fid := ix.filteredID(focal)
 	if fid < 0 {
 		return &ReverseTopKResult{}, nil
 	}
@@ -450,18 +425,15 @@ func (ix *Index) reverseTopK(ctx context.Context, k, focal int, users [][]float6
 	return out, nil
 }
 
-// WhyNotContext is WhyNot with cancellation and strict-depth behavior. On
-// cancellation it returns ctx's error together with a non-nil result whose
-// Stats carry the work done before the abandonment.
+// WhyNotContext is WhyNot with cancellation. On cancellation it returns
+// ctx's error together with a non-nil result whose Stats carry the work done
+// before the abandonment.
 func (ix *Index) WhyNotContext(ctx context.Context, opt int, w []float64, k int) (*WhyNotResult, error) {
-	return ix.whyNot(ctx, opt, w, k, true)
+	return ix.whyNot(ctx, opt, w, k)
 }
 
-func (ix *Index) whyNot(ctx context.Context, opt int, w []float64, k int, strict bool) (*WhyNotResult, error) {
-	if k < 1 {
-		return nil, errBadK
-	}
-	if err := ix.needsData(k, strict); err != nil {
+func (ix *Index) whyNot(ctx context.Context, opt int, w []float64, k int) (*WhyNotResult, error) {
+	if err := ix.checkFocal(k, opt); err != nil {
 		return nil, err
 	}
 	x, err := ix.reduce(w)

@@ -168,7 +168,7 @@ func TestNewContextVariantsCancellation(t *testing.T) {
 	}
 }
 
-// TestNewContextVariantsSentinels pins validation and strict-depth errors.
+// TestNewContextVariantsSentinels pins validation and depth errors.
 func TestNewContextVariantsSentinels(t *testing.T) {
 	data := datagen.Generate(datagen.IND, 30, 3, 17)
 	nf, err := Build(data, 2, WithoutFullData())
@@ -176,11 +176,14 @@ func TestNewContextVariantsSentinels(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := nf.MarketShareContext(ctx, 0, 5); !errors.Is(err, ErrNeedsFullData) {
-		t.Errorf("deep MarketShareContext without data: %v", err)
+	if _, err := nf.MarketShareContext(ctx, 0, 5); !errors.Is(err, ErrBeyondTau) {
+		t.Errorf("deep MarketShareContext: %v", err)
 	}
-	if _, err := nf.ReverseTopKContext(ctx, 5, 0, nil); !errors.Is(err, ErrNeedsFullData) {
-		t.Errorf("deep ReverseTopKContext without data: %v", err)
+	if _, err := nf.ReverseTopKContext(ctx, 5, 0, nil); !errors.Is(err, ErrBeyondTau) {
+		t.Errorf("deep ReverseTopKContext: %v", err)
+	}
+	if _, err := nf.WhyNotContext(ctx, -1, []float64{0.2, 0.3, 0.5}, 2); err == nil {
+		t.Error("WhyNotContext accepted a negative option")
 	}
 	if _, err := nf.MarketShareContext(ctx, 0, 0); err == nil {
 		t.Error("MarketShareContext accepted k = 0")
@@ -194,10 +197,10 @@ func TestNewContextVariantsSentinels(t *testing.T) {
 }
 
 // TestPlainMatchesContext pins every plain query method to its Context
-// twin, both within τ and beyond it on an index that still holds its full
-// dataset. The beyond-τ focal (43) lies outside the τ-skyband but inside
-// the k-skyband, so an implementation that forgets to refresh the option
-// pool after extending answers "ranks nowhere" for it.
+// twin, both within τ and beyond the built τ after ExtendTau. The beyond-τ
+// focal (43) lies outside the τ-skyband but inside the k-skyband, so an
+// ExtendTau that forgets to refresh the option pool (or the id map) answers
+// "ranks nowhere" for it.
 func TestPlainMatchesContext(t *testing.T) {
 	data := datagen.Generate(datagen.IND, 400, 2, 7)
 	const tau = 2
@@ -258,15 +261,16 @@ func TestPlainMatchesContext(t *testing.T) {
 	}
 	inPool := probe.LevelOptions(tau)[0]
 	for _, c := range []struct{ k, focal int }{{tau, inPool}, {5, 43}} {
+		ix, err := Build(data, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.ExtendTau(c.k); err != nil {
+			t.Fatal(err)
+		}
 		for _, fam := range families {
-			// A k > τ query extends the index it runs on, so each side gets
-			// a fresh build.
 			var got [2]any
 			for side, run := range []func(*Index, int, int) (any, error){fam.plain, fam.twin} {
-				ix, err := Build(data, tau)
-				if err != nil {
-					t.Fatal(err)
-				}
 				if got[side], err = run(ix, c.k, c.focal); err != nil {
 					t.Fatalf("%s k=%d side %d: %v", fam.name, c.k, side, err)
 				}
@@ -279,6 +283,9 @@ func TestPlainMatchesContext(t *testing.T) {
 	// The beyond-τ focal must actually be answerable, or the comparison
 	// above proves nothing.
 	ix, _ := Build(data, tau)
+	if err := ix.ExtendTau(5); err != nil {
+		t.Fatal(err)
+	}
 	if share, _ := ix.MarketShare(43, 5); share == 0 {
 		t.Error("MarketShare(43, 5) = 0: focal 43 should rank top-5 somewhere")
 	}
@@ -291,8 +298,7 @@ func TestPlainMatchesContext(t *testing.T) {
 		"KSPRBatch":        func(ix *Index) ([]*KSPRResult, error) { return ix.KSPRBatch(5, []int{43}) },
 		"KSPRBatchContext": func(ix *Index) ([]*KSPRResult, error) { return ix.KSPRBatchContext(ctx, 5, []int{43}) },
 	} {
-		fresh, _ := Build(data, tau)
-		if got, err := batch(fresh); err != nil || !reflect.DeepEqual(got[0].Regions, want.Regions) {
+		if got, err := batch(ix); err != nil || !reflect.DeepEqual(got[0].Regions, want.Regions) {
 			t.Errorf("%s(5, [43]): %d regions (err %v), KSPR has %d", name, len(got[0].Regions), err, len(want.Regions))
 		}
 	}
@@ -343,7 +349,7 @@ func TestRegionExportFromRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fid := ix.focalID(k, focal)
+		fid := ix.filteredID(focal)
 		if fid < 0 {
 			continue
 		}

@@ -14,18 +14,17 @@ var (
 	// failures of full weight vectors wrap this sentinel.
 	ErrInvalidWeights = errors.New("tlevelindex: invalid weight vector")
 
-	// ErrNeedsFullData reports that a query's depth k exceeds the
-	// materialized levels and the index holds no reference to the full
-	// dataset (it was loaded with ReadIndex or built WithoutFullData), so
-	// on-demand extension cannot recruit the missing options. The
-	// context-aware query variants return it instead of extending
-	// best-effort over the filtered pool.
-	ErrNeedsFullData = errors.New("tlevelindex: k exceeds materialized levels and the index holds no full dataset")
+	// ErrBeyondTau reports a query whose depth k exceeds τ, the depth the
+	// index was built (or last extended) to. Queries only read the index;
+	// ExtendTau is the way to deepen it.
+	ErrBeyondTau = index.ErrBeyondTau
 
-	// ErrExtended reports that Insert was called after a k > τ query
-	// extended the index on demand; the lazily materialized levels are not
-	// maintained incrementally. Promote them with ExtendTau or rebuild.
-	ErrExtended = errors.New("tlevelindex: cannot insert after on-demand extension")
+	// ErrNeedsFullData reports an ExtendTau on an index that holds no
+	// reference to its full dataset (it was loaded with ReadIndex or
+	// OpenIndexFile, or built WithoutFullData): the options that rank below
+	// τ everywhere were never kept, so the deeper levels cannot be built.
+	// The index is left unchanged.
+	ErrNeedsFullData = index.ErrNeedsFullData
 
 	// ErrBadFormat reports a corrupt or foreign serialized index stream:
 	// every ReadIndex / ReadIndexBytes / OpenIndexFile failure caused by
@@ -33,11 +32,3 @@ var (
 	// structural nonsense) wraps it.
 	ErrBadFormat = index.ErrBadFormat
 )
-
-// mapErr rewrites internal sentinel errors to their public identities.
-func mapErr(err error) error {
-	if errors.Is(err, index.ErrExtended) {
-		return ErrExtended
-	}
-	return err
-}

@@ -131,4 +131,8 @@ func TestCLIErrors(t *testing.T) {
 	if out := runExpectFail(t, lvquery, "-in", dataPath, "-query", "nope"); !strings.Contains(out, "unknown query") {
 		t.Errorf("lvquery unknown query output: %s", out)
 	}
+	// A k beyond -tau exits with the typed error rather than deepening.
+	if out := runExpectFail(t, lvquery, "-in", dataPath, "-tau", "2", "-query", "kspr", "-k", "3"); !strings.Contains(out, "k exceeds the index depth") {
+		t.Errorf("lvquery k > tau output: %s", out)
+	}
 }

@@ -39,12 +39,10 @@ type BatchTopK struct {
 // tripping item the ranks it resolved, and later items are left zero (Level
 // 0, no options, zero stats).
 func (ix *Index) TopKBatchCtx(ctx context.Context, xs [][]float64, k int, wantKeys bool) (*BatchTopK, error) {
-	if k < 0 {
-		k = 0
-	}
 	if k > ix.Tau {
-		ix.ensureLevels(k)
+		return nil, ErrBeyondTau
 	}
+	k = max(k, 0)
 	n := len(xs)
 	bt := &BatchTopK{
 		Outs:   make([][]int32, n),
@@ -69,8 +67,7 @@ func (ix *Index) TopKBatchCtx(ctx context.Context, xs [][]float64, k int, wantKe
 }
 
 // LocateBatch computes the chain key and reached level for every reduced
-// weight in xs at depth k: Locate per item, so k is clamped to the
-// materialized levels and the index is never extended.
+// weight in xs at depth k: Locate per item, so k is clamped to τ.
 func (ix *Index) LocateBatch(xs [][]float64, k int) (keys []uint64, levels []int) {
 	keys = make([]uint64, len(xs))
 	levels = make([]int, len(xs))
@@ -97,14 +94,11 @@ func (ix *Index) KSPRBatchCtx(ctx context.Context, k int, focals []int32) ([]*KS
 }
 
 // LocateTopK is the top-k descent: one Locate-style walk that yields the
-// chain key, the reached level, the ranked options and the QueryStats. It
-// never extends the index (k is clamped like Locate), so it is a pure lookup
-// safe under concurrent reads; TopKCtx is this walk after extending to k.
+// chain key, the reached level, the ranked options and the QueryStats, with
+// k clamped to τ like Locate; TopKCtx is this walk after refusing k > τ.
 // res is appended into out.
 func (ix *Index) LocateTopK(ctx context.Context, x []float64, k int, out []int32) (key uint64, level int, res []int32, st QueryStats, err error) {
-	if max := ix.MaxMaterializedLevel(); k > max {
-		k = max
-	}
+	k = min(k, ix.Tau)
 	cur := ix.Root()
 	key = fnvOffset64
 	res = out[:0]

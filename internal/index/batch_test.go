@@ -47,8 +47,15 @@ func TestTopKBatchMatchesSingle(t *testing.T) {
 		rng := rand.New(rand.NewSource(tc.seed + 1))
 		pts := batchPoints(rng, 48, ix.RDim())
 		for _, k := range []int{1, 2, tc.tau, tc.tau + 2} {
-			// Run the single path first so any on-demand extension happens
-			// the same way for both sides.
+			// Past τ both paths refuse until ExtendTau deepens the index.
+			if k > ix.Tau {
+				if _, err := ix.TopKBatchCtx(context.Background(), pts, k, true); err != ErrBeyondTau {
+					t.Fatalf("d=%d k=%d: batch err %v, want ErrBeyondTau", tc.d, k, err)
+				}
+				if err := ix.ExtendTau(k); err != nil {
+					t.Fatal(err)
+				}
+			}
 			wantOut := make([][]int32, len(pts))
 			wantStats := make([]QueryStats, len(pts))
 			for i, x := range pts {
@@ -173,7 +180,11 @@ func TestLocateTopKMatchesSingle(t *testing.T) {
 				t.Fatalf("k=%d: LocateTopK key/level %x/%d != Locate %x/%d",
 					k, key, level, wantKey, wantLevel)
 			}
-			if k <= ix.MaxMaterializedLevel() {
+			if k > ix.Tau {
+				if _, _, _, err := ix.TopKCtx(context.Background(), x, k); err != ErrBeyondTau {
+					t.Fatalf("k=%d: TopKCtx err %v, want ErrBeyondTau", k, err)
+				}
+			} else {
 				topKey, out, wantSt, err := ix.TopKCtx(context.Background(), x, k)
 				if err != nil {
 					t.Fatal(err)

@@ -67,11 +67,11 @@ type Config struct {
 	// Seed drives the IBA-R shuffle; ignored by other algorithms.
 	Seed int64
 	// KeepFullData retains the unfiltered dataset inside the index so
-	// queries with k > τ can extend it on demand. Defaults to true via
-	// Build; zero-value Config keeps it too.
+	// ExtendTau can deepen it past τ. Defaults to true via Build;
+	// zero-value Config keeps it too.
 	DropFullData bool
 	// Workers bounds the goroutines used for the per-cell LP work during
-	// construction and on-demand extension. Values below 1 select
+	// construction and ExtendTau. Values below 1 select
 	// runtime.GOMAXPROCS(0). The built index is identical for every worker
 	// count: the parallel phases only compute, and all structural mutations
 	// are applied sequentially in input order.
@@ -80,22 +80,22 @@ type Config struct {
 	// "build.<algorithm>", "build.compact", one "build.level" span per
 	// materialized level of the partition-based builders with its
 	// "build.level.compute", "build.level.apply" and "build.level.merge"
-	// phases, and "extend.level" spans from later on-demand extension. nil
+	// phases, and "extend.level" spans from a later ExtendTau. nil
 	// disables tracing; instrumented code then only pays a nil check.
 	Trace obs.Tracer
 	// Progress, when non-nil, is called after every completed level of a
-	// partition-based build (and of on-demand extension) with cells/sec
+	// partition-based build (and of ExtendTau) with cells/sec
 	// throughput, so long builds can be watched. Called from the build
 	// goroutine; it must not call back into the index.
 	Progress func(BuildProgress)
 }
 
 // BuildProgress is one progress report from a partition-based build or an
-// on-demand extension.
+// ExtendTau.
 type BuildProgress struct {
 	Algorithm  string
 	Level      int // level just materialized (1-based)
-	MaxLevel   int // target level: τ for builds, k for extension
+	MaxLevel   int // target level: τ for builds, the new τ for ExtendTau
 	LevelCells int // cells in the completed level after merging
 	// Elapsed is wall time since the build (or extension) started;
 	// CellsPerSec is the completed level's instantaneous throughput.

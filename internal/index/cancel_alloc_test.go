@@ -87,7 +87,7 @@ func TestORUCtxPartialResult(t *testing.T) {
 }
 
 // TestSteadyStateAllocs pins the allocation behavior of the hot query paths
-// at k ≤ MaxMaterializedLevel: after pool warmup each query may allocate
+// at k ≤ τ: after pool warmup each query may allocate
 // only its answer (O(result) — a handful of slices), never per-visited-cell
 // scratch.
 func TestSteadyStateAllocs(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 // Lifecycle: builders and the insertion/extension machinery mutate the
 // staging slices (Cell.Parents/Children/Bound). compact() finishes by
 // calling freeze(), which moves the adjacency into a flatDAG and nils the
-// staging slices. Mutation paths (InsertOption, ensureLevels) call thaw()
+// staging slices. Mutation paths (InsertBatch, ExtendTau) call thaw()
 // first to materialize staging slices back from the flat form, do their
 // slice surgery, and re-freeze. All readers go through the childrenOf /
 // parentsOf / boundOf accessors, which work in either mode.
@@ -53,7 +53,7 @@ type flatDAG struct {
 // reads before the level's Once has returned.
 //
 // The box column holds the bounding boxes of the level's cells in
-// levelCells(l) order, 2·RDim floats each (lo, then hi), padded outward by
+// Levels[l] order, 2·RDim floats each (lo, then hi), padded outward by
 // geom.BoxPad, for UTK to skip the cells that miss its box.
 type levelCols struct {
 	rowsOnce, boxOnce sync.Once
@@ -115,7 +115,7 @@ func (ix *Index) freeze() {
 // columns.
 func (f *flatDAG) fillDerived(ix *Index) {
 	f.fillOptCells(ix)
-	f.levels = make([]levelCols, ix.MaxMaterializedLevel()+1)
+	f.levels = make([]levelCols, ix.Tau+1)
 }
 
 // levelRows returns level l's slab of the rows column (see levelCols),
@@ -158,15 +158,10 @@ func (ix *Index) fillRows(f *flatDAG, l int32) geom.Rows {
 }
 
 // levelBoxes returns level l's slice of the box column (see levelCols),
-// filling it on first use. A thawed index has no column, so one is built
-// for the call.
+// filling it on first use.
 func (ix *Index) levelBoxes(l int) []float64 {
-	f := ix.flat
-	if f == nil || l >= len(f.levels) {
-		return ix.fillBoxes(ix.levelCells(l))
-	}
-	lc := &f.levels[l]
-	lc.boxOnce.Do(func() { lc.box = ix.fillBoxes(ix.levelCells(l)) })
+	lc := &ix.flat.levels[l]
+	lc.boxOnce.Do(func() { lc.box = ix.fillBoxes(ix.Levels[l]) })
 	return lc.box
 }
 
@@ -218,13 +213,9 @@ func (f *flatDAG) fillOptCells(ix *Index) {
 
 // focalCells returns the focal option's cells at levels ≤ k, ascending by
 // (level, id): a read-only window of the option→cells column, shared with
-// the index. A thawed index has no column, so one is built for the call.
+// the index.
 func (ix *Index) focalCells(focal int32, k int) []int32 {
 	f := ix.flat
-	if f == nil {
-		f = &flatDAG{}
-		f.fillOptCells(ix)
-	}
 	if focal < 0 || int(focal) >= len(f.optOff)-1 {
 		return nil
 	}

@@ -9,43 +9,13 @@ import (
 	"tlevelindex/internal/skyline"
 )
 
-// extension materializes levels beyond τ on demand — the "lookup-based
-// computation" regime of Figure 14, where a query with k > τ reuses the
-// precomputed level-τ cells and partitions deeper levels lazily.
-type extension struct {
-	maxLevel int             // deepest materialized level (>= Tau)
-	levels   map[int][]int32 // level -> cell ids, for levels > Tau
-	poolK    int             // skyband depth the option pool covers
-	nBase    int             // number of options from the original build
-}
-
-// EnsureLevels materializes all levels up to k (no-op for k <= Tau); it is
-// the public entry point for forcing the Figure-14 "lookup-based
-// computation" regime ahead of a query.
-func (ix *Index) EnsureLevels(k int) { ix.ensureLevels(k) }
-
-// ensureLevels materializes all levels up to k. It requires the index to
-// retain the full dataset (Build's default); otherwise deeper options may
-// be missing and the extension proceeds best-effort over the filtered set.
+// ensureLevels deepens the index to k levels — the "lookup-based
+// computation" regime of Figure 14, where the levels past τ are partitioned
+// from the precomputed level-τ cells — and raises Tau to k. Only ExtendTau
+// calls it, and only on an index that holds its full dataset.
 func (ix *Index) ensureLevels(k int) {
-	if k <= ix.Tau {
-		return
-	}
-	if ix.ext == nil {
-		ix.ext = &extension{
-			maxLevel: ix.Tau,
-			levels:   make(map[int][]int32),
-			poolK:    ix.Tau,
-			nBase:    len(ix.Pts),
-		}
-	}
-	ext := ix.ext
-	if ext.maxLevel >= k {
-		return // already materialized: keep the hot query path read-only
-	}
-	// Inserts are refused from here on (and ExtendTau changes the depth the
-	// insert cache was sized for), so what the last batch left behind is
-	// dead weight.
+	// ExtendTau changes the depth the insert cache was sized for, so what
+	// the last batch left behind is dead weight.
 	ix.dropInsertCache()
 	// Extension creates cells and edges through the staging slices; thaw the
 	// flat form, extend, and re-freeze below.
@@ -57,19 +27,19 @@ func (ix *Index) ensureLevels(k int) {
 	if instrumented {
 		extendStart = time.Now()
 	}
-	for l := ext.maxLevel; l < k; l++ {
+	for l := ix.Tau; l < k; l++ {
 		if instrumented {
 			levelStart = time.Now()
 		}
 		lpBefore := ix.Stats.LPCalls
-		parents := ix.levelCells(l)
+		parents := ix.Levels[l]
 		// Parallel compute: each leaf cell's candidate refinement and
 		// feasibility LPs are independent. Cells and edges are then
 		// materialized sequentially in parent order, so the extension is
 		// deterministic for every worker count.
 		results := make([]extendResult, len(parents))
 		pool.ForEach(ix.workers, len(parents), func(i int) {
-			results[i] = ix.extendCompute(parents[i])
+			results[i] = ix.partitionLeaf(parents[i])
 		})
 		var created []int32
 		for i, pid := range parents {
@@ -87,27 +57,19 @@ func (ix *Index) ensureLevels(k int) {
 			}
 		}
 		merged := ix.mergeLevel(created)
-		ext.levels[l+1] = merged
-		ext.maxLevel = l + 1
+		ix.Levels = append(ix.Levels, merged)
 		if instrumented {
 			ix.reportLevel("extend.level", l+1, k, len(merged),
 				ix.Stats.LPCalls-lpBefore, extendStart, levelStart)
 		}
 	}
+	ix.Tau = k
 	ix.refreshVerdictStats()
 }
 
 // ensurePool grows the filtered option set to the k-skyband of the full
 // dataset so that every option that can rank top-k is available.
 func (ix *Index) ensurePool(k int) {
-	ext := ix.ext
-	if ext.poolK >= k {
-		return // never shrink: a no-op here keeps deep-enough calls read-only
-	}
-	if ix.fullPts == nil {
-		ext.poolK = k // best-effort over the filtered pool
-		return
-	}
 	have := make(map[int]bool, len(ix.OrigIDs))
 	for _, o := range ix.OrigIDs {
 		have[o] = true
@@ -120,22 +82,21 @@ func (ix *Index) ensurePool(k int) {
 			ix.OrigIDs = append(ix.OrigIDs, uniqIDs[fi])
 		}
 	}
-	ext.poolK = k
 }
 
 // extendResult is the outcome of partitioning one leaf cell during
-// on-demand extension: computed in parallel, applied sequentially.
+// ExtendTau: computed in parallel, applied sequentially.
 type extendResult struct {
 	hadChildren bool // cell was already partitioned; reuse its children
 	children    []childSpec
 	lpCalls     int64
 }
 
-// extendCompute partitions one leaf cell into its next-level children using
+// partitionLeaf partitions one leaf cell into its next-level children using
 // the basic candidate computation (pairwise cell dominance with a global
 // dominance fast path), mirroring the PBA Partition step. It only reads
 // shared index state; the caller materializes the children.
-func (ix *Index) extendCompute(pid int32) extendResult {
+func (ix *Index) partitionLeaf(pid int32) extendResult {
 	var res extendResult
 	c := &ix.Cells[pid]
 	if len(c.Children) > 0 {

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -11,8 +12,8 @@ import (
 	"tlevelindex/internal/geom"
 )
 
-// TestKSPRBeyondTau: kSPR with k > τ must agree with an index built deep
-// enough in the first place.
+// TestKSPRBeyondTau: kSPR with k > τ is refused until ExtendTau, after
+// which it must agree with an index built deep enough in the first place.
 func TestKSPRBeyondTau(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 4; trial++ {
@@ -21,10 +22,15 @@ func TestKSPRBeyondTau(t *testing.T) {
 		data := randData(rng, n, d)
 		small := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: 2})
 		big := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: 4})
+		if _, err := small.KSPRCtx(context.Background(), 4, 0); err != ErrBeyondTau {
+			t.Fatalf("trial %d: kSPR at k > τ: err %v, want ErrBeyondTau", trial, err)
+		}
+		if err := small.ExtendTau(4); err != nil {
+			t.Fatal(err)
+		}
 		for fi := 0; fi < len(big.Pts); fi += 2 {
 			orig := big.OrigIDs[fi]
 			// Find the same option in the small (extended) index.
-			small.ensureLevels(4)
 			var sfid int32 = -1
 			for sf, o := range small.OrigIDs {
 				if o == orig {
@@ -52,8 +58,8 @@ func TestKSPRBeyondTau(t *testing.T) {
 	}
 }
 
-// TestUTKAndORUBeyondTau: region and expansion queries across the extension
-// boundary agree with a natively deep index.
+// TestUTKAndORUBeyondTau: region and expansion queries past τ are refused
+// until ExtendTau, after which they agree with a natively deep index.
 func TestUTKAndORUBeyondTau(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 4; trial++ {
@@ -71,6 +77,15 @@ func TestUTKAndORUBeyondTau(t *testing.T) {
 			hi[j] = c[j]*0.8 + 0.1
 		}
 		box := geom.NewBox(lo, hi)
+		if _, err := small.UTKCtx(context.Background(), 4, box); err != ErrBeyondTau {
+			t.Fatalf("trial %d: UTK at k > τ: err %v, want ErrBeyondTau", trial, err)
+		}
+		if _, err := small.ORUCtx(context.Background(), 4, randReduced(rng, dim), 6); err != ErrBeyondTau {
+			t.Fatalf("trial %d: ORU at k > τ: err %v, want ErrBeyondTau", trial, err)
+		}
+		if err := small.ExtendTau(4); err != nil {
+			t.Fatal(err)
+		}
 		a := small.UTK(4, box)
 		b := big.UTK(4, box)
 		ao := mapOrig(small, a.Options)
@@ -191,8 +206,9 @@ func TestNearDuplicateOptions(t *testing.T) {
 }
 
 // TestExtensionWithoutFullData: an index built without the dataset
-// reference degrades gracefully for k > τ (no panic; best-effort answers
-// over the filtered pool).
+// reference cannot recruit the options below τ, so ExtendTau refuses with
+// ErrNeedsFullData and leaves the index byte-identical; a query past τ is
+// refused with ErrBeyondTau, never answered over the filtered pool.
 func TestExtensionWithoutFullData(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	data := randData(rng, 20, 3)
@@ -200,9 +216,15 @@ func TestExtensionWithoutFullData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := ix.TopK(randReduced(rng, 2), 4)
-	if len(got) == 0 {
-		t.Fatal("expected best-effort results")
+	before := serializeOrFail(t, ix)
+	if err := ix.ExtendTau(4); err != ErrNeedsFullData {
+		t.Fatalf("ExtendTau without the dataset: err %v, want ErrNeedsFullData", err)
+	}
+	if ix.Tau != 2 || !bytes.Equal(before, serializeOrFail(t, ix)) {
+		t.Fatal("a refused ExtendTau changed the index")
+	}
+	if _, _, _, err := ix.TopKCtx(context.Background(), randReduced(rng, 2), 4); err != ErrBeyondTau {
+		t.Fatalf("TopK past τ: err %v, want ErrBeyondTau", err)
 	}
 }
 

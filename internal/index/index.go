@@ -2,7 +2,7 @@
 // implicitly represented preference-space cells (Definition 4), four
 // construction algorithms (BSL §5.1, IBA §5.2, PBA §6.2, PBA⁺ §6.3), and
 // the query algorithms of §4 (kSPR, UTK, ORU, top-k, MaxRank, why-not),
-// including on-demand extension past level τ.
+// including ExtendTau's deepening past level τ.
 //
 // A rank-ℓ cell stores only its top-ℓ-th option, its DAG edges, and the
 // small bounding option set produced by the partition-based builders; its
@@ -91,10 +91,9 @@ type Index struct {
 	// compact()/freeze() has run; nil while the staging slices are live.
 	flat *flatDAG
 
-	// fullPts optionally retains the unfiltered dataset to support
-	// extension beyond level τ (Figure 14's k > τ regime).
+	// fullPts optionally retains the unfiltered dataset, which ExtendTau
+	// needs to deepen the index past τ (Figure 14's k > τ regime).
 	fullPts [][]float64
-	ext     *extension
 	// workers bounds the goroutines used for per-cell LP work; values
 	// below 1 mean runtime.GOMAXPROCS(0). Not serialized.
 	workers int
@@ -104,14 +103,13 @@ type Index struct {
 	// which the cache treats as always-miss).
 	verdicts *dg.VerdictCache
 	// trace and progress carry the build-time observability hooks from
-	// Config into the level loops (and later on-demand extension). Both may
-	// be nil, which disables them at the cost of one nil check. Not
-	// serialized.
+	// Config into the level loops (and a later ExtendTau). Both may be nil,
+	// which disables them at the cost of one nil check. Not serialized.
 	trace    obs.Tracer
 	progress func(BuildProgress)
 	// icache carries derived per-cell geometry from one InsertBatch to the
 	// next (see insertCache): nil until the first accepted insert, after a
-	// load, after on-demand extension, and whenever the last batch left it
+	// load, after ExtendTau, and whenever the last batch left it
 	// over budget. Writer-owned and never serialized. icacheDrops counts
 	// the times a cache was discarded.
 	icache      *insertCache
@@ -149,7 +147,7 @@ func (ix *Index) CloseBacking() error {
 }
 
 // refreshVerdictStats copies the verdict-cache counters into Stats; called
-// at the end of Build and of every on-demand extension.
+// at the end of Build and of every ExtendTau.
 func (ix *Index) refreshVerdictStats() {
 	hits, misses, size := ix.verdicts.Stats()
 	ix.Stats.VerdictHits = hits
@@ -169,23 +167,13 @@ func (ix *Index) VerdictEntries() int {
 // default).
 func (ix *Index) Workers() int { return ix.workers }
 
-// SetWorkers changes the worker bound used by on-demand extension; values
-// below 1 select the GOMAXPROCS default.
+// SetWorkers changes the worker bound used by ExtendTau; values below 1
+// select the GOMAXPROCS default.
 func (ix *Index) SetWorkers(n int) { ix.workers = n }
 
 // HasFullData reports whether the index retains the unfiltered dataset, so
-// extension past τ can recruit options beyond the τ-skyband.
+// ExtendTau can recruit options beyond the τ-skyband.
 func (ix *Index) HasFullData() bool { return ix.fullPts != nil }
-
-// MaxMaterializedLevel returns the deepest level whose cells exist right
-// now: τ, or further if on-demand extension has already run. Queries with
-// k up to this level are pure lookups that never mutate the index.
-func (ix *Index) MaxMaterializedLevel() int {
-	if ix.ext != nil && ix.ext.maxLevel > ix.Tau {
-		return ix.ext.maxLevel
-	}
-	return ix.Tau
-}
 
 // RDim returns the reduced preference-space dimension d−1.
 func (ix *Index) RDim() int { return ix.Dim - 1 }
@@ -332,7 +320,7 @@ func assembleCell[T cellSink[T]](ix *Index, id int32, sink T, buf *[]int32) T {
 		return sink
 	}
 	// Definition-2 bound: every option outside R. R has at most
-	// MaxMaterializedLevel entries, so a linear scan beats a lookup set.
+	// Tau entries, so a linear scan beats a lookup set.
 	for j := int32(0); int(j) < len(ix.Pts); j++ {
 		if !containsID(r, j) {
 			sink.AddPref(opt, ix.Pts[j])
@@ -445,8 +433,7 @@ func (ix *Index) dropInsertCache() {
 // InsertCacheStats reports the estimated bytes held by the insert cache the
 // index keeps between batches (0 when it holds none) and how many times one
 // was discarded: over budget at the end of a batch, or invalidated by
-// on-demand extension. Like every read of the index it must not run
-// beside an insert.
+// ExtendTau. Like every read of the index it must not run beside an insert.
 func (ix *Index) InsertCacheStats() (bytes int64, drops uint64) {
 	if ix.icache != nil {
 		bytes = ix.icache.bytes()

@@ -58,8 +58,7 @@ type BatchStats struct {
 // ids).
 //
 // ids[i] is the filtered id of rs[i], or -1 when it was filtered out or
-// errs[i] is non-nil. A batch against an extended index rejects every item
-// with ErrExtended; a per-item dimensionality mismatch rejects only that
+// errs[i] is non-nil. A per-item dimensionality mismatch rejects only that
 // item. A batch whose every option is filtered leaves the index untouched
 // (no thaw, no re-freeze).
 func (ix *Index) InsertBatch(rs [][]float64) ([]int32, []error, BatchStats) {
@@ -68,12 +67,6 @@ func (ix *Index) InsertBatch(rs [][]float64) ([]int32, []error, BatchStats) {
 	var stats BatchStats
 	for i := range ids {
 		ids[i] = -1
-	}
-	if ix.ext != nil {
-		for i := range errs {
-			errs[i] = ErrExtended
-		}
-		return ids, errs, stats
 	}
 	// Set on the first accepted record: a fully filtered batch must not thaw
 	// (and re-freeze) the index at all.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"tlevelindex/internal/geom"
 )
 
 // serializeOrFail captures the full binary form of an index; byte equality
@@ -135,18 +137,32 @@ func TestInsertBatchAllFiltered(t *testing.T) {
 	}
 }
 
-// TestInsertBatchExtended: after on-demand extension every item is
-// rejected with ErrExtended.
+// TestInsertBatchExtended: an index deepened by ExtendTau takes inserts like
+// any other, and answers top-k at its new depth like the brute force over
+// the data and the inserted options.
 func TestInsertBatchExtended(t *testing.T) {
 	ix := buildOrFail(t, hotels, Config{Algorithm: PBAPlus, Tau: 2})
-	ix.ensureLevels(3)
-	ids, errs, _ := ix.InsertBatch([][]float64{{0.9, 0.9}, {0.8, 0.8}})
+	if err := ix.ExtendTau(3); err != nil {
+		t.Fatal(err)
+	}
+	add := [][]float64{{0.9, 0.9}, {0.8, 0.8}}
+	ids, errs, _ := ix.InsertBatch(add)
 	for i := range errs {
-		if errs[i] != ErrExtended {
-			t.Fatalf("item %d: err = %v, want ErrExtended", i, errs[i])
+		if errs[i] != nil || ids[i] < 0 {
+			t.Fatalf("item %d: id %d, err %v", i, ids[i], errs[i])
 		}
-		if ids[i] != -1 {
-			t.Fatalf("item %d: id = %d", i, ids[i])
+	}
+	if err := ix.Validate(true); err != nil {
+		t.Fatal(err)
+	}
+	all := append(append([][]float64(nil), hotels...), add...)
+	for _, x := range [][]float64{{0.1}, {0.35}, {0.5}, {0.8}} {
+		got, _ := ix.TopK(x, 3)
+		want := bruteTopK(all, x, 3)
+		for i := range got {
+			if gs, ws := geom.Score(ix.Pts[got[i]], x), geom.Score(all[want[i]], x); gs < ws-1e-9 {
+				t.Fatalf("x=%v rank %d: score %v, brute force %v", x, i+1, gs, ws)
+			}
 		}
 	}
 }

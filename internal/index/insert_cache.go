@@ -45,10 +45,10 @@ var insertCacheBudget int64 = 1 << 30
 // The cache belongs to the Index and survives from batch to batch:
 // compact() renumbers cells and hands its remap to remap(), which moves
 // every entry to its cell's new id and releases those of tombstoned cells.
-// It is never serialized (a loaded index starts cold), on-demand extension
-// drops it, and InsertBatch keeps it only while bytes() is within
-// insertCacheBudget. The per-record scratch of the insertion machinery
-// lives here too, so that a warm insert allocates next to nothing.
+// It is never serialized (a loaded index starts cold), ExtendTau drops it,
+// and InsertBatch keeps it only while bytes() is within insertCacheBudget.
+// The per-record scratch of the insertion machinery lives here too, so that
+// a warm insert allocates next to nothing.
 type insertCache struct {
 	// cells is indexed by cell id and grown as cells are created. Entries at
 	// or past the live prefix hold recycled regions and no identity.

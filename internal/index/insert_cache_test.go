@@ -133,8 +133,8 @@ func TestInsertVerdictsAreRecordScoped(t *testing.T) {
 	}
 }
 
-// TestExtensionDropsInsertCache: on-demand extension past τ ends inserts,
-// so it also ends the cache kept for them.
+// TestExtensionDropsInsertCache: ExtendTau changes the depth the insert
+// cache was built for, so it drops the cache.
 func TestExtensionDropsInsertCache(t *testing.T) {
 	ix := buildOrFail(t, hotels, Config{Algorithm: PBAPlus, Tau: 2})
 	if id, err := ix.InsertOption([]float64{0.95, 0.9}); err != nil || id < 0 {
@@ -143,7 +143,9 @@ func TestExtensionDropsInsertCache(t *testing.T) {
 	if held, drops := ix.InsertCacheStats(); held == 0 || drops != 0 {
 		t.Fatalf("after an accepted insert: %d bytes held, %d drops", held, drops)
 	}
-	ix.ensureLevels(3)
+	if err := ix.ExtendTau(3); err != nil {
+		t.Fatal(err)
+	}
 	if held, drops := ix.InsertCacheStats(); held != 0 || drops != 1 {
 		t.Fatalf("after extension: %d bytes held, %d drops, want 0 and 1", held, drops)
 	}

@@ -10,7 +10,7 @@ import "tlevelindex/internal/geom"
 // cell chain, so their top-k walks produce identical ordered answers; the
 // serve layer's result cache is keyed on exactly this property.
 //
-// The key must survive compact() renumbering and on-demand extension, so a
+// The key must survive compact() renumbering and ExtendTau, so a
 // cell's content hash is derived from stable identities only: its level
 // and its option's dataset id (OrigIDs survives pool refreshes and dense
 // renumbering, unlike the cell id or the filtered option id). The chain
@@ -34,7 +34,7 @@ func fnvMix(h, v uint64) uint64 {
 }
 
 // cellHash returns the cell's content hash: stable across compact() and
-// extension because it reads only the level and the option's dataset id.
+// ExtendTau because it reads only the level and the option's dataset id.
 // The entry cell hashes on its level alone.
 func (ix *Index) cellHash(id int32) uint64 {
 	c := &ix.Cells[id]
@@ -48,18 +48,15 @@ func (ix *Index) cellHash(id int32) uint64 {
 }
 
 // Locate walks the cell containing the reduced weight x down to depth k
-// (clamped to the materialized levels — Locate never extends) and returns
-// the chain key, the final cell id, and the level actually reached. It is
-// a pure lookup: no allocation, no mutation, safe for any number of
-// concurrent callers.
+// (clamped to τ) and returns the chain key, the final cell id, and the
+// level actually reached. It is a pure lookup: no allocation, no mutation,
+// safe for any number of concurrent callers.
 //
 // The level falls short of (clamped) k only when the walk runs out of
 // children early; callers caching on the key must check level == k before
 // trusting the key at depth k.
 func (ix *Index) Locate(x []float64, k int) (key uint64, cell int32, level int) {
-	if max := ix.MaxMaterializedLevel(); k > max {
-		k = max
-	}
+	k = min(k, ix.Tau)
 	cur := ix.Root()
 	key = fnvOffset64
 	for level < k {

@@ -113,7 +113,9 @@ func TestLocateKeyStability(t *testing.T) {
 		}
 	}
 
-	ix.EnsureLevels(tau + 2)
+	if err := ix.ExtendTau(tau + 2); err != nil {
+		t.Fatal(err)
+	}
 	for i, p := range probes {
 		if key, _, _ := ix.Locate(p.x, p.k); key != p.key {
 			t.Fatalf("probe %d: key changed across extension: %x vs %x", i, p.key, key)
@@ -121,19 +123,14 @@ func TestLocateKeyStability(t *testing.T) {
 	}
 }
 
-// TestLocateClampsDepth: k beyond the materialized levels clamps rather
-// than extending — Locate is a pure read.
+// TestLocateClampsDepth: k beyond τ clamps to τ — Locate is a pure read.
 func TestLocateClampsDepth(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ix := buildOrFail(t, randData(rng, 25, 3), Config{Algorithm: PBAPlus, Tau: 2})
-	max := ix.MaxMaterializedLevel()
 	x := randReduced(rng, 2)
-	_, _, level := ix.Locate(x, max+5)
-	if level != max {
-		t.Fatalf("Locate at k=%d reached level %d, want clamp to %d", max+5, level, max)
-	}
-	if got := ix.MaxMaterializedLevel(); got != max {
-		t.Fatalf("Locate extended the index: max level %d -> %d", max, got)
+	_, _, level := ix.Locate(x, ix.Tau+5)
+	if level != ix.Tau {
+		t.Fatalf("Locate at k=%d reached level %d, want clamp to %d", ix.Tau+5, level, ix.Tau)
 	}
 }
 

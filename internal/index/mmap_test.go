@@ -74,9 +74,10 @@ func TestReadBytesLegacyFormats(t *testing.T) {
 }
 
 // TestOpenFileServesAndMutates maps a snapshot file and checks the index
-// both answers queries identically to a heap load and survives the
-// mutating paths (insert, deepening): thaw() must copy the aliased arenas
-// before any slice surgery, or the PROT_READ mapping would fault.
+// both answers queries identically to a heap load and survives an insert:
+// thaw() must copy the aliased arenas before any slice surgery, or the
+// PROT_READ mapping would fault. A mapped index holds no full dataset, so
+// ExtendTau refuses it.
 func TestOpenFileServesAndMutates(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	ix := buildOrFail(t, randData(rng, 14, 3), Config{Algorithm: PBAPlus, Tau: 3})
@@ -112,7 +113,9 @@ func TestOpenFileServesAndMutates(t *testing.T) {
 	if _, err := mapped.InsertOption([]float64{0.42, 0.17, 0.33}); err != nil {
 		t.Fatal(err)
 	}
-	mapped.EnsureLevels(4)
+	if err := mapped.ExtendTau(4); err != ErrNeedsFullData {
+		t.Fatalf("ExtendTau on a mapped index: err %v, want ErrNeedsFullData", err)
+	}
 	if err := mapped.Validate(false); err != nil {
 		t.Fatalf("mutated mmap-backed index invalid: %v", err)
 	}

@@ -55,7 +55,7 @@ func (ix *Index) refMaxRank(focal int32) int {
 }
 
 // checkOptCells holds KSPR and MaxRank to the walk and the sweep for every
-// option and every materialized k, and KSPR's order to ascending (level,
+// option and every k ≤ τ, and KSPR's order to ascending (level,
 // id). It returns the cells the walks visited and the cells they reported.
 func checkOptCells(t *testing.T, ix *Index, stage string) (visited, reported int) {
 	t.Helper()
@@ -63,7 +63,7 @@ func checkOptCells(t *testing.T, ix *Index, stage string) (visited, reported int
 		return cmp.Or(cmp.Compare(ix.Cells[a].Level, ix.Cells[b].Level), cmp.Compare(a, b))
 	}
 	for focal := int32(0); int(focal) < len(ix.Pts); focal++ {
-		for k := 0; k <= ix.MaxMaterializedLevel(); k++ {
+		for k := 0; k <= ix.Tau; k++ {
 			want, v := ix.refKSPRWalk(k, focal)
 			visited, reported = visited+v, reported+len(want)
 			slices.SortFunc(want, byLevelID)
@@ -89,8 +89,8 @@ func checkOptCells(t *testing.T, ix *Index, stage string) (visited, reported int
 
 // TestOptCellsMatchWalk: the option→cells column gives the walk's kSPR
 // answer and the sweep's MaxRank on every builder at d = 2..4, and keeps
-// giving them through every step that rebuilds it or runs without it: thaw,
-// InsertBatch, Read, OpenFile and on-demand extension.
+// giving them through every step that rebuilds it: thaw and re-freeze,
+// InsertBatch, Read, OpenFile and ExtendTau.
 func TestOptCellsMatchWalk(t *testing.T) {
 	var visited, reported int
 	check := func(ix *Index, stage string) {
@@ -110,8 +110,8 @@ func TestOptCellsMatchWalk(t *testing.T) {
 			check(ix, stage+" built")
 
 			ix.thaw()
-			check(ix, stage+" thawed")
 			ix.freeze()
+			check(ix, stage+" re-frozen")
 
 			batch := make([][]float64, 3)
 			for i := range batch {
@@ -148,7 +148,9 @@ func TestOptCellsMatchWalk(t *testing.T) {
 			}
 
 			ext := buildOrFail(t, data, Config{Algorithm: alg, Tau: tau})
-			ext.EnsureLevels(tau + 1)
+			if err := ext.ExtendTau(tau + 1); err != nil {
+				t.Fatal(err)
+			}
 			check(ext, stage+" extended")
 		}
 	}

@@ -230,7 +230,7 @@ func (ix *Index) endPhase(sp *obs.Span, level int) {
 }
 
 // reportLevel emits the per-level span and progress callback shared by the
-// partition builders and on-demand extension.
+// partition builders and ExtendTau.
 func (ix *Index) reportLevel(spanName string, level, maxLevel, cells int, lpCalls int64, buildStart, levelStart time.Time) {
 	took := time.Since(levelStart)
 	if ix.trace != nil {

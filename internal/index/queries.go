@@ -57,7 +57,7 @@ func (ix *Index) KSPR(k int, focal int32) *KSPRResult {
 func (ix *Index) KSPRCtx(ctx context.Context, k int, focal int32) (*KSPRResult, error) {
 	res := &KSPRResult{}
 	if k > ix.Tau {
-		ix.ensureLevels(k)
+		return res, ErrBeyondTau
 	}
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -104,7 +104,7 @@ func (ix *Index) UTK(k int, box geom.Box) *UTKResult {
 func (ix *Index) UTKCtx(ctx context.Context, k int, box geom.Box) (*UTKResult, error) {
 	res := &UTKResult{}
 	if k > ix.Tau {
-		ix.ensureLevels(k)
+		return res, ErrBeyondTau
 	}
 	qs := getScratch(ix.RDim())
 	defer putScratch(qs)
@@ -119,7 +119,7 @@ func (ix *Index) UTKCtx(ctx context.Context, k int, box geom.Box) (*UTKResult, e
 	dim := ix.RDim()
 	boxes := ix.levelBoxes(k)
 	lo0, hi0 := box.Lo[0], box.Hi[0]
-	for i, id := range ix.levelCells(k) {
+	for i, id := range ix.Levels[k] {
 		o := 2 * dim * i
 		if boxes[o+dim] < lo0 || boxes[o] > hi0 || !boxesMeet(boxes[o:o+dim], boxes[o+dim:o+2*dim], box) {
 			continue
@@ -298,7 +298,7 @@ func (ix *Index) ORU(k int, x []float64, m int) *ORUResult {
 func (ix *Index) ORUCtx(ctx context.Context, k int, x []float64, m int) (*ORUResult, error) {
 	res := &ORUResult{}
 	if k > ix.Tau {
-		ix.ensureLevels(k)
+		return res, ErrBeyondTau
 	}
 	qs := getScratch(ix.RDim())
 	defer putScratch(qs)
@@ -365,10 +365,10 @@ func (ix *Index) TopK(x []float64, k int) ([]int32, QueryStats) {
 // resolved so far and the QueryStats accumulated up to the abandonment.
 func (ix *Index) TopKCtx(ctx context.Context, x []float64, k int) (key uint64, out []int32, st QueryStats, err error) {
 	if k > ix.Tau {
-		ix.ensureLevels(k)
+		return 0, nil, st, ErrBeyondTau
 	}
 	// One descent serves both: LocateTopK is this walk plus the chain key.
-	key, _, out, st, err = ix.LocateTopK(ctx, x, k, make([]int32, 0, min(k, ix.MaxMaterializedLevel())))
+	key, _, out, st, err = ix.LocateTopK(ctx, x, k, make([]int32, 0, max(k, 0)))
 	return key, out, st, err
 }
 
@@ -418,7 +418,7 @@ type WhyNotResult struct {
 	InTopK bool
 	// NearestDist is the smallest preference-space perturbation that puts
 	// the option into the top-k (0 when InTopK); -1 when no qualifying
-	// region exists within the materialized levels.
+	// region exists within τ.
 	NearestDist float64
 	// NearestCell is the qualifying cell realizing NearestDist: among
 	// equally near cells, the first in kSPR order (ascending level, id).
@@ -476,18 +476,6 @@ func (ix *Index) WhyNotCtx(ctx context.Context, focal int32, x []float64, k int)
 		res.NearestDist = 0
 	}
 	return res, nil
-}
-
-// levelCells returns the cell ids at the given level, consulting the
-// extension for levels beyond τ.
-func (ix *Index) levelCells(l int) []int32 {
-	if l <= ix.Tau {
-		return ix.Levels[l]
-	}
-	if ix.ext != nil {
-		return ix.ext.levels[l]
-	}
-	return nil
 }
 
 // Interval is a 1-dimensional preference segment [Lo, Hi] (reduced

@@ -288,7 +288,7 @@ func TestWhyNot(t *testing.T) {
 	}
 }
 
-// TestExtensionMatchesDeeperIndex: a τ=3 index extended on demand to k=5
+// TestExtensionMatchesDeeperIndex: a τ=3 index deepened by ExtendTau to 5
 // must produce the same arrangements as an index built with τ=5.
 func TestExtensionMatchesDeeperIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(1111))
@@ -298,10 +298,12 @@ func TestExtensionMatchesDeeperIndex(t *testing.T) {
 		data := randData(rng, n, d)
 		small := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: 3})
 		big := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: 5})
-		small.ensureLevels(5)
+		if err := small.ExtendTau(5); err != nil {
+			t.Fatal(err)
+		}
 		for l := 4; l <= 5; l++ {
 			var gotSigs []string
-			for _, id := range small.levelCells(l) {
+			for _, id := range small.Levels[l] {
 				gotSigs = append(gotSigs, cellSignature(small, id))
 			}
 			sort.Strings(gotSigs)
@@ -325,7 +327,7 @@ func TestExtensionMatchesDeeperIndex(t *testing.T) {
 }
 
 // TestExtensionUsesDeeperOptions: options outside the τ-skyband must appear
-// once the index is extended past τ.
+// once ExtendTau deepens the index past τ.
 func TestExtensionUsesDeeperOptions(t *testing.T) {
 	// A chain where each option dominates the next: option i ranks i+1
 	// everywhere, so the (τ+1)-skyband grows by one option per level.
@@ -337,6 +339,9 @@ func TestExtensionUsesDeeperOptions(t *testing.T) {
 	ix := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: 2})
 	if ix.Stats.FilteredOptions != 2 {
 		t.Fatalf("filtered = %d, want 2", ix.Stats.FilteredOptions)
+	}
+	if err := ix.ExtendTau(4); err != nil {
+		t.Fatal(err)
 	}
 	got, _ := ix.TopK([]float64{0.5}, 4)
 	if len(got) != 4 {

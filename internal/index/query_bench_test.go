@@ -358,8 +358,8 @@ func BenchmarkUTKBoxFill(b *testing.B) {
 	var cells []int32
 	start := time.Now()
 	for l := 1; l <= analyticTau; l++ {
-		ix.fillBoxes(ix.levelCells(l))
-		cells = append(cells, ix.levelCells(l)...)
+		ix.fillBoxes(ix.Levels[l])
+		cells = append(cells, ix.Levels[l]...)
 	}
 	fill := time.Since(start)
 	dim := ix.RDim()

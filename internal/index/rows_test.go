@@ -64,7 +64,7 @@ func (ix *Index) refRegionInto(id int32, reg *geom.Region, buf *[]int32) *geom.R
 func (ix *Index) refUTKCtx(ctx context.Context, k int, box geom.Box) (*UTKResult, error) {
 	res := &UTKResult{}
 	if k > ix.Tau {
-		ix.ensureLevels(k)
+		return res, ErrBeyondTau
 	}
 	qs := getScratch(ix.RDim())
 	defer putScratch(qs)
@@ -147,7 +147,7 @@ func refSeparatedFromBox(reg *geom.Region, box geom.Box) bool {
 func (ix *Index) refORUCtx(ctx context.Context, k int, x []float64, m int) (*ORUResult, error) {
 	res := &ORUResult{}
 	if k > ix.Tau {
-		ix.ensureLevels(k)
+		return res, ErrBeyondTau
 	}
 	qs := getScratch(ix.RDim())
 	defer putScratch(qs)
@@ -368,12 +368,13 @@ func TestCellRowsIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Extension refuses to follow an insert's pool, so it gets a
-			// build of its own; it grows Pts, and with it every
-			// Definition-2 bound.
+			// ExtendTau gets a build of its own; it grows Pts, and with it
+			// every Definition-2 bound.
 			ext := buildOrFail(t, data, Config{Algorithm: alg, Tau: tau})
-			ext.EnsureLevels(tau + 1)
-			if len(ext.levelCells(tau+1)) == 0 {
+			if err := ext.ExtendTau(tau + 1); err != nil {
+				t.Fatal(err)
+			}
+			if len(ext.Levels[tau+1]) == 0 {
 				t.Fatalf("%s: no cells beyond τ", stage)
 			}
 			checkUnfilled(t, ext, stage+" extended")
@@ -598,8 +599,8 @@ func TestMonoRTopKMatchesReference(t *testing.T) {
 }
 
 // TestQueriesOnThawedIndex: with the staging slices live there is no rows
-// column, cellRows assembles every cell, and UTK and ORU answer as they do on
-// the frozen index.
+// column, cellRows assembles every cell, and ORU answers as it does on the
+// frozen index.
 func TestQueriesOnThawedIndex(t *testing.T) {
 	ctx := context.Background()
 	ix := buildOrFail(t, datagen.Generate(datagen.IND, 800, 3, 27), Config{Tau: 5})
@@ -607,15 +608,12 @@ func TestQueriesOnThawedIndex(t *testing.T) {
 	type draw struct {
 		k, m int
 		x    []float64
-		box  geom.Box
 	}
 	draws := make([]draw, 200)
-	utk, oru := make([]*UTKResult, len(draws)), make([]*ORUResult, len(draws))
+	oru := make([]*ORUResult, len(draws))
 	for i := range draws {
 		x := randReduced(rng, 2)
-		lo := []float64{math.Max(x[0]-0.05, 0), math.Max(x[1]-0.05, 0)}
-		draws[i] = draw{1 + rng.Intn(5), 1 + rng.Intn(9), x, geom.NewBox(lo, []float64{lo[0] + 0.1, lo[1] + 0.1})}
-		utk[i], _ = ix.UTKCtx(ctx, draws[i].k, draws[i].box)
+		draws[i] = draw{1 + rng.Intn(5), 1 + rng.Intn(9), x}
 		oru[i], _ = ix.ORUCtx(ctx, draws[i].k, x, draws[i].m)
 	}
 	ix.thaw()
@@ -624,9 +622,6 @@ func TestQueriesOnThawedIndex(t *testing.T) {
 		t.Fatal("thaw left the flat form in place")
 	}
 	for i, d := range draws {
-		if got, _ := ix.UTKCtx(ctx, d.k, d.box); !equalUTK(got, utk[i]) {
-			t.Fatalf("draw %d: thawed UTK %+v, frozen %+v", i, got, utk[i])
-		}
 		got, _ := ix.ORUCtx(ctx, d.k, d.x, d.m)
 		if got.Stats != oru[i].Stats || !slices.Equal(got.Options, oru[i].Options) ||
 			math.Float64bits(got.Rho) != math.Float64bits(oru[i].Rho) {

@@ -12,8 +12,8 @@ import (
 // buffer for the visited cell's halfspaces, a region scratch for the visits
 // that reach an LP, and the probe-point buffers of UTK. One scratch
 // serves one query at a time; the pool hands each concurrent query its own,
-// so steady-state queries at k ≤ MaxMaterializedLevel allocate nothing (or
-// O(result) for the answer itself).
+// so steady-state queries allocate nothing (or O(result) for the answer
+// itself).
 type queryScratch struct {
 	visited bitset // cell ids
 	optSeen bitset // option ids

@@ -2,10 +2,17 @@ package index
 
 import "errors"
 
-// ErrExtended reports that an insert was attempted after on-demand level
-// extension; the extension's lazy levels are not maintained incrementally,
-// so updates are rejected until the extension is promoted via ExtendTau.
-var ErrExtended = errors.New("index: cannot insert after on-demand extension")
+var (
+	// ErrBeyondTau reports a query deeper than the index: its k exceeds τ.
+	// Queries only read; ExtendTau is the way to deepen the index.
+	ErrBeyondTau = errors.New("tlevelindex: k exceeds the index depth τ; deepen it with ExtendTau")
+
+	// ErrNeedsFullData reports an ExtendTau on an index that holds no
+	// reference to its full dataset (it was loaded, or built without it), so
+	// the options that rank below τ everywhere are gone and the deeper
+	// levels cannot be built.
+	ErrNeedsFullData = errors.New("tlevelindex: extending τ needs the full dataset, which the index does not hold")
+)
 
 // InsertOption adds one newly arrived option to a built index: InsertBatch
 // of that option alone. Returns the option's filtered id, or -1 when it was
@@ -25,19 +32,18 @@ func equalVec(a, b []float64) bool {
 }
 
 // ExtendTau permanently deepens the index to newTau levels, the "set a
-// smaller τ first, then expand it on demand" usage of §7.3: on-demand
-// levels are materialized and promoted into the core structure.
+// smaller τ first, then expand it on demand" usage of §7.3. It is the only
+// way to deepen an index: a query with k > τ is refused with ErrBeyondTau.
+// An index without its full dataset returns ErrNeedsFullData and is left
+// unchanged. A newTau ≤ τ is a no-op.
 func (ix *Index) ExtendTau(newTau int) error {
 	if newTau <= ix.Tau {
 		return nil
 	}
-	ix.ensureLevels(newTau)
-	for l := ix.Tau + 1; l <= newTau; l++ {
-		ids := ix.ext.levels[l]
-		ix.Levels = append(ix.Levels, append([]int32(nil), ids...))
+	if ix.fullPts == nil {
+		return ErrNeedsFullData
 	}
-	ix.Tau = newTau
-	ix.ext = nil
+	ix.ensureLevels(newTau)
 	ix.fillCellStats()
 	return nil
 }

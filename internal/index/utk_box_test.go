@@ -50,9 +50,8 @@ func utkDraws(ix *Index, rng *rand.Rand, n int) []geom.Box {
 
 // TestUTKMatchesWalk: the box scan returns the level-by-level walk's
 // Options and partition set on every builder at d=2..4 and at every stage
-// of an index's life — built, thawed (a per-call box column), after
-// InsertBatch, after Read and OpenFile (columns never filled before), and
-// extended past τ, both by EnsureLevels and by the UTK query itself.
+// of an index's life — built, after InsertBatch, after Read and OpenFile
+// (columns never filled before), and deepened past τ by ExtendTau.
 func TestUTKMatchesWalk(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3601))
@@ -89,9 +88,6 @@ func TestUTKMatchesWalk(t *testing.T) {
 			stage := alg.String() + " d=" + string(rune('0'+d))
 			ix := buildOrFail(t, data, Config{Algorithm: alg, Tau: tau})
 			check(ix, stage+" built", ks, 40)
-			ix.thaw()
-			check(ix, stage+" thawed", ks, 20)
-			ix.freeze()
 
 			batch := make([][]float64, 3)
 			for i := range batch {
@@ -127,13 +123,12 @@ func TestUTKMatchesWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Extension refuses to follow an insert, so it gets builds of its
-			// own: one extended ahead of the queries, one by the first of them.
+			// ExtendTau gets a build of its own.
 			ext := buildOrFail(t, data, Config{Algorithm: alg, Tau: tau})
-			ext.EnsureLevels(tau + 1)
+			if err := ext.ExtendTau(tau + 1); err != nil {
+				t.Fatal(err)
+			}
 			check(ext, stage+" extended", append(ks, tau+1), 20)
-			lazy := buildOrFail(t, data, Config{Algorithm: alg, Tau: tau})
-			check(lazy, stage+" extended by UTK", []int{tau + 1}, 10)
 		}
 	}
 	if parts == 0 || lps == 0 {
@@ -175,14 +170,16 @@ func TestCellBoxOuter(t *testing.T) {
 				n, tau = 24, 3
 			}
 			ix := buildOrFail(t, randData(rng, n, d), Config{Algorithm: alg, Tau: tau})
-			ix.EnsureLevels(tau + 1)
+			if err := ix.ExtendTau(tau + 1); err != nil {
+				t.Fatal(err)
+			}
 			dim := ix.RDim()
 			ws := lp.Get()
 			var buf geom.RowBuf
 			cells, vertices := 0, 0
 			for l := 1; l <= tau+1; l++ {
 				boxes := ix.levelBoxes(l)
-				for i, id := range ix.levelCells(l) {
+				for i, id := range ix.Levels[l] {
 					lo, hi := boxes[2*dim*i:2*dim*i+dim], boxes[2*dim*i+dim:2*dim*(i+1)]
 					inside := func(what string, x []float64) {
 						t.Helper()

@@ -181,7 +181,7 @@ func (sc SpanContext) ChildOf(span uint64) SpanContext {
 }
 
 // Span is one completed instrumented operation: a query traversal, a build
-// phase, a level of on-demand extension. The value passed to a Tracer is a
+// phase, a level of an ExtendTau. The value passed to a Tracer is a
 // copy; implementations may retain it.
 //
 // Trace, ID and Parent position the span in a request's span tree: all

@@ -19,9 +19,8 @@ import (
 // admin endpoints, a follower's sync status — is routes and gauges its
 // constructor attaches, not a branch in a shared handler.
 type Backend interface {
-	// Mutex guards the index: queries hold it for reading (for writing when
-	// they extend the index on demand), inserts and a follower's applies
-	// for writing.
+	// Mutex guards the index: queries hold it for reading, inserts and a
+	// follower's applies for writing.
 	Mutex() *sync.RWMutex
 	// Index returns the serving index. Call with Mutex held and do not keep
 	// the pointer past the unlock: a follower's re-bootstrap swaps it.

@@ -51,12 +51,11 @@ func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}{h.dispatchBatch(r.Context(), body.Queries)})
 }
 
-// dispatchBatch validates every item, then runs the whole batch under the
-// lock its deepest item requires: one acquisition covers the envelope.
+// dispatchBatch validates every item, then runs the whole batch under one
+// read-lock acquisition.
 func (h *Handler) dispatchBatch(ctx context.Context, qs []QueryRequest) []queryItem {
 	out := make([]queryItem, len(qs))
 	specs := make([]*familySpec, len(qs))
-	maxDepth := 0
 	for i := range qs {
 		spec, err := resolve(&qs[i])
 		if err != nil {
@@ -64,9 +63,8 @@ func (h *Handler) dispatchBatch(ctx context.Context, qs []QueryRequest) []queryI
 			continue
 		}
 		specs[i] = spec
-		maxDepth = max(maxDepth, spec.depth(&qs[i]))
 	}
-	h.runQuery(maxDepth, func(ix *tlx.Index, lsn uint64) {
+	h.runQuery(func(ix *tlx.Index, lsn uint64) {
 		for i, spec := range specs {
 			if spec != nil { // nil: already failed validation
 				out[i] = h.runOn(ctx, spec, &qs[i], ix, lsn)

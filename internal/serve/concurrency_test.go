@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"slices"
 	"sync"
@@ -21,7 +22,9 @@ import (
 // of each level's rows and boxes. Under -race (make race) this is the check
 // that a level's fill is published once to all of its readers and shared
 // immutable after; without it, that no reader is left with an answer from
-// a column the last publish retired.
+// a column the last publish retired. Every reader also asks each family for
+// k = τ+1 under the same read lock: each is refused with ErrBeyondTau, and
+// every publish still lands.
 func TestBackendReadersAcrossPublishes(t *testing.T) {
 	const tau = 3
 	ix, err := tlx.Build(datagen.Generate(datagen.IND, 60, 3, 27), tau)
@@ -58,6 +61,15 @@ func TestBackendReadersAcrossPublishes(t *testing.T) {
 			}
 			if a.kspr[k], err = be.Index().KSPRContext(ctx, k+1, top.Options[0]); err != nil {
 				t.Error(err)
+			}
+		}
+		_, errTopK := be.Index().TopKContext(ctx, w, tau+1)
+		_, errUTK := be.Index().UTKContext(ctx, tau+1, lo, hi)
+		_, errORU := be.Index().ORUContext(ctx, tau+1, w, 5)
+		_, errKSPR := be.Index().KSPRContext(ctx, tau+1, top.Options[0])
+		for _, err := range []error{errTopK, errUTK, errORU, errKSPR} {
+			if !errors.Is(err, tlx.ErrBeyondTau) {
+				t.Errorf("reader at k = τ+1: err %v, want ErrBeyondTau", err)
 			}
 		}
 		return a

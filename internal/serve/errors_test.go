@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	tlx "tlevelindex"
 )
 
 // doEnvelope performs a request and decodes the JSON error envelope from
@@ -62,6 +64,27 @@ func TestErrorEnvelopes(t *testing.T) {
 	resp.Body.Close()
 	if got := resp.Header.Get("Allow"); got != http.MethodPost {
 		t.Errorf("405 Allow header = %q, want %q", got, http.MethodPost)
+	}
+
+	// A negative focal is a 400 "invalid … option" in every focal family,
+	// why-not included, and a refused why-not is not cached: the repeat is
+	// refused again.
+	for _, body := range []string{
+		`{"family":"kspr","focal":-1,"k":2}`,
+		`{"family":"maxrank","focal":-1}`,
+		`{"family":"whynot","focal":-1,"w":[0.9,0.1],"k":2}`,
+		`{"family":"whynot","focal":-1,"w":[0.9,0.1],"k":2}`,
+	} {
+		code, msg = doEnvelope(t, http.MethodPost, srv.URL+"/v1/query", body)
+		if code != http.StatusBadRequest || !strings.Contains(msg, "invalid") || !strings.Contains(msg, "option -1") {
+			t.Errorf("%s: code=%d msg=%q, want 400 invalid option", body, code, msg)
+		}
+	}
+
+	// A query deeper than τ is a 422 naming ErrBeyondTau.
+	code, msg = doEnvelope(t, http.MethodPost, srv.URL+"/v1/query", `{"family":"utk","lo":[0.3],"hi":[0.4],"k":9}`)
+	if code != http.StatusUnprocessableEntity || msg != tlx.ErrBeyondTau.Error() {
+		t.Errorf("utk past τ: code=%d msg=%q", code, msg)
 	}
 
 	// Unknown paths answer the JSON envelope, not ServeMux's text page.

@@ -63,7 +63,7 @@ var registerProcessGauges = sync.OnceFunc(func() {
 
 // registerIndexGauges exposes the served index's VerdictCache statistics
 // and the state of its insert cache. The verdict hit and miss counts reflect
-// the last build or on-demand extension, the rest is read live; GaugeFunc
+// the last build or ExtendTau, the rest is read live; GaugeFunc
 // replaces the reader on re-registration, so the newest handler's index wins.
 func (h *Handler) registerIndexGauges() {
 	stats := func() tlx.BuildStats {
@@ -94,7 +94,7 @@ func (h *Handler) registerIndexGauges() {
 			return float64(bytes)
 		})
 	obs.Default().GaugeFunc("tlx_insert_cache_drops_total",
-		"Times the insert cache was discarded: over its budget at the end of a batch, or invalidated by on-demand extension.", func() float64 {
+		"Times the insert cache was discarded: over its budget at the end of a batch, or invalidated by ExtendTau.", func() float64 {
 			_, drops := cache()
 			return float64(drops)
 		})

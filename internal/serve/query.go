@@ -13,10 +13,9 @@ import (
 
 // Query decode/dispatch. Every query — a POST /v1/query body or one item
 // of a POST /v1/query/batch envelope — is a QueryRequest, routed through the
-// familySpec its Family names: take the lock the query's depth requires,
-// consult the answer cache when the family has a cache key, run the
-// traversal otherwise, and hand back one queryItem, the wire form both
-// routes write.
+// familySpec its Family names: take the read lock, consult the answer cache
+// when the family has a cache key, run the traversal otherwise, and hand
+// back one queryItem, the wire form both routes write.
 
 // QueryRequest is the unified query envelope accepted by POST /v1/query.
 // Family selects the query type; the remaining fields are family-specific
@@ -117,12 +116,10 @@ type familySpec struct {
 	itemSpan string
 	// needsFocal marks families whose Focal parameter is required.
 	needsFocal bool
-	// depth is the materialization depth the query needs — the k handed
-	// to the lock decision.
-	depth func(q *QueryRequest) int
-	// cacheKey derives the answer-cache key on the index about to serve
-	// the query. Nil for a family whose answers are never cached.
-	cacheKey func(ix *tlx.Index, q *QueryRequest) cache.Key
+	// cacheKey derives the answer-cache key from the query's parameters;
+	// the LSN stamp versions it. Nil for a family whose answers are never
+	// cached.
+	cacheKey func(q *QueryRequest) cache.Key
 	// run executes the traversal: the result body, its stats, and the
 	// cell-chain key the traversal walked (0 for a family without one). It
 	// returns a non-nil result body even alongside an error when partial
@@ -151,8 +148,7 @@ func init() {
 
 var families = map[string]*familySpec{
 	"topk": {
-		name:  "topk",
-		depth: func(q *QueryRequest) int { return q.K },
+		name: "topk",
 		// No cacheKey: a top-k answer is fixed by the cell chain the weights
 		// land in, and finding that chain is the walk that answers, so a
 		// cache lookup would cost what it saves.
@@ -167,7 +163,6 @@ var families = map[string]*familySpec{
 	"kspr": {
 		name:       "kspr",
 		needsFocal: true,
-		depth:      func(q *QueryRequest) int { return q.K },
 		// No cacheKey: the answer is a prefix of the option→cells column
 		// and its regions are windows of the rows column, so a hit would
 		// save only the row copy, and the encoding is paid either way.
@@ -180,9 +175,8 @@ var families = map[string]*familySpec{
 		},
 	},
 	"utk": {
-		name:  "utk",
-		depth: func(q *QueryRequest) int { return q.K },
-		cacheKey: func(ix *tlx.Index, q *QueryRequest) cache.Key {
+		name: "utk",
+		cacheKey: func(q *QueryRequest) cache.Key {
 			p := append(fmtFloats([]byte("lo"), q.Lo), ";hi"...)
 			return cache.Key{Family: "utk", K: q.K,
 				Params: string(fmtFloats(p, q.Hi))}
@@ -200,9 +194,8 @@ var families = map[string]*familySpec{
 		},
 	},
 	"oru": {
-		name:  "oru",
-		depth: func(q *QueryRequest) int { return q.K },
-		cacheKey: func(ix *tlx.Index, q *QueryRequest) cache.Key {
+		name: "oru",
+		cacheKey: func(q *QueryRequest) cache.Key {
 			p := fmtFloats([]byte("w"), q.W)
 			p = append(p, ";m"...)
 			p = strconv.AppendInt(p, int64(q.M), 10)
@@ -219,7 +212,6 @@ var families = map[string]*familySpec{
 	"maxrank": {
 		name:       "maxrank",
 		needsFocal: true,
-		depth:      func(q *QueryRequest) int { return 0 },
 		// No cacheKey: the answer is one read of the option→cells column,
 		// so a cache hit would cost what the read does.
 		run: func(ctx context.Context, ix *tlx.Index, q *QueryRequest) (any, tlx.QueryStats, uint64, error) {
@@ -233,15 +225,9 @@ var families = map[string]*familySpec{
 	"whynot": {
 		name:       "whynot",
 		needsFocal: true,
-		depth:      func(q *QueryRequest) int { return q.K },
-		cacheKey: func(ix *tlx.Index, q *QueryRequest) cache.Key {
-			// The reported rank counts the indexed option pool, which
-			// grows with the materialized depth without an LSN bump, so the
-			// depth joins the key.
+		cacheKey: func(q *QueryRequest) cache.Key {
 			p := []byte("f")
 			p = strconv.AppendInt(p, int64(*q.Focal), 10)
-			p = append(p, ";d"...)
-			p = strconv.AppendInt(p, int64(ix.MaxMaterializedLevel()), 10)
 			p = append(p, ";w"...)
 			return cache.Key{Family: "whynot", K: q.K,
 				Params: string(fmtFloats(p, q.W))}
@@ -276,14 +262,13 @@ func resolve(q *QueryRequest) (*familySpec, error) {
 	return spec, nil
 }
 
-// dispatch validates the request and answers it under the lock the query's
-// depth requires.
+// dispatch validates the request and answers it under the read lock.
 func (h *Handler) dispatch(ctx context.Context, q *QueryRequest) (it queryItem) {
 	spec, err := resolve(q)
 	if err != nil {
 		return errItem(err)
 	}
-	h.runQuery(spec.depth(q), func(ix *tlx.Index, lsn uint64) {
+	h.runQuery(func(ix *tlx.Index, lsn uint64) {
 		it = h.runOn(ctx, spec, q, ix, lsn)
 	})
 	return it
@@ -332,7 +317,7 @@ func (h *Handler) answer(ctx context.Context, spec *familySpec, q *QueryRequest,
 	var key cache.Key
 	cacheable := h.cache != nil && spec.cacheKey != nil
 	if cacheable {
-		key = spec.cacheKey(ix, q)
+		key = spec.cacheKey(q)
 		if v, ok := h.cache.Get(key, lsn); ok {
 			return v.(*cachedAnswer), true, 0, nil
 		}

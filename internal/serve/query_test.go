@@ -270,7 +270,7 @@ func TestCacheEquivalence(t *testing.T) {
 		bodies = nil
 	}
 
-	genPhase(3) // k <= tau: no extension, inserts stay legal
+	genPhase(3) // k <= tau
 	run()
 	// Insert the same option into both servers: the LSN advances in
 	// lockstep and every cached answer goes stale at once.
@@ -281,7 +281,7 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 	genPhase(3)
 	run()
-	genPhase(4) // k = tau+1 reaches the on-demand extension path
+	genPhase(4) // k = tau+1 is refused (422) alike, and never cached
 	run()
 }
 
@@ -360,5 +360,20 @@ func TestKSPRBypassesCache(t *testing.T) {
 	post("/v1/query/batch", batch.String())
 	if got := lookups(); got != 0 {
 		t.Fatalf("repeated kSPR requests made %d cache lookups, want 0", got)
+	}
+}
+
+// TestQueryDefaults: an omitted (or zero) k or m means 10, and explicit
+// values stand.
+func TestQueryDefaults(t *testing.T) {
+	q := QueryRequest{}
+	q.defaults()
+	if q.K != 10 || q.M != 10 {
+		t.Errorf("defaults of an empty request: k=%d m=%d, want 10 and 10", q.K, q.M)
+	}
+	q = QueryRequest{K: 2, M: 3}
+	q.defaults()
+	if q.K != 2 || q.M != 3 {
+		t.Errorf("defaults overrode k=2 m=3: k=%d m=%d", q.K, q.M)
 	}
 }

@@ -66,9 +66,8 @@ var goldenScript = func() []goldenStep {
 		goldenStep{"405 get on post", "mem", "GET", "/v1/query", ""},
 		goldenStep{"405 post on get", "mem", "POST", "/v1/stats", ""},
 		goldenStep{"413", "mem", "POST", "/v1/query", strings.Repeat(" ", maxBodyBytes+1) + "{}"},
-		goldenStep{"extend", "mem", "POST", "/v1/query", `{"family":"topk","w":[0.5,0.5],"k":4}`},
-		goldenStep{"409 insert after extension", "mem", "POST", "/v1/insert", `{"option":[0.9,0.9]}`},
-		// k and m of 0 mean 10, which extends this τ=3 index — hence after the inserts.
+		goldenStep{"422 beyond tau", "mem", "POST", "/v1/query", `{"family":"topk","w":[0.5,0.5],"k":4}`},
+		// k and m of 0 mean 10, and a k of 10 is beyond this τ=3 index.
 		goldenStep{"zero k and m mean 10", "mem", "POST", "/v1/query", `{"family":"oru","w":[0.3,0.7],"k":0}`},
 
 		goldenStep{"store insert", "store", "POST", "/v1/insert", `{"option":[0.95,0.95]}`},

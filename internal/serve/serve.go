@@ -60,12 +60,10 @@
 //	404  unknown path
 //	405  wrong method for the endpoint (the Allow header names the
 //	     accepted method)
-//	409  insert after on-demand extension (tlevelindex.ErrExtended)
 //	410  snapshot-stream tail request for records the primary has pruned
 //	     (store.ErrShipGap; the follower must re-bootstrap)
 //	413  POST body larger than the 4 MiB cap
-//	422  k beyond the materialized levels on an index without its full
-//	     dataset (tlevelindex.ErrNeedsFullData)
+//	422  query depth k beyond the index's τ (tlevelindex.ErrBeyondTau)
 //	499  client disconnected mid-query (context canceled)
 //
 // /v1/insert takes {"option": [attr, ...]} and answers {"id": n, "lsn": m}
@@ -102,9 +100,7 @@
 //	                                ?from=<lsn> just the records after that
 //	                                LSN (410 Gone once pruned)
 //
-// A memory-only handler answers 404 for them. A snapshot request against an
-// index holding on-demand extension state is refused with 409
-// (tlevelindex.ErrExtended), mirroring the insert rule.
+// A memory-only handler answers 404 for them.
 //
 // # Followers
 //
@@ -130,12 +126,10 @@
 //
 // # Concurrency
 //
-// All synchronization is the Backend's one lock. Queries whose depth is
-// already materialized are pure lookups and run concurrently under its read
-// side. A query with larger k mutates the index (on-demand extension), so
-// it briefly takes the write side, as does any request that arrives before
-// the depth check can prove read-only access is safe. Backend.InsertBatchLSN
-// takes the write side itself — for a store that is the group-commit path,
+// All synchronization is the Backend's one lock. Queries only read the
+// index, so every query and query batch runs under its read side; one with
+// k > τ is refused (422) rather than deepening the index.
+// Backend.InsertBatchLSN takes the write side itself — for a store that is the group-commit path,
 // which holds it across the engine apply and the WAL fsync.
 // Handlers honor the request context: a client disconnect cancels the
 // index traversal between cell visits.
@@ -345,23 +339,13 @@ func methodOnly(method string, fn http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// runQuery hands fn the serving index and its LSN under the locking depth k
-// requires: a read lock when every level up to k is already materialized
-// (the query is then a pure lookup and may run alongside other readers),
-// the write lock otherwise (the query extends the index on demand). The
-// depth is checked under the read lock because a concurrent writer may be
-// mid-extension. The LSN is read inside the lock: it only moves under the
-// write side, so it cannot move while fn runs.
-func (h *Handler) runQuery(k int, fn func(ix *tlx.Index, lsn uint64)) {
+// runQuery hands fn the serving index and its LSN under the read lock:
+// queries only read, so they run alongside each other. The LSN is read
+// inside the lock: it only moves under the write side, so it cannot move
+// while fn runs.
+func (h *Handler) runQuery(fn func(ix *tlx.Index, lsn uint64)) {
 	h.mu.RLock()
-	if ix := h.be.Index(); k <= ix.MaxMaterializedLevel() {
-		defer h.mu.RUnlock()
-		fn(ix, h.be.AppliedLSN())
-		return
-	}
-	h.mu.RUnlock()
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	defer h.mu.RUnlock()
 	fn(h.be.Index(), h.be.AppliedLSN())
 }
 
@@ -388,9 +372,7 @@ func badRequest(w http.ResponseWriter, format string, args ...interface{}) {
 // unrecognized is a 400 (the remaining failures are all input validation).
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, tlx.ErrExtended):
-		return http.StatusConflict
-	case errors.Is(err, tlx.ErrNeedsFullData):
+	case errors.Is(err, tlx.ErrBeyondTau):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return statusCanceled

@@ -138,18 +138,18 @@ func TestInsertBatchEndpointLimits(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v1/insert/batch", nil); code != http.StatusMethodNotAllowed {
 		t.Errorf("GET insert/batch: status %d, want 405", code)
 	}
-	// After an on-demand extension every item fails with the 409 the
-	// single-insert endpoint answers, but the envelope itself stays 200.
-	if code, _ := postQuery(t, srv.URL, `{"family":"topk","w":[0.5,0.5],"k":4}`); code != 200 {
-		t.Fatal("deep topk failed")
+	// A query past τ is refused with 422 and leaves the write path open:
+	// the next batch lands item by item.
+	if code, _ := postQuery(t, srv.URL, `{"family":"topk","w":[0.5,0.5],"k":4}`); code != http.StatusUnprocessableEntity {
+		t.Fatalf("deep topk: status %d, want 422", code)
 	}
 	code, results := postInsertBatch(t, srv.URL, `{"options":[[0.9,0.9],[0.8,0.8]]}`)
 	if code != http.StatusOK {
-		t.Fatalf("post-extension batch status %d", code)
+		t.Fatalf("batch after the refused query: status %d", code)
 	}
 	for i, res := range results {
-		if res.Sts != http.StatusConflict {
-			t.Errorf("item %d after extension: %+v, want per-item 409", i, res)
+		if res.Sts != 0 || res.Err != "" {
+			t.Errorf("item %d after the refused query: %+v, want accepted", i, res)
 		}
 	}
 }

@@ -122,12 +122,13 @@ func TestAdminEndpoints(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v1/admin/snapshot", nil); code != 405 {
 		t.Errorf("GET snapshot: status %d, want 405", code)
 	}
-	// Extend on demand via a deep query; snapshot must then 409.
-	if code, _ := postQuery(t, srv.URL, `{"family":"topk","w":[0.5,0.5],"k":5}`); code != 200 {
-		t.Fatal("deep topk failed")
+	// A query past τ is refused with 422; the next snapshot is an ordinary
+	// up-to-date one.
+	if code, _ := postQuery(t, srv.URL, `{"family":"topk","w":[0.5,0.5],"k":5}`); code != http.StatusUnprocessableEntity {
+		t.Fatalf("deep topk: status %d, want 422", code)
 	}
-	if code := postJSON(t, srv.URL+"/v1/admin/snapshot", "", nil); code != 409 {
-		t.Errorf("snapshot of extended index: status %d, want 409", code)
+	if code := postJSON(t, srv.URL+"/v1/admin/snapshot", "", &snap); code != 200 || !snap.UpToDate {
+		t.Errorf("snapshot after a refused deep query: code=%d %+v", code, snap)
 	}
 }
 
@@ -249,4 +250,30 @@ func checkLSNHappensBefore(t *testing.T, base string) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestDeepQueryLeavesWritesOpen: queries only read. A topk with k = τ+1
+// answers 422, and the insert and the snapshot after it answer 200, on a
+// memory-only handler and on a store-backed one alike. (A memory-only
+// handler has no snapshot endpoint: its 404 is the JSON envelope.)
+func TestDeepQueryLeavesWritesOpen(t *testing.T) {
+	storeSrv, _ := newStoreServer(t, t.TempDir())
+	for _, c := range []struct {
+		name     string
+		url      string
+		snapshot int
+	}{
+		{"memory", newServer(t).URL, http.StatusNotFound},
+		{"store", storeSrv.URL, http.StatusOK},
+	} {
+		if code, _ := postQuery(t, c.url, `{"family":"topk","w":[0.5,0.5],"k":4}`); code != http.StatusUnprocessableEntity {
+			t.Errorf("%s: topk at k = τ+1: status %d, want 422", c.name, code)
+		}
+		if code := postJSON(t, c.url+"/v1/insert", `{"option":[0.95,0.95]}`, nil); code != http.StatusOK {
+			t.Errorf("%s: insert after the refused query: status %d, want 200", c.name, code)
+		}
+		if code := postJSON(t, c.url+"/v1/admin/snapshot", "", nil); code != c.snapshot {
+			t.Errorf("%s: snapshot after the refused query: status %d, want %d", c.name, code, c.snapshot)
+		}
+	}
 }

@@ -176,8 +176,8 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueries hammers the handler from many goroutines; the
-// internal mutex must keep lazily-mutating queries safe.
+// TestConcurrentQueries hammers the handler from many goroutines; queries
+// only read, so they all share the read lock. Run under -race.
 func TestConcurrentQueries(t *testing.T) {
 	srv := newServer(t)
 	var wg sync.WaitGroup
@@ -186,7 +186,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				body := `{"family":"topk","w":[0.18,0.82],"k":4}` // k > tau: extension path
+				body := `{"family":"topk","w":[0.18,0.82],"k":3}`
 				if g%2 == 0 {
 					body = `{"family":"kspr","focal":0,"k":2}`
 				}
@@ -306,8 +306,8 @@ func postJSON(t *testing.T, url, body string, out interface{}) int {
 }
 
 // TestInsertEndpoint covers the POST /v1/insert surface: a successful
-// insert, a filtered option, method enforcement, and the 409 mapping of
-// ErrExtended after on-demand extension.
+// insert, a filtered option, method enforcement, and an insert after a
+// query past τ was refused with 422.
 func TestInsertEndpoint(t *testing.T) {
 	srv := newServer(t)
 	var ins struct {
@@ -347,18 +347,18 @@ func TestInsertEndpoint(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/v1/stats", "", nil); code != http.StatusMethodNotAllowed {
 		t.Errorf("POST stats: status %d", code)
 	}
-	// Extend on demand via a deep query, then insert must 409.
-	if code, _ := postQuery(t, srv.URL, `{"family":"topk","w":[0.5,0.5],"k":4}`); code != http.StatusOK {
-		t.Fatal("deep topk failed")
+	// A query past τ is refused and changes nothing: inserts still land.
+	if code, _ := postQuery(t, srv.URL, `{"family":"topk","w":[0.5,0.5],"k":4}`); code != http.StatusUnprocessableEntity {
+		t.Fatalf("deep topk: status %d, want 422", code)
 	}
-	if code := postJSON(t, srv.URL+"/v1/insert", `{"option":[0.9,0.9]}`, nil); code != http.StatusConflict {
-		t.Errorf("insert after extension: status %d, want 409", code)
+	if code := postJSON(t, srv.URL+"/v1/insert", `{"option":[0.9,0.9]}`, &ins); code != http.StatusOK || ins.ID != 6 {
+		t.Errorf("insert after a refused deep query: status %d, id %d", code, ins.ID)
 	}
 }
 
 // TestConcurrentReadersAndInserts hammers the handler with concurrent
-// lookups, deep (extending) queries, and inserts; the read/write lock must
-// keep them consistent. Run under -race.
+// queries and inserts; the read/write lock must keep them consistent. Run
+// under -race.
 func TestConcurrentReadersAndInserts(t *testing.T) {
 	srv := newServer(t)
 	var wg sync.WaitGroup

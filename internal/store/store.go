@@ -37,13 +37,10 @@
 //
 // # Limitations
 //
-// Only inserts are logged. On-demand extension (a query with k > τ) is an
-// in-memory cache and is not persisted; because the index also rejects
-// inserts while extended, the WAL cannot record state that depends on an
-// extension. Snapshots of an extended index are refused for the same
-// reason. A recovered index does not retain the full dataset, so queries
-// with k > τ return ErrNeedsFullData after a restart (the documented
-// ReadIndex semantics).
+// Only inserts are logged: queries only read the index (one with k > τ
+// returns ErrBeyondTau), so the log holds every change the store makes. A
+// recovered index does not retain the full dataset, so ExtendTau on it
+// returns ErrNeedsFullData (the documented ReadIndex semantics).
 package store
 
 import (
@@ -588,8 +585,7 @@ type SnapshotInfo struct {
 
 // Snapshot captures the current index state durably and rotates the WAL.
 // When the newest snapshot already covers every applied record it returns
-// immediately with UpToDate set. An index holding an on-demand extension
-// cannot be snapshotted (the error wraps tlevelindex.ErrExtended).
+// immediately with UpToDate set.
 func (s *Store) Snapshot() (SnapshotInfo, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -599,11 +595,6 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	if s.closed {
 		s.mu.Unlock()
 		return SnapshotInfo{}, errors.New("store: closed")
-	}
-	if s.ix.MaxMaterializedLevel() > s.ix.Tau() {
-		s.mu.Unlock()
-		snapshotFailuresTotal.Inc()
-		return SnapshotInfo{}, fmt.Errorf("store: %w: on-demand levels are not persisted; snapshot refused", tlx.ErrExtended)
 	}
 	lsn := s.applied
 	if lsn == s.snapLSN {
@@ -764,7 +755,7 @@ func (s *Store) Close() error {
 	needsSnap := s.failed == nil && !s.closed
 	s.mu.RUnlock()
 	if needsSnap {
-		if _, serr := s.Snapshot(); serr != nil && !errors.Is(serr, tlx.ErrExtended) {
+		if _, serr := s.Snapshot(); serr != nil {
 			err = serr
 		}
 	}

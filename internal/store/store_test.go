@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -288,17 +289,30 @@ func TestConcurrentInsertsAndSnapshots(t *testing.T) {
 	}
 }
 
-func TestSnapshotRefusedWhileExtended(t *testing.T) {
+// TestSnapshotAfterDeepQuery: a query past τ is refused with ErrBeyondTau
+// and changes nothing, so the insert and the snapshot after it go through,
+// and the recovered index answers like the one it was taken from.
+func TestSnapshotAfterDeepQuery(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
-	defer s.Close()
-	// A deep query extends the index on demand; first boots keep the full
-	// dataset, so the extension succeeds.
-	if _, err := s.Index().TopK([]float64{0.5, 0.5}, testTau+1); err != nil {
+	if _, err := s.Index().TopK([]float64{0.5, 0.5}, testTau+1); !errors.Is(err, tlx.ErrBeyondTau) {
+		t.Fatalf("query past τ: err %v, want ErrBeyondTau", err)
+	}
+	id, err := s.Insert([]float64{0.97, 0.97})
+	if err != nil || id < 0 {
+		t.Fatalf("insert after the refused query: id %d, err %v", id, err)
+	}
+	if info, err := s.Snapshot(); err != nil || info.UpToDate {
+		t.Fatalf("snapshot after the refused query: %+v, %v", info, err)
+	}
+	want, _ := s.Index().TopK([]float64{0.5, 0.5}, testTau)
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Snapshot(); err == nil {
-		t.Fatal("snapshot of an extended index accepted")
+	s2 := openStore(t, dir, Options{})
+	defer s2.Close()
+	if got, _ := s2.Index().TopK([]float64{0.5, 0.5}, testTau); !reflect.DeepEqual(got, want) || got[0] != id {
+		t.Fatalf("recovered top-%d = %v, want %v led by %d", testTau, got, want, id)
 	}
 }
 

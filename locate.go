@@ -16,8 +16,7 @@ import (
 // traffic by cell in traces and its hot-cell sketch (DESIGN.md §16).
 //
 // Keys are stable for a given logical index content: they survive
-// serialization round trips (WriteTo/ReadIndex) and on-demand extension to
-// deeper levels. They are NOT stable across inserts — an insert can reshape
+// serialization round trips (WriteTo/ReadIndex) and ExtendTau. They are NOT stable across inserts — an insert can reshape
 // cells — so a key must always be interpreted relative to an index version
 // (the serving tier pairs keys with the store's applied LSN).
 type CellKey struct {
@@ -33,20 +32,18 @@ func (k CellKey) String() string { return fmt.Sprintf("cell-%016x", k.h) }
 func (k CellKey) Sum64() uint64 { return k.h }
 
 // Locate returns the identity of the cell chain containing the full weight
-// vector w at the index's full materialized depth, along with that depth.
-// It is a pure lookup — never extends the index — and is safe for
-// concurrent use with other read-only queries. Invalid weights (wrong
+// vector w at depth τ, along with the depth reached. Invalid weights (wrong
 // dimension, negative entries, sum ≠ 1) return an error wrapping
 // ErrInvalidWeights, like every other query entry point.
 //
 // Equal keys at equal depth imply equal ordered top-k answers for every
 // k up to that depth.
 func (ix *Index) Locate(w []float64) (CellKey, int, error) {
-	return ix.LocateDepth(w, ix.inner.MaxMaterializedLevel())
+	return ix.LocateDepth(w, ix.inner.Tau)
 }
 
 // LocateDepth is Locate at an explicit depth k: the returned key identifies
-// the length-min(k, materialized depth) cell chain containing w, and the
+// the length-min(k, τ) cell chain containing w, and the
 // returned level is the depth actually reached. k < 1 returns the entry
 // cell's (empty-chain) key at level 0.
 func (ix *Index) LocateDepth(w []float64, k int) (CellKey, int, error) {
@@ -60,13 +57,12 @@ func (ix *Index) LocateDepth(w []float64, k int) (CellKey, int, error) {
 
 // LocateTopK answers LocateDepth and TopKContext in one root-to-leaf walk:
 // the key, reached level, ranked options, and traversal stats all come from
-// the same descent (DESIGN.md §18). It differs from TopKContext, whose
-// result carries the same key, only in being a pure lookup like Locate: the
-// depth is clamped to the materialized levels and the index is never
-// extended. The per-item observables are identical to calling LocateDepth
-// and TopKContext separately. On
-// cancellation it returns ctx's error with a non-nil result carrying the
-// partial ranks and stats.
+// the same descent (DESIGN.md §18). It differs from TopKContext, whose result
+// carries the same key, only in clamping k to τ like Locate where
+// TopKContext refuses a deeper k. The per-item observables are identical to
+// calling LocateDepth and TopKContext separately. On cancellation it
+// returns ctx's error with a non-nil result carrying the partial ranks and
+// stats.
 func (ix *Index) LocateTopK(ctx context.Context, w []float64, k int) (CellKey, int, *TopKResult, error) {
 	if k < 1 {
 		return CellKey{}, 0, nil, errBadK
@@ -76,7 +72,7 @@ func (ix *Index) LocateTopK(ctx context.Context, w []float64, k int) (CellKey, i
 		return CellKey{}, 0, nil, err
 	}
 	q := ix.startQuerySpan(ctx, "query.locatetopk")
-	h, level, res, st, err := ix.inner.LocateTopK(ctx, x, k, make([]int32, 0, min(k, ix.inner.MaxMaterializedLevel())))
+	h, level, res, st, err := ix.inner.LocateTopK(ctx, x, k, make([]int32, 0, min(k, ix.inner.Tau)))
 	q.finish(exportStats(st), err)
 	key := CellKey{h: h}
 	return key, level, &TopKResult{Options: ix.origIDs(res), Key: key, Stats: exportStats(st)}, err

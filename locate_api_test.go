@@ -50,13 +50,13 @@ func TestLocateDepthAndString(t *testing.T) {
 	if k2 == key {
 		t.Error("depth-2 key equals depth-3 key; chain keys must be depth-sensitive")
 	}
-	// Beyond the materialized depth the level clamps; the index is not extended.
+	// Beyond τ the level clamps.
 	_, l9, err := ix.LocateDepth(w, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l9 != ix.MaxMaterializedLevel() {
-		t.Errorf("LocateDepth(9) level = %d, want clamp to %d", l9, ix.MaxMaterializedLevel())
+	if l9 != ix.Tau() {
+		t.Errorf("LocateDepth(9) level = %d, want clamp to %d", l9, ix.Tau())
 	}
 }
 

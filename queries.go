@@ -104,7 +104,7 @@ type KSPRResult struct {
 // (a dataset index) ranks top-k. An option outside the k-skyband yields an
 // empty result: it ranks below k everywhere.
 func (ix *Index) KSPR(k, focal int) (*KSPRResult, error) {
-	return ix.kspr(context.Background(), k, focal, false)
+	return ix.kspr(context.Background(), k, focal)
 }
 
 // UTKPartition is one piece of the query region with a fixed top-k set.
@@ -129,7 +129,7 @@ type UTKResult struct {
 // of the box by top-k result set. A box with a NaN or infinite coordinate
 // is an error.
 func (ix *Index) UTK(k int, lo, hi []float64) (*UTKResult, error) {
-	return ix.utk(context.Background(), k, lo, hi, false)
+	return ix.utk(context.Background(), k, lo, hi)
 }
 
 // ORUResult answers an output-size specified utility-based query
@@ -147,14 +147,13 @@ type ORUResult struct {
 // ORU reports m options, each of which ranks top-k for at least one weight
 // within the minimum expansion distance ρ of w (a full weight vector).
 func (ix *Index) ORU(k int, w []float64, m int) (*ORUResult, error) {
-	return ix.oru(context.Background(), k, w, m, false)
+	return ix.oru(context.Background(), k, w, m)
 }
 
 // TopK returns the k best dataset indices for the full weight vector w, in
-// rank order. With k ≤ τ this is a pure index walk; deeper k extends the
-// index on demand.
+// rank order: an index walk. A k beyond τ returns ErrBeyondTau.
 func (ix *Index) TopK(w []float64, k int) ([]int, error) {
-	res, err := ix.topK(context.Background(), w, k, false)
+	res, err := ix.topK(context.Background(), w, k)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +193,7 @@ type WhyNotResult struct {
 // WhyNot explains why the option is or is not among the user's top-k and
 // how far the weights must move to change that.
 func (ix *Index) WhyNot(opt int, w []float64, k int) (*WhyNotResult, error) {
-	return ix.whyNot(context.Background(), opt, w, k, false)
+	return ix.whyNot(context.Background(), opt, w, k)
 }
 
 // Interval is a segment of the 1-dimensional reduced preference space of a
@@ -208,7 +207,7 @@ type Interval struct {
 // focal option ranks top-k (merged and sorted). It errors for d != 2; use
 // KSPR for general dimensionalities.
 func (ix *Index) MonoRTopK(k, focal int) ([]Interval, error) {
-	res, err := ix.monoRTopK(context.Background(), k, focal, false)
+	res, err := ix.monoRTopK(context.Background(), k, focal)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +220,7 @@ func (ix *Index) MonoRTopK(k, focal int) ([]Interval, error) {
 // for 2- and 3-attribute datasets, Monte-Carlo estimated (with the given
 // deterministic seed) above that.
 func (ix *Index) MarketShare(focal, k int) (float64, error) {
-	res, err := ix.marketShare(context.Background(), focal, k, false)
+	res, err := ix.marketShare(context.Background(), focal, k)
 	if err != nil {
 		return 0, err
 	}
@@ -235,7 +234,7 @@ func (ix *Index) MarketShare(focal, k int) (float64, error) {
 // point-membership test — the acceleration the paper's related-work
 // discussion promises for DD-type queries.
 func (ix *Index) ReverseTopK(k, focal int, users [][]float64) ([]int, error) {
-	res, err := ix.reverseTopK(context.Background(), k, focal, users, false)
+	res, err := ix.reverseTopK(context.Background(), k, focal, users)
 	if err != nil {
 		return nil, err
 	}

@@ -19,8 +19,9 @@
 //	ix, err := tlevelindex.Build(options, 10, tlevelindex.WithAlgorithm(tlevelindex.IBA))
 //
 // τ bounds the precomputed ranking depth. Queries with k ≤ τ are pure
-// lookups; queries with k > τ extend the index on demand (the index keeps a
-// reference to the dataset for that purpose unless WithoutFullData is set).
+// lookups; a query with k > τ is refused with ErrBeyondTau. ExtendTau
+// deepens the index (it keeps a reference to the dataset for that purpose
+// unless WithoutFullData is set).
 //
 // # Querying
 //
@@ -60,7 +61,7 @@ type Attr = obs.Attr
 type TracerFunc = obs.TracerFunc
 
 // BuildProgress is one progress report from a partition-based build or an
-// on-demand extension; see WithProgress.
+// ExtendTau; see WithProgress.
 type BuildProgress = index.BuildProgress
 
 // Algorithm selects a construction algorithm (§5–6 of the paper).
@@ -118,15 +119,15 @@ func WithAlgorithm(a Algorithm) Option { return func(c *buildConfig) { c.alg = a
 func WithSeed(seed int64) Option { return func(c *buildConfig) { c.seed = seed } }
 
 // WithWorkers bounds the number of goroutines used for the LP-heavy phases
-// of construction and on-demand extension. Values below 1 select
+// of construction and ExtendTau. Values below 1 select
 // runtime.GOMAXPROCS(0), the default. The built index is byte-identical for
 // every worker count: parallel phases only compute, and cells are always
 // materialized in a deterministic sequential order.
 func WithWorkers(n int) Option { return func(c *buildConfig) { c.workers = n } }
 
 // WithoutFullData drops the reference to the input dataset after building.
-// The index becomes smaller but queries with k > τ cannot recruit options
-// beyond the τ-skyband.
+// The index becomes smaller but ExtendTau cannot recruit options beyond
+// the τ-skyband: it returns ErrNeedsFullData.
 func WithoutFullData() Option { return func(c *buildConfig) { c.dropFullData = true } }
 
 // WithOnionFilter forces the τ-onion-layer refinement of the option filter
@@ -147,7 +148,7 @@ func WithoutOnionFilter() Option { return func(c *buildConfig) { c.onion = index
 func WithTracer(t Tracer) Option { return func(c *buildConfig) { c.trace = t } }
 
 // WithProgress registers a callback invoked after every completed level of
-// a partition-based build — and of any later on-demand extension — with the
+// a partition-based build — and of any later ExtendTau — with the
 // level's cell count and cells/sec throughput, so long PBA builds can be
 // watched. The callback runs on the building goroutine and must not call
 // back into the index.
@@ -161,12 +162,11 @@ type BuildStats = index.BuildStats
 //
 // # Concurrency
 //
-// Query methods whose depth k stays within the materialized levels (k ≤ τ,
-// or k ≤ the deepest level a previous extension reached) are pure lookups
-// and safe to call from any number of goroutines simultaneously. Methods
-// that mutate the index — Insert, ExtendTau, EnsureLevels, and any query
-// with k beyond the materialized depth (it extends on demand) — require
-// exclusive access; the serve package arranges this with a read/write lock.
+// Every query method only reads the index and is safe to call from any
+// number of goroutines simultaneously; a query with k > τ is refused with
+// ErrBeyondTau. The methods that mutate the index — Insert, InsertBatch and
+// ExtendTau — require exclusive access; the serve package arranges this
+// with a read/write lock.
 type Index struct {
 	inner *index.Index
 	// idMap memoizes the dataset-index → filtered-id mapping. It is an
@@ -353,20 +353,13 @@ func (ix *Index) Close() error { return ix.inner.CloseBacking() }
 // WithWorkers); 0 means the runtime default is selected at use time.
 func (ix *Index) Workers() int { return ix.inner.Workers() }
 
-// MaxMaterializedLevel returns the deepest level that is already built —
-// τ, or further if an earlier k > τ query extended the index on demand.
-// Queries with k up to this depth are pure lookups and safe to run
-// concurrently.
-func (ix *Index) MaxMaterializedLevel() int { return ix.inner.MaxMaterializedLevel() }
-
 // HasFullData reports whether the index retains a reference to the full
-// dataset, which on-demand extension needs to recruit options beyond the
-// τ-skyband. It is false after ReadIndex or a WithoutFullData build.
+// dataset, which ExtendTau needs to recruit options beyond the τ-skyband. It is false after ReadIndex or a WithoutFullData build.
 func (ix *Index) HasFullData() bool { return ix.inner.HasFullData() }
 
 // filteredID resolves a dataset index to the internal filtered id, or -1
-// when the option was filtered out (it cannot rank within the materialized
-// depth anywhere in preference space).
+// when the option was filtered out (it cannot rank within τ anywhere in
+// preference space).
 func (ix *Index) filteredID(orig int) int32 {
 	mp := ix.idMap.Load()
 	if mp == nil || mp.n != len(ix.inner.OrigIDs) {
@@ -427,14 +420,11 @@ func (ix *Index) reduce(w []float64) ([]float64, error) {
 // path) and returns its id for use as a query argument: the index of the
 // option in the (conceptually appended) dataset. Options that cannot rank
 // top-τ anywhere are filtered and return -1 with a nil error; the index is
-// unchanged. Insert returns ErrExtended after a k > τ query has extended
-// the index on demand — promote with ExtendTau or rebuild instead, as the
-// paper recommends for bulk changes. Insert requires exclusive access to
-// the index.
+// unchanged. Insert requires exclusive access to the index.
 func (ix *Index) Insert(option []float64) (int, error) {
 	fid, err := ix.inner.InsertOption(option)
 	if err != nil || fid < 0 {
-		return -1, mapErr(err)
+		return -1, err
 	}
 	// An exact duplicate resolves to the already-represented option; keep
 	// its id. Overwriting the mapping would orphan the old dataset id and
@@ -473,8 +463,8 @@ type BatchInsertStats = index.BatchStats
 // filtering, byte-identical index — while paying the O(index-size)
 // thaw/re-freeze maintenance once for the whole batch instead of once per
 // record. Item errors are per-item (a dimensionality mismatch rejects only
-// that option); ErrExtended rejects every item. Like Insert, InsertBatch
-// requires exclusive access to the index.
+// that option). Like Insert, InsertBatch requires exclusive access to the
+// index.
 func (ix *Index) InsertBatch(options [][]float64) ([]InsertResult, BatchInsertStats) {
 	fids, errs, bs := ix.inner.InsertBatch(options)
 	out := make([]InsertResult, len(options))
@@ -482,7 +472,7 @@ func (ix *Index) InsertBatch(options [][]float64) ([]InsertResult, BatchInsertSt
 	for i, fid := range fids {
 		switch {
 		case errs[i] != nil:
-			out[i] = InsertResult{ID: -1, Err: mapErr(errs[i])}
+			out[i] = InsertResult{ID: -1, Err: errs[i]}
 		case fid < 0:
 			out[i] = InsertResult{ID: -1}
 		case ix.inner.OrigIDs[fid] >= 0:
@@ -504,7 +494,12 @@ func (ix *Index) InsertBatch(options [][]float64) ([]InsertResult, BatchInsertSt
 }
 
 // ExtendTau deepens the index to newTau levels permanently — the paper's
-// "set a smaller τ first, then expand it on demand" workflow (§7.3).
+// "set a smaller τ first, then expand it on demand" workflow (§7.3). It is
+// the only way to deepen an index: queries only read it, and one with
+// k > τ returns ErrBeyondTau. Without its full dataset (HasFullData false)
+// the index cannot recruit the options that rank below τ everywhere, so
+// ExtendTau returns ErrNeedsFullData and leaves it unchanged. A newTau ≤ τ
+// is a no-op. ExtendTau requires exclusive access to the index.
 func (ix *Index) ExtendTau(newTau int) error {
 	if err := ix.inner.ExtendTau(newTau); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package tlevelindex
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -42,12 +43,12 @@ func TestInsertPublic(t *testing.T) {
 	if err != nil || id2 != -1 {
 		t.Fatalf("hopeless insert: id=%d err=%v", id2, err)
 	}
-	// After an on-demand extension, Insert must refuse.
-	if _, err := ix.TopK([]float64{0.5, 0.5}, ix.Tau()+1); err != nil {
-		t.Fatal(err)
+	// A query past τ is refused and leaves inserts open.
+	if _, err := ix.TopK([]float64{0.5, 0.5}, ix.Tau()+1); !errors.Is(err, ErrBeyondTau) {
+		t.Fatalf("top-k past τ: err %v, want ErrBeyondTau", err)
 	}
-	if _, err := ix.Insert([]float64{0.9, 0.9}); err == nil {
-		t.Error("Insert after extension should fail")
+	if id, err := ix.Insert([]float64{0.9, 0.9}); err != nil || id != 6 {
+		t.Errorf("Insert after a refused deep query: id %d, err %v", id, err)
 	}
 }
 
@@ -91,13 +92,13 @@ func TestInsertBatchPublic(t *testing.T) {
 	if !reflect.DeepEqual(top, want) {
 		t.Fatalf("top-2 after batch = %v, sequential = %v", top, want)
 	}
-	// Extension rejects the whole batch.
-	if _, err := bat.TopK([]float64{0.5, 0.5}, bat.Tau()+1); err != nil {
+	// An ExtendTau'd index takes a batch like any other.
+	if err := bat.ExtendTau(bat.Tau() + 1); err != nil {
 		t.Fatal(err)
 	}
 	results, _ = bat.InsertBatch([][]float64{{0.99, 0.99}})
-	if results[0].Err == nil {
-		t.Error("InsertBatch after extension should fail")
+	if results[0].Err != nil || results[0].ID < 0 {
+		t.Errorf("InsertBatch after ExtendTau: %+v", results[0])
 	}
 }
 
