@@ -74,7 +74,10 @@ bench-smoke: serve-bench recovery-bench ingest-bench build-bench
 # handler stack, JSON body decode included: BenchmarkServeTopK is one
 # (never cached) top-k walk per request, with its recorder-off and
 # trace-all pair, the UTK cached/uncached pair quantifies the answer cache
-# (the hit path runs several times the uncached qps), the parallel row
+# (the hit path runs several times the uncached qps), BenchmarkServeKSPR is
+# the kSPR answer with the most regions on the canonical index (the row
+# ROADMAP item 15 gates on: export copy plus the per-distinct-row
+# response writer), the parallel row
 # (BenchmarkServeWriterTopKParallel) is the read-lock throughput under
 # GOMAXPROCS goroutines, the batch row (BenchmarkServeQueryBatchTopK, per item)
 # quantifies the /v1/query/batch envelope, and the cache-package hit

@@ -46,9 +46,7 @@ func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range body.Queries {
 		body.Queries[i].defaults()
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Results []queryItem `json:"results"`
-	}{h.dispatchBatch(r.Context(), body.Queries)})
+	writeItems(w, r, h.dispatchBatch(r.Context(), body.Queries), true)
 }
 
 // dispatchBatch validates every item, then runs the whole batch under one

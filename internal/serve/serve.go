@@ -65,6 +65,8 @@
 //	413  POST body larger than the 4 MiB cap
 //	422  query depth k beyond the index's τ (tlevelindex.ErrBeyondTau)
 //	499  client disconnected mid-query (context canceled)
+//	500  a response body encoding/json refuses (NaN or ±Inf); every
+//	     body is built before the status line is written
 //
 // /v1/insert takes {"option": [attr, ...]} and answers {"id": n, "lsn": m}
 // where n is the option's dataset id for use as a focal parameter, or -1
@@ -358,10 +360,84 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// respWriter builds one response body in full before the status line goes
+// out: a kSPR body by hand (query.go), everything else through enc, a
+// json.Encoder appending to the same buffer. Pooled; a body is assembled and
+// sent by one goroutine.
+type respWriter struct {
+	b   []byte
+	enc *json.Encoder
+	// memo maps a kSPR row's float bits (key is the scratch they are
+	// gathered in) to the bytes b[off:end] its first occurrence wrote; rows
+	// counts the kSPR rows appended.
+	memo map[string][2]int
+	key  []byte
+	rows int
+}
+
+var respPool = sync.Pool{New: func() any {
+	rw := &respWriter{memo: make(map[string][2]int)}
+	rw.enc = json.NewEncoder(rw)
+	return rw
+}}
+
+func (rw *respWriter) Write(p []byte) (int, error) {
+	rw.b = append(rw.b, p...)
+	return len(p), nil
+}
+
+// value appends v exactly as json.Marshal renders it; on failure b is
+// unchanged, because Encode writes nothing for a value it refuses.
+func (rw *respWriter) value(v any) error {
+	if err := rw.enc.Encode(v); err != nil {
+		return err
+	}
+	rw.b = rw.b[:len(rw.b)-1] // Encode's trailing newline
+	return nil
+}
+
+// finish settles the body: when building it failed, the error envelope
+// replaces it and status becomes 500. Either way it gains its trailing
+// newline. It returns the status the body goes out under.
+func (rw *respWriter) finish(status int, err error) int {
+	if err != nil {
+		status = http.StatusInternalServerError
+		rw.b = rw.b[:0]
+		_ = rw.value(errorBody{Error: err.Error()}) // a string always encodes
+	}
+	rw.b = append(rw.b, '\n')
+	return status
+}
+
+// Past these sizes a respWriter is dropped instead of pooled, as fmt does
+// with its printers, so one large kSPR batch does not keep its body and
+// memo alive in the pool. They sit well above a single kSPR answer (~120 KB
+// and ~120 distinct rows at p99 on analytic's index): with fmt's 64 KiB,
+// the writers those answers dropped put ~20 % on analytic's lat_p99_us.
+const (
+	maxPooledBytes = 1 << 20
+	maxPooledRows  = 4096
+)
+
+// send writes the settled body under status and returns rw to the pool.
+func (rw *respWriter) send(w http.ResponseWriter, status int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v) // headers are out; nothing useful to do on failure
+	_, _ = w.Write(rw.b) // headers are out; nothing useful to do on failure
+	if cap(rw.b) > maxPooledBytes || len(rw.memo) > maxPooledRows {
+		return
+	}
+	rw.b, rw.rows = rw.b[:0], 0
+	clear(rw.memo)
+	respPool.Put(rw)
+}
+
+// writeJSON answers v under status. The body is encoded before the status
+// line is written, so a value encoding/json refuses (NaN, ±Inf) answers 500
+// with the error envelope instead of a 200 with an empty body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	rw := respPool.Get().(*respWriter)
+	rw.send(w, rw.finish(status, rw.value(v)))
 }
 
 func badRequest(w http.ResponseWriter, format string, args ...interface{}) {

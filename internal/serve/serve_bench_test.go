@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -106,6 +107,21 @@ func BenchmarkServeUTKUncached(b *testing.B) {
 
 func BenchmarkServeUTKCached(b *testing.B) {
 	serveBench(b, NewHandler(serveBenchIndex(b), Config{}), sbUTK)
+}
+
+// BenchmarkServeKSPR is one kSPR request through the whole stack, for the
+// option and k whose answer has the most regions on the canonical index: a
+// read of the option→cells and rows columns, the export copy of the rows,
+// and the response writer formatting each distinct row once.
+func BenchmarkServeKSPR(b *testing.B) {
+	ix := serveBenchIndex(b)
+	focal, most := 0, -1
+	for f := 0; f < sbN; f++ {
+		if res, err := ix.KSPR(sbTau, f); err == nil && len(res.Regions) > most {
+			focal, most = f, len(res.Regions)
+		}
+	}
+	serveBench(b, NewHandler(ix, Config{}), fmt.Sprintf(`{"family":"kspr","focal":%d,"k":%d}`, focal, sbTau))
 }
 
 // BenchmarkServeWriterTopKParallel is the concurrent-throughput number:

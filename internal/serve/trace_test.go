@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -506,5 +508,71 @@ func TestHotCellsAdminSmoke(t *testing.T) {
 			t.Fatalf("bad n status %d", code)
 		}
 		srv.Close()
+	}
+}
+
+// TestEncodeSpan: a traced query builds its response body inside a
+// serve.encode span, a child of the handler span, carrying the body's bytes
+// and, for a kSPR answer, the rows it wrote and the distinct rows it
+// formatted. The hotels kSPR answer (focal 0, k=2) is two regions of 3 and
+// 4 rows, two of which repeat. A body encoding/json refuses reports the
+// bytes of the 500 error envelope that replaced it.
+func TestEncodeSpan(t *testing.T) {
+	srv := newServer(t)
+	for _, c := range []struct {
+		path, body         string
+		rows, distinctRows float64 // 0: no kSPR body
+	}{
+		{"/v1/query", `{"family":"kspr","focal":0,"k":2}`, 7, 5},
+		{"/v1/query", topkQuery, 0, 0},
+		{"/v1/query", `{"family":"nosuch"}`, 0, 0},
+		{"/v1/query/batch", `{"queries":[{"family":"kspr","focal":0,"k":2},` + topkQuery + `,{"family":"kspr","focal":0,"k":2}]}`, 14, 5},
+	} {
+		resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		trace, root, _, ok := obs.ParseTraceparent(resp.Header.Get("traceparent"))
+		if !ok {
+			t.Fatalf("%s: response traceparent %q does not parse", c.body, resp.Header.Get("traceparent"))
+		}
+		var out traceOut
+		getJSON(t, srv.URL+"/v1/admin/trace?n=50", &out)
+		var enc *obs.SpanNode
+		for _, tr := range out.Traces {
+			if tr.TraceID == trace.String() {
+				for _, ch := range tr.Tree.Children {
+					if ch.Name == "serve.encode" {
+						enc = ch
+					}
+				}
+			}
+		}
+		if enc == nil || enc.ParentID != obs.SpanIDString(root) {
+			t.Fatalf("%s: no serve.encode span under the handler span %s (got %+v)", c.body, obs.SpanIDString(root), enc)
+		}
+		if enc.Attrs["bytes"] != float64(len(body)) {
+			t.Fatalf("%s: bytes = %v, want %d", c.body, enc.Attrs["bytes"], len(body))
+		}
+		rows, hasRows := enc.Attrs["rows"]
+		if hasRows != (c.rows > 0) || rows != c.rows || enc.Attrs["distinctRows"] != c.distinctRows {
+			t.Fatalf("%s: attrs %v, want rows %v and distinctRows %v", c.body, enc.Attrs, c.rows, c.distinctRows)
+		}
+	}
+
+	var spans []obs.Span
+	sc := obs.SpanContext{Trace: obs.NewTraceID(), Span: obs.NewSpanID(),
+		Tracer: obs.TracerFunc(func(s obs.Span) { spans = append(spans, s) })}
+	req := httptest.NewRequest(http.MethodPost, "/v1/query", nil).WithContext(obs.ContextWithSpan(context.Background(), sc))
+	w := httptest.NewRecorder()
+	refused := &ksprBody{Regions: []tlx.Region{{Halfspaces: []tlx.Halfspace{{A: []float64{1, math.NaN()}, B: 0}}}}}
+	writeItems(w, req, []queryItem{{Result: refused, Stats: &queryStatsBody{}}}, false)
+	if len(spans) != 1 || spans[0].Name != "serve.encode" || spans[0].Err == nil || w.Code != http.StatusInternalServerError {
+		t.Fatalf("refused body: status %d, spans %+v", w.Code, spans)
+	}
+	if bytes, _ := spans[0].Get("bytes"); bytes != float64(w.Body.Len()) {
+		t.Fatalf("refused body: bytes = %v, want the %d sent (%q)", bytes, w.Body.Len(), w.Body)
 	}
 }
