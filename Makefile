@@ -104,16 +104,15 @@ recovery-bench:
 	@echo "wrote BENCH_recovery.json"
 
 # Durable write throughput against the committed BENCH_ingest.json
-# baseline: single-record inserts (the 1.0 fsyncs/rec reference), the
-# explicit batch path (0.016 fsyncs/rec at batch=64; its ns/op sits only a
-# little under Single's now that a single insert starts as warm as a batch
-# member, DESIGN.md §20), and
+# baseline: single-record inserts (the 1.0 fsyncs/rec reference, one index
+# rebuild per record), the explicit batch path (0.016 fsyncs/rec and one
+# rebuild per 64 records at batch=64, DESIGN.md §20), and
 # ≥8 concurrent writers coalescing through group commit (fsyncs/rec must
 # sit well under 1; the custom column lands in the JSON's "extra" map).
 # BenchmarkIngestSchedule (internal/index, no WAL) is one round of the load
 # benchmark's ingest_mixed per op — a fresh d=2, τ=6 index, then nine
-# batches of 16 options with 2 accepted — so the cold first batch and the
-# eight that start warm from the insert cache are both in the number.
+# batches of 16 options with 2 accepted, so nine rebuilds over the growing
+# pool.
 # 64 fixed iterations: every arrival is a realistic never-dominated one that
 # grows the skyband, and a fixed count keeps that growth identical between
 # baseline and fresh runs. Same 2x ns/op gate — with the

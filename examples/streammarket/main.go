@@ -1,6 +1,7 @@
 // Streammarket: maintaining a τ-LevelIndex under a stream of new product
-// arrivals (the paper's §6.2 update path). Each arrival is inserted with
-// the insertion-based machinery; the index answers MaxRank immediately, so
+// arrivals (the update problem of the paper's §6.2). An arrival that can
+// rank top-τ joins the option pool and the index is rebuilt over it; the
+// index answers MaxRank immediately, so
 // a provider sees where a new product lands in the market the moment it is
 // listed.
 package main

@@ -36,13 +36,31 @@ type Base struct {
 func NewBase(pts [][]float64) *Base {
 	m := len(pts)
 	b := &Base{m: m, out: make([][]int32, m), in: make([][]int32, m), adj: make([]uint64, (m*m+63)/64)}
+	// The bit matrix first; then out and in are windows of one slab each,
+	// sized by counting its rows and columns.
+	nOut, nIn := make([]int, m), make([]int, m)
+	edges := 0
 	for u := 0; u < m; u++ {
 		for v := 0; v < m; v++ {
 			if u != v && skyline.Dominates(pts[u], pts[v]) {
-				b.out[u] = append(b.out[u], int32(v))
-				b.in[v] = append(b.in[v], int32(u))
 				bit := u*m + v
 				b.adj[bit>>6] |= 1 << (bit & 63)
+				nOut[u]++
+				nIn[v]++
+				edges++
+			}
+		}
+	}
+	outSlab, inSlab := make([]int32, edges), make([]int32, edges)
+	for u := 0; u < m; u++ {
+		b.out[u], outSlab = outSlab[:0:nOut[u]], outSlab[nOut[u]:]
+		b.in[u], inSlab = inSlab[:0:nIn[u]], inSlab[nIn[u]:]
+	}
+	for u := 0; u < m; u++ {
+		for v := 0; v < m; v++ {
+			if b.HasEdge(int32(u), int32(v)) {
+				b.out[u] = append(b.out[u], int32(v))
+				b.in[v] = append(b.in[v], int32(u))
 			}
 		}
 	}
@@ -91,15 +109,39 @@ func NewGraph(base *Base) *Graph {
 	return g
 }
 
-// Clone returns an independent copy for a child cell.
-func (g *Graph) Clone() *Graph {
-	return &Graph{
-		base:     g.base,
-		consumed: slices.Clone(g.consumed),
-		added:    slices.Clone(g.added),
-		count:    slices.Clone(g.count),
-		pool:     slices.Clone(g.pool),
+// Clone returns an independent copy for a child cell. Its three int32
+// slices share one allocation, with a spare slot after consumed for the
+// Consume a child's graph gets next.
+func (g *Graph) Clone() *Graph { return &g.Clones(1)[0] }
+
+// Clones returns n independent copies, as n Clone calls would, in three
+// allocations: the graphs, their edge lists, and their int32 slices. Every
+// slice is capped where the next copy's begins, so growing one copies it
+// out.
+func (g *Graph) Clones(n int) []Graph {
+	nc, nk, np, ne := len(g.consumed), len(g.count), len(g.pool), len(g.added)
+	w := nc + 1 + nk + np
+	out := make([]Graph, n)
+	slab := make([]int32, n*w)
+	var edges []int64
+	if ne > 0 {
+		edges = make([]int64, n*ne)
 	}
+	for i := range out {
+		s := slab[i*w : (i+1)*w : (i+1)*w]
+		c := &out[i]
+		c.base = g.base
+		c.consumed = append(s[:0:nc+1], g.consumed...)
+		c.count = s[nc+1 : nc+1+nk : nc+1+nk]
+		c.pool = s[nc+1+nk:]
+		copy(c.count, g.count)
+		copy(c.pool, g.pool)
+		if ne > 0 {
+			c.added = edges[i*ne : (i+1)*ne : (i+1)*ne]
+			copy(c.added, g.added)
+		}
+	}
+	return out
 }
 
 // Pool returns the current candidate pool (unconsumed, unpruned), sorted.
@@ -134,20 +176,34 @@ func (g *Graph) addedOut(u int32) []int64 {
 // AddEdge records the cell-specific fact that u dominates v in this cell.
 // Duplicate additions are ignored. Adding an edge from a consumed node is a
 // bug in the caller and panics.
-func (g *Graph) AddEdge(u, v int32) {
-	if g.Consumed(u) || g.Consumed(v) {
-		panic(fmt.Sprintf("dg: edge %d->%d touches consumed node", u, v))
+func (g *Graph) AddEdge(u, v int32) { g.AddEdges([]int32{u}, []int32{v}) }
+
+// AddEdges records that us[i] dominates vs[i] in this cell for every i, as
+// that many AddEdge calls would, with one merge into the sorted edge list.
+func (g *Graph) AddEdges(us, vs []int32) {
+	var buf [16]int64
+	fresh := buf[:0]
+	for i, u := range us {
+		v := vs[i]
+		if g.Consumed(u) || g.Consumed(v) {
+			panic(fmt.Sprintf("dg: edge %d->%d touches consumed node", u, v))
+		}
+		if g.base.HasEdge(u, v) {
+			continue
+		}
+		if _, ok := slices.BinarySearch(g.added, edgeKey(u, v)); !ok {
+			fresh = append(fresh, edgeKey(u, v))
+		}
 	}
-	if g.base.HasEdge(u, v) {
+	if len(fresh) == 0 {
 		return
 	}
-	k := edgeKey(u, v)
-	i, ok := slices.BinarySearch(g.added, k)
-	if ok {
-		return
+	slices.Sort(fresh)
+	fresh = slices.Compact(fresh)
+	for _, k := range fresh {
+		g.count[edgeTarget(k)]++
 	}
-	g.added = slices.Insert(g.added, i, k)
-	g.count[v]++
+	g.added = unionSorted(g.added, fresh)
 }
 
 // Consume removes u from the pool because it became the cell's top-ℓ-th
@@ -184,14 +240,16 @@ func (g *Graph) DropAbove(threshold int32) {
 
 // Frontier returns the pool nodes with zero known dominators — the superset
 // of options that can rank next in this cell.
-func (g *Graph) Frontier() []int32 {
-	var out []int32
+func (g *Graph) Frontier() []int32 { return g.AppendFrontier(nil) }
+
+// AppendFrontier appends the frontier to dst and returns the result.
+func (g *Graph) AppendFrontier(dst []int32) []int32 {
 	for _, v := range g.pool {
 		if g.count[v] == 0 {
-			out = append(out, v)
+			dst = append(dst, v)
 		}
 	}
-	return out
+	return dst
 }
 
 // Merge combines the graphs of cells being merged into one cell (same top
@@ -261,8 +319,8 @@ func intersectSorted(a, b []int64) []int64 {
 }
 
 // unionSorted returns the sorted union of a and b in a new slice.
-func unionSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
+func unionSorted[T int32 | int64](a, b []T) []T {
+	out := make([]T, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

@@ -121,21 +121,6 @@ func (c *VerdictCache) StoreBool(k VerdictKey, verdict bool) {
 	}
 }
 
-// Reset forgets every memoized verdict, keeping the maps' storage and the
-// traffic counters: the per-record scope of the insert path, whose keys name
-// the arriving option and can never be hit once its round is over.
-func (c *VerdictCache) Reset() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		clear(s.m)
-		s.mu.Unlock()
-	}
-}
-
 // Stats reports cache traffic: hits, misses, and resident entries.
 func (c *VerdictCache) Stats() (hits, misses uint64, size int) {
 	if c == nil {

@@ -82,7 +82,12 @@ func NewHalfspace(a []float64, b float64) Halfspace {
 // PrefHalfspace returns H⁺(ri, rj) = {x : S(ri, x) ≥ S(rj, x)}, the set of
 // reduced preference vectors under which option ri scores at least rj.
 func PrefHalfspace(ri, rj []float64) Halfspace {
-	a := make([]float64, len(ri)-1)
+	return PrefHalfspaceInto(make([]float64, len(ri)-1), ri, rj)
+}
+
+// PrefHalfspaceInto is PrefHalfspace with the normal written into a (length
+// d−1) instead of a fresh slice, for callers that test many pairs in turn.
+func PrefHalfspaceInto(a, ri, rj []float64) Halfspace {
 	return Halfspace{A: a, B: prefInto(a, ri, rj)}
 }
 

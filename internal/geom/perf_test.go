@@ -62,6 +62,64 @@ func TestWitnessFastPathEquivalence(t *testing.T) {
 	}
 }
 
+// TestIntervalContainsMatchesLP: a one-dimensional region settles
+// ContainsHalfspace at its two ends, and must answer exactly as the LP does
+// — also for halfspaces whose boundary sits at an end to within the
+// containment tolerance, and for regions cut down to nothing.
+func TestIntervalContainsMatchesLP(t *testing.T) {
+	defer SetWitnessFastPaths(true)
+	rng := rand.New(rand.NewSource(23))
+	offsets := []float64{0, ContainTol, -ContainTol, ContainTol * (1 + 1e-9), ContainTol * (1 - 1e-9),
+		2 * ContainTol, -2 * ContainTol, 1e-13, -1e-13, 1e-3, -1e-3}
+	for trial := 0; trial < 300; trial++ {
+		reg, _ := randTightRegion(rng, 1, rng.Intn(8), 0.001+rng.Float64()*0.05)
+		if trial%10 == 0 {
+			// A cut that may leave nothing, or a sliver below spanGuard.
+			reg.Add(NewHalfspace([]float64{-1}, -rng.Float64()))
+		}
+		hi, okHi := reg.Clone().maximize([]float64{1})
+		negLo, okLo := reg.Clone().maximize([]float64{-1})
+		for hc := 0; hc < 12; hc++ {
+			var h Halfspace
+			switch {
+			case !okHi || !okLo || hc == 11:
+				h = NewHalfspace([]float64{rng.NormFloat64()}, rng.NormFloat64()*0.5)
+			case hc%2 == 0: // x ≤ hi + offset
+				h = Halfspace{A: []float64{1}, B: hi + offsets[rng.Intn(len(offsets))]}
+			default: // -x ≤ -lo + offset
+				h = Halfspace{A: []float64{-1}, B: negLo + offsets[rng.Intn(len(offsets))]}
+			}
+			SetWitnessFastPaths(false)
+			want := reg.Clone().ContainsHalfspace(h)
+			SetWitnessFastPaths(true)
+			if got := reg.ContainsHalfspace(h); got != want {
+				t.Fatalf("trial %d: ContainsHalfspace(%v) on %v = %v, LP = %v", trial, h, reg.HS, got, want)
+			}
+		}
+	}
+}
+
+// TestLineDirectionMatchesCos: lineDirection gives the sign of math.Cos on
+// the draws 2π·u the sampler makes, u = k/2⁵³: the 2²¹ draws nearest
+// each zero of the cosine, and random ones.
+func TestLineDirectionMatchesCos(t *testing.T) {
+	check := func(u float64) {
+		x := 2 * math.Pi * u
+		if c := math.Cos(x); c == 0 || math.Copysign(1, c) != lineDirection(x) {
+			t.Fatalf("u = %v: cos(2πu) = %v, lineDirection = %v", u, c, lineDirection(x))
+		}
+	}
+	for _, zero := range []int64{1 << 51, 3 << 51} { // u = 1/4 and 3/4
+		for k := zero - 1<<20; k < zero+1<<20; k++ {
+			check(float64(k) / (1 << 53))
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 1<<20; i++ {
+		check(rng.Float64())
+	}
+}
+
 // TestSimplexOnlyRegionConstantWitness: a region never constrained past its
 // simplex bounds carries the centroid as a ready witness — Feasible is
 // answered without any LP from the moment of construction.

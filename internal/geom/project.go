@@ -220,6 +220,41 @@ func (rs Rows) DistanceTo(x []float64) float64 {
 	return rs.project(x, &s)
 }
 
+// clipRows returns the rows hit-and-run must clip against to clip against
+// all of hs. On a line (one dimension) whose every nontrivial row has a
+// normal of exactly ±1, as normalized rows there do, those are the row of
+// each sign with the least offset: along either direction a row's clip
+// bound is a correctly rounded sum of ±B and the current point, monotone in
+// B, so no other row can give a tighter bound or a different bit. Anything
+// else clips against every row. The two rows are appended to out.
+func clipRows(hs, out []Halfspace) []Halfspace {
+	if len(hs) <= 2 || len(hs[0].A) != 1 {
+		return hs
+	}
+	up, down := -1, -1
+	for i, h := range hs {
+		switch h.A[0] {
+		case 1:
+			if up < 0 || h.B < hs[up].B {
+				up = i
+			}
+		case -1:
+			if down < 0 || h.B < hs[down].B {
+				down = i
+			}
+		case 0: // trivial: the clip skips it
+		default:
+			return hs
+		}
+	}
+	for _, i := range [2]int{up, down} {
+		if i >= 0 {
+			out = append(out, hs[i])
+		}
+	}
+	return out
+}
+
 // RandomInteriorPoints samples up to k points from the interior of the
 // region using hit-and-run from the Chebyshev center. It returns nil when
 // the region has no full-dimensional interior. rnd must return uniform
@@ -229,52 +264,87 @@ func (r *Region) RandomInteriorPoints(k int, rnd func() float64) [][]float64 {
 	if !ok {
 		return nil
 	}
-	return r.sampleFrom(center, k, rnd)
+	return r.SampleFrom(center, k, rnd)
 }
 
 // SampleFrom runs hit-and-run from a known interior point, avoiding the
 // Chebyshev LP. The builders use it to breed cell sample sets from
 // inherited witness points.
 func (r *Region) SampleFrom(start []float64, k int, rnd func() float64) [][]float64 {
-	return r.sampleFrom(start, k, rnd)
+	slab := make([]float64, k*r.Dim) // the k points, one allocation
+	r.SampleInto(slab, start, rnd)
+	pts := make([][]float64, k)
+	for i := range pts {
+		pts[i] = slab[i*r.Dim : (i+1)*r.Dim : (i+1)*r.Dim]
+	}
+	return pts
 }
 
-func (r *Region) sampleFrom(center []float64, k int, rnd func() float64) [][]float64 {
-	pts := make([][]float64, 0, k)
-	slab := make([]float64, k*r.Dim) // the k points, one allocation
-	cur := append([]float64(nil), center...)
-	dir := make([]float64, r.Dim)
-	for len(pts) < k {
-		// Random direction on the unit sphere via Box-Muller-ish normals.
-		norm := 0.0
-		for i := range dir {
-			u1 := math.Max(rnd(), 1e-12)
-			u2 := rnd()
-			dir[i] = math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-			norm += dir[i] * dir[i]
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			continue
-		}
-		for i := range dir {
-			dir[i] /= norm
+// lineDirection returns the sign of math.Cos(x) for x in [0, 2π) without
+// computing it. No float64 is a zero of the cosine, the nearest ones to π/2
+// and 3π/2 both lie below them, and math.Cos gets the sign right that close
+// (TestLineDirectionMatchesCos).
+func lineDirection(x float64) float64 {
+	if x <= math.Pi/2 || x > 3*math.Pi/2 {
+		return 1
+	}
+	return -1
+}
+
+// SampleInto is SampleFrom writing its len(dst)/r.Dim samples' coordinates
+// back to back into dst, so a caller can keep sample sets flat and carve
+// many out of one allocation.
+func (r *Region) SampleInto(dst []float64, center []float64, rnd func() float64) {
+	var curA, dirA [8]float64
+	cur, dir := curA[:0], dirA[:0]
+	if r.Dim > len(curA) {
+		cur, dir = make([]float64, 0, r.Dim), make([]float64, 0, r.Dim)
+	}
+	cur = append(cur, center...)
+	dir = dir[:r.Dim]
+	var bound [2]Halfspace
+	clip := clipRows(r.HS, bound[:0])
+	for len(dst) > 0 {
+		if len(dir) == 1 {
+			// On a line the normalised direction is the sign of the normal
+			// draw below: x/√(x·x) is ±1 exactly, and the radius factor is
+			// positive, so only the sign of the cosine decides. The draws
+			// are the same.
+			rnd()
+			dir[0] = lineDirection(2 * math.Pi * rnd())
+		} else {
+			// Random direction on the unit sphere via Box-Muller-ish normals.
+			norm := 0.0
+			for i := range dir {
+				u1 := math.Max(rnd(), 1e-12)
+				u2 := rnd()
+				dir[i] = math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+				norm += dir[i] * dir[i]
+			}
+			norm = math.Sqrt(norm)
+			if norm == 0 {
+				continue
+			}
+			for i := range dir {
+				dir[i] /= norm
+			}
 		}
 		// Clip the line cur + t·dir against every halfspace.
 		lo, hi := math.Inf(-1), math.Inf(1)
-		for _, h := range r.HS {
-			if triv, _ := h.Trivial(); triv {
-				continue
-			}
+		for _, h := range clip {
 			ad := Dot(h.A, dir)
 			ax := h.Eval(cur) // A·cur − B
 			switch {
 			case ad > 1e-12:
-				hi = math.Min(hi, -ax/ad)
+				if t := -ax / ad; t < hi {
+					hi = t
+				}
 			case ad < -1e-12:
-				lo = math.Max(lo, -ax/ad)
+				if t := -ax / ad; t > lo {
+					lo = t
+				}
 			default:
-				if ax > 0 {
+				if triv, _ := h.Trivial(); !triv && ax > 0 {
 					lo, hi = 1, 0 // infeasible direction; shouldn't happen
 				}
 			}
@@ -287,10 +357,7 @@ func (r *Region) sampleFrom(center []float64, k int, rnd func() float64) [][]flo
 		for i := range cur {
 			cur[i] += t * dir[i]
 		}
-		p := slab[:r.Dim:r.Dim]
-		slab = slab[r.Dim:]
-		pts = append(pts, p)
-		copy(p, cur)
+		copy(dst, cur)
+		dst = dst[r.Dim:]
 	}
-	return pts
 }

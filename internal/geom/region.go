@@ -39,9 +39,10 @@ func SetWitnessFastPaths(enabled bool) { fastPathsOff.Store(!enabled) }
 // Alongside the halfspace list a region caches cheap geometric certificates:
 // a witness point (any known interior point — the Chebyshev center of the
 // last feasibility LP, or a point supplied by SetWitness) with its worst
-// constraint slack, a canonical hash of the halfspace set, and an emptiness
-// flag. The predicates consult the certificates before building a tableau,
-// which answers the common cases in O(dim) instead of an LP solve.
+// constraint slack, a canonical hash of the halfspace set, an emptiness
+// flag, and for a one-dimensional region the interval it spans. The
+// predicates consult the certificates before building a tableau, which
+// answers the common cases in O(dim) instead of an LP solve.
 type Region struct {
 	Dim int
 	HS  []Halfspace
@@ -70,6 +71,12 @@ type Region struct {
 	// allocate per halfspace; see arenaAlloc. Reset truncates the current
 	// chunk.
 	arena []float64
+
+	// span is the interval [span[0], span[1]] a one-dimensional region
+	// covers, valid while spanSet; push clears the flag and ContainsHalfspace
+	// recomputes it on demand.
+	span    [2]float64
+	spanSet bool
 }
 
 // NewRegion returns the full reduced preference simplex of dimension dim.
@@ -91,6 +98,7 @@ func (r *Region) Reset(dim int) {
 	r.keys = r.keys[:0]
 	r.hash = 0
 	r.empty = false
+	r.spanSet = false
 	r.witness = r.witness[:0]
 	r.witnessSlack = 0
 	r.arena = r.arena[:0]
@@ -176,6 +184,7 @@ func (r *Region) push(h Halfspace) bool {
 	}
 	r.HS = append(r.HS, h)
 	r.keys = append(r.keys, k)
+	r.spanSet = false
 	r.hash += mix64(k)
 	if len(r.witness) == r.Dim && r.Dim > 0 {
 		if s := -h.Eval(r.witness); s < r.witnessSlack {
@@ -231,6 +240,7 @@ func (r *Region) CopyFrom(src *Region) *Region {
 	r.witness = append(r.witness[:0], src.witness...)
 	r.witnessSlack = src.witnessSlack
 	r.empty = src.empty
+	r.span, r.spanSet = src.span, src.spanSet
 	return r
 }
 
@@ -275,19 +285,6 @@ func (r *Region) computeSlack(x []float64) float64 {
 func (r *Region) cacheWitness(x []float64, slack float64) {
 	r.witness = append(r.witness[:0], x...)
 	r.witnessSlack = slack
-}
-
-// WitnessSlack returns the cached witness together with its exact slack
-// (min over HS of the distance to each constraint). Callers holding a
-// monotonically growing constraint set can carry the pair forward: the
-// slack of the same point after appending halfspaces is the min of this
-// value and the new constraints' slacks, no LP needed. The slice is
-// region-owned; copy it to outlive the region.
-func (r *Region) WitnessSlack() (x []float64, slack float64, ok bool) {
-	if len(r.witness) == r.Dim && r.Dim > 0 && r.witnessSlack > InteriorEps {
-		return r.witness, r.witnessSlack, true
-	}
-	return nil, 0, false
 }
 
 // ContainsPoint reports whether x satisfies every halfspace within tol.
@@ -446,7 +443,8 @@ func (r *Region) witnessIn() bool {
 
 // ContainsHalfspace reports whether h ⊇ region, i.e. every point of the
 // region satisfies h. Empty regions are vacuously contained. A witness on
-// the violating side of h refutes containment without an LP.
+// the violating side of h refutes containment without an LP, and a
+// one-dimensional region, an interval, is settled at its two ends.
 func (r *Region) ContainsHalfspace(h Halfspace) bool {
 	if triv, whole := h.Trivial(); triv {
 		return whole
@@ -458,11 +456,61 @@ func (r *Region) ContainsHalfspace(h Halfspace) bool {
 		witnessEscapes.Add(1)
 		return false // the witness itself escapes h
 	}
+	if r.Dim == 1 && !fastPathsOff.Load() {
+		if lo, hi, ok := r.interval(); ok {
+			// The LP's maximum is a·lo or a·hi up to its rounding, so a
+			// margin of spanGuard either way of the tolerance decides as
+			// the LP would; only a maximum inside the band goes to it.
+			max := h.A[0] * hi
+			if h.A[0] < 0 {
+				max = h.A[0] * lo
+			}
+			switch {
+			case max <= h.B+ContainTol-spanGuard:
+				return true
+			case max > h.B+ContainTol+spanGuard:
+				return false
+			}
+		}
+	}
 	max, ok := r.maximize(h.A)
 	if !ok {
 		return true // empty region
 	}
 	return max <= h.B+ContainTol
+}
+
+// spanGuard is the margin by which a one-dimensional answer must clear a
+// tolerance before it stands in for the LP's, far above the rounding of
+// either: the ends are single divisions of unit-normal rows, and the LP
+// optimum over one variable is one pivot on such a row.
+const spanGuard = 1e-12
+
+// interval returns the interval [lo, hi] a one-dimensional region covers,
+// with ok false when the region may be empty or thinner than spanGuard, in
+// which case the caller asks the LP. The LP's variable is nonnegative, so
+// lo starts at 0 as the LP's does; the simplex bounds cap hi.
+func (r *Region) interval() (lo, hi float64, ok bool) {
+	if !r.spanSet {
+		lo, hi = 0, math.Inf(1)
+		for _, h := range r.HS {
+			switch a := h.A[0]; {
+			case a > 0:
+				if b := h.B / a; b < hi {
+					hi = b
+				}
+			case a < 0:
+				if b := h.B / a; b > lo {
+					lo = b
+				}
+			case h.B < 0:
+				lo, hi = 1, 0 // a trivially empty row
+			}
+		}
+		r.span, r.spanSet = [2]float64{lo, hi}, true
+	}
+	lo, hi = r.span[0], r.span[1]
+	return lo, hi, hi-lo > spanGuard && !math.IsInf(hi, 1)
 }
 
 // Rel classifies the position of a hyperplane relative to a region.

@@ -88,6 +88,6 @@ func BenchmarkMergeLevel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.mergeLevel(ids)
+		ix.mergeLevel(ids, nil)
 	}
 }

@@ -72,21 +72,24 @@ type Config struct {
 	DropFullData bool
 	// Workers bounds the goroutines used for the per-cell LP work during
 	// construction and ExtendTau. Values below 1 select
-	// runtime.GOMAXPROCS(0). The built index is identical for every worker
-	// count: the parallel phases only compute, and all structural mutations
-	// are applied sequentially in input order.
+	// runtime.GOMAXPROCS(0). The partition builders run a d=2 build on one
+	// goroutine whatever the bound: its cells are too cheap to hand out.
+	// The built index is identical for every worker count: the parallel
+	// phases only compute, and all structural mutations are applied
+	// sequentially in input order.
 	Workers int
 	// Trace, when non-nil, receives build-phase spans: "build.filter",
 	// "build.<algorithm>", "build.compact", one "build.level" span per
 	// materialized level of the partition-based builders with its
 	// "build.level.compute", "build.level.apply" and "build.level.merge"
-	// phases, and "extend.level" spans from a later ExtendTau. nil
-	// disables tracing; instrumented code then only pays a nil check.
+	// phases, and "extend.level" spans from a later ExtendTau. The rebuild
+	// of an accepted InsertBatch emits the build spans again. nil disables
+	// tracing; instrumented code then only pays a nil check.
 	Trace obs.Tracer
 	// Progress, when non-nil, is called after every completed level of a
-	// partition-based build (and of ExtendTau) with cells/sec
-	// throughput, so long builds can be watched. Called from the build
-	// goroutine; it must not call back into the index.
+	// partition-based build (and of ExtendTau or an insert rebuild) with
+	// cells/sec throughput, so long builds can be watched. Called from the
+	// build goroutine; it must not call back into the index.
 	Progress func(BuildProgress)
 }
 
@@ -127,13 +130,19 @@ func Build(data [][]float64, cfg Config) (*Index, error) {
 	if d < 2 {
 		return nil, errors.New("index: need at least 2 attributes")
 	}
-	for _, r := range data {
+	for i, r := range data {
 		if len(r) != d {
 			return nil, errors.New("index: ragged dataset")
+		}
+		if !finite(r) {
+			return nil, fmt.Errorf("%w (dataset row %d)", errNotFinite, i)
 		}
 	}
 	if cfg.Tau < 1 {
 		return nil, errors.New("index: tau must be >= 1")
+	}
+	if cfg.Algorithm < PBAPlus || cfg.Algorithm > BSL {
+		return nil, fmt.Errorf("index: unknown algorithm %v", cfg.Algorithm)
 	}
 
 	var filterSpan obs.Span
@@ -194,64 +203,78 @@ func Build(data [][]float64, cfg Config) (*Index, error) {
 		Dim: d, Tau: tau,
 		Pts: pts, OrigIDs: orig,
 		workers:  cfg.Workers,
-		verdicts: dg.NewVerdictCache(),
 		trace:    cfg.Trace,
 		progress: cfg.Progress,
 	}
 	if !cfg.DropFullData {
 		ix.fullPts = data
 	}
-	ix.Stats.Algorithm = cfg.Algorithm.String()
 	ix.Stats.InputOptions = len(data)
-	ix.Stats.FilteredOptions = len(pts)
+	ix.build(cfg.Algorithm, cfg.Seed, dg.NewVerdictCache())
+	return ix, nil
+}
 
+// build constructs the cells over ix.Pts with algorithm alg and the verdict
+// memo verdicts (nil for none), discarding any cells ix held, and leaves the
+// index frozen with its statistics filled. It is the whole of Build after
+// the option filter, and the whole of an accepted InsertBatch: everything
+// else a built index holds (Dim, Tau, Pts, OrigIDs, fullPts,
+// Stats.InputOptions, the worker bound, the observability hooks, the
+// backing) is the caller's and is left as it is.
+func (ix *Index) build(alg Algorithm, seed int64, verdicts *dg.VerdictCache) {
+	// A rebuild sizes the new cell table from the old one: a build creates
+	// about twice the cells it keeps (merged ones are tombstoned).
+	ix.Cells, ix.Levels, ix.flat = make([]Cell, 0, 2*len(ix.Cells)), nil, nil
+	ix.verdicts = verdicts
+	ix.Stats = BuildStats{
+		Algorithm:       alg.String(),
+		InputOptions:    ix.Stats.InputOptions,
+		FilteredOptions: len(ix.Pts),
+	}
 	ix.newCell(0, NoOption, nil, []int32{})
 
 	var buildSpan obs.Span
-	if cfg.Trace != nil {
-		buildSpan = obs.StartSpan("build." + cfg.Algorithm.String())
+	if ix.trace != nil {
+		buildSpan = obs.StartSpan("build." + alg.String())
 	}
-	switch cfg.Algorithm {
+	switch alg {
 	case PBAPlus:
 		buildPBA(ix, true)
 	case PBA:
 		buildPBA(ix, false)
 	case IBA:
-		buildIBA(ix, skyline.LayerOrder(pts))
+		buildIBA(ix, skyline.LayerOrder(ix.Pts))
 	case IBAR:
-		order := make([]int, len(pts))
+		order := make([]int, len(ix.Pts))
 		for i := range order {
 			order[i] = i
 		}
-		rand.New(rand.NewSource(cfg.Seed)).Shuffle(len(order), func(i, j int) {
+		rand.New(rand.NewSource(seed)).Shuffle(len(order), func(i, j int) {
 			order[i], order[j] = order[j], order[i]
 		})
 		buildIBA(ix, order)
 	case BSL:
 		buildBSL(ix)
-	default:
-		return nil, fmt.Errorf("index: unknown algorithm %v", cfg.Algorithm)
 	}
 	ix.refreshVerdictStats()
-	if cfg.Trace != nil {
+	if ix.trace != nil {
 		buildSpan.Set("cells", float64(ix.NumCells()))
 		buildSpan.Set("lpCalls", float64(ix.Stats.LPCalls))
 		buildSpan.Set("verdictHits", float64(ix.Stats.VerdictHits))
 		buildSpan.Set("verdictMisses", float64(ix.Stats.VerdictMisses))
 		buildSpan.Set("verdictHitRate", ix.Stats.VerdictHitRate())
-		buildSpan.FinishTo(cfg.Trace)
+		buildSpan.FinishTo(ix.trace)
 	}
 	var compactSpan obs.Span
-	if cfg.Trace != nil {
+	if ix.trace != nil {
 		compactSpan = obs.StartSpan("build.compact")
 	}
 	ix.compact()
 	ix.fillCellStats()
-	if cfg.Trace != nil {
+	if ix.trace != nil {
 		compactSpan.Set("cells", float64(ix.NumCells()))
-		compactSpan.FinishTo(cfg.Trace)
+		compactSpan.FinishTo(ix.trace)
 	}
-	return ix, nil
 }
 
 // dedupeOptions removes exact duplicates, returning the unique points and a

@@ -15,12 +15,13 @@ import (
 // arrays (format X3), and the per-cell slice form survives only as the
 // build-time staging structure.
 //
-// Lifecycle: builders and the insertion/extension machinery mutate the
-// staging slices (Cell.Parents/Children/Bound). compact() finishes by
+// Lifecycle: the builders and the extension machinery mutate the staging
+// slices (Cell.Parents/Children/Bound). compact() finishes a build by
 // calling freeze(), which moves the adjacency into a flatDAG and nils the
-// staging slices. Mutation paths (InsertBatch, ExtendTau) call thaw()
-// first to materialize staging slices back from the flat form, do their
-// slice surgery, and re-freeze. All readers go through the childrenOf /
+// staging slices; an insert batch is a build, so it starts from no cells.
+// ExtendTau, the one mutation of a built index, calls thaw() first to
+// materialize staging slices back from the flat form, does its slice
+// surgery, and re-freezes. All readers go through the childrenOf /
 // parentsOf / boundOf accessors, which work in either mode.
 
 // flatDAG is the frozen CSR adjacency of an index.

@@ -14,9 +14,6 @@ import (
 // from the precomputed level-τ cells — and raises Tau to k. Only ExtendTau
 // calls it, and only on an index that holds its full dataset.
 func (ix *Index) ensureLevels(k int) {
-	// ExtendTau changes the depth the insert cache was sized for, so what
-	// the last batch left behind is dead weight.
-	ix.dropInsertCache()
 	// Extension creates cells and edges through the staging slices; thaw the
 	// flat form, extend, and re-freeze below.
 	ix.thaw()
@@ -56,7 +53,7 @@ func (ix *Index) ensureLevels(k int) {
 				created = append(created, child)
 			}
 		}
-		merged := ix.mergeLevel(created)
+		merged, _ := ix.mergeLevel(created, nil)
 		ix.Levels = append(ix.Levels, merged)
 		if instrumented {
 			ix.reportLevel("extend.level", l+1, k, len(merged),

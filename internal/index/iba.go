@@ -29,7 +29,7 @@ func buildIBA(ix *Index, order []int) {
 		st.inserted = append(st.inserted, st.rj)
 		st.mergeCreated()
 	}
-	ix.fixupEdges(newInsertCache())
+	ix.fixupEdges()
 	ix.rebuildLevels()
 }
 
@@ -46,94 +46,62 @@ func buildIBA(ix *Index, order []int) {
 // the level below (already settled), so the intersection LPs fan out over
 // the worker pool; tombstoning and parent assignment are then applied
 // sequentially in slice order.
-//
-// Regions and intersection outcomes come through ic (see insertCache):
-// Definition-2 regions of Bound-free cells and bounded regions of
-// Bound-carrying ones advance incrementally instead of rebuilding from
-// scratch, and parent-intersection outcomes are carried across rounds as
-// monotone certificates. Every shortcut reproduces the exact decision a scan
-// through an empty cache makes, so the resulting DAG is identical either
-// way; the builder passes an empty one.
-func (ix *Index) fixupEdges(ic *insertCache) {
-	ic.grow(len(ix.Cells))
-	clear(ic.byKey)
-	ic.groups = ic.groups[:0]
-	for len(ic.perLevel) <= ix.Tau {
-		ic.perLevel = append(ic.perLevel, nil)
-	}
-	for l := range ic.perLevel {
-		ic.perLevel[l] = ic.perLevel[l][:0]
-	}
-	ic.ids = ic.ids[:0]
+func (ix *Index) fixupEdges() {
+	fx := make([]fixupCell, len(ix.Cells))
+	byKey := make(map[string]int32)
+	var groups [][]int32 // groups[g] lists, ascending, the cells sharing one result set
+	perLevel := make([][]int32, ix.Tau+1)
+	var ids []int32 // every live cell below the root, ascending
+	var rbuf []int32
+	var keyBuf []byte
 	for i := range ix.Cells {
 		c := &ix.Cells[i]
-		e := &ic.cells[i]
 		if c.Level < 1 {
-			e.group = -1
+			fx[i].group = -1
 			continue
 		}
-		ic.rbuf = ix.resultSetInto(c.ID, ic.rbuf)
-		if e.key == "" || !int32sEqual(e.r, ic.rbuf) {
-			// A changed result set invalidates every certificate the cell
-			// participates in; regions are validated separately against the
-			// exact sequence, so the set-canonical key suffices here.
-			e.r = append(e.r[:0], ic.rbuf...)
-			ic.keyBuf = appendSetKey(ic.keyBuf[:0], e.r)
-			if string(ic.keyBuf) != e.key {
-				e.gen++
-				e.key = string(ic.keyBuf)
-			}
-		}
-		g, ok := ic.byKey[e.key]
+		rbuf = ix.resultSetInto(c.ID, rbuf)
+		keyBuf = appendSetKey(keyBuf[:0], rbuf)
+		g, ok := byKey[string(keyBuf)]
 		if !ok {
-			g = ic.newGroup()
-			ic.byKey[e.key] = g
+			g = int32(len(groups))
+			groups = append(groups, nil)
+			byKey[string(keyBuf)] = g
 		}
-		e.group = g
-		ic.groups[g] = append(ic.groups[g], c.ID)
-		ic.perLevel[c.Level] = append(ic.perLevel[c.Level], c.ID)
-		ic.ids = append(ic.ids, c.ID)
+		fx[i].group = g
+		groups[g] = append(groups[g], c.ID)
+		perLevel[c.Level] = append(perLevel[c.Level], c.ID)
+		ids = append(ids, c.ID)
 	}
-	// Bring every cell's region up to date, in parallel; each goroutine
-	// writes only its own entry. Parent chains stay untouched until the
-	// rewiring at the end, so these regions match what lazy reassembly
-	// would have produced. Bound-carrying cells use the (cheap) bounded
-	// form; Bound-free cells are the O(options) Definition-2 case.
-	pool.ForEach(ix.workers, len(ic.ids), func(i int) {
-		id := ic.ids[i]
-		e := &ic.cells[id]
-		if ix.Cells[id].Bound == nil {
-			e.reg, e.reused = ix.advanceRegion(&e.def2, id, e.r, len(ix.Pts))
-		} else {
-			e.reg, e.reused = ix.advanceBounded(&e.bounded, id, e.r)
-		}
-	})
-	for _, id := range ic.ids {
-		if ic.cells[id].reused {
-			ic.regionsReused++
-		} else {
-			ic.regionsRebuilt++
-		}
-	}
+	// Assemble every cell's region, in parallel. Parent chains stay
+	// untouched until the rewiring at the end, so each region is the one
+	// Region(id) gives now.
+	pool.ForEach(ix.workers, len(ids), func(i int) { fx[ids[i]].reg = ix.Region(ids[i]) })
 	// Compute the exact parent set of every cell, ascending by level so that
 	// cells whose regions turn out empty are tombstoned before they can act
 	// as parents. Result sets were captured above, so rewiring edges
 	// afterwards cannot corrupt them.
 	for l := 1; l <= ix.Tau; l++ {
-		ids := ic.perLevel[l]
+		lvl := perLevel[l]
 		if l == 1 {
-			for _, id := range ids {
-				e := &ic.cells[id]
-				e.parents = append(e.parents[:0], ix.Root())
+			for _, id := range lvl {
+				fx[id].parents = []int32{ix.Root()}
 			}
 			continue
 		}
-		pool.ForEach(ix.workers, len(ids), func(i int) { ix.scanParents(ic, ids[i]) })
-		for _, id := range ids {
-			e := &ic.cells[id]
-			ix.Stats.LPCalls += e.scan.lpCalls
-			ic.pairLPs += e.scan.pairLPs
-			ic.pairSkips += e.scan.skips
+		// A cell's result sequence is its first parent's plus its own
+		// option, so the first parent's group is the child's prefix.
+		pool.ForEach(ix.workers, len(lvl), func(i int) {
+			id := lvl[i]
+			var cands []int32
+			if g := fx[ix.Cells[id].Parents[0]].group; g >= 0 {
+				cands = groups[g]
+			}
+			ix.exactScan(fx, id, cands)
+		})
+		for _, id := range lvl {
+			e := &fx[id]
+			ix.Stats.LPCalls += e.lpCalls
 			if len(e.parents) > 0 {
 				continue
 			}
@@ -141,11 +109,11 @@ func (ix *Index) fixupEdges(ic *insertCache) {
 			// own region is empty (a stale structural leftover — drop
 			// it), or everything is degenerate within tolerance (keep
 			// the best boundary-touching parent so paths stay intact).
-			if e.scan.fallback < 0 {
+			if e.fallback < 0 {
 				ix.Cells[id].Level = -1
 				continue
 			}
-			e.parents = append(e.parents, e.scan.fallback)
+			e.parents = append(e.parents, e.fallback)
 		}
 	}
 	// Rewire. Candidates are scanned in ascending id order and cells are
@@ -161,35 +129,29 @@ func (ix *Index) fixupEdges(ic *insertCache) {
 		if c.Level < 1 {
 			continue
 		}
-		c.Parents = append(c.Parents[:0], ic.cells[i].parents...)
+		c.Parents = append(c.Parents[:0], fx[i].parents...)
 		for _, p := range c.Parents {
 			ix.Cells[p].Children = append(ix.Cells[p].Children, c.ID)
 		}
 	}
 }
 
-// scanParents settles the parents of cell id, a cell of level two or
-// deeper, into its cache entry. Its candidates are the cells sharing the
-// result set of its first parent: the cell's result sequence is that
-// parent's plus its own option, so that set is the child's prefix.
-func (ix *Index) scanParents(ic *insertCache, id int32) {
-	e := &ic.cells[id]
-	e.scan = scanResult{fallback: -1}
-	var cands []int32
-	if g := ic.cells[ix.Cells[id].Parents[0]].group; g >= 0 {
-		cands = ic.groups[g]
-	}
-	if !ix.certScan(ic, id, cands) {
-		ix.exactScan(ic, id, cands)
-	}
+// fixupCell is fixupEdges' scratch for one cell: its result-set group, its
+// region, and what its parent scan decided.
+type fixupCell struct {
+	group    int32
+	reg      *geom.Region
+	parents  []int32
+	fallback int32 // best boundary-touching parent, -1 when none
+	lpCalls  int64
 }
 
-// exactScan is the reference computation: one full intersection LP per
-// live candidate, plus the empty-or-degenerate check when none passes.
-func (ix *Index) exactScan(ic *insertCache, id int32, cands []int32) {
-	e := &ic.cells[id]
-	e.parents = e.parents[:0]
-	e.scan.fallback = -1
+// exactScan settles the parents of cell id, a cell of level two or
+// deeper: one full intersection LP per live candidate, plus the
+// empty-or-degenerate check when none passes.
+func (ix *Index) exactScan(fx []fixupCell, id int32, cands []int32) {
+	e := &fx[id]
+	e.fallback = -1
 	var fallbackMargin float64
 	comb := geom.GetRegion()
 	defer geom.PutRegion(comb)
@@ -198,117 +160,24 @@ func (ix *Index) exactScan(ic *insertCache, id int32, cands []int32) {
 			continue // parent was tombstoned
 		}
 		comb.CopyFrom(e.reg)
-		comb.Add(ic.cells[p].reg.HS...)
-		e.scan.lpCalls++
-		e.scan.pairLPs++
+		comb.Add(fx[p].reg.HS...)
+		e.lpCalls++
 		if m, ok := comb.FeasibleMargin(); ok {
 			if m > geom.InteriorEps {
 				e.parents = append(e.parents, p)
-			} else if e.scan.fallback < 0 || m > fallbackMargin {
-				e.scan.fallback, fallbackMargin = p, m
+			} else if e.fallback < 0 || m > fallbackMargin {
+				e.fallback, fallbackMargin = p, m
 			}
 		}
 	}
 	if len(e.parents) == 0 {
 		// No full-dimensional parent intersection: decide between
 		// dropping the cell and keeping its best boundary parent.
-		e.scan.lpCalls++
+		e.lpCalls++
 		if !e.reg.Feasible() {
-			e.scan.fallback = -1
+			e.fallback = -1
 		}
 	}
-}
-
-// certScan settles candidates through the pair certificates. Regions only
-// shrink while generations hold, so a failed pair is skipped outright and a
-// passed pair re-verifies its witness against only the halfspaces appended
-// since the last full LP. ok=false means the fallback bookkeeping is
-// incomplete (candidates were skipped yet no parent emerged — a rare case
-// that needs exact margins); the caller must then run exactScan, which
-// reproduces the reference decision.
-func (ix *Index) certScan(ic *insertCache, id int32, cands []int32) (ok bool) {
-	e := &ic.cells[id]
-	e.parents = e.parents[:0]
-	var fallbackMargin float64
-	cGen := e.gen
-	nc := len(e.reg.HS)
-	skipped := false
-	comb := geom.GetRegion()
-	defer geom.PutRegion(comb)
-	for _, p := range cands {
-		if ix.Cells[p].Level < 0 {
-			continue // parent was tombstoned
-		}
-		pe := &ic.cells[p]
-		pGen := pe.gen
-		np := len(pe.reg.HS)
-		ps := e.pair(p)
-		if ps.cGen == cGen && ps.pGen == pGen {
-			if ps.failed {
-				// Monotone: the margin was ≤ InteriorEps (or the
-				// intersection empty) and regions have only shrunk.
-				skipped = true
-				e.scan.skips++
-				continue
-			}
-			if len(ps.w) > 0 && ps.nc <= nc && ps.np <= np {
-				// Witness re-verification: the constraint prefixes are
-				// stable while generations hold, so the cached slack
-				// only needs tightening by the appended halfspaces.
-				s := ps.slack
-				for _, h := range e.reg.HS[ps.nc:nc] {
-					if v := -h.Eval(ps.w); v < s {
-						s = v
-					}
-				}
-				for _, h := range pe.reg.HS[ps.np:np] {
-					if v := -h.Eval(ps.w); v < s {
-						s = v
-					}
-				}
-				if s > geom.InteriorEps {
-					// The witness is still strictly interior: the true
-					// margin is ≥ s, the same verdict the LP would give.
-					ps.slack, ps.nc, ps.np = s, nc, np
-					e.parents = append(e.parents, p)
-					e.scan.skips++
-					continue
-				}
-				// Witness cut off — margin unknown, rerun the LP below.
-			}
-		}
-		comb.CopyFrom(e.reg)
-		comb.Add(pe.reg.HS...)
-		e.scan.lpCalls++
-		e.scan.pairLPs++
-		ps.cGen, ps.pGen, ps.failed, ps.w = cGen, pGen, true, ps.w[:0]
-		if m, ok := comb.FeasibleMargin(); ok {
-			if m > geom.InteriorEps {
-				e.parents = append(e.parents, p)
-				if w, s, wok := comb.WitnessSlack(); wok {
-					ps.failed = false
-					ps.w = append(ps.w[:0], w...)
-					ps.slack, ps.nc, ps.np = s, nc, np
-				} else {
-					// Passed without a usable certificate: leave the
-					// pair unknown so the next round reruns the LP.
-					ps.cGen = cGen - 1
-				}
-			} else if e.scan.fallback < 0 || m > fallbackMargin {
-				e.scan.fallback, fallbackMargin = p, m
-			}
-		}
-	}
-	if len(e.parents) == 0 {
-		if skipped {
-			return false
-		}
-		e.scan.lpCalls++
-		if !e.reg.Feasible() {
-			e.scan.fallback = -1
-		}
-	}
-	return true
 }
 
 func (ix *Index) unlinkEdge(parent, child int32) {
@@ -331,8 +200,8 @@ func (ix *Index) unlinkEdge(parent, child int32) {
 }
 
 // ibaState is the insertion machinery's state. One value serves every
-// record of a build or of an index's inserts: begin starts the next round
-// and the scratch below is reused.
+// record of a build: begin starts the next round and the scratch below is
+// reused.
 type ibaState struct {
 	ix       *Index
 	rj       int32
@@ -347,20 +216,14 @@ type ibaState struct {
 	visited []uint32
 	epoch   uint32
 	// verdicts memoizes classification and feasibility LPs on the region
-	// hash: the build's cache for the builder, a per-record one for inserts.
+	// hash.
 	verdicts *dg.VerdictCache
-	// cache, when non-nil (inserts into a built index), carries
-	// Definition-2 regions across records so they advance by appending
-	// instead of rebuilding. Requires the inserted universe to be the
-	// ascending prefix [0, rj) of the options, which appending guarantees.
-	cache *insertCache
 
 	// stack holds the adjacency snapshots of the recursion's live frames:
 	// a frame iterates a copy of a list the calls below it edit.
 	stack   []int32
 	memo    map[int32]int32 // cloneUnder's old cell → clone, per split
 	byLevel [][]int32       // mergeCreated
-	rbuf    []int32
 }
 
 // begin starts the insertion round of option rj.
@@ -395,7 +258,7 @@ func (st *ibaState) mergeCreated() {
 	}
 	for l := 1; l <= ix.Tau; l++ {
 		if len(st.byLevel[l]) > 1 {
-			ix.mergeLevel(st.byLevel[l])
+			ix.mergeLevel(st.byLevel[l], nil)
 		}
 	}
 }
@@ -405,25 +268,6 @@ func (st *ibaState) mergeCreated() {
 func (st *ibaState) regionOver(id int32, withRJ bool) *geom.Region {
 	ix := st.ix
 	c := &ix.Cells[id]
-	if st.cache != nil && c.Opt != NoOption {
-		// The inserted options are [0, rj), so the two universes are the
-		// ascending prefixes Pts[:rj] and Pts[:rj+1]; the cached region
-		// advances to either by appending, in exactly the constraint order
-		// the uncached build below would produce.
-		target := int(st.rj)
-		if withRJ {
-			target++
-		}
-		st.rbuf = ix.resultSetInto(id, st.rbuf)
-		st.cache.grow(len(ix.Cells))
-		reg, reused := ix.advanceRegion(&st.cache.cells[id].def2, id, st.rbuf, target)
-		if reused {
-			st.cache.regionsReused++
-		} else {
-			st.cache.regionsRebuilt++
-		}
-		return reg
-	}
 	reg := geom.NewRegion(ix.RDim())
 	if c.Opt == NoOption {
 		return reg

@@ -42,7 +42,11 @@ type Cell struct {
 }
 
 // BuildStats carries the instrumentation reported in the paper's Table 4
-// and Figures 9–11.
+// and Figures 9–11. They describe the build that made the current cells:
+// an InsertBatch that accepts an option rebuilds the index with PBA⁺, so
+// from then on every figure, Algorithm ("PBA+") included, is that
+// rebuild's, whichever algorithm built the index first. InputOptions is
+// the one figure carried across.
 type BuildStats struct {
 	Algorithm       string
 	InputOptions    int // |D|
@@ -56,8 +60,8 @@ type BuildStats struct {
 	LPCalls              int64
 	// VerdictCache effectiveness over the build (and any later extension):
 	// memoized LP verdicts served vs computed fresh, and entries held.
-	// Like the cache itself these are not serialized; a loaded index
-	// reports zeros.
+	// Like the cache itself these are not serialized; a loaded index, and
+	// one an insert rebuilt (which runs without the cache), report zeros.
 	VerdictHits    uint64
 	VerdictMisses  uint64
 	VerdictEntries int
@@ -107,20 +111,13 @@ type Index struct {
 	// which disables them at the cost of one nil check. Not serialized.
 	trace    obs.Tracer
 	progress func(BuildProgress)
-	// icache carries derived per-cell geometry from one InsertBatch to the
-	// next (see insertCache): nil until the first accepted insert, after a
-	// load, after ExtendTau, and whenever the last batch left it
-	// over budget. Writer-owned and never serialized. icacheDrops counts
-	// the times a cache was discarded.
-	icache      *insertCache
-	icacheDrops uint64
-
 	// aliasedBytes counts the bytes of index state (coords + CSR arenas)
 	// that alias a caller-owned buffer instead of the heap (ReadBytes with
 	// alias=true); 0 for a fully heap-backed index. backing is that
 	// buffer's releaser — typically an mmap — closed via CloseBacking once
 	// the index is discarded. Mutation is safe while it is set: thaw()
-	// copies the arenas before edits and inserts only append fresh rows.
+	// copies the arenas before ExtendTau's edits, and an insert appends
+	// fresh rows to Pts and rebuilds the cells on the heap.
 	aliasedBytes int64
 	backing      io.Closer
 }
@@ -157,7 +154,8 @@ func (ix *Index) refreshVerdictStats() {
 
 // VerdictEntries returns the number of verdicts the build-time cache holds
 // right now (Stats.VerdictEntries is the figure as of the last build or
-// extension); 0 for a loaded index, which has no cache.
+// extension); 0 for a loaded index or one an insert rebuilt, which have no
+// cache.
 func (ix *Index) VerdictEntries() int {
 	_, _, size := ix.verdicts.Stats()
 	return size
@@ -233,6 +231,26 @@ func (ix *Index) rKey(id int32) string {
 	var arr [64]byte
 	key := appendSetKey(arr[:0], *buf)
 	return string(binary.BigEndian.AppendUint32(key, uint32(ix.Cells[id].Opt)))
+}
+
+// childKey returns the rKey of a new child cell for opt under a cell whose
+// result set, sorted ascending, is sorted: the same bytes, without walking
+// the child's parent chain.
+func childKey(sorted []int32, opt int32) string {
+	var arr [64]byte
+	key := arr[:0]
+	placed := false
+	for _, v := range sorted {
+		if !placed && opt < v {
+			key = binary.BigEndian.AppendUint32(key, uint32(opt))
+			placed = true
+		}
+		key = binary.BigEndian.AppendUint32(key, uint32(v))
+	}
+	if !placed {
+		key = binary.BigEndian.AppendUint32(key, uint32(opt))
+	}
+	return string(binary.BigEndian.AppendUint32(key, uint32(opt)))
 }
 
 // Region reconstructs the cell's geometric region in reduced preference
@@ -392,15 +410,14 @@ func (ix *Index) rebuildLevels() {
 }
 
 // compact removes tombstoned cells, renumbers ids densely, and freezes the
-// adjacency into the flat CSR form (csr.go) — the final step of every build
-// and update.
+// adjacency into the flat CSR form (csr.go) — the final step of every build,
+// and so of every accepted insert batch.
 func (ix *Index) compact() {
-	ix.thaw()
 	remap := make([]int32, len(ix.Cells))
 	for i := range remap {
 		remap[i] = -1
 	}
-	var live []Cell
+	live := make([]Cell, 0, ix.NumCells())
 	for i := range ix.Cells {
 		if ix.Cells[i].Level >= 0 {
 			remap[i] = int32(len(live))
@@ -414,31 +431,8 @@ func (ix *Index) compact() {
 		c.Children = remapIDs(c.Children, remap)
 	}
 	ix.Cells = live
-	if ix.icache != nil {
-		ix.icache.remap(remap, len(live))
-	}
 	ix.rebuildLevels()
 	ix.freeze()
-}
-
-// dropInsertCache discards the insert cache; the next accepted insert
-// starts cold.
-func (ix *Index) dropInsertCache() {
-	if ix.icache != nil {
-		ix.icache = nil
-		ix.icacheDrops++
-	}
-}
-
-// InsertCacheStats reports the estimated bytes held by the insert cache the
-// index keeps between batches (0 when it holds none) and how many times one
-// was discarded: over budget at the end of a batch, or invalidated by
-// ExtendTau. Like every read of the index it must not run beside an insert.
-func (ix *Index) InsertCacheStats() (bytes int64, drops uint64) {
-	if ix.icache != nil {
-		bytes = ix.icache.bytes()
-	}
-	return bytes, ix.icacheDrops
 }
 
 func remapIDs(ids []int32, remap []int32) []int32 {
@@ -453,23 +447,45 @@ func remapIDs(ids []int32, remap []int32) []int32 {
 
 // mergeLevel merges the given cells (all at the same level) that share the
 // same (R set, opt): parents, children, and bounds are unioned, absorbed
-// cells are tombstoned, and edges rewired. It returns the surviving ids.
-func (ix *Index) mergeLevel(ids []int32) []int32 {
-	groups := make(map[string][]int32)
-	order := make([]string, 0, len(ids))
-	for _, id := range ids {
-		k := ix.rKey(id)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+// cells are tombstoned, and edges rewired. It returns the surviving ids, in
+// order of first appearance, and for each position in ids the index in out
+// of the cell it became part of. keys, when not nil, holds each cell's
+// rKey; otherwise each is computed once here.
+func (ix *Index) mergeLevel(ids []int32, keys []string) (out []int32, groupOf []int) {
+	first := make(map[string]int, len(ids))
+	groupOf = make([]int, len(ids))
+	// nextDup[i] is the position of the next cell merged into the same
+	// survivor as position i, or -1; last tracks each group's tail.
+	nextDup := make([]int, len(ids))
+	var last []int
+	for i, id := range ids {
+		nextDup[i] = -1
+		var k string
+		if keys != nil {
+			k = keys[i]
+		} else {
+			k = ix.rKey(id)
 		}
-		groups[k] = append(groups[k], id)
+		if g, ok := first[k]; ok {
+			groupOf[i] = g
+			nextDup[last[g]] = i
+			last[g] = i
+			continue
+		}
+		first[k] = len(out)
+		groupOf[i] = len(out)
+		out = append(out, id)
+		last = append(last, i)
 	}
-	var out []int32
-	for _, k := range order {
-		g := groups[k]
-		keep := g[0]
-		out = append(out, keep)
-		if len(g) == 1 {
+	if len(out) == len(ids) {
+		return out, groupOf
+	}
+	head := 0 // survivors appear in ids in the order of out
+	for _, keep := range out {
+		for ids[head] != keep {
+			head++
+		}
+		if nextDup[head] < 0 {
 			continue
 		}
 		kc := &ix.Cells[keep]
@@ -477,7 +493,8 @@ func (ix *Index) mergeLevel(ids []int32) []int32 {
 		for _, b := range kc.Bound {
 			boundSet[b] = true
 		}
-		for _, dup := range g[1:] {
+		for di := nextDup[head]; di >= 0; di = nextDup[di] {
+			dup := ids[di]
 			dc := &ix.Cells[dup]
 			// Rewire parents.
 			for _, p := range dc.Parents {
@@ -505,7 +522,7 @@ func (ix *Index) mergeLevel(ids []int32) []int32 {
 		kc.Parents = dedupeIDs(kc.Parents)
 		kc.Children = dedupeIDs(kc.Children)
 	}
-	return out
+	return out, groupOf
 }
 
 func replaceID(s *[]int32, from, to int32) {

@@ -2,154 +2,135 @@ package index
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"tlevelindex/internal/skyline"
 )
 
-// BatchStats reports what one InsertBatch call actually did — the numbers
-// the serve layer attaches to its ingest spans and the bench harness
-// reports. Timings cover the amortized phases only: ThawNS is the one
-// CSR→staging copy the whole batch shares, FinalizeNS the single
-// compact/fillCellStats tail.
-type BatchStats struct {
-	// Accepted counts options that survived the τ-skyband and duplicate
-	// prefilters and mutated the index.
-	Accepted int
-	// ThawNS is the wall time of the single thaw() (0 when every option was
-	// filtered and the index was never touched).
-	ThawNS int64
-	// FinalizeNS is the wall time of the shared compact/stats tail.
-	FinalizeNS int64
-	// RegionsReused counts the cell regions the batch's accepted records
-	// asked for (traversal and edge fix-up) that the insert cache served by
-	// appending to constraints it held; RegionsRebuilt those assembled from
-	// nothing — every one of a cold batch's first record.
-	RegionsReused, RegionsRebuilt int
-	// PairLPs counts the parent-intersection LPs the edge fix-up ran,
-	// PairSkips the pairs a cached certificate settled without one.
-	PairLPs, PairSkips int
-	// CacheBytes is the estimated footprint of the insert cache the index
-	// keeps for the next batch; 0 when the batch accepted nothing or left
-	// the cache over budget, so that it was dropped.
-	CacheBytes int64
+// errNotFinite rejects an option with a NaN or infinite coordinate: it
+// scores NaN or ±Inf under some weight vector, so no rank order over it
+// exists, and once in the pool it would take part in every later rebuild.
+var errNotFinite = errors.New("index: option has a non-finite coordinate")
+
+// finite reports whether every coordinate of r is a finite number.
+func finite(r []float64) bool {
+	for _, v := range r {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
-// InsertBatch adds newly arrived options to a built index, in order: the
-// update path of §6.2 ("For a new arriving option r, IBA inserts it into
-// the τ-LevelIndex accordingly"). The insertion-based machinery classifies
-// each option against the existing cells, splits and shifts where needed,
-// merges duplicates, and re-derives exact edges. An option joins the
-// filtered set only when it can rank within τ — it survives the τ-skyband
-// test against the pool as grown by the records before it — and is not an
-// exact duplicate of a pool member; otherwise it changes nothing.
+// BatchStats reports what one InsertBatch call did — the numbers the serve
+// layer attaches to its ingest spans and the bench harness reports.
+type BatchStats struct {
+	// Accepted counts options that survived the τ-skyband and duplicate
+	// prefilters and joined the pool.
+	Accepted int
+	// ThawNS is always 0: a batch no longer thaws the index, it rebuilds it.
+	// The field stays only for the readers that still report it.
+	ThawNS int64
+	// FinalizeNS is the wall time of the rebuild over the grown pool (0 when
+	// every option was filtered and the index was never touched).
+	FinalizeNS int64
+}
+
+// InsertBatch adds newly arrived options to a built index, in order. An
+// option joins the pool only when it can rank within τ — it survives the
+// τ-skyband test against the pool as grown by the records before it — and
+// is not an exact duplicate of a pool member; otherwise it changes nothing.
+// Accepted options take the next filtered ids, so the ids already handed
+// out never move.
 //
-// The returned ids and the final structure are exactly those of inserting
-// the options in N batches of one, but the O(total-cells) maintenance is
-// amortized: one thaw() materializes the staging adjacency for the whole
-// batch, the cells' regions and parent certificates and the insertion
-// scratch come from the index's insertCache — across records and, while it
-// stays within its budget, across batches — and the compact (CSR re-freeze)
-// plus fillCellStats tail runs once. fixupEdges still runs after every
-// record: the next record's traversal classifies against the adjacency it
-// sees, and only the exact Definition-4 edges keep the batch result
-// byte-identical to the one-at-a-time path (structural creation-time edges
-// steer later insertions down different traversal orders, permuting cell
-// ids).
+// The paper updates the index with IBA (§6.2: "IBA inserts it into the
+// τ-LevelIndex accordingly"). Here a batch that accepts anything instead
+// replaces the cells with a PBA⁺ build over the grown pool, the same build
+// Build runs after its filter, with no second skyband pass. The index after
+// a batch is therefore the one Build(pool, SkipFilter) makes, byte for
+// byte once the ids and the input size are carried over, however the
+// options were cut into batches; DESIGN §20 has the measurements that
+// retired the IBA update path.
 //
 // ids[i] is the filtered id of rs[i], or -1 when it was filtered out or
-// errs[i] is non-nil. A per-item dimensionality mismatch rejects only that
-// item. A batch whose every option is filtered leaves the index untouched
-// (no thaw, no re-freeze).
+// errs[i] is non-nil. A per-item dimensionality mismatch or non-finite
+// coordinate rejects only that item. A batch whose every option is filtered
+// leaves the index untouched.
 func (ix *Index) InsertBatch(rs [][]float64) ([]int32, []error, BatchStats) {
+	ids, errs, stats := ix.AdmitBatch(rs)
+	if stats.Accepted > 0 {
+		stats.FinalizeNS = ix.Rebuild()
+	}
+	return ids, errs, stats
+}
+
+// AdmitBatch is the first half of InsertBatch: it filters rs and appends
+// the accepted options to the pool, returning the same ids and errors, but
+// leaves the cells as they were. Until Rebuild runs, which it must when
+// stats.Accepted > 0, the index answers no query and is not serialized.
+func (ix *Index) AdmitBatch(rs [][]float64) ([]int32, []error, BatchStats) {
 	ids := make([]int32, len(rs))
 	errs := make([]error, len(rs))
 	var stats BatchStats
-	for i := range ids {
-		ids[i] = -1
-	}
-	// Set on the first accepted record: a fully filtered batch must not thaw
-	// (and re-freeze) the index at all.
-	var cache *insertCache
 	for bi, r := range rs {
-		if len(r) != ix.Dim {
+		ids[bi] = -1
+		switch {
+		case len(r) != ix.Dim:
 			errs[bi] = errors.New("index: option dimensionality mismatch")
 			continue
-		}
-		// τ-skyband check against the pool as of this record: if τ options of
-		// it (earlier batch members included) dominate r, it can never rank
-		// top-τ.
-		dominators := 0
-		filtered := false
-		for _, p := range ix.Pts {
-			if skyline.Dominates(p, r) {
-				dominators++
-				if dominators >= ix.Tau {
-					filtered = true
-					break
-				}
-			}
-		}
-		if filtered {
+		case !finite(r):
+			errs[bi] = errNotFinite
+			continue
+		case ix.dominatedTau(r):
 			continue
 		}
-		dup := false
-		for i, p := range ix.Pts {
-			if equalVec(p, r) {
-				ids[bi] = int32(i) // duplicate of the pool or an earlier batch member
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if i := ix.poolIndex(r); i >= 0 {
+			ids[bi] = i // duplicate of the pool or an earlier batch member
 			continue
 		}
-		if cache == nil {
-			// The insertion machinery does slice surgery on the staging
-			// adjacency; materialize it from the flat form first. compact()
-			// re-freezes at the end.
-			thawStart := time.Now()
-			ix.thaw()
-			stats.ThawNS = time.Since(thawStart).Nanoseconds()
-			// Regions and parent certificates come from the cache the last
-			// batch left behind, when it left one (see insertCache).
-			if ix.icache == nil {
-				ix.icache = newInsertCache()
-			}
-			cache = ix.icache
-			cache.beginBatch(ix)
-		}
-		rj := int32(len(ix.Pts))
+		ids[bi] = int32(len(ix.Pts))
 		ix.Pts = append(ix.Pts, append([]float64(nil), r...))
 		ix.OrigIDs = append(ix.OrigIDs, -1)
 		if ix.fullPts != nil {
 			ix.fullPts = append(ix.fullPts, append([]float64(nil), r...))
 		}
-		cache.verdicts.Reset()
-		cache.st.begin(rj)
-		cache.st.insert(ix.Root())
-		cache.st.mergeCreated()
-		// Re-derive exact edges before the next record's traversal: the next
-		// insertion classifies against this adjacency, and matching the
-		// one-at-a-time path record for record is what keeps a batch-built
-		// index byte-identical to it. The expensive compact (CSR re-freeze)
-		// still runs only once, below.
-		ix.fixupEdges(cache)
-		ids[bi] = rj
 		stats.Accepted++
 	}
-	if stats.Accepted > 0 {
-		finalizeStart := time.Now()
-		ix.compact() // renumbers the cells, and the cache's entries with them
-		ix.fillCellStats()
-		stats.RegionsReused, stats.RegionsRebuilt = cache.regionsReused, cache.regionsRebuilt
-		stats.PairLPs, stats.PairSkips = cache.pairLPs, cache.pairSkips
-		if held := cache.bytes(); held <= insertCacheBudget {
-			stats.CacheBytes = held
-		} else {
-			ix.dropInsertCache()
-		}
-		stats.FinalizeNS = time.Since(finalizeStart).Nanoseconds()
-	}
 	return ids, errs, stats
+}
+
+// Rebuild is the second half of InsertBatch: it replaces the cells with a
+// PBA⁺ build over the pool and returns the build's wall time in ns.
+func (ix *Index) Rebuild() int64 {
+	start := time.Now()
+	// Without a verdict memo: a PBA⁺ build never hits its own (a key names
+	// one cell's region, and a cell tests a pair once), and on ingest_mixed
+	// storing the verdicts cost a sixth of the insert throughput.
+	ix.build(PBAPlus, 0, nil)
+	return time.Since(start).Nanoseconds()
+}
+
+// dominatedTau reports whether τ pool options dominate r, so that r can
+// never rank top-τ.
+func (ix *Index) dominatedTau(r []float64) bool {
+	dominators := 0
+	for _, p := range ix.Pts {
+		if skyline.Dominates(p, r) {
+			if dominators++; dominators >= ix.Tau {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// poolIndex returns the filtered id of the pool option equal to r, or -1.
+func (ix *Index) poolIndex(r []float64) int32 {
+	for i, p := range ix.Pts {
+		if equalVec(p, r) {
+			return int32(i)
+		}
+	}
+	return -1
 }

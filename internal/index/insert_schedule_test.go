@@ -2,13 +2,13 @@ package index
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"tlevelindex/baseline"
 	"tlevelindex/datagen"
+	"tlevelindex/internal/geom"
 	"tlevelindex/internal/skyline"
 )
 
@@ -69,15 +69,6 @@ func ingestSchedule(d, tau, n int, seed int64, batches, size, accepted int) (dat
 	return data, sched
 }
 
-func writeSum(t testing.TB, ix *Index) string {
-	t.Helper()
-	h := sha256.New()
-	if _, err := ix.WriteTo(h); err != nil {
-		t.Fatal(err)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // applySchedule inserts every batch of sched and returns the ids assigned.
 func applySchedule(t testing.TB, ix *Index, sched [][][]float64) []int32 {
 	t.Helper()
@@ -94,42 +85,225 @@ func applySchedule(t testing.TB, ix *Index, sched [][][]float64) []int32 {
 	return all
 }
 
-// scheduleGolden is the sha256 of WriteTo after the d=2, τ=6, n=8000,
-// seed 7 schedule of nine batches of 16 with two accepted each, computed
-// on the commit before the insert cache outlived its batch (PR 14's
-// kernel): every later change to the insert path must reproduce it.
-const scheduleGolden = "2db2f4f678734180df5137dc70eb837319133129eb64f52ffa88f439f24dd3c5"
+// TestInsertEqualsBuild: after every batch of an insert schedule, the
+// index is byte for byte the PBA⁺ build over its pool (with the dataset ids
+// and the input size carried over, which a build from the pool cannot
+// know), and its top-k, kSPR and UTK answers equal those of an IBA build
+// of the grown dataset and of the brute-force oracles. The d=2 shape is
+// the load benchmark's ingest_mixed schedule.
+func TestInsertEqualsBuild(t *testing.T) {
+	for _, tc := range []struct {
+		d, tau, n                 int
+		seed                      int64
+		batches, size, accepted   int
+		draws, utkDraws, focalsPB int
+	}{
+		{d: 2, tau: 6, n: 8000, seed: 7, batches: 9, size: 16, accepted: 2, draws: 60, utkDraws: 6, focalsPB: 4},
+		{d: 3, tau: 4, n: 600, seed: 5, batches: 3, size: 8, accepted: 2, draws: 60, utkDraws: 4, focalsPB: 4},
+	} {
+		data, sched := ingestSchedule(tc.d, tc.tau, tc.n, tc.seed, tc.batches, tc.size, tc.accepted)
+		ix := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: tc.tau})
+		grown := append([][]float64(nil), data...)
+		rng := rand.New(rand.NewSource(tc.seed))
+		for b, batch := range sched {
+			ids := applySchedule(t, ix, [][][]float64{batch})
+			var fresh []int
+			for i, fid := range ids {
+				if fid >= 0 && ix.OrigIDs[fid] < 0 {
+					// The dataset id the root package hands out: the next
+					// one past the grown dataset.
+					ix.OrigIDs[fid] = len(grown)
+					fresh = append(fresh, len(grown))
+					grown = append(grown, batch[i])
+				}
+			}
+			if len(fresh) != tc.accepted {
+				t.Fatalf("d=%d batch %d: %d options accepted, want %d", tc.d, b, len(fresh), tc.accepted)
+			}
 
-func TestIngestScheduleGolden(t *testing.T) {
-	data, sched := ingestSchedule(2, 6, 8000, 7, 9, 16, 2)
-	ix, err := Build(data, Config{Algorithm: PBAPlus, Tau: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := applySchedule(t, ix, sched)
-	accepted := 0
-	for _, id := range ids {
-		if id >= 0 {
-			accepted++
+			pool := buildOrFail(t, ix.Pts, Config{Algorithm: PBAPlus, Tau: tc.tau, SkipFilter: true})
+			pool.OrigIDs = append([]int(nil), ix.OrigIDs...)
+			pool.Stats.InputOptions = ix.Stats.InputOptions
+			if !bytes.Equal(serializeOrFail(t, ix), serializeOrFail(t, pool)) {
+				t.Fatalf("d=%d batch %d: the inserted index differs from the PBA⁺ build over its pool", tc.d, b)
+			}
+
+			iba := buildOrFail(t, grown, Config{Algorithm: IBA, Tau: tc.tau})
+			brs := baseline.NewBRS(grown)
+			for q := 0; q < tc.draws; q++ {
+				x := randReduced(rng, tc.d-1)
+				k := 1 + rng.Intn(tc.tau)
+				got, _ := ix.TopK(x, k)
+				alt, _ := iba.TopK(x, k)
+				g, a := datasetIDs(ix, got), datasetIDs(iba, alt)
+				if !slices.Equal(g, a) || len(g) != k {
+					t.Fatalf("d=%d batch %d: top-%d at %v: inserted %v, IBA %v", tc.d, b, k, x, g, a)
+				}
+				for i, id := range g {
+					if rank := baseline.BruteRank(grown, id, x); rank != i+1 {
+						t.Fatalf("d=%d batch %d: top-%d at %v: option %d answered at rank %d, brute force ranks it %d", tc.d, b, k, x, id, i+1, rank)
+					}
+				}
+			}
+			for q := 0; q < tc.utkDraws; q++ {
+				x := randReduced(rng, tc.d-1)
+				lo, hi := make([]float64, len(x)), make([]float64, len(x))
+				for i, v := range x {
+					lo[i], hi[i] = max(v-0.03, 0), min(v+0.03, 1)
+				}
+				box := geom.NewBox(lo, hi)
+				k := 1 + rng.Intn(tc.tau)
+				got := mapOrig(ix, ix.UTK(k, box).Options) // ascending
+				alt := mapOrig(iba, iba.UTK(k, box).Options)
+				want, _ := baseline.JAA(brs, box, k)
+				if !slices.Equal(got, want.Options) || !slices.Equal(alt, want.Options) {
+					t.Fatalf("d=%d batch %d: UTK k=%d over %v: inserted %v, IBA %v, JAA %v", tc.d, b, k, box, got, alt, want.Options)
+				}
+			}
+			focals := fresh
+			for range tc.focalsPB {
+				focals = append(focals, ix.OrigIDs[rng.Intn(len(ix.OrigIDs))])
+			}
+			for _, focal := range focals {
+				checkKSPR(t, ix, iba, grown, focal, tc.tau, rng)
+			}
 		}
-	}
-	if accepted != 18 {
-		t.Fatalf("schedule accepted %d options, want 18", accepted)
-	}
-	if err := ix.Validate(true); err != nil {
-		t.Fatal(err)
-	}
-	if got := writeSum(t, ix); got != scheduleGolden {
-		t.Fatalf("WriteTo sha256 after the schedule = %s (%d cells, %d LP calls), want %s",
-			got, ix.NumCells(), ix.Stats.LPCalls, scheduleGolden)
+		if err := ix.Validate(true); err != nil {
+			t.Fatalf("d=%d: %v", tc.d, err)
+		}
 	}
 }
 
-// TestWarmInsertAllocs pins the allocations of one accepted insert into an
-// index whose insert cache is warm. What is left is the thaw/compact pair
-// of a batch and, per classification LP, the halfspace geom.Classify is
-// handed and the one it negates; the commit before the cache outlived its
-// batch measured 13,923 here.
+// checkKSPR compares the kSPR answers of the dataset option focal at k = τ
+// on the inserted index ix and on the IBA build iba: the same cells, named
+// by level and result set in dataset ids. Then it samples weight vectors:
+// wherever the focal option ranks ℓ ≤ τ by brute force, the answer holds the
+// level-ℓ cell whose result set is the brute-force top-ℓ there.
+func checkKSPR(t *testing.T, ix, iba *Index, grown [][]float64, focal, tau int, rng *rand.Rand) {
+	t.Helper()
+	cells := func(x *Index) map[string]bool {
+		set := make(map[string]bool)
+		fid := slices.Index(x.OrigIDs, focal)
+		if fid < 0 {
+			return set
+		}
+		for _, id := range x.KSPR(tau, int32(fid)).Cells {
+			set[datasetSetKey(mapOrig(x, x.ResultSet(id)))] = true
+		}
+		return set
+	}
+	got, alt := cells(ix), cells(iba)
+	if len(got) != len(alt) {
+		t.Fatalf("kSPR of option %d: inserted index %d cells, IBA %d", focal, len(got), len(alt))
+	}
+	for k := range got {
+		if !alt[k] {
+			t.Fatalf("kSPR of option %d: cell %x of the inserted index is not IBA's", focal, k)
+		}
+	}
+	for range 40 {
+		x := randReduced(rng, len(grown[0])-1)
+		// The brute-force top-rank set: the options that outscore focal,
+		// and focal itself.
+		top := []int{focal}
+		for i, p := range grown {
+			if geom.Score(p, x) > geom.Score(grown[focal], x) {
+				top = append(top, i)
+			}
+		}
+		if rank := len(top); rank <= tau && !got[datasetSetKey(top)] {
+			t.Fatalf("kSPR of option %d at %v: it ranks %d there, and the answer lacks that cell", focal, x, rank)
+		}
+	}
+}
+
+// datasetIDs maps filtered ids to dataset ids, keeping their order.
+func datasetIDs(ix *Index, opts []int32) []int {
+	out := make([]int, len(opts))
+	for i, o := range opts {
+		out[i] = ix.OrigIDs[o]
+	}
+	return out
+}
+
+// datasetSetKey names a result set of dataset ids as a set.
+func datasetSetKey(r []int) string {
+	s := make([]int32, len(r))
+	for i, v := range r {
+		s[i] = int32(v)
+	}
+	return setKey(s)
+}
+
+// TestInsertCacheIdentity: however a seeded schedule is cut into batches —
+// batch by batch, with a serialize/load round trip in the middle, as one
+// batch, or one option at a time — the ids and the bytes of the index must
+// come out the same.
+func TestInsertCacheIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		d, tau, n int
+		seed      int64
+	}{
+		{d: 2, tau: 5, n: 3000, seed: 3},
+		{d: 3, tau: 4, n: 600, seed: 5},
+	} {
+		data, sched := ingestSchedule(tc.d, tc.tau, tc.n, tc.seed, 6, 8, 2)
+		var flat [][]float64
+		for _, b := range sched {
+			flat = append(flat, b...)
+		}
+		build := func() *Index {
+			return buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: tc.tau})
+		}
+
+		warm := build()
+		var wantIDs []int32
+		for _, batch := range sched {
+			wantIDs = append(wantIDs, applySchedule(t, warm, [][][]float64{batch})...)
+		}
+		if err := warm.Validate(true); err != nil {
+			t.Fatalf("d=%d: %v", tc.d, err)
+		}
+		want := serializeOrFail(t, warm)
+
+		check := func(name string, ix *Index, ids []int32) {
+			t.Helper()
+			if !slices.Equal(ids, wantIDs) {
+				t.Fatalf("d=%d %s: ids %v, want %v", tc.d, name, ids, wantIDs)
+			}
+			if !bytes.Equal(serializeOrFail(t, ix), want) {
+				t.Fatalf("d=%d %s: serialization differs from the batch-by-batch one", tc.d, name)
+			}
+		}
+
+		reload := build()
+		ids := applySchedule(t, reload, sched[:3])
+		reload, err := Read(bytes.NewReader(serializeOrFail(t, reload)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("reloaded", reload, append(ids, applySchedule(t, reload, sched[3:])...))
+
+		one := build()
+		check("one batch", one, applySchedule(t, one, [][][]float64{flat}))
+
+		seq := build()
+		ids = nil
+		for _, r := range flat {
+			id, err := seq.InsertOption(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		check("sequential", seq, ids)
+	}
+}
+
+// TestWarmInsertAllocs pins the allocations of one accepted insert into the
+// d=2, τ=6, n=8000 index after eight others: a PBA⁺ rebuild over the
+// ~50-option pool, which measured 5,013 here. The pin leaves the 2×
+// headroom the IBA update path had (1,250 measured, 2,500 pinned).
 func TestWarmInsertAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts at random; the pin runs in the non-race test pass")
@@ -152,168 +326,16 @@ func TestWarmInsertAllocs(t *testing.T) {
 		insert()
 	}
 	got := testing.AllocsPerRun(runs, insert)
-	t.Logf("%.0f allocations per warm accepted insert", got)
-	if got > 2500 {
-		t.Errorf("a warm accepted insert allocates %.0f times, want <= 2500", got)
-	}
-}
-
-// cellIDs maps every live cell's (R set, opt) to its id.
-func cellIDs(ix *Index) map[string]int32 {
-	m := make(map[string]int32)
-	for i := range ix.Cells {
-		if ix.Cells[i].Level >= 1 {
-			m[ix.rKey(int32(i))] = int32(i)
-		}
-	}
-	return m
-}
-
-// checkCacheFollowsCells holds the cache a batch left behind to the cells
-// as compact renumbered them: every live cell's entry carries that cell's
-// result set, and every certificate names a live cell of the level above
-// whose result set is the child's prefix.
-func checkCacheFollowsCells(t *testing.T, ix *Index) {
-	t.Helper()
-	ic := ix.icache
-	for i := range ix.Cells {
-		c := &ix.Cells[i]
-		if c.Level < 1 {
-			continue
-		}
-		r := ix.ResultSet(c.ID)
-		e := &ic.cells[i]
-		if e.key != setKey(r) {
-			t.Fatalf("cell %d: cache entry keyed %x, result set %v", i, e.key, r)
-		}
-		for _, ps := range e.pairs {
-			if p := &ix.Cells[ps.parent]; p.Level != c.Level-1 || ic.cells[ps.parent].key != setKey(r[:len(r)-1]) {
-				t.Fatalf("cell %d: certificate against cell %d (level %d), not a candidate parent", i, ps.parent, p.Level)
-			}
-		}
-	}
-	for i := len(ix.Cells); i < len(ic.cells); i++ {
-		if e := &ic.cells[i]; e.gen != 0 || e.key != "" || len(e.pairs) != 0 || len(e.r) != 0 {
-			t.Fatalf("entry %d past the live cells kept gen %d, key %x, %d certificates", i, e.gen, e.key, len(e.pairs))
-		}
-	}
-}
-
-// forceInsertCacheBudget sets the budget for the length of the test.
-func forceInsertCacheBudget(t *testing.T, b int64) {
-	old := insertCacheBudget
-	insertCacheBudget = b
-	t.Cleanup(func() { insertCacheBudget = old })
-}
-
-// TestInsertCacheIdentity: however a seeded schedule is cut into batches —
-// batch by batch on a cache that stays warm, with a serialize/load round
-// trip (a cold cache) in the middle, with the budget at zero (no cache ever
-// kept), as one batch, or one option at a time — the ids and the bytes of
-// the index must come out the same. At least one batch boundary must
-// renumber cells the cache holds entries for, or the remap is not tested.
-func TestInsertCacheIdentity(t *testing.T) {
-	for _, tc := range []struct {
-		d, tau, n int
-		seed      int64
-	}{
-		{d: 2, tau: 5, n: 3000, seed: 3},
-		{d: 3, tau: 4, n: 600, seed: 5},
-	} {
-		data, sched := ingestSchedule(tc.d, tc.tau, tc.n, tc.seed, 6, 8, 2)
-		var flat [][]float64
-		for _, b := range sched {
-			flat = append(flat, b...)
-		}
-		build := func() *Index {
-			return buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: tc.tau})
-		}
-
-		warm := build()
-		var wantIDs []int32
-		renumbered, kept := 0, 0
-		for _, batch := range sched {
-			before := cellIDs(warm)
-			wantIDs = append(wantIDs, applySchedule(t, warm, [][][]float64{batch})...)
-			for k, id := range cellIDs(warm) {
-				if old, ok := before[k]; ok && old != id {
-					renumbered++
-					break
-				}
-			}
-			if warm.icache != nil {
-				kept++
-				checkCacheFollowsCells(t, warm)
-			}
-		}
-		if renumbered == 0 {
-			t.Fatalf("d=%d: no batch of the schedule renumbered a surviving cell; draw another seed", tc.d)
-		}
-		if kept != len(sched) {
-			t.Fatalf("d=%d: the cache outlived %d of %d batches", tc.d, kept, len(sched))
-		}
-		if err := warm.Validate(true); err != nil {
-			t.Fatalf("d=%d: %v", tc.d, err)
-		}
-		want := serializeOrFail(t, warm)
-
-		check := func(name string, ix *Index, ids []int32) {
-			t.Helper()
-			if !slices.Equal(ids, wantIDs) {
-				t.Fatalf("d=%d %s: ids %v, want %v", tc.d, name, ids, wantIDs)
-			}
-			if !bytes.Equal(serializeOrFail(t, ix), want) {
-				t.Fatalf("d=%d %s: serialization differs from the warm batch-by-batch one", tc.d, name)
-			}
-		}
-
-		reload := build()
-		ids := applySchedule(t, reload, sched[:3])
-		reload, err := Read(bytes.NewReader(serializeOrFail(t, reload)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reload.icache != nil {
-			t.Fatal("a loaded index holds an insert cache")
-		}
-		check("reloaded", reload, append(ids, applySchedule(t, reload, sched[3:])...))
-
-		one := build()
-		check("one batch", one, applySchedule(t, one, [][][]float64{flat}))
-
-		seq := build()
-		ids = nil
-		for _, r := range flat {
-			id, err := seq.InsertOption(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
-		}
-		check("sequential", seq, ids)
-
-		t.Run("over budget", func(t *testing.T) {
-			forceInsertCacheBudget(t, 0)
-			cold := build()
-			var ids []int32
-			for _, batch := range sched {
-				ids = append(ids, applySchedule(t, cold, [][][]float64{batch})...)
-				if cold.icache != nil {
-					t.Fatal("a cache over its budget was kept")
-				}
-			}
-			check("over budget", cold, ids)
-			if _, drops := cold.InsertCacheStats(); drops != uint64(len(sched)) {
-				t.Fatalf("%d drops counted over %d batches", drops, len(sched))
-			}
-		})
+	t.Logf("%.0f allocations per accepted insert", got)
+	if got > 10000 {
+		t.Errorf("an accepted insert allocates %.0f times, want <= 10000", got)
 	}
 }
 
 // BenchmarkIngestSchedule is one ingest_mixed round per op (make
 // ingest-bench → BENCH_ingest.json): nine batches of 16 options with two
 // accepted each, applied to a freshly built d=2, τ=6, n=8000 index, so
-// every op pays the cold first batch before the warm eight.
+// every op pays nine rebuilds of the index over its growing pool.
 func BenchmarkIngestSchedule(b *testing.B) {
 	data, sched := ingestSchedule(2, 6, 8000, 7, 9, 16, 2)
 	b.ReportAllocs()

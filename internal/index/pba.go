@@ -58,17 +58,20 @@ func (s *splitmix) Float64() float64 {
 type pbaWork struct {
 	cell    int32
 	g       *dg.Graph
-	witness []float64   // an interior point of the cell
-	samples [][]float64 // interior sample set (includes nothing by contract)
+	witness []float64 // an interior point of the cell
+	// samples is the interior sample set, RDim() coordinates per sample
+	// back to back (includes nothing by contract).
+	samples []float64
 }
 
 // childSpec is one feasible child computed by the parallel phase, before
 // any cell has been allocated for it.
 type childSpec struct {
 	opt     int32
+	key     string // the child's rKey, for the level's merge
 	bound   []int32
 	witness []float64
-	samples [][]float64
+	samples []float64 // as pbaWork.samples
 	g       *dg.Graph // nil unless PBA⁺
 }
 
@@ -88,7 +91,8 @@ type pbaResult struct {
 // LP dominance tests that PBA⁺ memoizes as graph edges.
 //
 // Within a level every cell's candidate refinement and feasibility LPs are
-// independent, so they fan out over the configured worker pool; cells and
+// independent, so they fan out over the configured worker pool (above
+// d = 2, see buildWorkers); cells and
 // edges are then materialized sequentially in input order, which keeps ids
 // — and the serialized index — identical for every worker count.
 func buildPBA(ix *Index, plus bool) {
@@ -99,14 +103,17 @@ func buildPBA(ix *Index, plus bool) {
 		return // dim 0 (d=1) is rejected earlier; defensive only
 	}
 	rootRng := cellSeed(ix.Root(), NoOption)
+	rootSamples := make([]float64, sampleCount(ix.RDim())*ix.RDim())
+	rootReg.SampleInto(rootSamples, rootCenter, rootRng.Float64)
 	cur := []pbaWork{{
 		cell:    ix.Root(),
 		g:       dg.NewGraph(base),
 		witness: rootCenter,
-		samples: rootReg.SampleFrom(rootCenter, sampleCount(ix.RDim()), rootRng.Float64),
+		samples: rootSamples,
 	}}
 	ix.Levels = make([][]int32, ix.Tau+1)
 	ix.Levels[0] = []int32{ix.Root()}
+	workers := ix.buildWorkers()
 	ix.Stats.PostFilterCandidates = make([]float64, ix.Tau)
 	ix.Stats.ActualCandidates = make([]float64, ix.Tau)
 
@@ -123,26 +130,45 @@ func buildPBA(ix *Index, plus bool) {
 			levelStart = time.Now()
 		}
 		lpBefore := ix.Stats.LPCalls
+		// The children of the last level start no level of their own, so
+		// they carry no samples or dominance graphs and are not merged.
+		carry := l < ix.Tau-1
 		// Parallel compute phase: candidate refinement and feasibility.
 		phase := ix.startPhase("build.level.compute")
 		results := make([]pbaResult, len(cur))
-		pool.ForEach(ix.workers, len(cur), func(i int) {
-			results[i] = ix.partitionCompute(&cur[i], plus, int32(l), base)
+		pool.ForEach(workers, len(cur), func(i int) {
+			results[i] = ix.partitionCompute(&cur[i], plus, int32(l), base, carry)
 		})
 		ix.endPhase(&phase, l+1)
 		// Sequential apply phase: allocate cells and edges in input order.
 		phase = ix.startPhase("build.level.apply")
-		var next []pbaWork
 		var sumP, sumActual int
+		for i := range results {
+			sumActual += len(results[i].children)
+		}
+		next := make([]pbaWork, 0, sumActual)
+		keys := make([]string, 0, sumActual)
+		// The new cells' parent lists and the partitioned cells' child
+		// lists are windows of two slabs; each window's capacity ends where
+		// the next begins, so a later append (a merge) copies it out.
+		parentSlab := make([]int32, sumActual)
+		childSlab := make([]int32, sumActual)
 		for i := range cur {
 			wk := &cur[i]
 			res := &results[i]
 			ix.Stats.LPCalls += res.lpCalls
 			sumP += res.pCount
-			sumActual += len(res.children)
+			if c := &ix.Cells[wk.cell]; c.Children == nil {
+				c.Children = childSlab[:0:len(res.children)]
+			}
+			childSlab = childSlab[len(res.children):]
 			for _, cs := range res.children {
-				child := ix.newCell(ix.Cells[wk.cell].Level+1, cs.opt, []int32{wk.cell}, cs.bound)
+				parents := parentSlab[:1:1]
+				parentSlab = parentSlab[1:]
+				parents[0] = wk.cell
+				child := ix.newCell(ix.Cells[wk.cell].Level+1, cs.opt, parents, cs.bound)
 				ix.addEdge(wk.cell, child)
+				keys = append(keys, cs.key)
 				next = append(next, pbaWork{
 					cell: child, g: cs.g, witness: cs.witness, samples: cs.samples,
 				})
@@ -154,28 +180,41 @@ func buildPBA(ix *Index, plus bool) {
 		}
 		ix.endPhase(&phase, l+1)
 		// Merge children with identical (R, opt), merging their dominance
-		// graphs, witnesses, and samples. Keys are computed before merging:
-		// tombstoned cells lose their parent chains.
+		// graphs, witnesses, and samples.
 		phase = ix.startPhase("build.level.merge")
 		ids := make([]int32, len(next))
-		byKey := make(map[string][]pbaWork, len(next))
 		for i, wk := range next {
 			ids[i] = wk.cell
-			k := ix.rKey(wk.cell)
-			byKey[k] = append(byKey[k], wk)
 		}
-		merged := ix.mergeLevel(ids)
-		groups := make([][]pbaWork, len(merged))
-		for i, id := range merged {
-			groups[i] = byKey[ix.rKey(id)]
+		merged, groupOf := ix.mergeLevel(ids, keys)
+		if carry {
+			// A group starts as a view of its first work item; a second
+			// member's append copies it out (the view's capacity is 1).
+			groups := make([][]pbaWork, len(merged))
+			for i, g := range groupOf {
+				if groups[g] == nil {
+					groups[g] = next[i : i+1 : i+1]
+				} else {
+					groups[g] = append(groups[g], next[i])
+				}
+			}
+			// A cell that merged with none keeps its work item. Each other
+			// one depends on its own group only, so the graph merges fan
+			// out like the compute phase, each writing its own slot.
+			cur = make([]pbaWork, len(merged))
+			var multi []int
+			for i, g := range groups {
+				if len(g) == 1 {
+					cur[i] = g[0]
+				} else {
+					multi = append(multi, i)
+				}
+			}
+			pool.ForEach(workers, len(multi), func(j int) {
+				i := multi[j]
+				cur[i] = mergeWork(merged[i], groups[i], plus, 2*sampleCount(ix.RDim())*ix.RDim())
+			})
 		}
-		// Each merged cell's work item depends on its own group only, so
-		// the graph merges fan out like the compute phase, each writing
-		// its own slot.
-		cur = make([]pbaWork, len(merged))
-		pool.ForEach(ix.workers, len(merged), func(i int) {
-			cur[i] = mergeWork(merged[i], groups[i], plus, 2*sampleCount(ix.RDim()))
-		})
 		ix.endPhase(&phase, l+1)
 		ix.Levels[l+1] = append([]int32(nil), merged...)
 		if instrumented {
@@ -185,9 +224,21 @@ func buildPBA(ix *Index, plus bool) {
 	}
 }
 
+// buildWorkers is the worker bound of the partition builders' level
+// phases. On a line (d = 2) a cell's region is an interval and partitions
+// in a few µs, so a level is done before a woken worker would start: those
+// builds run on the calling goroutine, which on ingest_mixed's rebuilds
+// beat fanning out (DESIGN §20). Higher dimensions use every worker.
+func (ix *Index) buildWorkers() int {
+	if ix.RDim() == 1 {
+		return 1
+	}
+	return ix.workers
+}
+
 // mergeWork combines the work items of the cells merged into id: the first
-// witness, the samples of every part up to maxSamples, and (PBA⁺) the
-// dominance graphs.
+// witness, the sample coordinates of every part up to maxSamples of them,
+// and (PBA⁺) the dominance graphs.
 func mergeWork(id int32, group []pbaWork, plus bool, maxSamples int) pbaWork {
 	wk := group[0]
 	wk.cell = id
@@ -262,8 +313,9 @@ func (ix *Index) reportLevel(spanName string, level, maxLevel, cells int, lpCall
 // certified by an interior sample where the candidate strictly outscores
 // every other candidate when possible, and by a Chebyshev LP otherwise. It
 // only reads ix (cells, points, regions) and mutates data owned by this
-// work item, so calls for different cells can run concurrently.
-func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.Base) pbaResult {
+// work item, so calls for different cells can run concurrently. Without
+// carry the children get no samples or dominance graphs.
+func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.Base, carry bool) pbaResult {
 	var res pbaResult
 	reg := ix.RegionInto(wk.cell, geom.GetRegion())
 	defer geom.PutRegion(reg)
@@ -290,24 +342,39 @@ func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.
 	if !plus {
 		samples = nil
 	}
-	p := computeP(ix, g, reg, level, samples, &res.lpCalls)
+	sc := partScratches.Get()
+	defer partScratches.Put(sc)
+	p := computeP(ix, g, reg, level, samples, &res.lpCalls, sc)
 	res.pCount = len(p)
 
 	const strictEps = 1e-9
 	// For each sample, the strict winner among candidates certifies its own
 	// child cell (the sample is an interior witness). witnessOf[i] is the
 	// first such sample for p[i].
-	witnessOf := make([][]float64, len(p))
-	for _, s := range wk.samples {
+	witnessOf := slices.Grow(sc.witnessOf[:0], len(p))[:len(p)]
+	clear(witnessOf)
+	sc.witnessOf = witnessOf
+	// PBA⁺'s computeP scored every frontier option at these samples; p[i]
+	// is frontier option sc.pos[i], so its scores are read, not recomputed.
+	scored := plus && sc.scored
+	d := ix.RDim()
+	ns := len(wk.samples) / d
+	for j := 0; j < ns; j++ {
+		s := wk.samples[j*d : (j+1)*d : (j+1)*d]
 		best, second := -1, -1
 		var bestSc, secondSc float64
 		for i, ri := range p {
-			sc := geom.Score(ix.Pts[ri], s)
-			if best < 0 || sc > bestSc {
+			var score float64
+			if scored {
+				score = sc.scores[sc.pos[i]*ns+j]
+			} else {
+				score = geom.Score(ix.Pts[ri], s)
+			}
+			if best < 0 || score > bestSc {
 				second, secondSc = best, bestSc
-				best, bestSc = i, sc
-			} else if second < 0 || sc > secondSc {
-				second, secondSc = i, sc
+				best, bestSc = i, score
+			} else if second < 0 || score > secondSc {
+				second, secondSc = i, score
 			}
 		}
 		if best >= 0 && (second < 0 || bestSc-secondSc > strictEps) && witnessOf[best] == nil {
@@ -315,20 +382,36 @@ func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.
 		}
 	}
 
+	// The children's merge keys extend this cell's sorted result set.
+	rset := ix.resultSetInto(wk.cell, sc.rset[:0])
+	slices.Sort(rset)
+	sc.rset = rset
+
 	childReg := geom.GetRegion()
 	defer geom.PutRegion(childReg)
+	res.children = make([]childSpec, 0, len(p))
+	// The children's bounds, and with carry their samples, are windows of
+	// per-cell slabs; each window's capacity ends where the next begins.
+	nb, k := max(len(p)-1, 0), sampleCount(d)*d
+	boundSlab := make([]int32, len(p)*nb)
+	var sampleSlab []float64
 	for i, ri := range p {
-		bound := make([]int32, 0, len(p)-1)
+		bound := boundSlab[i*nb : i*nb : (i+1)*nb]
 		for _, rj := range p {
 			if rj != ri {
 				bound = append(bound, rj)
 			}
 		}
+		witness := witnessOf[i]
+		if witness != nil && !carry {
+			// A sample certifies the child, and nothing needs its region.
+			res.children = append(res.children, childSpec{opt: ri, key: childKey(rset, ri), bound: bound, witness: witness})
+			continue
+		}
 		childReg.CopyFrom(reg)
 		for _, rj := range bound {
 			childReg.AddPref(ix.Pts[ri], ix.Pts[rj])
 		}
-		witness := witnessOf[i]
 		if witness == nil {
 			var ok bool
 			res.lpCalls++
@@ -340,16 +423,24 @@ func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.
 			// outlives the scratch region, so take a copy.
 			witness = append([]float64(nil), witness...)
 		}
-		crng := cellSeed(wk.cell, ri)
-		cs := childSpec{
-			opt: ri, bound: bound, witness: witness,
-			samples: childReg.SampleFrom(witness, sampleCount(ix.RDim()), crng.Float64),
-		}
-		if plus {
-			cs.g = g.Clone()
-			cs.g.Consume(ri)
+		cs := childSpec{opt: ri, key: childKey(rset, ri), bound: bound, witness: witness}
+		if carry {
+			if sampleSlab == nil {
+				sampleSlab = make([]float64, len(p)*k)
+			}
+			cs.samples = sampleSlab[i*k : (i+1)*k : (i+1)*k]
+			crng := cellSeed(wk.cell, ri)
+			childReg.SampleInto(cs.samples, witness, crng.Float64)
 		}
 		res.children = append(res.children, cs)
+	}
+	if carry && plus {
+		gs := g.Clones(len(res.children))
+		for i := range res.children {
+			cs := &res.children[i]
+			cs.g = &gs[i]
+			cs.g.Consume(cs.opt)
+		}
 	}
 	return res
 }
@@ -363,59 +454,68 @@ func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.
 // "u dominates v in this cell" runs only when no interior sample already
 // refutes it. LP invocations are tallied into lpCalls (not the shared
 // Stats), so the caller can run many computeP calls concurrently.
-func computeP(ix *Index, g *dg.Graph, reg *geom.Region, level int32, samples [][]float64, lpCalls *int64) []int32 {
+func computeP(ix *Index, g *dg.Graph, reg *geom.Region, level int32, samples []float64, lpCalls *int64, sc *partScratch) []int32 {
 	threshold := int32(ix.Tau) - level - 1
 	g.DropAbove(threshold)
-	frontier := g.Frontier()
+	frontier := g.AppendFrontier(sc.frontier[:0])
+	sc.frontier = frontier
+	sc.scored = false
 	if len(frontier) <= 1 {
 		return frontier
 	}
 	// Score every frontier option at every sample once: row i of scores
 	// holds frontier[i]'s, and the refutation test reads a pair's rows.
-	ns := len(samples)
-	buf := scoreScratch.Get()
-	defer scoreScratch.Put(buf)
-	scores := slices.Grow((*buf)[:0], len(frontier)*ns)[:len(frontier)*ns]
-	*buf = scores
+	d := ix.RDim()
+	ns := len(samples) / d
+	scores := slices.Grow(sc.scores[:0], len(frontier)*ns)[:len(frontier)*ns]
+	sc.scores = scores
 	for i, v := range frontier {
-		for j, s := range samples {
-			scores[i*ns+j] = geom.Score(ix.Pts[v], s)
+		for j := 0; j < ns; j++ {
+			scores[i*ns+j] = geom.Score(ix.Pts[v], samples[j*d:(j+1)*d])
 		}
 	}
-	out := make([]int32, 0, len(frontier))
+	sc.scored = true
+	// The edges found are added after the pass. Within it an edge u→v only
+	// ever raises the count of the v under test, from 0 as every frontier
+	// option's is, so covered answers what the counts would.
+	out := sc.out[:0]
+	row := slices.Grow(sc.row[:0], ix.RDim())[:ix.RDim()]
+	covered := slices.Grow(sc.covered[:0], len(frontier))[:len(frontier)]
+	clear(covered)
+	us, vs := sc.us[:0], sc.vs[:0]
+	pos := sc.pos[:0]
+	defer func() { sc.out, sc.pos, sc.row, sc.covered, sc.us, sc.vs = out, pos, row, covered, us, vs }()
 	for i, v := range frontier {
-		if g.Count(v) > 0 {
-			continue // an edge added earlier in this loop already covers v
-		}
-		dominated := false
 		sv := scores[i*ns : (i+1)*ns]
 		for j, u := range frontier {
-			if u == v || g.Count(u) > 0 {
-				continue
-			}
-			if g.HasEdge(u, v) || g.HasEdge(v, u) {
+			if u == v || covered[j] {
 				continue
 			}
 			if refutes(sv, scores[j*ns:(j+1)*ns]) {
+				continue
+			}
+			if g.HasEdge(u, v) || g.HasEdge(v, u) {
 				continue
 			}
 			key := dg.VerdictKey{Kind: dg.KindDominates, U: u, V: v, Region: reg.Hash()}
 			dom, hit := ix.verdicts.LookupBool(key)
 			if !hit {
 				*lpCalls++
-				dom = reg.ContainsHalfspace(geom.PrefHalfspace(ix.Pts[u], ix.Pts[v]))
+				dom = reg.ContainsHalfspace(geom.PrefHalfspaceInto(row, ix.Pts[u], ix.Pts[v]))
 				ix.verdicts.StoreBool(key, dom)
 			}
 			if dom {
-				g.AddEdge(u, v)
-				dominated = true
+				us, vs = append(us, u), append(vs, v)
+				covered[i] = true
 				break
 			}
 		}
-		if !dominated {
+		if !covered[i] {
 			out = append(out, v)
+			pos = append(pos, i)
 		}
 	}
+	g.AddEdges(us, vs)
 	return out
 }
 
@@ -430,8 +530,19 @@ func refutes(sv, su []float64) bool {
 	return false
 }
 
-// scoreScratch recycles computeP's frontier×sample score matrix.
-var scoreScratch = pool.NewScratch(func() *[]float64 {
-	s := make([]float64, 0, 1024)
-	return &s
-})
+// partScratch is the working memory of one partitionCompute call, recycled
+// across calls: computeP's frontier, frontier×sample score matrix (scored
+// says it was filled), halfspace row, covered flags, found edges, output
+// and each output's frontier position, the cell's sorted result set, and
+// the sample witness of each candidate. computeP's result lives in it.
+type partScratch struct {
+	frontier, out, us, vs []int32
+	pos                   []int
+	scores, row           []float64
+	scored                bool
+	covered               []bool
+	rset                  []int32
+	witnessOf             [][]float64
+}
+
+var partScratches = pool.NewScratch(func() *partScratch { return new(partScratch) })

@@ -451,10 +451,10 @@ func (f *Follower) downloadSnapshot(hdr store.ShipHeader, r io.Reader) (string, 
 	return final, nil
 }
 
-// tailChunk bounds one batched apply of shipped records: large enough to
-// amortize the engine's thaw/re-freeze maintenance across a deep catch-up,
-// small enough that a live follower's write-lock holds (queries stall
-// underneath them) stay bounded.
+// tailChunk bounds one batched apply of shipped records: large enough that
+// a deep catch-up pays few of the engine's rebuilds (one per batch that
+// accepts anything), small enough that the records read off the wire before
+// a chunk applies stay bounded.
 const tailChunk = 256
 
 // errDiverged marks a replay whose re-derived ids contradict the ids the
@@ -465,8 +465,8 @@ var errDiverged = fmt.Errorf("%w: follower diverged from primary history", store
 // applyTail replays shipped records LSNs from+1 .. hdr.TailLSN onto ix in
 // contiguous chunks of up to tailChunk records: each chunk is read fully
 // off the wire first — a torn or out-of-order record aborts with nothing
-// from that chunk applied — then applied through the engine's amortized
-// InsertBatch, whose semantics are byte-identical to sequential inserts.
+// from that chunk applied — then applied as one InsertBatch, one rebuild
+// of the index whose result is byte-identical to sequential inserts.
 // Every re-assigned id is cross-checked against the id the primary
 // acknowledged (the store's replay divergence check, applied over the
 // wire); a mismatch or per-record apply error wraps errDiverged, because

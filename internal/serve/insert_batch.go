@@ -93,13 +93,8 @@ func (h *Handler) applyInsertBatch(ctx context.Context, opts [][]float64) ([]sto
 	sp.Err = err
 	sp.Set("records", float64(len(opts)))
 	sp.Set("logged", float64(stats.Logged))
-	sp.Set("thawNs", float64(stats.ThawNS))
-	sp.Set("finalizeNs", float64(stats.FinalizeNS))
-	sp.Set("regionsReused", float64(stats.RegionsReused))
-	sp.Set("regionsRebuilt", float64(stats.RegionsRebuilt))
-	sp.Set("pairLPs", float64(stats.PairLPs))
-	sp.Set("pairSkips", float64(stats.PairSkips))
-	sp.Set("cacheBytes", float64(stats.CacheBytes))
+	sp.Set("accepted", float64(stats.Accepted))
+	sp.Set("rebuildNs", float64(stats.FinalizeNS))
 	sp.FinishTo(sc.Tracer)
 	return results, err
 }

@@ -268,8 +268,8 @@ func FuzzInsertBatchEnvelope(f *testing.F) {
 }
 
 // TestInsertBatchTraceSpan: a traced batch insert records an insert.batch
-// span carrying the batch size, logged-record count, and the amortized
-// thaw/finalize timings — the ingest view of the flight recorder.
+// span carrying the batch size, the logged and accepted record counts, and
+// the rebuild's wall time — the ingest view of the flight recorder.
 func TestInsertBatchTraceSpan(t *testing.T) {
 	srv := newServer(t) // TraceSample 1: every request traced
 	resp, err := http.Post(srv.URL+"/v1/insert/batch", "application/json",
@@ -302,11 +302,11 @@ func TestInsertBatchTraceSpan(t *testing.T) {
 		if attrs["logged"] != 2 {
 			t.Errorf("logged attr = %v, want 2 (one option is filtered)", attrs["logged"])
 		}
-		if _, ok := attrs["thawNs"]; !ok {
-			t.Errorf("span missing thawNs attr: %v", attrs)
+		if attrs["accepted"] != 2 {
+			t.Errorf("accepted attr = %v, want 2", attrs["accepted"])
 		}
-		if _, ok := attrs["finalizeNs"]; !ok {
-			t.Errorf("span missing finalizeNs attr: %v", attrs)
+		if attrs["rebuildNs"] <= 0 {
+			t.Errorf("rebuildNs attr = %v, want the rebuild's wall time: %v", attrs["rebuildNs"], attrs)
 		}
 		return
 	}

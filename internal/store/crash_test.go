@@ -1,8 +1,11 @@
 package store
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	tlx "tlevelindex"
@@ -319,29 +322,58 @@ func TestRecoveredStoreKeepsServing(t *testing.T) {
 	}
 }
 
-// TestRecoverReplaysLongTailInChunks: a WAL tail longer than two replay
-// chunks — fresh options, duplicates that resolve to earlier ids, and
-// records a mid-run snapshot already covers — recovers to the index the
+// TestRecoverReplaysLongTailInChunks: a long WAL tail — fresh options,
+// duplicates that resolve to earlier ids, and records a mid-run snapshot
+// already covers — recovers, in one batch, to the index the
 // one-record-at-a-time reference reaches, with every tail record counted.
 func TestRecoverReplaysLongTailInChunks(t *testing.T) {
-	inserts := ingestOptions(5 * replayChunk)
-	for i := 7; i < len(inserts); i += 13 {
-		inserts[i] = append([]float64(nil), inserts[i-5]...) // logged when inserts[i-5] was, resolving to its id
+	// inserts is the run's length and minTail the shortest tail the test
+	// accepts as long: five and two of the 64-record chunks recovery used to
+	// replay in.
+	const inserts, minTail = 320, 128
+	opts := ingestOptions(inserts)
+	for i := 7; i < len(opts); i += 13 {
+		opts[i] = append([]float64(nil), opts[i-5]...) // logged when opts[i-5] was, resolving to its id
 	}
 	dir := t.TempDir()
-	logged := crashedStore(t, dir, inserts, 10)
+	logged := crashedStore(t, dir, opts, 10)
 	s := reopen(t, dir)
 	st := s.Status()
 	if st.AppliedLSN != uint64(len(logged)) {
 		t.Fatalf("applied LSN %d, want %d", st.AppliedLSN, len(logged))
 	}
 	tail := len(logged) - int(st.SnapshotLSN)
-	if tail <= 2*replayChunk {
-		t.Fatalf("the tail holds %d records, want more than two chunks of %d", tail, replayChunk)
+	if tail <= minTail {
+		t.Fatalf("the tail holds %d records, want more than %d", tail, minTail)
 	}
 	if st.RecordsReplayed != tail {
 		t.Fatalf("replayed %d records, want %d", st.RecordsReplayed, tail)
 	}
-	want, _ := reference(t, inserts)
+	want, _ := reference(t, opts)
 	assertSameAnswers(t, s.Index(), want)
+}
+
+// TestRecoverRefusesNonFiniteRecord: an index refuses an option with a NaN
+// or infinite coordinate, so a WAL record holding one — only a store
+// written before the refusal could have logged it — cannot be re-applied
+// under the id it was acknowledged with. Recovery fails loudly naming the
+// record instead of serving a state that skipped it.
+func TestRecoverRefusesNonFiniteRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	id, lsn, err := s.InsertLSN([]float64{0.97, 0.96})
+	if err != nil || id < 0 {
+		t.Fatalf("insert: id %d, %v", id, err)
+	}
+	s.mu.Lock()
+	_, err = s.seg.append(record{lsn: lsn + 1, id: int64(id) + 1, attrs: []float64{math.NaN(), 0.95}})
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.kill()
+	_, err = Open(Options{Dir: dir, Logf: t.Logf}, nil)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("replay of record %d failed", lsn+1)) {
+		t.Fatalf("recovery of a non-finite record: %v", err)
+	}
 }

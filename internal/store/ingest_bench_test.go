@@ -149,10 +149,11 @@ func BenchmarkIngestGroupCommit(b *testing.B) {
 
 // BenchmarkRecoverTail is one crash recovery per op (make recovery-bench →
 // BENCH_recovery.json): Open loads the snapshot of the ingest base and
-// replays a 64-record WAL tail of accepted inserts — one chunk of
-// store.replay. The store is killed, not closed, after every recovery, so
-// the directory keeps its tail for the next one.
+// replays a 64-record WAL tail of accepted inserts as one batch. The store
+// is killed, not closed, after every recovery, so the directory keeps its
+// tail for the next one.
 func BenchmarkRecoverTail(b *testing.B) {
+	const tail = 64
 	dir := b.TempDir()
 	st, err := Open(Options{Dir: dir}, func() (*tlx.Index, error) {
 		return tlx.Build(ingestBase(), 4, tlx.WithSeed(7))
@@ -160,7 +161,7 @@ func BenchmarkRecoverTail(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := st.InsertBatchLSN(ingestOptions(replayChunk)); err != nil {
+	if _, _, err := st.InsertBatchLSN(ingestOptions(tail)); err != nil {
 		b.Fatal(err)
 	}
 	st.kill()
@@ -170,8 +171,8 @@ func BenchmarkRecoverTail(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st.replayed != replayChunk {
-			b.Fatalf("recovery replayed %d records, want %d", st.replayed, replayChunk)
+		if st.replayed != tail {
+			b.Fatalf("recovery replayed %d records, want %d", st.replayed, tail)
 		}
 		st.kill()
 	}

@@ -172,8 +172,8 @@ type GroupStats struct {
 	// re-apply). The group paid one fsync for all of them.
 	Logged int
 	// BatchInsertStats is the engine's report of the one batch the whole
-	// group was applied as: its shared maintenance phases (ThawNS,
-	// FinalizeNS) and how warm it ran.
+	// group was applied as: how many options it accepted and the wall time
+	// of the rebuild they caused (FinalizeNS).
 	tlx.BatchInsertStats
 }
 
@@ -324,41 +324,19 @@ func (s *Store) recover(snaps, segs []fileEntry) error {
 	return nil
 }
 
-// replayChunk bounds how many WAL records recovery hands the engine at
-// once. One InsertBatch thaws and re-freezes the index once for the chunk
-// where one Insert per record paid that per record, and the result is
-// byte-identical either way; the bound keeps the memory of one apply flat
-// however long the tail is.
-const replayChunk = 64
-
 // replay applies the records of one segment (read from path) that lie
-// beyond the applied point, in chunks of at most replayChunk. Records at or
-// below it are already part of the loaded state and are skipped; a gap
-// above it means acknowledged records were lost. Every re-assigned id is
-// checked against the id that was acknowledged.
+// beyond the applied point as one InsertBatch: a batch that accepts
+// anything is one rebuild of the index over the grown pool, so a tail costs
+// one rebuild however long it is, and the result is the one the
+// acknowledged inserts produced however they were batched. Records at or
+// below the applied point are already part of the loaded state and are
+// skipped; a gap above it means acknowledged records were lost. Every
+// re-assigned id is checked against the id that was acknowledged.
 func (s *Store) replay(recs []record, path string) error {
-	chunk := make([]record, 0, replayChunk)
-	attrs := make([][]float64, 0, replayChunk)
-	apply := func() error {
-		results, _ := s.ix.InsertBatch(attrs)
-		for i, res := range results {
-			rec := chunk[i]
-			if res.Err != nil {
-				return fmt.Errorf("store: replay of record %d failed: %v", rec.lsn, res.Err)
-			}
-			if int64(res.ID) != rec.id {
-				return fmt.Errorf("%w: replay diverged at record %d: re-assigned id %d, acknowledged id %d",
-					ErrCorrupt, rec.lsn, res.ID, rec.id)
-			}
-			s.applied++
-			s.appliedA.Store(s.applied)
-			s.replayed++
-		}
-		chunk, attrs = chunk[:0], attrs[:0]
-		return nil
-	}
+	var tail []record
+	var attrs [][]float64
 	for _, rec := range recs {
-		through := s.applied + uint64(len(chunk))
+		through := s.applied + uint64(len(tail))
 		if rec.lsn <= through {
 			continue
 		}
@@ -366,14 +344,26 @@ func (s *Store) replay(recs []record, path string) error {
 			return fmt.Errorf("%w: WAL gap: applied through %d, next record %d (%s)",
 				ErrCorrupt, through, rec.lsn, path)
 		}
-		chunk, attrs = append(chunk, rec), append(attrs, rec.attrs)
-		if len(chunk) == replayChunk {
-			if err := apply(); err != nil {
-				return err
-			}
-		}
+		tail, attrs = append(tail, rec), append(attrs, rec.attrs)
 	}
-	return apply()
+	if len(tail) == 0 {
+		return nil
+	}
+	results, _ := s.ix.InsertBatch(attrs)
+	for i, res := range results {
+		rec := tail[i]
+		if res.Err != nil {
+			return fmt.Errorf("store: replay of record %d failed: %v", rec.lsn, res.Err)
+		}
+		if int64(res.ID) != rec.id {
+			return fmt.Errorf("%w: replay diverged at record %d: re-assigned id %d, acknowledged id %d",
+				ErrCorrupt, rec.lsn, res.ID, rec.id)
+		}
+		s.applied++
+		s.appliedA.Store(s.applied)
+		s.replayed++
+	}
+	return nil
 }
 
 func (s *Store) loadSnapshot(path string) (*tlx.Index, error) {
@@ -474,8 +464,9 @@ func (s *Store) commit(req *insertReq) insertGroupRes {
 
 // processGroup commits one group: a single index batch apply, one WAL
 // record per logged option at consecutive LSNs, one fsync, then delivery.
-// The store lock is held across apply+log+fsync so snapshots can never
-// capture records the device has not confirmed.
+// The records are written and fsync'd while the index rebuilds. The store
+// lock is held across apply+log+fsync so snapshots can never capture
+// records the device has not confirmed.
 func (s *Store) processGroup(group []*insertReq) {
 	total := 0
 	for _, r := range group {
@@ -497,27 +488,31 @@ func (s *Store) processGroup(group []*insertReq) {
 		deliverErr(group, err)
 		return
 	}
-	results, bstats := s.ix.InsertBatch(all)
 	items := make([]BatchResult, total)
 	next := s.applied
-	var werr error
 	var nbytes int64
-	for i, res := range results {
-		if werr == nil && res.Err == nil && res.ID >= 0 {
-			// Accepted or duplicate: exactly the options the sequential path
-			// logs, so replay re-derives identical ids.
-			next++
-			n, e := s.seg.writeRecord(record{lsn: next, id: int64(res.ID), attrs: all[i]})
-			if e != nil {
-				werr = e
+	// The records are logged and fsync'd while the index rebuilds: once
+	// the batch's ids are known, the WAL needs nothing else from the index.
+	_, bstats, werr := s.ix.InsertBatchAlongside(all, func(results []tlx.InsertResult) error {
+		var werr error
+		for i, res := range results {
+			if werr == nil && res.Err == nil && res.ID >= 0 {
+				// Accepted or duplicate: exactly the options the sequential
+				// path logs, so replay re-derives identical ids.
+				next++
+				n, e := s.seg.writeRecord(record{lsn: next, id: int64(res.ID), attrs: all[i]})
+				if e != nil {
+					werr = e
+				}
+				nbytes += int64(n)
 			}
-			nbytes += int64(n)
+			items[i] = BatchResult{ID: res.ID, LSN: next, Err: res.Err}
 		}
-		items[i] = BatchResult{ID: res.ID, LSN: next, Err: res.Err}
-	}
-	if werr == nil && next > s.applied {
-		werr = s.seg.sync()
-	}
+		if werr == nil && next > s.applied {
+			werr = s.seg.sync()
+		}
+		return werr
+	})
 	if werr != nil {
 		// The in-memory index has the group's options but the log does not;
 		// any further write would make replay assign ids that contradict the

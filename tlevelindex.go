@@ -120,9 +120,11 @@ func WithSeed(seed int64) Option { return func(c *buildConfig) { c.seed = seed }
 
 // WithWorkers bounds the number of goroutines used for the LP-heavy phases
 // of construction and ExtendTau. Values below 1 select
-// runtime.GOMAXPROCS(0), the default. The built index is byte-identical for
-// every worker count: parallel phases only compute, and cells are always
-// materialized in a deterministic sequential order.
+// runtime.GOMAXPROCS(0), the default. A d=2 PBA or PBA⁺ build (and so an
+// insert's rebuild) runs on one goroutine whatever the bound. The built
+// index is byte-identical for every worker count: parallel phases only
+// compute, and cells are always materialized in a deterministic sequential
+// order.
 func WithWorkers(n int) Option { return func(c *buildConfig) { c.workers = n } }
 
 // WithoutFullData drops the reference to the input dataset after building.
@@ -142,15 +144,16 @@ func WithoutOnionFilter() Option { return func(c *buildConfig) { c.onion = index
 // WithTracer attaches t to the build (phase spans "build.filter",
 // "build.<algorithm>", "build.compact", per-level "build.level" /
 // "extend.level" spans, and each build level's "build.level.compute",
-// "build.level.apply" and "build.level.merge") and to the built index for
-// query spans, as if SetTracer(t) had been called on the result. nil is the
-// default: tracing off.
+// "build.level.apply" and "build.level.merge"; the rebuild of every later
+// accepted insert batch emits the same build spans) and to the built index
+// for query spans, as if SetTracer(t) had been called on the result. nil is
+// the default: tracing off.
 func WithTracer(t Tracer) Option { return func(c *buildConfig) { c.trace = t } }
 
 // WithProgress registers a callback invoked after every completed level of
-// a partition-based build — and of any later ExtendTau — with the
-// level's cell count and cells/sec throughput, so long PBA builds can be
-// watched. The callback runs on the building goroutine and must not call
+// a partition-based build — and of any later ExtendTau or insert rebuild —
+// with the level's cell count and cells/sec throughput, so long PBA builds
+// can be watched. The callback runs on the building goroutine and must not call
 // back into the index.
 func WithProgress(fn func(BuildProgress)) Option { return func(c *buildConfig) { c.progress = fn } }
 
@@ -274,20 +277,13 @@ func (ix *Index) CellsPerLevel() []int {
 }
 
 // Stats returns construction statistics. VerdictEntries is read live: the
-// other verdict figures are as of the last build or extension.
+// other verdict figures are as of the last build or extension. An accepted
+// insert rebuilds the index with PBA⁺, after which every figure, Algorithm
+// included, describes that rebuild rather than the original build.
 func (ix *Index) Stats() BuildStats {
 	s := ix.inner.Stats
 	s.VerdictEntries = ix.inner.VerdictEntries()
 	return s
-}
-
-// InsertCacheStats reports the estimated bytes of derived per-cell state
-// the index keeps between insert batches so that the next one starts warm
-// (0 before the first accepted insert, after a load, and whenever the last
-// batch left it over its fixed budget), and how many times that state was
-// discarded. It needs the same exclusion from inserts as a query.
-func (ix *Index) InsertCacheStats() (bytes int64, drops uint64) {
-	return ix.inner.InsertCacheStats()
 }
 
 // SizeBytes returns the serialized index size — the paper's index-size
@@ -416,11 +412,13 @@ func (ix *Index) reduce(w []float64) ([]float64, error) {
 	return append([]float64(nil), w[:len(w)-1]...), nil
 }
 
-// Insert adds a newly arrived option to the index (the paper's §6.2 update
-// path) and returns its id for use as a query argument: the index of the
-// option in the (conceptually appended) dataset. Options that cannot rank
-// top-τ anywhere are filtered and return -1 with a nil error; the index is
-// unchanged. Insert requires exclusive access to the index.
+// Insert adds a newly arrived option to the index and returns its id for
+// use as a query argument: the index of the option in the (conceptually
+// appended) dataset. It is InsertBatch of that option alone. Options that
+// cannot rank top-τ anywhere are filtered and return -1 with a nil error;
+// the index is unchanged. An option with the wrong dimensionality or a NaN
+// or infinite coordinate returns an error and changes nothing. Insert
+// requires exclusive access to the index.
 func (ix *Index) Insert(option []float64) (int, error) {
 	fid, err := ix.inner.InsertOption(option)
 	if err != nil || fid < 0 {
@@ -450,23 +448,35 @@ type InsertResult struct {
 }
 
 // BatchInsertStats summarizes one InsertBatch call: how many options
-// actually mutated the index, the wall time of the two shared maintenance
-// phases (the single staging thaw and the single CSR re-freeze) that
-// per-record Insert would have paid once per option, and how warm the
-// batch ran — regions and parent-edge certificates taken from the state the
-// index keeps between batches against those derived from nothing, and the
-// bytes of such state held for the next batch (see InsertCacheStats).
+// joined the pool (Accepted) and the wall time of the one rebuild they
+// caused (FinalizeNS, 0 when nothing was accepted). ThawNS is always 0; a
+// batch no longer thaws the index.
 type BatchInsertStats = index.BatchStats
 
-// InsertBatch applies a batch of newly arrived options in order with
-// exactly the semantics of N sequential Insert calls — same ids, same
-// filtering, byte-identical index — while paying the O(index-size)
-// thaw/re-freeze maintenance once for the whole batch instead of once per
-// record. Item errors are per-item (a dimensionality mismatch rejects only
-// that option). Like Insert, InsertBatch requires exclusive access to the
-// index.
+// InsertBatch applies a batch of newly arrived options in order. Options
+// that cannot rank top-τ given the pool as grown by the records before
+// them are filtered, exact duplicates resolve to the id already held, and
+// the rest join the pool; if any did, the index is rebuilt over the grown
+// pool with the PBA⁺ builder. The outcome is history-independent: it equals
+// a build over the final pool, so any cut of the same options into batches
+// — N Insert calls or one InsertBatch — gives the same ids and a
+// byte-identical index, and a batch costs one rebuild however many options
+// it carries. Item errors are per-item (a dimensionality mismatch or a NaN
+// or infinite coordinate rejects only that option). Like Insert,
+// InsertBatch requires exclusive access to the index.
 func (ix *Index) InsertBatch(options [][]float64) ([]InsertResult, BatchInsertStats) {
-	fids, errs, bs := ix.inner.InsertBatch(options)
+	out, bs, _ := ix.InsertBatchAlongside(options, nil)
+	return out, bs
+}
+
+// InsertBatchAlongside is InsertBatch that also runs alongside, when not
+// nil, with the batch's results once they are known: on its own goroutine
+// while the index rebuilds, or inline when nothing was accepted. It
+// returns after both, with alongside's error. alongside must not use the
+// index; the store writes and fsyncs its WAL records in it, so the flush
+// overlaps the rebuild instead of following it.
+func (ix *Index) InsertBatchAlongside(options [][]float64, alongside func([]InsertResult) error) ([]InsertResult, BatchInsertStats, error) {
+	fids, errs, bs := ix.inner.AdmitBatch(options)
 	out := make([]InsertResult, len(options))
 	touched := false
 	for i, fid := range fids {
@@ -490,7 +500,19 @@ func (ix *Index) InsertBatch(options [][]float64) ([]InsertResult, BatchInsertSt
 	if touched {
 		ix.idMap.Store(nil)
 	}
-	return out, bs
+	switch {
+	case alongside == nil:
+		if bs.Accepted > 0 {
+			bs.FinalizeNS = ix.inner.Rebuild()
+		}
+		return out, bs, nil
+	case bs.Accepted == 0:
+		return out, bs, alongside(out)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- alongside(out) }()
+	bs.FinalizeNS = ix.inner.Rebuild()
+	return out, bs, <-errc
 }
 
 // ExtendTau deepens the index to newTau levels permanently — the paper's

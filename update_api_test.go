@@ -2,6 +2,7 @@ package tlevelindex
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -99,6 +100,27 @@ func TestInsertBatchPublic(t *testing.T) {
 	results, _ = bat.InsertBatch([][]float64{{0.99, 0.99}})
 	if results[0].Err != nil || results[0].ID < 0 {
 		t.Errorf("InsertBatch after ExtendTau: %+v", results[0])
+	}
+}
+
+// TestNonFiniteOptionsPublic: a NaN or infinite coordinate is refused by
+// Build, by Insert and per item by InsertBatch, and a refused item takes no
+// dataset id.
+func TestNonFiniteOptionsPublic(t *testing.T) {
+	nan := [][]float64{{0.9, 0.1}, {0.1, 0.9}, {math.NaN(), 0.5}, {0.3, 0.3}, {0.7, 0.2}}
+	if _, err := Build(nan, 3); err == nil {
+		t.Fatal("Build accepted a NaN option")
+	}
+	ix := buildHotels(t)
+	if id, err := ix.Insert([]float64{math.Inf(1), 0.2}); err == nil || id != -1 {
+		t.Fatalf("Insert(+Inf) = %d, %v; want -1 and an error", id, err)
+	}
+	results, stats := ix.InsertBatch([][]float64{{math.NaN(), 0.95}, {0.95, 0.95}, {0.2, math.Inf(-1)}})
+	if results[0].Err == nil || results[2].Err == nil || results[0].ID != -1 || results[2].ID != -1 {
+		t.Fatalf("non-finite batch items: %+v", results)
+	}
+	if results[1].Err != nil || results[1].ID != 5 || stats.Accepted != 1 {
+		t.Fatalf("finite batch item: %+v (accepted %d), want id 5", results[1], stats.Accepted)
 	}
 }
 
