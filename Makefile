@@ -128,12 +128,13 @@ ingest-bench:
 # BenchmarkBuild builds the load benchmark's data (IND n=8000, seed 1) at its
 # own shape, d=3 τ=9, and at d=4 τ=4, reporting cells, LP calls and verdict
 # memo entries beside ns/op — a row whose ns/op moved because the index did
-# shows it in the same line. 3 timed builds per row; the target takes
-# 10–15 s on 2 vCPU.
+# shows it in the same line. BenchmarkExtendTau deepens an IND n=2000, d=3
+# index from τ=3 to τ=5 (a rebuild; the τ=3 build is untimed). 3 timed
+# builds per row; the target takes 10–15 s on 2 vCPU.
 # Same 2x ns/op gate — with the missing-baseline-name failure rule — and
 # BENCH_NO_GATE escape as the query gate.
 build-bench:
-	$(GO) test -bench '^BenchmarkBuild$$' -benchtime 3x -benchmem -run xxx ./internal/index \
+	$(GO) test -bench '^(BenchmarkBuild|BenchmarkExtendTau)$$' -benchtime 3x -benchmem -run xxx ./internal/index \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_build.json -out BENCH_build.json
 	@echo "wrote BENCH_build.json"
 

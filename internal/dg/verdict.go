@@ -11,7 +11,7 @@ type VerdictKind uint8
 
 const (
 	// KindDominates memoizes "option U C-dominates option V over the region"
-	// (the containment LP of computeP and of ExtendTau).
+	// (the containment LP of computeP).
 	KindDominates VerdictKind = iota
 	// KindClassify memoizes the three-way hyperplane classification of the
 	// insertion-based builder: the value is the geom.Rel as an int8.

@@ -82,8 +82,8 @@ type Config struct {
 	// "build.<algorithm>", "build.compact", one "build.level" span per
 	// materialized level of the partition-based builders with its
 	// "build.level.compute", "build.level.apply" and "build.level.merge"
-	// phases, and "extend.level" spans from a later ExtendTau. The rebuild
-	// of an accepted InsertBatch emits the build spans again. nil disables
+	// phases. The rebuild of an accepted InsertBatch or of an ExtendTau
+	// emits the build spans from "build.PBA+" on again. nil disables
 	// tracing; instrumented code then only pays a nil check.
 	Trace obs.Tracer
 	// Progress, when non-nil, is called after every completed level of a
@@ -93,14 +93,14 @@ type Config struct {
 	Progress func(BuildProgress)
 }
 
-// BuildProgress is one progress report from a partition-based build or an
-// ExtendTau.
+// BuildProgress is one progress report from a partition-based build, or
+// from the rebuild of an insert or an ExtendTau.
 type BuildProgress struct {
 	Algorithm  string
 	Level      int // level just materialized (1-based)
-	MaxLevel   int // target level: τ for builds, the new τ for ExtendTau
+	MaxLevel   int // target level: τ (the new τ for ExtendTau)
 	LevelCells int // cells in the completed level after merging
-	// Elapsed is wall time since the build (or extension) started;
+	// Elapsed is wall time since the build started;
 	// CellsPerSec is the completed level's instantaneous throughput.
 	Elapsed     time.Duration
 	CellsPerSec float64
@@ -217,7 +217,8 @@ func Build(data [][]float64, cfg Config) (*Index, error) {
 // build constructs the cells over ix.Pts with algorithm alg and the verdict
 // memo verdicts (nil for none), discarding any cells ix held, and leaves the
 // index frozen with its statistics filled. It is the whole of Build after
-// the option filter, and the whole of an accepted InsertBatch: everything
+// the option filter, and of an accepted InsertBatch or an ExtendTau once
+// they have grown the pool (and ExtendTau τ): everything
 // else a built index holds (Dim, Tau, Pts, OrigIDs, fullPts,
 // Stats.InputOptions, the worker bound, the observability hooks, the
 // backing) is the caller's and is left as it is.

@@ -31,3 +31,26 @@ func BenchmarkBuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExtendTau is one ExtendTau per op, IND n=2000 d=3 seed 1 from
+// τ=3 to τ=5 — the first k > τ of the paper's Figure 14, which rebuilds the
+// index over the pool grown to the 5-skyband — with the τ=3 build of each
+// op outside the timer. `make build-bench` gates it in BENCH_build.json.
+func BenchmarkExtendTau(b *testing.B) {
+	data := datagen.Generate(datagen.IND, 2000, 3, 1)
+	b.ReportAllocs()
+	var ix *Index
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var err error
+		if ix, err = Build(data, Config{Algorithm: PBAPlus, Tau: 3}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := ix.ExtendTau(5); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ix.NumCells()), "cells")
+	b.ReportMetric(float64(ix.Stats.LPCalls), "lpcalls")
+}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"tlevelindex/datagen"
 	"tlevelindex/internal/geom"
 )
 
@@ -475,5 +476,16 @@ func TestAllBuildersFullRegionValidation(t *testing.T) {
 		if err := ix.Validate(true); err != nil {
 			t.Errorf("%v: %v", alg, err)
 		}
+	}
+}
+
+// TestPBAPlusCellsHaveInteriors: every cell of the PBA⁺ build of IND n=8000
+// d=3 τ=8 seed 1 has an interior. A merged cell carries the samples of all
+// of its parts, and a sample where a candidate won once certified a
+// level-8 child that lay outside the cell: its region was empty.
+func TestPBAPlusCellsHaveInteriors(t *testing.T) {
+	ix := buildOrFail(t, datagen.Generate(datagen.IND, 8000, 3, 1), Config{Algorithm: PBAPlus, Tau: 8})
+	if err := ix.Validate(true); err != nil {
+		t.Fatal(err)
 	}
 }

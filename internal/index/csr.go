@@ -15,14 +15,13 @@ import (
 // arrays (format X3), and the per-cell slice form survives only as the
 // build-time staging structure.
 //
-// Lifecycle: the builders and the extension machinery mutate the staging
-// slices (Cell.Parents/Children/Bound). compact() finishes a build by
-// calling freeze(), which moves the adjacency into a flatDAG and nils the
-// staging slices; an insert batch is a build, so it starts from no cells.
-// ExtendTau, the one mutation of a built index, calls thaw() first to
-// materialize staging slices back from the flat form, does its slice
-// surgery, and re-freezes. All readers go through the childrenOf /
-// parentsOf / boundOf accessors, which work in either mode.
+// Lifecycle: the builders mutate the staging slices
+// (Cell.Parents/Children/Bound), and compact() finishes a build by calling
+// freeze(), which moves the adjacency into a flatDAG and nils the staging
+// slices. A built index is never edited in place: an accepted insert batch
+// and ExtendTau both rebuild it, starting from no cells. The readers go
+// through the childrenOf / parentsOf / boundOf accessors, which serve the
+// staging slices too while a build is still running.
 
 // flatDAG is the frozen CSR adjacency of an index.
 type flatDAG struct {
@@ -73,8 +72,7 @@ type cellSpans struct {
 }
 
 // freeze moves the staging adjacency slices into a flatDAG and clears them.
-// List order is preserved exactly, so thaw(freeze(ix)) reproduces the
-// staging form and traversal order is unchanged.
+// List order is preserved exactly, so traversal order is unchanged.
 func (ix *Index) freeze() {
 	var np, nc, nb int
 	for i := range ix.Cells {
@@ -223,35 +221,6 @@ func (ix *Index) focalCells(focal int32, k int) []int32 {
 	cells := f.optCells[f.optOff[focal]:f.optOff[focal+1]]
 	n := sort.Search(len(cells), func(i int) bool { return int(ix.Cells[cells[i]].Level) > k })
 	return cells[:n:n]
-}
-
-// thaw materializes the staging slices back from the flat form so the
-// mutation machinery can operate on them. No-op when already staged. Each
-// arena is copied once (it may alias a read-only mapping) and every cell's
-// list is a window of the copy with no spare capacity, so an append to one
-// list moves it out instead of running into its neighbour.
-func (ix *Index) thaw() {
-	f := ix.flat
-	if f == nil {
-		return
-	}
-	ix.flat = nil
-	parents := append([]int32(nil), f.parents...)
-	children := append([]int32(nil), f.children...)
-	bounds := append([]int32{}, f.bounds...)
-	for i := range ix.Cells {
-		c := &ix.Cells[i]
-		s := &f.spans[i]
-		if s.parentLen > 0 {
-			c.Parents = parents[s.parentOff : s.parentOff+s.parentLen : s.parentOff+s.parentLen]
-		}
-		if s.childLen > 0 {
-			c.Children = children[s.childOff : s.childOff+s.childLen : s.childOff+s.childLen]
-		}
-		if s.boundLen >= 0 {
-			c.Bound = bounds[s.boundOff : s.boundOff+s.boundLen : s.boundOff+s.boundLen]
-		}
-	}
 }
 
 // parentsOf returns the cell's parent ids in either storage mode. The

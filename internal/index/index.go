@@ -2,7 +2,7 @@
 // implicitly represented preference-space cells (Definition 4), four
 // construction algorithms (BSL §5.1, IBA §5.2, PBA §6.2, PBA⁺ §6.3), and
 // the query algorithms of §4 (kSPR, UTK, ORU, top-k, MaxRank, why-not),
-// including ExtendTau's deepening past level τ.
+// and ExtendTau's deepening past level τ by a rebuild.
 //
 // A rank-ℓ cell stores only its top-ℓ-th option, its DAG edges, and the
 // small bounding option set produced by the partition-based builders; its
@@ -43,10 +43,11 @@ type Cell struct {
 
 // BuildStats carries the instrumentation reported in the paper's Table 4
 // and Figures 9–11. They describe the build that made the current cells:
-// an InsertBatch that accepts an option rebuilds the index with PBA⁺, so
-// from then on every figure, Algorithm ("PBA+") included, is that
-// rebuild's, whichever algorithm built the index first. InputOptions is
-// the one figure carried across.
+// an InsertBatch that accepts an option, and an ExtendTau, rebuild the
+// index with PBA⁺, so from then on every figure, Algorithm ("PBA+")
+// included, is that rebuild's, whichever algorithm built the index first,
+// and the verdict counters read 0 (the rebuild runs without the memo).
+// InputOptions is the one figure carried across.
 type BuildStats struct {
 	Algorithm       string
 	InputOptions    int // |D|
@@ -58,10 +59,10 @@ type BuildStats struct {
 	CellsPerLevel        []int
 	HyperplanesPerCell   []float64
 	LPCalls              int64
-	// VerdictCache effectiveness over the build (and any later extension):
-	// memoized LP verdicts served vs computed fresh, and entries held.
-	// Like the cache itself these are not serialized; a loaded index, and
-	// one an insert rebuilt (which runs without the cache), report zeros.
+	// VerdictCache effectiveness over the build: memoized LP verdicts
+	// served vs computed fresh, and entries held. Like the cache itself
+	// these are not serialized; a loaded index, and one an insert or an
+	// ExtendTau rebuilt (which runs without the cache), report zeros.
 	VerdictHits    uint64
 	VerdictMisses  uint64
 	VerdictEntries int
@@ -107,7 +108,7 @@ type Index struct {
 	// which the cache treats as always-miss).
 	verdicts *dg.VerdictCache
 	// trace and progress carry the build-time observability hooks from
-	// Config into the level loops (and a later ExtendTau). Both may be nil,
+	// Config into the level loops (and later rebuilds). Both may be nil,
 	// which disables them at the cost of one nil check. Not serialized.
 	trace    obs.Tracer
 	progress func(BuildProgress)
@@ -115,9 +116,9 @@ type Index struct {
 	// that alias a caller-owned buffer instead of the heap (ReadBytes with
 	// alias=true); 0 for a fully heap-backed index. backing is that
 	// buffer's releaser — typically an mmap — closed via CloseBacking once
-	// the index is discarded. Mutation is safe while it is set: thaw()
-	// copies the arenas before ExtendTau's edits, and an insert appends
-	// fresh rows to Pts and rebuilds the cells on the heap.
+	// the index is discarded. Mutation is safe while it is set: nothing
+	// edits the aliased arrays in place. An insert appends fresh rows to
+	// Pts, and an insert and ExtendTau both rebuild the cells on the heap.
 	aliasedBytes int64
 	backing      io.Closer
 }
@@ -144,7 +145,7 @@ func (ix *Index) CloseBacking() error {
 }
 
 // refreshVerdictStats copies the verdict-cache counters into Stats; called
-// at the end of Build and of every ExtendTau.
+// at the end of every build.
 func (ix *Index) refreshVerdictStats() {
 	hits, misses, size := ix.verdicts.Stats()
 	ix.Stats.VerdictHits = hits
@@ -153,8 +154,8 @@ func (ix *Index) refreshVerdictStats() {
 }
 
 // VerdictEntries returns the number of verdicts the build-time cache holds
-// right now (Stats.VerdictEntries is the figure as of the last build or
-// extension); 0 for a loaded index or one an insert rebuilt, which have no
+// right now (Stats.VerdictEntries is the figure as of the last build); 0
+// for a loaded index or one an insert or ExtendTau rebuilt, which have no
 // cache.
 func (ix *Index) VerdictEntries() int {
 	_, _, size := ix.verdicts.Stats()
@@ -165,8 +166,8 @@ func (ix *Index) VerdictEntries() int {
 // default).
 func (ix *Index) Workers() int { return ix.workers }
 
-// SetWorkers changes the worker bound used by ExtendTau; values below 1
-// select the GOMAXPROCS default.
+// SetWorkers changes the worker bound of later rebuilds (an insert's or an
+// ExtendTau's); values below 1 select the GOMAXPROCS default.
 func (ix *Index) SetWorkers(n int) { ix.workers = n }
 
 // HasFullData reports whether the index retains the unfiltered dataset, so
@@ -287,10 +288,11 @@ func (ix *Index) regionIntoBuf(id int32, reg *geom.Region, buf *[]int32) *geom.R
 }
 
 // RowsInto returns the cell's halfspace rows — RegionInto(id, …).HS: same
-// rows, same order, same bits — without building a Region. A frozen index
-// serves every live cell from its rows column (shared and immutable, buf
-// untouched; see levelCols); a thawed one assembles into buf, and the
-// result is valid until buf's next use.
+// rows, same order, same bits — without building a Region. Every cell at a
+// level 0..τ is served from the rows column (shared and immutable, buf
+// untouched; see levelCols). Any other cell, which only a loaded snapshot
+// can hold, is assembled into buf, and the result is valid until buf's
+// next use.
 func (ix *Index) RowsInto(id int32, buf *geom.RowBuf) geom.Rows {
 	rset := rsetScratch.Get()
 	defer rsetScratch.Put(rset)
@@ -300,7 +302,7 @@ func (ix *Index) RowsInto(id int32, buf *geom.RowBuf) geom.Rows {
 // rowsIntoBuf is RowsInto with an explicit result-set scratch buffer.
 func (ix *Index) rowsIntoBuf(id int32, buf *geom.RowBuf, rset *[]int32) geom.Rows {
 	f, l := ix.flat, ix.Cells[id].Level
-	if f == nil || l < 0 || int(l) >= len(f.levels) {
+	if l < 0 || int(l) >= len(f.levels) {
 		return assembleCell(ix, id, buf, rset).Rows
 	}
 	rows := ix.levelRows(f, l)

@@ -29,9 +29,9 @@ import (
 // satisfy the element alignment (int32 arrays always do under X3's layout;
 // the float64 coordinate block does when the option count is even).
 // Arrays that fail a condition are copied to the heap individually — the
-// load degrades, never breaks. Mutating paths are already alias-safe:
-// thaw() copies the adjacency out of the arenas before any slice surgery,
-// and inserts only append fresh heap rows to Pts.
+// load degrades, never breaks. Mutating paths are alias-safe: nothing
+// writes into the arenas or the coordinates, an insert appends fresh heap
+// rows to Pts, and an insert or ExtendTau rebuilds the cells on the heap.
 
 // nativeLittleEndian reports whether the running platform stores integers
 // little-endian, which the X3 encoding requires for aliasing.

@@ -75,7 +75,7 @@ func TestReadBytesLegacyFormats(t *testing.T) {
 
 // TestOpenFileServesAndMutates maps a snapshot file and checks the index
 // both answers queries identically to a heap load and survives an insert:
-// thaw() must copy the aliased arenas before any slice surgery, or the
+// the insert's rebuild must leave the aliased arenas alone, or the
 // PROT_READ mapping would fault. A mapped index holds no full dataset, so
 // ExtendTau refuses it.
 func TestOpenFileServesAndMutates(t *testing.T) {

@@ -89,8 +89,8 @@ func checkOptCells(t *testing.T, ix *Index, stage string) (visited, reported int
 
 // TestOptCellsMatchWalk: the option→cells column gives the walk's kSPR
 // answer and the sweep's MaxRank on every builder at d = 2..4, and keeps
-// giving them through every step that rebuilds it: thaw and re-freeze,
-// InsertBatch, Read, OpenFile and ExtendTau.
+// giving them through every step that rebuilds it: InsertBatch, Read,
+// OpenFile and ExtendTau.
 func TestOptCellsMatchWalk(t *testing.T) {
 	var visited, reported int
 	check := func(ix *Index, stage string) {
@@ -108,10 +108,6 @@ func TestOptCellsMatchWalk(t *testing.T) {
 			ix := buildOrFail(t, data, Config{Algorithm: alg, Tau: tau})
 			stage := alg.String() + " d=" + string(rune('0'+d))
 			check(ix, stage+" built")
-
-			ix.thaw()
-			ix.freeze()
-			check(ix, stage+" re-frozen")
 
 			batch := make([][]float64, 3)
 			for i := range batch {

@@ -25,11 +25,11 @@ func sampleCount(dim int) int { return 8 + 6*dim }
 // sequential apply phase, so the seed — and hence every sample — is the
 // same for any worker count.
 //
-// The stream is part of the index's identity on degenerate input: a child
-// too thin for the Chebyshev LP (radius below its threshold) is kept only
-// when a sample certifies it. The 62-bit mask dates from when the seed fed
-// math/rand; with it the splitmix stream builds the same indexes, bit for
-// bit, and without it IND n=8000, d=4, τ=6 builds a different one.
+// The stream decides which LPs run, not which cells exist: a sample
+// certifies a child only from inside its region (interiorTo), so a child
+// too thin for the Chebyshev LP is never kept on a sample's word. The
+// 62-bit mask dates from when the seed fed math/rand; the committed build
+// hashes are the same with and without it, and the LP counts are not.
 func cellSeed(parent, opt int32) splitmix {
 	h := uint64(uint32(parent))<<32 | uint64(uint32(opt))
 	h ^= h >> 33
@@ -218,7 +218,7 @@ func buildPBA(ix *Index, plus bool) {
 		ix.endPhase(&phase, l+1)
 		ix.Levels[l+1] = append([]int32(nil), merged...)
 		if instrumented {
-			ix.reportLevel("build.level", l+1, ix.Tau, len(merged),
+			ix.reportLevel(l+1, len(merged),
 				ix.Stats.LPCalls-lpBefore, buildStart, levelStart)
 		}
 	}
@@ -280,12 +280,12 @@ func (ix *Index) endPhase(sp *obs.Span, level int) {
 	sp.FinishTo(ix.trace)
 }
 
-// reportLevel emits the per-level span and progress callback shared by the
-// partition builders and ExtendTau.
-func (ix *Index) reportLevel(spanName string, level, maxLevel, cells int, lpCalls int64, buildStart, levelStart time.Time) {
+// reportLevel emits the "build.level" span and the progress callback of
+// one level of a partition-based build.
+func (ix *Index) reportLevel(level, cells int, lpCalls int64, buildStart, levelStart time.Time) {
 	took := time.Since(levelStart)
 	if ix.trace != nil {
-		sp := obs.Span{Name: spanName, Start: levelStart}
+		sp := obs.Span{Name: "build.level", Start: levelStart}
 		sp.Set("level", float64(level))
 		sp.Set("cells", float64(cells))
 		sp.Set("lpCalls", float64(lpCalls))
@@ -299,7 +299,7 @@ func (ix *Index) reportLevel(spanName string, level, maxLevel, cells int, lpCall
 		ix.progress(BuildProgress{
 			Algorithm:   ix.Stats.Algorithm,
 			Level:       level,
-			MaxLevel:    maxLevel,
+			MaxLevel:    ix.Tau,
 			LevelCells:  cells,
 			Elapsed:     time.Since(buildStart),
 			CellsPerSec: cps,
@@ -387,6 +387,8 @@ func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.
 	slices.Sort(rset)
 	sc.rset = rset
 
+	row := slices.Grow(sc.row[:0], d)[:d]
+	sc.row = row
 	childReg := geom.GetRegion()
 	defer geom.PutRegion(childReg)
 	res.children = make([]childSpec, 0, len(p))
@@ -403,6 +405,9 @@ func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.
 			}
 		}
 		witness := witnessOf[i]
+		if witness != nil && !ix.interiorTo(reg, ri, bound, witness, row) {
+			witness = nil
+		}
 		if witness != nil && !carry {
 			// A sample certifies the child, and nothing needs its region.
 			res.children = append(res.children, childSpec{opt: ri, key: childKey(rset, ri), bound: bound, witness: witness})
@@ -443,6 +448,26 @@ func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.
 		}
 	}
 	return res
+}
+
+// interiorTo reports whether the sample x lies inside the child region of
+// candidate ri — the cell's region cut by H⁺(ri, rj) for every rj in bound —
+// by more than geom.InteriorEps, the margin Feasible asks of a witness.
+// Winning at a sample is not enough: a merged cell carries the samples of
+// all of its parts, and one where the candidate wins can lie outside the
+// child region, which then may be empty. row is scratch of length RDim.
+func (ix *Index) interiorTo(reg *geom.Region, ri int32, bound []int32, x, row []float64) bool {
+	for _, h := range reg.HS {
+		if h.Eval(x) >= -geom.InteriorEps {
+			return false
+		}
+	}
+	for _, rj := range bound {
+		if geom.PrefHalfspaceInto(row, ix.Pts[ri], ix.Pts[rj]).Eval(x) >= -geom.InteriorEps {
+			return false
+		}
+	}
+	return true
 }
 
 // computeP returns a superset of the options that can rank top-(ℓ+1) for

@@ -314,15 +314,6 @@ func TestCellRowsIdentity(t *testing.T) {
 			checkUnfilled(t, ix, stage+" built")
 			checkCellRows(t, ix, stage+" built")
 
-			ix.thaw()
-			if ix.flat != nil {
-				t.Fatal("thaw left the flat form in place")
-			}
-			checkCellRows(t, ix, stage+" thawed")
-			ix.freeze()
-			checkUnfilled(t, ix, stage+" refrozen")
-			checkCellRows(t, ix, stage+" refrozen")
-
 			// Options near the top corner are accepted, take rank 1 somewhere
 			// and join the bound sets of the other level-1 cells.
 			before := level1RowsByOpt(ix)
@@ -594,38 +585,6 @@ func TestMonoRTopKMatchesReference(t *testing.T) {
 			if got, _ := ix.MonoRTopK(k, focal); !slices.Equal(got, want) {
 				t.Fatalf("MonoRTopK(%d, %d) = %v, reference %v", k, focal, got, want)
 			}
-		}
-	}
-}
-
-// TestQueriesOnThawedIndex: with the staging slices live there is no rows
-// column, cellRows assembles every cell, and ORU answers as it does on the
-// frozen index.
-func TestQueriesOnThawedIndex(t *testing.T) {
-	ctx := context.Background()
-	ix := buildOrFail(t, datagen.Generate(datagen.IND, 800, 3, 27), Config{Tau: 5})
-	rng := rand.New(rand.NewSource(2704))
-	type draw struct {
-		k, m int
-		x    []float64
-	}
-	draws := make([]draw, 200)
-	oru := make([]*ORUResult, len(draws))
-	for i := range draws {
-		x := randReduced(rng, 2)
-		draws[i] = draw{1 + rng.Intn(5), 1 + rng.Intn(9), x}
-		oru[i], _ = ix.ORUCtx(ctx, draws[i].k, x, draws[i].m)
-	}
-	ix.thaw()
-	defer ix.freeze()
-	if ix.flat != nil {
-		t.Fatal("thaw left the flat form in place")
-	}
-	for i, d := range draws {
-		got, _ := ix.ORUCtx(ctx, d.k, d.x, d.m)
-		if got.Stats != oru[i].Stats || !slices.Equal(got.Options, oru[i].Options) ||
-			math.Float64bits(got.Rho) != math.Float64bits(oru[i].Rho) {
-			t.Fatalf("draw %d: thawed ORU %+v, frozen %+v", i, got, oru[i])
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package index
 
-import "errors"
+import (
+	"errors"
+
+	"tlevelindex/internal/skyline"
+)
 
 var (
 	// ErrBeyondTau reports a query deeper than the index: its k exceeds τ.
@@ -36,6 +40,14 @@ func equalVec(a, b []float64) bool {
 // way to deepen an index: a query with k > τ is refused with ErrBeyondTau.
 // An index without its full dataset returns ErrNeedsFullData and is left
 // unchanged. A newTau ≤ τ is a no-op.
+//
+// Deepening is a rebuild, the one an accepted InsertBatch runs: the pool
+// grows to the newTau-skyband of the full dataset (the ids already handed
+// out never move; recruited options take the next ones), τ becomes newTau
+// clamped to the pool size as Build clamps it, and the cells are replaced
+// by a PBA⁺ build over the pool. The index is then the one Build(pool,
+// SkipFilter) makes at that τ, whatever mix of inserts and extensions led
+// to it.
 func (ix *Index) ExtendTau(newTau int) error {
 	if newTau <= ix.Tau {
 		return nil
@@ -43,9 +55,30 @@ func (ix *Index) ExtendTau(newTau int) error {
 	if ix.fullPts == nil {
 		return ErrNeedsFullData
 	}
-	ix.ensureLevels(newTau)
-	ix.fillCellStats()
+	ix.ensurePool(newTau)
+	// A clamped τ that did not grow means the pool did not either.
+	if tau := min(newTau, len(ix.Pts)); tau > ix.Tau {
+		ix.Tau = tau
+		ix.Rebuild()
+	}
 	return nil
+}
+
+// ensurePool grows the filtered option set to the k-skyband of the full
+// dataset so that every option that can rank top-k is available.
+func (ix *Index) ensurePool(k int) {
+	have := make(map[int]bool, len(ix.OrigIDs))
+	for _, o := range ix.OrigIDs {
+		have[o] = true
+	}
+	uniq, uniqIDs := dedupeOptions(ix.fullPts)
+	for _, fi := range skyline.Skyband(uniq, k) {
+		if !have[uniqIDs[fi]] {
+			have[uniqIDs[fi]] = true
+			ix.Pts = append(ix.Pts, uniq[fi])
+			ix.OrigIDs = append(ix.OrigIDs, uniqIDs[fi])
+		}
+	}
 }
 
 // LevelOptions returns the distinct options that hold rank ℓ somewhere in

@@ -1,9 +1,16 @@
 package index
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+
+	"tlevelindex/baseline"
+	"tlevelindex/datagen"
 )
 
 // TestInsertOptionMatchesRebuild: inserting options one at a time into a
@@ -159,6 +166,85 @@ func TestExtendTau(t *testing.T) {
 	}
 	if ix.Tau != 4 {
 		t.Error("ExtendTau shrank the index")
+	}
+}
+
+// TestExtendTauEqualsBuild: ExtendTau is a rebuild. The deepened index is
+// byte for byte the PBA⁺ build over its grown pool (with the dataset ids
+// and the input size carried over), holds the cells of an index built at
+// the new τ in the first place, answers top-k like the brute force, and
+// every one of its cells has an interior.
+func TestExtendTauEqualsBuild(t *testing.T) {
+	for _, tc := range []struct{ n, d, from, to int }{
+		{n: 8000, d: 2, from: 4, to: 6},
+		{n: 2000, d: 3, from: 3, to: 5},
+	} {
+		name := fmt.Sprintf("IND n=%d d=%d τ %d→%d", tc.n, tc.d, tc.from, tc.to)
+		data := datagen.Generate(datagen.IND, tc.n, tc.d, 1)
+		ix := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: tc.from})
+		if err := ix.ExtendTau(tc.to); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ix.Tau != tc.to {
+			t.Fatalf("%s: τ = %d after ExtendTau", name, ix.Tau)
+		}
+
+		pool := buildOrFail(t, ix.Pts, Config{Algorithm: PBAPlus, Tau: tc.to, SkipFilter: true})
+		pool.OrigIDs = append([]int(nil), ix.OrigIDs...)
+		pool.Stats.InputOptions = ix.Stats.InputOptions
+		if !bytes.Equal(serializeOrFail(t, ix), serializeOrFail(t, pool)) {
+			t.Fatalf("%s: the extended index differs from the PBA⁺ build over its pool", name)
+		}
+
+		fresh := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: tc.to})
+		if !slices.Equal(ix.Stats.CellsPerLevel, fresh.Stats.CellsPerLevel) {
+			t.Fatalf("%s: cells per level %v, a build at τ=%d has %v", name, ix.Stats.CellsPerLevel, tc.to, fresh.Stats.CellsPerLevel)
+		}
+		for l := 1; l <= tc.to; l++ {
+			if !slices.Equal(levelSigsByCoords(ix, l), levelSigsByCoords(fresh, l)) {
+				t.Fatalf("%s: level %d differs from a build at τ=%d", name, l, tc.to)
+			}
+		}
+
+		rng := rand.New(rand.NewSource(int64(tc.d)))
+		for q := 0; q < 200; q++ {
+			x := randReduced(rng, tc.d-1)
+			k := 1 + rng.Intn(tc.to)
+			got, _ := ix.TopK(x, k)
+			if g, want := datasetIDs(ix, got), baseline.BruteTopK(data, x, k); !slices.Equal(g, want) {
+				t.Fatalf("%s: top-%d at %v = %v, brute force %v", name, k, x, g, want)
+			}
+		}
+		if err := ix.Validate(true); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestExtendTauClampsLikeBuild: past the number of options ExtendTau clamps
+// τ as Build does. On three options ExtendTau(5) once left τ = 5 with empty
+// levels 4 and 5 and answered a top-5 query, where Build(τ=5) clamps τ to 3
+// and refuses it.
+func TestExtendTauClampsLikeBuild(t *testing.T) {
+	data := [][]float64{{0.9, 0.1}, {0.1, 0.9}, {0.5, 0.55}}
+	ix := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: 2})
+	if err := ix.ExtendTau(5); err != nil {
+		t.Fatal(err)
+	}
+	built := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: 5})
+	if built.Tau != 3 || ix.Tau != built.Tau || len(ix.Levels) != built.Tau+1 {
+		t.Fatalf("ExtendTau(5): τ = %d with %d levels; Build(τ=5) clamps to τ = %d", ix.Tau, len(ix.Levels), built.Tau)
+	}
+	if !bytes.Equal(serializeOrFail(t, ix), serializeOrFail(t, built)) {
+		t.Fatal("ExtendTau(5) differs from Build(τ=5)")
+	}
+	if _, _, _, err := ix.TopKCtx(context.Background(), []float64{0.3}, 5); err != ErrBeyondTau {
+		t.Fatalf("top-5 over 3 options after ExtendTau(5): err %v, want ErrBeyondTau", err)
+	}
+	// A second ExtendTau past the clamp finds nothing to add.
+	before := serializeOrFail(t, ix)
+	if err := ix.ExtendTau(6); err != nil || !bytes.Equal(before, serializeOrFail(t, ix)) {
+		t.Fatalf("ExtendTau(6) on a clamped index: err %v, or the index changed", err)
 	}
 }
 

@@ -181,8 +181,8 @@ func (sc SpanContext) ChildOf(span uint64) SpanContext {
 }
 
 // Span is one completed instrumented operation: a query traversal, a build
-// phase, a level of an ExtendTau. The value passed to a Tracer is a
-// copy; implementations may retain it.
+// phase, a level of a build. The value passed to a Tracer is a copy;
+// implementations may retain it.
 //
 // Trace, ID and Parent position the span in a request's span tree: all
 // three are zero for standalone spans (a tracer attached directly to an

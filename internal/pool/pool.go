@@ -1,5 +1,5 @@
 // Package pool provides the bounded worker pool used to parallelize the
-// per-cell LP work of the index builders and of ExtendTau.
+// per-cell LP work of the index builders.
 //
 // The builders follow a compute/apply split: the embarrassingly parallel
 // part (feasibility LPs, dominance tests, candidate refinement) fans out

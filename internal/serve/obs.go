@@ -62,7 +62,7 @@ var registerProcessGauges = sync.OnceFunc(func() {
 })
 
 // registerIndexGauges exposes the served index's VerdictCache statistics.
-// The hit and miss counts reflect the last build or ExtendTau (an insert
+// The hit and miss counts reflect the last build (an insert or ExtendTau
 // rebuilds without the cache and zeroes them), the entry count is read
 // live; GaugeFunc replaces the reader on re-registration, so the newest
 // handler's index wins.

@@ -17,9 +17,9 @@ import (
 // comparable across the three shapes:
 //
 //   - IngestSingle:      the per-record path — one lock hold, one WAL
-//     append, one fsync, one full thaw/compact per record.
+//     append, one fsync, one index rebuild per record.
 //   - IngestBatch:       InsertBatchLSN — one lock hold, one fsync group,
-//     and one thaw/compact for the whole batch.
+//     and one index rebuild for the whole batch.
 //   - IngestGroupCommit: ≥ 8 concurrent single-record writers coalescing
 //     through the group-commit protocol; the fsyncs/rec metric is the
 //     fleet-wide fsync bill divided by records logged, and must sit well

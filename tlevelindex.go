@@ -142,10 +142,10 @@ func WithOnionFilter() Option { return func(c *buildConfig) { c.onion = index.On
 func WithoutOnionFilter() Option { return func(c *buildConfig) { c.onion = index.OnionOff } }
 
 // WithTracer attaches t to the build (phase spans "build.filter",
-// "build.<algorithm>", "build.compact", per-level "build.level" /
-// "extend.level" spans, and each build level's "build.level.compute",
-// "build.level.apply" and "build.level.merge"; the rebuild of every later
-// accepted insert batch emits the same build spans) and to the built index
+// "build.<algorithm>", "build.compact", per-level "build.level" spans,
+// and each build level's "build.level.compute", "build.level.apply" and
+// "build.level.merge"; the rebuild of every later accepted insert batch
+// and of every ExtendTau emits the same build spans) and to the built index
 // for query spans, as if SetTracer(t) had been called on the result. nil is
 // the default: tracing off.
 func WithTracer(t Tracer) Option { return func(c *buildConfig) { c.trace = t } }
@@ -277,9 +277,10 @@ func (ix *Index) CellsPerLevel() []int {
 }
 
 // Stats returns construction statistics. VerdictEntries is read live: the
-// other verdict figures are as of the last build or extension. An accepted
-// insert rebuilds the index with PBA⁺, after which every figure, Algorithm
-// included, describes that rebuild rather than the original build.
+// other verdict figures are as of the last build. An accepted insert and an
+// ExtendTau rebuild the index with PBA⁺ and without the verdict memo, after
+// which every figure, Algorithm included, describes that rebuild rather
+// than the original build, and the verdict figures read 0.
 func (ix *Index) Stats() BuildStats {
 	s := ix.inner.Stats
 	s.VerdictEntries = ix.inner.VerdictEntries()
@@ -522,6 +523,14 @@ func (ix *Index) InsertBatchAlongside(options [][]float64, alongside func([]Inse
 // the index cannot recruit the options that rank below τ everywhere, so
 // ExtendTau returns ErrNeedsFullData and leaves it unchanged. A newTau ≤ τ
 // is a no-op. ExtendTau requires exclusive access to the index.
+//
+// Deepening is a rebuild, like an accepted insert: the option pool grows to
+// the newTau-skyband of the dataset and the index is rebuilt over it with
+// the PBA⁺ builder, so it holds the cells of an index built at newTau in
+// the first place, and its Stats are that rebuild's. Like a build, ExtendTau clamps
+// newTau to the number of distinct options that can rank: on three
+// options ExtendTau(5) leaves τ = 3, and a query with k = 5 is still
+// refused with ErrBeyondTau.
 func (ix *Index) ExtendTau(newTau int) error {
 	if err := ix.inner.ExtendTau(newTau); err != nil {
 		return err
