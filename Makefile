@@ -71,7 +71,9 @@ bench-smoke: serve-bench recovery-bench ingest-bench build-bench
 
 # Serve-layer throughput against the committed BENCH_serve.json baseline.
 # Every row but the batch one drives POST /v1/query through the whole
-# handler stack, JSON body decode included: BenchmarkServeTopK is one
+# handler stack, body decode included (the subset parser of
+# internal/serve/codec.go; encoding/json decides no body these rows send),
+# and the hand-built response: BenchmarkServeTopK is one
 # (never cached) top-k walk per request, with its recorder-off and
 # trace-all pair, the UTK cached/uncached pair quantifies the answer cache
 # (the hit path runs several times the uncached qps), BenchmarkServeKSPR is
@@ -157,7 +159,9 @@ obs-smoke:
 # bytes: the WAL segment reader, the index deserializer (stream and
 # zero-copy byte readers in lockstep), the snapshot-shipping stream
 # decoder a follower trusts with network data, and the batch-query and
-# batch-insert HTTP envelope decoders that take arbitrary client JSON.
+# batch-insert HTTP envelope decoders that take arbitrary client JSON —
+# with FuzzQueryDecode holding the query bodies' subset parser to
+# encoding/json.
 # FuzzProject is the odd one out: no parser, but a loop whose termination
 # rests on exact-arithmetic reasoning — every input must stop inside the
 # step bound with a KKT-certified projection or a proof of emptiness.
@@ -167,6 +171,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run xxx -fuzz FuzzShipRead -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzBatchEnvelope -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzInsertBatchEnvelope -fuzztime 10s
+	$(GO) test ./internal/serve -run xxx -fuzz FuzzQueryDecode -fuzztime 10s
 	$(GO) test ./internal/geom -run xxx -fuzz FuzzProject -fuzztime 10s
 
 lvbench:

@@ -121,8 +121,6 @@ func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int) ([]*KSPRRes
 	q := ix.startQuerySpan(ctx, "query.ksprbatch")
 	res, err := ix.inner.KSPRBatchCtx(ctx, k, fids)
 	var agg QueryStats
-	buf := rowBufs.Get()
-	defer rowBufs.Put(buf)
 	for j, i := range live {
 		pub := &KSPRResult{}
 		out[i] = pub
@@ -134,7 +132,7 @@ func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int) ([]*KSPRRes
 		}
 		pub.Stats = exportStats(r.Stats)
 		for _, id := range r.Cells {
-			pub.Regions = append(pub.Regions, exportRegion(ix.inner.RowsInto(id, buf)))
+			pub.Regions = append(pub.Regions, exportRegion(ix.inner.RowsInto(id)))
 		}
 		agg.VisitedCells += pub.Stats.VisitedCells
 		agg.LPCalls += pub.Stats.LPCalls

@@ -164,10 +164,8 @@ func (ix *Index) kspr(ctx context.Context, k, focal int) (*KSPRResult, error) {
 	if err != nil {
 		return out, err
 	}
-	buf := rowBufs.Get()
-	defer rowBufs.Put(buf)
 	for _, id := range res.Cells {
-		out.Regions = append(out.Regions, exportRegion(ix.inner.RowsInto(id, buf)))
+		out.Regions = append(out.Regions, exportRegion(ix.inner.RowsInto(id)))
 	}
 	return out, nil
 }
@@ -205,14 +203,12 @@ func (ix *Index) utk(ctx context.Context, k int, lo, hi []float64) (*UTKResult, 
 		return out, err
 	}
 	out.Options = ix.origIDs(res.Options)
-	buf := rowBufs.Get()
-	defer rowBufs.Put(buf)
 	if n := len(res.Partitions); n > 0 { // none stays nil: "partitions":null on the wire
 		out.Partitions = make([]UTKPartition, n)
 	}
 	for i, p := range res.Partitions {
 		part := &out.Partitions[i]
-		part.Region = exportRegion(ix.inner.RowsInto(p.Cell, buf))
+		part.Region = exportRegion(ix.inner.RowsInto(p.Cell))
 		part.TopK = ix.origIDs(p.TopK)
 	}
 	return out, nil

@@ -168,10 +168,9 @@ func (ix *Index) levelBoxes(l int) []float64 {
 func (ix *Index) fillBoxes(cells []int32) []float64 {
 	dim := ix.RDim()
 	out := make([]float64, 2*dim*len(cells))
-	var buf geom.RowBuf
 	for i, id := range cells {
 		b := out[2*dim*i : 2*dim*(i+1)]
-		ix.RowsInto(id, &buf).BoundingBox(b[:dim], b[dim:])
+		ix.RowsInto(id).BoundingBox(b[:dim], b[dim:])
 	}
 	return out
 }

@@ -25,6 +25,9 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add(buf.Bytes()) // WriteTo emits the flat X3 form
 	f.Add(writeLegacyX1(ix))
 	f.Add(writeLegacyX2(ix))
+	for _, blob := range levelOutsideTau(f, ix) {
+		f.Add(blob)
+	}
 	f.Add([]byte("TLVLIDX1 not really"))
 	f.Add([]byte("TLVLIDX3 not really"))
 	f.Add([]byte{})
@@ -61,6 +64,45 @@ func FuzzReadIndex(f *testing.F) {
 			t.Fatal("the copying and aliasing decoders built different indexes from one input")
 		}
 	})
+}
+
+// levelOutsideTau returns ix in the X3, X2 and X1 forms, checksums
+// intact, first with τ one lower in the header, so the deepest level's cells
+// lie past τ under parents at τ, then with its last cell at level -1.
+func levelOutsideTau(tb testing.TB, ix *Index) [][]byte {
+	var out [][]byte
+	emit := func() {
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, buf.Bytes(), writeLegacyX2(ix), writeLegacyX1(ix))
+	}
+	ix.Tau--
+	emit()
+	ix.Tau++
+	last := &ix.Cells[len(ix.Cells)-1]
+	keep := last.Level
+	last.Level = -1
+	emit()
+	last.Level = keep
+	return out
+}
+
+// TestReadRejectsLevelOutsideTau: every loader refuses a cell outside
+// levels 0..τ, for which the rows and box columns have no slot, with
+// ErrBadFormat. A level-τ+1 cell under a level-τ parent passes Validate, and
+// the loaders once accepted it.
+func TestReadRejectsLevelOutsideTau(t *testing.T) {
+	ix := buildOrFail(t, randData(rand.New(rand.NewSource(61)), 12, 3), Config{Algorithm: PBAPlus, Tau: 2})
+	for i, blob := range levelOutsideTau(t, ix) {
+		if _, err := Read(bytes.NewReader(blob)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("stream %d: Read err = %v, want ErrBadFormat", i, err)
+		}
+		if _, err := ReadBytes(blob, true); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("stream %d: aliasing ReadBytes err = %v, want ErrBadFormat", i, err)
+		}
+	}
 }
 
 // TestReadX3BogusWords poisons every aligned 32-bit word of a valid X3

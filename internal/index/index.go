@@ -288,23 +288,11 @@ func (ix *Index) regionIntoBuf(id int32, reg *geom.Region, buf *[]int32) *geom.R
 }
 
 // RowsInto returns the cell's halfspace rows — RegionInto(id, …).HS: same
-// rows, same order, same bits — without building a Region. Every cell at a
-// level 0..τ is served from the rows column (shared and immutable, buf
-// untouched; see levelCols). Any other cell, which only a loaded snapshot
-// can hold, is assembled into buf, and the result is valid until buf's
-// next use.
-func (ix *Index) RowsInto(id int32, buf *geom.RowBuf) geom.Rows {
-	rset := rsetScratch.Get()
-	defer rsetScratch.Put(rset)
-	return ix.rowsIntoBuf(id, buf, rset)
-}
-
-// rowsIntoBuf is RowsInto with an explicit result-set scratch buffer.
-func (ix *Index) rowsIntoBuf(id int32, buf *geom.RowBuf, rset *[]int32) geom.Rows {
+// rows, same order, same bits — without building a Region. They are a
+// window of the rows column, shared and immutable (see levelCols): every
+// cell of a frozen index is at a level 0..τ, which the loaders check.
+func (ix *Index) RowsInto(id int32) geom.Rows {
 	f, l := ix.flat, ix.Cells[id].Level
-	if l < 0 || int(l) >= len(f.levels) {
-		return assembleCell(ix, id, buf, rset).Rows
-	}
 	rows := ix.levelRows(f, l)
 	s := &f.spans[id]
 	return rows[s.rowOff : s.rowOff+s.rowLen : s.rowOff+s.rowLen]

@@ -104,7 +104,7 @@ func readBytes(data []byte, alias bool) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkX3CellMeta(levels, opts, nOpts); err != nil {
+	if err := checkX3CellMeta(levels, opts, tau, nOpts); err != nil {
 		return nil, err
 	}
 	var lens [3][]int32

@@ -132,7 +132,7 @@ func (ix *Index) UTKCtx(ctx context.Context, k int, box geom.Box) (*UTKResult, e
 		// excludes the whole box (which no sample could then satisfy), or a
 		// sample inside every row. Only what is left pays for a Region and
 		// its LP.
-		rows := ix.cellRows(id, qs)
+		rows := ix.RowsInto(id)
 		if separatedFromBox(rows, box) {
 			continue
 		}
@@ -311,7 +311,7 @@ func (ix *Index) ORUCtx(ctx context.Context, k int, x []float64, m int) (*ORURes
 	for len(h) > 0 && len(res.Options) < m {
 		e, h = oruPop(h)
 		if !e.exact {
-			d := ix.cellRows(e.cell, qs).DistanceTo(x)
+			d := ix.RowsInto(e.cell).DistanceTo(x)
 			res.Stats.LPCalls++
 			h = oruPush(h, oruEntry{cell: e.cell, dist: d, exact: true})
 			continue
@@ -337,7 +337,7 @@ func (ix *Index) ORUCtx(ctx context.Context, k int, x []float64, m int) (*ORURes
 				continue
 			}
 			qs.visited.set(ch)
-			lb := maxViolation(ix.cellRows(ch, qs), x)
+			lb := maxViolation(ix.RowsInto(ch), x)
 			h = oruPush(h, oruEntry{cell: ch, dist: lb})
 		}
 	}
@@ -463,14 +463,14 @@ func (ix *Index) WhyNotCtx(ctx context.Context, focal int32, x []float64, k int)
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		d := ix.cellRows(id, qs).DistanceTo(x)
+		d := ix.RowsInto(id).DistanceTo(x)
 		res.Stats.LPCalls++
 		if res.NearestCell < 0 || d < res.NearestDist {
 			res.NearestCell, res.NearestDist = id, d
 		}
 	}
 	if res.NearestCell >= 0 {
-		res.NearestPoint, _ = ix.cellRows(res.NearestCell, qs).Project(x)
+		res.NearestPoint, _ = ix.RowsInto(res.NearestCell).Project(x)
 	}
 	if res.InTopK {
 		res.NearestDist = 0
@@ -516,7 +516,7 @@ func (ix *Index) MonoRTopKCtx(ctx context.Context, k int, focal int32) ([]Interv
 		if err := ctx.Err(); err != nil {
 			return nil, st, err
 		}
-		rows := ix.cellRows(id, qs)
+		rows := ix.RowsInto(id)
 		lo, _ := rows.Project([]float64{-1})
 		hi, _ := rows.Project([]float64{2})
 		segs = append(segs, Interval{Lo: lo[0], Hi: hi[0]})

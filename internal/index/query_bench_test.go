@@ -136,13 +136,11 @@ func BenchmarkCellRows(b *testing.B) {
 				ids = append(ids, ix.Levels[l]...)
 			}
 			fill := time.Since(start)
-			qs := getScratch(ix.RDim())
-			defer putScratch(qs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			n := 0
 			for i := 0; i < b.N; i++ {
-				n += len(ix.cellRows(ids[i%len(ids)], qs))
+				n += len(ix.RowsInto(ids[i%len(ids)]))
 			}
 			b.StopTimer()
 			if n < b.N*(ix.RDim()+1) {
@@ -364,11 +362,10 @@ func BenchmarkUTKBoxFill(b *testing.B) {
 	fill := time.Since(start)
 	dim := ix.RDim()
 	box := make([]float64, 2*dim)
-	var buf geom.RowBuf
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.RowsInto(cells[i%len(cells)], &buf).BoundingBox(box[:dim], box[dim:])
+		ix.RowsInto(cells[i%len(cells)]).BoundingBox(box[:dim], box[dim:])
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(fill.Microseconds())/1000, "fill-ms")

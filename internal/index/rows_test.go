@@ -221,19 +221,16 @@ func sameRows(a, b []geom.Halfspace) bool {
 	return true
 }
 
-// checkCellRows holds every live cell's rows — through the scratch path the
-// queries use and through the exported RowsInto — to the reference region,
-// and regionIntoBuf with them. With the index frozen, every live cell must
-// come out of its level's slab of the rows column, by address. It returns
-// how many cells carry fewer rows than halfspaces were added, i.e. went
-// through the dedup branch.
+// checkCellRows holds every live cell's rows — RowsInto, the path the
+// queries and the answer exports use — to the reference region, and
+// regionIntoBuf with them. Every live cell must come out of its level's
+// slab of the rows column, by address. It returns how many cells carry
+// fewer rows than halfspaces were added, i.e. went through the dedup
+// branch.
 func checkCellRows(t *testing.T, ix *Index, stage string) (deduped int) {
 	t.Helper()
-	qs := getScratch(ix.RDim())
-	defer putScratch(qs)
 	ref, reg := geom.NewRegion(ix.RDim()), geom.NewRegion(ix.RDim())
 	var rset []int32
-	var buf geom.RowBuf
 	for i := range ix.Cells {
 		id, l := int32(i), ix.Cells[i].Level
 		if l < 0 {
@@ -243,17 +240,13 @@ func checkCellRows(t *testing.T, ix *Index, stage string) (deduped int) {
 		if got := ix.regionIntoBuf(id, reg, &rset).HS; !sameRows(got, want) {
 			t.Fatalf("%s: cell %d: regionIntoBuf rows differ from the reference\n got %v\nwant %v", stage, id, got, want)
 		}
-		for name, got := range map[string]geom.Rows{"cellRows": ix.cellRows(id, qs), "RowsInto": ix.RowsInto(id, &buf)} {
-			if !sameRows(got, want) {
-				t.Fatalf("%s: cell %d (level %d): %s differs from the reference\n got %v\nwant %v",
-					stage, id, l, name, got, want)
-			}
-			f := ix.flat
-			fromColumn := f != nil && inSlab(got, f.levels[l].rows)
-			if fromColumn != (f != nil) {
-				t.Fatalf("%s: cell %d (level %d, frozen: %v): %s served from the rows column: %v",
-					stage, id, l, f != nil, name, fromColumn)
-			}
+		got := ix.RowsInto(id)
+		if !sameRows(got, want) {
+			t.Fatalf("%s: cell %d (level %d): RowsInto differs from the reference\n got %v\nwant %v",
+				stage, id, l, got, want)
+		}
+		if !inSlab(got, ix.flat.levels[l].rows) {
+			t.Fatalf("%s: cell %d (level %d): rows not served from the rows column", stage, id, l)
 		}
 		if len(want) < ix.RDim()+1+ix.HyperplaneCount(id) {
 			deduped++
@@ -289,9 +282,8 @@ func checkUnfilled(t *testing.T, ix *Index, stage string) {
 // level1RowsByOpt snapshots the level-1 rows keyed by each cell's option.
 func level1RowsByOpt(ix *Index) map[int32][]geom.Halfspace {
 	out := make(map[int32][]geom.Halfspace)
-	var buf geom.RowBuf
 	for _, id := range ix.Levels[1] {
-		out[ix.Cells[id].Opt] = ix.RowsInto(id, &buf)
+		out[ix.Cells[id].Opt] = ix.RowsInto(id)
 	}
 	return out
 }
@@ -395,8 +387,7 @@ func TestCellRowsIdentity(t *testing.T) {
 // cellVertex returns a vertex of the cell — the point where RDim of its rows
 // are tight, chosen by rng — or nil when the draw is degenerate.
 func cellVertex(ix *Index, id int32, rng *rand.Rand) []float64 {
-	var buf geom.RowBuf
-	rows := ix.RowsInto(id, &buf)
+	rows := ix.RowsInto(id)
 	dim := ix.RDim()
 	for try := 0; try < 20; try++ {
 		pick := rng.Perm(len(rows))[:dim]

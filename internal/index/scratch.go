@@ -8,9 +8,8 @@ import (
 )
 
 // queryScratch is the per-query working memory of the traversals in
-// queries.go: visited/option bitsets, the ORU heap backing array, a row
-// buffer for the visited cell's halfspaces, a region scratch for the visits
-// that reach an LP, and the probe-point buffers of UTK. One scratch
+// queries.go: visited/option bitsets, the ORU heap backing array, a region
+// scratch for the visits that reach an LP, and the probe-point buffers of UTK. One scratch
 // serves one query at a time; the pool hands each concurrent query its own,
 // so steady-state queries allocate nothing (or O(result) for the answer
 // itself).
@@ -19,8 +18,7 @@ type queryScratch struct {
 	optSeen bitset // option ids
 	heap    []oruEntry
 	opts    []int32
-	rset    []int32 // result-set buffer threaded through cellRows/regionIntoBuf
-	rows    geom.RowBuf
+	rset    []int32 // result-set buffer threaded through regionIntoBuf
 	reg     *geom.Region
 
 	// UTK probe machinery: sample points and box halfspaces, both backed by
@@ -43,12 +41,6 @@ func getScratch(dim int) *queryScratch {
 }
 
 func putScratch(qs *queryScratch) { queryScratchPool.Put(qs) }
-
-// cellRows returns the cell's halfspace rows (see RowsInto) over the
-// scratch's buffers: valid until the next cellRows on qs.
-func (ix *Index) cellRows(id int32, qs *queryScratch) geom.Rows {
-	return ix.rowsIntoBuf(id, &qs.rows, &qs.rset)
-}
 
 // bitset is a fixed-size bit vector over small int32 ids.
 type bitset []uint64

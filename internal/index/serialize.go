@@ -240,6 +240,9 @@ func readLegacy(data []byte, withCRC bool) (*Index, error) {
 		if cell.Level, err = get(); err != nil {
 			return nil, err
 		}
+		if cell.Level < 0 || cell.Level > tau {
+			return nil, fmt.Errorf("%w: cell %d level %d", ErrBadFormat, i, cell.Level)
+		}
 		if cell.Opt, err = get(); err != nil {
 			return nil, err
 		}
@@ -301,10 +304,11 @@ func checkX3Header(dim, tau, inputOptions, nOpts int32) error {
 	return nil
 }
 
-// checkX3CellMeta validates the per-cell level and option columns.
-func checkX3CellMeta(levels, opts []int32, nOpts int32) error {
+// checkX3CellMeta validates the per-cell level and option columns. A cell
+// lives at a level 0..τ: the rows and box columns have a slot for no other.
+func checkX3CellMeta(levels, opts []int32, tau, nOpts int32) error {
 	for i := range levels {
-		if levels[i] < -1 || levels[i] > 1<<20 {
+		if levels[i] < 0 || levels[i] > tau {
 			return fmt.Errorf("%w: cell %d level %d", ErrBadFormat, i, levels[i])
 		}
 		if opts[i] < -1 || opts[i] >= nOpts {

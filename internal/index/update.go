@@ -65,16 +65,14 @@ func (ix *Index) ExtendTau(newTau int) error {
 }
 
 // ensurePool grows the filtered option set to the k-skyband of the full
-// dataset so that every option that can rank top-k is available.
+// dataset so that every option that can rank top-k is available. Pool
+// membership is by coordinates, as AdmitBatch decides it: an option an
+// insert admitted carries no dataset id (OrigIDs -1) and must not be
+// recruited a second time.
 func (ix *Index) ensurePool(k int) {
-	have := make(map[int]bool, len(ix.OrigIDs))
-	for _, o := range ix.OrigIDs {
-		have[o] = true
-	}
 	uniq, uniqIDs := dedupeOptions(ix.fullPts)
 	for _, fi := range skyline.Skyband(uniq, k) {
-		if !have[uniqIDs[fi]] {
-			have[uniqIDs[fi]] = true
+		if ix.poolIndex(uniq[fi]) < 0 {
 			ix.Pts = append(ix.Pts, uniq[fi])
 			ix.OrigIDs = append(ix.OrigIDs, uniqIDs[fi])
 		}

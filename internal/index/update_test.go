@@ -268,3 +268,31 @@ func TestLevelOptions(t *testing.T) {
 		t.Error("out-of-range levels should return nil")
 	}
 }
+
+// TestExtendTauAfterInsertRecruitsNoDuplicate: an option an insert admitted
+// carries no dataset id, and ExtendTau must not recruit its coordinates a
+// second time from the full dataset. Keyed on dataset ids, the pool once
+// held {0.6, 0.6} at ids 4 and 5 after this schedule: four of five options
+// at τ=1, the insert at id 4, then ExtendTau recruiting it again beside the
+// fifth option.
+func TestExtendTauAfterInsertRecruitsNoDuplicate(t *testing.T) {
+	data := [][]float64{{0.9, 0.1}, {0.1, 0.9}, {0.7, 0.4}, {0.4, 0.7}, {0.2, 0.2}}
+	ix := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: 1})
+	if id, err := ix.InsertOption([]float64{0.6, 0.6}); err != nil || id != 4 {
+		t.Fatalf("InsertOption = %d, %v; want id 4", id, err)
+	}
+	if err := ix.ExtendTau(3); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[[2]float64]int)
+	for id, p := range ix.Pts {
+		key := [2]float64{p[0], p[1]}
+		if prev, dup := seen[key]; dup {
+			t.Fatalf("pool holds %v at ids %d and %d", p, prev, id)
+		}
+		seen[key] = id
+	}
+	if err := ix.Validate(true); err != nil {
+		t.Fatal(err)
+	}
+}

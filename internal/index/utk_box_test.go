@@ -175,7 +175,6 @@ func TestCellBoxOuter(t *testing.T) {
 			}
 			dim := ix.RDim()
 			ws := lp.Get()
-			var buf geom.RowBuf
 			cells, vertices := 0, 0
 			for l := 1; l <= tau+1; l++ {
 				boxes := ix.levelBoxes(l)
@@ -192,7 +191,7 @@ func TestCellBoxOuter(t *testing.T) {
 						t.Fatalf("%v d=%d cell %d: no interior", alg, d, id)
 					}
 					inside("Chebyshev center", x)
-					rows := ix.RowsInto(id, &buf)
+					rows := ix.RowsInto(id)
 					if dim == 2 {
 						for _, v := range polygonVertices(rows) {
 							inside("vertex", v)

@@ -4,6 +4,10 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	tlx "tlevelindex"
@@ -51,5 +55,51 @@ func TestDispatchAllocsRecorderOff(t *testing.T) {
 		if allocs > c.allocs {
 			t.Fatalf("%s dispatch with recorder off = %.2f allocs/op, want <= %v", c.q.Family, allocs, c.allocs)
 		}
+	}
+}
+
+// TestQueryBatchAllocsPerItem pins a 64-item top-k /v1/query/batch envelope
+// through the whole handler, recorder off, at ≤ 7 allocations an item in
+// steady state: the six of a top-k dispatch (above) plus the envelope's own
+// — the body read, the query and float slabs the decoder hands out, the
+// item slices, the response — shared by 64 items. encoding/json's decode and
+// per-item Encode put it at 9.6. Excluded under -race, which inflates
+// allocation counts.
+func TestQueryBatchAllocsPerItem(t *testing.T) {
+	ix, err := tlx.Build(hotels, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := NewHandler(ix, Config{TraceBuffer: -1}).Mux()
+	const items = 64
+	var sb strings.Builder
+	sb.WriteString(`{"queries":[`)
+	for i := range items {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		w0 := 0.1 + 0.0125*float64(i)
+		fmt.Fprintf(&sb, `{"family":"topk","w":[%g,%g],"k":%d}`, w0, 1-w0, 1+i%3)
+	}
+	sb.WriteString(`]}`)
+	body := sb.String()
+	rd := strings.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/query/batch", rd)
+	var w *httptest.ResponseRecorder
+	run := func() {
+		rd.Reset(body)
+		w = httptest.NewRecorder()
+		mux.ServeHTTP(w, req)
+	}
+	for range 100 {
+		run()
+	}
+	if w.Code != http.StatusOK || strings.Contains(w.Body.String(), `"error"`) || strings.Count(w.Body.String(), `"options"`) != items {
+		t.Fatalf("batch answered %d %s", w.Code, w.Body)
+	}
+	per := testing.AllocsPerRun(100, run) / items
+	t.Logf("64-item top-k batch: %.2f allocs/item", per)
+	if per > 7 {
+		t.Fatalf("64-item top-k batch = %.2f allocs/item, want <= 7", per)
 	}
 }

@@ -24,29 +24,30 @@ import (
 // the memory one request can pin and keeps a batch's lock hold bounded.
 const maxBatchQueries = 1024
 
-// batchRequest is the POST /v1/query/batch body.
+// batchRequest is the POST /v1/query/batch body as encoding/json decodes
+// it (decodeFallback).
 type batchRequest struct {
 	Queries []QueryRequest `json:"queries"`
 }
 
 // handleQueryBatch is POST /v1/query/batch.
 func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	var body batchRequest
-	if !decodeBody(w, r, "batch", &body) {
+	qs, ok := decodeQueries(w, r, true)
+	if !ok {
 		return
 	}
-	if len(body.Queries) == 0 {
+	if len(qs) == 0 {
 		badRequest(w, "empty batch")
 		return
 	}
-	if len(body.Queries) > maxBatchQueries {
-		badRequest(w, "batch of %d queries exceeds the limit of %d", len(body.Queries), maxBatchQueries)
+	if len(qs) > maxBatchQueries {
+		badRequest(w, "batch of %d queries exceeds the limit of %d", len(qs), maxBatchQueries)
 		return
 	}
-	for i := range body.Queries {
-		body.Queries[i].defaults()
+	for i := range qs {
+		qs[i].defaults()
 	}
-	writeItems(w, r, h.dispatchBatch(r.Context(), body.Queries), true)
+	writeItems(w, r, h.dispatchBatch(r.Context(), qs), true)
 }
 
 // dispatchBatch validates every item, then runs the whole batch under one

@@ -1,12 +1,8 @@
 package serve
 
 import (
-	"cmp"
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 
@@ -15,11 +11,12 @@ import (
 	"tlevelindex/internal/obs"
 )
 
-// Query decode/dispatch. Every query — a POST /v1/query body or one item
-// of a POST /v1/query/batch envelope — is a QueryRequest, routed through the
-// familySpec its Family names: take the read lock, consult the answer cache
-// when the family has a cache key, run the traversal otherwise, and hand
-// back one queryItem, the wire form both routes write.
+// Query dispatch. Every query — a POST /v1/query body or one item of a
+// POST /v1/query/batch envelope, decoded by the query codec (codec.go) — is
+// a QueryRequest, routed through the familySpec its Family names: take the
+// read lock, consult the answer cache when the family has a cache key, run
+// the traversal otherwise, and hand back one queryItem, the wire form both
+// routes write.
 
 // QueryRequest is the unified query envelope accepted by POST /v1/query.
 // Family selects the query type; the remaining fields are family-specific
@@ -348,143 +345,11 @@ func (h *Handler) answer(ctx context.Context, spec *familySpec, q *QueryRequest,
 // handleQuery is POST /v1/query: one query, answered with its item — or,
 // when the item failed, with the error envelope under the item's status.
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var q QueryRequest
-	if !decodeBody(w, r, "query", &q) {
+	qs, ok := decodeQueries(w, r, false)
+	if !ok {
 		return
 	}
+	q := &qs[0]
 	q.defaults()
-	writeItems(w, r, []queryItem{h.dispatch(r.Context(), &q)}, false)
-}
-
-// writeItems answers /v1/query (one item, batch false) or /v1/query/batch
-// with bytes identical to encoding/json's rendering of the same items: a
-// failed single item is the error envelope under its status, a success the
-// item, a batch {"results":[...]}. When the request is traced the body is
-// built inside a serve.encode span under the handler span.
-func writeItems(w http.ResponseWriter, r *http.Request, items []queryItem, batch bool) {
-	sc, traced := obs.SpanContextFrom(r.Context())
-	var sp obs.Span
-	if traced {
-		sp = obs.StartSpanIn(sc, "serve.encode")
-	}
-	rw := respPool.Get().(*respWriter)
-	status, err := http.StatusOK, error(nil)
-	switch {
-	case !batch && items[0].Error != "":
-		status, err = items[0].Status, rw.value(errorBody{Error: items[0].Error})
-	case !batch:
-		err = rw.item(&items[0])
-	default:
-		rw.b = append(rw.b, `{"results":`...)
-		err = rw.array(false, len(items), func(i int) error { return rw.item(&items[i]) })
-		rw.b = append(rw.b, '}')
-	}
-	status = rw.finish(status, err)
-	if traced {
-		sp.Err = err
-		sp.Set("bytes", float64(len(rw.b)))
-		if rw.rows > 0 {
-			sp.Set("rows", float64(rw.rows))
-			sp.Set("distinctRows", float64(len(rw.memo)))
-		}
-		sp.FinishTo(sc.Tracer)
-	}
-	rw.send(w, status)
-}
-
-// item appends one queryItem as encoding/json renders it. An item without
-// a kSPR answer goes through the encoder whole. A kSPR answer's regions are
-// intersections of the same few halfspaces H(i,j), so it repeats each row
-// many times: its body is appended here, each row through the memo (row),
-// and the rest of the envelope through the encoder.
-func (rw *respWriter) item(it *queryItem) error {
-	kb, ok := it.Result.(*ksprBody)
-	if !ok || kb == nil {
-		return rw.value(it)
-	}
-	regions := kb.Regions
-	rw.b = append(rw.b, `{"result":{"regions":`...)
-	err := rw.array(regions == nil, len(regions), func(i int) error {
-		hs := regions[i].Halfspaces
-		rw.b = append(rw.b, `{"Halfspaces":`...)
-		err := rw.array(hs == nil, len(hs), func(j int) error { return rw.row(&hs[j]) })
-		rw.b = append(rw.b, '}')
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	rw.b = append(rw.b, '}')
-	rest := *it
-	rest.Result = nil
-	off := len(rw.b)
-	_ = rw.value(&rest) // stats, ints and strings always encode
-	rw.b[off] = ','     // the rest's '{' becomes the separator after "result"
-	return nil
-}
-
-// array appends n elements, each written by elem, as a JSON array, or null
-// when isNil.
-func (rw *respWriter) array(isNil bool, n int, elem func(i int) error) error {
-	if isNil {
-		rw.b = append(rw.b, "null"...)
-		return nil
-	}
-	rw.b = append(rw.b, '[')
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			rw.b = append(rw.b, ',')
-		}
-		if err := elem(i); err != nil {
-			return err
-		}
-	}
-	rw.b = append(rw.b, ']')
-	return nil
-}
-
-// row appends one halfspace, {"A":[...],"B":...}. The memo, keyed by the
-// row's float bits, holds where in the body each distinct row was first
-// written; a repeat copies those bytes instead of formatting its floats.
-func (rw *respWriter) row(h *tlx.Halfspace) error {
-	rw.rows++
-	// A nil A renders null and an empty one [], so the key tells them apart.
-	rw.key = strconv.AppendBool(rw.key[:0], h.A == nil)
-	for _, f := range h.A {
-		rw.key = binary.LittleEndian.AppendUint64(rw.key, math.Float64bits(f))
-	}
-	rw.key = binary.LittleEndian.AppendUint64(rw.key, math.Float64bits(h.B))
-	if at, ok := rw.memo[string(rw.key)]; ok {
-		rw.b = append(rw.b, rw.b[at[0]:at[1]]...)
-		return nil
-	}
-	off := len(rw.b)
-	rw.b = append(rw.b, `{"A":`...)
-	err := rw.array(h.A == nil, len(h.A), func(i int) error { return rw.float(h.A[i]) })
-	rw.b = append(rw.b, `,"B":`...)
-	err = cmp.Or(err, rw.float(h.B)) // the first refused float, as encoding/json reports it
-	rw.b = append(rw.b, '}')
-	// A refused row is memoized too: the whole body is discarded.
-	rw.memo[string(rw.key)] = [2]int{off, len(rw.b)}
-	return err
-}
-
-// float appends f as encoding/json formats a float64: the shortest
-// round-tripping decimal, 'e' form below 1e-6 and from 1e21, a one-digit
-// negative exponent without its leading zero. NaN and ±Inf are the error
-// encoding/json reports for them.
-func (rw *respWriter) float(f float64) error {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	rw.b = strconv.AppendFloat(rw.b, f, format, -1, 64)
-	if b, n := rw.b, len(rw.b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		rw.b = b[:n-1]
-	}
-	return nil
+	writeItems(w, r, []queryItem{h.dispatch(r.Context(), q)}, false)
 }

@@ -68,6 +68,21 @@
 //	500  a response body encoding/json refuses (NaN or ±Inf); every
 //	     body is built before the status line is written
 //
+// # Request decoding
+//
+// A /v1/query or /v1/query/batch body is read once, under the 4 MiB cap,
+// and decoded by a hand-written parser (codec.go) that accepts a strict
+// subset of JSON: the seven query keys spelled exactly, "queries" alone at a
+// batch's top level, strings of printable ASCII without escapes, and numbers
+// that strconv parses as encoding/json would. encoding/json stays the
+// decoder of record: the parser declines every other body — an escape, a
+// null, an unknown or differently cased key, a wrong type, malformed JSON, a
+// read error — and encoding/json decodes the same bytes, so its status and
+// error message answer. Whatever the parser accepts decodes to what
+// encoding/json would produce (FuzzQueryDecode). The insert endpoints decode
+// through encoding/json directly. Responses are built by hand where
+// encoding/json is not needed, and are byte-identical to its rendering.
+//
 // /v1/insert takes {"option": [attr, ...]} and answers {"id": n, "lsn": m}
 // where n is the option's dataset id for use as a focal parameter, or -1
 // when the option was filtered (it can never rank top-τ), and m is the
@@ -142,6 +157,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -361,9 +377,9 @@ type errorBody struct {
 }
 
 // respWriter builds one response body in full before the status line goes
-// out: a kSPR body by hand (query.go), everything else through enc, a
-// json.Encoder appending to the same buffer. Pooled; a body is assembled and
-// sent by one goroutine.
+// out: a query item by hand (codec.go), a WhyNot result, an error item and
+// every writeJSON body through enc, a json.Encoder appending to the same
+// buffer. Pooled; a body is assembled and sent by one goroutine.
 type respWriter struct {
 	b   []byte
 	enc *json.Encoder
@@ -471,11 +487,18 @@ const maxBodyBytes = 4 << 20
 
 // decodeBody decodes a POST body of at most maxBodyBytes into v. On failure
 // it answers the error envelope — 413 for an over-cap body, otherwise 400
-// "bad <what> body" — and reports false.
+// "bad <what> body" — and reports false. The insert endpoints decode
+// through it; the query endpoints through decodeQueries (codec.go).
 func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	return decodeJSON(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), what, v) == nil
+}
+
+// decodeJSON decodes the first JSON value of rd into v with encoding/json,
+// answering decodeBody's error envelope when it fails.
+func decodeJSON(w http.ResponseWriter, rd io.Reader, what string, v any) error {
+	err := json.NewDecoder(rd).Decode(v)
 	if err == nil {
-		return true
+		return nil
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
@@ -483,7 +506,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool
 	} else {
 		badRequest(w, "bad %s body: %v", what, err)
 	}
-	return false
+	return err
 }
 
 func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {

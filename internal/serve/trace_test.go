@@ -52,7 +52,8 @@ func walkTree(n *obs.SpanNode, into map[string][]*obs.SpanNode) {
 }
 
 // TestBatchTraceTree: one POST /v1/query/batch must surface as a single
-// retrievable trace whose tree shows the envelope and, per item, an item span
+// retrievable trace whose tree shows the envelope, its serve.decode span and,
+// per item, an item span
 // with its cache status over that item's own index span, the same subtree a
 // POST /v1/query records. The handler keeps the default config on purpose: a
 // fresh handler's first request must be head-sampled, so tracing works out
@@ -105,6 +106,12 @@ func TestBatchTraceTree(t *testing.T) {
 
 	names := make(map[string][]*obs.SpanNode)
 	walkTree(found, names)
+	// The body is decoded in a serve.decode span under the handler span, by
+	// the subset parser: both items, no encoding/json fallback.
+	if dec := names["serve.decode"]; len(dec) != 1 || dec[0].ParentID != found.SpanID ||
+		dec[0].Attrs["bytes"] != float64(len(body)) || dec[0].Attrs["items"] != 2 || dec[0].Attrs["fallback"] != 0 {
+		t.Fatalf("serve.decode spans = %+v, want one under the handler span with bytes %d, items 2, fallback 0", dec, len(body))
+	}
 	if len(names["query.topkbatch"]) != 0 {
 		t.Fatalf("batch index span present: %v", names)
 	}
@@ -574,5 +581,59 @@ func TestEncodeSpan(t *testing.T) {
 	}
 	if bytes, _ := spans[0].Get("bytes"); bytes != float64(w.Body.Len()) {
 		t.Fatalf("refused body: bytes = %v, want the %d sent (%q)", bytes, w.Body.Len(), w.Body)
+	}
+}
+
+// TestDecodeSpan: a traced /v1/query or /v1/query/batch decodes its body in
+// a serve.decode span, a child of the handler span, carrying the body's
+// bytes, the queries decoded and fallback 1 when encoding/json decided the
+// body — an escape, or a body neither decoder takes, whose span carries the
+// error.
+func TestDecodeSpan(t *testing.T) {
+	srv := newServer(t)
+	for _, c := range []struct {
+		path, body      string
+		items, fallback float64
+		failed          bool
+	}{
+		{"/v1/query", topkQuery, 1, 0, false},
+		{"/v1/query", `{"family":"top\u006b","w":[0.18,0.82],"k":2}`, 1, 1, false},
+		{"/v1/query/batch", `{"queries":[` + topkQuery + `,{"family":"maxrank","focal":0},{"family":"nosuch"}]}`, 3, 0, false},
+		{"/v1/query/batch", `{"queries":[{"family":"maxrank","focal":0}],"note":"x"}`, 1, 1, false},
+		{"/v1/query", `{"family":"topk","w":[0.5,`, 0, 1, true},
+	} {
+		resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if want := map[bool]int{false: 200, true: 400}[c.failed]; resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d", c.body, resp.StatusCode, want)
+		}
+		trace, root, _, ok := obs.ParseTraceparent(resp.Header.Get("traceparent"))
+		if !ok {
+			t.Fatalf("%s: response traceparent %q does not parse", c.body, resp.Header.Get("traceparent"))
+		}
+		var out traceOut
+		getJSON(t, srv.URL+"/v1/admin/trace?n=50", &out)
+		var dec *obs.SpanNode
+		for _, tr := range out.Traces {
+			if tr.TraceID == trace.String() {
+				for _, ch := range tr.Tree.Children {
+					if ch.Name == "serve.decode" {
+						dec = ch
+					}
+				}
+			}
+		}
+		if dec == nil || dec.ParentID != obs.SpanIDString(root) {
+			t.Fatalf("%s: no serve.decode span under the handler span (got %+v)", c.body, dec)
+		}
+		if dec.Attrs["bytes"] != float64(len(c.body)) || dec.Attrs["items"] != c.items ||
+			dec.Attrs["fallback"] != c.fallback || (dec.Err != "") != c.failed {
+			t.Fatalf("%s: attrs %v err %q, want bytes %d, items %v, fallback %v, failed %v",
+				c.body, dec.Attrs, dec.Err, len(c.body), c.items, c.fallback, c.failed)
+		}
 	}
 }

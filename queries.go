@@ -5,7 +5,6 @@ import (
 
 	"tlevelindex/internal/geom"
 	"tlevelindex/internal/index"
-	"tlevelindex/internal/pool"
 )
 
 // Halfspace is the closed set {x : A·x ≤ B} in reduced preference
@@ -50,10 +49,6 @@ func (r Region) Contains(x []float64) bool {
 	}
 	return true
 }
-
-// rowBufs recycles the buffers reported cells' rows are assembled in on their
-// way to exportRegion.
-var rowBufs = pool.NewScratch(func() *geom.RowBuf { return &geom.RowBuf{} })
 
 // exportRegion copies a cell's rows into a caller-owned Region: one
 // Halfspace slice over one coefficient slab, each A a full-capped window of
