@@ -81,27 +81,32 @@ bench-smoke: serve-bench recovery-bench ingest-bench build-bench
 # ROADMAP item 15 gates on: export copy plus the per-distinct-row
 # response writer), the parallel row
 # (BenchmarkServeWriterTopKParallel) is the read-lock throughput under
-# GOMAXPROCS goroutines, the batch row (BenchmarkServeQueryBatchTopK, per item)
-# quantifies the /v1/query/batch envelope, and the cache-package hit
-# benchmark pins the zero-alloc lookup. Same 2x ns/op gate and
-# BENCH_NO_GATE escape as the query gate.
+# GOMAXPROCS goroutines, the batch row (BenchmarkServeQueryBatchTopK: ns/op per
+# 64-item envelope, ns/item its per-item share) quantifies the
+# /v1/query/batch envelope, and the cache-package hit benchmark pins the
+# zero-alloc lookup. Same 2x ns/op gate and BENCH_NO_GATE escape as the
+# query gate.
 serve-bench:
 	$(GO) test -bench '^(BenchmarkServe|BenchmarkGetHit)' -benchtime 100x \
 		-benchmem -run xxx ./internal/serve ./internal/cache \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_serve.json -out BENCH_serve.json
 	@echo "wrote BENCH_serve.json"
 
-# Snapshot cold-start latency — the dominant term of a restart or a
-# replica bootstrap — heap load vs zero-copy mmap load across index
-# sizes, and the other term, BenchmarkRecoverTail: one store.Open over a
-# snapshot of the n=8000 ingest base plus a 64-record WAL tail, replayed
-# through InsertBatch in one chunk — against the committed
-# BENCH_recovery.json baseline. Same 2x ns/op gate and BENCH_NO_GATE escape
-# as the query gate. (The mmap load path itself runs under -race via the
-# regular `race` target.)
+# Snapshot cold-start latency — the dominant term of a restart — heap load
+# vs zero-copy mmap load across index sizes; the other term,
+# BenchmarkRecoverTail: one store.Open over a snapshot of the n=8000 ingest
+# base plus a 64-record WAL tail, replayed through InsertBatch in one
+# chunk; and BenchmarkFollowerInstall, a follower's cost per publish (fetch,
+# fsync, open and swap of the primary's d=3 τ=9 index), with the primary's
+# rebuild for the same publish as its rebuild-ms extra. Each of its ops
+# also pays an untimed rebuild, hence 10 ops, not 50. Against the committed
+# BENCH_recovery.json baseline, with the same 2x ns/op gate and
+# BENCH_NO_GATE escape as the query gate. (The mmap load path itself runs
+# under -race via the regular `race` target.)
 recovery-bench:
-	$(GO) test -bench '^(BenchmarkColdStart|BenchmarkRecoverTail)$$' -benchtime 50x -benchmem -run xxx \
-		./internal/index ./internal/store \
+	{ $(GO) test -bench '^(BenchmarkColdStart|BenchmarkRecoverTail)$$' -benchtime 50x -benchmem -run xxx \
+		./internal/index ./internal/store; \
+	  $(GO) test -bench '^BenchmarkFollowerInstall$$' -benchtime 10x -benchmem -run xxx ./internal/replicate; } \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_recovery.json -out BENCH_recovery.json
 	@echo "wrote BENCH_recovery.json"
 

@@ -30,9 +30,9 @@
 // memory mapping instead of deserializing it onto the heap.
 //
 // With -follow the process is a replica instead of a primary: it never
-// builds or owns an index, but bootstraps one from the primary's
-// snapshot-shipping stream and keeps it fresh by polling for WAL records
-// beyond its applied LSN. A follower serves the full read API and rejects
+// builds or owns an index, but installs the primary's serialized index
+// from its snapshot-shipping stream and keeps it fresh by polling for a
+// newer one. A follower serves the full read API and rejects
 // inserts with 403, pointing clients at the primary:
 //
 //	lvserve -follow http://primary:8080 -data-dir /var/lib/lvserve-replica

@@ -11,11 +11,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	tlx "tlevelindex"
+	"tlevelindex/datagen"
+	"tlevelindex/internal/obs"
 	"tlevelindex/internal/serve"
 	"tlevelindex/internal/store"
 )
@@ -29,8 +32,14 @@ var hotels = [][]float64{
 // only on the index and the LSN.
 func newPrimary(t *testing.T, dir string) (*httptest.Server, *store.Store) {
 	t.Helper()
+	return newPrimaryOver(t, dir, hotels, 3)
+}
+
+// newPrimaryOver is newPrimary over any dataset and τ.
+func newPrimaryOver(t testing.TB, dir string, data [][]float64, tau int) (*httptest.Server, *store.Store) {
+	t.Helper()
 	st, err := store.Open(store.Options{Dir: dir, Logf: t.Logf}, func() (*tlx.Index, error) {
-		return tlx.Build(hotels, 3)
+		return tlx.Build(data, tau)
 	})
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
@@ -109,7 +118,7 @@ func assertByteIdentical(t *testing.T, primaryURL, followerURL string) {
 }
 
 // TestFollowerServesByteIdentical is the acceptance contract: a follower
-// bootstrapped purely from the shipped stream — no index build — serves
+// bootstrapped purely from the shipped index — no index build — serves
 // byte-identical query envelopes at the primary's handed-off LSN, both
 // mmap-backed and heap-backed, keeps up with live inserts, and refuses
 // writes with a pointer at the primary.
@@ -127,7 +136,8 @@ func TestFollowerServesByteIdentical(t *testing.T) {
 			if _, err := st.Snapshot(); err != nil {
 				t.Fatal(err)
 			}
-			// One record beyond the snapshot, so the bootstrap replays a tail.
+			// One record beyond the snapshot: the follower must get the
+			// current index, not the newest snapshot.
 			if _, err := st.Insert([]float64{0.97, 0.20}); err != nil {
 				t.Fatal(err)
 			}
@@ -203,14 +213,13 @@ func TestFollowerServesByteIdentical(t *testing.T) {
 }
 
 // TestFollowerResumesFromLocalSnapshot: a cleanly stopped follower
-// restarts from its downloaded snapshot and fetches only the tail — no
-// re-download — landing at the primary's current LSN.
+// restarts from its local index. While the primary has not moved, nothing
+// is downloaded. Once the primary has moved on — and snapshotted and
+// pruned its WAL past the follower's LSN — the restart installs the
+// primary's current index and keeps only that one locally.
 func TestFollowerResumesFromLocalSnapshot(t *testing.T) {
 	srv, st := newPrimary(t, t.TempDir())
 	if _, err := st.Insert([]float64{0.95, 0.95}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -224,22 +233,41 @@ func TestFollowerResumesFromLocalSnapshot(t *testing.T) {
 		t.Fatalf("follower dir holds %v, want one snapshot", before)
 	}
 
-	// History advances while the follower is down.
-	if _, err := st.Insert([]float64{0.97, 0.20}); err != nil {
-		t.Fatal(err)
+	rec := obs.NewRecorder(8, -1, nil)
+	f2 := startFollower(t, Options{PrimaryURL: srv.URL, Dir: dir, Recorder: rec})
+	if got := f2.AppliedLSN(); got != first {
+		t.Fatalf("resumed at LSN %d, want %d", got, first)
 	}
-	if _, err := st.Insert([]float64{0.99, 0.99}); err != nil {
+	if phases := bootstrapPhases(t, rec); phases["replicate.download"] {
+		t.Errorf("resume at the primary's LSN downloaded the index again: %v", phases)
+	}
+	if err := f2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	f2 := startFollower(t, Options{PrimaryURL: srv.URL, Dir: dir})
-	if got, want := f2.AppliedLSN(), st.Status().AppliedLSN; got != want || got <= first {
-		t.Fatalf("resumed at LSN %d, want %d (> %d)", got, want, first)
+	// History advances while the follower is down, and each round's
+	// snapshot rotates the primary's WAL; two snapshots are retained, so
+	// the segment holding the follower's LSN is pruned.
+	for _, opt := range [][]float64{{0.97, 0.20}, {0.99, 0.99}, {0.20, 0.97}, {0.985, 0.5}} {
+		if _, err := st.Insert(opt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The same snapshot file served the resume; nothing was re-shipped.
-	if after := snapshotFiles(t, dir); len(after) != 1 || after[0] != before[0] {
-		t.Errorf("resume changed local snapshots: %v -> %v", before, after)
+	want := st.Status().AppliedLSN
+	if want <= first+2 {
+		t.Fatalf("primary at LSN %d: too few accepted inserts to prune past %d", want, first)
 	}
+	f3 := startFollower(t, Options{PrimaryURL: srv.URL, Dir: dir})
+	if got := f3.AppliedLSN(); got != want {
+		t.Fatalf("restarted at LSN %d, want %d", got, want)
+	}
+	if after := snapshotFiles(t, dir); len(after) != 1 || after[0] != snapshotName(want) {
+		t.Errorf("follower dir holds %v after the restart, want only %s", after, snapshotName(want))
+	}
+	assertSameBytes(t, st, f3)
 }
 
 func snapshotFiles(t *testing.T, dir string) []string {
@@ -285,8 +313,9 @@ func TestFollowerKilledMidBootstrap(t *testing.T) {
 	}
 }
 
-// corruptingProxy fronts a primary and flips one byte inside the snapshot
-// body of the first n full-bootstrap streams. Tail polls pass through.
+// corruptingProxy fronts a primary and flips one byte inside the index
+// body of the first n streams fetched without a from parameter. Polls that
+// carry one pass through.
 type corruptingProxy struct {
 	backend http.Handler
 	left    atomic.Int64
@@ -303,7 +332,7 @@ func (p *corruptingProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.backend.ServeHTTP(rec, r)
 	body := rec.Body.Bytes()
 	if len(body) > 100 {
-		body[100] ^= 0x40 // inside the X3 snapshot: its checksum must catch this
+		body[100] ^= 0x40 // inside the X3 index: its checksum must catch this
 	}
 	p.served.Add(1)
 	w.WriteHeader(rec.Code)
@@ -365,91 +394,76 @@ func TestCorruptStreamExhaustsRetries(t *testing.T) {
 	}
 }
 
-// TestFollowerBatchedCatchUp: a burst wider than one replay chunk lands on
-// the primary in a single group commit, so the follower's next poll must
-// catch up through the chunked batch replay — more than one chunk, one
-// write-lock hold each — and still serve byte-identical answers at the
-// head LSN.
-func TestFollowerBatchedCatchUp(t *testing.T) {
-	srv, st := newPrimary(t, t.TempDir())
-	f := startFollower(t, Options{PrimaryURL: srv.URL, Dir: t.TempDir()})
-	fsrv := httptest.NewServer(serve.NewFollowerHandler(f, serve.Config{CacheEntries: -1}).Mux())
-	defer fsrv.Close()
-	base := f.AppliedLSN()
-
-	// An anti-chain beyond every hotel's first attribute: no option
-	// dominates another and none is dominated, so the τ-skyband accepts
-	// the whole burst and every option logs a record.
-	const burst = tailChunk + 40
-	opts := make([][]float64, burst)
-	for i := range opts {
-		step := float64(i+1) / float64(burst+1)
-		opts[i] = []float64{0.905 + 0.09*step, 0.99 - 0.4*step}
-	}
-	results, _, err := st.InsertBatchLSN(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Err != nil || res.ID < 0 {
-			t.Fatalf("burst option %d filtered (id %d, err %v); the catch-up would be narrower than a chunk", i, res.ID, res.Err)
+// TestFollowerBytesEqualPrimary: after every publish — an insert batch
+// that accepts a record — the follower reaches the primary's LSN holding
+// exactly the primary's index bytes, mmap-backed or heap-backed.
+func TestFollowerBytesEqualPrimary(t *testing.T) {
+	for _, shape := range []struct{ d, tau int }{{2, 6}, {3, 9}} {
+		for _, backing := range []string{"mmap", "heap"} {
+			shape, heap := shape, backing == "heap"
+			t.Run(fmt.Sprintf("d=%d_tau=%d/%s", shape.d, shape.tau, backing), func(t *testing.T) {
+				base := datagen.Generate(datagen.IND, 40, shape.d, 1)
+				srv, st := newPrimaryOver(t, t.TempDir(), base, shape.tau)
+				f := startFollower(t, Options{PrimaryURL: srv.URL, Dir: t.TempDir(), HeapLoad: heap})
+				assertSameBytes(t, st, f)
+				arrivals := datagen.Generate(datagen.IND, 16, shape.d, 2)
+				publishes := 0
+				for i := 0; i < len(arrivals); i += 4 {
+					before := st.AppliedLSN()
+					if _, _, err := st.InsertBatchLSN(arrivals[i : i+4]); err != nil {
+						t.Fatal(err)
+					}
+					if st.AppliedLSN() == before {
+						continue
+					}
+					publishes++
+					waitCaughtUp(t, f, st.AppliedLSN())
+					if got, want := f.AppliedLSN(), st.AppliedLSN(); got != want {
+						t.Fatalf("follower at LSN %d, primary at %d", got, want)
+					}
+					assertSameBytes(t, st, f)
+				}
+				if publishes < 2 {
+					t.Fatalf("only %d of 4 batches accepted a record", publishes)
+				}
+			})
 		}
 	}
+}
 
-	waitCaughtUp(t, f, st.Status().AppliedLSN)
-	if got, want := f.AppliedLSN(), base+burst; got != want {
-		t.Fatalf("follower applied LSN %d after catch-up, want %d", got, want)
+// assertSameBytes demands the follower's index serialize to exactly the
+// primary's bytes.
+func assertSameBytes(t *testing.T, st *store.Store, f *Follower) {
+	t.Helper()
+	want := serializeLocked(t, st.Mutex(), st.Index)
+	got := serializeLocked(t, f.Mutex(), f.Index)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("follower index (%d bytes) differs from the primary's (%d bytes)", len(got), len(want))
 	}
-	assertByteIdentical(t, srv.URL, fsrv.URL)
 }
 
-// goneProxy answers 410 Gone to tail polls while tripped, simulating a
-// primary that pruned past the follower's position; full bootstraps pass
-// through untouched.
-type goneProxy struct {
-	backend http.Handler
-	tripped atomic.Bool
-}
-
-func (p *goneProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if p.tripped.Load() && r.URL.Query().Get("from") != "" {
-		w.WriteHeader(http.StatusGone)
-		fmt.Fprint(w, `{"error":"pruned"}`)
-		return
-	}
-	p.backend.ServeHTTP(w, r)
-}
-
-// TestShipGapTriggersRebootstrap: when the primary prunes past the
-// follower's LSN, the follow loop must fall back to a full re-bootstrap
-// and come back to "following" at the primary's head — while the stale
-// index keeps serving throughout.
-func TestShipGapTriggersRebootstrap(t *testing.T) {
-	srv, st := newPrimary(t, t.TempDir())
-	if _, err := st.Insert([]float64{0.95, 0.95}); err != nil {
+func serializeLocked(t testing.TB, mu *sync.RWMutex, index func() *tlx.Index) []byte {
+	t.Helper()
+	mu.RLock()
+	defer mu.RUnlock()
+	var buf bytes.Buffer
+	if _, err := index().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	proxy := &goneProxy{backend: srv.Config.Handler}
-	psrv := httptest.NewServer(proxy)
-	defer psrv.Close()
+	return buf.Bytes()
+}
 
-	f := startFollower(t, Options{PrimaryURL: psrv.URL, Dir: t.TempDir()})
-	stale := f.AppliedLSN()
-
-	proxy.tripped.Store(true)
-	if _, err := st.Insert([]float64{0.99, 0.99}); err != nil {
-		t.Fatal(err)
+// bootstrapPhases returns the span names of the one bootstrap trace rec
+// holds.
+func bootstrapPhases(t *testing.T, rec *obs.Recorder) map[string]bool {
+	t.Helper()
+	traces := rec.Snapshot(0, "", 0)
+	if len(traces) != 1 || traces[0].Endpoint != "replicate.bootstrap" {
+		t.Fatalf("recorder holds %d traces, want one bootstrap", len(traces))
 	}
-	// Tail polls now 410; the only road to the new LSN is a re-bootstrap.
-	waitCaughtUp(t, f, st.Status().AppliedLSN)
-	if f.AppliedLSN() <= stale {
-		t.Fatalf("follower did not advance past %d", stale)
+	phases := map[string]bool{}
+	for _, sp := range traces[0].Spans {
+		phases[sp.Name] = true
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for f.StateName() != "following" {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower state %q after re-bootstrap, want following", f.StateName())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	return phases
 }

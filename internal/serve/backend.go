@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"net/http"
 	"strconv"
 	"sync"
@@ -20,10 +19,10 @@ import (
 // constructor attaches, not a branch in a shared handler.
 type Backend interface {
 	// Mutex guards the index: queries hold it for reading, inserts and a
-	// follower's applies for writing.
+	// follower's index swaps for writing.
 	Mutex() *sync.RWMutex
 	// Index returns the serving index. Call with Mutex held and do not keep
-	// the pointer past the unlock: a follower's re-bootstrap swaps it.
+	// the pointer past the unlock: a follower's install swaps it.
 	Index() *tlx.Index
 	// AppliedLSN is the version the index reflects. It moves only under the
 	// write lock, so it is stable while Mutex is held; it is an atomic load,
@@ -72,12 +71,12 @@ func (m *memBackend) InsertBatchLSN(opts [][]float64) ([]store.BatchResult, stor
 // Follower is a replica following a remote primary (internal/replicate
 // implements it). The handler serves queries from its index under its
 // lock, rejects writes toward the primary, and reports its sync state.
-// Index is read under the follower's Mutex: a re-bootstrap may swap the
-// index pointer.
+// Index is read under the follower's Mutex: installing a newer index from
+// the primary swaps the index pointer.
 type Follower interface {
 	// Index returns the currently served index; call with Mutex held.
 	Index() *tlx.Index
-	// Mutex guards the index against the follow loop's applies and swaps.
+	// Mutex guards the index against the follow loop's swaps.
 	Mutex() *sync.RWMutex
 	// AppliedLSN is the LSN the local index reflects (atomic, lock-free).
 	AppliedLSN() uint64
@@ -153,7 +152,7 @@ func (h *Handler) attachFollower(f Follower) *Handler {
 }
 
 // attachStore adds the durable store's admin endpoints: snapshot now,
-// durability status, and the replication feed followers bootstrap and tail
+// durability status, and the replication feed followers install the index
 // from.
 func (h *Handler) attachStore(st *store.Store) *Handler {
 	h.handle("/v1/admin/snapshot", post(func(w http.ResponseWriter, r *http.Request) {
@@ -170,10 +169,9 @@ func (h *Handler) attachStore(st *store.Store) *Handler {
 			store.Status
 		}{"primary", st.Status()})
 	}))
-	// The replication feed. Without a from parameter it ships a full
-	// bootstrap — the newest durable snapshot plus the WAL tail beyond it;
-	// with ?from=<lsn> only the records after that LSN. A follower whose from
-	// has been pruned away gets 410 Gone and must re-bootstrap from scratch.
+	// The replication feed: the current index, serialized at the applied
+	// LSN. A follower that sends ?from=<lsn> equal to that LSN gets the
+	// header alone; any other from, or none, gets the whole index.
 	h.handle("/v1/admin/snapshot/stream", get(func(w http.ResponseWriter, r *http.Request) {
 		from := int64(-1)
 		if s := r.URL.Query().Get("from"); s != "" {
@@ -186,17 +184,13 @@ func (h *Handler) attachStore(st *store.Store) *Handler {
 		}
 		sess, err := st.PrepareShip(from)
 		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, store.ErrShipGap) {
-				status = http.StatusGone
-			}
-			writeJSON(w, status, errorBody{Error: err.Error()})
+			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		if _, err := sess.WriteTo(w); err != nil {
 			// Headers are out; the receiver detects the truncation through the
-			// stream checksums. Log for the operator.
+			// header's byte count. Log for the operator.
 			h.log.Warn("serve: snapshot stream aborted", "err", err)
 		}
 	}))

@@ -157,7 +157,7 @@ func quiet(endpoint string) bool {
 // package doc's status table); their counters are resolved at registration
 // so the request path performs no registry lookup. Anything rarer falls
 // back to a registry lookup.
-var commonCodes = [...]int{200, 400, 403, 404, 405, 409, 410, 413, 422, 499, 500}
+var commonCodes = [...]int{200, 400, 403, 404, 405, 409, 413, 422, 499, 500}
 
 func requestCounter(endpoint string, code int) *obs.Counter {
 	return obs.Default().Counter("tlx_http_requests_total", "HTTP requests served.",

@@ -60,8 +60,6 @@
 //	404  unknown path
 //	405  wrong method for the endpoint (the Allow header names the
 //	     accepted method)
-//	410  snapshot-stream tail request for records the primary has pruned
-//	     (store.ErrShipGap; the follower must re-bootstrap)
 //	413  POST body larger than the 4 MiB cap
 //	422  query depth k beyond the index's τ (tlevelindex.ErrBeyondTau)
 //	499  client disconnected mid-query (context canceled)
@@ -112,10 +110,10 @@
 //	POST /v1/admin/snapshot         capture the index durably now
 //	GET  /v1/admin/status           applied/snapshot LSNs, WAL length,
 //	                                records replayed at recovery
-//	GET  /v1/admin/snapshot/stream  the replication feed: newest snapshot
-//	                                plus the WAL tail beyond it, or with
-//	                                ?from=<lsn> just the records after that
-//	                                LSN (410 Gone once pruned)
+//	GET  /v1/admin/snapshot/stream  the replication feed: the current index
+//	                                serialized at the applied LSN; with
+//	                                ?from=<lsn> equal to that LSN, the
+//	                                header alone
 //
 // A memory-only handler answers 404 for them.
 //

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,12 +12,14 @@ import (
 	"tlevelindex/internal/store"
 )
 
-// fetchShip downloads one shipped stream over HTTP and replays it like a
-// bootstrapping follower: header, snapshot, tail records with the
-// acknowledged-id cross-check. It returns the reassembled index and the
-// stream header.
-func fetchShip(url string) (*tlx.Index, store.ShipHeader, error) {
-	resp, err := http.Get(url + "/v1/admin/snapshot/stream")
+// fetchShip downloads one shipped stream over HTTP and loads it like a
+// follower: header, then the index bytes. from < 0 sends no from
+// parameter. A header-only answer returns a nil index.
+func fetchShip(url string, from int64) (*tlx.Index, store.ShipHeader, error) {
+	if from >= 0 {
+		url += fmt.Sprintf("?from=%d", from)
+	}
+	resp, err := http.Get(url)
 	if err != nil {
 		return nil, store.ShipHeader{}, err
 	}
@@ -27,41 +28,23 @@ func fetchShip(url string) (*tlx.Index, store.ShipHeader, error) {
 		return nil, store.ShipHeader{}, fmt.Errorf("status %d", resp.StatusCode)
 	}
 	hdr, err := store.ReadShipHeader(resp.Body)
-	if err != nil {
+	if err != nil || hdr.Bytes == 0 {
 		return nil, hdr, err
 	}
-	snap := make([]byte, hdr.SnapBytes)
-	if _, err := io.ReadFull(resp.Body, snap); err != nil {
+	body := make([]byte, hdr.Bytes)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
 		return nil, hdr, err
 	}
-	ix, err := tlx.ReadIndexBytes(snap, false)
-	if err != nil {
-		return nil, hdr, err
-	}
-	for lsn := hdr.SnapLSN + 1; lsn <= hdr.TailLSN; lsn++ {
-		rec, err := store.ReadShipRecord(resp.Body)
-		if err != nil {
-			return nil, hdr, err
-		}
-		if rec.LSN != lsn {
-			return nil, hdr, fmt.Errorf("record %d where %d expected", rec.LSN, lsn)
-		}
-		id, err := ix.Insert(rec.Attrs)
-		if err != nil {
-			return nil, hdr, err
-		}
-		if int64(id) != rec.ID {
-			return nil, hdr, fmt.Errorf("replay diverged at %d", lsn)
-		}
-	}
-	return ix, hdr, nil
+	ix, err := tlx.ReadIndexBytes(body, false)
+	return ix, hdr, err
 }
 
-// TestSnapshotStreamEndpoint: the stream endpoint hands out a consistent
-// bootstrap while inserts land concurrently. Every download must replay to
-// exactly its advertised tail; the final one must match the store.
+// TestSnapshotStreamEndpoint: the stream endpoint hands out a loadable
+// index while inserts land concurrently; the final one must serialize to
+// the store's index at the store's LSN.
 func TestSnapshotStreamEndpoint(t *testing.T) {
 	srv, st := newStoreServer(t, t.TempDir())
+	stream := srv.URL + "/v1/admin/snapshot/stream"
 	if code := postJSON(t, srv.URL+"/v1/insert", `{"option":[0.95,0.95]}`, nil); code != 200 {
 		t.Fatal("seed insert failed")
 	}
@@ -82,18 +65,18 @@ func TestSnapshotStreamEndpoint(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 6; i++ {
-		if _, _, err := fetchShip(srv.URL); err != nil {
+		if _, _, err := fetchShip(stream, -1); err != nil {
 			t.Fatalf("concurrent download %d: %v", i, err)
 		}
 	}
 	wg.Wait()
 
-	ix, hdr, err := fetchShip(srv.URL)
+	ix, hdr, err := fetchShip(stream, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := st.Status().AppliedLSN; hdr.TailLSN != want {
-		t.Errorf("final stream tail %d, store applied %d", hdr.TailLSN, want)
+	if want := st.Status().AppliedLSN; hdr.LSN != want {
+		t.Errorf("final stream LSN %d, store applied %d", hdr.LSN, want)
 	}
 	var a, b bytes.Buffer
 	if _, err := ix.WriteTo(&a); err != nil {
@@ -103,33 +86,17 @@ func TestSnapshotStreamEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("replayed stream serializes differently from the primary index")
+		t.Error("shipped index serializes differently from the primary index")
 	}
 }
 
-// TestSnapshotStreamTailAndGap covers the from= query: a caught-up tail
-// request is empty, a pruned position answers 410 Gone, and a position
-// beyond the primary's history is a 500 (diverged, not behind).
+// TestSnapshotStreamTailAndGap covers the from= query: a from at the
+// primary's LSN gets the header alone, and any other from — one the WAL
+// has pruned past, or one beyond the primary's history — gets the whole
+// index at the primary's LSN.
 func TestSnapshotStreamTailAndGap(t *testing.T) {
 	srv, st := newStoreServer(t, t.TempDir())
-	if code := postJSON(t, srv.URL+"/v1/insert", `{"option":[0.95,0.95]}`, nil); code != 200 {
-		t.Fatal("insert failed")
-	}
-	if code := postJSON(t, srv.URL+"/v1/admin/snapshot", "", nil); code != 200 {
-		t.Fatal("snapshot failed")
-	}
-
-	applied := st.Status().AppliedLSN
-	resp, err := http.Get(fmt.Sprintf("%s/v1/admin/snapshot/stream?from=%d", srv.URL, applied))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, herr := store.ReadShipHeader(resp.Body)
-	resp.Body.Close()
-	if herr != nil || hdr.SnapLSN != applied || hdr.TailLSN != applied || hdr.SnapBytes != 0 {
-		t.Fatalf("caught-up tail stream: %+v err=%v", hdr, herr)
-	}
-
+	stream := srv.URL + "/v1/admin/snapshot/stream"
 	// Rotate and prune the WAL far enough that LSN 1 is gone.
 	for i := 0; i < 4; i++ {
 		body := fmt.Sprintf(`{"option":[0.9%d,0.9%d]}`, i, i)
@@ -140,17 +107,19 @@ func TestSnapshotStreamTailAndGap(t *testing.T) {
 			t.Fatal("snapshot failed")
 		}
 	}
-	if _, err := st.PrepareShip(0); !errors.Is(err, store.ErrShipGap) {
-		t.Skipf("prune did not open a gap yet: %v", err)
+	applied := st.Status().AppliedLSN
+	ix, hdr, err := fetchShip(stream, int64(applied))
+	if err != nil || ix != nil || hdr.LSN != applied {
+		t.Fatalf("caught-up stream: header %+v, index %v, err %v; want the header alone", hdr, ix != nil, err)
 	}
-	if code := getJSON(t, srv.URL+"/v1/admin/snapshot/stream?from=0", nil); code != http.StatusGone {
-		t.Errorf("pruned tail request: status %d, want 410", code)
-	}
-	if code := getJSON(t, srv.URL+"/v1/admin/snapshot/stream?from=99999", nil); code != http.StatusInternalServerError {
-		t.Errorf("diverged tail request: status %d, want 500", code)
+	for _, from := range []int64{0, 99999} {
+		ix, hdr, err := fetchShip(stream, from)
+		if err != nil || ix == nil || hdr.LSN != applied {
+			t.Errorf("from=%d: header %+v, index %v, err %v; want the whole index at %d", from, hdr, ix != nil, err, applied)
+		}
 	}
 	// Malformed from is a 400.
-	if code := getJSON(t, srv.URL+"/v1/admin/snapshot/stream?from=x", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, stream+"?from=x", nil); code != http.StatusBadRequest {
 		t.Errorf("malformed from: status %d, want 400", code)
 	}
 	// The stream endpoint is absent in memory-only mode.

@@ -1,59 +1,46 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
-// Snapshot shipping: the wire form a primary streams to a bootstrapping or
-// following replica. One stream carries a consistent prefix of the
-// primary's history — a whole snapshot plus the WAL records beyond it up
-// to a tail LSN, or (for an already-bootstrapped follower) just the
-// records — framed so the receiver can verify every byte before applying
-// anything.
+// Snapshot shipping: the wire form a primary streams to a follower. One
+// stream carries the primary's current index, serialized at the LSN it
+// covers, or nothing when the follower already holds that LSN. A follower
+// installs the bytes as they are and never re-runs the primary's build.
 //
 // Stream layout (all integers little-endian):
 //
-//	header:  8-byte magic "TLXSHIP1" | uint64 snapshot LSN | uint64 tail LSN
-//	         | int64 snapshot bytes | uint32 CRC32(preceding 32 bytes)
-//	body:    <snapshot bytes> of index serialization (self-checksummed X3)
-//	tail:    (tailLSN − snapLSN) WAL-framed records (see wal.go), LSNs
-//	         snapLSN+1 .. tailLSN in order
+//	header:  8-byte magic "TLXSHIP2" | uint64 LSN | int64 index bytes
+//	         | uint32 CRC32(preceding 24 bytes)
+//	body:    <index bytes> of index serialization (self-checksummed X3)
 //
-// A snapshot-bytes field of 0 means no snapshot is included and the
-// receiver replays the tail onto the state it already holds at the
-// snapshot LSN. The records reuse the WAL record frame (length | CRC |
-// payload), so the receiver validates them with the same decoder recovery
-// uses and the acknowledged-id cross-check still applies on replay.
+// An index-bytes field of 0 means the follower's index is current at the
+// LSN. The X3 checksum covers the body, so the receiver verifies every
+// byte when it opens the index.
 
-const shipMagic = "TLXSHIP1"
+const shipMagic = "TLXSHIP2"
 
-// shipHeaderSize is magic + snapLSN + tailLSN + snapBytes + CRC.
-const shipHeaderSize = 8 + 8 + 8 + 8 + 4
-
-// ErrShipGap reports that the records a receiver needs are no longer on
-// the primary — its WAL was pruned past the requested point. The only
-// recovery is a fresh bootstrap from a whole snapshot.
-var ErrShipGap = errors.New("store: shipped history gap: requested records already pruned")
+// shipHeaderSize is magic + LSN + index bytes + CRC.
+const shipHeaderSize = 8 + 8 + 8 + 4
 
 // ShipHeader describes one shipped stream.
 type ShipHeader struct {
-	SnapLSN   uint64 // state the snapshot bytes capture; = the request's from when no snapshot
-	TailLSN   uint64 // last record in the stream; receiver lands exactly here
-	SnapBytes int64  // 0 = tail-only stream
+	LSN   uint64 // the primary's applied LSN, which the index bytes cover
+	Bytes int64  // 0 = the receiver already holds LSN; nothing follows
 }
 
 func (h ShipHeader) encode() []byte {
 	buf := make([]byte, shipHeaderSize)
 	copy(buf, shipMagic)
-	binary.LittleEndian.PutUint64(buf[8:], h.SnapLSN)
-	binary.LittleEndian.PutUint64(buf[16:], h.TailLSN)
-	binary.LittleEndian.PutUint64(buf[24:], uint64(h.SnapBytes))
-	binary.LittleEndian.PutUint32(buf[32:], crc32.ChecksumIEEE(buf[:32]))
+	binary.LittleEndian.PutUint64(buf[8:], h.LSN)
+	binary.LittleEndian.PutUint64(buf[16:], uint64(h.Bytes))
+	binary.LittleEndian.PutUint32(buf[24:], crc32.ChecksumIEEE(buf[:24]))
 	return buf
 }
 
@@ -66,190 +53,55 @@ func ReadShipHeader(r io.Reader) (ShipHeader, error) {
 	if string(buf[:8]) != shipMagic {
 		return ShipHeader{}, fmt.Errorf("%w: bad ship magic", ErrCorrupt)
 	}
-	if binary.LittleEndian.Uint32(buf[32:]) != crc32.ChecksumIEEE(buf[:32]) {
+	if binary.LittleEndian.Uint32(buf[24:]) != crc32.ChecksumIEEE(buf[:24]) {
 		return ShipHeader{}, fmt.Errorf("%w: ship header checksum", ErrCorrupt)
 	}
 	h := ShipHeader{
-		SnapLSN:   binary.LittleEndian.Uint64(buf[8:]),
-		TailLSN:   binary.LittleEndian.Uint64(buf[16:]),
-		SnapBytes: int64(binary.LittleEndian.Uint64(buf[24:])),
+		LSN:   binary.LittleEndian.Uint64(buf[8:]),
+		Bytes: int64(binary.LittleEndian.Uint64(buf[16:])),
 	}
-	if h.SnapBytes < 0 || h.TailLSN < h.SnapLSN {
-		return ShipHeader{}, fmt.Errorf("%w: ship header ranges (snap %d, tail %d, bytes %d)",
-			ErrCorrupt, h.SnapLSN, h.TailLSN, h.SnapBytes)
+	if h.Bytes < 0 {
+		return ShipHeader{}, fmt.Errorf("%w: ship header claims %d index bytes", ErrCorrupt, h.Bytes)
 	}
 	return h, nil
 }
 
-// ShipRecord is one replicated insert: the option attributes plus the LSN
-// and the id the primary acknowledged, for the replay cross-check.
-type ShipRecord struct {
-	LSN   uint64
-	ID    int64
-	Attrs []float64
-}
-
-// ReadShipRecord reads one WAL-framed record from a shipped tail.
-func ReadShipRecord(r io.Reader) (ShipRecord, error) {
-	var rh [recHeaderSize]byte
-	if _, err := io.ReadFull(r, rh[:]); err != nil {
-		return ShipRecord{}, fmt.Errorf("%w: ship record header: %v", ErrCorrupt, err)
-	}
-	payloadLen := binary.LittleEndian.Uint32(rh[0:])
-	wantCRC := binary.LittleEndian.Uint32(rh[4:])
-	if payloadLen < minPayload || payloadLen > maxPayload {
-		return ShipRecord{}, fmt.Errorf("%w: ship record length %d", ErrCorrupt, payloadLen)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return ShipRecord{}, fmt.Errorf("%w: ship record body: %v", ErrCorrupt, err)
-	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return ShipRecord{}, fmt.Errorf("%w: ship record checksum", ErrCorrupt)
-	}
-	rec, err := decodePayload(payload)
-	if err != nil {
-		return ShipRecord{}, err
-	}
-	return ShipRecord{LSN: rec.lsn, ID: rec.id, Attrs: rec.attrs}, nil
-}
-
-// ShipSession is one prepared stream: a consistent inventory of what to
-// send, taken under the snapshot lock so rotation and pruning cannot pull
-// files out from under it. The snapshot file is held open (an unlink by a
-// concurrent prune leaves the open file readable), the tail records are
-// already in memory, so streaming happens outside every store lock.
+// ShipSession is one prepared stream: the index serialized under the store
+// lock, so streaming happens outside every store lock.
 type ShipSession struct {
 	Header ShipHeader
-	snap   *os.File
-	tail   []record
+	body   []byte
 }
 
-// PrepareShip assembles a stream. from < 0 requests a full bootstrap: the
-// newest durable snapshot plus every record beyond it. from ≥ 0 requests
-// the tail only: records from+1 .. tail onto state the receiver already
-// holds at from. When the records needed are gone (pruned) it reports
-// ErrShipGap; when from is beyond the primary's history it reports a plain
-// error — the receiver is diverged, not behind.
+// PrepareShip serializes the current index for a follower that holds the
+// index at LSN from (from < 0: no index). A follower already at the applied
+// LSN gets a header-only session; any other from gets the whole index.
 func (s *Store) PrepareShip(from int64) (*ShipSession, error) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-
 	s.mu.RLock()
-	closed := s.closed
-	tail := s.applied
-	s.mu.RUnlock()
-	if closed {
+	defer s.mu.RUnlock()
+	if s.closed {
 		return nil, errors.New("store: closed")
 	}
-	if from >= 0 && uint64(from) > tail {
-		return nil, fmt.Errorf("store: ship from %d beyond applied %d", from, tail)
+	sess := &ShipSession{Header: ShipHeader{LSN: s.applied}}
+	if from >= 0 && uint64(from) == s.applied {
+		return sess, nil
 	}
-
-	sess := &ShipSession{Header: ShipHeader{TailLSN: tail}}
-	ok := false
-	defer func() {
-		if !ok {
-			sess.Close()
-		}
-	}()
-
-	snaps, segs, err := scanDir(s.opts.Dir)
-	if err != nil {
+	var buf bytes.Buffer
+	if _, err := s.ix.WriteTo(&buf); err != nil {
 		return nil, err
 	}
-	if from < 0 {
-		if len(snaps) == 0 {
-			return nil, fmt.Errorf("%w: no snapshot in %s", ErrCorrupt, s.opts.Dir)
-		}
-		newest := snaps[len(snaps)-1]
-		f, err := os.Open(newest.path)
-		if err != nil {
-			return nil, err
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		sess.snap = f
-		sess.Header.SnapLSN = newest.lsn
-		sess.Header.SnapBytes = st.Size()
-	} else {
-		sess.Header.SnapLSN = uint64(from)
-	}
-
-	// Collect the records (SnapLSN, tail]. tail was read before the
-	// segments, so every record at or below it is already durable in the
-	// files; records beyond it (including one mid-append, which parses as
-	// a torn tail) are simply ignored.
-	next := sess.Header.SnapLSN + 1
-	for _, sg := range segs {
-		if next > tail {
-			break
-		}
-		sd, err := readSegment(sg.path)
-		if err != nil {
-			if errors.Is(err, errShortHeader) {
-				continue // torn at creation; holds nothing
-			}
-			return nil, err
-		}
-		for _, rec := range sd.records {
-			if rec.lsn < next || rec.lsn > tail {
-				continue
-			}
-			if rec.lsn != next {
-				return nil, fmt.Errorf("%w: need record %d, segment %s skips to %d",
-					ErrShipGap, next, sg.path, rec.lsn)
-			}
-			sess.tail = append(sess.tail, rec)
-			next++
-		}
-	}
-	if next != tail+1 {
-		return nil, fmt.Errorf("%w: need records through %d, have through %d", ErrShipGap, tail, next-1)
-	}
-	ok = true
+	sess.body = buf.Bytes()
+	sess.Header.Bytes = int64(len(sess.body))
 	return sess, nil
 }
 
-// WriteTo streams the session: header, snapshot bytes, tail records. The
-// session is spent afterwards regardless of error; Close is still safe.
+// WriteTo streams the session: header, then the index bytes.
 func (sess *ShipSession) WriteTo(w io.Writer) (int64, error) {
-	defer sess.Close()
-	var n int64
 	m, err := w.Write(sess.Header.encode())
-	n += int64(m)
+	n := int64(m)
 	if err != nil {
 		return n, err
 	}
-	if sess.snap != nil {
-		c, err := io.Copy(w, sess.snap)
-		n += c
-		if err != nil {
-			return n, err
-		}
-		if c != sess.Header.SnapBytes {
-			return n, fmt.Errorf("store: snapshot shrank mid-ship: sent %d of %d bytes", c, sess.Header.SnapBytes)
-		}
-	}
-	for _, rec := range sess.tail {
-		m, err := w.Write(encodeRecord(rec))
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// Close releases the held snapshot file. Idempotent.
-func (sess *ShipSession) Close() error {
-	if sess.snap == nil {
-		return nil
-	}
-	f := sess.snap
-	sess.snap = nil
-	return f.Close()
+	m, err = w.Write(sess.body)
+	return n + int64(m), err
 }

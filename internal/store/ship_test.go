@@ -25,51 +25,30 @@ func shipBytes(t *testing.T, s *Store, from int64) []byte {
 	return buf.Bytes()
 }
 
-// replayShip consumes a shipped stream the way a bootstrapping follower
-// does: verify the header, load the snapshot, replay the tail with the
-// acknowledged-id cross-check. onto is the receiver's existing state for
-// tail-only streams (nil demands a full stream).
-func replayShip(data []byte, onto *tlx.Index) (*tlx.Index, ShipHeader, error) {
+// readShip consumes a shipped stream the way a follower does: verify the
+// header, then load the index bytes, whose X3 checksum covers the body. A
+// header-only stream returns a nil index.
+func readShip(data []byte) (*tlx.Index, ShipHeader, error) {
 	r := bytes.NewReader(data)
 	hdr, err := ReadShipHeader(r)
-	if err != nil {
+	if err != nil || hdr.Bytes == 0 {
 		return nil, hdr, err
 	}
-	ix := onto
-	if hdr.SnapBytes > 0 {
-		snap := make([]byte, hdr.SnapBytes)
-		if _, err := io.ReadFull(r, snap); err != nil {
-			return nil, hdr, err
-		}
-		if ix, err = tlx.ReadIndexBytes(snap, false); err != nil {
-			return nil, hdr, err
-		}
+	body := make([]byte, hdr.Bytes)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, hdr, err
 	}
-	if ix == nil {
-		return nil, hdr, errors.New("tail-only stream with no receiver state")
+	if r.Len() != 0 {
+		return nil, hdr, errors.New("trailing bytes after the index")
 	}
-	for lsn := hdr.SnapLSN + 1; lsn <= hdr.TailLSN; lsn++ {
-		rec, err := ReadShipRecord(r)
-		if err != nil {
-			return nil, hdr, err
-		}
-		if rec.LSN != lsn {
-			return nil, hdr, errors.New("ship record out of sequence")
-		}
-		id, err := ix.Insert(rec.Attrs)
-		if err != nil {
-			return nil, hdr, err
-		}
-		if int64(id) != rec.ID {
-			return nil, hdr, errors.New("ship replay diverged from acknowledged id")
-		}
-	}
-	return ix, hdr, nil
+	ix, err := tlx.ReadIndexBytes(body, false)
+	return ix, hdr, err
 }
 
-// TestShipFullStream: a full bootstrap stream — snapshot plus tail — must
-// reassemble, on the receiver, an index indistinguishable from the
-// primary's.
+// TestShipFullStream: the stream is the primary's current index — records
+// beyond the newest snapshot included — at its applied LSN. A receiver
+// already at that LSN gets the header alone; any other position gets the
+// whole index.
 func TestShipFullStream(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{})
 	defer s.Close()
@@ -82,116 +61,34 @@ func TestShipFullStream(t *testing.T) {
 	if _, err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	// These records live only in the WAL tail beyond the snapshot.
+	// These records live only in the WAL beyond the snapshot.
 	for _, opt := range inserts[4:] {
 		if _, err := s.Insert(opt); err != nil {
 			t.Fatal(err)
 		}
 	}
+	applied := s.Status().AppliedLSN
 
-	got, hdr, err := replayShip(shipBytes(t, s, -1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.SnapBytes == 0 || hdr.SnapLSN == 0 {
-		t.Fatalf("full stream header %+v carries no snapshot", hdr)
-	}
-	if want := s.Status().AppliedLSN; hdr.TailLSN != want {
-		t.Errorf("stream tail LSN %d, primary applied %d", hdr.TailLSN, want)
-	}
-	assertSameAnswers(t, got, s.Index())
-}
-
-// TestShipTailOnly: a receiver that already holds state at some LSN gets
-// just the records beyond it, and lands exactly at the primary's tail.
-func TestShipTailOnly(t *testing.T) {
-	s := openStore(t, t.TempDir(), Options{})
-	defer s.Close()
-	inserts := testInserts()
-	for _, opt := range inserts[:4] {
-		if _, err := s.Insert(opt); err != nil {
-			t.Fatal(err)
+	for _, from := range []int64{-1, 0, int64(applied) - 1, int64(applied) + 5} {
+		got, hdr, err := readShip(shipBytes(t, s, from))
+		if err != nil {
+			t.Fatalf("from=%d: %v", from, err)
 		}
-	}
-	// Bootstrap a receiver at the current LSN.
-	mine, hdr, err := replayShip(shipBytes(t, s, -1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := hdr.TailLSN
-
-	for _, opt := range inserts[4:] {
-		if _, err := s.Insert(opt); err != nil {
-			t.Fatal(err)
+		if hdr.LSN != applied || got == nil {
+			t.Fatalf("from=%d: header %+v, want the whole index at LSN %d", from, hdr, applied)
 		}
-	}
-	got, hdr, err := replayShip(shipBytes(t, s, int64(at)), mine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.SnapBytes != 0 || hdr.SnapLSN != at {
-		t.Fatalf("tail stream header %+v, want snapLSN %d and no snapshot", hdr, at)
-	}
-	if want := s.Status().AppliedLSN; hdr.TailLSN != want {
-		t.Errorf("stream tail LSN %d, primary applied %d", hdr.TailLSN, want)
-	}
-	assertSameAnswers(t, got, s.Index())
-
-	// Caught up: the next tail request is empty but well-formed.
-	empty, hdr, err := replayShip(shipBytes(t, s, int64(hdr.TailLSN)), got)
-	if err != nil || hdr.SnapLSN != hdr.TailLSN {
-		t.Fatalf("caught-up stream: %+v err=%v", hdr, err)
-	}
-	assertSameAnswers(t, empty, s.Index())
-}
-
-// TestShipFromBeyondApplied: a diverged receiver (claiming more history
-// than the primary has) is a plain error, not a gap — re-bootstrapping
-// would not help it.
-func TestShipFromBeyondApplied(t *testing.T) {
-	s := openStore(t, t.TempDir(), Options{})
-	defer s.Close()
-	_, err := s.PrepareShip(99)
-	if err == nil {
-		t.Fatal("ship from beyond applied accepted")
-	}
-	if errors.Is(err, ErrShipGap) {
-		t.Fatalf("diverged receiver reported as gap: %v", err)
-	}
-}
-
-// TestShipGapAfterPrune: once snapshots have pruned the WAL past a
-// receiver's position, the tail request must report ErrShipGap — the
-// signal to fall back to a full bootstrap.
-func TestShipGapAfterPrune(t *testing.T) {
-	s := openStore(t, t.TempDir(), Options{})
-	defer s.Close()
-	// Each snapshot rotates the WAL; pruning keeps two snapshots and the
-	// segments at or beyond the older one, so enough rounds discard the
-	// segment holding LSN 1.
-	for _, opt := range testInserts() {
-		if _, err := s.Insert(opt); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.PrepareShip(0); !errors.Is(err, ErrShipGap) {
-		t.Fatalf("ship from pruned LSN 0: %v, want ErrShipGap", err)
-	}
-	// A full bootstrap still works — it starts from the newest snapshot.
-	if got, _, err := replayShip(shipBytes(t, s, -1), nil); err != nil {
-		t.Fatal(err)
-	} else {
 		assertSameAnswers(t, got, s.Index())
+	}
+
+	data := shipBytes(t, s, int64(applied))
+	if got, hdr, err := readShip(data); err != nil || got != nil || hdr.LSN != applied || len(data) != shipHeaderSize {
+		t.Fatalf("caught-up stream: %d bytes, header %+v, err %v; want the header alone", len(data), hdr, err)
 	}
 }
 
 // TestShipUnderConcurrentInserts streams while a writer inserts and
-// snapshots rotate. Every stream must be self-consistent — parse clean,
-// replay to exactly its advertised tail LSN — regardless of what the
-// writer does meanwhile; the final stream must equal the final index.
+// snapshots rotate. Every stream must load and serve, whatever the writer
+// does meanwhile; the final stream must equal the final index.
 func TestShipUnderConcurrentInserts(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{SnapshotRecords: 3})
 	inserts := datagen.Generate(datagen.IND, 16, 2, 55)
@@ -207,22 +104,22 @@ func TestShipUnderConcurrentInserts(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 8; i++ {
-		ix, _, err := replayShip(shipBytes(t, s, -1), nil)
+		ix, _, err := readShip(shipBytes(t, s, -1))
 		if err != nil {
 			t.Fatalf("concurrent stream %d: %v", i, err)
 		}
-		// The replayed index must be servable, not just parseable.
+		// The shipped index must be servable, not just parseable.
 		if _, err := ix.TopK([]float64{0.5, 0.5}, testTau); err != nil {
-			t.Fatalf("concurrent stream %d replayed unusable index: %v", i, err)
+			t.Fatalf("concurrent stream %d shipped an unusable index: %v", i, err)
 		}
 	}
 	wg.Wait()
-	got, hdr, err := replayShip(shipBytes(t, s, -1), nil)
+	got, hdr, err := readShip(shipBytes(t, s, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := s.Status().AppliedLSN; hdr.TailLSN != want {
-		t.Errorf("final stream tail %d, applied %d", hdr.TailLSN, want)
+	if want := s.Status().AppliedLSN; hdr.LSN != want {
+		t.Errorf("final stream LSN %d, applied %d", hdr.LSN, want)
 	}
 	assertSameAnswers(t, got, s.Index())
 	if err := s.Close(); err != nil {
@@ -231,9 +128,9 @@ func TestShipUnderConcurrentInserts(t *testing.T) {
 }
 
 // TestShipStreamCorruptionDetected flips single bits across a valid
-// stream and truncates it at every region boundary: the receiver pipeline
-// must reject each mutation with a content error — the follower's
-// re-fetch trigger — and never accept silently.
+// stream and truncates it inside the header and the body: the receiver
+// pipeline must reject each mutation with a content error — the
+// follower's re-fetch trigger — and never accept silently.
 func TestShipStreamCorruptionDetected(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{})
 	defer s.Close()
@@ -242,41 +139,34 @@ func TestShipStreamCorruptionDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	for _, opt := range testInserts()[3:6] {
-		if _, err := s.Insert(opt); err != nil {
-			t.Fatal(err)
-		}
-	}
 	data := shipBytes(t, s, -1)
-	if _, _, err := replayShip(data, nil); err != nil {
+	if _, _, err := readShip(data); err != nil {
 		t.Fatalf("pristine stream rejected: %v", err)
 	}
 
 	isContent := func(err error) bool {
 		return errors.Is(err, ErrCorrupt) || errors.Is(err, tlx.ErrBadFormat)
 	}
-	// Single-bit flips sampled across header, snapshot body, and tail.
-	for _, off := range []int{0, 9, 33, shipHeaderSize + 5, shipHeaderSize + 200, len(data) - 10, len(data) - 1} {
+	// Single-bit flips sampled across the header and the index body.
+	for _, off := range []int{0, 9, 17, 25, shipHeaderSize + 5, shipHeaderSize + 200, len(data) - 10, len(data) - 1} {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x10
-		if _, _, err := replayShip(mut, nil); !isContent(err) {
+		if _, _, err := readShip(mut); !isContent(err) {
 			t.Errorf("bit flip at %d: err=%v, want a content error", off, err)
 		}
 	}
-	// Truncations: mid-header, mid-snapshot, mid-tail.
-	for _, n := range []int{0, shipHeaderSize - 1, shipHeaderSize + 100, len(data) - 5} {
-		if _, _, err := replayShip(data[:n], nil); err == nil {
+	// Truncations: mid-header, mid-body, one byte short.
+	for _, n := range []int{0, shipHeaderSize - 1, shipHeaderSize + 100, len(data) - 1} {
+		if _, _, err := readShip(data[:n]); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
 	}
 }
 
-// FuzzShipRead throws arbitrary bytes at the exact decoding pipeline a
-// follower trusts with network data: header, snapshot load, record frames.
-// It must never panic, and whatever parses must be internally consistent.
+// FuzzShipRead throws arbitrary bytes at the stream header decoder a
+// follower trusts with network data. It must never panic, and a header it
+// accepts must be the encoding of what it decoded. The index body is
+// FuzzReadIndex's subject.
 func FuzzShipRead(f *testing.F) {
 	s, err := Open(Options{Dir: f.TempDir()}, builder(testData(20)))
 	if err != nil {
@@ -299,48 +189,26 @@ func FuzzShipRead(f *testing.F) {
 	blob := buf.Bytes()
 	f.Add(blob)
 	f.Add(blob[:shipHeaderSize])
-	f.Add(blob[:len(blob)-3])
-	flipped := append([]byte(nil), blob...)
-	flipped[shipHeaderSize+17] ^= 0x04
+	f.Add(blob[:shipHeaderSize-3])
+	flipped := append([]byte(nil), blob[:shipHeaderSize]...)
+	flipped[17] ^= 0x04
 	f.Add(flipped)
 	f.Add([]byte(shipMagic))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		hdr, err := ReadShipHeader(r)
+		hdr, err := ReadShipHeader(bytes.NewReader(data))
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("header decode failed outside ErrCorrupt: %v", err)
+			}
 			return
 		}
-		if hdr.TailLSN < hdr.SnapLSN || hdr.SnapBytes < 0 {
-			t.Fatalf("accepted header violates its own invariants: %+v", hdr)
+		if hdr.Bytes < 0 {
+			t.Fatalf("accepted header claims %d index bytes", hdr.Bytes)
 		}
-		if hdr.SnapBytes > 0 {
-			if hdr.SnapBytes > int64(r.Len()) {
-				return // truncated body; nothing more to check
-			}
-			snap := make([]byte, hdr.SnapBytes)
-			io.ReadFull(r, snap)
-			if _, err := tlx.ReadIndexBytes(snap, false); err != nil &&
-				!errors.Is(err, tlx.ErrBadFormat) {
-				t.Fatalf("snapshot load failed outside ErrBadFormat: %v", err)
-			}
-		}
-		prev := hdr.SnapLSN
-		for lsn := hdr.SnapLSN + 1; lsn <= hdr.TailLSN; lsn++ {
-			rec, err := ReadShipRecord(r)
-			if err != nil {
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("record decode failed outside ErrCorrupt: %v", err)
-				}
-				return
-			}
-			if rec.LSN <= prev && prev != hdr.SnapLSN {
-				// The decoder itself does not order records; the receiver's
-				// sequence check does. Nothing to assert beyond no-panic.
-				return
-			}
-			prev = rec.LSN
+		if !bytes.Equal(hdr.encode(), data[:shipHeaderSize]) {
+			t.Fatalf("accepted header %+v does not re-encode to its bytes", hdr)
 		}
 	})
 }

@@ -70,8 +70,9 @@ type Options struct {
 	SnapshotRecords int
 	// SnapshotInterval triggers an automatic background snapshot whenever
 	// the newest snapshot is older than this, even if no insert tripped the
-	// byte or record thresholds — a quiet primary still produces fresh
-	// snapshots for bootstrapping replicas. Zero disables the timer.
+	// byte or record thresholds — a quiet primary still folds its last
+	// few records into a snapshot, so a restart replays none. Zero
+	// disables the timer.
 	SnapshotInterval time.Duration
 	// MmapLoad recovers the snapshot by memory-mapping it (zero-copy X3
 	// load) instead of reading it onto the heap: the large arrays stay in
