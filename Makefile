@@ -186,12 +186,15 @@ lvbench:
 # and lines that are only a // comment left out. This is the count ROADMAP's
 # "net non-test LOC going down" and CHANGES.md's per-PR figures mean; "module"
 # is everything outside bench/ (its own module, with its own budget).
+# "index codec" is internal/index's serialize.go + mmap.go, the X3 encoder
+# and decoder.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | grep -cvE '^[[:space:]]*(//|$$)'; }; \
 	echo "internal/serve  $$(count internal/serve -maxdepth 1)"; \
 	echo "internal/cache  $$(count internal/cache -maxdepth 1)"; \
 	echo "internal/obs    $$(count internal/obs -maxdepth 1)"; \
 	echo "internal/index  $$(count internal/index -maxdepth 1)"; \
+	echo "index codec     $$(count internal/index/serialize.go internal/index/mmap.go)"; \
 	echo "internal/store  $$(count internal/store -maxdepth 1)"; \
 	echo "internal/replicate $$(count internal/replicate -maxdepth 1)"; \
 	echo "root package    $$(count . -maxdepth 1)"; \

@@ -25,15 +25,15 @@
 //	curl -X POST -d '{"option":[0.95,0.95]}' localhost:8080/v1/insert
 //	curl localhost:8080/v1/admin/status
 //
-// Snapshots can additionally be triggered on a timer (-snapshot-interval),
-// and -mmap loads the recovered snapshot zero-copy through a read-only
-// memory mapping instead of deserializing it onto the heap.
+// Snapshots can additionally be triggered on a timer (-snapshot-interval).
+// The primary recovers its snapshot onto the heap.
 //
 // With -follow the process is a replica instead of a primary: it never
 // builds or owns an index, but installs the primary's serialized index
 // from its snapshot-shipping stream and keeps it fresh by polling for a
-// newer one. A follower serves the full read API and rejects
-// inserts with 403, pointing clients at the primary:
+// newer one, which it opens zero-copy through a read-only memory mapping.
+// A follower serves the full read API and rejects inserts with 403,
+// pointing clients at the primary:
 //
 //	lvserve -follow http://primary:8080 -data-dir /var/lib/lvserve-replica
 //	curl localhost:8080/v1/admin/status
@@ -89,7 +89,6 @@ func main() {
 	snapBytes := flag.Int64("snapshot-bytes", 4<<20, "auto-snapshot after this many WAL bytes (durable mode; <=0 disables)")
 	snapRecords := flag.Int("snapshot-records", 1024, "auto-snapshot after this many WAL records (durable mode; <=0 disables)")
 	snapInterval := flag.Duration("snapshot-interval", 0, "auto-snapshot on this wall-clock period (durable mode; <=0 disables)")
-	mmapLoad := flag.Bool("mmap", false, "load snapshots zero-copy via mmap instead of onto the heap")
 	follow := flag.String("follow", "", "primary base URL to follow as a read-only replica (e.g. http://host:8080)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -163,7 +162,6 @@ func main() {
 		fol, err = replicate.Start(replicate.Options{
 			PrimaryURL: *follow,
 			Dir:        *dataDir,
-			HeapLoad:   !*mmapLoad,
 			Logger:     log,
 			Recorder:   cfg.Recorder,
 		})
@@ -179,7 +177,6 @@ func main() {
 			SnapshotBytes:    *snapBytes,
 			SnapshotRecords:  *snapRecords,
 			SnapshotInterval: *snapInterval,
-			MmapLoad:         *mmapLoad,
 			Logger:           log,
 		}, build)
 		if err != nil {
@@ -187,8 +184,7 @@ func main() {
 		}
 		status := st.Status()
 		log.Info("store ready", "recoveredFrom", status.RecoveredFrom,
-			"appliedLsn", status.AppliedLSN, "replayed", status.RecordsReplayed,
-			"backing", status.Backing)
+			"appliedLsn", status.AppliedLSN, "replayed", status.RecordsReplayed)
 		handler = serve.NewStoreHandler(st, cfg)
 	} else {
 		ix, err := build()

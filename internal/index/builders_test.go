@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -52,6 +53,9 @@ func buildOrFail(t *testing.T, data [][]float64, cfg Config) *Index {
 	}
 	if err := ix.Validate(false); err != nil {
 		t.Fatalf("Validate(%v): %v", cfg.Algorithm, err)
+	}
+	if n, err := ix.WriteTo(io.Discard); err != nil || n != ix.SizeBytes() {
+		t.Fatalf("WriteTo(%v) wrote %d bytes (%v), SizeBytes %d", cfg.Algorithm, n, err, ix.SizeBytes())
 	}
 	return ix
 }

@@ -22,11 +22,36 @@ func FuzzReadIndex(f *testing.F) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes()) // WriteTo emits the flat X3 form
-	f.Add(writeLegacyX1(ix))
-	f.Add(writeLegacyX2(ix))
+	f.Add(buf.Bytes())
+	for _, retired := range []byte{'1', '2'} { // X3 bytes under a retired magic
+		stub := append([]byte(nil), buf.Bytes()...)
+		stub[7] = retired
+		f.Add(stub)
+	}
 	for _, blob := range levelOutsideTau(f, ix) {
 		f.Add(blob)
+	}
+	// Valid streams of other builders and dimensions: IBA's and BSL's DAGs
+	// differ from PBA⁺'s, d=2 cells have one-dimensional regions, d=4
+	// cells wider rows.
+	for _, c := range []struct {
+		data [][]float64
+		cfg  Config
+	}{
+		{data, Config{Algorithm: IBA, Tau: 2}},
+		{data, Config{Algorithm: BSL, Tau: 2}},
+		{randData(rng, 12, 2), Config{Algorithm: PBAPlus, Tau: 3}},
+		{randData(rng, 12, 4), Config{Algorithm: PBAPlus, Tau: 2}},
+	} {
+		other, err := Build(c.data, c.cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var b bytes.Buffer
+		if _, err := other.WriteTo(&b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
 	}
 	f.Add([]byte("TLVLIDX1 not really"))
 	f.Add([]byte("TLVLIDX3 not really"))
@@ -66,8 +91,7 @@ func FuzzReadIndex(f *testing.F) {
 	})
 }
 
-// levelOutsideTau returns ix in the X3, X2 and X1 forms, checksums
-// intact, first with τ one lower in the header, so the deepest level's cells
+// levelOutsideTau returns ix serialized, checksum intact, first with τ one lower in the header, so the deepest level's cells
 // lie past τ under parents at τ, then with its last cell at level -1.
 func levelOutsideTau(tb testing.TB, ix *Index) [][]byte {
 	var out [][]byte
@@ -76,7 +100,7 @@ func levelOutsideTau(tb testing.TB, ix *Index) [][]byte {
 		if _, err := ix.WriteTo(&buf); err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, buf.Bytes(), writeLegacyX2(ix), writeLegacyX1(ix))
+		out = append(out, buf.Bytes())
 	}
 	ix.Tau--
 	emit()
@@ -142,6 +166,44 @@ func TestReadX3BogusWords(t *testing.T) {
 			if verr := got.Validate(false); verr != nil {
 				t.Fatalf("poison %#x at %d: accepted an invalid index: %v", poison, off, verr)
 			}
+		}
+	}
+}
+
+// TestReadRejectsBrokenRootPath: a well-checksummed stream whose level
+// columns pass every range check but whose cells do not descend to the root
+// — a level-1 cell with no parent, or a level-0 cell that carries an option
+// — under a cell with two parents. The loader must refuse it as
+// ErrBadFormat: comparing the parents' result sets walks those paths, and
+// once indexed out of range on them.
+func TestReadRejectsBrokenRootPath(t *testing.T) {
+	pts := [][]float64{{1, 0}, {0, 1}, {0.5, 0.5}}
+	for name, cells := range map[string][]Cell{
+		"orphan": {
+			{Level: 0, Opt: NoOption},
+			{Level: 2, Opt: 0, Parents: []int32{2, 3}},
+			{Level: 1, Opt: 1},
+			{Level: 1, Opt: 2},
+		},
+		"level-0 option": {
+			{Level: 0, Opt: NoOption},
+			{Level: 2, Opt: 0, Parents: []int32{2, 3}},
+			{Level: 1, Opt: 1, Parents: []int32{4}},
+			{Level: 1, Opt: 2, Parents: []int32{0}},
+			{Level: 0, Opt: 2},
+		},
+	} {
+		ix := &Index{Dim: 2, Tau: 2, Pts: pts, OrigIDs: []int{0, 1, 2}, Cells: cells}
+		for i := range ix.Cells {
+			ix.Cells[i].ID, ix.Cells[i].Bound = int32(i), []int32{}
+		}
+		ix.freeze()
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadBytes(buf.Bytes(), true); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: err = %v, want ErrBadFormat", name, err)
 		}
 	}
 }

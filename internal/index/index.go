@@ -127,11 +127,6 @@ type Index struct {
 // (a memory mapping) rather than the heap. Zero means fully heap-backed.
 func (ix *Index) MmapBytes() int64 { return ix.aliasedBytes }
 
-// SetBacking hands the index the releaser for the buffer its state aliases.
-// The index does not use it; it only carries it so CloseBacking can release
-// the mapping when the index is dropped.
-func (ix *Index) SetBacking(c io.Closer) { ix.backing = c }
-
 // CloseBacking releases the aliased buffer, if any. The index must not be
 // used afterwards when MmapBytes was non-zero — its slices point into the
 // released mapping. Safe to call on heap-backed indexes (no-op) and twice.
@@ -531,7 +526,10 @@ func dedupeIDs(s []int32) []int32 {
 
 // Validate checks structural invariants: level consistency along edges,
 // result-set path independence, and (optionally, expensive) region
-// feasibility of every cell. It returns the first violation found.
+// feasibility of every cell. It returns the first violation found. The
+// first pass proves every root path descends one level a step to an
+// option-less level-0 cell, so the second can walk result sets over
+// untrusted (loaded) adjacency.
 func (ix *Index) Validate(checkRegions bool) error {
 	if len(ix.Cells) == 0 || ix.Cells[0].Opt != NoOption {
 		return fmt.Errorf("index: missing entry cell")
@@ -543,6 +541,9 @@ func (ix *Index) Validate(checkRegions bool) error {
 		}
 		if c.ID != int32(i) {
 			return fmt.Errorf("index: cell %d has ID %d", i, c.ID)
+		}
+		if c.Level == 0 && c.Opt != NoOption {
+			return fmt.Errorf("index: cell %d at level 0 has option %d", i, c.Opt)
 		}
 		parents := ix.parentsOf(c.ID)
 		if c.Level > 0 && len(parents) == 0 {
@@ -560,31 +561,34 @@ func (ix *Index) Validate(checkRegions bool) error {
 					i, c.Level, ch, ix.Cells[ch].Level)
 			}
 		}
+	}
+	var want, got []int32 // result-set buffers, reused across cells
+	for i := range ix.Cells {
+		c := &ix.Cells[i]
+		if c.Level <= 0 {
+			continue
+		}
 		// Path independence: the R sets via every parent must agree.
-		if len(parents) > 1 {
-			want := setKey(ix.ResultSet(parents[0]))
+		if parents := ix.parentsOf(c.ID); len(parents) > 1 {
+			want = ix.resultSetInto(parents[0], want)
+			slices.Sort(want)
 			for _, p := range parents[1:] {
-				if setKey(ix.ResultSet(p)) != want {
+				got = ix.resultSetInto(p, got)
+				slices.Sort(got)
+				if !slices.Equal(got, want) {
 					return fmt.Errorf("index: cell %d has parents with different result sets", i)
 				}
 			}
 		}
-		if checkRegions && c.Level > 0 {
-			if !ix.Region(c.ID).Feasible() {
-				return fmt.Errorf("index: cell %d (level %d) has an empty region", i, c.Level)
-			}
+		if checkRegions && !ix.Region(c.ID).Feasible() {
+			return fmt.Errorf("index: cell %d (level %d) has an empty region", i, c.Level)
 		}
 	}
 	return nil
 }
 
-// setKey returns a canonical key for r as a set.
-func setKey(r []int32) string {
-	var arr [64]byte
-	return string(appendSetKey(arr[:0], r))
-}
-
-// appendSetKey appends setKey(r) to dst: the ids ascending, four bytes each.
+// appendSetKey appends a canonical key for r as a set to dst: the ids
+// ascending, four bytes each.
 func appendSetKey(dst []byte, r []int32) []byte {
 	var arr [16]int32
 	s := append(arr[:0], r...)

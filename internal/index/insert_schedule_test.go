@@ -232,7 +232,7 @@ func datasetSetKey(r []int) string {
 	for i, v := range r {
 		s[i] = int32(v)
 	}
-	return setKey(s)
+	return string(appendSetKey(nil, s))
 }
 
 // TestInsertCacheIdentity: however a seeded schedule is cut into batches —

@@ -15,16 +15,21 @@ import (
 
 // X3 decoding, zero-copy where asked for. ReadBytes decodes a serialized
 // index directly from a byte buffer — Read's copy of its stream, or a
-// memory-mapped snapshot — and, with alias set and where the platform
-// allows, materializes the large arrays (option coordinates and the three
-// CSR adjacency arenas) as slices aliasing the buffer instead of heap
-// copies. The CRC footer is verified once over the whole buffer. It is the
-// only X3 decoder: a heap load and an mmap load differ in nothing but
-// whether an array is copied, so a corrupt snapshot is rejected identically
-// on both.
+// memory-mapped file — and, with alias set and where the platform allows,
+// materializes the large arrays (option coordinates and the three CSR
+// adjacency arenas) as slices aliasing the buffer instead of heap copies.
+// The CRC footer is verified once over the whole buffer. It is the only
+// decoder: a heap load and an mmap load differ in nothing but whether an
+// array is copied, so a corrupt file is rejected identically on both.
 //
-// Aliasing rules: the buffer must outlive the index (the caller parks its
-// releaser on the index via SetBacking), the platform must be
+// Which load a caller uses follows from its role, not from a setting: the
+// durable store, the writer, reads its snapshot onto the heap (its first
+// accepted insert rebuilds the cells anyway, and pruning later unlinks the
+// file a mapping would alias), and a follower, read-only and replaced whole
+// on each publish, opens its copy with OpenFile.
+//
+// Aliasing rules: the buffer must outlive the index (OpenFile parks the
+// mapping on the index, released by CloseBacking), the platform must be
 // little-endian (the on-disk encoding), and each array's byte offset must
 // satisfy the element alignment (int32 arrays always do under X3's layout;
 // the float64 coordinate block does when the option count is even).
@@ -40,11 +45,10 @@ var nativeLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// ReadBytes decodes a serialized index held in memory. With alias=true, an
-// X3 stream is decoded zero-copy where possible: the returned index's
-// MmapBytes reports how many bytes ended up aliasing data rather than
-// copied. Non-X3 streams (X1/X2) never alias; nothing in their per-cell
-// layout is worth it. Every failure reports ErrBadFormat.
+// ReadBytes decodes a serialized index held in memory. With alias=true it
+// decodes zero-copy where possible: the returned index's MmapBytes reports
+// how many bytes ended up aliasing data rather than copied. Every failure
+// reports ErrBadFormat.
 func ReadBytes(data []byte, alias bool) (*Index, error) {
 	ix, err := readBytes(data, alias)
 	if err != nil && !errors.Is(err, ErrBadFormat) {
@@ -62,13 +66,11 @@ func readBytes(data []byte, alias bool) (*Index, error) {
 	if len(data) < len(magicX3) {
 		return nil, io.ErrUnexpectedEOF
 	}
-	switch [8]byte(data[:8]) {
-	case magicX1:
-		return readLegacy(data, false)
-	case magicX2:
-		return readLegacy(data, true)
-	case magicX3:
-	default:
+	if magic := [8]byte(data[:8]); magic != magicX3 {
+		if [7]byte(magic[:7]) == [7]byte(magicX3[:7]) && (magic[7] == '1' || magic[7] == '2') {
+			return nil, fmt.Errorf("%w: retired format %s, rebuild the index from its dataset with lvbuild",
+				ErrBadFormat, magic[:])
+		}
 		return nil, ErrBadFormat
 	}
 	c := byteCursor{data: data, off: len(magicX3)}
@@ -206,8 +208,8 @@ func (c *byteCursor) int32s(n int, alias bool) ([]int32, bool, error) {
 // the platform supports it so the large arrays alias the page cache
 // instead of being copied to the heap. When anything about the mapping
 // path fails (mmap unsupported, empty file) or nothing ends up aliased
-// (non-X3 stream, misaligned arrays), it degrades to a plain heap load and
-// the returned index carries no backing. A corrupt file reports
+// (misaligned arrays, big-endian platform), it degrades to a plain heap
+// load and the returned index carries no backing. A corrupt file reports
 // ErrBadFormat either way.
 func OpenFile(path string) (*Index, error) {
 	m, err := dataio.MapFile(path)

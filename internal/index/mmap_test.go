@@ -51,28 +51,6 @@ func TestReadBytesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadBytesLegacyFormats: X1/X2 streams decode through ReadBytes too
-// (never aliasing) and keep the ErrBadFormat contract.
-func TestReadBytesLegacyFormats(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	ix := buildOrFail(t, randData(rng, 10, 3), Config{Algorithm: PBAPlus, Tau: 2})
-	for name, blob := range map[string][]byte{"X1": writeLegacyX1(ix), "X2": writeLegacyX2(ix)} {
-		got, err := ReadBytes(blob, true)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.MmapBytes() != 0 {
-			t.Fatalf("%s: legacy stream aliased %d bytes", name, got.MmapBytes())
-		}
-	}
-	if _, err := ReadBytes([]byte("TLVLIDX9 foreign"), true); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("foreign magic: %v does not wrap ErrBadFormat", err)
-	}
-	if _, err := ReadBytes(nil, true); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("empty input: %v does not wrap ErrBadFormat", err)
-	}
-}
-
 // TestOpenFileServesAndMutates maps a snapshot file and checks the index
 // both answers queries identically to a heap load and survives an insert:
 // the insert's rebuild must leave the aliased arenas alone, or the

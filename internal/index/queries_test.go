@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -395,8 +396,13 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte("not an index at all........"))); err == nil {
 		t.Error("expected error for garbage input")
 	}
+	for _, blob := range [][]byte{[]byte("TLVLIDX9 foreign"), nil} {
+		if _, err := ReadBytes(blob, true); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%q: err = %v, want ErrBadFormat", blob, err)
+		}
+	}
 	var buf bytes.Buffer
-	buf.Write(magicX2[:])
+	buf.Write(magicX3[:])
 	buf.Write(make([]byte, 4)) // dim = 0
 	if _, err := Read(&buf); err == nil {
 		t.Error("expected error for truncated/invalid header")

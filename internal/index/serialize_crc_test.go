@@ -4,104 +4,50 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
-	"math"
+	"fmt"
 	"math/rand"
-	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
-// writeLegacyX1 produces the footerless X1 stream by hand; the reader must
-// keep accepting it forever, so the test pins the legacy layout
-// independently of the production writer.
-func writeLegacyX1(ix *Index) []byte {
-	var buf bytes.Buffer
-	put := func(v int32) { binary.Write(&buf, binary.LittleEndian, v) }
-	buf.Write(magicX1[:])
-	put(int32(ix.Dim))
-	put(int32(ix.Tau))
-	put(int32(len(ix.Pts)))
-	for i, p := range ix.Pts {
-		put(int32(ix.OrigIDs[i]))
-		for _, v := range p {
-			binary.Write(&buf, binary.LittleEndian, math.Float64bits(v))
-		}
-	}
-	put(int32(len(ix.Cells)))
-	for i := range ix.Cells {
-		c := &ix.Cells[i]
-		put(c.Level)
-		put(c.Opt)
-		bound, boundNil := ix.boundOf(c.ID)
-		for _, lst := range [][]int32{ix.parentsOf(c.ID), ix.childrenOf(c.ID), bound} {
-			put(int32(len(lst)))
-			for _, v := range lst {
-				put(v)
-			}
-		}
-		nilFlag := int32(0)
-		if boundNil {
-			nilFlag = 1
-		}
-		put(nilFlag)
-	}
-	return buf.Bytes()
-}
+// TestReadLegacyX1Stream and TestReadLegacyX2Stream: the X1 and X2 streams
+// of earlier versions are refused as ErrBadFormat naming the retired
+// version, through both entry points and before any count in them sizes an
+// allocation.
+func TestReadLegacyX1Stream(t *testing.T) { checkRetiredStream(t, '1') }
 
-// writeLegacyX2 produces the per-cell X2 stream (cardinality field + CRC32
-// footer) by hand; like X1 it must stay loadable forever.
-func writeLegacyX2(ix *Index) []byte {
-	var buf bytes.Buffer
-	put := func(v int32) { binary.Write(&buf, binary.LittleEndian, v) }
-	buf.Write(magicX2[:])
-	put(int32(ix.Dim))
-	put(int32(ix.Tau))
-	put(int32(ix.Stats.InputOptions))
-	put(int32(len(ix.Pts)))
-	for i, p := range ix.Pts {
-		put(int32(ix.OrigIDs[i]))
-		for _, v := range p {
-			binary.Write(&buf, binary.LittleEndian, math.Float64bits(v))
-		}
-	}
-	put(int32(len(ix.Cells)))
-	for i := range ix.Cells {
-		c := &ix.Cells[i]
-		put(c.Level)
-		put(c.Opt)
-		bound, boundNil := ix.boundOf(c.ID)
-		for _, lst := range [][]int32{ix.parentsOf(c.ID), ix.childrenOf(c.ID), bound} {
-			put(int32(len(lst)))
-			for _, v := range lst {
-				put(v)
-			}
-		}
-		nilFlag := int32(0)
-		if boundNil {
-			nilFlag = 1
-		}
-		put(nilFlag)
-	}
-	binary.Write(&buf, binary.LittleEndian, crc32.ChecksumIEEE(buf.Bytes()))
-	return buf.Bytes()
-}
+func TestReadLegacyX2Stream(t *testing.T) { checkRetiredStream(t, '2') }
 
-func TestReadLegacyX1Stream(t *testing.T) {
+// checkRetiredStream offers the loaders a valid X3 stream relabeled as
+// version v, and a header under v's magic claiming 1<<28 options.
+func checkRetiredStream(t *testing.T, v byte) {
 	rng := rand.New(rand.NewSource(71))
 	ix := buildOrFail(t, randData(rng, 18, 3), Config{Algorithm: PBAPlus, Tau: 3})
-	got, err := Read(bytes.NewReader(writeLegacyX1(ix)))
-	if err != nil {
-		t.Fatalf("X1 stream rejected: %v", err)
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if got.Dim != ix.Dim || got.Tau != ix.Tau || len(got.Cells) != len(ix.Cells) {
-		t.Errorf("X1 roundtrip shape: d=%d τ=%d cells=%d", got.Dim, got.Tau, len(got.Cells))
+	relabeled := buf.Bytes()
+	relabeled[7] = v
+	hostile := append([]byte("TLVLIDX"), v)
+	for _, w := range []int32{3, 9, 0, 1 << 28} {
+		hostile = binary.LittleEndian.AppendUint32(hostile, uint32(w))
 	}
-	if !reflect.DeepEqual(got.Pts, ix.Pts) || !reflect.DeepEqual(got.OrigIDs, ix.OrigIDs) {
-		t.Error("X1 roundtrip changed the option pool")
-	}
-	// X1 has no cardinality field: legacy semantics (0) apply.
-	if got.Stats.InputOptions != 0 {
-		t.Errorf("X1 InputOptions = %d, want 0", got.Stats.InputOptions)
+	for _, blob := range [][]byte{relabeled, hostile} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(blob))
+		_, berr := ReadBytes(blob, true)
+		runtime.ReadMemStats(&after)
+		for _, e := range []error{err, berr} {
+			if !errors.Is(e, ErrBadFormat) || !strings.Contains(fmt.Sprint(e), "retired format TLVLIDX"+string(v)) {
+				t.Errorf("err = %v, want ErrBadFormat naming retired format TLVLIDX%c", e, v)
+			}
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("allocated %d bytes before refusing", got)
+		}
 	}
 }
 
@@ -118,36 +64,6 @@ func TestInputOptionsRoundTrip(t *testing.T) {
 	}
 	if got.Stats.InputOptions != 25 {
 		t.Errorf("InputOptions = %d, want 25", got.Stats.InputOptions)
-	}
-}
-
-func TestReadLegacyX2Stream(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	ix := buildOrFail(t, randData(rng, 18, 3), Config{Algorithm: PBAPlus, Tau: 3})
-	got, err := Read(bytes.NewReader(writeLegacyX2(ix)))
-	if err != nil {
-		t.Fatalf("X2 stream rejected: %v", err)
-	}
-	if got.Dim != ix.Dim || got.Tau != ix.Tau || len(got.Cells) != len(ix.Cells) {
-		t.Errorf("X2 roundtrip shape: d=%d τ=%d cells=%d", got.Dim, got.Tau, len(got.Cells))
-	}
-	if !reflect.DeepEqual(got.Pts, ix.Pts) || !reflect.DeepEqual(got.OrigIDs, ix.OrigIDs) {
-		t.Error("X2 roundtrip changed the option pool")
-	}
-	if got.Stats.InputOptions != ix.Stats.InputOptions {
-		t.Errorf("X2 InputOptions = %d, want %d", got.Stats.InputOptions, ix.Stats.InputOptions)
-	}
-	// A reserialized legacy index must produce the same X3 bytes as the
-	// original: the flat form captures the full structure.
-	var a, b bytes.Buffer
-	if _, err := ix.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := got.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("X2-loaded index reserializes differently")
 	}
 }
 

@@ -2,7 +2,7 @@
 // same index as a primary without ever building it. The follower installs
 // the primary's serialized index (GET /v1/admin/snapshot/stream, see
 // internal/store ship.go for the wire format), opens it zero-copy via mmap
-// or onto the heap, and swaps it in. It then polls the primary with its
+// (a heap load where mmap is unavailable), and swaps it in. It then polls the primary with its
 // applied LSN; once the primary has published a newer index, the next poll
 // installs that index whole, skipping every publish in between.
 //
@@ -52,9 +52,6 @@ type Options struct {
 	// restarted follower can resume without re-shipping the whole index.
 	// It is created if missing.
 	Dir string
-	// HeapLoad forces the downloaded snapshot onto the heap instead of the
-	// default zero-copy mmap load.
-	HeapLoad bool
 	// PollInterval is the follow-loop cadence; zero selects 250ms.
 	PollInterval time.Duration
 	// Retries bounds the re-fetch attempts when a shipped stream arrives
@@ -295,7 +292,7 @@ func (f *Follower) resumeLocal() {
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].lsn < snaps[j].lsn })
 	for i := len(snaps) - 1; i >= 0; i-- {
 		path := filepath.Join(f.opts.Dir, snaps[i].name)
-		ix, err := f.loadSnapshot(path)
+		ix, err := tlx.OpenIndexFile(path)
 		if err != nil {
 			f.log.Warn("replicate: local snapshot unusable; removing", "path", path, "err", err)
 			os.Remove(path)
@@ -305,18 +302,6 @@ func (f *Follower) resumeLocal() {
 		f.log.Info("replicate: resumed from local snapshot", "snapshotLsn", snaps[i].lsn)
 		return
 	}
-}
-
-func (f *Follower) loadSnapshot(path string) (*tlx.Index, error) {
-	if f.opts.HeapLoad {
-		file, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer file.Close()
-		return tlx.ReadIndex(file)
-	}
-	return tlx.OpenIndexFile(path)
 }
 
 // isCorruptStream reports whether a fetch failed on the stream's content
@@ -396,7 +381,7 @@ func (f *Follower) download(hdr store.ShipHeader, r io.Reader) (*tlx.Index, erro
 		os.Remove(tmp)
 		return nil, err
 	}
-	ix, err := f.loadSnapshot(final)
+	ix, err := tlx.OpenIndexFile(final)
 	if err != nil {
 		os.Remove(final)
 		return nil, err

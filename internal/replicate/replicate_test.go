@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -38,7 +39,7 @@ func newPrimary(t *testing.T, dir string) (*httptest.Server, *store.Store) {
 // newPrimaryOver is newPrimary over any dataset and τ.
 func newPrimaryOver(t testing.TB, dir string, data [][]float64, tau int) (*httptest.Server, *store.Store) {
 	t.Helper()
-	st, err := store.Open(store.Options{Dir: dir, Logf: t.Logf}, func() (*tlx.Index, error) {
+	st, err := store.Open(store.Options{Dir: dir, Logger: testLogger(t)}, func() (*tlx.Index, error) {
 		return tlx.Build(data, tau)
 	})
 	if err != nil {
@@ -119,97 +120,90 @@ func assertByteIdentical(t *testing.T, primaryURL, followerURL string) {
 
 // TestFollowerServesByteIdentical is the acceptance contract: a follower
 // bootstrapped purely from the shipped index — no index build — serves
-// byte-identical query envelopes at the primary's handed-off LSN, both
-// mmap-backed and heap-backed, keeps up with live inserts, and refuses
+// byte-identical query envelopes at the primary's handed-off LSN from the
+// index it opens through mmap, keeps up with live inserts, and refuses
 // writes with a pointer at the primary.
 func TestFollowerServesByteIdentical(t *testing.T) {
-	for _, heap := range []bool{false, true} {
-		name := "mmap"
-		if heap {
-			name = "heap"
+	t.Run("mmap", func(t *testing.T) {
+		srv, st := newPrimary(t, t.TempDir())
+		if _, err := st.Insert([]float64{0.95, 0.95}); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			srv, st := newPrimary(t, t.TempDir())
-			if _, err := st.Insert([]float64{0.95, 0.95}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := st.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			// One record beyond the snapshot: the follower must get the
-			// current index, not the newest snapshot.
-			if _, err := st.Insert([]float64{0.97, 0.20}); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		// One record beyond the snapshot: the follower must get the
+		// current index, not the newest snapshot.
+		if _, err := st.Insert([]float64{0.97, 0.20}); err != nil {
+			t.Fatal(err)
+		}
 
-			f := startFollower(t, Options{PrimaryURL: srv.URL, Dir: t.TempDir(), HeapLoad: heap})
-			if got, want := f.AppliedLSN(), st.Status().AppliedLSN; got != want {
-				t.Fatalf("bootstrap landed at LSN %d, primary at %d", got, want)
-			}
-			fsrv := httptest.NewServer(serve.NewFollowerHandler(f, serve.Config{CacheEntries: -1}).Mux())
-			defer fsrv.Close()
-			assertByteIdentical(t, srv.URL, fsrv.URL)
+		f := startFollower(t, Options{PrimaryURL: srv.URL, Dir: t.TempDir()})
+		if got, want := f.AppliedLSN(), st.Status().AppliedLSN; got != want {
+			t.Fatalf("bootstrap landed at LSN %d, primary at %d", got, want)
+		}
+		fsrv := httptest.NewServer(serve.NewFollowerHandler(f, serve.Config{CacheEntries: -1}).Mux())
+		defer fsrv.Close()
+		assertByteIdentical(t, srv.URL, fsrv.URL)
 
-			// A live insert on the primary reaches the follower via the
-			// follow loop and parity holds at the new LSN.
-			if _, err := st.Insert([]float64{0.99, 0.99}); err != nil {
-				t.Fatal(err)
-			}
-			waitCaughtUp(t, f, st.Status().AppliedLSN)
-			assertByteIdentical(t, srv.URL, fsrv.URL)
+		// A live insert on the primary reaches the follower via the
+		// follow loop and parity holds at the new LSN.
+		if _, err := st.Insert([]float64{0.99, 0.99}); err != nil {
+			t.Fatal(err)
+		}
+		waitCaughtUp(t, f, st.Status().AppliedLSN)
+		assertByteIdentical(t, srv.URL, fsrv.URL)
 
-			// The follower is read-only; the 403 names the primary.
-			resp, err := http.Post(fsrv.URL+"/v1/insert", "application/json",
-				strings.NewReader(`{"option":[0.98,0.98]}`))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var deny struct {
-				Error   string `json:"error"`
-				Primary string `json:"primary"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&deny); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusForbidden || deny.Primary != srv.URL {
-				t.Errorf("follower insert: status %d primary %q, want 403 pointing at %s",
-					resp.StatusCode, deny.Primary, srv.URL)
-			}
+		// The follower is read-only; the 403 names the primary.
+		resp, err := http.Post(fsrv.URL+"/v1/insert", "application/json",
+			strings.NewReader(`{"option":[0.98,0.98]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var deny struct {
+			Error   string `json:"error"`
+			Primary string `json:"primary"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&deny); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusForbidden || deny.Primary != srv.URL {
+			t.Errorf("follower insert: status %d primary %q, want 403 pointing at %s",
+				resp.StatusCode, deny.Primary, srv.URL)
+		}
 
-			// Status reports the follow state and the index backing.
-			var status struct {
-				Role      string `json:"role"`
-				State     string `json:"state"`
-				Backing   string `json:"backing"`
-				MmapBytes int64  `json:"mmapBytes"`
-				LagLSNs   uint64 `json:"lagLsns"`
-			}
-			sresp, err := http.Get(fsrv.URL + "/v1/admin/status")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := json.NewDecoder(sresp.Body).Decode(&status); err != nil {
-				t.Fatal(err)
-			}
-			sresp.Body.Close()
-			if status.Role != "follower" || status.State != "following" || status.LagLSNs != 0 {
-				t.Errorf("follower status: %+v", status)
-			}
-			f.Mutex().RLock()
-			aliased := f.Index().MmapBytes()
-			f.Mutex().RUnlock()
-			wantBacking := "mmap"
-			if heap || aliased == 0 {
-				// Heap mode always; mmap mode only when the platform mapped
-				// and aliased (big-endian or no-mmap builds fall back).
-				wantBacking = "heap"
-			}
-			if status.Backing != wantBacking {
-				t.Errorf("backing %q (mmapBytes %d), want %q", status.Backing, status.MmapBytes, wantBacking)
-			}
-		})
-	}
+		// Status reports the follow state and the index backing.
+		var status struct {
+			Role      string `json:"role"`
+			State     string `json:"state"`
+			Backing   string `json:"backing"`
+			MmapBytes int64  `json:"mmapBytes"`
+			LagLSNs   uint64 `json:"lagLsns"`
+		}
+		sresp, err := http.Get(fsrv.URL + "/v1/admin/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewDecoder(sresp.Body).Decode(&status); err != nil {
+			t.Fatal(err)
+		}
+		sresp.Body.Close()
+		if status.Role != "follower" || status.State != "following" || status.LagLSNs != 0 {
+			t.Errorf("follower status: %+v", status)
+		}
+		f.Mutex().RLock()
+		aliased := f.Index().MmapBytes()
+		f.Mutex().RUnlock()
+		wantBacking := "mmap"
+		if aliased == 0 {
+			// Big-endian or no-mmap builds fall back to the heap.
+			wantBacking = "heap"
+		}
+		if status.Backing != wantBacking {
+			t.Errorf("backing %q (mmapBytes %d), want %q", status.Backing, status.MmapBytes, wantBacking)
+		}
+	})
 }
 
 // TestFollowerResumesFromLocalSnapshot: a cleanly stopped follower
@@ -396,38 +390,36 @@ func TestCorruptStreamExhaustsRetries(t *testing.T) {
 
 // TestFollowerBytesEqualPrimary: after every publish — an insert batch
 // that accepts a record — the follower reaches the primary's LSN holding
-// exactly the primary's index bytes, mmap-backed or heap-backed.
+// exactly the primary's index bytes in the index it opened through mmap.
 func TestFollowerBytesEqualPrimary(t *testing.T) {
 	for _, shape := range []struct{ d, tau int }{{2, 6}, {3, 9}} {
-		for _, backing := range []string{"mmap", "heap"} {
-			shape, heap := shape, backing == "heap"
-			t.Run(fmt.Sprintf("d=%d_tau=%d/%s", shape.d, shape.tau, backing), func(t *testing.T) {
-				base := datagen.Generate(datagen.IND, 40, shape.d, 1)
-				srv, st := newPrimaryOver(t, t.TempDir(), base, shape.tau)
-				f := startFollower(t, Options{PrimaryURL: srv.URL, Dir: t.TempDir(), HeapLoad: heap})
+		shape := shape
+		t.Run(fmt.Sprintf("d=%d_tau=%d/mmap", shape.d, shape.tau), func(t *testing.T) {
+			base := datagen.Generate(datagen.IND, 40, shape.d, 1)
+			srv, st := newPrimaryOver(t, t.TempDir(), base, shape.tau)
+			f := startFollower(t, Options{PrimaryURL: srv.URL, Dir: t.TempDir()})
+			assertSameBytes(t, st, f)
+			arrivals := datagen.Generate(datagen.IND, 16, shape.d, 2)
+			publishes := 0
+			for i := 0; i < len(arrivals); i += 4 {
+				before := st.AppliedLSN()
+				if _, _, err := st.InsertBatchLSN(arrivals[i : i+4]); err != nil {
+					t.Fatal(err)
+				}
+				if st.AppliedLSN() == before {
+					continue
+				}
+				publishes++
+				waitCaughtUp(t, f, st.AppliedLSN())
+				if got, want := f.AppliedLSN(), st.AppliedLSN(); got != want {
+					t.Fatalf("follower at LSN %d, primary at %d", got, want)
+				}
 				assertSameBytes(t, st, f)
-				arrivals := datagen.Generate(datagen.IND, 16, shape.d, 2)
-				publishes := 0
-				for i := 0; i < len(arrivals); i += 4 {
-					before := st.AppliedLSN()
-					if _, _, err := st.InsertBatchLSN(arrivals[i : i+4]); err != nil {
-						t.Fatal(err)
-					}
-					if st.AppliedLSN() == before {
-						continue
-					}
-					publishes++
-					waitCaughtUp(t, f, st.AppliedLSN())
-					if got, want := f.AppliedLSN(), st.AppliedLSN(); got != want {
-						t.Fatalf("follower at LSN %d, primary at %d", got, want)
-					}
-					assertSameBytes(t, st, f)
-				}
-				if publishes < 2 {
-					t.Fatalf("only %d of 4 batches accepted a record", publishes)
-				}
-			})
-		}
+			}
+			if publishes < 2 {
+				t.Fatalf("only %d of 4 batches accepted a record", publishes)
+			}
+		})
 	}
 }
 
@@ -466,4 +458,17 @@ func bootstrapPhases(t *testing.T, rec *obs.Recorder) map[string]bool {
 		phases[sp.Name] = true
 	}
 	return phases
+}
+
+// testLogger returns a logger that writes every record, debug included, to
+// t.Log.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, &slog.HandlerOptions{Level: slog.LevelDebug}))
+}
+
+type testLogWriter struct{ t testing.TB }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

@@ -33,6 +33,7 @@ func TestDispatchAllocsRecorderOff(t *testing.T) {
 	}
 	focal := 0
 	ctx := context.Background()
+	out := make([]queryItem, 1)
 	for _, c := range []struct {
 		q      QueryRequest
 		allocs float64
@@ -40,15 +41,16 @@ func TestDispatchAllocsRecorderOff(t *testing.T) {
 		{QueryRequest{Family: "maxrank", Focal: &focal}, 3},
 		{QueryRequest{Family: "topk", W: []float64{0.18, 0.82}, K: 2}, 6},
 	} {
+		qs := []QueryRequest{c.q}
 		// Warm the pools and run the hot-cell sketch past its first slot
 		// allocation so the loop below measures only the steady state.
 		for i := 0; i < 200; i++ {
-			if it := h.dispatch(ctx, &c.q); it.Error != "" {
-				t.Fatal(it.Error)
+			if h.dispatchBatch(ctx, qs, out); out[0].Error != "" {
+				t.Fatal(out[0].Error)
 			}
 		}
 		allocs := testing.AllocsPerRun(200, func() {
-			if it := h.dispatch(ctx, &c.q); it.Cached {
+			if h.dispatchBatch(ctx, qs, out); out[0].Cached {
 				t.Fatalf("%s: served from the cache", c.q.Family)
 			}
 		})

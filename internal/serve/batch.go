@@ -8,10 +8,10 @@ import (
 )
 
 // POST /v1/query/batch: many QueryRequests through one envelope and one
-// lock decision. Every item, top-k included, then runs through the same
-// per-item path as POST /v1/query (runOn), so an item answers exactly what
-// the single-query endpoint would, cache status included. What a batch buys
-// is one round trip and one lock acquisition, not a cheaper traversal.
+// lock decision. POST /v1/query is a batch of one through the same
+// dispatchBatch, so an item answers exactly what the single-query endpoint
+// would, cache status included. What a batch buys is one round trip and one
+// lock acquisition, not a cheaper traversal.
 //
 // The envelope is {"queries": [<QueryRequest>, ...]} in and
 // {"results": [<item>, ...]} out, index-aligned with the request. A
@@ -47,28 +47,23 @@ func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range qs {
 		qs[i].defaults()
 	}
-	writeItems(w, r, h.dispatchBatch(r.Context(), qs), true)
+	out := make([]queryItem, len(qs))
+	h.dispatchBatch(r.Context(), qs, out)
+	writeItems(w, r, out, true)
 }
 
-// dispatchBatch validates every item, then runs the whole batch under one
-// read-lock acquisition.
-func (h *Handler) dispatchBatch(ctx context.Context, qs []QueryRequest) []queryItem {
-	out := make([]queryItem, len(qs))
-	specs := make([]*familySpec, len(qs))
-	for i := range qs {
-		spec, err := resolve(&qs[i])
-		if err != nil {
-			out[i] = errItem(err)
-			continue
-		}
-		specs[i] = spec
-	}
+// dispatchBatch answers qs[i] into out[i], every item under one read-lock
+// acquisition; an item that names no family or lacks a parameter is its
+// error item.
+func (h *Handler) dispatchBatch(ctx context.Context, qs []QueryRequest, out []queryItem) {
 	h.runQuery(func(ix *tlx.Index, lsn uint64) {
-		for i, spec := range specs {
-			if spec != nil { // nil: already failed validation
-				out[i] = h.runOn(ctx, spec, &qs[i], ix, lsn)
+		for i := range qs {
+			spec, err := resolve(&qs[i])
+			if err != nil {
+				out[i] = errItem(err)
+				continue
 			}
+			out[i] = h.runOn(ctx, spec, &qs[i], ix, lsn)
 		}
 	})
-	return out
 }

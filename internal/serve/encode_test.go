@@ -135,7 +135,9 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 			}
 			qs[i].defaults()
 			got := post(mux, "/v1/query", body)
-			it := h.dispatch(context.Background(), &qs[i])
+			items := make([]queryItem, 1)
+			h.dispatchBatch(context.Background(), qs[i:i+1], items)
+			it := items[0]
 			want, status := encode(it), http.StatusOK
 			if it.Error != "" {
 				want, status = encode(errorBody{Error: it.Error}), it.Status
@@ -149,9 +151,11 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 		}
 		// The whole mix as one batch.
 		got := post(mux, "/v1/query/batch", `{"queries":[`+strings.Join(bodies, ",")+`]}`)
+		items := make([]queryItem, len(qs))
+		h.dispatchBatch(context.Background(), qs, items)
 		want := encode(struct {
 			Results []queryItem `json:"results"`
-		}{h.dispatchBatch(context.Background(), qs)})
+		}{items})
 		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want) {
 			t.Fatalf("d=%d batch: got %d %q\nwant %q", c.d, got.Code, got.Body, want)
 		}

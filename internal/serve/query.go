@@ -264,18 +264,6 @@ func resolve(q *QueryRequest) (*familySpec, error) {
 	return spec, nil
 }
 
-// dispatch validates the request and answers it under the read lock.
-func (h *Handler) dispatch(ctx context.Context, q *QueryRequest) (it queryItem) {
-	spec, err := resolve(q)
-	if err != nil {
-		return errItem(err)
-	}
-	h.runQuery(func(ix *tlx.Index, lsn uint64) {
-		it = h.runOn(ctx, spec, q, ix, lsn)
-	})
-	return it
-}
-
 // runOn answers one query on one serving index. When the request is traced
 // the item runs inside a child span of its own, which noteItem finishes.
 func (h *Handler) runOn(ctx context.Context, spec *familySpec, q *QueryRequest,
@@ -342,14 +330,17 @@ func (h *Handler) answer(ctx context.Context, spec *familySpec, q *QueryRequest,
 	return ans, false, cell, nil
 }
 
-// handleQuery is POST /v1/query: one query, answered with its item — or,
-// when the item failed, with the error envelope under the item's status.
+// handleQuery is POST /v1/query: a batch of one, answered with its item —
+// or, when the item failed, with the error envelope under the item's
+// status.
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qs, ok := decodeQueries(w, r, false)
 	if !ok {
 		return
 	}
-	q := &qs[0]
-	q.defaults()
-	writeItems(w, r, []queryItem{h.dispatch(r.Context(), q)}, false)
+	qs = qs[:1]
+	qs[0].defaults()
+	out := make([]queryItem, 1)
+	h.dispatchBatch(r.Context(), qs, out)
+	writeItems(w, r, out, false)
 }

@@ -107,7 +107,7 @@ func TestGoldenResponses(t *testing.T) {
 		}
 		return ix
 	}
-	st, err := store.Open(store.Options{Dir: t.TempDir(), Logf: t.Logf},
+	st, err := store.Open(store.Options{Dir: t.TempDir(), Logger: testLogger(t)},
 		func() (*tlx.Index, error) { return build(), nil })
 	if err != nil {
 		t.Fatal(err)

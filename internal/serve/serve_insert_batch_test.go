@@ -173,7 +173,7 @@ func TestInsertBatchDurable(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := store.Open(store.Options{Dir: dir, Logf: t.Logf}, nil)
+	st2, err := store.Open(store.Options{Dir: dir, Logger: testLogger(t)}, nil)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,7 +19,7 @@ import (
 // builder only runs on a fresh directory; restarts recover from disk.
 func newStoreServer(t *testing.T, dir string) (*httptest.Server, *store.Store) {
 	t.Helper()
-	st, err := store.Open(store.Options{Dir: dir, Logf: t.Logf}, func() (*tlx.Index, error) {
+	st, err := store.Open(store.Options{Dir: dir, Logger: testLogger(t)}, func() (*tlx.Index, error) {
 		return tlx.Build(hotels, 3)
 	})
 	if err != nil {
@@ -52,7 +53,7 @@ func TestInsertSurvivesRestart(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := store.Open(store.Options{Dir: dir, Logf: t.Logf}, nil)
+	st2, err := store.Open(store.Options{Dir: dir, Logger: testLogger(t)}, nil)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -276,4 +277,17 @@ func TestDeepQueryLeavesWritesOpen(t *testing.T) {
 			t.Errorf("%s: snapshot after the refused query: status %d, want %d", c.name, code, c.snapshot)
 		}
 	}
+}
+
+// testLogger returns a logger that writes every record, debug included, to
+// t.Log.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, &slog.HandlerOptions{Level: slog.LevelDebug}))
+}
+
+type testLogWriter struct{ t testing.TB }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

@@ -209,7 +209,7 @@ func TestRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(store.Options{Dir: t.TempDir(), Logf: t.Logf},
+	st, err := store.Open(store.Options{Dir: t.TempDir(), Logger: testLogger(t)},
 		func() (*tlx.Index, error) { return tlx.Build(hotels, 3) })
 	if err != nil {
 		t.Fatal(err)

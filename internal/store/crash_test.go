@@ -86,7 +86,7 @@ func recordBoundaries(t *testing.T, path string) []int64 {
 
 func reopen(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(Options{Dir: dir, Logf: t.Logf}, nil)
+	s, err := Open(Options{Dir: dir, Logger: testLogger(t)}, nil)
 	if err != nil {
 		t.Fatalf("recovery from %s failed: %v", dir, err)
 	}
@@ -290,7 +290,7 @@ func TestCrashMissingSealedSegment(t *testing.T) {
 	if err := os.Remove(segs[0].path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{Dir: base, Logf: t.Logf}, nil); err == nil {
+	if _, err := Open(Options{Dir: base, Logger: testLogger(t)}, nil); err == nil {
 		t.Fatal("recovery bridged a WAL gap")
 	}
 }
@@ -372,7 +372,7 @@ func TestRecoverRefusesNonFiniteRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.kill()
-	_, err = Open(Options{Dir: dir, Logf: t.Logf}, nil)
+	_, err = Open(Options{Dir: dir, Logger: testLogger(t)}, nil)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("replay of record %d failed", lsn+1)) {
 		t.Fatalf("recovery of a non-finite record: %v", err)
 	}

@@ -1,13 +1,6 @@
 package store
 
-import (
-	"context"
-	"fmt"
-	"log/slog"
-	"strings"
-
-	"tlevelindex/internal/obs"
-)
+import "tlevelindex/internal/obs"
 
 // WAL and snapshot instruments, registered once against the process-wide
 // registry. The append path splits its latency three ways — the write
@@ -64,12 +57,6 @@ func registerStoreGauges(s *Store) {
 			defer s.mu.RUnlock()
 			return float64(s.bytesSinceSnap)
 		})
-	obs.Default().GaugeFunc("tlx_mmap_bytes",
-		"Bytes of index state aliasing a snapshot memory mapping (0 = heap-backed).", func() float64 {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			return float64(s.ix.MmapBytes())
-		})
 	obs.Default().GaugeFunc("tlx_store_read_only",
 		"1 when the store refuses writes after a WAL failure, else 0.", func() float64 {
 			s.mu.RLock()
@@ -79,50 +66,4 @@ func registerStoreGauges(s *Store) {
 			}
 			return 0
 		})
-}
-
-// logfHandler adapts a printf-style Logf callback to slog so existing
-// callers (tests passing t.Logf, lvserve before the slog flags existed)
-// keep seeing every store event while the store itself logs structured
-// records.
-type logfHandler struct {
-	logf  func(string, ...interface{})
-	attrs []slog.Attr
-}
-
-func (h logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	for _, a := range h.attrs {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Resolve())
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Resolve())
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	merged := make([]slog.Attr, 0, len(h.attrs)+len(attrs))
-	merged = append(merged, h.attrs...)
-	merged = append(merged, attrs...)
-	return logfHandler{logf: h.logf, attrs: merged}
-}
-
-func (h logfHandler) WithGroup(string) slog.Handler { return h }
-
-// storeLogger resolves the configured logger: an explicit slog.Logger wins,
-// a Logf callback is adapted, and with neither the store is silent.
-func storeLogger(opts Options) *slog.Logger {
-	if opts.Logger != nil {
-		return opts.Logger
-	}
-	if opts.Logf != nil {
-		return slog.New(logfHandler{logf: opts.Logf})
-	}
-	return obs.NopLogger()
 }

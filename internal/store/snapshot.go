@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// Snapshot files are named snapshot-<LSN>.idx and hold one X2 index stream
+// Snapshot files are named snapshot-<LSN>.idx and hold one X3 index stream
 // (self-checksummed — see internal/index). The zero-padded decimal LSN makes
 // lexicographic order numeric order. A snapshot is only ever exposed under
 // its final name after its bytes are fsync'd: writeSnapshot goes through a

@@ -27,7 +27,7 @@
 //
 // # File layout
 //
-//	<dir>/snapshot-<LSN>.idx   index serialization (X2, self-checksummed)
+//	<dir>/snapshot-<LSN>.idx   index serialization (X3, self-checksummed)
 //	<dir>/wal-<base>.log       records base+1.. (see wal.go for the format)
 //
 // The two newest snapshots are retained: if the newest is corrupt (torn
@@ -54,6 +54,7 @@ import (
 	"time"
 
 	tlx "tlevelindex"
+	"tlevelindex/internal/obs"
 )
 
 // Options configures a Store.
@@ -74,17 +75,8 @@ type Options struct {
 	// few records into a snapshot, so a restart replays none. Zero
 	// disables the timer.
 	SnapshotInterval time.Duration
-	// MmapLoad recovers the snapshot by memory-mapping it (zero-copy X3
-	// load) instead of reading it onto the heap: the large arrays stay in
-	// the page cache, which saves memory, not startup time. Falls back to
-	// the heap load where the platform or file layout forbids aliasing.
-	MmapLoad bool
-	// Logf receives recovery and snapshot diagnostics formatted as single
-	// lines; nil discards them. Logger takes precedence when both are set.
-	Logf func(format string, args ...interface{})
 	// Logger receives recovery, snapshot, and WAL lifecycle events as
-	// structured records. Nil falls back to Logf (adapted), then to a
-	// discard logger.
+	// structured records; nil discards them.
 	Logger *slog.Logger
 }
 
@@ -191,9 +183,12 @@ func Open(opts Options, build func() (*tlx.Index, error)) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
+	if opts.Logger == nil {
+		opts.Logger = obs.NopLogger()
+	}
 	s := &Store{
 		opts:    opts,
-		log:     storeLogger(opts),
+		log:     opts.Logger,
 		trigger: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
@@ -367,12 +362,10 @@ func (s *Store) replay(recs []record, path string) error {
 	return nil
 }
 
+// loadSnapshot reads a snapshot onto the heap. The store is the writer: its
+// first accepted insert rebuilds the cells anyway, and a mapping would keep
+// Pts aliased to a file that pruning later unlinks.
 func (s *Store) loadSnapshot(path string) (*tlx.Index, error) {
-	if s.opts.MmapLoad {
-		// Zero-copy where the platform allows; OpenIndexFile itself falls
-		// back to a heap read when mmap is unavailable or nothing aliases.
-		return tlx.OpenIndexFile(path)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -710,24 +703,13 @@ type Status struct {
 	RecoveredFrom     string  `json:"recoveredFrom"`
 	SnapshotFallbacks int     `json:"snapshotFallbacks"`
 	ReadOnly          bool    `json:"readOnly"`
-	// Backing reports how the recovered index is held: "mmap" when its
-	// arrays alias the snapshot mapping, "heap" otherwise. MmapBytes is the
-	// aliased byte count (0 for heap).
-	Backing   string `json:"backing"`
-	MmapBytes int64  `json:"mmapBytes"`
 }
 
 // Status returns a consistent view of the durability state.
 func (s *Store) Status() Status {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	backing, mmapBytes := "heap", s.ix.MmapBytes()
-	if mmapBytes > 0 {
-		backing = "mmap"
-	}
 	return Status{
-		Backing:           backing,
-		MmapBytes:         mmapBytes,
 		Dir:               s.opts.Dir,
 		AppliedLSN:        s.applied,
 		SnapshotLSN:       s.snapLSN,
@@ -762,11 +744,6 @@ func (s *Store) Close() error {
 			err = cerr
 		}
 		s.seg = nil
-	}
-	// Release a snapshot mapping last: nothing touches the index after the
-	// store is closed.
-	if cerr := s.ix.Close(); cerr != nil && err == nil {
-		err = cerr
 	}
 	s.mu.Unlock()
 	return err

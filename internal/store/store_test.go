@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -36,7 +37,7 @@ func builder(data [][]float64) func() (*tlx.Index, error) {
 func openStore(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
 	opts.Dir = dir
-	opts.Logf = t.Logf
+	opts.Logger = testLogger(t)
 	s, err := Open(opts, builder(testData(30)))
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
@@ -110,7 +111,7 @@ func TestInitializeAndReopen(t *testing.T) {
 	}
 	// Reopen must come from the snapshot, replay nothing, and ignore the
 	// builder entirely.
-	s2, err := Open(Options{Dir: dir, Logf: t.Logf}, func() (*tlx.Index, error) {
+	s2, err := Open(Options{Dir: dir, Logger: testLogger(t)}, func() (*tlx.Index, error) {
 		t.Fatal("builder called on non-empty dir")
 		return nil, nil
 	})
@@ -358,4 +359,17 @@ func TestLeftoverTempSnapshotIgnored(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "snapshot-"+strings.Repeat("0", 18)+"99.idx")); !os.IsNotExist(err) {
 		t.Error("temp snapshot was promoted")
 	}
+}
+
+// testLogger returns a logger that writes every record, debug included, to
+// t.Log.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, &slog.HandlerOptions{Level: slog.LevelDebug}))
+}
+
+type testLogWriter struct{ t testing.TB }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

@@ -10,7 +10,7 @@ import (
 // from. The hotels dataset makes this sharp: hotel 4 is filtered out of the
 // τ-skyband, so a loader that primed the id counter from the surviving pool
 // (max OrigID + 1 = 4) instead of the serialized input cardinality would
-// reuse dataset id 4 — the X2 format carries the cardinality to prevent
+// reuse dataset id 4 — the X3 format carries the cardinality to prevent
 // exactly that. The durable store's WAL replay relies on this determinism.
 func TestInsertIDStableAcrossSerialization(t *testing.T) {
 	ix := buildHotels(t)

@@ -305,10 +305,9 @@ func ReadIndex(r io.Reader) (*Index, error) {
 }
 
 // ReadIndexBytes loads a serialized index directly from a byte buffer.
-// With alias=true and an X3 stream, the large arrays (option coordinates
-// and CSR adjacency arenas) are materialized as slices aliasing buf where
-// the platform allows, instead of heap copies; the buffer must then outlive
-// the index. MmapBytes reports how much actually aliased (0 means the
+// With alias=true, the large arrays (option coordinates and CSR adjacency
+// arenas) are materialized as slices aliasing buf where the platform
+// allows, instead of heap copies; the buffer must then outlive the index. MmapBytes reports how much actually aliased (0 means the
 // fallback copied everything and buf may be released immediately).
 func ReadIndexBytes(buf []byte, alias bool) (*Index, error) {
 	inner, err := index.ReadBytes(buf, alias)
