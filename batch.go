@@ -52,16 +52,17 @@ func (ix *Index) TopKBatchContext(ctx context.Context, ws [][]float64, k int) ([
 }
 
 func (ix *Index) topKBatch(ctx context.Context, ws [][]float64, k int) ([]TopKBatchItem, error) {
-	if err := ix.checkK(k); err != nil {
+	v := ix.cur.Load()
+	if err := v.checkK(k); err != nil {
 		return nil, err
 	}
 	items := make([]TopKBatchItem, len(ws))
-	xs, live := ix.reduceBatch(ws, func(i int, err error) { items[i].Err = err })
+	xs, live := v.reduceBatch(ws, func(i int, err error) { items[i].Err = err })
 	if len(live) == 0 {
 		return items, nil
 	}
 	q := ix.startQuerySpan(ctx, "query.topkbatch")
-	bt, err := ix.inner.TopKBatchCtx(ctx, xs, k, true)
+	bt, err := v.inner.TopKBatchCtx(ctx, xs, k, true)
 	var agg QueryStats
 	for j, i := range live {
 		it := &items[i]
@@ -72,7 +73,7 @@ func (ix *Index) topKBatch(ctx context.Context, ws [][]float64, k int) ([]TopKBa
 		agg.LPCalls += it.Stats.LPCalls
 		it.Options = make([]int, len(bt.Outs[j]))
 		for l, o := range bt.Outs[j] {
-			it.Options[l] = ix.origID(o)
+			it.Options[l] = v.inner.OrigIDs[o]
 		}
 	}
 	q.finish(agg, err)
@@ -95,7 +96,8 @@ func (ix *Index) KSPRBatchContext(ctx context.Context, k int, focals []int) ([]*
 }
 
 func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int) ([]*KSPRResult, error) {
-	if err := ix.checkK(k); err != nil {
+	v := ix.cur.Load()
+	if err := v.checkK(k); err != nil {
 		return nil, err
 	}
 	for _, f := range focals {
@@ -107,7 +109,7 @@ func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int) ([]*KSPRRes
 	fids := make([]int32, 0, len(focals))
 	live := make([]int, 0, len(focals))
 	for i, f := range focals {
-		fid := ix.filteredID(f)
+		fid := v.filteredID(f)
 		if fid < 0 {
 			out[i] = &KSPRResult{}
 			continue
@@ -119,7 +121,7 @@ func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int) ([]*KSPRRes
 		return out, nil
 	}
 	q := ix.startQuerySpan(ctx, "query.ksprbatch")
-	res, err := ix.inner.KSPRBatchCtx(ctx, k, fids)
+	res, err := v.inner.KSPRBatchCtx(ctx, k, fids)
 	var agg QueryStats
 	for j, i := range live {
 		pub := &KSPRResult{}
@@ -132,7 +134,7 @@ func (ix *Index) ksprBatch(ctx context.Context, k int, focals []int) ([]*KSPRRes
 		}
 		pub.Stats = exportStats(r.Stats)
 		for _, id := range r.Cells {
-			pub.Regions = append(pub.Regions, exportRegion(ix.inner.RowsInto(id)))
+			pub.Regions = append(pub.Regions, exportRegion(v.inner.RowsInto(id)))
 		}
 		agg.VisitedCells += pub.Stats.VisitedCells
 		agg.LPCalls += pub.Stats.LPCalls
@@ -156,12 +158,13 @@ type LocateBatchItem struct {
 // LocateBatch computes the cell-chain identity of every weight vector in ws
 // at depth k — LocateDepth per item, so the depth is clamped to τ.
 func (ix *Index) LocateBatch(ws [][]float64, k int) []LocateBatchItem {
+	v := ix.cur.Load()
 	items := make([]LocateBatchItem, len(ws))
-	xs, live := ix.reduceBatch(ws, func(i int, err error) { items[i].Err = err })
+	xs, live := v.reduceBatch(ws, func(i int, err error) { items[i].Err = err })
 	if len(live) == 0 {
 		return items
 	}
-	keys, levels := ix.inner.LocateBatch(xs, k)
+	keys, levels := v.inner.LocateBatch(xs, k)
 	for j, i := range live {
 		items[i].Key = CellKey{h: keys[j]}
 		items[i].Level = levels[j]
@@ -172,11 +175,11 @@ func (ix *Index) LocateBatch(ws [][]float64, k int) []LocateBatchItem {
 // reduceBatch reduces every weight vector in ws, reporting each malformed
 // one to reject: it returns the valid items' reduced vectors and their
 // positions in ws.
-func (ix *Index) reduceBatch(ws [][]float64, reject func(i int, err error)) (xs [][]float64, live []int) {
+func (v *version) reduceBatch(ws [][]float64, reject func(i int, err error)) (xs [][]float64, live []int) {
 	xs = make([][]float64, 0, len(ws))
 	live = make([]int, 0, len(ws))
 	for i, w := range ws {
-		x, err := ix.reduce(w)
+		x, err := v.reduce(w)
 		if err != nil {
 			reject(i, err)
 			continue

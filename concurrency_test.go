@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
 	"tlevelindex/datagen"
+	"tlevelindex/internal/index"
 )
 
 // TestParallelBuildDeterminism verifies the central promise of the worker
@@ -114,17 +116,16 @@ func TestParallelExtensionDeterminism(t *testing.T) {
 }
 
 // TestConcurrentReadersWithWriter exercises the documented concurrency
-// contract under the race detector: queries are safe from many goroutines
-// at once, while mutations (Insert, ExtendTau) take a write lock — the same
-// discipline the serve package uses. The shared filteredID memo is the subtle part: every
-// reader exercises it concurrently.
+// contract under the race detector: queries run from many goroutines at
+// once, holding no lock, while a writer inserts and deepens the index. Each
+// write publishes a new version; the filteredID memo of each version is
+// built by whichever reader needs it first.
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	data := datagen.Generate(datagen.IND, 40, 3, 11)
 	ix, err := Build(data, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.RWMutex
 	var wg sync.WaitGroup
 	ctx := context.Background()
 	readers := 10
@@ -134,8 +135,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 			defer wg.Done()
 			w := []float64{0.2, 0.3, 0.5}
 			for i := 0; i < 30; i++ {
-				mu.RLock()
-				k := 1 + (i % ix.Tau())
+				k := 1 + (i % ix.Tau()) // τ only grows
 				switch g % 5 {
 				case 0:
 					if _, err := ix.TopKContext(ctx, w, k); err != nil {
@@ -158,7 +158,6 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 						t.Error(err)
 					}
 				}
-				mu.RUnlock()
 			}
 		}(g)
 	}
@@ -166,17 +165,13 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			mu.Lock()
 			if _, err := ix.Insert([]float64{0.9, 0.9, 0.9}); err != nil {
 				t.Error(err)
 			}
-			mu.Unlock()
 		}
-		mu.Lock()
 		if err := ix.ExtendTau(5); err != nil {
 			t.Error(err)
 		}
-		mu.Unlock()
 	}()
 	wg.Wait()
 	// The index must still answer consistently after the churn.
@@ -186,6 +181,72 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	}
 	if len(top) != 5 {
 		t.Fatalf("top-5 after concurrent churn = %v", top)
+	}
+}
+
+// TestAlongsideFailurePublishesNothing: when alongside fails (the store's
+// WAL write or fsync), the rebuilt version is dropped with its ids. The
+// index serializes to the bytes it had before, and the next insert receives
+// the id the failed batch handed out.
+func TestAlongsideFailurePublishesNothing(t *testing.T) {
+	ix, err := Build(datagen.Generate(datagen.IND, 200, 3, 4), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := writeIndex(t, ix)
+	fail := errors.New("log write failed")
+	out, bs, err := ix.InsertBatchAlongside([][]float64{{0.97, 0.96, 0.95}},
+		func([]InsertResult) error { return fail })
+	if !errors.Is(err, fail) || bs.Accepted != 1 || out[0].ID < 0 {
+		t.Fatalf("failed batch: %+v %+v %v", out, bs, err)
+	}
+	if !bytes.Equal(writeIndex(t, ix), before) {
+		t.Fatal("a batch whose alongside failed was published")
+	}
+	id, err := ix.Insert([]float64{0.96, 0.97, 0.95})
+	if err != nil || id != out[0].ID {
+		t.Fatalf("next insert: id %d (%v), want %d", id, err, out[0].ID)
+	}
+}
+
+// TestPublishScheduleEqualsBuild runs Insert → ExtendTau → InsertBatch
+// (a fresh option, a duplicate and a dominated record) through the publish
+// path. Every version it replaces keeps its bytes, and the last one, after
+// a WriteTo/ReadIndex round trip, is byte for byte the PBA⁺ build over its
+// pool with the dataset ids carried.
+func TestPublishScheduleEqualsBuild(t *testing.T) {
+	ix, err := Build(datagen.Generate(datagen.IND, 300, 3, 6), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, firstBytes := ix.cur.Load(), writeIndex(t, ix)
+	id, err := ix.Insert([]float64{0.97, 0.96, 0.95})
+	if err != nil || id < 300 {
+		t.Fatalf("Insert: id %d, %v", id, err)
+	}
+	if err := ix.ExtendTau(4); err != nil || ix.Tau() != 4 {
+		t.Fatalf("ExtendTau(4): τ = %d, %v", ix.Tau(), err)
+	}
+	res, bs := ix.InsertBatch([][]float64{{0.99, 0.2, 0.9}, {0.97, 0.96, 0.95}, {0.01, 0.01, 0.01}})
+	if bs.Accepted != 1 || res[0].ID != id+1 || res[1].ID != id || res[2].ID != -1 {
+		t.Fatalf("InsertBatch: %+v, %+v", res, bs)
+	}
+	if !bytes.Equal(first.inner.AppendBinary(nil), firstBytes) {
+		t.Fatal("a write changed the version it replaced")
+	}
+	back, err := ReadIndex(bytes.NewReader(writeIndex(t, ix)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := ix.cur.Load().inner
+	pool, err := index.Build(in.Pts, index.Config{Algorithm: index.PBAPlus, Tau: in.Tau, SkipFilter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.OrigIDs = slices.Clone(in.OrigIDs)
+	pool.Stats.InputOptions = in.Stats.InputOptions
+	if !bytes.Equal(writeIndex(t, back), pool.AppendBinary(nil)) {
+		t.Fatal("the published index differs from the PBA⁺ build over its pool")
 	}
 }
 

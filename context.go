@@ -85,11 +85,11 @@ func (q *querySpan) finish(st QueryStats, err error) {
 var errBadK = errors.New("tlevelindex: k must be >= 1")
 
 // checkK validates a query depth: 1 ≤ k ≤ τ.
-func (ix *Index) checkK(k int) error {
+func (v *version) checkK(k int) error {
 	if k < 1 {
 		return errBadK
 	}
-	if k > ix.inner.Tau {
+	if k > v.inner.Tau {
 		return ErrBeyondTau
 	}
 	return nil
@@ -97,8 +97,8 @@ func (ix *Index) checkK(k int) error {
 
 // checkFocal validates the parameters of the focal-option families (kSPR,
 // the three queries built on it, and why-not).
-func (ix *Index) checkFocal(k, focal int) error {
-	if err := ix.checkK(k); err != nil {
+func (v *version) checkFocal(k, focal int) error {
+	if err := v.checkK(k); err != nil {
 		return err
 	}
 	if focal < 0 {
@@ -129,17 +129,18 @@ func (ix *Index) TopKContext(ctx context.Context, w []float64, k int) (*TopKResu
 }
 
 func (ix *Index) topK(ctx context.Context, w []float64, k int) (*TopKResult, error) {
-	if err := ix.checkK(k); err != nil {
+	v := ix.cur.Load()
+	if err := v.checkK(k); err != nil {
 		return nil, err
 	}
-	x, err := ix.reduce(w)
+	x, err := v.reduce(w)
 	if err != nil {
 		return nil, err
 	}
 	q := ix.startQuerySpan(ctx, "query.topk")
-	h, opts, st, err := ix.inner.TopKCtx(ctx, x, k)
+	h, opts, st, err := v.inner.TopKCtx(ctx, x, k)
 	q.finish(exportStats(st), err)
-	return &TopKResult{Options: ix.origIDs(opts), Key: CellKey{h: h}, Stats: exportStats(st)}, err
+	return &TopKResult{Options: v.origIDs(opts), Key: CellKey{h: h}, Stats: exportStats(st)}, err
 }
 
 // KSPRContext is KSPR with cancellation. The lookup polls ctx once, before
@@ -150,22 +151,23 @@ func (ix *Index) KSPRContext(ctx context.Context, k, focal int) (*KSPRResult, er
 }
 
 func (ix *Index) kspr(ctx context.Context, k, focal int) (*KSPRResult, error) {
-	if err := ix.checkFocal(k, focal); err != nil {
+	v := ix.cur.Load()
+	if err := v.checkFocal(k, focal); err != nil {
 		return nil, err
 	}
-	fid := ix.filteredID(focal)
+	fid := v.filteredID(focal)
 	if fid < 0 {
 		return &KSPRResult{}, nil
 	}
 	q := ix.startQuerySpan(ctx, "query.kspr")
-	res, err := ix.inner.KSPRCtx(ctx, k, fid)
+	res, err := v.inner.KSPRCtx(ctx, k, fid)
 	q.finish(exportStats(res.Stats), err)
 	out := &KSPRResult{Stats: exportStats(res.Stats)}
 	if err != nil {
 		return out, err
 	}
 	for _, id := range res.Cells {
-		out.Regions = append(out.Regions, exportRegion(ix.inner.RowsInto(id)))
+		out.Regions = append(out.Regions, exportRegion(v.inner.RowsInto(id)))
 	}
 	return out, nil
 }
@@ -178,11 +180,12 @@ func (ix *Index) UTKContext(ctx context.Context, k int, lo, hi []float64) (*UTKR
 }
 
 func (ix *Index) utk(ctx context.Context, k int, lo, hi []float64) (*UTKResult, error) {
-	if err := ix.checkK(k); err != nil {
+	v := ix.cur.Load()
+	if err := v.checkK(k); err != nil {
 		return nil, err
 	}
-	if len(lo) != ix.inner.RDim() || len(hi) != ix.inner.RDim() {
-		return nil, fmt.Errorf("tlevelindex: query box must have %d reduced coordinates", ix.inner.RDim())
+	if len(lo) != v.inner.RDim() || len(hi) != v.inner.RDim() {
+		return nil, fmt.Errorf("tlevelindex: query box must have %d reduced coordinates", v.inner.RDim())
 	}
 	for i := range lo {
 		// Every comparison with NaN is false, so a NaN coordinate would pass
@@ -196,20 +199,20 @@ func (ix *Index) utk(ctx context.Context, k int, lo, hi []float64) (*UTKResult, 
 		}
 	}
 	q := ix.startQuerySpan(ctx, "query.utk")
-	res, err := ix.inner.UTKCtx(ctx, k, geom.NewBox(lo, hi))
+	res, err := v.inner.UTKCtx(ctx, k, geom.NewBox(lo, hi))
 	q.finish(exportStats(res.Stats), err)
 	out := &UTKResult{Stats: exportStats(res.Stats)}
 	if err != nil {
 		return out, err
 	}
-	out.Options = ix.origIDs(res.Options)
+	out.Options = v.origIDs(res.Options)
 	if n := len(res.Partitions); n > 0 { // none stays nil: "partitions":null on the wire
 		out.Partitions = make([]UTKPartition, n)
 	}
 	for i, p := range res.Partitions {
 		part := &out.Partitions[i]
-		part.Region = exportRegion(ix.inner.RowsInto(p.Cell))
-		part.TopK = ix.origIDs(p.TopK)
+		part.Region = exportRegion(v.inner.RowsInto(p.Cell))
+		part.TopK = v.origIDs(p.TopK)
 	}
 	return out, nil
 }
@@ -222,20 +225,21 @@ func (ix *Index) ORUContext(ctx context.Context, k int, w []float64, m int) (*OR
 }
 
 func (ix *Index) oru(ctx context.Context, k int, w []float64, m int) (*ORUResult, error) {
+	v := ix.cur.Load()
 	if k < 1 || m < 1 {
 		return nil, errors.New("tlevelindex: k and m must be >= 1")
 	}
-	if err := ix.checkK(k); err != nil {
+	if err := v.checkK(k); err != nil {
 		return nil, err
 	}
-	x, err := ix.reduce(w)
+	x, err := v.reduce(w)
 	if err != nil {
 		return nil, err
 	}
 	q := ix.startQuerySpan(ctx, "query.oru")
-	res, err := ix.inner.ORUCtx(ctx, k, x, m)
+	res, err := v.inner.ORUCtx(ctx, k, x, m)
 	q.finish(exportStats(res.Stats), err)
-	return &ORUResult{Options: ix.origIDs(res.Options), Rho: res.Rho, Stats: exportStats(res.Stats)}, err
+	return &ORUResult{Options: v.origIDs(res.Options), Rho: res.Rho, Stats: exportStats(res.Stats)}, err
 }
 
 // MaxRankResult carries a best-achievable-rank answer together with its
@@ -252,15 +256,16 @@ type MaxRankResult struct {
 // reads; on cancellation it returns ctx's error together with a non-nil
 // result with zero stats (Rank is meaningless then).
 func (ix *Index) MaxRankContext(ctx context.Context, opt int) (*MaxRankResult, error) {
+	v := ix.cur.Load()
 	if opt < 0 {
 		return nil, fmt.Errorf("tlevelindex: invalid option %d", opt)
 	}
-	fid := ix.filteredID(opt)
+	fid := v.filteredID(opt)
 	if fid < 0 {
 		return &MaxRankResult{Rank: -1}, nil
 	}
 	q := ix.startQuerySpan(ctx, "query.maxrank")
-	rank, st, err := ix.inner.MaxRankCtx(ctx, fid)
+	rank, st, err := v.inner.MaxRankCtx(ctx, fid)
 	q.finish(exportStats(st), err)
 	return &MaxRankResult{Rank: rank, Stats: exportStats(st)}, err
 }
@@ -283,18 +288,19 @@ func (ix *Index) MonoRTopKContext(ctx context.Context, k, focal int) (*MonoRTopK
 }
 
 func (ix *Index) monoRTopK(ctx context.Context, k, focal int) (*MonoRTopKResult, error) {
-	if ix.Dim() != 2 {
+	v := ix.cur.Load()
+	if v.inner.Dim != 2 {
 		return nil, errors.New("tlevelindex: MonoRTopK requires 2-attribute options")
 	}
-	if err := ix.checkFocal(k, focal); err != nil {
+	if err := v.checkFocal(k, focal); err != nil {
 		return nil, err
 	}
-	fid := ix.filteredID(focal)
+	fid := v.filteredID(focal)
 	if fid < 0 {
 		return &MonoRTopKResult{}, nil
 	}
 	q := ix.startQuerySpan(ctx, "query.monortopk")
-	segs, st, err := ix.inner.MonoRTopKCtx(ctx, k, fid)
+	segs, st, err := v.inner.MonoRTopKCtx(ctx, k, fid)
 	q.finish(exportStats(st), err)
 	out := &MonoRTopKResult{Stats: exportStats(st)}
 	if err != nil {
@@ -325,15 +331,16 @@ func (ix *Index) MarketShareContext(ctx context.Context, focal, k int) (*MarketS
 }
 
 func (ix *Index) marketShare(ctx context.Context, focal, k int) (*MarketShareResult, error) {
-	if err := ix.checkFocal(k, focal); err != nil {
+	v := ix.cur.Load()
+	if err := v.checkFocal(k, focal); err != nil {
 		return nil, err
 	}
-	fid := ix.filteredID(focal)
+	fid := v.filteredID(focal)
 	if fid < 0 {
 		return &MarketShareResult{}, nil
 	}
 	q := ix.startQuerySpan(ctx, "query.marketshare")
-	res, err := ix.inner.KSPRCtx(ctx, k, fid)
+	res, err := v.inner.KSPRCtx(ctx, k, fid)
 	out := &MarketShareResult{Stats: exportStats(res.Stats)}
 	if err != nil {
 		q.finish(out.Stats, err)
@@ -346,9 +353,9 @@ func (ix *Index) marketShare(ctx context.Context, focal, k int) (*MarketShareRes
 			q.finish(out.Stats, err)
 			return out, err
 		}
-		total += ix.inner.Region(id).Volume(20000, rng.Float64)
+		total += v.inner.Region(id).Volume(20000, rng.Float64)
 	}
-	share := total / geom.SimplexVolume(ix.inner.RDim())
+	share := total / geom.SimplexVolume(v.inner.RDim())
 	if share > 1 {
 		share = 1 // Monte-Carlo noise can overshoot marginally
 	}
@@ -377,25 +384,26 @@ func (ix *Index) ReverseTopKContext(ctx context.Context, k, focal int, users [][
 }
 
 func (ix *Index) reverseTopK(ctx context.Context, k, focal int, users [][]float64) (*ReverseTopKResult, error) {
-	if err := ix.checkFocal(k, focal); err != nil {
+	v := ix.cur.Load()
+	if err := v.checkFocal(k, focal); err != nil {
 		return nil, err
 	}
 	// Validate the whole population up front: a malformed user is an input
 	// error, never a partial result.
 	xs := make([][]float64, len(users))
 	for ui, w := range users {
-		x, err := ix.reduce(w)
+		x, err := v.reduce(w)
 		if err != nil {
 			return nil, fmt.Errorf("tlevelindex: user %d: %w", ui, err)
 		}
 		xs[ui] = x
 	}
-	fid := ix.filteredID(focal)
+	fid := v.filteredID(focal)
 	if fid < 0 {
 		return &ReverseTopKResult{}, nil
 	}
 	q := ix.startQuerySpan(ctx, "query.reversetopk")
-	res, err := ix.inner.KSPRCtx(ctx, k, fid)
+	res, err := v.inner.KSPRCtx(ctx, k, fid)
 	out := &ReverseTopKResult{Stats: exportStats(res.Stats)}
 	if err != nil {
 		q.finish(out.Stats, err)
@@ -403,7 +411,7 @@ func (ix *Index) reverseTopK(ctx context.Context, k, focal int, users [][]float6
 	}
 	regions := make([]*geom.Region, len(res.Cells))
 	for i, id := range res.Cells {
-		regions[i] = ix.inner.Region(id)
+		regions[i] = v.inner.Region(id)
 	}
 	for ui, x := range xs {
 		if err := ctx.Err(); err != nil {
@@ -429,19 +437,20 @@ func (ix *Index) WhyNotContext(ctx context.Context, opt int, w []float64, k int)
 }
 
 func (ix *Index) whyNot(ctx context.Context, opt int, w []float64, k int) (*WhyNotResult, error) {
-	if err := ix.checkFocal(k, opt); err != nil {
+	v := ix.cur.Load()
+	if err := v.checkFocal(k, opt); err != nil {
 		return nil, err
 	}
-	x, err := ix.reduce(w)
+	x, err := v.reduce(w)
 	if err != nil {
 		return nil, err
 	}
-	fid := ix.filteredID(opt)
+	fid := v.filteredID(opt)
 	if fid < 0 {
 		return &WhyNotResult{Rank: -1, MinShift: -1}, nil
 	}
 	q := ix.startQuerySpan(ctx, "query.whynot")
-	res, err := ix.inner.WhyNotCtx(ctx, fid, x, k)
+	res, err := v.inner.WhyNotCtx(ctx, fid, x, k)
 	q.finish(exportStats(res.Stats), err)
 	out := &WhyNotResult{Rank: res.RankAtW, InTopK: res.InTopK, MinShift: res.NearestDist,
 		Stats: exportStats(res.Stats)}

@@ -321,14 +321,14 @@ func TestRegionExportFromRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, _ := ix.inner.UTKCtx(ctx, k, geom.NewBox(lo, hi))
+	inner, _ := ix.cur.Load().inner.UTKCtx(ctx, k, geom.NewBox(lo, hi))
 	parts := len(res.Partitions)
 	if parts < 5 || parts != len(inner.Partitions) {
 		t.Fatalf("%d partitions (traversal: %d), want at least 5", parts, len(inner.Partitions))
 	}
 	check := func(what string, got Region, cell int32) {
 		t.Helper()
-		want := ix.inner.Region(cell).HS
+		want := ix.cur.Load().inner.Region(cell).HS
 		if len(got.Halfspaces) != len(want) {
 			t.Fatalf("%s: %d halfspaces, the cell's region has %d", what, len(got.Halfspaces), len(want))
 		}
@@ -349,11 +349,11 @@ func TestRegionExportFromRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fid := ix.filteredID(focal)
+		fid := ix.cur.Load().filteredID(focal)
 		if fid < 0 {
 			continue
 		}
-		cells := ix.inner.KSPR(k, fid).Cells
+		cells := ix.cur.Load().inner.KSPR(k, fid).Cells
 		batch, err := ix.KSPRBatchContext(ctx, k, []int{focal})
 		if err != nil || len(pub.Regions) != len(cells) || len(batch[0].Regions) != len(cells) {
 			t.Fatalf("focal %d: %d and %d regions for %d cells (%v)", focal, len(pub.Regions), len(batch[0].Regions), len(cells), err)
@@ -367,7 +367,7 @@ func TestRegionExportFromRows(t *testing.T) {
 		t.Skip("sync.Pool drops puts at random under -race; allocation counts are meaningless")
 	}
 	box := geom.NewBox(lo, hi)
-	traversal := testing.AllocsPerRun(50, func() { ix.inner.UTKCtx(ctx, k, box) })
+	traversal := testing.AllocsPerRun(50, func() { ix.cur.Load().inner.UTKCtx(ctx, k, box) })
 	total := testing.AllocsPerRun(50, func() { ix.UTKContext(ctx, k, lo, hi) })
 	// geom.NewBox copies lo and hi: two more that are the public call's own.
 	if export := total - traversal - 2; export > float64(3*parts+3) {

@@ -223,9 +223,9 @@ func Build(data [][]float64, cfg Config) (*Index, error) {
 // Stats.InputOptions, the worker bound, the observability hooks, the
 // backing) is the caller's and is left as it is.
 func (ix *Index) build(alg Algorithm, seed int64, verdicts *dg.VerdictCache) {
-	// A rebuild sizes the new cell table from the old one: a build creates
-	// about twice the cells it keeps (merged ones are tombstoned).
-	ix.Cells, ix.Levels, ix.flat = make([]Cell, 0, 2*len(ix.Cells)), nil, nil
+	// A rebuild in place reuses the table it replaces; a Successor's grows
+	// from empty, so a batch that admits nothing allocates no table.
+	ix.Cells, ix.Levels, ix.flat = ix.Cells[:0], nil, nil
 	ix.verdicts = verdicts
 	ix.Stats = BuildStats{
 		Algorithm:       alg.String(),

@@ -97,7 +97,9 @@ type Index struct {
 	flat *flatDAG
 
 	// fullPts optionally retains the unfiltered dataset, which ExtendTau
-	// needs to deepen the index past τ (Figure 14's k > τ regime).
+	// needs to deepen the index past τ (Figure 14's k > τ regime). It is
+	// Build's input as given and is never written, so every version of
+	// the index shares it; inserted options live in the pool alone.
 	fullPts [][]float64
 	// workers bounds the goroutines used for per-cell LP work; values
 	// below 1 mean runtime.GOMAXPROCS(0). Not serialized.
@@ -160,10 +162,6 @@ func (ix *Index) VerdictEntries() int {
 // Workers returns the configured worker bound (0 meaning the GOMAXPROCS
 // default).
 func (ix *Index) Workers() int { return ix.workers }
-
-// SetWorkers changes the worker bound of later rebuilds (an insert's or an
-// ExtendTau's); values below 1 select the GOMAXPROCS default.
-func (ix *Index) SetWorkers(n int) { ix.workers = n }
 
 // HasFullData reports whether the index retains the unfiltered dataset, so
 // ExtendTau can recruit options beyond the τ-skyband.

@@ -3,6 +3,7 @@ package index
 import (
 	"errors"
 	"math"
+	"slices"
 	"time"
 
 	"tlevelindex/internal/skyline"
@@ -37,42 +38,47 @@ type BatchStats struct {
 	FinalizeNS int64
 }
 
-// InsertBatch adds newly arrived options to a built index, in order. An
+// Successor starts the next version of ix: the same τ, dataset, worker
+// bound, hooks, input size and backing, the same pool, and no cells. The
+// pool slices are ix's with their capacity clipped, so admitting into the
+// successor appends to fresh arrays and never writes into anything ix's
+// readers see; the dataset is shared, since nothing writes it. AdmitBatch,
+// ExtendTau and Rebuild then run on the successor alone, and it is
+// published once Rebuild has given it cells; ix itself is never changed.
+func (ix *Index) Successor() *Index {
+	next := *ix
+	next.Pts, next.OrigIDs = slices.Clip(ix.Pts), slices.Clip(ix.OrigIDs)
+	next.Cells, next.Levels, next.flat, next.verdicts = nil, nil, nil, nil
+	next.Stats = BuildStats{InputOptions: ix.Stats.InputOptions}
+	return &next
+}
+
+// AdmitBatch is the first half of an insert batch: it admits newly arrived
+// options to the pool, in order, and leaves the cells as they were. An
 // option joins the pool only when it can rank within τ — it survives the
 // τ-skyband test against the pool as grown by the records before it — and
 // is not an exact duplicate of a pool member; otherwise it changes nothing.
 // Accepted options take the next filtered ids, so the ids already handed
-// out never move.
+// out never move. ids[i] is the filtered id of rs[i], or -1 when it was
+// filtered out or errs[i] is non-nil; a per-item dimensionality mismatch
+// or non-finite coordinate rejects only that item.
+//
+// Until Rebuild runs, which it must when stats.Accepted > 0, the index
+// answers no query and is not serialized, so AdmitBatch runs only on an
+// index no reader holds: a Successor, or one just built.
 //
 // The paper updates the index with IBA (§6.2: "IBA inserts it into the
 // τ-LevelIndex accordingly"). Here a batch that accepts anything instead
-// replaces the cells with a PBA⁺ build over the grown pool, the same build
-// Build runs after its filter, with no second skyband pass. The index after
-// a batch is therefore the one Build(pool, SkipFilter) makes, byte for
-// byte once the ids and the input size are carried over, however the
-// options were cut into batches; DESIGN §20 has the measurements that
+// replaces the cells with a PBA⁺ build over the grown pool (Rebuild), the
+// same build Build runs after its filter, with no second skyband pass. The
+// index after a batch is therefore the one Build(pool, SkipFilter) makes,
+// byte for byte once the ids and the input size are carried over, however
+// the options were cut into batches; DESIGN §20 has the measurements that
 // retired the IBA update path.
-//
-// ids[i] is the filtered id of rs[i], or -1 when it was filtered out or
-// errs[i] is non-nil. A per-item dimensionality mismatch or non-finite
-// coordinate rejects only that item. A batch whose every option is filtered
-// leaves the index untouched.
-func (ix *Index) InsertBatch(rs [][]float64) ([]int32, []error, BatchStats) {
-	ids, errs, stats := ix.AdmitBatch(rs)
-	if stats.Accepted > 0 {
-		stats.FinalizeNS = ix.Rebuild()
-	}
-	return ids, errs, stats
-}
-
-// AdmitBatch is the first half of InsertBatch: it filters rs and appends
-// the accepted options to the pool, returning the same ids and errors, but
-// leaves the cells as they were. Until Rebuild runs, which it must when
-// stats.Accepted > 0, the index answers no query and is not serialized.
 func (ix *Index) AdmitBatch(rs [][]float64) ([]int32, []error, BatchStats) {
 	ids := make([]int32, len(rs))
 	errs := make([]error, len(rs))
-	var stats BatchStats
+	pool := len(ix.Pts)
 	for bi, r := range rs {
 		ids[bi] = -1
 		switch {
@@ -85,22 +91,29 @@ func (ix *Index) AdmitBatch(rs [][]float64) ([]int32, []error, BatchStats) {
 		case ix.dominatedTau(r):
 			continue
 		}
-		if i := ix.poolIndex(r); i >= 0 {
-			ids[bi] = i // duplicate of the pool or an earlier batch member
-			continue
-		}
-		ids[bi] = int32(len(ix.Pts))
-		ix.Pts = append(ix.Pts, append([]float64(nil), r...))
-		ix.OrigIDs = append(ix.OrigIDs, -1)
-		if ix.fullPts != nil {
-			ix.fullPts = append(ix.fullPts, append([]float64(nil), r...))
-		}
-		stats.Accepted++
+		ids[bi] = ix.admit(r, -1) // a duplicate resolves to its id
 	}
-	return ids, errs, stats
+	return ids, errs, BatchStats{Accepted: len(ix.Pts) - pool}
 }
 
-// Rebuild is the second half of InsertBatch: it replaces the cells with a
+// admit returns the filtered id of the pool option with r's coordinates,
+// first appending r under dataset id orig when the pool has none. It is
+// the one place the pool grows, and membership is by coordinates: an
+// option an insert admitted carries no dataset id (orig -1; the caller's
+// row, so it is copied) and is never admitted a second time.
+func (ix *Index) admit(r []float64, orig int) int32 {
+	if i := ix.poolIndex(r); i >= 0 {
+		return i
+	}
+	if orig < 0 {
+		r = slices.Clone(r)
+	}
+	ix.Pts = append(ix.Pts, r)
+	ix.OrigIDs = append(ix.OrigIDs, orig)
+	return int32(len(ix.Pts) - 1)
+}
+
+// Rebuild is the second half of an insert batch: it replaces the cells with a
 // PBA⁺ build over the pool and returns the build's wall time in ns.
 func (ix *Index) Rebuild() int64 {
 	start := time.Now()

@@ -67,13 +67,13 @@ func testInsertBatchMatchesSequential(t *testing.T, reload bool) {
 
 		wantIDs := make([]int32, len(extra))
 		for i, r := range extra {
-			id, err := seq.InsertOption(r)
+			id, err := insertOption(seq, r)
 			if err != nil {
 				t.Fatalf("trial %d: sequential insert %d: %v", trial, i, err)
 			}
 			wantIDs[i] = id
 		}
-		gotIDs, errs, stats := bat.InsertBatch(extra)
+		gotIDs, errs, stats := insertBatch(bat, extra)
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("trial %d: batch item %d: %v", trial, i, err)
@@ -108,7 +108,7 @@ func testInsertBatchMatchesSequential(t *testing.T, reload bool) {
 func TestInsertBatchAllFiltered(t *testing.T) {
 	ix := buildOrFail(t, hotels, Config{Algorithm: PBAPlus, Tau: 3})
 	before := serializeOrFail(t, ix)
-	ids, errs, stats := ix.InsertBatch([][]float64{
+	ids, errs, stats := insertBatch(ix, [][]float64{
 		{0.01, 0.01},         // dominated by everything
 		{0.5},                // wrong dimensionality
 		hotels[2],            // exact duplicate
@@ -153,7 +153,7 @@ func TestInsertBatchExtended(t *testing.T) {
 		t.Fatal(err)
 	}
 	add := [][]float64{{0.9, 0.9}, {0.8, 0.8}}
-	ids, errs, _ := ix.InsertBatch(add)
+	ids, errs, _ := insertBatch(ix, add)
 	for i := range errs {
 		if errs[i] != nil || ids[i] < 0 {
 			t.Fatalf("item %d: id %d, err %v", i, ids[i], errs[i])
@@ -175,7 +175,7 @@ func TestInsertBatchExtended(t *testing.T) {
 }
 
 // TestNonFiniteOptionsRefused: Build refuses a dataset with a NaN or
-// infinite coordinate, which no weight vector can rank, and InsertOption
+// infinite coordinate, which no weight vector can rank, and insertOption
 // refuses such an option and leaves the index as it was. The NaN dataset
 // once built, and its TopK ranked the NaN option second.
 func TestNonFiniteOptionsRefused(t *testing.T) {
@@ -186,11 +186,27 @@ func TestNonFiniteOptionsRefused(t *testing.T) {
 		}
 		ix := buildOrFail(t, hotels, Config{Algorithm: PBAPlus, Tau: 3})
 		before := serializeOrFail(t, ix)
-		if id, err := ix.InsertOption(bad); id != -1 || !errors.Is(err, errNotFinite) {
-			t.Fatalf("InsertOption(%v) = %d, %v; want -1 and a non-finite coordinate refused", bad, id, err)
+		if id, err := insertOption(ix, bad); id != -1 || !errors.Is(err, errNotFinite) {
+			t.Fatalf("insertOption(%v) = %d, %v; want -1 and a non-finite coordinate refused", bad, id, err)
 		}
 		if !bytes.Equal(before, serializeOrFail(t, ix)) {
-			t.Fatalf("a refused InsertOption(%v) changed the index", bad)
+			t.Fatalf("a refused insertOption(%v) changed the index", bad)
 		}
 	}
+}
+
+// insertBatch admits rs into ix and rebuilds it in place when anything was
+// accepted: the root package's insert batch without the successor.
+func insertBatch(ix *Index, rs [][]float64) ([]int32, []error, BatchStats) {
+	ids, errs, stats := ix.AdmitBatch(rs)
+	if stats.Accepted > 0 {
+		stats.FinalizeNS = ix.Rebuild()
+	}
+	return ids, errs, stats
+}
+
+// insertOption is insertBatch of one option, unwrapped.
+func insertOption(ix *Index, r []float64) (int32, error) {
+	ids, errs, _ := insertBatch(ix, [][]float64{r})
+	return ids[0], errs[0]
 }

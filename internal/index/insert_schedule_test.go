@@ -74,7 +74,7 @@ func applySchedule(t testing.TB, ix *Index, sched [][][]float64) []int32 {
 	t.Helper()
 	var all []int32
 	for b, batch := range sched {
-		ids, errs, _ := ix.InsertBatch(batch)
+		ids, errs, _ := insertBatch(ix, batch)
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("batch %d item %d: %v", b, i, err)
@@ -290,7 +290,7 @@ func TestInsertCacheIdentity(t *testing.T) {
 		seq := build()
 		ids = nil
 		for _, r := range flat {
-			id, err := seq.InsertOption(r)
+			id, err := insertOption(seq, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +316,7 @@ func TestWarmInsertAllocs(t *testing.T) {
 	}
 	next := 0
 	insert := func() {
-		ids, errs, _ := ix.InsertBatch(sched[next])
+		ids, errs, _ := insertBatch(ix, sched[next])
 		if errs[0] != nil || ids[0] < 0 {
 			t.Fatalf("insert %d: id %d, err %v", next, ids[0], errs[0])
 		}

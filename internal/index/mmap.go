@@ -22,11 +22,11 @@ import (
 // decoder: a heap load and an mmap load differ in nothing but whether an
 // array is copied, so a corrupt file is rejected identically on both.
 //
-// Which load a caller uses follows from its role, not from a setting: the
-// durable store, the writer, reads its snapshot onto the heap (its first
-// accepted insert rebuilds the cells anyway, and pruning later unlinks the
-// file a mapping would alias), and a follower, read-only and replaced whole
-// on each publish, opens its copy with OpenFile.
+// The serving tiers load onto the heap: the durable store's first accepted
+// insert rebuilds the cells anyway, pruning later unlinks the file a
+// mapping would alias, and a follower swaps its index while readers may
+// still hold the old one, so no install may unmap what a reader reads.
+// OpenFile serves callers that own the index's whole lifetime.
 //
 // Aliasing rules: the buffer must outlive the index (OpenFile parks the
 // mapping on the index, released by CloseBacking), the platform must be
@@ -35,8 +35,9 @@ import (
 // the float64 coordinate block does when the option count is even).
 // Arrays that fail a condition are copied to the heap individually — the
 // load degrades, never breaks. Mutating paths are alias-safe: nothing
-// writes into the arenas or the coordinates, an insert appends fresh heap
-// rows to Pts, and an insert or ExtendTau rebuilds the cells on the heap.
+// writes into the arenas or the coordinates, and a Successor appends fresh
+// heap rows to its own Pts and rebuilds the cells on the heap, carrying
+// the backing its shared rows still alias.
 
 // nativeLittleEndian reports whether the running platform stores integers
 // little-endian, which the X3 encoding requires for aliasing.

@@ -88,7 +88,7 @@ func TestOpenFileServesAndMutates(t *testing.T) {
 	if got, _ := mapped.TopK(w, 3); !equalInt32s(got, want) {
 		t.Fatalf("top-k after unlink %v, want %v", got, want)
 	}
-	if _, err := mapped.InsertOption([]float64{0.42, 0.17, 0.33}); err != nil {
+	if _, err := insertOption(mapped, []float64{0.42, 0.17, 0.33}); err != nil {
 		t.Fatal(err)
 	}
 	if err := mapped.ExtendTau(4); err != ErrNeedsFullData {

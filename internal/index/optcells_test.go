@@ -116,7 +116,7 @@ func TestOptCellsMatchWalk(t *testing.T) {
 					batch[i][j] = 0.5 + 0.5*rng.Float64()
 				}
 			}
-			if _, errs, _ := ix.InsertBatch(batch); slices.ContainsFunc(errs, func(e error) bool { return e != nil }) {
+			if _, errs, _ := insertBatch(ix, batch); slices.ContainsFunc(errs, func(e error) bool { return e != nil }) {
 				t.Fatalf("%s: insert: %v", stage, errs)
 			}
 			check(ix, stage+" after InsertBatch")

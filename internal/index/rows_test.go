@@ -316,7 +316,7 @@ func TestCellRowsIdentity(t *testing.T) {
 					batch[i][j] = 0.9 + 0.1*rng.Float64()
 				}
 			}
-			if _, errs, _ := ix.InsertBatch(batch); slices.ContainsFunc(errs, func(e error) bool { return e != nil }) {
+			if _, errs, _ := insertBatch(ix, batch); slices.ContainsFunc(errs, func(e error) bool { return e != nil }) {
 				t.Fatalf("%s: insert: %v", stage, errs)
 			}
 			checkUnfilled(t, ix, stage+" after InsertBatch")

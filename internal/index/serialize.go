@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Serialization format X3: a little-endian binary stream holding the
@@ -47,7 +48,7 @@ var ErrBadFormat = errors.New("index: bad serialization format")
 // encoding. It returns the number of bytes written, checksum footer
 // included.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(ix.encodeX3())
+	n, err := w.Write(ix.AppendBinary(nil))
 	return int64(n), err
 }
 
@@ -58,12 +59,14 @@ func (ix *Index) x3Size() int {
 	return len(magicX3) + 4*4 + 4*n + 8*n*ix.Dim + 4 + 5*4*m + 3*4 + 4*arenas + 4
 }
 
-// encodeX3 returns the index's X3 encoding in one buffer of exactly
-// x3Size bytes. The arenas are written as they are: a frozen index's arenas
-// hold its lists concatenated in cell order, which is the stream's layout.
-func (ix *Index) encodeX3() []byte {
+// AppendBinary appends the index's X3 encoding to dst, growing it at most
+// once, by exactly x3Size bytes. The arenas are written as they are: a
+// frozen index's arenas hold its lists concatenated in cell order, which
+// is the stream's layout.
+func (ix *Index) AppendBinary(dst []byte) []byte {
 	le, f := binary.LittleEndian, ix.flat
-	b := append(make([]byte, 0, ix.x3Size()), magicX3[:]...)
+	start := len(dst)
+	b := append(slices.Grow(dst, ix.x3Size()), magicX3[:]...)
 	for _, v := range [...]int{ix.Dim, ix.Tau, ix.Stats.InputOptions, len(ix.Pts)} {
 		b = le.AppendUint32(b, uint32(v))
 	}
@@ -97,7 +100,7 @@ func (ix *Index) encodeX3() []byte {
 			b = le.AppendUint32(b, uint32(v))
 		}
 	}
-	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
 // Read deserializes an index previously written with WriteTo. It reads r to

@@ -191,3 +191,24 @@ func TestCodecAllocs(t *testing.T) {
 		t.Errorf("ReadBytes = %.0f allocs, want <= 64", read)
 	}
 }
+
+// TestAppendBinaryAllocs pins the one encoder the store's snapshots and
+// ships use: AppendBinary(nil) allocates the encoding once, appending into
+// a buffer with room allocates nothing, and an encoding appended after
+// other bytes checksums only itself.
+func TestAppendBinaryAllocs(t *testing.T) {
+	ix := buildOrFail(t, datagen.Generate(datagen.IND, 500, 3, 1), Config{Algorithm: PBAPlus, Tau: 4})
+	want := serializeOrFail(t, ix)
+	if got := ix.AppendBinary([]byte("head")); !bytes.Equal(got[4:], want) {
+		t.Fatal("AppendBinary after other bytes differs from WriteTo")
+	}
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts; the pin runs in the non-race test pass")
+	}
+	fresh := testing.AllocsPerRun(20, func() { ix.AppendBinary(nil) })
+	buf := make([]byte, 0, len(want))
+	reuse := testing.AllocsPerRun(20, func() { buf = ix.AppendBinary(buf[:0]) })
+	if fresh > 1 || reuse > 0 {
+		t.Errorf("AppendBinary: %.0f allocs into nil, %.0f into a buffer with room; want <= 1 and 0", fresh, reuse)
+	}
+}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"errors"
+	"slices"
 
 	"tlevelindex/internal/skyline"
 )
@@ -17,14 +18,6 @@ var (
 	// levels cannot be built.
 	ErrNeedsFullData = errors.New("tlevelindex: extending τ needs the full dataset, which the index does not hold")
 )
-
-// InsertOption adds one newly arrived option to a built index: InsertBatch
-// of that option alone. Returns the option's filtered id, or -1 when it was
-// filtered out.
-func (ix *Index) InsertOption(r []float64) (int32, error) {
-	ids, errs, _ := ix.InsertBatch([][]float64{r})
-	return ids[0], errs[0]
-}
 
 func equalVec(a, b []float64) bool {
 	for i := range a {
@@ -47,7 +40,8 @@ func equalVec(a, b []float64) bool {
 // clamped to the pool size as Build clamps it, and the cells are replaced
 // by a PBA⁺ build over the pool. The index is then the one Build(pool,
 // SkipFilter) makes at that τ, whatever mix of inserts and extensions led
-// to it.
+// to it. It changes ix in place, so it runs only on an index no reader
+// holds: a Successor, or one just built.
 func (ix *Index) ExtendTau(newTau int) error {
 	if newTau <= ix.Tau {
 		return nil
@@ -65,17 +59,15 @@ func (ix *Index) ExtendTau(newTau int) error {
 }
 
 // ensurePool grows the filtered option set to the k-skyband of the full
-// dataset so that every option that can rank top-k is available. Pool
-// membership is by coordinates, as AdmitBatch decides it: an option an
-// insert admitted carries no dataset id (OrigIDs -1) and must not be
-// recruited a second time.
+// dataset and the inserted options, so that every option that can rank
+// top-k is available. The inserted options are all in the pool, after the
+// dataset rows (which dedupe to their dataset copy), so they compete in
+// the skyband and are never recruited. It admits through admit, as
+// AdmitBatch does, so membership is by coordinates.
 func (ix *Index) ensurePool(k int) {
-	uniq, uniqIDs := dedupeOptions(ix.fullPts)
+	uniq, uniqIDs := dedupeOptions(append(slices.Clip(ix.fullPts), ix.Pts...))
 	for _, fi := range skyline.Skyband(uniq, k) {
-		if ix.poolIndex(uniq[fi]) < 0 {
-			ix.Pts = append(ix.Pts, uniq[fi])
-			ix.OrigIDs = append(ix.OrigIDs, uniqIDs[fi])
-		}
+		ix.admit(uniq[fi], uniqIDs[fi])
 	}
 }
 

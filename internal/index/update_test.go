@@ -27,7 +27,7 @@ func TestInsertOptionMatchesRebuild(t *testing.T) {
 
 		ix := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: tau})
 		for _, r := range extra {
-			if _, err := ix.InsertOption(r); err != nil {
+			if _, err := insertOption(ix, r); err != nil {
 				t.Fatalf("trial %d: insert: %v", trial, err)
 			}
 		}
@@ -103,7 +103,7 @@ func TestInsertFilteredOption(t *testing.T) {
 	ix := buildOrFail(t, hotels, Config{Algorithm: PBAPlus, Tau: 3})
 	before := ix.NumCells()
 	// An option dominated by everything cannot rank top-3.
-	fid, err := ix.InsertOption([]float64{0.01, 0.01})
+	fid, err := insertOption(ix, []float64{0.01, 0.01})
 	if err != nil || fid != -1 {
 		t.Fatalf("dominated insert: fid=%d err=%v", fid, err)
 	}
@@ -111,14 +111,14 @@ func TestInsertFilteredOption(t *testing.T) {
 		t.Error("filtered insert changed the index")
 	}
 	// An exact duplicate is a no-op returning the existing id.
-	fid, err = ix.InsertOption(hotels[0])
+	fid, err = insertOption(ix, hotels[0])
 	if err != nil || fid < 0 || ix.OrigIDs[fid] != 0 {
 		t.Fatalf("duplicate insert: fid=%d err=%v", fid, err)
 	}
 	if ix.NumCells() != before {
 		t.Error("duplicate insert changed the index")
 	}
-	if _, err := ix.InsertOption([]float64{0.5}); err == nil {
+	if _, err := insertOption(ix, []float64{0.5}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }
@@ -127,7 +127,7 @@ func TestInsertDominatingOption(t *testing.T) {
 	ix := buildOrFail(t, hotels, Config{Algorithm: PBAPlus, Tau: 3})
 	// A new market leader dominating every hotel: it must become the only
 	// rank-1 cell.
-	fid, err := ix.InsertOption([]float64{0.99, 0.99})
+	fid, err := insertOption(ix, []float64{0.99, 0.99})
 	if err != nil || fid < 0 {
 		t.Fatalf("insert: %v (fid %d)", err, fid)
 	}
@@ -278,8 +278,8 @@ func TestLevelOptions(t *testing.T) {
 func TestExtendTauAfterInsertRecruitsNoDuplicate(t *testing.T) {
 	data := [][]float64{{0.9, 0.1}, {0.1, 0.9}, {0.7, 0.4}, {0.4, 0.7}, {0.2, 0.2}}
 	ix := buildOrFail(t, data, Config{Algorithm: PBAPlus, Tau: 1})
-	if id, err := ix.InsertOption([]float64{0.6, 0.6}); err != nil || id != 4 {
-		t.Fatalf("InsertOption = %d, %v; want id 4", id, err)
+	if id, err := insertOption(ix, []float64{0.6, 0.6}); err != nil || id != 4 {
+		t.Fatalf("insertOption = %d, %v; want id 4", id, err)
 	}
 	if err := ix.ExtendTau(3); err != nil {
 		t.Fatal(err)

@@ -96,7 +96,7 @@ func TestUTKMatchesWalk(t *testing.T) {
 					batch[i][j] = 0.9 + 0.1*rng.Float64()
 				}
 			}
-			if _, errs, _ := ix.InsertBatch(batch); slices.ContainsFunc(errs, func(e error) bool { return e != nil }) {
+			if _, errs, _ := insertBatch(ix, batch); slices.ContainsFunc(errs, func(e error) bool { return e != nil }) {
 				t.Fatalf("%s: insert: %v", stage, errs)
 			}
 			check(ix, stage+" after InsertBatch", ks, 40)

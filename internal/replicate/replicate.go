@@ -1,10 +1,16 @@
 // Package replicate runs a follower replica: a process that serves the
 // same index as a primary without ever building it. The follower installs
 // the primary's serialized index (GET /v1/admin/snapshot/stream, see
-// internal/store ship.go for the wire format), opens it zero-copy via mmap
-// (a heap load where mmap is unavailable), and swaps it in. It then polls the primary with its
-// applied LSN; once the primary has published a newer index, the next poll
-// installs that index whole, skipping every publish in between.
+// internal/store ship.go for the wire format), loads it onto the heap, and
+// swaps it in. It then polls the primary with its applied LSN; once the
+// primary has published a newer index, the next poll installs that index
+// whole, skipping every publish in between.
+//
+// An install only swaps a pointer: a query holds the follower's read lock
+// while it runs, but an index it has loaded is never changed or released
+// under it — the garbage collector frees an old index once its last
+// query is done. That is why an install loads onto the heap rather than
+// mapping the file: nothing is ever unmapped under a reader.
 //
 // # State machine
 //
@@ -79,8 +85,8 @@ type Follower struct {
 	client *http.Client
 	log    *slog.Logger
 
-	// mu guards ix: install swaps it under the write lock, the serve layer
-	// queries under the read lock.
+	// mu guards the ix pointer: install swaps it under the write lock, the
+	// serve layer queries under the read lock.
 	mu sync.RWMutex
 	ix *tlx.Index
 	// applied and primary are atomics so status and gauges read them
@@ -218,9 +224,6 @@ func Start(opts Options) (*Follower, error) {
 	}
 	f.state.Store("bootstrapping")
 	if err := f.bootstrap(); err != nil {
-		if f.ix != nil {
-			f.ix.Close()
-		}
 		return nil, err
 	}
 	f.state.Store("following")
@@ -250,16 +253,21 @@ func (f *Follower) bootstrap() error {
 	return err
 }
 
-// install publishes a complete index at lsn, releasing any predecessor.
+// install publishes a complete index at lsn.
 func (f *Follower) install(ix *tlx.Index, lsn uint64) {
 	f.mu.Lock()
-	old := f.ix
 	f.ix = ix
 	f.applied.Store(lsn)
 	f.mu.Unlock()
-	if old != nil {
-		old.Close()
+}
+
+// loadIndex reads a local index file onto the heap.
+func loadIndex(path string) (*tlx.Index, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
+	return tlx.ReadIndexBytes(data, false)
 }
 
 // resumeLocal installs the newest loadable local index, deleting leftover
@@ -292,7 +300,7 @@ func (f *Follower) resumeLocal() {
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].lsn < snaps[j].lsn })
 	for i := len(snaps) - 1; i >= 0; i-- {
 		path := filepath.Join(f.opts.Dir, snaps[i].name)
-		ix, err := tlx.OpenIndexFile(path)
+		ix, err := loadIndex(path)
 		if err != nil {
 			f.log.Warn("replicate: local snapshot unusable; removing", "path", path, "err", err)
 			os.Remove(path)
@@ -340,36 +348,41 @@ func (f *Follower) fetch() error {
 		return nil
 	}
 	dl := f.span("replicate.download")
-	ix, err := f.download(hdr, resp.Body)
+	ix, fsync, err := f.download(hdr, resp.Body)
 	dl.Set("indexBytes", float64(hdr.Bytes))
+	dl.Set("fsyncMs", float64(fsync)/float64(time.Millisecond))
 	f.finishSpan(dl, err)
 	if err != nil {
 		return err
 	}
 	f.install(ix, hdr.LSN)
 	f.pruneLocal(hdr.LSN)
-	f.log.Debug("replicate: installed index", "appliedLsn", hdr.LSN, "bytes", hdr.Bytes, "mmapBytes", ix.MmapBytes())
+	f.log.Debug("replicate: installed index", "appliedLsn", hdr.LSN, "bytes", hdr.Bytes)
 	return nil
 }
 
 // download streams the index bytes into the data directory with the
 // store's tmp-fsync-rename discipline — a crash mid-download leaves a .tmp
 // file the next start deletes, never a half index under the real name —
-// and opens them. A file the X3 checksum rejects is removed, so neither a
-// retry nor a restart can resume from it.
-func (f *Follower) download(hdr store.ShipHeader, r io.Reader) (*tlx.Index, error) {
+// and loads them, reporting how long the fsync took. A file the X3
+// checksum rejects is removed, so neither a retry nor a restart can resume
+// from it.
+func (f *Follower) download(hdr store.ShipHeader, r io.Reader) (*tlx.Index, time.Duration, error) {
 	final := filepath.Join(f.opts.Dir, snapshotName(hdr.LSN))
 	tmp := final + ".tmp"
 	file, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n, err := io.Copy(file, io.LimitReader(r, hdr.Bytes))
 	if err == nil && n != hdr.Bytes {
 		err = fmt.Errorf("%w: index stream truncated at %d of %d bytes", store.ErrCorrupt, n, hdr.Bytes)
 	}
+	var fsync time.Duration
 	if err == nil {
+		start := time.Now()
 		err = file.Sync()
+		fsync = time.Since(start)
 	}
 	if cerr := file.Close(); err == nil {
 		err = cerr
@@ -379,14 +392,14 @@ func (f *Follower) download(hdr store.ShipHeader, r io.Reader) (*tlx.Index, erro
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return nil, err
+		return nil, fsync, err
 	}
-	ix, err := tlx.OpenIndexFile(final)
+	ix, err := loadIndex(final)
 	if err != nil {
 		os.Remove(final)
-		return nil, err
+		return nil, fsync, err
 	}
-	return ix, nil
+	return ix, fsync, nil
 }
 
 // followLoop polls the primary for a newer index each tick. A failed poll —
@@ -426,17 +439,12 @@ func (f *Follower) PrimaryURL() string { return f.opts.PrimaryURL }
 // StateName is the state machine's current state.
 func (f *Follower) StateName() string { return f.state.Load().(string) }
 
-// Close stops the follow loop and releases the snapshot mapping.
+// Close stops the follow loop. The installed index stays readable.
 func (f *Follower) Close() error {
 	f.once.Do(func() { close(f.done) })
 	f.wg.Wait()
 	f.state.Store("stopped")
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.ix == nil {
-		return nil
-	}
-	return f.ix.Close()
+	return nil
 }
 
 // pruneLocal keeps only the snapshot at keep, deleting older downloads.
@@ -447,8 +455,6 @@ func (f *Follower) pruneLocal(keep uint64) {
 	}
 	for _, e := range entries {
 		if lsn, ok := parseSnapshotName(e.Name()); ok && lsn != keep {
-			// The mmap outlives the unlink; removal is safe even for the
-			// snapshot an old index still maps.
 			os.Remove(filepath.Join(f.opts.Dir, e.Name()))
 		}
 	}

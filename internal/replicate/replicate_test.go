@@ -121,10 +121,10 @@ func assertByteIdentical(t *testing.T, primaryURL, followerURL string) {
 // TestFollowerServesByteIdentical is the acceptance contract: a follower
 // bootstrapped purely from the shipped index — no index build — serves
 // byte-identical query envelopes at the primary's handed-off LSN from the
-// index it opens through mmap, keeps up with live inserts, and refuses
+// index it loads onto the heap, keeps up with live inserts, and refuses
 // writes with a pointer at the primary.
 func TestFollowerServesByteIdentical(t *testing.T) {
-	t.Run("mmap", func(t *testing.T) {
+	t.Run("heap", func(t *testing.T) {
 		srv, st := newPrimary(t, t.TempDir())
 		if _, err := st.Insert([]float64{0.95, 0.95}); err != nil {
 			t.Fatal(err)
@@ -173,13 +173,11 @@ func TestFollowerServesByteIdentical(t *testing.T) {
 				resp.StatusCode, deny.Primary, srv.URL)
 		}
 
-		// Status reports the follow state and the index backing.
+		// Status reports the follow state.
 		var status struct {
-			Role      string `json:"role"`
-			State     string `json:"state"`
-			Backing   string `json:"backing"`
-			MmapBytes int64  `json:"mmapBytes"`
-			LagLSNs   uint64 `json:"lagLsns"`
+			Role    string `json:"role"`
+			State   string `json:"state"`
+			LagLSNs uint64 `json:"lagLsns"`
 		}
 		sresp, err := http.Get(fsrv.URL + "/v1/admin/status")
 		if err != nil {
@@ -192,18 +190,62 @@ func TestFollowerServesByteIdentical(t *testing.T) {
 		if status.Role != "follower" || status.State != "following" || status.LagLSNs != 0 {
 			t.Errorf("follower status: %+v", status)
 		}
-		f.Mutex().RLock()
-		aliased := f.Index().MmapBytes()
-		f.Mutex().RUnlock()
-		wantBacking := "mmap"
-		if aliased == 0 {
-			// Big-endian or no-mmap builds fall back to the heap.
-			wantBacking = "heap"
-		}
-		if status.Backing != wantBacking {
-			t.Errorf("backing %q (mmapBytes %d), want %q", status.Backing, status.MmapBytes, wantBacking)
-		}
 	})
+}
+
+// TestFollowerReadersAcrossInstalls runs readers against a follower while
+// the primary publishes 60 times and the follower installs each. A reader
+// takes the follower's lock only to load the LSN and the index, and
+// queries after releasing it. Every publish makes its option the best at
+// one corner of the simplex, so the option accepted at that LSN must rank
+// first in the loaded index. Under -race this is the check that an install
+// never changes or releases an index a reader still holds.
+func TestFollowerReadersAcrossInstalls(t *testing.T) {
+	srv, st := newPrimary(t, t.TempDir())
+	f := startFollower(t, Options{PrimaryURL: srv.URL, Dir: t.TempDir(), PollInterval: time.Millisecond})
+	const readers, installs = 4, 60
+	var done atomic.Bool
+	var seen atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				f.Mutex().RLock()
+				lsn, ix := f.AppliedLSN(), f.Index()
+				f.Mutex().RUnlock()
+				if top, err := ix.TopK([]float64{0.5, 0.5}, 3); err != nil || len(top) != 3 {
+					t.Errorf("top-3 at LSN ≥ %d: %v %v", lsn, top, err)
+					return
+				}
+				if lsn == 0 {
+					continue
+				}
+				// hotels holds ids 0..4; the record at LSN l got id 4+l.
+				if rank, err := ix.MaxRank(4 + int(lsn)); err != nil || rank != 1 {
+					t.Errorf("option of LSN %d: rank %d (%v), want 1", lsn, rank, err)
+					return
+				}
+				seen.Add(1)
+			}
+		}()
+	}
+	for i := 1; i <= installs; i++ {
+		opt := []float64{0.3, 0.3}
+		opt[i%2] = 1 + 0.001*float64(i)
+		id, lsn, err := st.InsertLSN(opt)
+		if err != nil || id != 4+int(lsn) || lsn != uint64(i) {
+			t.Fatalf("publish %d: id %d lsn %d %v", i, id, lsn, err)
+		}
+		waitCaughtUp(t, f, lsn)
+	}
+	done.Store(true)
+	wg.Wait()
+	if seen.Load() == 0 {
+		t.Fatal("no reader ran against an installed publish")
+	}
+	assertSameBytes(t, st, f)
 }
 
 // TestFollowerResumesFromLocalSnapshot: a cleanly stopped follower
@@ -390,11 +432,11 @@ func TestCorruptStreamExhaustsRetries(t *testing.T) {
 
 // TestFollowerBytesEqualPrimary: after every publish — an insert batch
 // that accepts a record — the follower reaches the primary's LSN holding
-// exactly the primary's index bytes in the index it opened through mmap.
+// exactly the primary's index bytes in the index it loaded onto the heap.
 func TestFollowerBytesEqualPrimary(t *testing.T) {
 	for _, shape := range []struct{ d, tau int }{{2, 6}, {3, 9}} {
 		shape := shape
-		t.Run(fmt.Sprintf("d=%d_tau=%d/mmap", shape.d, shape.tau), func(t *testing.T) {
+		t.Run(fmt.Sprintf("d=%d_tau=%d/heap", shape.d, shape.tau), func(t *testing.T) {
 			base := datagen.Generate(datagen.IND, 40, shape.d, 1)
 			srv, st := newPrimaryOver(t, t.TempDir(), base, shape.tau)
 			f := startFollower(t, Options{PrimaryURL: srv.URL, Dir: t.TempDir()})
@@ -427,22 +469,13 @@ func TestFollowerBytesEqualPrimary(t *testing.T) {
 // primary's bytes.
 func assertSameBytes(t *testing.T, st *store.Store, f *Follower) {
 	t.Helper()
-	want := serializeLocked(t, st.Mutex(), st.Index)
-	got := serializeLocked(t, f.Mutex(), f.Index)
+	want, _ := st.Index().AppendBinary(nil)
+	f.Mutex().RLock()
+	got, _ := f.Index().AppendBinary(nil)
+	f.Mutex().RUnlock()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("follower index (%d bytes) differs from the primary's (%d bytes)", len(got), len(want))
 	}
-}
-
-func serializeLocked(t testing.TB, mu *sync.RWMutex, index func() *tlx.Index) []byte {
-	t.Helper()
-	mu.RLock()
-	defer mu.RUnlock()
-	var buf bytes.Buffer
-	if _, err := index().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // bootstrapPhases returns the span names of the one bootstrap trace rec

@@ -11,15 +11,19 @@ import (
 	"tlevelindex/internal/store"
 )
 
-// Backend is everything a Handler needs from what it serves: an index
-// behind a lock, the version stamp answers are cached under, and a write
-// path. *store.Store is one; the memory-only and follower backends below
-// are the other two. Everything else a deployment mode has — the store's
-// admin endpoints, a follower's sync status — is routes and gauges its
-// constructor attaches, not a branch in a shared handler.
+// Backend is everything a Handler needs from what it serves: an index, the
+// lock that orders queries against writes, the version stamp answers are
+// cached under, and a write path. *store.Store is one; the memory-only and
+// follower backends below are the other two. Everything else a deployment
+// mode has — the store's admin endpoints, a follower's sync status — is
+// routes and gauges its constructor attaches, not a branch in a shared
+// handler.
 type Backend interface {
-	// Mutex guards the index: queries hold it for reading, inserts and a
-	// follower's index swaps for writing.
+	// Mutex orders queries against writes: queries hold it for reading,
+	// inserts and a follower's index swaps for writing. The index is safe
+	// to read without it (each query answers from one published version);
+	// what the lock buys is writer priority: a write's WAL fsync returns
+	// without queueing behind running queries (DESIGN §11).
 	Mutex() *sync.RWMutex
 	// Index returns the serving index. Call with Mutex held and do not keep
 	// the pointer past the unlock: a follower's install swaps it.
@@ -115,22 +119,12 @@ func lagLSNs(applied, primary uint64) uint64 {
 }
 
 // attachFollower adds what only a follower has: GET /v1/admin/status
-// reporting the follow state, both LSNs, the lag between them and the index
-// backing, and the tlx_replica_lag / tlx_mmap_bytes gauges. GaugeFunc
-// replaces the reader on re-registration, so the newest follower handler
-// wins.
+// reporting the follow state, both LSNs and the lag between them, and the
+// tlx_replica_lag gauge. GaugeFunc replaces the reader on re-registration,
+// so the newest follower handler wins.
 func (h *Handler) attachFollower(f Follower) *Handler {
-	mmapBytes := func() int64 {
-		h.mu.RLock()
-		defer h.mu.RUnlock()
-		return f.Index().MmapBytes()
-	}
 	h.handle("/v1/admin/status", get(func(w http.ResponseWriter, r *http.Request) {
 		applied, primary := f.AppliedLSN(), f.PrimaryLSN()
-		backing, mapped := "heap", mmapBytes()
-		if mapped > 0 {
-			backing = "mmap"
-		}
 		writeJSON(w, http.StatusOK, struct {
 			Role       string `json:"role"`
 			State      string `json:"state"`
@@ -138,16 +132,11 @@ func (h *Handler) attachFollower(f Follower) *Handler {
 			AppliedLSN uint64 `json:"appliedLsn"`
 			PrimaryLSN uint64 `json:"primaryLsn"`
 			LagLSNs    uint64 `json:"lagLsns"`
-			Backing    string `json:"backing"`
-			MmapBytes  int64  `json:"mmapBytes"`
-		}{"follower", f.StateName(), f.PrimaryURL(), applied, primary, lagLSNs(applied, primary), backing, mapped})
+		}{"follower", f.StateName(), f.PrimaryURL(), applied, primary, lagLSNs(applied, primary)})
 	}))
 	obs.Default().GaugeFunc("tlx_replica_lag",
 		"LSNs the follower trails the primary by (0 when caught up).",
 		func() float64 { return float64(lagLSNs(f.AppliedLSN(), f.PrimaryLSN())) })
-	obs.Default().GaugeFunc("tlx_mmap_bytes",
-		"Bytes of index state aliasing a snapshot memory mapping (0 = heap-backed).",
-		func() float64 { return float64(mmapBytes()) })
 	return h
 }
 

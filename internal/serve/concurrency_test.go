@@ -14,17 +14,19 @@ import (
 )
 
 // TestBackendReadersAcrossPublishes runs UTK, ORU and kSPR readers through
-// a Backend — its read lock, its index pointer — while a writer publishes
-// 200 insert batches, each of which adds a child to the entry cell and so
-// replaces the rows column every reader's cells are served from and the box
-// column every UTK scans. Every reader runs all three families at every
-// level 1..τ, so after each publish several readers race to the first fill
-// of each level's rows and boxes. Under -race (make race) this is the check
-// that a level's fill is published once to all of its readers and shared
-// immutable after; without it, that no reader is left with an answer from
-// a column the last publish retired. Every reader also asks each family for
-// k = τ+1 under the same read lock: each is refused with ErrBeyondTau, and
-// every publish still lands.
+// a Backend, holding no lock (the index needs none; the backend's lock is
+// the serving tier's writer priority), while a writer publishes 1,000 insert
+// batches, each of which adds a child to the entry cell and so publishes a
+// new version with its own rows column, the one every reader's cells are
+// served from, and box column, the one every UTK scans. Every reader runs
+// all three families at every level 1..τ, so after each publish several
+// readers race to the first fill of each level's rows and boxes. Under
+// -race (make race) this is the check that a version is never written
+// once published and that a level's fill is published once to all of its
+// readers; without it, that no reader is left with an answer from a
+// version the last publish retired. Every reader also asks each family for
+// k = τ+1: each is refused with ErrBeyondTau, and every publish still
+// lands.
 func TestBackendReadersAcrossPublishes(t *testing.T) {
 	const tau = 3
 	ix, err := tlx.Build(datagen.Generate(datagen.IND, 60, 3, 27), tau)
@@ -43,8 +45,6 @@ func TestBackendReadersAcrossPublishes(t *testing.T) {
 		hi := []float64{lo[0] + 0.25, lo[1] + 0.25}
 		w := []float64{0.1 + 0.1*float64(g), 0.5 - 0.05*float64(g), 0}
 		w[2] = 1 - w[0] - w[1]
-		be.Mutex().RLock()
-		defer be.Mutex().RUnlock()
 		// The option on top at w holds a rank at every level, so every kSPR
 		// answer has regions to export.
 		top, err := be.Index().TopKContext(ctx, w, 1)
@@ -74,7 +74,7 @@ func TestBackendReadersAcrossPublishes(t *testing.T) {
 		}
 		return a
 	}
-	const readers, publishes = 6, 200
+	const readers, publishes = 6, 1000
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	last := make([]answer, readers)
@@ -97,9 +97,7 @@ func TestBackendReadersAcrossPublishes(t *testing.T) {
 		if err != nil || res[0].Err != nil || res[0].ID < 0 {
 			t.Fatalf("publish %d: %v %+v", i, err, res)
 		}
-		be.Mutex().RLock()
 		rank, err := be.Index().MaxRank(res[0].ID)
-		be.Mutex().RUnlock()
 		if err != nil || rank != 1 {
 			t.Fatalf("publish %d: inserted option has best rank %d (%v): level 1 untouched", i, rank, err)
 		}

@@ -122,12 +122,12 @@
 // A handler constructed with NewFollowerHandler serves a replica that
 // tracks a remote primary (internal/replicate). Its Backend is the follower
 // with the write path closed: the full query surface runs under the
-// follower's lock against its mmap- or heap-backed index, stamped with the
+// follower's lock against the index it last installed, stamped with the
 // follower's applied LSN, while /v1/insert and /v1/insert/batch answer 403
 // with the primary's URL. The constructor attaches one route of its own,
 // GET /v1/admin/status, reporting {"role": "follower"} with the follow
-// state, the applied and primary LSNs, the lag between them, and the index
-// backing ("mmap"/"heap"). The store's admin endpoints are not registered.
+// state, the applied and primary LSNs and the lag between them. The
+// store's admin endpoints are not registered.
 //
 // # Observability
 //
@@ -141,11 +141,13 @@
 //
 // # Concurrency
 //
-// All synchronization is the Backend's one lock. Queries only read the
-// index, so every query and query batch runs under its read side; one with
-// k > τ is refused (422) rather than deepening the index.
-// Backend.InsertBatchLSN takes the write side itself — for a store that is the group-commit path,
-// which holds it across the engine apply and the WAL fsync.
+// The index needs no lock to be read: each query answers from one
+// published version, which no writer changes. The Backend's one lock is a
+// scheduling policy that gives writes priority: every query and query
+// batch runs under its read side, and Backend.InsertBatchLSN takes the
+// write side itself — for a store that is the group-commit path, which
+// holds it across the engine apply and the WAL fsync. A query with k > τ
+// is refused (422) rather than deepening the index.
 // Handlers honor the request context: a client disconnect cancels the
 // index traversal between cell visits.
 package serve
@@ -261,10 +263,9 @@ func NewStoreHandler(st *store.Store, cfg Config) *Handler {
 }
 
 // NewFollowerHandler serves a follower replica: queries run against the
-// follower's index (mmap-backed when the platform allows) under the
-// follower's lock, inserts are refused with a pointer at the primary, and
-// /v1/admin/status reports the follow state. The store admin endpoints do
-// not apply in this mode.
+// index the follower last installed, under the follower's lock, inserts
+// are refused with a pointer at the primary, and /v1/admin/status reports
+// the follow state. The store admin endpoints do not apply in this mode.
 func NewFollowerHandler(f Follower, cfg Config) *Handler {
 	return newHandler(followerBackend{f}, cfg).attachFollower(f)
 }

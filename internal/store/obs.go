@@ -41,9 +41,7 @@ var (
 func registerStoreGauges(s *Store) {
 	obs.Default().GaugeFunc("tlx_store_applied_lsn",
 		"LSN of the last record applied to the index.", func() float64 {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			return float64(s.applied)
+			return float64(s.AppliedLSN())
 		})
 	obs.Default().GaugeFunc("tlx_store_snapshot_lsn",
 		"LSN covered by the newest durable snapshot.", func() float64 {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -67,7 +66,8 @@ func ReadShipHeader(r io.Reader) (ShipHeader, error) {
 }
 
 // ShipSession is one prepared stream: the index serialized under the store
-// lock, so streaming happens outside every store lock.
+// lock, at exactly the LSN its header names, so streaming happens outside
+// every store lock.
 type ShipSession struct {
 	Header ShipHeader
 	body   []byte
@@ -86,12 +86,12 @@ func (s *Store) PrepareShip(from int64) (*ShipSession, error) {
 	if from >= 0 && uint64(from) == s.applied {
 		return sess, nil
 	}
-	var buf bytes.Buffer
-	if _, err := s.ix.WriteTo(&buf); err != nil {
+	body, err := s.ix.AppendBinary(nil)
+	if err != nil {
 		return nil, err
 	}
-	sess.body = buf.Bytes()
-	sess.Header.Bytes = int64(len(sess.body))
+	sess.body = body
+	sess.Header.Bytes = int64(len(body))
 	return sess, nil
 }
 

@@ -44,7 +44,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -81,19 +80,24 @@ type Options struct {
 }
 
 // Store owns a durable index: the in-memory τ-LevelIndex plus its WAL and
-// snapshots. All index access must go through the store's lock; the serve
-// layer shares it via Mutex.
+// snapshots. The index publishes each rebuilt version by one pointer store,
+// and the store does that only after the WAL holds the version's records.
 type Store struct {
 	opts Options
 	log  *slog.Logger
 
-	mu      sync.RWMutex // guards ix, applied, seg, counters, failed, closed
+	// mu guards applied, seg, the counters, failed and closed, and holds
+	// the index at exactly applied while a snapshot or a ship serializes
+	// it. The serve layer shares it (Mutex) to give writers priority over
+	// queries; the index needs no lock to be read.
+	mu      sync.RWMutex
 	ix      *tlx.Index
 	applied uint64 // LSN of the last record applied to ix
 	// appliedA mirrors applied for lock-free readers. The serve layer reads
 	// it on the query path while already holding mu (sync.RWMutex forbids
 	// recursive RLock) and from cache lookups that must not contend with
-	// writers at all. Written only while mu is held for writing.
+	// writers at all. Written only while mu is held for writing, after the
+	// index version it covers is published.
 	appliedA atomic.Uint64
 	seg      *segment
 	failed   error // a WAL write failed: memory and disk diverged, refuse writes
@@ -224,11 +228,11 @@ func (s *Store) initialize(build func() (*tlx.Index, error)) error {
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	buf, err := ix.AppendBinary(nil)
+	if err != nil {
 		return err
 	}
-	if _, err := writeSnapshot(s.opts.Dir, 0, buf.Bytes()); err != nil {
+	if _, err := writeSnapshot(s.opts.Dir, 0, buf); err != nil {
 		return err
 	}
 	seg, err := createSegment(s.opts.Dir, 0)
@@ -236,8 +240,8 @@ func (s *Store) initialize(build func() (*tlx.Index, error)) error {
 		return err
 	}
 	s.ix, s.seg, s.snapTime, s.recoveredFrom = ix, seg, time.Now(), "initial build"
-	snapshotBytes.Set(float64(buf.Len()))
-	s.log.Info("store: initialized", "dir", s.opts.Dir, "snapshotLsn", 0, "snapshotBytes", buf.Len())
+	snapshotBytes.Set(float64(len(buf)))
+	s.log.Info("store: initialized", "dir", s.opts.Dir, "snapshotLsn", 0, "snapshotBytes", len(buf))
 	return nil
 }
 
@@ -375,11 +379,15 @@ func (s *Store) loadSnapshot(path string) (*tlx.Index, error) {
 }
 
 // Index returns the recovered index. The pointer is stable for the life of
-// the store; all access must be synchronized via Mutex.
+// the store, and its queries are safe alongside the store's writes: each
+// answers from one published version.
 func (s *Store) Index() *tlx.Index { return s.ix }
 
-// Mutex returns the lock guarding the index so the serve layer and the
-// store serialize index access against each other.
+// Mutex returns the store lock. Writers hold it across a group's apply,
+// log and fsync; the serve layer holds its read side across a query, so a
+// write waits for the queries in flight and new queries wait for the
+// write. That is a scheduling policy, not a safety requirement: see
+// DESIGN §11 for what lock-free queries cost the writer.
 func (s *Store) Mutex() *sync.RWMutex { return &s.mu }
 
 // AppliedLSN returns the LSN of the last acknowledged insert without
@@ -458,9 +466,10 @@ func (s *Store) commit(req *insertReq) insertGroupRes {
 
 // processGroup commits one group: a single index batch apply, one WAL
 // record per logged option at consecutive LSNs, one fsync, then delivery.
-// The records are written and fsync'd while the index rebuilds. The store
-// lock is held across apply+log+fsync so snapshots can never capture
-// records the device has not confirmed.
+// The records are written and fsync'd while the next index version builds,
+// and that version is published only once the fsync has returned, so no
+// reader and no snapshot sees a record the device has not confirmed. The
+// store lock is held across apply+log+fsync+publish.
 func (s *Store) processGroup(group []*insertReq) {
 	total := 0
 	for _, r := range group {
@@ -508,10 +517,10 @@ func (s *Store) processGroup(group []*insertReq) {
 		return werr
 	})
 	if werr != nil {
-		// The in-memory index has the group's options but the log does not;
-		// any further write would make replay assign ids that contradict the
-		// acknowledged ones. Fail the store for writes; nothing in this
-		// group is acknowledged.
+		// The index dropped the group's version, but the segment may hold a
+		// part of its records, which a later write would follow and replay
+		// would re-apply. Fail the store for writes; nothing in this group
+		// is acknowledged or visible.
 		s.failed = werr
 		s.mu.Unlock()
 		s.log.Error("store: WAL append failed, store is now read-only", "err", werr)
@@ -590,8 +599,8 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 		s.mu.Unlock()
 		return SnapshotInfo{LSN: lsn, UpToDate: true}, nil
 	}
-	var buf bytes.Buffer
-	if _, err := s.ix.WriteTo(&buf); err != nil {
+	buf, err := s.ix.AppendBinary(nil)
+	if err != nil {
 		s.mu.Unlock()
 		snapshotFailuresTotal.Inc()
 		return SnapshotInfo{}, err
@@ -613,7 +622,7 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 		old.Close()
 	}
 
-	path, err := writeSnapshot(s.opts.Dir, lsn, buf.Bytes())
+	path, err := writeSnapshot(s.opts.Dir, lsn, buf)
 	if err != nil {
 		// The rotation already happened; recovery simply replays through
 		// the rotated segments from the previous snapshot.
@@ -628,12 +637,12 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	took := time.Since(start)
 	snapshotsTotal.Inc()
 	snapshotSeconds.Observe(took.Seconds())
-	snapshotBytes.Set(float64(buf.Len()))
-	s.log.Info("store: snapshot taken", "lsn", lsn, "bytes", buf.Len(),
+	snapshotBytes.Set(float64(len(buf)))
+	s.log.Info("store: snapshot taken", "lsn", lsn, "bytes", len(buf),
 		"file", path, "tookMs", float64(took)/float64(time.Millisecond))
 	return SnapshotInfo{
 		LSN:    lsn,
-		Bytes:  int64(buf.Len()),
+		Bytes:  int64(len(buf)),
 		File:   path,
 		TookMs: float64(took) / float64(time.Millisecond),
 	}, nil

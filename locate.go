@@ -3,6 +3,7 @@ package tlevelindex
 import (
 	"context"
 	"fmt"
+	"math"
 )
 
 // CellKey identifies the chain of preference-space cells a weight vector
@@ -39,7 +40,7 @@ func (k CellKey) Sum64() uint64 { return k.h }
 // Equal keys at equal depth imply equal ordered top-k answers for every
 // k up to that depth.
 func (ix *Index) Locate(w []float64) (CellKey, int, error) {
-	return ix.LocateDepth(w, ix.inner.Tau)
+	return ix.LocateDepth(w, math.MaxInt) // clamped to the τ of the version walked
 }
 
 // LocateDepth is Locate at an explicit depth k: the returned key identifies
@@ -47,11 +48,12 @@ func (ix *Index) Locate(w []float64) (CellKey, int, error) {
 // returned level is the depth actually reached. k < 1 returns the entry
 // cell's (empty-chain) key at level 0.
 func (ix *Index) LocateDepth(w []float64, k int) (CellKey, int, error) {
-	x, err := ix.reduce(w)
+	v := ix.cur.Load()
+	x, err := v.reduce(w)
 	if err != nil {
 		return CellKey{}, 0, err
 	}
-	h, _, level := ix.inner.Locate(x, k)
+	h, _, level := v.inner.Locate(x, k)
 	return CellKey{h: h}, level, nil
 }
 
@@ -64,16 +66,17 @@ func (ix *Index) LocateDepth(w []float64, k int) (CellKey, int, error) {
 // returns ctx's error with a non-nil result carrying the partial ranks and
 // stats.
 func (ix *Index) LocateTopK(ctx context.Context, w []float64, k int) (CellKey, int, *TopKResult, error) {
+	v := ix.cur.Load()
 	if k < 1 {
 		return CellKey{}, 0, nil, errBadK
 	}
-	x, err := ix.reduce(w)
+	x, err := v.reduce(w)
 	if err != nil {
 		return CellKey{}, 0, nil, err
 	}
 	q := ix.startQuerySpan(ctx, "query.locatetopk")
-	h, level, res, st, err := ix.inner.LocateTopK(ctx, x, k, make([]int32, 0, min(k, ix.inner.Tau)))
+	h, level, res, st, err := v.inner.LocateTopK(ctx, x, k, make([]int32, 0, min(k, v.inner.Tau)))
 	q.finish(exportStats(st), err)
 	key := CellKey{h: h}
-	return key, level, &TopKResult{Options: ix.origIDs(res), Key: key, Stats: exportStats(st)}, err
+	return key, level, &TopKResult{Options: v.origIDs(res), Key: key, Stats: exportStats(st)}, err
 }

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"tlevelindex/internal/index"
@@ -165,19 +166,20 @@ type BuildStats = index.BuildStats
 //
 // # Concurrency
 //
-// Every query method only reads the index and is safe to call from any
-// number of goroutines simultaneously; a query with k > τ is refused with
-// ErrBeyondTau. The methods that mutate the index — Insert, InsertBatch and
-// ExtendTau — require exclusive access; the serve package arranges this
-// with a read/write lock.
+// Queries are safe alongside each other and alongside writers; each call
+// answers from one published version of the index. A version is never
+// changed once published: the writers — Insert, InsertBatch,
+// InsertBatchAlongside and ExtendTau, which run one at a time — build the
+// next version beside it and publish it with one atomic pointer store, so
+// a query never waits for a rebuild. A query with k > τ is refused with
+// ErrBeyondTau.
 type Index struct {
-	inner *index.Index
-	// idMap memoizes the dataset-index → filtered-id mapping. It is an
-	// atomic pointer so concurrent readers share one published map: a
-	// rebuild stores a fresh map and never mutates a visible one.
-	idMap atomic.Pointer[idMapping]
-	// nextExternal is the dataset id the next externally inserted option
-	// receives; cached so Insert need not rescan OrigIDs.
+	// cur is the published version; every query loads it once.
+	cur atomic.Pointer[version]
+	// mu serializes the writers, and guards nextExternal: the dataset id
+	// the next externally inserted option receives, cached so an insert
+	// need not rescan OrigIDs.
+	mu           sync.Mutex
 	nextExternal int
 	// tracer receives per-query spans. Stored behind an atomic pointer so
 	// SetTracer is safe against in-flight concurrent queries; nil (the
@@ -211,22 +213,25 @@ func (ix *Index) loadTracer() Tracer {
 	return nil
 }
 
-// idMapping is one immutable published version of the id memo, keyed by the
-// filtered-pool size it was derived from (the pool only ever grows).
-type idMapping struct {
-	n int
-	m map[int]int32
+// version is one published state of an Index: an internal index no writer
+// changes any more, and the memo of its dataset-id → filtered-id mapping.
+type version struct {
+	inner *index.Index
+	// ids is filteredID's memo, built by the first query that needs it;
+	// racing queries publish equal maps.
+	ids atomic.Pointer[map[int]int32]
 }
 
 // newIndex wraps an internal index and primes the external-id counter past
 // every dataset id in use.
 func newIndex(inner *index.Index) *Index {
-	ix := &Index{inner: inner, nextExternal: inner.Stats.InputOptions}
+	ix := &Index{nextExternal: inner.Stats.InputOptions}
 	for _, o := range inner.OrigIDs {
 		if o >= ix.nextExternal {
 			ix.nextExternal = o + 1
 		}
 	}
+	ix.cur.Store(&version{inner: inner})
 	return ix
 }
 
@@ -259,19 +264,20 @@ func Build(data [][]float64, tau int, opts ...Option) (*Index, error) {
 }
 
 // Tau returns the number of precomputed levels.
-func (ix *Index) Tau() int { return ix.inner.Tau }
+func (ix *Index) Tau() int { return ix.cur.Load().inner.Tau }
 
 // Dim returns the option dimensionality d.
-func (ix *Index) Dim() int { return ix.inner.Dim }
+func (ix *Index) Dim() int { return ix.cur.Load().inner.Dim }
 
 // NumCells returns the number of cells, entry cell included.
-func (ix *Index) NumCells() int { return ix.inner.NumCells() }
+func (ix *Index) NumCells() int { return ix.cur.Load().inner.NumCells() }
 
 // CellsPerLevel returns the cell count of every level 1..τ.
 func (ix *Index) CellsPerLevel() []int {
-	out := make([]int, ix.inner.Tau)
-	for l := 1; l <= ix.inner.Tau; l++ {
-		out[l-1] = len(ix.inner.Levels[l])
+	in := ix.cur.Load().inner
+	out := make([]int, in.Tau)
+	for l := 1; l <= in.Tau; l++ {
+		out[l-1] = len(in.Levels[l])
 	}
 	return out
 }
@@ -282,17 +288,24 @@ func (ix *Index) CellsPerLevel() []int {
 // which every figure, Algorithm included, describes that rebuild rather
 // than the original build, and the verdict figures read 0.
 func (ix *Index) Stats() BuildStats {
-	s := ix.inner.Stats
-	s.VerdictEntries = ix.inner.VerdictEntries()
+	in := ix.cur.Load().inner
+	s := in.Stats
+	s.VerdictEntries = in.VerdictEntries()
 	return s
 }
 
 // SizeBytes returns the serialized index size — the paper's index-size
 // metric.
-func (ix *Index) SizeBytes() int64 { return ix.inner.SizeBytes() }
+func (ix *Index) SizeBytes() int64 { return ix.cur.Load().inner.SizeBytes() }
 
 // WriteTo serializes the index (without the full dataset).
-func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.inner.WriteTo(w) }
+func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.cur.Load().inner.WriteTo(w) }
+
+// AppendBinary appends the bytes WriteTo writes to dst, growing it at most
+// once; the error is always nil. It implements encoding.BinaryAppender.
+func (ix *Index) AppendBinary(dst []byte) ([]byte, error) {
+	return ix.cur.Load().inner.AppendBinary(dst), nil
+}
 
 // ReadIndex loads an index serialized with WriteTo, reading r to its end.
 // The loaded index has no dataset reference: queries are limited to k ≤ τ.
@@ -337,74 +350,72 @@ func OpenIndexFile(path string) (*Index, error) {
 
 // MmapBytes reports how many bytes of index state alias a memory mapping
 // rather than the heap; 0 for a fully heap-backed index.
-func (ix *Index) MmapBytes() int64 { return ix.inner.MmapBytes() }
+func (ix *Index) MmapBytes() int64 { return ix.cur.Load().inner.MmapBytes() }
 
 // Close releases the memory mapping backing an index loaded with
 // OpenIndexFile, if any. The index must not be used afterwards when
 // MmapBytes was non-zero. Heap-backed indexes need no Close; calling it
 // anyway is a harmless no-op.
-func (ix *Index) Close() error { return ix.inner.CloseBacking() }
+func (ix *Index) Close() error { return ix.cur.Load().inner.CloseBacking() }
 
 // Workers returns the worker bound used for parallel phases (see
 // WithWorkers); 0 means the runtime default is selected at use time.
-func (ix *Index) Workers() int { return ix.inner.Workers() }
+func (ix *Index) Workers() int { return ix.cur.Load().inner.Workers() }
 
 // HasFullData reports whether the index retains a reference to the full
 // dataset, which ExtendTau needs to recruit options beyond the τ-skyband. It is false after ReadIndex or a WithoutFullData build.
-func (ix *Index) HasFullData() bool { return ix.inner.HasFullData() }
+func (ix *Index) HasFullData() bool { return ix.cur.Load().inner.HasFullData() }
 
 // filteredID resolves a dataset index to the internal filtered id, or -1
 // when the option was filtered out (it cannot rank within τ anywhere in
 // preference space).
-func (ix *Index) filteredID(orig int) int32 {
-	mp := ix.idMap.Load()
-	if mp == nil || mp.n != len(ix.inner.OrigIDs) {
-		m := make(map[int]int32, len(ix.inner.OrigIDs))
-		for fid, o := range ix.inner.OrigIDs {
+func (v *version) filteredID(orig int) int32 {
+	mp := v.ids.Load()
+	if mp == nil {
+		m := make(map[int]int32, len(v.inner.OrigIDs))
+		for fid, o := range v.inner.OrigIDs {
 			m[o] = int32(fid)
 		}
-		mp = &idMapping{n: len(ix.inner.OrigIDs), m: m}
-		ix.idMap.Store(mp) // racing rebuilds publish equivalent maps
+		mp = &m
+		v.ids.Store(mp)
 	}
-	if fid, ok := mp.m[orig]; ok {
+	if fid, ok := (*mp)[orig]; ok {
 		return fid
 	}
 	return -1
 }
 
-func (ix *Index) origID(fid int32) int { return ix.inner.OrigIDs[fid] }
-
 // origIDs maps filtered ids to dataset indices in one allocation; no ids
 // give nil, as appending them one by one would.
-func (ix *Index) origIDs(fids []int32) []int {
+func (v *version) origIDs(fids []int32) []int {
 	if len(fids) == 0 {
 		return nil
 	}
 	out := make([]int, len(fids))
 	for i, fid := range fids {
-		out[i] = ix.origID(fid)
+		out[i] = v.inner.OrigIDs[fid]
 	}
 	return out
 }
 
 // reduce validates a full weight vector and returns reduced coordinates.
 // Every validation failure wraps ErrInvalidWeights.
-func (ix *Index) reduce(w []float64) ([]float64, error) {
-	if len(w) != ix.inner.Dim {
-		return nil, fmt.Errorf("%w: has %d entries, want %d", ErrInvalidWeights, len(w), ix.inner.Dim)
+func (v *version) reduce(w []float64) ([]float64, error) {
+	if len(w) != v.inner.Dim {
+		return nil, fmt.Errorf("%w: has %d entries, want %d", ErrInvalidWeights, len(w), v.inner.Dim)
 	}
 	sum := 0.0
-	for _, v := range w {
+	for _, c := range w {
 		// NaN slips past both range checks below (every comparison with NaN
 		// is false, and a NaN sum defeats the sum-to-1 test), so it needs an
 		// explicit rejection; ±Inf already fails one of them.
-		if math.IsNaN(v) {
+		if math.IsNaN(c) {
 			return nil, fmt.Errorf("%w: non-finite weight", ErrInvalidWeights)
 		}
-		if v < -1e-9 {
+		if c < -1e-9 {
 			return nil, fmt.Errorf("%w: negative weight", ErrInvalidWeights)
 		}
-		sum += v
+		sum += c
 	}
 	if math.Abs(sum-1) > 1e-6 {
 		return nil, fmt.Errorf("%w: weights sum to %v, want 1", ErrInvalidWeights, sum)
@@ -417,26 +428,10 @@ func (ix *Index) reduce(w []float64) ([]float64, error) {
 // appended) dataset. It is InsertBatch of that option alone. Options that
 // cannot rank top-τ anywhere are filtered and return -1 with a nil error;
 // the index is unchanged. An option with the wrong dimensionality or a NaN
-// or infinite coordinate returns an error and changes nothing. Insert
-// requires exclusive access to the index.
+// or infinite coordinate returns an error and changes nothing.
 func (ix *Index) Insert(option []float64) (int, error) {
-	fid, err := ix.inner.InsertOption(option)
-	if err != nil || fid < 0 {
-		return -1, err
-	}
-	// An exact duplicate resolves to the already-represented option; keep
-	// its id. Overwriting the mapping would orphan the old dataset id and
-	// make a later pool refresh re-recruit the same point as a new option.
-	if ix.inner.OrigIDs[fid] >= 0 {
-		return ix.origID(fid), nil
-	}
-	// Externally inserted options get fresh dataset ids past the original
-	// input; record the mapping so queries can address them.
-	id := ix.nextExternal
-	ix.nextExternal++
-	ix.inner.OrigIDs[fid] = id
-	ix.idMap.Store(nil)
-	return id, nil
+	out, _ := ix.InsertBatch([][]float64{option})
+	return out[0].ID, out[0].Err
 }
 
 // InsertResult is one item of an InsertBatch outcome: the dataset id the
@@ -462,8 +457,8 @@ type BatchInsertStats = index.BatchStats
 // — N Insert calls or one InsertBatch — gives the same ids and a
 // byte-identical index, and a batch costs one rebuild however many options
 // it carries. Item errors are per-item (a dimensionality mismatch or a NaN
-// or infinite coordinate rejects only that option). Like Insert,
-// InsertBatch requires exclusive access to the index.
+// or infinite coordinate rejects only that option). Queries keep answering
+// from the previous version until the rebuilt one is published.
 func (ix *Index) InsertBatch(options [][]float64) ([]InsertResult, BatchInsertStats) {
 	out, bs, _ := ix.InsertBatchAlongside(options, nil)
 	return out, bs
@@ -471,48 +466,52 @@ func (ix *Index) InsertBatch(options [][]float64) ([]InsertResult, BatchInsertSt
 
 // InsertBatchAlongside is InsertBatch that also runs alongside, when not
 // nil, with the batch's results once they are known: on its own goroutine
-// while the index rebuilds, or inline when nothing was accepted. It
-// returns after both, with alongside's error. alongside must not use the
-// index; the store writes and fsyncs its WAL records in it, so the flush
-// overlaps the rebuild instead of following it.
+// while the next version builds, or inline when nothing was accepted. It
+// returns after both, with alongside's error. The new version is published
+// only when alongside returns nil; otherwise it is dropped with its ids,
+// the index is left as it was, and the next insert receives the same ids.
+// alongside must not call a writer of the index; the store writes and
+// fsyncs its WAL records in it, so the flush overlaps the rebuild instead
+// of following it, and nothing the log lacks is ever published.
 func (ix *Index) InsertBatchAlongside(options [][]float64, alongside func([]InsertResult) error) ([]InsertResult, BatchInsertStats, error) {
-	fids, errs, bs := ix.inner.AdmitBatch(options)
+	if alongside == nil {
+		alongside = func([]InsertResult) error { return nil }
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	next := ix.cur.Load().inner.Successor()
+	fids, errs, bs := next.AdmitBatch(options)
 	out := make([]InsertResult, len(options))
-	touched := false
+	nextExternal := ix.nextExternal
 	for i, fid := range fids {
 		switch {
 		case errs[i] != nil:
 			out[i] = InsertResult{ID: -1, Err: errs[i]}
 		case fid < 0:
 			out[i] = InsertResult{ID: -1}
-		case ix.inner.OrigIDs[fid] >= 0:
-			// Duplicate of an already-represented option (possibly one
-			// accepted earlier in this very batch): resolve to its id.
-			out[i] = InsertResult{ID: ix.origID(fid)}
+		case next.OrigIDs[fid] < 0:
+			// Admitted by this batch: a fresh id past the original input.
+			next.OrigIDs[fid] = nextExternal
+			nextExternal++
+			fallthrough
 		default:
-			id := ix.nextExternal
-			ix.nextExternal++
-			ix.inner.OrigIDs[fid] = id
-			out[i] = InsertResult{ID: id}
-			touched = true
+			// Or a duplicate of an already-represented option (possibly one
+			// accepted earlier in this very batch): resolve to its id.
+			out[i] = InsertResult{ID: next.OrigIDs[fid]}
 		}
 	}
-	if touched {
-		ix.idMap.Store(nil)
-	}
-	switch {
-	case alongside == nil:
-		if bs.Accepted > 0 {
-			bs.FinalizeNS = ix.inner.Rebuild()
-		}
-		return out, bs, nil
-	case bs.Accepted == 0:
+	if bs.Accepted == 0 {
 		return out, bs, alongside(out)
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- alongside(out) }()
-	bs.FinalizeNS = ix.inner.Rebuild()
-	return out, bs, <-errc
+	bs.FinalizeNS = next.Rebuild()
+	if err := <-errc; err != nil {
+		return out, bs, err
+	}
+	ix.cur.Store(&version{inner: next})
+	ix.nextExternal = nextExternal
+	return out, bs, nil
 }
 
 // ExtendTau deepens the index to newTau levels permanently — the paper's
@@ -521,7 +520,8 @@ func (ix *Index) InsertBatchAlongside(options [][]float64, alongside func([]Inse
 // k > τ returns ErrBeyondTau. Without its full dataset (HasFullData false)
 // the index cannot recruit the options that rank below τ everywhere, so
 // ExtendTau returns ErrNeedsFullData and leaves it unchanged. A newTau ≤ τ
-// is a no-op. ExtendTau requires exclusive access to the index.
+// is a no-op. Queries keep answering from the shallower version until the
+// deeper one is published.
 //
 // Deepening is a rebuild, like an accepted insert: the option pool grows to
 // the newTau-skyband of the dataset and the index is rebuilt over it with
@@ -531,10 +531,18 @@ func (ix *Index) InsertBatchAlongside(options [][]float64, alongside func([]Inse
 // options ExtendTau(5) leaves τ = 3, and a query with k = 5 is still
 // refused with ErrBeyondTau.
 func (ix *Index) ExtendTau(newTau int) error {
-	if err := ix.inner.ExtendTau(newTau); err != nil {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	cur := ix.cur.Load().inner
+	if newTau <= cur.Tau {
+		return nil
+	}
+	next := cur.Successor()
+	// A clamped τ that did not grow leaves next unbuilt.
+	if err := next.ExtendTau(newTau); err != nil || next.Tau == cur.Tau {
 		return err
 	}
-	ix.idMap.Store(nil)
+	ix.cur.Store(&version{inner: next})
 	return nil
 }
 
@@ -543,5 +551,6 @@ func (ix *Index) ExtendTau(newTau int) error {
 // the corresponding skyline or onion-layer answer: level 1 is exactly the
 // set of options that can be top-1.
 func (ix *Index) LevelOptions(l int) []int {
-	return ix.origIDs(ix.inner.LevelOptions(l))
+	v := ix.cur.Load()
+	return v.origIDs(v.inner.LevelOptions(l))
 }
