@@ -74,9 +74,8 @@ bench-smoke: serve-bench recovery-bench ingest-bench build-bench
 # handler stack, body decode included (the subset parser of
 # internal/serve/codec.go; encoding/json decides no body these rows send),
 # and the hand-built response: BenchmarkServeTopK is one
-# (never cached) top-k walk per request, with its recorder-off and
-# trace-all pair, the UTK cached/uncached pair quantifies the answer cache
-# (the hit path runs several times the uncached qps), BenchmarkServeKSPR is
+# top-k walk per request, with its recorder-off and trace-all pair,
+# BenchmarkServeUTK is one scan of a level's box column, BenchmarkServeKSPR is
 # the kSPR answer with the most regions on the canonical index (the row
 # ROADMAP item 15 gates on: export copy plus the per-distinct-row
 # response writer), the parallel row
@@ -84,7 +83,8 @@ bench-smoke: serve-bench recovery-bench ingest-bench build-bench
 # GOMAXPROCS goroutines, the batch row (BenchmarkServeQueryBatchTopK: ns/op per
 # 64-item envelope, ns/item its per-item share) quantifies the
 # /v1/query/batch envelope, and the cache-package hit benchmark pins the
-# zero-alloc lookup. Same 2x ns/op gate and BENCH_NO_GATE escape as the
+# zero-alloc lookup the benchmark's layer replay uses (the serving tier has
+# no cache). Same 2x ns/op gate and BENCH_NO_GATE escape as the
 # query gate.
 serve-bench:
 	$(GO) test -bench '^(BenchmarkServe|BenchmarkGetHit)' -benchtime 100x \
@@ -98,8 +98,9 @@ serve-bench:
 # store.Open over a snapshot of the n=8000 ingest base plus a 64-record WAL
 # tail, replayed through InsertBatch in one chunk; and
 # BenchmarkFollowerInstall, a follower's cost per publish (fetch, heap load
-# and swap of the primary's d=3 τ=9 index; the fsync is reported as its
-# fsync-ms extra and left out of ns/op), with the primary's rebuild for the
+# and swap of the primary's d=3 τ=9 index; the fsync and the unlink of the
+# replaced snapshot are reported as its fsync-ms and prune-ms extras and
+# left out of ns/op), with the primary's rebuild for the
 # same publish as its rebuild-ms extra. Each of its ops also pays an
 # untimed rebuild, hence 10 ops. Against the committed BENCH_recovery.json
 # baseline, with the same 2x ns/op gate and BENCH_NO_GATE escape as the

@@ -11,9 +11,8 @@
 //
 // Every query family goes through POST /v1/query (or /v1/query/batch); every
 // endpoint lives under /v1/ only.
-// Top-k queries are answered by one walk down the index; the other families
-// go through an LSN-stamped answer cache (size it with -cache-entries,
-// disable with a negative value).
+// Every answer is read from the index itself: top-k is one walk down it,
+// and no family is answered from a cache.
 //
 // With -data-dir the index is durable: accepted inserts are written to a
 // CRC-checked write-ahead log and fsync'd before the HTTP 200, snapshots
@@ -31,7 +30,7 @@
 // With -follow the process is a replica instead of a primary: it never
 // builds or owns an index, but installs the primary's serialized index
 // from its snapshot-shipping stream and keeps it fresh by polling for a
-// newer one, which it opens zero-copy through a read-only memory mapping.
+// newer one, which it loads onto the heap and swaps in.
 // A follower serves the full read API and rejects inserts with 403,
 // pointing clients at the primary:
 //
@@ -95,7 +94,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	progress := flag.Bool("progress", false, "log per-level build progress (cells/sec)")
-	cacheEntries := flag.Int("cache-entries", 0, "answer-cache capacity (0: default size, negative: cache off)")
 	traceBuffer := flag.Int("trace-buffer", 0, "flight-recorder trace capacity (0: default size, negative: recorder off)")
 	slowQueryMs := flag.Float64("slow-query-ms", 0, "slow-query threshold in ms (0: default 100ms, negative: slow tier off)")
 	traceSample := flag.Int("trace-sample", 0, "trace 1 in N requests without a caller traceparent (0: default 64, 1: every request, negative: propagated only)")
@@ -139,12 +137,11 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		Logger:       log,
-		Pprof:        *pprofOn,
-		CacheEntries: *cacheEntries,
-		TraceBuffer:  *traceBuffer,
-		SlowQuery:    time.Duration(*slowQueryMs * float64(time.Millisecond)),
-		TraceSample:  *traceSample,
+		Logger:      log,
+		Pprof:       *pprofOn,
+		TraceBuffer: *traceBuffer,
+		SlowQuery:   time.Duration(*slowQueryMs * float64(time.Millisecond)),
+		TraceSample: *traceSample,
 	}
 	var handler *serve.Handler
 	var st *store.Store

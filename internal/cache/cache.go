@@ -1,32 +1,25 @@
-// Package cache provides the serving tier's LSN-stamped answer cache.
+// Package cache is an LSN-stamped, sharded answer cache. The serving tier
+// no longer imports it: every query answers from the index, because no
+// benchmark workload repeats an analytic query and a cache only pays on
+// repeats (DESIGN.md §16). What is left is the surface bench/layers.go
+// replays a top-k cache through — New, Key, Get, Put and GetMulti — and the
+// benchmark change that replaces that replay with the server's own spans
+// deletes the package along with it.
 //
-// It holds answers that cost a scan, a walk or LPs to recompute — UTK, ORU
-// and WhyNot — keyed by (query family, k, canonical family parameters).
-// Top-k answers are not cached: a top-k answer is fixed by the cell chain
-// its weights land in, and finding that chain is the walk that answers the
-// query. Nor are kSPR and MaxRank answers, which are reads of the index's
-// columns. Entries are stamped with
-// the store's applied LSN at fill time and are valid only while the caller's
-// LSN still matches — an insert bumps the LSN and thereby invalidates every
-// cached answer wholesale, without touching the map. A replica that lags
-// the writer simply presents an older LSN and misses; it can never serve a
-// post-insert answer as fresh.
-//
-// Values must be treated as immutable by both sides: the cache returns the
-// stored value without copying, so a hit costs one map lookup and no
-// allocation.
+// Entries are stamped with the LSN they were computed at and are valid only
+// while the caller's LSN still matches, so a new LSN invalidates every entry
+// wholesale without touching the map. Values must be treated as immutable
+// by both sides: the cache returns the stored value without copying, so a
+// hit costs one map lookup and no allocation.
 package cache
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Key addresses one cached answer. Family is the query family name
-// ("kspr", "utk", ...); Cell is an optional cell-chain identity from
-// Index.Locate (zero for the serving tier's families, which are keyed on
-// parameters alone); K is the query depth; Params folds any remaining
-// family-specific parameters into a canonical string.
+// ("topk", "utk", ...); Cell is an optional cell-chain identity from
+// Index.Locate (zero for a family keyed on parameters alone); K is the
+// query depth; Params folds any remaining family-specific parameters into a
+// canonical string.
 type Key struct {
 	Family string
 	Cell   uint64
@@ -46,25 +39,10 @@ type shard struct {
 	m  map[Key]entry
 }
 
-// Stats is a point-in-time snapshot of the cache counters.
-type Stats struct {
-	Hits      uint64 // valid entry found at the caller's LSN
-	Misses    uint64 // no entry for the key
-	Stale     uint64 // entry found but stamped with a different LSN
-	Evictions uint64 // entries displaced by the per-shard capacity bound
-	Entries   int    // current resident entries across all shards
-}
-
 // Cache is a sharded, LSN-stamped answer cache, safe for concurrent use.
 type Cache struct {
 	shards   []shard
 	capacity int // per-shard entry bound
-
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	stale     atomic.Uint64
-	evictions atomic.Uint64
-	entries   atomic.Int64
 }
 
 // numShards spreads lock contention; a power of two keeps selection a mask.
@@ -109,23 +87,17 @@ func (k *Key) shardIndex() uint64 {
 }
 
 // Get returns the cached answer for key at the caller's LSN. A stored
-// entry stamped with a different LSN counts as a miss (reported in
-// Stats.Stale); it stays resident until a Put at the current LSN replaces
-// it. The returned value is shared — callers must not mutate it.
+// entry stamped with a different LSN is a miss; it stays resident until a
+// Put at the current LSN replaces it. The returned value is shared —
+// callers must not mutate it.
 func (c *Cache) Get(key Key, lsn uint64) (any, bool) {
 	s := &c.shards[key.shardIndex()]
 	s.mu.RLock()
 	e, ok := s.m[key]
 	s.mu.RUnlock()
-	if !ok {
-		c.misses.Add(1)
+	if !ok || e.lsn != lsn {
 		return nil, false
 	}
-	if e.lsn != lsn {
-		c.stale.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
 	return e.val, true
 }
 
@@ -133,7 +105,6 @@ func (c *Cache) Get(key Key, lsn uint64) (any, bool) {
 // keys[i] at lsn (both slices must hold len(keys) elements). Lookups are
 // grouped by shard, so a batch of equal keys — which collide on one shard —
 // takes each shard's read lock once instead of once per item.
-// Hit/miss/stale counters advance per key, exactly as per-key Gets would.
 func (c *Cache) GetMulti(keys []Key, lsn uint64, vals []any, oks []bool) {
 	var touched [numShards]bool
 	sh := make([]uint8, len(keys))
@@ -142,7 +113,6 @@ func (c *Cache) GetMulti(keys []Key, lsn uint64, vals []any, oks []bool) {
 		sh[i] = uint8(si)
 		touched[si] = true
 	}
-	var hits, misses, stale uint64
 	for si := range c.shards {
 		if !touched[si] {
 			continue
@@ -153,22 +123,12 @@ func (c *Cache) GetMulti(keys []Key, lsn uint64, vals []any, oks []bool) {
 			if int(sh[i]) != si {
 				continue
 			}
-			e, ok := s.m[keys[i]]
-			switch {
-			case !ok:
-				misses++
-			case e.lsn != lsn:
-				stale++
-			default:
-				hits++
+			if e, ok := s.m[keys[i]]; ok && e.lsn == lsn {
 				vals[i], oks[i] = e.val, true
 			}
 		}
 		s.mu.RUnlock()
 	}
-	c.hits.Add(hits)
-	c.misses.Add(misses)
-	c.stale.Add(stale)
 }
 
 // Put stores val as the answer for key at lsn, replacing any previous
@@ -179,43 +139,12 @@ func (c *Cache) GetMulti(keys []Key, lsn uint64, vals []any, oks []bool) {
 func (c *Cache) Put(key Key, lsn uint64, val any) {
 	s := &c.shards[key.shardIndex()]
 	s.mu.Lock()
-	if _, exists := s.m[key]; !exists {
-		if len(s.m) >= c.capacity {
-			for victim := range s.m {
-				delete(s.m, victim)
-				c.evictions.Add(1)
-				c.entries.Add(-1)
-				break
-			}
+	if _, exists := s.m[key]; !exists && len(s.m) >= c.capacity {
+		for victim := range s.m {
+			delete(s.m, victim)
+			break
 		}
-		c.entries.Add(1)
 	}
 	s.m[key] = entry{lsn: lsn, val: val}
 	s.mu.Unlock()
-}
-
-// Purge drops every resident entry. The LSN stamp already prevents stale
-// reads, so Purge exists for memory reclamation (e.g. an admin endpoint),
-// not correctness.
-func (c *Cache) Purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		c.entries.Add(-int64(len(s.m)))
-		s.m = make(map[Key]entry)
-		s.mu.Unlock()
-	}
-}
-
-// Stats returns a snapshot of the counters. The counters are read
-// individually, so a snapshot taken under concurrent traffic is consistent
-// per-counter, not across counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Stale:     c.stale.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   int(c.entries.Load()),
-	}
 }

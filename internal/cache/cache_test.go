@@ -20,10 +20,6 @@ func TestGetPutBasics(t *testing.T) {
 	if got := v.([]int); got[0] != 4 || got[1] != 2 {
 		t.Fatalf("wrong value %v", got)
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats %+v, want 1 hit / 1 miss / 1 entry", st)
-	}
 }
 
 // TestLSNInvalidation: an entry stamped at LSN n must not be served at any
@@ -41,16 +37,13 @@ func TestLSNInvalidation(t *testing.T) {
 	if v, ok := c.Get(k, 5); !ok || v != "answer@5" {
 		t.Fatal("lost the answer at its own LSN")
 	}
-	if st := c.Stats(); st.Stale != 2 {
-		t.Fatalf("stale count %d, want 2", st.Stale)
-	}
 	// Refill at the new LSN replaces the stale entry in place.
 	c.Put(k, 6, "answer@6")
 	if v, ok := c.Get(k, 6); !ok || v != "answer@6" {
 		t.Fatal("refill at new LSN not served")
 	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Fatalf("entries %d after in-place refill, want 1", st.Entries)
+	if _, ok := c.Get(k, 5); ok {
+		t.Fatal("refill at LSN 6 still serves the LSN 5 answer")
 	}
 }
 
@@ -76,29 +69,17 @@ func TestCapacityEviction(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		c.Put(Key{Family: "topk", Cell: uint64(i)}, 1, i)
 	}
-	st := c.Stats()
-	if st.Entries > numShards {
-		t.Fatalf("resident entries %d exceed capacity %d", st.Entries, numShards)
+	resident := 0
+	for i := 0; i < 200; i++ {
+		if _, ok := c.Get(Key{Family: "topk", Cell: uint64(i)}, 1); ok {
+			resident++
+		}
 	}
-	if st.Evictions == 0 {
-		t.Fatal("no evictions recorded despite overflow")
+	if resident > numShards {
+		t.Fatalf("resident entries %d exceed capacity %d", resident, numShards)
 	}
-	if st.Entries <= 0 {
+	if resident == 0 {
 		t.Fatal("cache emptied itself")
-	}
-}
-
-func TestPurge(t *testing.T) {
-	c := New(64)
-	for i := 0; i < 10; i++ {
-		c.Put(Key{Cell: uint64(i)}, 1, i)
-	}
-	c.Purge()
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("entries %d after Purge, want 0", st.Entries)
-	}
-	if _, ok := c.Get(Key{Cell: 3}, 1); ok {
-		t.Fatal("hit after Purge")
 	}
 }
 
@@ -123,14 +104,10 @@ func TestConcurrentMixed(t *testing.T) {
 						}
 					}
 				}
-				if i%250 == 0 {
-					c.Purge()
-				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	c.Stats()
 }
 
 // BenchmarkGetHit measures the hit path; the acceptance criterion is that a
@@ -150,8 +127,8 @@ func BenchmarkGetHit(b *testing.B) {
 }
 
 // TestGetMulti: the batched lookup must agree with per-key Get — same
-// values, same hit/miss/stale accounting — across shard collisions,
-// duplicates, and LSN staleness.
+// values, same hits — across shard collisions, duplicates, and LSN
+// staleness.
 func TestGetMulti(t *testing.T) {
 	c := New(256)
 	keys := make([]Key, 12)
@@ -170,11 +147,13 @@ func TestGetMulti(t *testing.T) {
 			t.Fatalf("key %d: GetMulti (%v,%v) != Get (%v,%v)", i, vals[i], oks[i], want, wantOK)
 		}
 	}
-	// keys 0,1 hit; 5,6 duplicate them and hit too; 2 and its duplicate 7
-	// are stale; the rest miss.
-	st := c.Stats()
-	if st.Hits < 4 || st.Stale < 2 {
-		t.Fatalf("stats after GetMulti: %+v", st)
+	// Cells 0 and 1 hit (keys 0, 1, 5, 6, 10, 11); cell 2 is stale (keys 2
+	// and 7); cells 3 and 4 miss.
+	want := []bool{true, true, false, false, false, true, true, false, false, false, true, true}
+	for i := range oks {
+		if oks[i] != want[i] {
+			t.Fatalf("GetMulti hits %v, want %v", oks, want)
+		}
 	}
 	// Empty batch is a no-op.
 	c.GetMulti(nil, 7, nil, nil)

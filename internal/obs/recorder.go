@@ -77,7 +77,6 @@ type QueryMeta struct {
 	W      []float64 `json:"w,omitempty"`
 	K      int       `json:"k,omitempty"`
 	Cell   CellKey   `json:"cell,omitempty"` // hex cell-chain key; 0 when none
-	Cached bool      `json:"cached"`
 
 	VisitedCells int `json:"visitedCells"`
 	LPCalls      int `json:"lpCalls"`

@@ -122,9 +122,9 @@ func recordTrace(r *Recorder, endpoint, family string, dur time.Duration) TraceI
 	sc := SpanContext{Trace: id, Tracer: r}
 	root := StartSpanIn(sc, "serve"+endpoint)
 	child := StartSpanIn(sc.ChildOf(root.ID), "item."+family)
-	child.Set("cached", 1)
+	child.Set("visitedCells", 3)
 	child.FinishTo(r)
-	r.Annotate(id, QueryMeta{Family: family, W: []float64{0.3, 0.7}, K: 5, Cached: true})
+	r.Annotate(id, QueryMeta{Family: family, W: []float64{0.3, 0.7}, K: 5, VisitedCells: 3})
 	root.Duration = dur
 	r.Record(root, endpoint, 200)
 	return id
@@ -148,7 +148,7 @@ func TestRecorderSnapshot(t *testing.T) {
 	if len(byFamily) != 1 || byFamily[0].ID != id {
 		t.Fatalf("family filter returned %d traces", len(byFamily))
 	}
-	if q := byFamily[0].Queries; len(q) != 1 || q[0].K != 5 || !q[0].Cached {
+	if q := byFamily[0].Queries; len(q) != 1 || q[0].K != 5 || q[0].VisitedCells != 3 {
 		t.Fatalf("query annotations = %+v", byFamily[0].Queries)
 	}
 	if len(byFamily[0].Spans) != 1 || byFamily[0].Spans[0].Name != "item.topk" {
@@ -246,7 +246,7 @@ func TestTraceTree(t *testing.T) {
 	under := sc.ChildOf(root.ID)
 
 	single := StartSpanIn(under, "item.maxrank")
-	single.Set("cached", 1)
+	single.Set("visitedCells", 1)
 	single.FinishTo(r)
 
 	walk := StartSpanIn(under, "query.topkbatch")
@@ -278,7 +278,7 @@ func TestTraceTree(t *testing.T) {
 		if c.Name == "query.topkbatch" {
 			walkNode = c
 		}
-		if c.Name == "item.maxrank" && c.Attrs["cached"] != 1 {
+		if c.Name == "item.maxrank" && c.Attrs["visitedCells"] != 1 {
 			t.Fatalf("single item attrs = %v", c.Attrs)
 		}
 	}

@@ -356,7 +356,11 @@ func (f *Follower) fetch() error {
 		return err
 	}
 	f.install(ix, hdr.LSN)
+	// The unlink of a replaced snapshot is device time (tens of ms on some
+	// discard-mounted filesystems), so it is a span of its own.
+	pr := f.span("replicate.prune")
 	f.pruneLocal(hdr.LSN)
+	f.finishSpan(pr, nil)
 	f.log.Debug("replicate: installed index", "appliedLsn", hdr.LSN, "bytes", hdr.Bytes)
 	return nil
 }

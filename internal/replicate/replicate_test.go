@@ -28,9 +28,7 @@ var hotels = [][]float64{
 	{0.62, 0.76}, {0.90, 0.48}, {0.73, 0.33}, {0.26, 0.64}, {0.30, 0.24},
 }
 
-// newPrimary opens a durable store over hotels and serves it. The answer
-// cache is off on both sides of every parity test so response bytes depend
-// only on the index and the LSN.
+// newPrimary opens a durable store over hotels and serves it.
 func newPrimary(t *testing.T, dir string) (*httptest.Server, *store.Store) {
 	t.Helper()
 	return newPrimaryOver(t, dir, hotels, 3)
@@ -46,7 +44,7 @@ func newPrimaryOver(t testing.TB, dir string, data [][]float64, tau int) (*httpt
 		t.Fatalf("store.Open: %v", err)
 	}
 	t.Cleanup(func() { st.Close() })
-	srv := httptest.NewServer(serve.NewStoreHandler(st, serve.Config{CacheEntries: -1}).Mux())
+	srv := httptest.NewServer(serve.NewStoreHandler(st, serve.Config{}).Mux())
 	t.Cleanup(srv.Close)
 	return srv, st
 }
@@ -142,7 +140,7 @@ func TestFollowerServesByteIdentical(t *testing.T) {
 		if got, want := f.AppliedLSN(), st.Status().AppliedLSN; got != want {
 			t.Fatalf("bootstrap landed at LSN %d, primary at %d", got, want)
 		}
-		fsrv := httptest.NewServer(serve.NewFollowerHandler(f, serve.Config{CacheEntries: -1}).Mux())
+		fsrv := httptest.NewServer(serve.NewFollowerHandler(f, serve.Config{}).Mux())
 		defer fsrv.Close()
 		assertByteIdentical(t, srv.URL, fsrv.URL)
 

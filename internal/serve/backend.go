@@ -12,8 +12,8 @@ import (
 )
 
 // Backend is everything a Handler needs from what it serves: an index, the
-// lock that orders queries against writes, the version stamp answers are
-// cached under, and a write path. *store.Store is one; the memory-only and
+// lock that orders queries against writes, the version stamp every answer
+// carries, and a write path. *store.Store is one; the memory-only and
 // follower backends below are the other two. Everything else a deployment
 // mode has — the store's admin endpoints, a follower's sync status — is
 // routes and gauges its constructor attaches, not a branch in a shared
@@ -53,7 +53,7 @@ func (m *memBackend) AppliedLSN() uint64   { return m.lsn.Load() }
 
 // InsertBatchLSN applies the batch through the engine's amortized
 // InsertBatch and publishes the advanced counter once at the end, so
-// concurrent cached readers see one invalidation instead of N.
+// concurrent readers see the stamp move once instead of N times.
 func (m *memBackend) InsertBatchLSN(opts [][]float64) ([]store.BatchResult, store.GroupStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

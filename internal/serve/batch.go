@@ -10,15 +10,15 @@ import (
 // POST /v1/query/batch: many QueryRequests through one envelope and one
 // lock decision. POST /v1/query is a batch of one through the same
 // dispatchBatch, so an item answers exactly what the single-query endpoint
-// would, cache status included. What a batch buys is one round trip and one
-// lock acquisition, not a cheaper traversal.
+// would. What a batch buys is one round trip and one lock acquisition, not
+// a cheaper traversal.
 //
 // The envelope is {"queries": [<QueryRequest>, ...]} in and
 // {"results": [<item>, ...]} out, index-aligned with the request. A
-// successful item is {"result": ..., "stats": ..., "cached": bool,
-// "lsn": n} — a /v1/query response, the same queryItem; a failed item
-// carries {"error": ..., "status": n} with the HTTP status the single-query
-// endpoint would have answered, without failing its neighbors.
+// successful item is {"result": ..., "stats": ..., "lsn": n} — a /v1/query
+// response, the same queryItem; a failed item carries {"error": ...,
+// "status": n} with the HTTP status the single-query endpoint would have
+// answered, without failing its neighbors.
 
 // maxBatchQueries bounds one envelope; anything larger is a 400. It caps
 // the memory one request can pin and keeps a batch's lock hold bounded.

@@ -70,6 +70,14 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
+// b2f renders a bool as a span attribute value.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // decodeQueries reads a /v1/query body (batch false: one query) or a
 // /v1/query/batch envelope and returns its queries. On failure it has
 // answered the error envelope — 413 for an over-cap body, otherwise 400 —
@@ -425,9 +433,7 @@ func (rw *respWriter) item(it *queryItem) error {
 	rw.b = strconv.AppendInt(rw.b, int64(it.Stats.VisitedCells), 10)
 	rw.b = append(rw.b, `,"lpCalls":`...)
 	rw.b = strconv.AppendInt(rw.b, int64(it.Stats.LPCalls), 10)
-	rw.b = append(rw.b, `},"cached":`...)
-	rw.b = strconv.AppendBool(rw.b, it.Cached)
-	rw.b = append(rw.b, `,"lsn":`...)
+	rw.b = append(rw.b, `},"lsn":`...)
 	rw.b = strconv.AppendUint(rw.b, it.LSN, 10)
 	rw.b = append(rw.b, '}')
 	return nil

@@ -123,9 +123,7 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// No cache: a query answered twice (over HTTP, then through
-		// dispatch) reports the same "cached" both times.
-		h := NewHandler(ix, Config{CacheEntries: -1})
+		h := NewHandler(ix, Config{})
 		mux := h.Mux()
 		bodies := identityQueries(ix, 2000, rand.New(rand.NewSource(int64(c.d))))
 		qs := make([]QueryRequest, len(bodies))

@@ -9,8 +9,7 @@ import (
 )
 
 // POST /v1/insert/batch: many options through one envelope, one engine
-// batch apply, one WAL fsync group, and one cache-invalidation LSN
-// advance. The envelope is {"options": [[attr, ...], ...]} in and
+// batch apply, one WAL fsync group, and one LSN advance. The envelope is {"options": [[attr, ...], ...]} in and
 // {"results": [<item>, ...]} out, index-aligned with the request. A
 // successful item is {"id": n, "lsn": m} — the same fields as a
 // /v1/insert response, with n = -1 for a filtered option — and a failed

@@ -91,37 +91,6 @@ func (h *Handler) registerIndexGauges() {
 		})
 }
 
-// registerCacheGauges exposes the answer cache's counters. The cache
-// keeps plain atomics (it must not depend on obs); the gauges read them on
-// scrape. GaugeFunc replaces the reader on re-registration, so the newest
-// handler's cache wins.
-func (h *Handler) registerCacheGauges() {
-	if h.cache == nil {
-		return
-	}
-	c := h.cache
-	obs.Default().GaugeFunc("tlx_cache_hits_total",
-		"Answer-cache hits (entry valid at the request LSN).", func() float64 {
-			return float64(c.Stats().Hits)
-		})
-	obs.Default().GaugeFunc("tlx_cache_misses_total",
-		"Answer-cache misses (no entry for the key).", func() float64 {
-			return float64(c.Stats().Misses)
-		})
-	obs.Default().GaugeFunc("tlx_cache_stale_total",
-		"Answer-cache lookups that found an entry stamped with another LSN.", func() float64 {
-			return float64(c.Stats().Stale)
-		})
-	obs.Default().GaugeFunc("tlx_cache_evictions_total",
-		"Answer-cache entries displaced by the capacity bound.", func() float64 {
-			return float64(c.Stats().Evictions)
-		})
-	obs.Default().GaugeFunc("tlx_cache_entries",
-		"Answers currently resident in the cache.", func() float64 {
-			return float64(c.Stats().Entries)
-		})
-}
-
 // statusWriter captures the response status for the access log and the
 // request counter. WriteHeader may never be called (implicit 200), so it
 // starts at StatusOK.

@@ -18,9 +18,10 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/responses.golden from this build's responses")
 
 // goldenStep is one request of the fixed script; srv names the handler
-// ("mem", "store" or "follower") it goes to. Steps run in order, so a cache
-// hit is the step after its miss and an LSN is whatever the inserts before
-// it left.
+// ("mem", "store" or "follower") it goes to. Steps run in order: each
+// family's query runs twice ("miss", then "hit": labels kept from when a
+// repeat could come from an answer cache, so the file's sections stay
+// comparable), and an LSN is whatever the inserts before it left.
 type goldenStep struct {
 	name, srv, method, path, body string
 }

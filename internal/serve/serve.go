@@ -1,11 +1,12 @@
 // Package serve exposes a τ-LevelIndex over HTTP with JSON responses — the
 // deployment shape a product team would actually run: build the index once,
-// then answer preference queries from many clients. Top-k is one walk down
-// the cell chain the weights land in; the costlier region and focal-option
-// families go through an LSN-stamped answer cache. A Handler serves one
-// Backend — an index behind a lock, a version stamp, a write path — and its
-// constructor picks which: memory-only (NewHandler), store-backed
-// (NewStoreHandler) or follower (NewFollowerHandler).
+// then answer preference queries from many clients. Every answer is read
+// from the index: top-k is one walk down the cell chain the weights land
+// in, kSPR and MaxRank are reads of its columns, and UTK, ORU and WhyNot
+// scan or walk its cells. A Handler serves one Backend — an index behind a
+// lock, a version stamp, a write path — and its constructor picks which:
+// memory-only (NewHandler), store-backed (NewStoreHandler) or follower
+// (NewFollowerHandler).
 //
 // # Endpoints
 //
@@ -14,8 +15,8 @@
 //	/v1/query                       JSON body {"family": "topk", "w": [...], "k": 5, ...}
 //
 // answers the uniform envelope {"result": ..., "stats": {"visitedCells": n,
-// "lpCalls": m}, "cached": bool, "lsn": n}. The families and their
-// parameters (k and m default to 10 when omitted or 0):
+// "lpCalls": m}, "lsn": n}. The families and their parameters (k and m
+// default to 10 when omitted or 0):
 //
 //	topk     w, k            ranked retrieval at a weight vector
 //	kspr     focal, k        regions where an option ranks top-k
@@ -87,20 +88,6 @@
 // log sequence number after the insert — the version stamp the query
 // envelope echoes back.
 //
-// # Result cache
-//
-// UTK, ORU and WhyNot answers are cached under (family, k,
-// parameters) and stamped with the LSN they were computed at; a cached
-// answer is served only when its stamp equals the current LSN, so an insert
-// invalidates every cached answer at once and a cached response is
-// byte-identical to a freshly computed one (DESIGN.md §16 gives the
-// soundness argument). Top-k, kSPR and MaxRank answers are not cached and
-// always report "cached": false: a whole cell chain of preference space
-// shares one top-k answer, but finding the chain is the walk that answers,
-// and kSPR and MaxRank answers are reads of the index's option→cells and
-// rows columns, so for each a lookup would cost what it saves. The cache is on by default; size it with
-// Config.CacheEntries or disable it with a negative value.
-//
 // # Durability
 //
 // A handler constructed with NewStoreHandler serves a store-backed index:
@@ -132,8 +119,7 @@
 // # Observability
 //
 // Every endpoint is instrumented: request counts and latency histograms,
-// per-query-type traversal counters, cache hit/miss/stale/eviction
-// counters, WAL/snapshot latency, VerdictCache statistics, and runtime
+// per-query-type traversal counters, WAL/snapshot latency, VerdictCache statistics, and runtime
 // gauges are all exposed in Prometheus text format at GET /v1/metrics
 // (metric names are prefixed tlx_; see DESIGN.md §14 for the full list).
 // Config.Logger attaches a structured access log; Config.Pprof mounts the
@@ -165,16 +151,9 @@ import (
 	"time"
 
 	tlx "tlevelindex"
-	"tlevelindex/internal/cache"
 	"tlevelindex/internal/obs"
 	"tlevelindex/internal/store"
 )
-
-// defaultCacheEntries bounds the answer cache when Config.CacheEntries is
-// zero. Answers are small (a handful of ints or regions) and one entry holds
-// one distinct parameter set of a cached family, so a few thousand entries
-// keep the repeats of a realistic analytic workload resident.
-const defaultCacheEntries = 4096
 
 // DefaultTraceSample is the head-sampling rate applied when
 // Config.TraceSample is zero: one fresh trace per this many requests.
@@ -186,7 +165,7 @@ const defaultCacheEntries = 4096
 const DefaultTraceSample = 64
 
 // Config configures a Handler. The zero value is a production-reasonable
-// default: silent, no pprof, answer cache on at its default size.
+// default: silent, no pprof, the flight recorder on at 1-in-64 sampling.
 type Config struct {
 	// Logger receives the access log. Requests log at Info; scraper
 	// traffic (/v1/metrics, /debug/pprof) logs at Debug. Nil is silent.
@@ -195,9 +174,6 @@ type Config struct {
 	// the handler's mux. Off by default: the profiling endpoints reveal
 	// process internals and should only face operators.
 	Pprof bool
-	// CacheEntries bounds the answer cache: 0 selects the default size,
-	// a negative value disables caching entirely.
-	CacheEntries int
 	// TraceBuffer bounds the flight recorder's recent-trace ring: 0 selects
 	// obs.DefaultTraceBuffer, a negative value disables the recorder (and
 	// with it request tracing and GET /v1/admin/trace).
@@ -222,15 +198,14 @@ type Config struct {
 	Recorder *obs.Recorder
 }
 
-// Handler answers preference queries against one Backend through an
-// LSN-stamped answer cache.
+// Handler answers preference queries against one Backend, each from the
+// index it publishes, stamped with its LSN.
 type Handler struct {
 	be     Backend
 	mu     *sync.RWMutex // be.Mutex()
 	routes []route
 	log    *slog.Logger
 	pprof  bool
-	cache  *cache.Cache  // nil when disabled
 	rec    *obs.Recorder // flight recorder; nil when disabled
 	hot    *obs.HotCells // sampled per-cell top-k traffic
 	// traceEvery is the resolved head-sampling rate: a fresh trace starts on
@@ -277,13 +252,6 @@ func newHandler(be Backend, cfg Config) *Handler {
 		h.log = obs.NopLogger()
 	}
 	h.pprof = cfg.Pprof
-	if cfg.CacheEntries >= 0 {
-		n := cfg.CacheEntries
-		if n == 0 {
-			n = defaultCacheEntries
-		}
-		h.cache = cache.New(n)
-	}
 	switch {
 	case cfg.Recorder != nil:
 		h.rec = cfg.Recorder
@@ -298,7 +266,6 @@ func newHandler(be Backend, cfg Config) *Handler {
 	}
 	registerProcessGauges()
 	h.registerIndexGauges()
-	h.registerCacheGauges()
 	h.handle("/v1/query", post(h.handleQuery))
 	h.handle("/v1/query/batch", post(h.handleQueryBatch))
 	h.handle("/v1/stats", get(h.handleStats))

@@ -78,8 +78,8 @@ const (
 	sbUTK  = `{"family":"utk","lo":[0.3,0.3],"hi":[0.35,0.35],"k":4}`
 )
 
-// BenchmarkServeTopK is one top-k request through the whole stack. Top-k
-// answers are never cached, so every request walks its cell chain.
+// BenchmarkServeTopK is one top-k request through the whole stack: every
+// request walks its cell chain.
 func BenchmarkServeTopK(b *testing.B) {
 	serveBench(b, NewHandler(serveBenchIndex(b), Config{}), sbTopK)
 }
@@ -99,13 +99,9 @@ func BenchmarkServeTopKTraceAll(b *testing.B) {
 	serveBench(b, NewHandler(serveBenchIndex(b), Config{TraceSample: 1}), sbTopK)
 }
 
-// The UTK pair is the answer cache's own row: region reachability is the
-// most expensive family, so the hit/miss qps ratio is largest here.
-func BenchmarkServeUTKUncached(b *testing.B) {
-	serveBench(b, NewHandler(serveBenchIndex(b), Config{CacheEntries: -1}), sbUTK)
-}
-
-func BenchmarkServeUTKCached(b *testing.B) {
+// BenchmarkServeUTK is one UTK request through the whole stack: a scan of
+// level k's box column for the cells that meet the query box.
+func BenchmarkServeUTK(b *testing.B) {
 	serveBench(b, NewHandler(serveBenchIndex(b), Config{}), sbUTK)
 }
 

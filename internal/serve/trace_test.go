@@ -120,8 +120,8 @@ func TestBatchTraceTree(t *testing.T) {
 		t.Fatalf("item spans = %d, want 2", len(items))
 	}
 	for _, it := range items {
-		if v, ok := it.Attrs["cached"]; !ok || v != 0 {
-			t.Fatalf("item span cached attr = %v (present %v), want 0", v, ok)
+		if _, ok := it.Attrs["visitedCells"]; !ok {
+			t.Fatalf("item span attrs = %v, want visitedCells", it.Attrs)
 		}
 		if len(it.Children) != 1 || it.Children[0].Name != "query.topk" {
 			t.Fatalf("item span children = %+v, want one query.topk", it.Children)
@@ -131,8 +131,8 @@ func TestBatchTraceTree(t *testing.T) {
 		t.Fatalf("query annotations = %+v, want 2", queries)
 	}
 	for _, q := range queries {
-		if q.Family != "topk" || q.Cell == 0 || q.Cached {
-			t.Fatalf("query annotation = %+v, want an uncached topk with its cell", q)
+		if q.Family != "topk" || q.Cell == 0 {
+			t.Fatalf("query annotation = %+v, want a topk with its cell", q)
 		}
 	}
 }
@@ -475,46 +475,43 @@ func TestTraceSampling(t *testing.T) {
 }
 
 // TestHotCellsAdminSmoke: clustered top-k traffic on one cell surfaces in
-// the hot-cell sketch, with the answer cache on and off. The sketch ticks
-// once per top-k answer, so 200 same-cell requests are sampled
-// deterministically.
+// the hot-cell sketch. The sketch ticks once per top-k answer, so 200
+// same-cell requests are sampled deterministically.
 func TestHotCellsAdminSmoke(t *testing.T) {
 	ix, err := tlx.Build(hotels, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, entries := range []int{0, -1} {
-		srv := httptest.NewServer(NewHandler(ix, Config{CacheEntries: entries}).Mux())
-		for i := 0; i < 200; i++ {
-			if code, _ := postQuery(t, srv.URL, topkQuery); code != 200 {
-				t.Fatalf("topk status %d", code)
-			}
+	srv := httptest.NewServer(NewHandler(ix, Config{}).Mux())
+	t.Cleanup(srv.Close)
+	for i := 0; i < 200; i++ {
+		if code, _ := postQuery(t, srv.URL, topkQuery); code != 200 {
+			t.Fatalf("topk status %d", code)
 		}
-		var out struct {
-			SampleEvery int `json:"sampleEvery"`
-			Cells       []struct {
-				Cell  string `json:"cell"`
-				Total uint64 `json:"total"`
-			} `json:"cells"`
-		}
-		if code := getJSON(t, srv.URL+"/v1/admin/hotcells", &out); code != 200 {
-			t.Fatalf("CacheEntries %d: hotcells status %d", entries, code)
-		}
-		if out.SampleEvery != obs.DefaultHotCellSample {
-			t.Fatalf("CacheEntries %d: sampleEvery = %d", entries, out.SampleEvery)
-		}
-		if len(out.Cells) != 1 {
-			t.Fatalf("CacheEntries %d: hot cells = %+v, want exactly the one clustered cell", entries, out.Cells)
-		}
-		// 200 answers at 1-in-64 sampling: ticks 64, 128, 192.
-		c := out.Cells[0]
-		if c.Total != 3 || len(c.Cell) != 16 {
-			t.Fatalf("CacheEntries %d: sampled cell = %+v, want total 3 under a 16-hex-digit key", entries, c)
-		}
-		if code := getJSON(t, srv.URL+"/v1/admin/hotcells?n=banana", nil); code != 400 {
-			t.Fatalf("bad n status %d", code)
-		}
-		srv.Close()
+	}
+	var out struct {
+		SampleEvery int `json:"sampleEvery"`
+		Cells       []struct {
+			Cell  string `json:"cell"`
+			Total uint64 `json:"total"`
+		} `json:"cells"`
+	}
+	if code := getJSON(t, srv.URL+"/v1/admin/hotcells", &out); code != 200 {
+		t.Fatalf("hotcells status %d", code)
+	}
+	if out.SampleEvery != obs.DefaultHotCellSample {
+		t.Fatalf("sampleEvery = %d", out.SampleEvery)
+	}
+	if len(out.Cells) != 1 {
+		t.Fatalf("hot cells = %+v, want exactly the one clustered cell", out.Cells)
+	}
+	// 200 answers at 1-in-64 sampling: ticks 64, 128, 192.
+	c := out.Cells[0]
+	if c.Total != 3 || len(c.Cell) != 16 {
+		t.Fatalf("sampled cell = %+v, want total 3 under a 16-hex-digit key", c)
+	}
+	if code := getJSON(t, srv.URL+"/v1/admin/hotcells?n=banana", nil); code != 400 {
+		t.Fatalf("bad n status %d", code)
 	}
 }
 

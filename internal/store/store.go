@@ -95,8 +95,8 @@ type Store struct {
 	applied uint64 // LSN of the last record applied to ix
 	// appliedA mirrors applied for lock-free readers. The serve layer reads
 	// it on the query path while already holding mu (sync.RWMutex forbids
-	// recursive RLock) and from cache lookups that must not contend with
-	// writers at all. Written only while mu is held for writing, after the
+	// recursive RLock) and from the metrics gauge, which must not contend
+	// with writers at all. Written only while mu is held for writing, after the
 	// index version it covers is published.
 	appliedA atomic.Uint64
 	seg      *segment
@@ -393,7 +393,7 @@ func (s *Store) Mutex() *sync.RWMutex { return &s.mu }
 // AppliedLSN returns the LSN of the last acknowledged insert without
 // taking the store lock: one atomic load, safe to call while the caller
 // already holds Mutex in either mode. It is the version stamp the serve
-// layer pairs with cached answers and replica snapshots.
+// layer stamps every answer and every shipped index with.
 func (s *Store) AppliedLSN() uint64 { return s.appliedA.Load() }
 
 // Insert applies an option to the index and, if it was accepted, makes it
@@ -528,7 +528,7 @@ func (s *Store) processGroup(group []*insertReq) {
 		return
 	}
 	logged := int(next - s.applied)
-	// One visibility bump for the whole group: caches and replicas see the
+	// One visibility bump for the whole group: readers and followers see the
 	// applied LSN jump from its old value to next in a single store.
 	s.applied = next
 	s.appliedA.Store(next)
