@@ -85,10 +85,16 @@ bench-smoke: serve-bench recovery-bench ingest-bench build-bench
 # /v1/query/batch envelope, and the cache-package hit benchmark pins the
 # zero-alloc lookup the benchmark's layer replay uses (the serving tier has
 # no cache). Same 2x ns/op gate and BENCH_NO_GATE escape as the
-# query gate.
+# query gate. Each row runs at least 50 ms: at 100 ops a row, the
+# microsecond rows read 1.1-1.7 or 2.4-4.2 us from one run to the next, so
+# a baseline drawn fast failed later runs of an unchanged tree. The counts
+# go with the rows' costs: ~35 us for batch and kSPR, ~5 us for UTK,
+# 1.4-2.9 us for the top-k rows, ~23 ns for the cache hit.
 serve-bench:
-	$(GO) test -bench '^(BenchmarkServe|BenchmarkGetHit)' -benchtime 100x \
-		-benchmem -run xxx ./internal/serve ./internal/cache \
+	{ $(GO) test -bench '^(BenchmarkServeQueryBatchTopK|BenchmarkServeKSPR)$$' -benchtime 2000x -benchmem -run xxx ./internal/serve; \
+	  $(GO) test -bench '^BenchmarkServeUTK$$' -benchtime 20000x -benchmem -run xxx ./internal/serve; \
+	  $(GO) test -bench '^BenchmarkServe(TopK|TopKRecorderOff|TopKTraceAll|WriterTopKParallel)$$' -benchtime 50000x -benchmem -run xxx ./internal/serve; \
+	  $(GO) test -bench '^BenchmarkGetHit$$' -benchtime 5000000x -benchmem -run xxx ./internal/cache; } \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_serve.json -out BENCH_serve.json
 	@echo "wrote BENCH_serve.json"
 
@@ -97,10 +103,10 @@ serve-bench:
 # row swung up to 2x run to run); the other term, BenchmarkRecoverTail: one
 # store.Open over a snapshot of the n=8000 ingest base plus a 64-record WAL
 # tail, replayed through InsertBatch in one chunk; and
-# BenchmarkFollowerInstall, a follower's cost per publish (fetch, heap load
-# and swap of the primary's d=3 τ=9 index; the fsync and the unlink of the
-# replaced snapshot are reported as its fsync-ms and prune-ms extras and
-# left out of ns/op), with the primary's rebuild for the
+# BenchmarkFollowerInstall, a follower's cost per publish (fetch into its
+# spare slot, heap load and swap of the primary's d=3 τ=9 index; the slot's
+# fsync is reported as its fsync-ms extra and left out of ns/op), with the
+# primary's rebuild for the
 # same publish as its rebuild-ms extra. Each of its ops also pays an
 # untimed rebuild, hence 10 ops. Against the committed BENCH_recovery.json
 # baseline, with the same 2x ns/op gate and BENCH_NO_GATE escape as the

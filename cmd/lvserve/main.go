@@ -15,22 +15,23 @@
 // and no family is answered from a cache.
 //
 // With -data-dir the index is durable: accepted inserts are written to a
-// CRC-checked write-ahead log and fsync'd before the HTTP 200, snapshots
-// are taken automatically (and on demand via POST /v1/admin/snapshot), and
-// a restart recovers the index from disk — -in is then only needed for the
-// very first start, to seed the directory:
+// CRC-checked write-ahead log and fsync'd before the HTTP 200, the index is
+// snapshotted into the older of two slot files (slot-a.idx, slot-b.idx)
+// once the log since the newer one has grown to its size (and on demand via
+// POST /v1/admin/snapshot), and a restart recovers the index from disk —
+// -in is then only needed for the very first start, to seed the directory:
 //
 //	lvserve -in hotels.txt -tau 10 -data-dir /var/lib/lvserve
 //	curl -X POST -d '{"option":[0.95,0.95]}' localhost:8080/v1/insert
 //	curl localhost:8080/v1/admin/status
 //
-// Snapshots can additionally be triggered on a timer (-snapshot-interval).
-// The primary recovers its snapshot onto the heap.
+// The primary recovers its newest slot onto the heap.
 //
 // With -follow the process is a replica instead of a primary: it never
 // builds or owns an index, but installs the primary's serialized index
 // from its snapshot-shipping stream and keeps it fresh by polling for a
-// newer one, which it loads onto the heap and swaps in.
+// newer one, which it writes into the same two slot files, loads onto the
+// heap and swaps in. A follower's -data-dir opens as a primary's.
 // A follower serves the full read API and rejects inserts with 403,
 // pointing clients at the primary:
 //
@@ -85,9 +86,6 @@ func main() {
 	tau := flag.Int("tau", 10, "index levels")
 	addr := flag.String("addr", ":8080", "listen address")
 	dataDir := flag.String("data-dir", "", "durable store directory (empty: memory-only, inserts lost on exit)")
-	snapBytes := flag.Int64("snapshot-bytes", 4<<20, "auto-snapshot after this many WAL bytes (durable mode; <=0 disables)")
-	snapRecords := flag.Int("snapshot-records", 1024, "auto-snapshot after this many WAL records (durable mode; <=0 disables)")
-	snapInterval := flag.Duration("snapshot-interval", 0, "auto-snapshot on this wall-clock period (durable mode; <=0 disables)")
 	follow := flag.String("follow", "", "primary base URL to follow as a read-only replica (e.g. http://host:8080)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -148,7 +146,7 @@ func main() {
 	var fol *replicate.Follower
 	if *follow != "" {
 		if *dataDir == "" {
-			fatal(fmt.Errorf("-follow requires -data-dir for the downloaded snapshot"))
+			fatal(fmt.Errorf("-follow requires -data-dir for the downloaded index"))
 		}
 		// The follower and its serve handler share one flight recorder, so
 		// GET /v1/admin/trace on the replica shows bootstrap traces next to
@@ -169,13 +167,7 @@ func main() {
 			"appliedLsn", fol.AppliedLSN(), "state", fol.StateName())
 		handler = serve.NewFollowerHandler(fol, cfg)
 	} else if *dataDir != "" {
-		st, err = store.Open(store.Options{
-			Dir:              *dataDir,
-			SnapshotBytes:    *snapBytes,
-			SnapshotRecords:  *snapRecords,
-			SnapshotInterval: *snapInterval,
-			Logger:           log,
-		}, build)
+		st, err = store.Open(store.Options{Dir: *dataDir, Logger: log}, build)
 		if err != nil {
 			fatal(err)
 		}
@@ -222,8 +214,8 @@ func main() {
 			}
 		}
 		if fol != nil {
-			// Close stops the follow loop and releases the snapshot mapping;
-			// the local snapshot stays for the next start to resume from.
+			// Close stops the follow loop; the local slots stay for the
+			// next start to resume from.
 			if err := fol.Close(); err != nil {
 				fatal(err)
 			}

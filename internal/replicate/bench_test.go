@@ -17,13 +17,11 @@ import (
 // of those rebuilds is the rebuild-ms extra, the cost a follower that
 // replayed records would pay for the same publish.
 //
-// The fsync and the unlink of the replaced snapshot are the device's, not
-// the code's: the fsync ranges from under 1 ms to over 80 ms by disk, and
-// the unlink from microseconds to over 100 ms on an ext4 mount with
-// discard. Each fetch runs as a traced bootstrap into a Recorder; the
-// download span's fsyncMs is reported as the fsync-ms extra, the
-// replicate.prune span's wall time as prune-ms, and ns/op is the time less
-// both, so the gate holds across devices.
+// The fsync of the slot is the device's, not the code's: it ranges from
+// under 1 ms to over 80 ms by disk. Each fetch runs as a traced bootstrap
+// into a Recorder; the download span's fsyncMs is reported as the fsync-ms
+// extra, and ns/op is the time less the fsync, so the gate holds across
+// devices.
 func BenchmarkFollowerInstall(b *testing.B) {
 	srv, st := newPrimaryOver(b, b.TempDir(), datagen.Generate(datagen.IND, 8000, 3, 1), 9)
 	// The follow loop is parked on an hour-long tick: the benchmark's own
@@ -66,26 +64,20 @@ func BenchmarkFollowerInstall(b *testing.B) {
 		b.Fatalf("follower at LSN %d, primary at %d", got, want)
 	}
 	var fsyncMs float64
-	var prune time.Duration
-	installs, prunes := 0, 0
+	installs := 0
 	for _, tr := range rec.Snapshot(0, "", 0) {
 		for _, sp := range tr.Spans {
 			if v, ok := sp.Get("fsyncMs"); ok && sp.Name == "replicate.download" {
 				fsyncMs += v
 				installs++
 			}
-			if sp.Name == "replicate.prune" {
-				prune += sp.Duration
-				prunes++
-			}
 		}
 	}
-	if installs != b.N || prunes != b.N {
-		b.Fatalf("recorder holds %d downloads and %d prunes, want %d of each", installs, prunes, b.N)
+	if installs != b.N {
+		b.Fatalf("recorder holds %d downloads, want %d", installs, b.N)
 	}
 	fsync := time.Duration(fsyncMs * float64(time.Millisecond))
-	b.ReportMetric(float64(timed-fsync-prune)/float64(b.N), "ns/op")
+	b.ReportMetric(float64(timed-fsync)/float64(b.N), "ns/op")
 	b.ReportMetric(fsyncMs/float64(b.N), "fsync-ms")
-	b.ReportMetric(float64(prune)/float64(time.Millisecond)/float64(b.N), "prune-ms")
 	b.ReportMetric(float64(rebuildNS)/1e6/float64(b.N), "rebuild-ms")
 }

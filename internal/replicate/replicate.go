@@ -10,7 +10,8 @@
 // while it runs, but an index it has loaded is never changed or released
 // under it — the garbage collector frees an old index once its last
 // query is done. That is why an install loads onto the heap rather than
-// mapping the file: nothing is ever unmapped under a reader.
+// mapping its slot: the slot is overwritten two installs later, and
+// nothing is ever unmapped under a reader.
 //
 // # State machine
 //
@@ -18,29 +19,27 @@
 //
 // Start returns only after the follower reaches "following": a complete
 // index at the exact LSN the primary stamped it with. Nothing is served
-// from a partial download: a corrupt stream during bootstrap deletes the
-// download and re-fetches (up to Options.Retries), and a failed poll while
-// following leaves the last good index serving for the next poll.
+// from a partial download: a corrupt stream during bootstrap is re-fetched
+// (up to Options.Retries), and a failed poll while following leaves the
+// last good index serving for the next poll.
 //
 // # Crash safety
 //
-// Every fetched index is installed atomically (tmp file, fsync, rename)
-// under the store's snapshot naming, so a follower killed mid-fetch leaves
-// only an ignorable .tmp file beside its last good index. A restarted
-// follower opens that index and asks the primary only for a newer one.
+// The data directory holds the store's two slot files (store.Slots): each
+// fetched stream, header included, is written into the slot not holding
+// the served index as it arrives, and fsync'd before the install. A
+// follower killed mid-fetch leaves that slot torn beside its last good
+// one; a restarted follower loads the newest slot that verifies and asks
+// the primary only for a newer index. Nothing is renamed or unlinked.
 package replicate
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,9 +53,9 @@ import (
 type Options struct {
 	// PrimaryURL is the primary's base URL (e.g. http://host:8080).
 	PrimaryURL string
-	// Dir is the local directory holding the downloaded snapshot, so a
-	// restarted follower can resume without re-shipping the whole index.
-	// It is created if missing.
+	// Dir is the local directory holding the two slots the downloaded
+	// indexes are written into, so a restarted follower can resume without
+	// re-shipping the whole index. It is created if missing.
 	Dir string
 	// PollInterval is the follow-loop cadence; zero selects 250ms.
 	PollInterval time.Duration
@@ -89,6 +88,8 @@ type Follower struct {
 	// serve layer queries under the read lock.
 	mu sync.RWMutex
 	ix *tlx.Index
+	// slots is touched only by the goroutine that bootstraps and follows.
+	slots *store.Slots
 	// applied and primary are atomics so status and gauges read them
 	// without the lock. applied is also written under mu.
 	applied atomic.Uint64
@@ -173,23 +174,6 @@ func (f *Follower) get(url string) (*http.Response, error) {
 	return f.client.Do(req)
 }
 
-// snapshotName mirrors the store's snapshot naming so a follower data
-// directory reads like a primary's.
-func snapshotName(lsn uint64) string {
-	return fmt.Sprintf("snapshot-%020d.idx", lsn)
-}
-
-func parseSnapshotName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "snapshot-") || !strings.HasSuffix(name, ".idx") {
-		return 0, false
-	}
-	lsn, err := strconv.ParseUint(name[len("snapshot-"):len(name)-len(".idx")], 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return lsn, true
-}
-
 // Start bootstraps a follower and begins following. It returns once the
 // local index is the primary's index at the primary's LSN — after a
 // download, or after a local resume the primary confirms current — so the
@@ -208,6 +192,7 @@ func Start(opts Options) (*Follower, error) {
 		opts:   opts,
 		client: opts.Client,
 		log:    opts.Logger,
+		slots:  store.NewSlots(opts.Dir),
 		done:   make(chan struct{}),
 	}
 	if f.client == nil {
@@ -232,17 +217,20 @@ func Start(opts Options) (*Follower, error) {
 	return f, nil
 }
 
-// bootstrap resumes from the newest loadable local index, if any, then
+// bootstrap resumes from the newest local slot that verifies, if any, then
 // fetches until the primary confirms or supplies the current one,
 // re-fetching a stream that arrives corrupt. The whole bootstrap runs as
 // one trace, propagated to the primary.
 func (f *Follower) bootstrap() error {
 	root := f.beginTrace()
-	f.resumeLocal()
+	if ix, lsn, _ := f.slots.Load(f.log); ix != nil {
+		f.install(ix, lsn)
+		f.log.Info("replicate: resumed from local slot", "snapshotLsn", lsn)
+	}
 	err := f.fetch()
 	for attempt := 1; attempt < f.opts.Retries && isCorruptStream(err); attempt++ {
-		// A truncated or bit-flipped stream: nothing was installed, the
-		// partial download is gone, fetch again.
+		// A truncated or bit-flipped stream: nothing was installed, and the
+		// slot it went into is still the spare, so fetch again.
 		f.log.Warn("replicate: shipped stream corrupt; re-fetching", "attempt", attempt, "err", err)
 		err = f.fetch()
 	}
@@ -261,57 +249,6 @@ func (f *Follower) install(ix *tlx.Index, lsn uint64) {
 	f.mu.Unlock()
 }
 
-// loadIndex reads a local index file onto the heap.
-func loadIndex(path string) (*tlx.Index, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return tlx.ReadIndexBytes(data, false)
-}
-
-// resumeLocal installs the newest loadable local index, deleting leftover
-// .tmp downloads and local files that no longer load.
-func (f *Follower) resumeLocal() {
-	entries, err := os.ReadDir(f.opts.Dir)
-	if err != nil {
-		return
-	}
-	var snaps []struct {
-		lsn  uint64
-		name string
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			// A download killed mid-stream; never loadable, remove.
-			os.Remove(filepath.Join(f.opts.Dir, e.Name()))
-			continue
-		}
-		if lsn, ok := parseSnapshotName(e.Name()); ok {
-			snaps = append(snaps, struct {
-				lsn  uint64
-				name string
-			}{lsn, e.Name()})
-		}
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].lsn < snaps[j].lsn })
-	for i := len(snaps) - 1; i >= 0; i-- {
-		path := filepath.Join(f.opts.Dir, snaps[i].name)
-		ix, err := loadIndex(path)
-		if err != nil {
-			f.log.Warn("replicate: local snapshot unusable; removing", "path", path, "err", err)
-			os.Remove(path)
-			continue
-		}
-		f.install(ix, snaps[i].lsn)
-		f.log.Info("replicate: resumed from local snapshot", "snapshotLsn", snaps[i].lsn)
-		return
-	}
-}
-
 // isCorruptStream reports whether a fetch failed on the stream's content
 // (worth re-fetching) rather than on connectivity.
 func isCorruptStream(err error) bool {
@@ -319,9 +256,9 @@ func isCorruptStream(err error) bool {
 }
 
 // fetch asks the primary for an index newer than the installed one and, if
-// the primary has one, installs it: downloaded, opened, then swapped in. A
-// primary at the follower's LSN answers with a header alone. Any error
-// leaves the installed index serving. Only the goroutine that bootstraps
+// the primary has one, installs it: written into the spare slot, loaded,
+// then swapped in. A primary at the follower's LSN answers with a header
+// alone. Any error leaves the installed index serving. Only the goroutine that bootstraps
 // and then follows calls it, so it reads f.ix without the lock.
 func (f *Follower) fetch() error {
 	url := f.opts.PrimaryURL + "/v1/admin/snapshot/stream"
@@ -347,8 +284,15 @@ func (f *Follower) fetch() error {
 		}
 		return nil
 	}
+	// The stream goes into the spare slot as it arrives, and the index is
+	// loaded from the bytes written. One the X3 checksum rejects leaves its
+	// slot the spare: the next fetch overwrites it, and a restart skips it.
 	dl := f.span("replicate.download")
-	ix, fsync, err := f.download(hdr, resp.Body)
+	var ix *tlx.Index
+	fsync, err := f.slots.Write(hdr, resp.Body, func(body []byte) (err error) {
+		ix, err = tlx.ReadIndexBytes(body, false)
+		return err
+	})
 	dl.Set("indexBytes", float64(hdr.Bytes))
 	dl.Set("fsyncMs", float64(fsync)/float64(time.Millisecond))
 	f.finishSpan(dl, err)
@@ -356,54 +300,8 @@ func (f *Follower) fetch() error {
 		return err
 	}
 	f.install(ix, hdr.LSN)
-	// The unlink of a replaced snapshot is device time (tens of ms on some
-	// discard-mounted filesystems), so it is a span of its own.
-	pr := f.span("replicate.prune")
-	f.pruneLocal(hdr.LSN)
-	f.finishSpan(pr, nil)
 	f.log.Debug("replicate: installed index", "appliedLsn", hdr.LSN, "bytes", hdr.Bytes)
 	return nil
-}
-
-// download streams the index bytes into the data directory with the
-// store's tmp-fsync-rename discipline — a crash mid-download leaves a .tmp
-// file the next start deletes, never a half index under the real name —
-// and loads them, reporting how long the fsync took. A file the X3
-// checksum rejects is removed, so neither a retry nor a restart can resume
-// from it.
-func (f *Follower) download(hdr store.ShipHeader, r io.Reader) (*tlx.Index, time.Duration, error) {
-	final := filepath.Join(f.opts.Dir, snapshotName(hdr.LSN))
-	tmp := final + ".tmp"
-	file, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, 0, err
-	}
-	n, err := io.Copy(file, io.LimitReader(r, hdr.Bytes))
-	if err == nil && n != hdr.Bytes {
-		err = fmt.Errorf("%w: index stream truncated at %d of %d bytes", store.ErrCorrupt, n, hdr.Bytes)
-	}
-	var fsync time.Duration
-	if err == nil {
-		start := time.Now()
-		err = file.Sync()
-		fsync = time.Since(start)
-	}
-	if cerr := file.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, final)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return nil, fsync, err
-	}
-	ix, err := loadIndex(final)
-	if err != nil {
-		os.Remove(final)
-		return nil, fsync, err
-	}
-	return ix, fsync, nil
 }
 
 // followLoop polls the primary for a newer index each tick. A failed poll —
@@ -449,17 +347,4 @@ func (f *Follower) Close() error {
 	f.wg.Wait()
 	f.state.Store("stopped")
 	return nil
-}
-
-// pruneLocal keeps only the snapshot at keep, deleting older downloads.
-func (f *Follower) pruneLocal(keep uint64) {
-	entries, err := os.ReadDir(f.opts.Dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if lsn, ok := parseSnapshotName(e.Name()); ok && lsn != keep {
-			os.Remove(filepath.Join(f.opts.Dir, e.Name()))
-		}
-	}
 }

@@ -247,10 +247,10 @@ func TestFollowerReadersAcrossInstalls(t *testing.T) {
 }
 
 // TestFollowerResumesFromLocalSnapshot: a cleanly stopped follower
-// restarts from its local index. While the primary has not moved, nothing
+// restarts from its local slot. While the primary has not moved, nothing
 // is downloaded. Once the primary has moved on — and snapshotted and
 // pruned its WAL past the follower's LSN — the restart installs the
-// primary's current index and keeps only that one locally.
+// primary's current index into its second slot.
 func TestFollowerResumesFromLocalSnapshot(t *testing.T) {
 	srv, st := newPrimary(t, t.TempDir())
 	if _, err := st.Insert([]float64{0.95, 0.95}); err != nil {
@@ -262,9 +262,8 @@ func TestFollowerResumesFromLocalSnapshot(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before := snapshotFiles(t, dir)
-	if len(before) != 1 {
-		t.Fatalf("follower dir holds %v, want one snapshot", before)
+	if before := dirNames(t, dir); fmt.Sprint(before) != "[slot-a.idx]" {
+		t.Fatalf("follower dir holds %v, want one slot", before)
 	}
 
 	rec := obs.NewRecorder(8, -1, nil)
@@ -298,13 +297,13 @@ func TestFollowerResumesFromLocalSnapshot(t *testing.T) {
 	if got := f3.AppliedLSN(); got != want {
 		t.Fatalf("restarted at LSN %d, want %d", got, want)
 	}
-	if after := snapshotFiles(t, dir); len(after) != 1 || after[0] != snapshotName(want) {
-		t.Errorf("follower dir holds %v after the restart, want only %s", after, snapshotName(want))
+	if after := dirNames(t, dir); fmt.Sprint(after) != "[slot-a.idx slot-b.idx]" {
+		t.Errorf("follower dir holds %v after the restart, want the two slots", after)
 	}
 	assertSameBytes(t, st, f3)
 }
 
-func snapshotFiles(t *testing.T, dir string) []string {
+func dirNames(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -318,21 +317,19 @@ func snapshotFiles(t *testing.T, dir string) []string {
 }
 
 // TestFollowerKilledMidBootstrap is the crash matrix for the bootstrap
-// path: a follower killed mid-download leaves a .tmp file, one killed by
-// bit rot leaves a corrupt snapshot under a valid name. A restart must
-// clean up both and still reach a consistent index.
+// path: a follower killed mid-download leaves a torn slot, one killed by
+// bit rot a corrupt one. A restart must skip both, fetch the index into one
+// of them and reach a consistent index.
 func TestFollowerKilledMidBootstrap(t *testing.T) {
 	srv, st := newPrimary(t, t.TempDir())
 	if _, err := st.Insert([]float64{0.95, 0.95}); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	tmp := filepath.Join(dir, snapshotName(1)+".tmp")
-	if err := os.WriteFile(tmp, []byte("torn mid-download"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "slot-a.idx"), []byte("TLXSHIP2 torn mid-download"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	corrupt := filepath.Join(dir, snapshotName(7))
-	if err := os.WriteFile(corrupt, []byte("TLVLIDX3 but not really"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "slot-b.idx"), []byte("TLVLIDX3 but not really"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -340,10 +337,8 @@ func TestFollowerKilledMidBootstrap(t *testing.T) {
 	if got, want := f.AppliedLSN(), st.Status().AppliedLSN; got != want {
 		t.Fatalf("recovered follower at LSN %d, want %d", got, want)
 	}
-	for _, leftover := range []string{tmp, corrupt} {
-		if _, err := os.Stat(leftover); !os.IsNotExist(err) {
-			t.Errorf("leftover %s survived the restart", filepath.Base(leftover))
-		}
+	if _, lsn, _ := store.NewSlots(dir).Load(testLogger(t)); lsn != st.AppliedLSN() {
+		t.Errorf("newest local slot at LSN %d, want %d", lsn, st.AppliedLSN())
 	}
 }
 
@@ -386,12 +381,18 @@ func TestCorruptStreamRefetched(t *testing.T) {
 	psrv := httptest.NewServer(proxy)
 	defer psrv.Close()
 
-	f := startFollower(t, Options{PrimaryURL: psrv.URL, Dir: t.TempDir(), Retries: 3})
+	dir := t.TempDir()
+	f := startFollower(t, Options{PrimaryURL: psrv.URL, Dir: dir, Retries: 3})
 	if proxy.served.Load() != 2 {
 		t.Fatalf("proxy corrupted %d streams, want 2", proxy.served.Load())
 	}
 	if got, want := f.AppliedLSN(), st.Status().AppliedLSN; got != want {
 		t.Fatalf("follower at LSN %d after re-fetch, want %d", got, want)
+	}
+	// A rejected stream leaves its slot the spare, so both corrupt streams
+	// and then the good one went into the same slot.
+	if names := dirNames(t, dir); fmt.Sprint(names) != "[slot-a.idx]" {
+		t.Errorf("follower dir holds %v, want the one slot every fetch overwrote", names)
 	}
 }
 
@@ -420,17 +421,18 @@ func TestCorruptStreamExhaustsRetries(t *testing.T) {
 	if !strings.Contains(err.Error(), "after 2 attempts") {
 		t.Errorf("bootstrap error %v does not report the retry budget", err)
 	}
-	// The corrupt download was deleted: nothing for a restart to trust.
-	for _, name := range snapshotFiles(t, dir) {
-		if !strings.HasSuffix(name, ".tmp") {
-			t.Errorf("corrupt bootstrap left %s behind", name)
-		}
+	// The corrupt download stays in its slot, which no load accepts:
+	// nothing for a restart to trust.
+	if ix, _, _ := store.NewSlots(dir).Load(testLogger(t)); ix != nil {
+		t.Error("a corrupt bootstrap left a slot that loads")
 	}
 }
 
 // TestFollowerBytesEqualPrimary: after every publish — an insert batch
 // that accepts a record — the follower reaches the primary's LSN holding
-// exactly the primary's index bytes in the index it loaded onto the heap.
+// exactly the primary's index bytes in the index it loaded onto the heap,
+// and once the primary snapshots at that LSN, the two newest slot files
+// are the same bytes.
 func TestFollowerBytesEqualPrimary(t *testing.T) {
 	for _, shape := range []struct{ d, tau int }{{2, 6}, {3, 9}} {
 		shape := shape
@@ -455,6 +457,12 @@ func TestFollowerBytesEqualPrimary(t *testing.T) {
 					t.Fatalf("follower at LSN %d, primary at %d", got, want)
 				}
 				assertSameBytes(t, st, f)
+				if _, err := st.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := newestSlotBytes(t, f.opts.Dir), newestSlotBytes(t, st.Status().Dir); !bytes.Equal(got, want) {
+					t.Fatalf("follower slot (%d bytes) differs from the primary's (%d bytes)", len(got), len(want))
+				}
 			}
 			if publishes < 2 {
 				t.Fatalf("only %d of 4 batches accepted a record", publishes)
@@ -473,6 +481,97 @@ func assertSameBytes(t *testing.T, st *store.Store, f *Follower) {
 	f.Mutex().RUnlock()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("follower index (%d bytes) differs from the primary's (%d bytes)", len(got), len(want))
+	}
+}
+
+// newestSlotBytes reads the slot a load of dir takes.
+func newestSlotBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	p := store.NewSlots(dir)
+	if ix, _, _ := p.Load(testLogger(t)); ix == nil {
+		t.Fatalf("no slot of %s loads", dir)
+	}
+	blob, err := os.ReadFile(p.Newest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestFollowerDirHoldsTwoSlots: over 20 installs a follower writes the
+// same two files in place. Its directory lists exactly the two slots, each
+// still the file the first installs created: nothing was renamed over it
+// and nothing unlinked.
+func TestFollowerDirHoldsTwoSlots(t *testing.T) {
+	srv, st := newPrimary(t, t.TempDir())
+	dir := t.TempDir()
+	f := startFollower(t, Options{PrimaryURL: srv.URL, Dir: dir, PollInterval: time.Millisecond})
+	var first []os.FileInfo
+	for i := 1; i <= 20; i++ {
+		opt := []float64{0.3, 0.3}
+		opt[i%2] = 1 + 0.001*float64(i)
+		if _, err := st.Insert(opt); err != nil {
+			t.Fatal(err)
+		}
+		waitCaughtUp(t, f, st.AppliedLSN())
+		if i == 2 {
+			first = slotInfos(t, dir)
+		}
+	}
+	if names := dirNames(t, dir); fmt.Sprint(names) != "[slot-a.idx slot-b.idx]" {
+		t.Fatalf("follower dir holds %v after 20 installs, want the two slots", names)
+	}
+	for i, fi := range slotInfos(t, dir) {
+		if !os.SameFile(fi, first[i]) {
+			t.Errorf("%s was replaced, not written in place", fi.Name())
+		}
+	}
+	assertSameBytes(t, st, f)
+}
+
+func slotInfos(t *testing.T, dir string) []os.FileInfo {
+	t.Helper()
+	var out []os.FileInfo
+	for _, name := range []string{"slot-a.idx", "slot-b.idx"} {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fi)
+	}
+	return out
+}
+
+// TestFollowerDirOpensAsStore: a follower's directory holds slots and no
+// WAL segment, and opens as a primary's data directory at the LSN of its
+// newest slot — the way a directory in an older layout migrates.
+func TestFollowerDirOpensAsStore(t *testing.T) {
+	srv, st := newPrimary(t, t.TempDir())
+	for _, opt := range [][]float64{{0.95, 0.95}, {0.97, 0.20}} {
+		if _, err := st.Insert(opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	f := startFollower(t, Options{PrimaryURL: srv.URL, Dir: dir})
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(store.Options{Dir: dir, Logger: testLogger(t)}, nil)
+	if err != nil {
+		t.Fatalf("opening the follower's directory as a store: %v", err)
+	}
+	defer st2.Close()
+	if got, want := st2.AppliedLSN(), st.AppliedLSN(); got != want {
+		t.Fatalf("store over the follower's dir at LSN %d, want %d", got, want)
+	}
+	want, _ := st.Index().AppendBinary(nil)
+	if got, _ := st2.Index().AppendBinary(nil); !bytes.Equal(got, want) {
+		t.Fatal("store over the follower's dir holds other index bytes than the primary")
+	}
+	// It is a primary now: an insert is logged and acknowledged.
+	if id, lsn, err := st2.InsertLSN([]float64{0.99, 0.99}); err != nil || id < 0 || lsn != st.AppliedLSN()+1 {
+		t.Fatalf("insert into the opened follower dir: id %d lsn %d %v", id, lsn, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -163,30 +164,37 @@ func TestCrashBitFlippedWALRecord(t *testing.T) {
 	assertSameAnswers(t, s.Index(), ref)
 }
 
-// TestCrashCorruptNewestSnapshot: the newest snapshot is damaged (bit rot,
-// torn disk write the rename ordering did not catch); recovery must fall
-// back to the previous snapshot and replay the full WAL chain across the
-// rotation, losing nothing.
+// newestSlot is the path of the slot a load of dir takes.
+func newestSlot(t *testing.T, dir string) string {
+	t.Helper()
+	p := NewSlots(dir)
+	if ix, _, _ := p.Load(testLogger(t)); ix == nil {
+		t.Fatalf("no slot of %s loads", dir)
+	}
+	return p.Newest()
+}
+
+// flipByte flips one bit at fraction at of the file at path.
+func flipByte(t *testing.T, path string, at float64) {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[int(at*float64(len(blob)))] ^= 0x10
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashCorruptNewestSnapshot: the newest slot is damaged (bit rot, a
+// write torn by a crash); recovery must fall back to the other slot and
+// replay the full WAL chain across the rotation, losing nothing.
 func TestCrashCorruptNewestSnapshot(t *testing.T) {
 	base := t.TempDir()
 	inserts := testInserts()
 	accepted := crashedStore(t, base, inserts, len(inserts)/2)
-	snaps, _, err := scanDir(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 2 {
-		t.Fatalf("setup produced %d snapshots, want 2", len(snaps))
-	}
-	newest := snaps[len(snaps)-1]
-	blob, err := os.ReadFile(newest.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)/2] ^= 0x01
-	if err := os.WriteFile(newest.path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipByte(t, newestSlot(t, base), 0.5)
 	s := reopen(t, base)
 	st := s.Status()
 	if st.SnapshotFallbacks != 1 {
@@ -202,28 +210,18 @@ func TestCrashCorruptNewestSnapshot(t *testing.T) {
 	assertSameAnswers(t, s.Index(), ref)
 }
 
-// TestCrashAllSnapshotsCorrupt: with no loadable snapshot the store must
-// refuse to serve rather than silently rebuild and drop acknowledged data.
+// TestCrashAllSnapshotsCorrupt: with neither slot loadable beside a WAL
+// the store must refuse to serve rather than silently rebuild and drop
+// acknowledged data.
 func TestCrashAllSnapshotsCorrupt(t *testing.T) {
 	base := t.TempDir()
 	inserts := testInserts()
 	crashedStore(t, base, inserts, len(inserts)/2)
-	snaps, _, err := scanDir(base)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range slotNames {
+		flipByte(t, filepath.Join(base, name), 1.0/3)
 	}
-	for _, sn := range snaps {
-		blob, err := os.ReadFile(sn.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob[len(blob)/3] ^= 0x10
-		if err := os.WriteFile(sn.path, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := Open(Options{Dir: base}, nil); err == nil {
-		t.Fatal("recovery served a directory with no loadable snapshot")
+	if _, err := Open(Options{Dir: base}, builder(testData(30))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("recovery of a directory with no loadable slot: %v", err)
 	}
 }
 
@@ -234,7 +232,7 @@ func TestCrashDuringSegmentRotation(t *testing.T) {
 	base := t.TempDir()
 	inserts := testInserts()
 	accepted := crashedStore(t, base, inserts, len(inserts)/2)
-	_, segs, err := scanDir(base)
+	segs, err := scanSegments(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +246,7 @@ func TestCrashDuringSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.kill()
-	_, segs, err = scanDir(base)
+	segs, err = scanSegments(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,21 +270,13 @@ func TestCrashMissingSealedSegment(t *testing.T) {
 	base := t.TempDir()
 	inserts := testInserts()
 	crashedStore(t, base, inserts, len(inserts)/2)
-	snaps, segs, err := scanDir(base)
+	segs, err := scanSegments(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the newest snapshot so recovery needs the full WAL chain,
-	// then delete the sealed segment holding the first half of it.
-	newest := snaps[len(snaps)-1]
-	blob, err := os.ReadFile(newest.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)/2] ^= 0x02
-	if err := os.WriteFile(newest.path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Corrupt the newest slot so recovery needs the full WAL chain, then
+	// delete the sealed segment holding the first half of it.
+	flipByte(t, newestSlot(t, base), 0.5)
 	if err := os.Remove(segs[0].path); err != nil {
 		t.Fatal(err)
 	}
@@ -336,13 +326,32 @@ func TestRecoverReplaysLongTailInChunks(t *testing.T) {
 		opts[i] = append([]float64(nil), opts[i-5]...) // logged when opts[i-5] was, resolving to its id
 	}
 	dir := t.TempDir()
-	logged := crashedStore(t, dir, opts, 10)
-	s := reopen(t, dir)
-	st := s.Status()
-	if st.AppliedLSN != uint64(len(logged)) {
-		t.Fatalf("applied LSN %d, want %d", st.AppliedLSN, len(logged))
+	s := openStore(t, dir, Options{})
+	var logged int
+	for i, opt := range opts {
+		if id, err := s.Insert(opt); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		} else if id >= 0 {
+			logged++
+		}
+		if i == 9 {
+			if _, err := s.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			// The tail outgrows the slot, which would have the store
+			// snapshot it away; hold the trigger off.
+			s.mu.Lock()
+			s.slotBytes = math.MaxInt64
+			s.mu.Unlock()
+		}
 	}
-	tail := len(logged) - int(st.SnapshotLSN)
+	s.kill()
+	s = reopen(t, dir)
+	st := s.Status()
+	if st.AppliedLSN != uint64(logged) {
+		t.Fatalf("applied LSN %d, want %d", st.AppliedLSN, logged)
+	}
+	tail := logged - int(st.SnapshotLSN)
 	if tail <= minTail {
 		t.Fatalf("the tail holds %d records, want more than %d", tail, minTail)
 	}

@@ -90,16 +90,22 @@ func TestShipFullStream(t *testing.T) {
 // snapshots rotate. Every stream must load and serve, whatever the writer
 // does meanwhile; the final stream must equal the final index.
 func TestShipUnderConcurrentInserts(t *testing.T) {
-	s := openStore(t, t.TempDir(), Options{SnapshotRecords: 3})
+	s := openStore(t, t.TempDir(), Options{})
 	inserts := datagen.Generate(datagen.IND, 16, 2, 55)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for _, opt := range inserts {
+		for i, opt := range inserts {
 			if _, err := s.Insert(opt); err != nil {
 				t.Error(err)
 				return
+			}
+			if i%3 == 2 {
+				if _, err := s.Snapshot(); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}
 	}()

@@ -1,8 +1,8 @@
 // Package store makes a served τ-LevelIndex durable: every accepted insert
 // is appended to a CRC-checked write-ahead log and fsync'd before it is
-// acknowledged, the full index is periodically captured in atomic snapshots
-// via its binary serialization, and opening a data directory recovers the
-// exact pre-crash state by loading the newest valid snapshot and replaying
+// acknowledged, the full index is periodically written into one of two slot
+// files via its binary serialization, and opening a data directory recovers
+// the exact pre-crash state by loading the newest valid slot and replaying
 // the WAL tail.
 //
 // # Durability contract
@@ -27,13 +27,17 @@
 //
 // # File layout
 //
-//	<dir>/snapshot-<LSN>.idx   index serialization (X3, self-checksummed)
-//	<dir>/wal-<base>.log       records base+1.. (see wal.go for the format)
+//	<dir>/slot-a.idx, slot-b.idx   ship stream: header with LSN, then X3 (see slots.go)
+//	<dir>/wal-<base>.log           records base+1.. (see wal.go for the format)
 //
-// The two newest snapshots are retained: if the newest is corrupt (torn
-// rename, bit rot), recovery falls back to the previous one and replays a
-// correspondingly longer WAL suffix. Segments are rotated at each snapshot
-// and pruned once no retained snapshot needs them.
+// A snapshot overwrites the older slot in place. If the newest slot is
+// corrupt (a write torn by a crash, bit rot), recovery falls back to the
+// other one and replays a correspondingly longer WAL suffix. Segments are
+// rotated at each snapshot and pruned once neither slot needs them. The
+// store snapshots from a background goroutine once the WAL holds as many
+// bytes since the newest slot as that slot does: a tail of any length
+// replays as one rebuild, so the bound only caps the directory, at about
+// three times the index.
 //
 // # Limitations
 //
@@ -44,10 +48,12 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,27 +66,13 @@ import (
 type Options struct {
 	// Dir is the data directory; it is created if missing.
 	Dir string
-	// SnapshotBytes triggers an automatic background snapshot once the WAL
-	// holds at least this many record bytes since the last snapshot.
-	// Zero or negative disables the byte trigger.
-	SnapshotBytes int64
-	// SnapshotRecords triggers an automatic background snapshot once the
-	// WAL holds at least this many records since the last snapshot.
-	// Zero or negative disables the record trigger.
-	SnapshotRecords int
-	// SnapshotInterval triggers an automatic background snapshot whenever
-	// the newest snapshot is older than this, even if no insert tripped the
-	// byte or record thresholds — a quiet primary still folds its last
-	// few records into a snapshot, so a restart replays none. Zero
-	// disables the timer.
-	SnapshotInterval time.Duration
 	// Logger receives recovery, snapshot, and WAL lifecycle events as
 	// structured records; nil discards them.
 	Logger *slog.Logger
 }
 
 // Store owns a durable index: the in-memory τ-LevelIndex plus its WAL and
-// snapshots. The index publishes each rebuilt version by one pointer store,
+// slots. The index publishes each rebuilt version by one pointer store,
 // and the store does that only after the WAL holds the version's records.
 type Store struct {
 	opts Options
@@ -103,10 +95,11 @@ type Store struct {
 	failed   error // a WAL write failed: memory and disk diverged, refuse writes
 	closed   bool
 
+	slots          *Slots // written only under snapMu after Open
 	snapLSN        uint64
 	snapTime       time.Time
+	slotBytes      int64 // size of the newest slot, the auto-snapshot threshold
 	bytesSinceSnap int64
-	recsSinceSnap  int
 
 	replayed      int
 	recoveredFrom string
@@ -174,11 +167,12 @@ type GroupStats struct {
 	tlx.BatchInsertStats
 }
 
-// Open recovers a Store from dir. An empty directory is initialized from
-// build: the fresh index is captured as snapshot 0 so later restarts never
-// rebuild. A non-empty directory ignores build entirely — state comes from
-// the newest loadable snapshot plus the WAL tail. Open fails rather than
-// serve a directory whose every snapshot is corrupt or whose WAL has lost
+// Open recovers a Store from dir. A directory with no loadable slot and no
+// WAL segment has acknowledged nothing and is initialized from build: the
+// fresh index is written as the slot at LSN 0 so later restarts never
+// rebuild. Otherwise build is ignored — state comes from the newest
+// loadable slot plus the WAL tail. Open fails rather than serve a directory
+// whose slots are both corrupt beside a WAL, or whose WAL has lost
 // acknowledged records anywhere but the torn tail.
 func Open(opts Options, build func() (*tlx.Index, error)) (*Store, error) {
 	if opts.Dir == "" {
@@ -193,36 +187,40 @@ func Open(opts Options, build func() (*tlx.Index, error)) (*Store, error) {
 	s := &Store{
 		opts:    opts,
 		log:     opts.Logger,
+		slots:   NewSlots(opts.Dir),
 		trigger: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
-	snaps, segs, err := scanDir(opts.Dir)
+	segs, err := scanSegments(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(snaps) == 0 {
+	ix, lsn, skipped := s.slots.Load(s.log)
+	if ix == nil {
+		if old, _ := filepath.Glob(filepath.Join(opts.Dir, "snapshot-*.idx")); len(old) > 0 {
+			return nil, fmt.Errorf("store: %s holds snapshot-<LSN>.idx files, a layout this store no longer reads "+
+				"(it keeps slot-a.idx and slot-b.idx); bootstrap a follower from the old primary and open its directory", opts.Dir)
+		}
 		if len(segs) > 0 {
-			return nil, fmt.Errorf("%w: %s has WAL segments but no snapshot", ErrCorrupt, opts.Dir)
+			return nil, fmt.Errorf("%w: %s has WAL segments but no loadable slot", ErrCorrupt, opts.Dir)
 		}
 		if build == nil {
-			return nil, fmt.Errorf("store: %s is empty and no builder was given", opts.Dir)
+			return nil, fmt.Errorf("store: %s holds no index and no builder was given", opts.Dir)
 		}
 		if err := s.initialize(build); err != nil {
 			return nil, err
 		}
-	} else if err := s.recover(snaps, segs); err != nil {
+	} else if err := s.recover(ix, lsn, skipped, segs); err != nil {
 		return nil, err
 	}
-	if opts.SnapshotBytes > 0 || opts.SnapshotRecords > 0 || opts.SnapshotInterval > 0 {
-		s.wg.Add(1)
-		go s.autoSnapshotLoop()
-	}
+	s.wg.Add(1)
+	go s.autoSnapshotLoop()
 	registerStoreGauges(s)
 	return s, nil
 }
 
-// initialize captures a freshly built index as snapshot 0 and opens the
-// first WAL segment.
+// initialize writes a freshly built index as the slot at LSN 0 and opens
+// the first WAL segment.
 func (s *Store) initialize(build func() (*tlx.Index, error)) error {
 	ix, err := build()
 	if err != nil {
@@ -232,7 +230,7 @@ func (s *Store) initialize(build func() (*tlx.Index, error)) error {
 	if err != nil {
 		return err
 	}
-	if _, err := writeSnapshot(s.opts.Dir, 0, buf); err != nil {
+	if _, err := s.slots.Write(ShipHeader{Bytes: int64(len(buf))}, bytes.NewReader(buf), nil); err != nil {
 		return err
 	}
 	seg, err := createSegment(s.opts.Dir, 0)
@@ -240,32 +238,20 @@ func (s *Store) initialize(build func() (*tlx.Index, error)) error {
 		return err
 	}
 	s.ix, s.seg, s.snapTime, s.recoveredFrom = ix, seg, time.Now(), "initial build"
+	s.slotBytes = shipHeaderSize + int64(len(buf))
 	snapshotBytes.Set(float64(len(buf)))
 	s.log.Info("store: initialized", "dir", s.opts.Dir, "snapshotLsn", 0, "snapshotBytes", len(buf))
 	return nil
 }
 
-// recover loads the newest valid snapshot and replays the WAL tail.
-func (s *Store) recover(snaps, segs []fileEntry) error {
-	for i := len(snaps) - 1; i >= 0; i-- {
-		ix, err := s.loadSnapshot(snaps[i].path)
-		if err != nil {
-			s.log.Warn("store: snapshot unusable; falling back", "path", snaps[i].path, "err", err)
-			s.fallbacks++
-			continue
-		}
-		s.ix = ix
-		s.applied = snaps[i].lsn
-		s.appliedA.Store(snaps[i].lsn)
-		s.snapLSN = snaps[i].lsn
-		s.recoveredFrom = snaps[i].path
-		if st, serr := os.Stat(snaps[i].path); serr == nil {
-			s.snapTime = st.ModTime()
-		}
-		break
-	}
-	if s.ix == nil {
-		return fmt.Errorf("%w: no loadable snapshot in %s", ErrCorrupt, s.opts.Dir)
+// recover takes the index the newest loadable slot holds at lsn, after
+// skipping skipped slots that did not verify, and replays the WAL tail.
+func (s *Store) recover(ix *tlx.Index, lsn uint64, skipped int, segs []fileEntry) error {
+	s.ix, s.applied, s.snapLSN = ix, lsn, lsn
+	s.appliedA.Store(lsn)
+	s.recoveredFrom, s.fallbacks = s.slots.Newest(), skipped
+	if st, err := os.Stat(s.recoveredFrom); err == nil {
+		s.snapTime, s.slotBytes = st.ModTime(), st.Size()
 	}
 	// Replay every segment in LSN order. Records at or below the snapshot
 	// LSN are already part of the loaded state and are skipped; a gap above
@@ -309,7 +295,6 @@ func (s *Store) recover(snaps, segs []fileEntry) error {
 			}
 			s.seg = seg
 			s.bytesSinceSnap = sd.validSize - segHeaderSize
-			s.recsSinceSnap = int(s.applied - s.snapLSN)
 		}
 	}
 	if s.seg == nil {
@@ -364,18 +349,6 @@ func (s *Store) replay(recs []record, path string) error {
 		s.replayed++
 	}
 	return nil
-}
-
-// loadSnapshot reads a snapshot onto the heap. The store is the writer: its
-// first accepted insert rebuilds the cells anyway, and a mapping would keep
-// Pts aliased to a file that pruning later unlinks.
-func (s *Store) loadSnapshot(path string) (*tlx.Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return tlx.ReadIndex(f)
 }
 
 // Index returns the recovered index. The pointer is stable for the life of
@@ -532,10 +505,8 @@ func (s *Store) processGroup(group []*insertReq) {
 	// applied LSN jump from its old value to next in a single store.
 	s.applied = next
 	s.appliedA.Store(next)
-	s.recsSinceSnap += logged
 	s.bytesSinceSnap += nbytes
-	trip := (s.opts.SnapshotRecords > 0 && s.recsSinceSnap >= s.opts.SnapshotRecords) ||
-		(s.opts.SnapshotBytes > 0 && s.bytesSinceSnap >= s.opts.SnapshotBytes)
+	trip := s.bytesSinceSnap >= s.slotBytes
 	s.mu.Unlock()
 	if logged > 0 {
 		walGroupSize.Observe(float64(logged))
@@ -581,8 +552,8 @@ type SnapshotInfo struct {
 	UpToDate bool    `json:"upToDate"`
 }
 
-// Snapshot captures the current index state durably and rotates the WAL.
-// When the newest snapshot already covers every applied record it returns
+// Snapshot writes the current index into the older slot and rotates the
+// WAL. When the newest slot already covers every applied record it returns
 // immediately with UpToDate set.
 func (s *Store) Snapshot() (SnapshotInfo, error) {
 	s.snapMu.Lock()
@@ -616,24 +587,26 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	}
 	old := s.seg
 	s.seg = newSeg
-	s.bytesSinceSnap, s.recsSinceSnap = 0, 0
+	s.bytesSinceSnap = 0
 	s.mu.Unlock()
 	if old != nil {
 		old.Close()
 	}
 
-	path, err := writeSnapshot(s.opts.Dir, lsn, buf)
-	if err != nil {
+	if _, err := s.slots.Write(ShipHeader{LSN: lsn, Bytes: int64(len(buf))}, bytes.NewReader(buf), nil); err != nil {
 		// The rotation already happened; recovery simply replays through
-		// the rotated segments from the previous snapshot.
+		// the rotated segments from the other slot.
 		snapshotFailuresTotal.Inc()
 		return SnapshotInfo{}, err
 	}
+	path := s.slots.Newest()
 	s.mu.Lock()
+	prev := s.snapLSN
 	s.snapLSN = lsn
 	s.snapTime = time.Now()
+	s.slotBytes = shipHeaderSize + int64(len(buf))
 	s.mu.Unlock()
-	s.prune()
+	s.prune(prev)
 	took := time.Since(start)
 	snapshotsTotal.Inc()
 	snapshotSeconds.Observe(took.Seconds())
@@ -648,23 +621,14 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	}, nil
 }
 
-// prune deletes snapshots beyond the two newest and every WAL segment no
-// retained snapshot could need. Failures are logged, not fatal: pruning
+// prune deletes every WAL segment that neither slot could need: the older
+// slot holds the index at keepFrom. Failures are logged, not fatal: pruning
 // reruns at the next snapshot.
-func (s *Store) prune() {
-	snaps, segs, err := scanDir(s.opts.Dir)
+func (s *Store) prune(keepFrom uint64) {
+	segs, err := scanSegments(s.opts.Dir)
 	if err != nil {
 		s.log.Warn("store: prune scan failed", "err", err)
 		return
-	}
-	if len(snaps) <= 2 {
-		return
-	}
-	keepFrom := snaps[len(snaps)-2].lsn
-	for _, sn := range snaps[:len(snaps)-2] {
-		if err := os.Remove(sn.path); err != nil {
-			s.log.Warn("store: prune failed", "path", sn.path, "err", err)
-		}
 	}
 	// A segment with base b holds records b+1..b' only; once b' ≤ keepFrom
 	// it cannot matter, and b' is the next segment's base.
@@ -677,22 +641,15 @@ func (s *Store) prune() {
 	}
 }
 
+// autoSnapshotLoop snapshots each time processGroup finds the WAL bytes
+// since the newest slot at that slot's size.
 func (s *Store) autoSnapshotLoop() {
 	defer s.wg.Done()
-	// The interval timer fires unconditionally; Snapshot's up-to-date
-	// early return makes ticks on a quiet store cost one lock acquisition.
-	var tick <-chan time.Time
-	if s.opts.SnapshotInterval > 0 {
-		t := time.NewTicker(s.opts.SnapshotInterval)
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		select {
 		case <-s.done:
 			return
 		case <-s.trigger:
-		case <-tick:
 		}
 		if _, err := s.Snapshot(); err != nil {
 			s.log.Error("store: auto snapshot failed", "err", err)
@@ -732,8 +689,8 @@ func (s *Store) Status() Status {
 	}
 }
 
-// Close stops the background snapshotter, takes a final snapshot (so a
-// clean stop never needs WAL replay), and releases the WAL file.
+// Close stops the background snapshotter, writes a final slot (so a clean
+// stop never needs WAL replay), and releases the WAL file.
 func (s *Store) Close() error {
 	s.once.Do(func() { close(s.done) })
 	s.wg.Wait()

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	tlx "tlevelindex"
 	"tlevelindex/datagen"
@@ -109,7 +110,7 @@ func TestInitializeAndReopen(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen must come from the snapshot, replay nothing, and ignore the
+	// Reopen must come from the slot, replay nothing, and ignore the
 	// builder entirely.
 	s2, err := Open(Options{Dir: dir, Logger: testLogger(t)}, func() (*tlx.Index, error) {
 		t.Fatal("builder called on non-empty dir")
@@ -119,7 +120,7 @@ func TestInitializeAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if st := s2.Status(); st.RecordsReplayed != 0 || !strings.Contains(st.RecoveredFrom, "snapshot-") {
+	if st := s2.Status(); st.RecordsReplayed != 0 || !strings.Contains(st.RecoveredFrom, "slot-") {
 		t.Fatalf("reopen status: %+v", st)
 	}
 	ref, _ := reference(t, nil)
@@ -203,8 +204,10 @@ func TestManualSnapshotAndPrune(t *testing.T) {
 	if err != nil || !again.UpToDate {
 		t.Fatalf("idle snapshot: %+v err=%v", again, err)
 	}
-	// More snapshots; pruning must hold the directory at two snapshots and
-	// their segments.
+	// Both slots now exist. Each further snapshot overwrites one of them in
+	// place — the same two files, never renamed — and pruning holds the WAL
+	// at the segments the older slot needs: its own and the newest.
+	slots := slotFiles(t, dir)
 	for _, opt := range inserts[3:] {
 		if _, err := s.Insert(opt); err != nil {
 			t.Fatal(err)
@@ -213,50 +216,76 @@ func TestManualSnapshotAndPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snaps, segs, err := scanDir(dir)
+	for i, fi := range slotFiles(t, dir) {
+		if !os.SameFile(fi, slots[i]) {
+			t.Errorf("%s is a new file: a snapshot replaced it instead of writing it in place", fi.Name())
+		}
+	}
+	var names []string
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != 2 {
-		t.Errorf("%d snapshots after prune, want 2", len(snaps))
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
-	if len(segs) > 3 {
-		t.Errorf("%d WAL segments after prune", len(segs))
+	segs, err := scanSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 4 || names[0] != "slot-a.idx" || names[1] != "slot-b.idx" || len(segs) != 2 {
+		t.Errorf("data dir holds %v, want two WAL segments and the two slots", names)
 	}
 }
 
-func TestAutoSnapshotByRecordThreshold(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, Options{SnapshotRecords: 2})
-	defer s.Close()
-	accepted := 0
-	for _, opt := range testInserts() {
-		id, err := s.Insert(opt)
+// slotFiles stats the two slot files of dir.
+func slotFiles(t *testing.T, dir string) []os.FileInfo {
+	t.Helper()
+	var out []os.FileInfo
+	for _, name := range slotNames {
+		fi, err := os.Stat(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id >= 0 {
-			accepted++
-		}
+		out = append(out, fi)
 	}
-	// The background snapshotter runs asynchronously; Close drains it and
-	// takes the final snapshot, after which the directory must contain a
-	// snapshot beyond LSN 0.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snaps, _, err := scanDir(dir)
+	return out
+}
+
+// TestAutoSnapshotByWALBytes: the store snapshots by itself once the WAL
+// holds as many bytes since the newest slot as that slot does, and not
+// before.
+func TestAutoSnapshotByWALBytes(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	defer s.Close()
+	fi, err := os.Stat(filepath.Join(dir, slotNames[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snaps[len(snaps)-1].lsn; got == 0 {
-		t.Errorf("no snapshot taken after %d accepted inserts", accepted)
+	slot := fi.Size()
+	// A duplicate of an indexed option is logged under its id and changes
+	// nothing, so every insert grows the WAL by one record.
+	dup := testData(30)[s.Index().LevelOptions(1)[0]]
+	for st := s.Status(); st.WALBytes < slot; st = s.Status() {
+		if st.SnapshotLSN != 0 {
+			t.Fatalf("snapshot at LSN %d with %d of %d WAL bytes", st.SnapshotLSN, st.WALBytes, slot)
+		}
+		if id, err := s.Insert(dup); err != nil || id < 0 {
+			t.Fatalf("duplicate insert: id %d, %v", id, err)
+		}
+	}
+	applied := s.Status().AppliedLSN
+	for deadline := time.Now().Add(10 * time.Second); s.Status().SnapshotLSN != applied; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no snapshot at LSN %d: status %+v", applied, s.Status())
+		}
 	}
 }
 
 func TestConcurrentInsertsAndSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, Options{SnapshotRecords: 2})
+	s := openStore(t, dir, Options{})
 	inserts := datagen.Generate(datagen.IND, 12, 2, 77)
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -335,29 +364,57 @@ func TestWALWithoutSnapshotRefused(t *testing.T) {
 	}
 }
 
-func TestLeftoverTempSnapshotIgnored(t *testing.T) {
+// TestTornFirstSlotRebuilds: a crash while the very first slot is written
+// leaves it torn and no WAL segment beside it. Nothing was acknowledged,
+// so Open builds the index again.
+func TestTornFirstSlotRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
-	if _, err := s.Insert([]float64{0.9, 0.9}); err != nil {
-		t.Fatal(err)
-	}
 	s.kill()
-	// A crash mid-snapshot leaves a temp file; recovery must delete it and
-	// proceed from the durable state.
-	tmp := snapshotPath(dir, 99) + tmpSuffix
-	if err := os.WriteFile(tmp, []byte("half-written"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{slotNames[0], filepath.Base(segmentPath(dir, 0))} {
+		path := filepath.Join(dir, name)
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == slotNames[0] {
+			err = os.WriteFile(path, blob[:len(blob)/2], 0o644)
+		} else {
+			err = os.Remove(path)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	s2 := openStore(t, dir, Options{})
 	defer s2.Close()
-	if s2.Status().AppliedLSN != 1 {
-		t.Errorf("recovered LSN %d, want 1", s2.Status().AppliedLSN)
+	if st := s2.Status(); st.RecoveredFrom != "initial build" || st.AppliedLSN != 0 {
+		t.Fatalf("status after a torn first slot: %+v", st)
 	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Error("temp snapshot survived recovery")
+	ref, _ := reference(t, nil)
+	assertSameAnswers(t, s2.Index(), ref)
+}
+
+// TestOpenRefusesSnapshotLayout: a directory in the layout before the two
+// slots (snapshot-<LSN>.idx files) is refused with an error that names the
+// change, not read and not rebuilt over.
+func TestOpenRefusesSnapshotLayout(t *testing.T) {
+	dir := t.TempDir()
+	ix, err := tlx.Build(testData(30), testTau)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot-"+strings.Repeat("0", 18)+"99.idx")); !os.IsNotExist(err) {
-		t.Error("temp snapshot was promoted")
+	blob, _ := ix.AppendBinary(nil)
+	old := filepath.Join(dir, "snapshot-00000000000000000000.idx")
+	if err := os.WriteFile(old, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(Options{Dir: dir, Logger: testLogger(t)}, builder(testData(30)))
+	if err == nil || !strings.Contains(err.Error(), "slot-a.idx") || !strings.Contains(err.Error(), "snapshot-<LSN>.idx") {
+		t.Fatalf("Open over the snapshot layout: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, slotNames[0])); !os.IsNotExist(err) {
+		t.Error("Open wrote a slot beside the old layout")
 	}
 }
 
