@@ -142,9 +142,9 @@ ingest-bench:
 
 # PBA⁺ index builds against the committed BENCH_build.json baseline:
 # BenchmarkBuild builds the load benchmark's data (IND n=8000, seed 1) at its
-# own shape, d=3 τ=9, and at d=4 τ=4, reporting cells, LP calls and verdict
-# memo entries beside ns/op — a row whose ns/op moved because the index did
-# shows it in the same line. BenchmarkExtendTau deepens an IND n=2000, d=3
+# own shape, d=3 τ=9, and at d=4 τ=4, reporting cells and LP calls beside
+# ns/op — a row whose ns/op moved because the index did shows it in the
+# same line. BenchmarkExtendTau deepens an IND n=2000, d=3
 # index from τ=3 to τ=5 (a rebuild; the τ=3 build is untimed). 3 timed
 # builds per row; the target takes 10–15 s on 2 vCPU.
 # Same 2x ns/op gate — with the missing-baseline-name failure rule — and

@@ -112,6 +112,35 @@ func TestKSPRPaperExample(t *testing.T) {
 	}
 }
 
+// TestRegionsShareTheIndexRows: the regions a query returns are the index's
+// own rows, not copies, so a second answer's regions are the same memory;
+// appending to one gives the caller a slice of its own and leaves the
+// index's rows, and every later answer, as they were.
+func TestRegionsShareTheIndexRows(t *testing.T) {
+	ix := buildHotels(t)
+	first, err := ix.KSPR(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := first.Regions[0]
+	want := append([]Halfspace(nil), r.Halfspaces...)
+	grown := append(r.Halfspaces, Halfspace{A: []float64{1}, B: 0})
+	second, err := ix.KSPR(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := second.Regions[0].Halfspaces
+	if &got[0] != &r.Halfspaces[0] {
+		t.Error("a second answer copied the rows its region shares with the first")
+	}
+	if &grown[0] == &r.Halfspaces[0] {
+		t.Error("appending to a returned region wrote past its halfspaces")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("after an append to a returned region the index answers %v, want %v", got, want)
+	}
+}
+
 func TestUTKPaperExample(t *testing.T) {
 	ix := buildHotels(t)
 	res, err := ix.UTK(3, []float64{0.35}, []float64{0.45})

@@ -235,7 +235,4 @@ func expTable4(sc scale) {
 		})
 	}
 	printTable(header, rows)
-	fmt.Printf("verdict cache: PBA+ %d hits / %d misses (%.1f%% hit rate, %d entries); IBA %d hits / %d misses (%.1f%% hit rate, %d entries)\n",
-		ps.VerdictHits, ps.VerdictMisses, 100*ps.VerdictHitRate(), ps.VerdictEntries,
-		is.VerdictHits, is.VerdictMisses, 100*is.VerdictHitRate(), is.VerdictEntries)
 }

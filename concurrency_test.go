@@ -78,9 +78,9 @@ func checkMergeDeterminism(t *testing.T) {
 		if !bytes.Equal(ref, buf.Bytes()) {
 			t.Errorf("serialized index differs between 1 and %d workers", wk)
 		}
-		if st.LPCalls != refStats.LPCalls || st.VerdictEntries != refStats.VerdictEntries {
-			t.Errorf("workers=%d: LPCalls %d, VerdictEntries %d; 1 worker: %d, %d",
-				wk, st.LPCalls, st.VerdictEntries, refStats.LPCalls, refStats.VerdictEntries)
+		if st.LPCalls != refStats.LPCalls || !slices.Equal(st.CellsPerLevel, refStats.CellsPerLevel) {
+			t.Errorf("workers=%d: LPCalls %d, cells %v; 1 worker: %d, %v",
+				wk, st.LPCalls, st.CellsPerLevel, refStats.LPCalls, refStats.CellsPerLevel)
 		}
 	}
 }

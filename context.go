@@ -138,7 +138,10 @@ func (ix *Index) topK(ctx context.Context, w []float64, k int) (*TopKResult, err
 		return nil, err
 	}
 	q := ix.startQuerySpan(ctx, "query.topk")
-	h, opts, st, err := v.inner.TopKCtx(ctx, x, k)
+	// The walk's ranks only live until origIDs maps them: on the stack for
+	// the k of most queries.
+	var ranks [16]int32
+	h, _, opts, st, err := v.inner.LocateTopK(ctx, x, k, ranks[:0])
 	q.finish(exportStats(st), err)
 	return &TopKResult{Options: v.origIDs(opts), Key: CellKey{h: h}, Stats: exportStats(st)}, err
 }
@@ -166,8 +169,11 @@ func (ix *Index) kspr(ctx context.Context, k, focal int) (*KSPRResult, error) {
 	if err != nil {
 		return out, err
 	}
-	for _, id := range res.Cells {
-		out.Regions = append(out.Regions, exportRegion(v.inner.RowsInto(id)))
+	if n := len(res.Cells); n > 0 { // none stays nil: "regions":null on the wire
+		out.Regions = make([]Region, n)
+	}
+	for i, id := range res.Cells {
+		out.Regions[i] = exportRegion(v.inner.RowsInto(id))
 	}
 	return out, nil
 }

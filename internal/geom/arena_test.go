@@ -8,7 +8,7 @@ import (
 
 // TestAddPrefMatchesAddBitwise: AddPref is the arena-backed fast path for
 // Add(PrefHalfspace(ri, rj)). The two must agree bit for bit — coefficients,
-// offsets, dedup keys, and the region hash (which keys the verdict memo) —
+// offsets, dedup keys, and the region hash (which keys BSL's dominance memo) —
 // or incremental builds would diverge from the historical ones.
 func TestAddPrefMatchesAddBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))

@@ -50,7 +50,7 @@ type Region struct {
 	// keys[i] is the canonical hash of HS[i]; Add uses it to deduplicate
 	// halfspaces that reach the region via several paths (cloned siblings,
 	// merged bounds). hash is the order-independent combination of keys —
-	// the cell-region identity used by the builders' verdict memo.
+	// the cell-region identity BSL's dominance memo keys on.
 	keys []uint64
 	hash uint64
 
@@ -210,7 +210,7 @@ func (r *Region) AddPref(ri, rj []float64) *Region {
 
 // Hash returns an order-independent identity of the region's halfspace set.
 // Two regions assembled from the same (deduplicated) halfspaces hash
-// equally regardless of insertion order; the builders key their memoized
+// equally regardless of insertion order; BSL keys its memoized
 // C-dominance verdicts on it.
 func (r *Region) Hash() uint64 { return r.hash }
 

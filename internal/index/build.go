@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"tlevelindex/internal/dg"
 	"tlevelindex/internal/obs"
 	"tlevelindex/internal/skyline"
 )
@@ -210,23 +209,21 @@ func Build(data [][]float64, cfg Config) (*Index, error) {
 		ix.fullPts = data
 	}
 	ix.Stats.InputOptions = len(data)
-	ix.build(cfg.Algorithm, cfg.Seed, dg.NewVerdictCache())
+	ix.build(cfg.Algorithm, cfg.Seed)
 	return ix, nil
 }
 
-// build constructs the cells over ix.Pts with algorithm alg and the verdict
-// memo verdicts (nil for none), discarding any cells ix held, and leaves the
-// index frozen with its statistics filled. It is the whole of Build after
-// the option filter, and of an accepted InsertBatch or an ExtendTau once
-// they have grown the pool (and ExtendTau τ): everything
-// else a built index holds (Dim, Tau, Pts, OrigIDs, fullPts,
+// build constructs the cells over ix.Pts with algorithm alg, discarding any
+// cells ix held, and leaves the index frozen with its statistics filled. It
+// is the whole of Build after the option filter, and of an accepted
+// InsertBatch or an ExtendTau once they have grown the pool (and ExtendTau
+// τ): everything else a built index holds (Dim, Tau, Pts, OrigIDs, fullPts,
 // Stats.InputOptions, the worker bound, the observability hooks, the
 // backing) is the caller's and is left as it is.
-func (ix *Index) build(alg Algorithm, seed int64, verdicts *dg.VerdictCache) {
+func (ix *Index) build(alg Algorithm, seed int64) {
 	// A rebuild in place reuses the table it replaces; a Successor's grows
 	// from empty, so a batch that admits nothing allocates no table.
 	ix.Cells, ix.Levels, ix.flat = ix.Cells[:0], nil, nil
-	ix.verdicts = verdicts
 	ix.Stats = BuildStats{
 		Algorithm:       alg.String(),
 		InputOptions:    ix.Stats.InputOptions,
@@ -240,9 +237,9 @@ func (ix *Index) build(alg Algorithm, seed int64, verdicts *dg.VerdictCache) {
 	}
 	switch alg {
 	case PBAPlus:
-		buildPBA(ix, true)
+		buildPBA(ix, true, nil)
 	case PBA:
-		buildPBA(ix, false)
+		buildPBA(ix, false, nil)
 	case IBA:
 		buildIBA(ix, skyline.LayerOrder(ix.Pts))
 	case IBAR:
@@ -257,13 +254,9 @@ func (ix *Index) build(alg Algorithm, seed int64, verdicts *dg.VerdictCache) {
 	case BSL:
 		buildBSL(ix)
 	}
-	ix.refreshVerdictStats()
 	if ix.trace != nil {
 		buildSpan.Set("cells", float64(ix.NumCells()))
 		buildSpan.Set("lpCalls", float64(ix.Stats.LPCalls))
-		buildSpan.Set("verdictHits", float64(ix.Stats.VerdictHits))
-		buildSpan.Set("verdictMisses", float64(ix.Stats.VerdictMisses))
-		buildSpan.Set("verdictHitRate", ix.Stats.VerdictHitRate())
 		buildSpan.FinishTo(ix.trace)
 	}
 	var compactSpan obs.Span

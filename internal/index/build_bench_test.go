@@ -10,9 +10,9 @@ import (
 // BenchmarkBuild is one PBA⁺ build per op of the load benchmark's data, IND
 // n=8000 seed 1, at its own shape (d=3, τ=9) and at d=4, τ=4, with the
 // default worker count. Beside ns/op and allocations it reports the index's
-// cells, its LP calls and the verdict memo's entries, so a change that
-// moves ns/op by building a different index shows in the same row. `make
-// build-bench` gates it in BENCH_build.json.
+// cells and its LP calls, so a change that moves ns/op by building a
+// different index shows in the same row. `make build-bench` gates it in
+// BENCH_build.json.
 func BenchmarkBuild(b *testing.B) {
 	for _, c := range []struct{ d, tau int }{{3, 9}, {4, 4}} {
 		data := datagen.Generate(datagen.IND, 8000, c.d, 1)
@@ -27,7 +27,6 @@ func BenchmarkBuild(b *testing.B) {
 			}
 			b.ReportMetric(float64(ix.NumCells()), "cells")
 			b.ReportMetric(float64(ix.Stats.LPCalls), "lpcalls")
-			b.ReportMetric(float64(ix.VerdictEntries()), "verdicts")
 		})
 	}
 }

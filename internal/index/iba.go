@@ -1,7 +1,6 @@
 package index
 
 import (
-	"tlevelindex/internal/dg"
 	"tlevelindex/internal/geom"
 	"tlevelindex/internal/pool"
 )
@@ -22,7 +21,7 @@ import (
 func buildIBA(ix *Index, order []int) {
 	ix.Stats.PostFilterCandidates = make([]float64, ix.Tau)
 	ix.Stats.ActualCandidates = make([]float64, ix.Tau)
-	st := &ibaState{ix: ix, verdicts: ix.verdicts}
+	st := &ibaState{ix: ix}
 	for _, oi := range order {
 		st.begin(int32(oi))
 		st.insert(ix.Root())
@@ -215,9 +214,6 @@ type ibaState struct {
 	// this round.
 	visited []uint32
 	epoch   uint32
-	// verdicts memoizes classification and feasibility LPs on the region
-	// hash.
-	verdicts *dg.VerdictCache
 
 	// stack holds the adjacency snapshots of the recursion's live frames:
 	// a frame iterates a copy of a list the calls below it edit.
@@ -336,22 +332,9 @@ func (st *ibaState) insert(id int32) {
 		return
 	}
 
-	reg := st.regionOver(id, false)
-	// Duplicate (R, opt) cells under different parents share the same
-	// Definition-2 region until the post-insertion merge, so the three-way
-	// classification for (opt, rj) is memoized on the region hash: the
-	// second twin answers from the cache instead of re-running both LPs.
-	key := dg.VerdictKey{Kind: dg.KindClassify, U: c.Opt, V: st.rj, Region: reg.Hash()}
-	var rel geom.Rel
-	if v, hit := st.verdicts.Lookup(key); hit {
-		rel = geom.Rel(v)
-	} else {
-		h := geom.PrefHalfspace(ix.Pts[c.Opt], ix.Pts[st.rj]) // S_opt >= S_rj
-		ix.Stats.LPCalls += 2
-		rel = geom.Classify(reg, h)
-		st.verdicts.Store(key, int8(rel))
-	}
-	switch rel {
+	h := geom.PrefHalfspace(ix.Pts[c.Opt], ix.Pts[st.rj]) // S_opt >= S_rj
+	ix.Stats.LPCalls += 2
+	switch geom.Classify(st.regionOver(id, false), h) {
 	case geom.RelInside: // Case I: the cell's option always outranks rj here.
 		st.insertBelow(id)
 	case geom.RelOutside: // Case II: rj outranks the cell's option everywhere.
@@ -418,15 +401,8 @@ func (st *ibaState) cloneUnder(old, newParent int32) {
 	}
 	cid := ix.newCell(newLevel, oc.Opt, nil, nil)
 	ix.addEdge(newParent, cid)
-	creg := st.regionOver(cid, true)
-	fkey := dg.VerdictKey{Kind: dg.KindFeasible, Region: creg.Hash()}
-	feasible, hit := st.verdicts.LookupBool(fkey)
-	if !hit {
-		ix.Stats.LPCalls++
-		feasible = creg.Feasible()
-		st.verdicts.StoreBool(fkey, feasible)
-	}
-	if !feasible {
+	ix.Stats.LPCalls++
+	if !st.regionOver(cid, true).Feasible() {
 		// Empty region: unlink and tombstone.
 		ix.unlinkEdge(newParent, cid)
 		ix.Cells[cid].Level = -1

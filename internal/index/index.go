@@ -18,7 +18,6 @@ import (
 	"io"
 	"slices"
 
-	"tlevelindex/internal/dg"
 	"tlevelindex/internal/geom"
 	"tlevelindex/internal/obs"
 	"tlevelindex/internal/pool"
@@ -45,8 +44,7 @@ type Cell struct {
 // and Figures 9–11. They describe the build that made the current cells:
 // an InsertBatch that accepts an option, and an ExtendTau, rebuild the
 // index with PBA⁺, so from then on every figure, Algorithm ("PBA+")
-// included, is that rebuild's, whichever algorithm built the index first,
-// and the verdict counters read 0 (the rebuild runs without the memo).
+// included, is that rebuild's, whichever algorithm built the index first.
 // InputOptions is the one figure carried across.
 type BuildStats struct {
 	Algorithm       string
@@ -59,23 +57,6 @@ type BuildStats struct {
 	CellsPerLevel        []int
 	HyperplanesPerCell   []float64
 	LPCalls              int64
-	// VerdictCache effectiveness over the build: memoized LP verdicts
-	// served vs computed fresh, and entries held. Like the cache itself
-	// these are not serialized; a loaded index, and one an insert or an
-	// ExtendTau rebuilt (which runs without the cache), report zeros.
-	VerdictHits    uint64
-	VerdictMisses  uint64
-	VerdictEntries int
-}
-
-// VerdictHitRate returns the fraction of verdict lookups served from the
-// cache, or 0 when there were none.
-func (s *BuildStats) VerdictHitRate() float64 {
-	total := s.VerdictHits + s.VerdictMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.VerdictHits) / float64(total)
 }
 
 // Index is a built τ-LevelIndex.
@@ -104,11 +85,6 @@ type Index struct {
 	// workers bounds the goroutines used for per-cell LP work; values
 	// below 1 mean runtime.GOMAXPROCS(0). Not serialized.
 	workers int
-	// verdicts memoizes pairwise C-dominance LP outcomes keyed by
-	// (option pair, cell halfspace-set hash) within a build; BSL's scratch
-	// indexes share their parent's cache. Not serialized (nil after Load,
-	// which the cache treats as always-miss).
-	verdicts *dg.VerdictCache
 	// trace and progress carry the build-time observability hooks from
 	// Config into the level loops (and later rebuilds). Both may be nil,
 	// which disables them at the cost of one nil check. Not serialized.
@@ -139,24 +115,6 @@ func (ix *Index) CloseBacking() error {
 		return nil
 	}
 	return c.Close()
-}
-
-// refreshVerdictStats copies the verdict-cache counters into Stats; called
-// at the end of every build.
-func (ix *Index) refreshVerdictStats() {
-	hits, misses, size := ix.verdicts.Stats()
-	ix.Stats.VerdictHits = hits
-	ix.Stats.VerdictMisses = misses
-	ix.Stats.VerdictEntries = size
-}
-
-// VerdictEntries returns the number of verdicts the build-time cache holds
-// right now (Stats.VerdictEntries is the figure as of the last build); 0
-// for a loaded index or one an insert or ExtendTau rebuilt, which have no
-// cache.
-func (ix *Index) VerdictEntries() int {
-	_, _, size := ix.verdicts.Stats()
-	return size
 }
 
 // Workers returns the configured worker bound (0 meaning the GOMAXPROCS

@@ -48,7 +48,7 @@ type BatchStats struct {
 func (ix *Index) Successor() *Index {
 	next := *ix
 	next.Pts, next.OrigIDs = slices.Clip(ix.Pts), slices.Clip(ix.OrigIDs)
-	next.Cells, next.Levels, next.flat, next.verdicts = nil, nil, nil, nil
+	next.Cells, next.Levels, next.flat = nil, nil, nil
 	next.Stats = BuildStats{InputOptions: ix.Stats.InputOptions}
 	return &next
 }
@@ -117,10 +117,7 @@ func (ix *Index) admit(r []float64, orig int) int32 {
 // PBA⁺ build over the pool and returns the build's wall time in ns.
 func (ix *Index) Rebuild() int64 {
 	start := time.Now()
-	// Without a verdict memo: a PBA⁺ build never hits its own (a key names
-	// one cell's region, and a cell tests a pair once), and on ingest_mixed
-	// storing the verdicts cost a sixth of the insert throughput.
-	ix.build(PBAPlus, 0, nil)
+	ix.build(PBAPlus, 0)
 	return time.Since(start).Nanoseconds()
 }
 

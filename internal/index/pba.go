@@ -95,7 +95,10 @@ type pbaResult struct {
 // d = 2, see buildWorkers); cells and
 // edges are then materialized sequentially in input order, which keeps ids
 // — and the serialized index — identical for every worker count.
-func buildPBA(ix *Index, plus bool) {
+//
+// memo is BSL's dominance memo, shared by its scratch builds; every other
+// build passes nil (see domMemo).
+func buildPBA(ix *Index, plus bool, memo *domMemo) {
 	base := dg.NewBase(ix.Pts)
 	rootReg := geom.NewRegion(ix.RDim())
 	rootCenter, _, ok := rootReg.ChebyshevCenter()
@@ -137,7 +140,7 @@ func buildPBA(ix *Index, plus bool) {
 		phase := ix.startPhase("build.level.compute")
 		results := make([]pbaResult, len(cur))
 		pool.ForEach(workers, len(cur), func(i int) {
-			results[i] = ix.partitionCompute(&cur[i], plus, int32(l), base, carry)
+			results[i] = ix.partitionCompute(&cur[i], plus, int32(l), base, carry, memo)
 		})
 		ix.endPhase(&phase, l+1)
 		// Sequential apply phase: allocate cells and edges in input order.
@@ -315,7 +318,7 @@ func (ix *Index) reportLevel(level, cells int, lpCalls int64, buildStart, levelS
 // only reads ix (cells, points, regions) and mutates data owned by this
 // work item, so calls for different cells can run concurrently. Without
 // carry the children get no samples or dominance graphs.
-func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.Base, carry bool) pbaResult {
+func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.Base, carry bool, memo *domMemo) pbaResult {
 	var res pbaResult
 	reg := ix.RegionInto(wk.cell, geom.GetRegion())
 	defer geom.PutRegion(reg)
@@ -344,7 +347,7 @@ func (ix *Index) partitionCompute(wk *pbaWork, plus bool, level int32, base *dg.
 	}
 	sc := partScratches.Get()
 	defer partScratches.Put(sc)
-	p := computeP(ix, g, reg, level, samples, &res.lpCalls, sc)
+	p := computeP(ix, g, reg, level, samples, &res.lpCalls, sc, memo)
 	res.pCount = len(p)
 
 	const strictEps = 1e-9
@@ -477,9 +480,10 @@ func (ix *Index) interiorTo(reg *geom.Region, ri int32, bound []int32, x, row []
 // edge, which PBA⁺ children inherit. Dead options (dominator count above
 // τ−ℓ−1) are dropped from the pool permanently. An LP containment test for
 // "u dominates v in this cell" runs only when no interior sample already
-// refutes it. LP invocations are tallied into lpCalls (not the shared
-// Stats), so the caller can run many computeP calls concurrently.
-func computeP(ix *Index, g *dg.Graph, reg *geom.Region, level int32, samples []float64, lpCalls *int64, sc *partScratch) []int32 {
+// refutes it, no edge already answers it, and memo (nil outside BSL) holds
+// no verdict for it. LP invocations are tallied into lpCalls (not the
+// shared Stats), so the caller can run many computeP calls concurrently.
+func computeP(ix *Index, g *dg.Graph, reg *geom.Region, level int32, samples []float64, lpCalls *int64, sc *partScratch, memo *domMemo) []int32 {
 	threshold := int32(ix.Tau) - level - 1
 	g.DropAbove(threshold)
 	frontier := g.AppendFrontier(sc.frontier[:0])
@@ -522,12 +526,11 @@ func computeP(ix *Index, g *dg.Graph, reg *geom.Region, level int32, samples []f
 			if g.HasEdge(u, v) || g.HasEdge(v, u) {
 				continue
 			}
-			key := dg.VerdictKey{Kind: dg.KindDominates, U: u, V: v, Region: reg.Hash()}
-			dom, hit := ix.verdicts.LookupBool(key)
+			dom, hit := memo.lookup(u, v, reg)
 			if !hit {
 				*lpCalls++
 				dom = reg.ContainsHalfspace(geom.PrefHalfspaceInto(row, ix.Pts[u], ix.Pts[v]))
-				ix.verdicts.StoreBool(key, dom)
+				memo.store(u, v, reg, dom)
 			}
 			if dom {
 				us, vs = append(us, u), append(vs, v)

@@ -32,10 +32,11 @@ type batchRequest struct {
 
 // handleQueryBatch is POST /v1/query/batch.
 func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	qs, ok := decodeQueries(w, r, true)
+	d, qs, ok := decodeQueries(w, r, true)
 	if !ok {
 		return
 	}
+	defer d.release()
 	if len(qs) == 0 {
 		badRequest(w, "empty batch")
 		return
@@ -47,7 +48,7 @@ func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range qs {
 		qs[i].defaults()
 	}
-	out := make([]queryItem, len(qs))
+	out := d.itemsFor(len(qs))
 	h.dispatchBatch(r.Context(), qs, out)
 	writeItems(w, r, out, true)
 }
@@ -63,7 +64,7 @@ func (h *Handler) dispatchBatch(ctx context.Context, qs []QueryRequest, out []qu
 				out[i] = errItem(err)
 				continue
 			}
-			out[i] = h.runOn(ctx, spec, &qs[i], ix, lsn)
+			h.runOn(ctx, spec, &qs[i], ix, lsn, &out[i])
 		}
 	})
 }

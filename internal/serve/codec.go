@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"unsafe"
@@ -38,21 +39,29 @@ import (
 // writeJSON body go through encoding/json. Either way the bytes are
 // encoding/json's (TestResponsesMatchEncodingJSON).
 
-// queryDecoder is one body decode's working memory. Pooled: the body buffer
-// and the parse scratch survive the request, while everything the parsed
-// queries point to is allocated per request.
+// queryDecoder is one query request's working memory, from its body to its
+// response. Pooled: the handler takes one in decodeQueries and releases it
+// once writeItems has sent the body, so everything it hands out — the
+// queries, the vector and focal slabs they point into, the items — lives
+// as long as the request and is reused by the next one. Nothing that
+// outlives the request may keep a reference into it: noteItem copies W
+// before the flight recorder keeps it.
 type queryDecoder struct {
 	body bytes.Buffer
 	b    []byte // the bytes being parsed
 	pos  int
-	// floats holds every w/lo/hi value in body order and qs the parsed
-	// queries, whose vectors are still windows of floats.
+	// floats holds every w/lo/hi value in body order, and the queries'
+	// vectors are windows of it; qs holds the parsed queries.
 	floats []float64
 	qs     []parsedQuery
-	focals int // queries carrying a focal
+	// reqs are the queries handed out, focals the values their Focal
+	// fields point to, and items one answer per query.
+	reqs   []QueryRequest
+	focals []int
+	items  []queryItem
 }
 
-// parsedQuery is one query before its vectors move to the request's slab.
+// parsedQuery is one query as parsed, its vectors located in the float slab.
 type parsedQuery struct {
 	q         QueryRequest // Family, K and M final
 	focal     int
@@ -79,12 +88,14 @@ func b2f(b bool) float64 {
 }
 
 // decodeQueries reads a /v1/query body (batch false: one query) or a
-// /v1/query/batch envelope and returns its queries. On failure it has
-// answered the error envelope — 413 for an over-cap body, otherwise 400 —
-// and reports false. A traced request decodes inside a serve.decode span
-// under the handler span, carrying the body's bytes, the queries decoded
-// and whether encoding/json decided the body (fallback).
-func decodeQueries(w http.ResponseWriter, r *http.Request, batch bool) ([]QueryRequest, bool) {
+// /v1/query/batch envelope and returns its queries and the decoder that
+// owns them, which the caller releases once the response is sent. On
+// failure it has answered the error envelope — 413 for an over-cap body,
+// otherwise 400 — released the decoder itself, and reports false. A traced
+// request decodes inside a serve.decode span under the handler span,
+// carrying the body's bytes, the queries decoded and whether encoding/json
+// decided the body (fallback).
+func decodeQueries(w http.ResponseWriter, r *http.Request, batch bool) (*queryDecoder, []QueryRequest, bool) {
 	sc, traced := obs.SpanContextFrom(r.Context())
 	var sp obs.Span
 	if traced {
@@ -98,6 +109,7 @@ func decodeQueries(w http.ResponseWriter, r *http.Request, batch bool) ([]QueryR
 	if rerr == nil {
 		qs, ok = d.parse(body, batch)
 	}
+	d.b = nil
 	var err error
 	if !ok {
 		var rd io.Reader = bytes.NewReader(body)
@@ -113,13 +125,32 @@ func decodeQueries(w http.ResponseWriter, r *http.Request, batch bool) ([]QueryR
 		sp.Set("fallback", b2f(!ok))
 		sp.FinishTo(sc.Tracer)
 	}
-	// Past these sizes the decoder is dropped rather than pooled, as a large
-	// respWriter is: one outsized body must not keep its scratch alive.
-	d.b = nil
+	if err != nil {
+		d.release()
+		return nil, nil, false
+	}
+	return d, qs, true
+}
+
+// itemsFor returns n empty items, d's.
+func (d *queryDecoder) itemsFor(n int) []queryItem {
+	if cap(d.items) < n {
+		d.items = make([]queryItem, n)
+	}
+	d.items = d.items[:n]
+	return d.items
+}
+
+// release clears the queries and items d handed out, so that a pooled
+// decoder pins no answer, and returns d to the pool. Past these sizes it is
+// dropped instead, as a large respWriter is: one outsized body must not
+// keep its scratch alive.
+func (d *queryDecoder) release() {
+	clear(d.reqs)
+	clear(d.items)
 	if d.body.Cap() <= maxPooledBytes && cap(d.floats) <= maxPooledBytes/8 && cap(d.qs) <= 2*maxBatchQueries {
 		decoderPool.Put(d)
 	}
-	return qs, err == nil
 }
 
 // decodeFallback decodes rd with encoding/json, answering the error
@@ -141,7 +172,7 @@ func decodeFallback(w http.ResponseWriter, rd io.Reader, batch bool) ([]QueryReq
 // with batch the {"queries":[...]} envelope. It reports false for any body
 // outside the subset.
 func (d *queryDecoder) parse(body []byte, batch bool) ([]QueryRequest, bool) {
-	d.b, d.pos, d.floats, d.qs, d.focals = body, 0, d.floats[:0], d.qs[:0], 0
+	d.b, d.pos, d.floats, d.qs = body, 0, d.floats[:0], d.qs[:0]
 	d.ws()
 	if !batch {
 		if !d.object() {
@@ -165,35 +196,38 @@ func (d *queryDecoder) parse(body []byte, batch bool) ([]QueryRequest, bool) {
 	return d.finish(), true
 }
 
-// finish moves the parsed queries and their vectors out of the pooled
-// scratch: one slab for every w/lo/hi value, one for the focals, so a
-// query's vectors outlive the request (the flight recorder keeps W).
-// A batch with no queries is empty, not nil, as encoding/json decodes [].
+// finish hands out the parsed queries: their vectors are windows of the
+// float slab and their focals point into the focal slab, both d's. A batch
+// with no queries is empty, not nil, as encoding/json decodes [], and so is
+// a present vector with no values.
 func (d *queryDecoder) finish() []QueryRequest {
-	floats := make([]float64, len(d.floats))
-	copy(floats, d.floats)
-	var focals []int
-	if d.focals > 0 {
-		focals = make([]int, 0, d.focals)
+	if d.floats == nil {
+		d.floats = []float64{}
 	}
 	vec := func(v window) []float64 {
 		if v.n < 0 {
 			return nil
 		}
-		return floats[v.off : v.off+v.n : v.off+v.n]
+		return d.floats[v.off : v.off+v.n : v.off+v.n]
 	}
-	qs := make([]QueryRequest, len(d.qs))
+	if d.reqs == nil || cap(d.reqs) < len(d.qs) {
+		d.reqs = make([]QueryRequest, len(d.qs))
+	}
+	d.reqs = d.reqs[:len(d.qs)]
+	// Room for a focal per query, so that no append below moves the slab
+	// a Focal already points into.
+	d.focals = slices.Grow(d.focals[:0], len(d.qs))
 	for i := range d.qs {
 		p := &d.qs[i]
-		q := &qs[i]
+		q := &d.reqs[i]
 		*q = p.q
 		q.W, q.Lo, q.Hi = vec(p.w), vec(p.lo), vec(p.hi)
 		if p.hasFocal {
-			focals = append(focals, p.focal)
-			q.Focal = &focals[len(focals)-1]
+			d.focals = append(d.focals, p.focal)
+			q.Focal = &d.focals[len(d.focals)-1]
 		}
 	}
-	return qs
+	return d.reqs
 }
 
 // object parses one query object into d.qs.
@@ -221,9 +255,6 @@ func (d *queryDecoder) object() bool {
 		}
 		return ok
 	})
-	if p.hasFocal {
-		d.focals++
-	}
 	d.qs = append(d.qs, p)
 	return ok
 }

@@ -61,36 +61,6 @@ var registerProcessGauges = sync.OnceFunc(func() {
 		}, obs.Label{Name: "kind", Value: "classify"})
 })
 
-// registerIndexGauges exposes the served index's VerdictCache statistics.
-// The hit and miss counts reflect the last build (an insert or ExtendTau
-// rebuilds without the cache and zeroes them), the entry count is read
-// live; GaugeFunc replaces the reader on re-registration, so the newest
-// handler's index wins.
-func (h *Handler) registerIndexGauges() {
-	stats := func() tlx.BuildStats {
-		h.mu.RLock()
-		defer h.mu.RUnlock()
-		return h.be.Index().Stats()
-	}
-	obs.Default().GaugeFunc("tlx_build_verdict_cache_hits_total",
-		"VerdictCache hits during index construction and extension.", func() float64 {
-			return float64(stats().VerdictHits)
-		})
-	obs.Default().GaugeFunc("tlx_build_verdict_cache_misses_total",
-		"VerdictCache misses during index construction and extension.", func() float64 {
-			return float64(stats().VerdictMisses)
-		})
-	obs.Default().GaugeFunc("tlx_build_verdict_cache_entries",
-		"Entries held by the VerdictCache.", func() float64 {
-			return float64(stats().VerdictEntries)
-		})
-	obs.Default().GaugeFunc("tlx_build_verdict_cache_hit_ratio",
-		"VerdictCache hit ratio over construction and extension (0 when unused).", func() float64 {
-			s := stats()
-			return s.VerdictHitRate()
-		})
-}
-
 // statusWriter captures the response status for the access log and the
 // request counter. WriteHeader may never be called (implicit 200), so it
 // starts at StatusOK.
@@ -170,7 +140,9 @@ func (h *Handler) instrument(endpoint string, fn http.HandlerFunc) http.HandlerF
 			// A parsed-but-unsampled traceparent (flags 00) is the caller
 			// explicitly opting out; it neither records nor consumes a
 			// head-sampling tick.
-			trace, parent, sampled, ok := obs.ParseTraceparent(r.Header.Get("traceparent"))
+			// The canonical key: Get canonicalizes any other spelling into
+			// a new string on every request.
+			trace, parent, sampled, ok := obs.ParseTraceparent(r.Header.Get("Traceparent"))
 			if !ok && h.sampleTrace() {
 				trace, parent, sampled, ok = obs.NewTraceID(), 0, true, true
 			}
@@ -200,9 +172,13 @@ func (h *Handler) instrument(endpoint string, fn http.HandlerFunc) http.HandlerF
 		if quiet(endpoint) {
 			level = slog.LevelDebug
 		}
-		h.log.Log(r.Context(), level, "http request",
-			"method", r.Method, "path", r.URL.Path, "status", sw.status,
-			"durMs", float64(took)/float64(time.Millisecond), "remote", r.RemoteAddr)
+		// Asked first: the attributes below are boxed before Log could
+		// decline them, which cost every request four allocations.
+		if h.log.Enabled(r.Context(), level) {
+			h.log.Log(r.Context(), level, "http request",
+				"method", r.Method, "path", r.URL.Path, "status", sw.status,
+				"durMs", float64(took)/float64(time.Millisecond), "remote", r.RemoteAddr)
+		}
 	}
 }
 

@@ -116,8 +116,8 @@ func scrapeOpenMetrics(t *testing.T, base string) string {
 // TestMetricsEndpoint is the obs smoke test (make obs-smoke): after real
 // traffic against a store-backed server, /v1/metrics must return valid
 // Prometheus text exposition containing every metric family the issue
-// promises — request latency, per-query-type traversal counters,
-// VerdictCache statistics, WAL fsync latency, and runtime gauges.
+// promises — request latency, per-query-type traversal counters, WAL
+// fsync latency, and runtime gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := newStoreServer(t, t.TempDir())
 
@@ -144,9 +144,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`tlx_http_request_seconds_bucket{endpoint="/v1/query",le="+Inf"}`,
 		`tlx_query_visited_cells_total{query="topk"}`,
 		`tlx_query_lp_calls_total{query="kspr"}`,
-		"tlx_build_verdict_cache_hits_total",
-		"tlx_build_verdict_cache_hit_ratio",
-		"tlx_build_verdict_cache_entries",
 		"tlx_wal_append_seconds_bucket",
 		"tlx_wal_fsync_seconds_bucket",
 		"tlx_wal_ack_seconds_count 2",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 
 	tlx "tlevelindex"
 	"tlevelindex/internal/obs"
@@ -47,8 +48,13 @@ type queryStatsBody struct {
 }
 
 // Family result bodies: the "result" objects of the query envelope.
+
+// topkBody is a tlx.TopKResult, field for field, so that a top-k answer
+// converts to its body in place; only its options go on the wire.
 type topkBody struct {
-	Options []int `json:"options"`
+	Options []int          `json:"options"`
+	Key     tlx.CellKey    `json:"-"`
+	Stats   tlx.QueryStats `json:"-"`
 }
 
 type ksprBody struct {
@@ -72,13 +78,15 @@ type maxrankBody struct {
 // queryItem is the wire form of one query's outcome: the whole /v1/query
 // response, and one element of a /v1/query/batch response. A success carries
 // result, stats and lsn; a failure carries error and the HTTP status
-// /v1/query answers it with (plus a zero lsn).
+// /v1/query answers it with (plus a zero lsn). An answered item's Stats
+// points at the item's own stats, so answering allocates none.
 type queryItem struct {
 	Result any             `json:"result,omitempty"`
 	Stats  *queryStatsBody `json:"stats,omitempty"`
 	LSN    uint64          `json:"lsn"`
 	Error  string          `json:"error,omitempty"`
 	Status int             `json:"status,omitempty"`
+	stats  queryStatsBody
 }
 
 func errItem(err error) queryItem {
@@ -114,7 +122,7 @@ var families = map[string]*familySpec{
 			if res == nil {
 				return nil, tlx.QueryStats{}, 0, err
 			}
-			return &topkBody{Options: res.Options}, res.Stats, res.Key.Sum64(), err
+			return (*topkBody)(res), res.Stats, res.Key.Sum64(), err
 		},
 	},
 	"kspr": {
@@ -188,28 +196,29 @@ func resolve(q *QueryRequest) (*familySpec, error) {
 	return spec, nil
 }
 
-// runOn answers one query on one serving index. When the request is traced
-// the item runs inside a child span of its own, which noteItem finishes.
+// runOn answers one query on one serving index into it. When the request
+// is traced the item runs inside a child span of its own, which noteItem
+// finishes.
 func (h *Handler) runOn(ctx context.Context, spec *familySpec, q *QueryRequest,
-	ix *tlx.Index, lsn uint64) queryItem {
+	ix *tlx.Index, lsn uint64, it *queryItem) {
 	sc, traced := obs.SpanContextFrom(ctx)
 	if !traced {
-		it, _, _ := h.answer(ctx, spec, q, ix, lsn)
-		return it
+		h.answer(ctx, spec, q, ix, lsn, it)
+		return
 	}
 	sp := obs.StartSpanIn(sc, spec.itemSpan)
-	it, cell, err := h.answer(obs.ContextWithSpan(ctx, sc.ChildOf(sp.ID)), spec, q, ix, lsn)
+	cell, err := h.answer(obs.ContextWithSpan(ctx, sc.ChildOf(sp.ID)), spec, q, ix, lsn, it)
 	h.noteItem(sc, &sp, spec.name, q, cell, it.Stats, err)
-	return it
 }
 
 // noteItem finishes one item's span with its traversal effort, and
 // annotates the trace with the query's identity (family, preference vector,
 // k, cell key, stats) — the detail the slow tier retains so a captured slow
-// request can be replayed exactly. stats is nil when the item failed.
+// request can be replayed exactly. The vector is copied: q's lives in the
+// request's pooled decoder. stats is nil when the item failed.
 func (h *Handler) noteItem(sc obs.SpanContext, sp *obs.Span, family string, q *QueryRequest,
 	cell uint64, stats *queryStatsBody, err error) {
-	meta := obs.QueryMeta{Family: family, W: q.W, K: q.K, Cell: obs.CellKey(cell)}
+	meta := obs.QueryMeta{Family: family, W: slices.Clone(q.W), K: q.K, Cell: obs.CellKey(cell)}
 	sp.Err = err
 	if stats != nil {
 		meta.VisitedCells, meta.LPCalls = stats.VisitedCells, stats.LPCalls
@@ -220,37 +229,40 @@ func (h *Handler) noteItem(sc obs.SpanContext, sp *obs.Span, family string, q *Q
 	sp.FinishTo(sc.Tracer)
 }
 
-// answer runs the family on ix and returns its item, stamped with lsn, and
-// the cell-chain key the traversal walked (0 for a family without one). A
+// answer runs the family on ix into it, stamped with lsn, and returns the
+// cell-chain key the traversal walked (0 for a family without one). A
 // walked chain counts into the hot-cell sketch.
 func (h *Handler) answer(ctx context.Context, spec *familySpec, q *QueryRequest,
-	ix *tlx.Index, lsn uint64) (queryItem, uint64, error) {
+	ix *tlx.Index, lsn uint64, it *queryItem) (uint64, error) {
 	result, stats, cell, err := spec.run(ctx, ix, q)
 	if result != nil {
 		// Partial traversals (cancellation) still report their effort.
 		recordQueryStats(spec.name, stats)
 	}
 	if err != nil {
-		return errItem(err), cell, err
+		*it = errItem(err)
+		return cell, err
 	}
 	if cell != 0 {
 		h.hot.Observe(cell)
 	}
-	st := queryStatsBody(stats)
-	return queryItem{Result: result, Stats: &st, LSN: lsn}, cell, nil
+	*it = queryItem{Result: result, LSN: lsn, stats: queryStatsBody(stats)}
+	it.Stats = &it.stats
+	return cell, nil
 }
 
 // handleQuery is POST /v1/query: a batch of one, answered with its item —
 // or, when the item failed, with the error envelope under the item's
 // status.
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
-	qs, ok := decodeQueries(w, r, false)
+	d, qs, ok := decodeQueries(w, r, false)
 	if !ok {
 		return
 	}
+	defer d.release()
 	qs = qs[:1]
 	qs[0].defaults()
-	out := make([]queryItem, 1)
+	out := d.itemsFor(1)
 	h.dispatchBatch(r.Context(), qs, out)
 	writeItems(w, r, out, false)
 }

@@ -119,7 +119,7 @@
 // # Observability
 //
 // Every endpoint is instrumented: request counts and latency histograms,
-// per-query-type traversal counters, WAL/snapshot latency, VerdictCache statistics, and runtime
+// per-query-type traversal counters, WAL/snapshot latency and runtime
 // gauges are all exposed in Prometheus text format at GET /v1/metrics
 // (metric names are prefixed tlx_; see DESIGN.md §14 for the full list).
 // Config.Logger attaches a structured access log; Config.Pprof mounts the
@@ -265,7 +265,6 @@ func newHandler(be Backend, cfg Config) *Handler {
 		h.traceEvery = DefaultTraceSample
 	}
 	registerProcessGauges()
-	h.registerIndexGauges()
 	h.handle("/v1/query", post(h.handleQuery))
 	h.handle("/v1/query/batch", post(h.handleQueryBatch))
 	h.handle("/v1/stats", get(h.handleStats))
@@ -401,9 +400,14 @@ const (
 	maxPooledRows  = 4096
 )
 
+// jsonContentType is every JSON response's Content-Type value, shared: a
+// header value slice is only ever replaced or appended to, never written
+// in place, and Set would allocate a fresh one per response.
+var jsonContentType = []string{"application/json"}
+
 // send writes the settled body under status and returns rw to the pool.
 func (rw *respWriter) send(w http.ResponseWriter, status int) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(rw.b) // headers are out; nothing useful to do on failure
 	if cap(rw.b) > maxPooledBytes || len(rw.memo) > maxPooledRows {

@@ -75,7 +75,8 @@ func (ix *Index) LocateTopK(ctx context.Context, w []float64, k int) (CellKey, i
 		return CellKey{}, 0, nil, err
 	}
 	q := ix.startQuerySpan(ctx, "query.locatetopk")
-	h, level, res, st, err := v.inner.LocateTopK(ctx, x, k, make([]int32, 0, min(k, v.inner.Tau)))
+	var ranks [16]int32 // as in topK
+	h, level, res, st, err := v.inner.LocateTopK(ctx, x, k, ranks[:0])
 	q.finish(exportStats(st), err)
 	key := CellKey{h: h}
 	return key, level, &TopKResult{Options: v.origIDs(res), Key: key, Stats: exportStats(st)}, err

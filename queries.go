@@ -2,6 +2,7 @@ package tlevelindex
 
 import (
 	"context"
+	"unsafe"
 
 	"tlevelindex/internal/geom"
 	"tlevelindex/internal/index"
@@ -16,6 +17,14 @@ type Halfspace struct {
 
 // Region is a convex piece of preference space: the intersection of its
 // halfspaces (the simplex bounds are included).
+//
+// A region a query returns shares its halfspaces, coefficients included,
+// with the index version that answered, so it costs the query no copy: read
+// it, or copy it before changing it. Appending to Halfspaces is safe, since
+// its capacity ends at its length; writing an element or a coefficient in
+// place changes the index's own rows. The index never writes them, so a
+// region stays valid, and keeps its version's rows alive, as long as it is
+// held.
 type Region struct {
 	Halfspaces []Halfspace
 }
@@ -50,22 +59,17 @@ func (r Region) Contains(x []float64) bool {
 	return true
 }
 
-// exportRegion copies a cell's rows into a caller-owned Region: one
-// Halfspace slice over one coefficient slab, each A a full-capped window of
-// it.
+// exportRegion returns a cell's rows as a Region without copying them: the
+// halfspaces are the index's own, in the rows column of a published
+// version, which nothing writes once filled (see Region). The pointer
+// conversion compiles only while Halfspace and geom.Halfspace have one
+// layout. Rows are never empty (every cell has its simplex rows); the
+// empty case stays a non-nil slice, as a copy was.
 func exportRegion(rows geom.Rows) Region {
-	out := Region{Halfspaces: make([]Halfspace, len(rows))}
 	if len(rows) == 0 {
-		return out
+		return Region{Halfspaces: []Halfspace{}}
 	}
-	dim := len(rows[0].A)
-	slab := make([]float64, len(rows)*dim)
-	for i, h := range rows {
-		a := slab[i*dim : (i+1)*dim : (i+1)*dim]
-		copy(a, h.A)
-		out.Halfspaces[i] = Halfspace{A: a, B: h.B}
-	}
-	return out
+	return Region{Halfspaces: unsafe.Slice((*Halfspace)(&rows[0]), len(rows))}
 }
 
 // QueryStats reports traversal effort — the cells visited during the index

@@ -282,17 +282,11 @@ func (ix *Index) CellsPerLevel() []int {
 	return out
 }
 
-// Stats returns construction statistics. VerdictEntries is read live: the
-// other verdict figures are as of the last build. An accepted insert and an
-// ExtendTau rebuild the index with PBA⁺ and without the verdict memo, after
-// which every figure, Algorithm included, describes that rebuild rather
-// than the original build, and the verdict figures read 0.
-func (ix *Index) Stats() BuildStats {
-	in := ix.cur.Load().inner
-	s := in.Stats
-	s.VerdictEntries = in.VerdictEntries()
-	return s
-}
+// Stats returns construction statistics. An accepted insert and an
+// ExtendTau rebuild the index with PBA⁺, after which every figure,
+// Algorithm included, describes that rebuild rather than the original
+// build.
+func (ix *Index) Stats() BuildStats { return ix.cur.Load().inner.Stats }
 
 // SizeBytes returns the serialized index size — the paper's index-size
 // metric.
@@ -398,8 +392,10 @@ func (v *version) origIDs(fids []int32) []int {
 	return out
 }
 
-// reduce validates a full weight vector and returns reduced coordinates.
-// Every validation failure wraps ErrInvalidWeights.
+// reduce validates a full weight vector and returns reduced coordinates: w
+// without its last entry, a window of w rather than a copy, since every
+// query only reads it for the length of the call. Every validation failure
+// wraps ErrInvalidWeights.
 func (v *version) reduce(w []float64) ([]float64, error) {
 	if len(w) != v.inner.Dim {
 		return nil, fmt.Errorf("%w: has %d entries, want %d", ErrInvalidWeights, len(w), v.inner.Dim)
@@ -420,7 +416,7 @@ func (v *version) reduce(w []float64) ([]float64, error) {
 	if math.Abs(sum-1) > 1e-6 {
 		return nil, fmt.Errorf("%w: weights sum to %v, want 1", ErrInvalidWeights, sum)
 	}
-	return append([]float64(nil), w[:len(w)-1]...), nil
+	return w[: len(w)-1 : len(w)-1], nil
 }
 
 // Insert adds a newly arrived option to the index and returns its id for

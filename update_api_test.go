@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tlevelindex/baseline"
@@ -306,4 +307,36 @@ func TestReverseTopK(t *testing.T) {
 	if _, err := ix.ReverseTopK(2, 0, [][]float64{{0.5}}); err == nil {
 		t.Error("short user vector accepted")
 	}
+}
+
+// TestBuildHoldsNoMemo: a built index holds what its cells need and
+// nothing the build used along the way, so the live heap after Build is
+// the live heap after a rebuild of the same index, one option larger: an
+// accepted insert rebuilds it with PBA⁺ from the pool. Measured after a
+// forced GC, within 10 %.
+func TestBuildHoldsNoMemo(t *testing.T) {
+	data := datagen.Generate(datagen.IND, 2000, 3, 1)
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the first only moves pooled scratch to the victim cache
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := live()
+	ix, err := Build(data, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := live() - base
+	id, err := ix.Insert([]float64{0.9995, 0.1, 0.1})
+	if err != nil || id != len(data) {
+		t.Fatalf("insert: id %d, %v; want an accepted option, id %d", id, err, len(data))
+	}
+	rebuilt := live() - base
+	t.Logf("live heap: %d B after Build, %d B after the insert's rebuild", built, rebuilt)
+	if float64(built) > 1.1*float64(rebuilt) || float64(rebuilt) > 1.1*float64(built) {
+		t.Fatalf("live heap after Build %d B, after a rebuild %d B: more than 10 %% apart", built, rebuilt)
+	}
+	runtime.KeepAlive(ix)
 }
