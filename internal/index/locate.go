@@ -8,7 +8,8 @@ import "tlevelindex/internal/geom"
 // options it folds each visited cell's content hash into a chain key. Two
 // weight vectors with equal chain keys at equal depth followed the same
 // cell chain, so their top-k walks produce identical ordered answers; the
-// serve layer's result cache is keyed on exactly this property.
+// serve layer's hot-cell sketch and its query traces name a chain by this
+// key.
 //
 // The key must survive compact() renumbering and ExtendTau, so a
 // cell's content hash is derived from stable identities only: its level

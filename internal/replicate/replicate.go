@@ -6,12 +6,13 @@
 // primary has published a newer index, the next poll installs that index
 // whole, skipping every publish in between.
 //
-// An install only swaps a pointer: a query holds the follower's read lock
-// while it runs, but an index it has loaded is never changed or released
-// under it — the garbage collector frees an old index once its last
-// query is done. That is why an install loads onto the heap rather than
-// mapping its slot: the slot is overwritten two installs later, and
-// nothing is ever unmapped under a reader.
+// An install is one pointer store of the pair (index, LSN), and a query
+// loads that pair once and holds no lock: an index it has loaded is never
+// changed or released under it — the garbage collector frees an old index
+// once its last query is done — so an install never waits for a reader,
+// however long the reader keeps its index. That is why an install loads
+// onto the heap rather than mapping its slot: the slot is overwritten two
+// installs later, and nothing is ever unmapped under a reader.
 //
 // # State machine
 //
@@ -84,15 +85,12 @@ type Follower struct {
 	client *http.Client
 	log    *slog.Logger
 
-	// mu guards the ix pointer: install swaps it under the write lock, the
-	// serve layer queries under the read lock.
-	mu sync.RWMutex
-	ix *tlx.Index
+	// cur is the installed index with the LSN it was installed at (a nil
+	// index before the first install). An install is one store of it, made
+	// only by the goroutine that bootstraps and follows.
+	cur atomic.Pointer[installed]
 	// slots is touched only by the goroutine that bootstraps and follows.
-	slots *store.Slots
-	// applied and primary are atomics so status and gauges read them
-	// without the lock. applied is also written under mu.
-	applied atomic.Uint64
+	slots   *store.Slots
 	primary atomic.Uint64
 	state   atomic.Value // string
 
@@ -106,6 +104,13 @@ type Follower struct {
 	done chan struct{}
 	once sync.Once
 	wg   sync.WaitGroup
+}
+
+// installed is one published version: an index and the LSN it reflects,
+// swapped in together by one pointer store.
+type installed struct {
+	ix  *tlx.Index
+	lsn uint64
 }
 
 // beginTrace opens a bootstrap trace: a fresh trace id (forwarded on every
@@ -195,6 +200,7 @@ func Start(opts Options) (*Follower, error) {
 		slots:  store.NewSlots(opts.Dir),
 		done:   make(chan struct{}),
 	}
+	f.cur.Store(&installed{})
 	if f.client == nil {
 		f.client = http.DefaultClient
 	}
@@ -224,7 +230,7 @@ func Start(opts Options) (*Follower, error) {
 func (f *Follower) bootstrap() error {
 	root := f.beginTrace()
 	if ix, lsn, _ := f.slots.Load(f.log); ix != nil {
-		f.install(ix, lsn)
+		f.cur.Store(&installed{ix, lsn})
 		f.log.Info("replicate: resumed from local slot", "snapshotLsn", lsn)
 	}
 	err := f.fetch()
@@ -241,14 +247,6 @@ func (f *Follower) bootstrap() error {
 	return err
 }
 
-// install publishes a complete index at lsn.
-func (f *Follower) install(ix *tlx.Index, lsn uint64) {
-	f.mu.Lock()
-	f.ix = ix
-	f.applied.Store(lsn)
-	f.mu.Unlock()
-}
-
 // isCorruptStream reports whether a fetch failed on the stream's content
 // (worth re-fetching) rather than on connectivity.
 func isCorruptStream(err error) bool {
@@ -258,12 +256,14 @@ func isCorruptStream(err error) bool {
 // fetch asks the primary for an index newer than the installed one and, if
 // the primary has one, installs it: written into the spare slot, loaded,
 // then swapped in. A primary at the follower's LSN answers with a header
-// alone. Any error leaves the installed index serving. Only the goroutine that bootstraps
-// and then follows calls it, so it reads f.ix without the lock.
+// alone. Any error leaves the installed index serving. Only the goroutine
+// that bootstraps and then follows calls it, and the only one that
+// installs, so the pair it loads once stays the installed one throughout.
 func (f *Follower) fetch() error {
+	cur := f.cur.Load()
 	url := f.opts.PrimaryURL + "/v1/admin/snapshot/stream"
-	if f.ix != nil {
-		url += "?from=" + strconv.FormatUint(f.applied.Load(), 10)
+	if cur.ix != nil {
+		url += "?from=" + strconv.FormatUint(cur.lsn, 10)
 	}
 	resp, err := f.get(url)
 	if err != nil {
@@ -279,7 +279,7 @@ func (f *Follower) fetch() error {
 	}
 	f.primary.Store(hdr.LSN)
 	if hdr.Bytes == 0 {
-		if f.ix == nil || hdr.LSN != f.applied.Load() {
+		if cur.ix == nil || hdr.LSN != cur.lsn {
 			return fmt.Errorf("%w: stream at LSN %d carries no index", store.ErrCorrupt, hdr.LSN)
 		}
 		return nil
@@ -299,7 +299,7 @@ func (f *Follower) fetch() error {
 	if err != nil {
 		return err
 	}
-	f.install(ix, hdr.LSN)
+	f.cur.Store(&installed{ix, hdr.LSN})
 	f.log.Debug("replicate: installed index", "appliedLsn", hdr.LSN, "bytes", hdr.Bytes)
 	return nil
 }
@@ -323,14 +323,17 @@ func (f *Follower) followLoop() {
 	}
 }
 
-// Index returns the currently served index; callers must hold Mutex.
-func (f *Follower) Index() *tlx.Index { return f.ix }
+// Serving returns the installed index and its LSN, loaded together. It
+// holds nothing: done is a no-op, and an install proceeds however long the
+// caller keeps the index.
+func (f *Follower) Serving() (ix *tlx.Index, lsn uint64, done func()) {
+	cur := f.cur.Load()
+	return cur.ix, cur.lsn, func() {}
+}
 
-// Mutex guards the index between the serve layer and the follow loop.
-func (f *Follower) Mutex() *sync.RWMutex { return &f.mu }
-
-// AppliedLSN is the LSN the local index reflects.
-func (f *Follower) AppliedLSN() uint64 { return f.applied.Load() }
+// AppliedLSN is the LSN the local index reflects; 0 before the first
+// install.
+func (f *Follower) AppliedLSN() uint64 { return f.cur.Load().lsn }
 
 // PrimaryLSN is the primary's last observed applied LSN.
 func (f *Follower) PrimaryLSN() uint64 { return f.primary.Load() }

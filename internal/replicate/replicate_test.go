@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -193,8 +194,8 @@ func TestFollowerServesByteIdentical(t *testing.T) {
 
 // TestFollowerReadersAcrossInstalls runs readers against a follower while
 // the primary publishes 60 times and the follower installs each. A reader
-// takes the follower's lock only to load the LSN and the index, and
-// queries after releasing it. Every publish makes its option the best at
+// loads the index and its LSN as one pair (Serving), which holds no lock,
+// and queries that index. Every publish makes its option the best at
 // one corner of the simplex, so the option accepted at that LSN must rank
 // first in the loaded index. Under -race this is the check that an install
 // never changes or releases an index a reader still holds.
@@ -210,9 +211,8 @@ func TestFollowerReadersAcrossInstalls(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				f.Mutex().RLock()
-				lsn, ix := f.AppliedLSN(), f.Index()
-				f.Mutex().RUnlock()
+				ix, lsn, done := f.Serving()
+				done()
 				if top, err := ix.TopK([]float64{0.5, 0.5}, 3); err != nil || len(top) != 3 {
 					t.Errorf("top-3 at LSN ≥ %d: %v %v", lsn, top, err)
 					return
@@ -242,6 +242,47 @@ func TestFollowerReadersAcrossInstalls(t *testing.T) {
 	wg.Wait()
 	if seen.Load() == 0 {
 		t.Fatal("no reader ran against an installed publish")
+	}
+	assertSameBytes(t, st, f)
+}
+
+// TestFollowerInstallsPastAHeldRead: a reader keeps the pair Serving
+// returned and never calls done, while the primary publishes 12 times. The
+// follower installs every publish — a read holds nothing an install waits
+// for — and the held index still answers as the primary's index did at the
+// held LSN, byte for byte.
+func TestFollowerInstallsPastAHeldRead(t *testing.T) {
+	srv, st := newPrimary(t, t.TempDir())
+	f := startFollower(t, Options{PrimaryURL: srv.URL, Dir: t.TempDir(), PollInterval: time.Millisecond})
+	held, heldLSN, _ := f.Serving()
+	if heldLSN != st.AppliedLSN() {
+		t.Fatalf("follower serving LSN %d, primary at %d", heldLSN, st.AppliedLSN())
+	}
+	want, _ := st.Index().AppendBinary(nil)
+	wantTop, err := held.TopK([]float64{0.5, 0.5}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const installs = 12
+	for i := 1; i <= installs; i++ {
+		opt := []float64{0.3, 0.3}
+		opt[i%2] = 1 + 0.001*float64(i)
+		_, lsn, err := st.InsertLSN(opt)
+		if err != nil || lsn != heldLSN+uint64(i) {
+			t.Fatalf("publish %d: lsn %d %v", i, lsn, err)
+		}
+		waitCaughtUp(t, f, lsn)
+		if ix, got, done := f.Serving(); got != lsn || ix == held {
+			t.Fatalf("install %d: serving LSN %d (held index: %v), want a new index at %d", i, got, ix == held, lsn)
+		} else {
+			done()
+		}
+	}
+	if got, _ := held.AppendBinary(nil); !bytes.Equal(got, want) {
+		t.Fatalf("held index (%d bytes) no longer equals the primary's at LSN %d (%d bytes)", len(got), heldLSN, len(want))
+	}
+	if top, err := held.TopK([]float64{0.5, 0.5}, 3); err != nil || !slices.Equal(top, wantTop) {
+		t.Fatalf("held index answers top-3 %v (%v), want %v", top, err, wantTop)
 	}
 	assertSameBytes(t, st, f)
 }
@@ -476,9 +517,9 @@ func TestFollowerBytesEqualPrimary(t *testing.T) {
 func assertSameBytes(t *testing.T, st *store.Store, f *Follower) {
 	t.Helper()
 	want, _ := st.Index().AppendBinary(nil)
-	f.Mutex().RLock()
-	got, _ := f.Index().AppendBinary(nil)
-	f.Mutex().RUnlock()
+	ix, _, done := f.Serving()
+	defer done()
+	got, _ := ix.AppendBinary(nil)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("follower index (%d bytes) differs from the primary's (%d bytes)", len(got), len(want))
 	}

@@ -13,50 +13,70 @@ import (
 	"testing"
 
 	tlx "tlevelindex"
+	"tlevelindex/internal/store"
 )
 
 // TestDispatchAllocsRecorderOff pins the steady-state query path with the
 // flight recorder disabled, where tracing must add zero allocations (the
-// untraced path is a single context lookup). A MaxRank dispatch reads the
-// option→cells column, at two: the MaxRankResult and the result body. A
-// top-k dispatch walks its cell chain, at two: the exported options and the
-// TopKResult, which is its own result body; the reduced weights are a
-// window of the request's, the walk's ranks sit on the stack, and the stats
-// live in the item. Excluded under -race, which inflates allocation counts.
+// untraced path is a single context lookup), on a memory-only handler and
+// on a store-backed one: Backend.Serving hands back a release bound once,
+// so asking a store for its (index, LSN) pair allocates nothing either. A
+// MaxRank dispatch reads the option→cells column, at two: the
+// MaxRankResult and the result body. A top-k dispatch walks its cell chain,
+// at two: the exported options and the TopKResult, which is its own result
+// body; the reduced weights are a window of the request's, the walk's ranks
+// sit on the stack, and the stats live in the item. Excluded under -race,
+// which inflates allocation counts.
 func TestDispatchAllocsRecorderOff(t *testing.T) {
 	ix, err := tlx.Build(hotels, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHandler(ix, Config{TraceBuffer: -1})
-	if h.rec != nil {
-		t.Fatal("negative TraceBuffer did not disable the recorder")
+	st, err := store.Open(store.Options{Dir: t.TempDir(), Logger: testLogger(t)}, func() (*tlx.Index, error) {
+		return tlx.Build(hotels, 3)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer st.Close()
 	focal := 0
 	ctx := context.Background()
 	out := make([]queryItem, 1)
-	for _, c := range []struct {
-		q      QueryRequest
-		allocs float64
+	for _, hc := range []struct {
+		name string
+		h    *Handler
 	}{
-		{QueryRequest{Family: "maxrank", Focal: &focal}, 2},
-		{QueryRequest{Family: "topk", W: []float64{0.18, 0.82}, K: 2}, 2},
+		{"memory", NewHandler(ix, Config{TraceBuffer: -1})},
+		{"store", NewStoreHandler(st, Config{TraceBuffer: -1})},
 	} {
-		qs := []QueryRequest{c.q}
-		// Warm the pools and run the hot-cell sketch past its first slot
-		// allocation so the loop below measures only the steady state.
-		for i := 0; i < 200; i++ {
-			if h.dispatchBatch(ctx, qs, out); out[0].Error != "" {
-				t.Fatal(out[0].Error)
-			}
+		h := hc.h
+		if h.rec != nil {
+			t.Fatal("negative TraceBuffer did not disable the recorder")
 		}
-		allocs := testing.AllocsPerRun(200, func() {
-			if h.dispatchBatch(ctx, qs, out); out[0].Error != "" {
-				t.Fatal(out[0].Error)
+		for _, c := range []struct {
+			q      QueryRequest
+			allocs float64
+		}{
+			{QueryRequest{Family: "maxrank", Focal: &focal}, 2},
+			{QueryRequest{Family: "topk", W: []float64{0.18, 0.82}, K: 2}, 2},
+		} {
+			qs := []QueryRequest{c.q}
+			// Warm the pools and run the hot-cell sketch past its first slot
+			// allocation so the loop below measures only the steady state.
+			for i := 0; i < 200; i++ {
+				if h.dispatchBatch(ctx, qs, out); out[0].Error != "" {
+					t.Fatal(out[0].Error)
+				}
 			}
-		})
-		if allocs > c.allocs {
-			t.Fatalf("%s dispatch with recorder off = %.2f allocs/op, want <= %v", c.q.Family, allocs, c.allocs)
+			allocs := testing.AllocsPerRun(200, func() {
+				if h.dispatchBatch(ctx, qs, out); out[0].Error != "" {
+					t.Fatal(out[0].Error)
+				}
+			})
+			t.Logf("%s %s dispatch: %.2f allocs/op", hc.name, c.q.Family, allocs)
+			if allocs > c.allocs {
+				t.Fatalf("%s %s dispatch with recorder off = %.2f allocs/op, want <= %v", hc.name, c.q.Family, allocs, c.allocs)
+			}
 		}
 	}
 }

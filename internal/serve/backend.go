@@ -4,84 +4,80 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	tlx "tlevelindex"
 	"tlevelindex/internal/obs"
 	"tlevelindex/internal/store"
 )
 
-// Backend is everything a Handler needs from what it serves: an index, the
-// lock that orders queries against writes, the version stamp every answer
-// carries, and a write path. *store.Store is one; the memory-only and
-// follower backends below are the other two. Everything else a deployment
-// mode has — the store's admin endpoints, a follower's sync status — is
-// routes and gauges its constructor attaches, not a branch in a shared
-// handler.
+// Backend is everything a Handler needs from what it serves: one published
+// index with the version stamp every answer carries, and a write path.
+// *store.Store is one; the memory-only and follower backends below are the
+// other two. Everything else a deployment mode has — the store's admin
+// endpoints, a follower's sync status — is routes and gauges its
+// constructor attaches, not a branch in a shared handler.
 type Backend interface {
-	// Mutex orders queries against writes: queries hold it for reading,
-	// inserts and a follower's index swaps for writing. The index is safe
-	// to read without it (each query answers from one published version);
-	// what the lock buys is writer priority: a write's WAL fsync returns
-	// without queueing behind running queries (DESIGN §11).
-	Mutex() *sync.RWMutex
-	// Index returns the serving index. Call with Mutex held and do not keep
-	// the pointer past the unlock: a follower's install swaps it.
-	Index() *tlx.Index
-	// AppliedLSN is the version the index reflects. It moves only under the
-	// write lock, so it is stable while Mutex is held; it is an atomic load,
-	// safe without the lock too.
-	AppliedLSN() uint64
-	// InsertBatchLSN applies a batch of options, taking the write lock
-	// itself. Each logged record gets its own LSN; filtered and failed items
-	// echo the last preceding one, exactly as N single inserts would.
+	// Serving returns the serving index and the LSN it reflects, and done,
+	// which the caller calls once it has answered from them. The index is
+	// safe to read without any lock (no writer changes a published
+	// version); whether the pair holds anything until done — the store's
+	// read lock, which gives its writes priority — is the backend's own
+	// policy.
+	Serving() (ix *tlx.Index, lsn uint64, done func())
+	// InsertBatchLSN applies a batch of options. Each logged record gets its
+	// own LSN; filtered and failed items echo the last preceding one,
+	// exactly as N single inserts would.
 	InsertBatchLSN(opts [][]float64) ([]store.BatchResult, store.GroupStats, error)
 }
 
 // memBackend serves an index that lives only in this process: inserts are
 // applied but lost on restart, and a counter of accepted inserts stands in
-// for the store's applied LSN.
+// for the store's applied LSN. A query holds mu's read side, so the stamp
+// it reads is exactly the version it answers from.
 type memBackend struct {
-	mu  sync.RWMutex
-	ix  *tlx.Index
-	lsn atomic.Uint64
+	mu     sync.RWMutex
+	unlock func() // mu.RUnlock, bound once so Serving allocates nothing
+	ix     *tlx.Index
+	lsn    uint64 // written under mu's write side
 }
 
-func (m *memBackend) Mutex() *sync.RWMutex { return &m.mu }
-func (m *memBackend) Index() *tlx.Index    { return m.ix }
-func (m *memBackend) AppliedLSN() uint64   { return m.lsn.Load() }
+func newMemBackend(ix *tlx.Index) *memBackend {
+	m := &memBackend{ix: ix}
+	m.unlock = m.mu.RUnlock
+	return m
+}
+
+func (m *memBackend) Serving() (*tlx.Index, uint64, func()) {
+	m.mu.RLock()
+	return m.ix, m.lsn, m.unlock
+}
 
 // InsertBatchLSN applies the batch through the engine's amortized
-// InsertBatch and publishes the advanced counter once at the end, so
-// concurrent readers see the stamp move once instead of N times.
+// InsertBatch and advances the counter under the write lock, so readers
+// see the stamp move once per batch instead of N times.
 func (m *memBackend) InsertBatchLSN(opts [][]float64) ([]store.BatchResult, store.GroupStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	results, bs := m.ix.InsertBatch(opts)
 	out := make([]store.BatchResult, len(results))
-	lsn := m.lsn.Load()
 	logged := 0
 	for i, res := range results {
 		if res.Err == nil && res.ID >= 0 {
-			lsn++
+			m.lsn++
 			logged++
 		}
-		out[i] = store.BatchResult{ID: res.ID, LSN: lsn, Err: res.Err}
+		out[i] = store.BatchResult{ID: res.ID, LSN: m.lsn, Err: res.Err}
 	}
-	m.lsn.Store(lsn)
 	return out, store.GroupStats{Requests: 1, Records: len(opts), Logged: logged, BatchInsertStats: bs}, nil
 }
 
 // Follower is a replica following a remote primary (internal/replicate
-// implements it). The handler serves queries from its index under its
-// lock, rejects writes toward the primary, and reports its sync state.
-// Index is read under the follower's Mutex: installing a newer index from
-// the primary swaps the index pointer.
+// implements it). The handler serves queries from the index it last
+// installed, rejects writes toward the primary, and reports its sync state.
 type Follower interface {
-	// Index returns the currently served index; call with Mutex held.
-	Index() *tlx.Index
-	// Mutex guards the index against the follow loop's swaps.
-	Mutex() *sync.RWMutex
+	// Serving returns the installed index and its LSN as one pair; a
+	// follower holds no lock, so done only ends the read.
+	Serving() (ix *tlx.Index, lsn uint64, done func())
 	// AppliedLSN is the LSN the local index reflects (atomic, lock-free).
 	AppliedLSN() uint64
 	// PrimaryLSN is the primary's last observed applied LSN (atomic).

@@ -3,15 +3,13 @@ package serve
 import (
 	"context"
 	"net/http"
-
-	tlx "tlevelindex"
 )
 
 // POST /v1/query/batch: many QueryRequests through one envelope and one
-// lock decision. POST /v1/query is a batch of one through the same
+// published index. POST /v1/query is a batch of one through the same
 // dispatchBatch, so an item answers exactly what the single-query endpoint
-// would. What a batch buys is one round trip and one lock acquisition, not
-// a cheaper traversal.
+// would. What a batch buys is one round trip and one Backend.Serving call,
+// not a cheaper traversal.
 //
 // The envelope is {"queries": [<QueryRequest>, ...]} in and
 // {"results": [<item>, ...]} out, index-aligned with the request. A
@@ -21,7 +19,8 @@ import (
 // answered, without failing its neighbors.
 
 // maxBatchQueries bounds one envelope; anything larger is a 400. It caps
-// the memory one request can pin and keeps a batch's lock hold bounded.
+// the memory one request can pin and bounds how long one batch holds what
+// Backend.Serving returned.
 const maxBatchQueries = 1024
 
 // batchRequest is the POST /v1/query/batch body as encoding/json decodes
@@ -53,18 +52,18 @@ func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	writeItems(w, r, out, true)
 }
 
-// dispatchBatch answers qs[i] into out[i], every item under one read-lock
-// acquisition; an item that names no family or lacks a parameter is its
-// error item.
+// dispatchBatch answers qs[i] into out[i], every item from the one index
+// and LSN a single Serving call returns; an item that names no family or
+// lacks a parameter is its error item.
 func (h *Handler) dispatchBatch(ctx context.Context, qs []QueryRequest, out []queryItem) {
-	h.runQuery(func(ix *tlx.Index, lsn uint64) {
-		for i := range qs {
-			spec, err := resolve(&qs[i])
-			if err != nil {
-				out[i] = errItem(err)
-				continue
-			}
-			h.runOn(ctx, spec, &qs[i], ix, lsn, &out[i])
+	ix, lsn, done := h.be.Serving()
+	defer done()
+	for i := range qs {
+		spec, err := resolve(&qs[i])
+		if err != nil {
+			out[i] = errItem(err)
+			continue
 		}
-	})
+		h.runOn(ctx, spec, &qs[i], ix, lsn, &out[i])
+	}
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // TestBackendReadersAcrossPublishes runs UTK, ORU and kSPR readers through
-// a Backend, holding no lock (the index needs none; the backend's lock is
-// the serving tier's writer priority), while a writer publishes 1,000 insert
+// a Backend, each releasing what Serving holds before it queries (the index
+// needs no lock; the memory backend's read lock only keeps its stamps
+// exact), while a writer publishes 1,000 insert
 // batches, each of which adds a child to the entry cell and so publishes a
 // new version with its own rows column, the one every reader's cells are
 // served from, and box column, the one every UTK scans. Every reader runs
@@ -33,8 +34,13 @@ func TestBackendReadersAcrossPublishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var be Backend = &memBackend{ix: ix}
+	var be Backend = newMemBackend(ix)
 	ctx := context.Background()
+	serving := func() (*tlx.Index, uint64) {
+		ix, lsn, done := be.Serving()
+		done()
+		return ix, lsn
+	}
 	type answer struct {
 		utk  [tau]*tlx.UTKResult
 		oru  [tau]*tlx.ORUResult
@@ -45,28 +51,29 @@ func TestBackendReadersAcrossPublishes(t *testing.T) {
 		hi := []float64{lo[0] + 0.25, lo[1] + 0.25}
 		w := []float64{0.1 + 0.1*float64(g), 0.5 - 0.05*float64(g), 0}
 		w[2] = 1 - w[0] - w[1]
+		ix, _ := serving()
 		// The option on top at w holds a rank at every level, so every kSPR
 		// answer has regions to export.
-		top, err := be.Index().TopKContext(ctx, w, 1)
+		top, err := ix.TopKContext(ctx, w, 1)
 		if err != nil {
 			t.Error(err)
 			return a
 		}
 		for k := range tau {
-			if a.utk[k], err = be.Index().UTKContext(ctx, k+1, lo, hi); err != nil {
+			if a.utk[k], err = ix.UTKContext(ctx, k+1, lo, hi); err != nil {
 				t.Error(err)
 			}
-			if a.oru[k], err = be.Index().ORUContext(ctx, k+1, w, 5); err != nil {
+			if a.oru[k], err = ix.ORUContext(ctx, k+1, w, 5); err != nil {
 				t.Error(err)
 			}
-			if a.kspr[k], err = be.Index().KSPRContext(ctx, k+1, top.Options[0]); err != nil {
+			if a.kspr[k], err = ix.KSPRContext(ctx, k+1, top.Options[0]); err != nil {
 				t.Error(err)
 			}
 		}
-		_, errTopK := be.Index().TopKContext(ctx, w, tau+1)
-		_, errUTK := be.Index().UTKContext(ctx, tau+1, lo, hi)
-		_, errORU := be.Index().ORUContext(ctx, tau+1, w, 5)
-		_, errKSPR := be.Index().KSPRContext(ctx, tau+1, top.Options[0])
+		_, errTopK := ix.TopKContext(ctx, w, tau+1)
+		_, errUTK := ix.UTKContext(ctx, tau+1, lo, hi)
+		_, errORU := ix.ORUContext(ctx, tau+1, w, 5)
+		_, errKSPR := ix.KSPRContext(ctx, tau+1, top.Options[0])
 		for _, err := range []error{errTopK, errUTK, errORU, errKSPR} {
 			if !errors.Is(err, tlx.ErrBeyondTau) {
 				t.Errorf("reader at k = τ+1: err %v, want ErrBeyondTau", err)
@@ -97,14 +104,15 @@ func TestBackendReadersAcrossPublishes(t *testing.T) {
 		if err != nil || res[0].Err != nil || res[0].ID < 0 {
 			t.Fatalf("publish %d: %v %+v", i, err, res)
 		}
-		rank, err := be.Index().MaxRank(res[0].ID)
+		ix, _ := serving()
+		rank, err := ix.MaxRank(res[0].ID)
 		if err != nil || rank != 1 {
 			t.Fatalf("publish %d: inserted option has best rank %d (%v): level 1 untouched", i, rank, err)
 		}
 	}
 	done.Store(true)
 	wg.Wait()
-	if got := be.AppliedLSN(); got != publishes {
+	if _, got := serving(); got != publishes {
 		t.Fatalf("applied LSN %d after %d publishes", got, publishes)
 	}
 	for g, got := range last {

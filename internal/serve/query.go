@@ -12,8 +12,8 @@ import (
 
 // Query dispatch. Every query — a POST /v1/query body or one item of a
 // POST /v1/query/batch envelope, decoded by the query codec (codec.go) — is
-// a QueryRequest, routed through the familySpec its Family names: take the
-// read lock, run the family on the published index, and hand back one
+// a QueryRequest, routed through the familySpec its Family names: run the
+// family on the index Backend.Serving returned, and hand back one
 // queryItem, the wire form both routes write.
 
 // QueryRequest is the unified query envelope accepted by POST /v1/query.

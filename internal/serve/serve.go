@@ -3,8 +3,8 @@
 // then answer preference queries from many clients. Every answer is read
 // from the index: top-k is one walk down the cell chain the weights land
 // in, kSPR and MaxRank are reads of its columns, and UTK, ORU and WhyNot
-// scan or walk its cells. A Handler serves one Backend — an index behind a
-// lock, a version stamp, a write path — and its constructor picks which:
+// scan or walk its cells. A Handler serves one Backend — a published index
+// with its version stamp, and a write path — and its constructor picks which:
 // memory-only (NewHandler), store-backed (NewStoreHandler) or follower
 // (NewFollowerHandler).
 //
@@ -29,13 +29,13 @@
 //
 //	/v1/query/batch                 JSON body {"queries": [<query body>, ...]}
 //
-// carrying up to 1024 query bodies through one round trip and one lock
-// acquisition; each item is then answered exactly as /v1/query would answer
-// it. The answer is {"results": [...]},
-// index-aligned with the request: each success item is the /v1/query
-// envelope, each failure item is {"error": "...", "status": n} with the
-// status /v1/query would have answered, failing no neighbors (batch.go
-// documents the envelope in full). Updates are POST too:
+// carrying up to 1024 query bodies through one round trip and one
+// published index; each item is then answered exactly as /v1/query would
+// answer it. The answer is {"results": [...]}, index-aligned with the
+// request: each success item is the /v1/query envelope, each failure item
+// is {"error": "...", "status": n} with the status /v1/query would have
+// answered, failing no neighbors (batch.go documents the envelope in
+// full). Updates are POST too:
 //
 //	/v1/insert                      add an option to the index
 //	/v1/insert/batch                add up to 1024 options through one
@@ -108,13 +108,13 @@
 //
 // A handler constructed with NewFollowerHandler serves a replica that
 // tracks a remote primary (internal/replicate). Its Backend is the follower
-// with the write path closed: the full query surface runs under the
-// follower's lock against the index it last installed, stamped with the
-// follower's applied LSN, while /v1/insert and /v1/insert/batch answer 403
-// with the primary's URL. The constructor attaches one route of its own,
-// GET /v1/admin/status, reporting {"role": "follower"} with the follow
-// state, the applied and primary LSNs and the lag between them. The
-// store's admin endpoints are not registered.
+// with the write path closed: the full query surface runs against the
+// index it last installed, stamped with the LSN it was installed at, while
+// /v1/insert and /v1/insert/batch answer 403 with the primary's URL. The
+// constructor attaches one route of its own, GET /v1/admin/status,
+// reporting {"role": "follower"} with the follow state, the applied and
+// primary LSNs and the lag between them. The store's admin endpoints are
+// not registered.
 //
 // # Observability
 //
@@ -127,13 +127,14 @@
 //
 // # Concurrency
 //
-// The index needs no lock to be read: each query answers from one
-// published version, which no writer changes. The Backend's one lock is a
-// scheduling policy that gives writes priority: every query and query
-// batch runs under its read side, and Backend.InsertBatchLSN takes the
-// write side itself — for a store that is the group-commit path, which
-// holds it across the engine apply and the WAL fsync. A query with k > τ
-// is refused (422) rather than deepening the index.
+// The handler holds no lock. Each query or query batch asks its Backend
+// once for the serving index and its LSN (Backend.Serving) and answers
+// from that pair; no writer changes a published index. Whether the pair
+// holds anything until the answer is done is the backend's policy: a store
+// holds its read lock, so its group commit — the engine apply and the WAL
+// fsync under the write side — has priority over queries (DESIGN §11); a
+// follower holds nothing. A query with k > τ is refused (422) rather than
+// deepening the index.
 // Handlers honor the request context: a client disconnect cancels the
 // index traversal between cell visits.
 package serve
@@ -202,7 +203,6 @@ type Config struct {
 // index it publishes, stamped with its LSN.
 type Handler struct {
 	be     Backend
-	mu     *sync.RWMutex // be.Mutex()
 	routes []route
 	log    *slog.Logger
 	pprof  bool
@@ -223,22 +223,22 @@ type route struct {
 }
 
 // NewHandler wraps an index in a memory-only handler: inserts are accepted
-// but lost on restart. The handler owns all index synchronization; the
-// caller must not use the index concurrently with the handler.
+// but lost on restart. The handler orders its own writes against its
+// queries; the caller must not insert into the index concurrently.
 func NewHandler(ix *tlx.Index, cfg Config) *Handler {
-	return newHandler(&memBackend{ix: ix}, cfg)
+	return newHandler(newMemBackend(ix), cfg)
 }
 
 // NewStoreHandler serves a store-backed index: inserts go through the
 // store's write-ahead log (fsync before the 200), and the admin endpoints
-// are registered. The handler shares the store's lock, so the store's
-// background snapshotter and the query handlers stay mutually consistent.
+// are registered. Queries answer from Store.Serving, so each carries the
+// exact LSN of the index it read.
 func NewStoreHandler(st *store.Store, cfg Config) *Handler {
 	return newHandler(st, cfg).attachStore(st)
 }
 
 // NewFollowerHandler serves a follower replica: queries run against the
-// index the follower last installed, under the follower's lock, inserts
+// index the follower last installed, stamped with its LSN, inserts
 // are refused with a pointer at the primary, and /v1/admin/status reports
 // the follow state. The store admin endpoints do not apply in this mode.
 func NewFollowerHandler(f Follower, cfg Config) *Handler {
@@ -246,7 +246,7 @@ func NewFollowerHandler(f Follower, cfg Config) *Handler {
 }
 
 func newHandler(be Backend, cfg Config) *Handler {
-	h := &Handler{be: be, mu: be.Mutex(), hot: obs.NewHotCells(0, 0)}
+	h := &Handler{be: be, hot: obs.NewHotCells(0, 0)}
 	h.log = cfg.Logger
 	if h.log == nil {
 		h.log = obs.NopLogger()
@@ -320,16 +320,6 @@ func methodOnly(method string, fn http.HandlerFunc) http.HandlerFunc {
 		}
 		fn(w, r)
 	}
-}
-
-// runQuery hands fn the serving index and its LSN under the read lock:
-// queries only read, so they run alongside each other. The LSN is read
-// inside the lock: it only moves under the write side, so it cannot move
-// while fn runs.
-func (h *Handler) runQuery(fn func(ix *tlx.Index, lsn uint64)) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	fn(h.be.Index(), h.be.AppliedLSN())
 }
 
 // statusCanceled is the nonstandard 499 nginx popularized for client
@@ -514,8 +504,7 @@ func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
-	h.mu.RLock()
-	ix := h.be.Index()
+	ix, _, done := h.be.Serving()
 	body := struct {
 		Tau           int            `json:"tau"`
 		Dim           int            `json:"dim"`
@@ -524,6 +513,6 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 		SizeBytes     int64          `json:"sizeBytes"`
 		Build         tlx.BuildStats `json:"build"`
 	}{ix.Tau(), ix.Dim(), ix.NumCells(), ix.CellsPerLevel(), ix.SizeBytes(), ix.Stats()}
-	h.mu.RUnlock()
+	done()
 	writeJSON(w, http.StatusOK, body)
 }

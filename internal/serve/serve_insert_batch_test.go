@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	tlx "tlevelindex"
@@ -201,16 +200,14 @@ func TestInsertBatchDurable(t *testing.T) {
 // fakeFollower is the minimal Follower for testing the read-only gate.
 type fakeFollower struct {
 	ix               *tlx.Index
-	mu               sync.RWMutex
 	applied, primary uint64
 }
 
-func (f *fakeFollower) Index() *tlx.Index    { return f.ix }
-func (f *fakeFollower) Mutex() *sync.RWMutex { return &f.mu }
-func (f *fakeFollower) AppliedLSN() uint64   { return f.applied }
-func (f *fakeFollower) PrimaryLSN() uint64   { return f.primary }
-func (f *fakeFollower) PrimaryURL() string   { return "http://primary.example" }
-func (f *fakeFollower) StateName() string    { return "live" }
+func (f *fakeFollower) Serving() (*tlx.Index, uint64, func()) { return f.ix, f.applied, func() {} }
+func (f *fakeFollower) AppliedLSN() uint64                    { return f.applied }
+func (f *fakeFollower) PrimaryLSN() uint64                    { return f.primary }
+func (f *fakeFollower) PrimaryURL() string                    { return "http://primary.example" }
+func (f *fakeFollower) StateName() string                     { return "live" }
 
 // TestInsertBatchFollowerForbidden: a follower refuses the batch endpoint
 // with the same 403-plus-primary envelope as single inserts.

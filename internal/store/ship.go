@@ -65,9 +65,9 @@ func ReadShipHeader(r io.Reader) (ShipHeader, error) {
 	return h, nil
 }
 
-// ShipSession is one prepared stream: the index serialized under the store
-// lock, at exactly the LSN its header names, so streaming happens outside
-// every store lock.
+// ShipSession is one prepared stream: the index serialized from one
+// Serving pair, at exactly the LSN its header names, so streaming happens
+// outside every store lock.
 type ShipSession struct {
 	Header ShipHeader
 	body   []byte
@@ -77,16 +77,16 @@ type ShipSession struct {
 // index at LSN from (from < 0: no index). A follower already at the applied
 // LSN gets a header-only session; any other from gets the whole index.
 func (s *Store) PrepareShip(from int64) (*ShipSession, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	ix, lsn, done := s.Serving()
+	defer done()
 	if s.closed {
 		return nil, errors.New("store: closed")
 	}
-	sess := &ShipSession{Header: ShipHeader{LSN: s.applied}}
-	if from >= 0 && uint64(from) == s.applied {
+	sess := &ShipSession{Header: ShipHeader{LSN: lsn}}
+	if from >= 0 && uint64(from) == lsn {
 		return sess, nil
 	}
-	body, err := s.ix.AppendBinary(nil)
+	body, err := ix.AppendBinary(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -78,28 +78,31 @@ type Store struct {
 	opts Options
 	log  *slog.Logger
 
-	// mu guards applied, seg, the counters, failed and closed, and holds
-	// the index at exactly applied while a snapshot or a ship serializes
-	// it. The serve layer shares it (Mutex) to give writers priority over
-	// queries; the index needs no lock to be read.
-	mu      sync.RWMutex
-	ix      *tlx.Index
-	applied uint64 // LSN of the last record applied to ix
-	// appliedA mirrors applied for lock-free readers. The serve layer reads
-	// it on the query path while already holding mu (sync.RWMutex forbids
-	// recursive RLock) and from the metrics gauge, which must not contend
-	// with writers at all. Written only while mu is held for writing, after the
-	// index version it covers is published.
-	appliedA atomic.Uint64
-	seg      *segment
-	failed   error // a WAL write failed: memory and disk diverged, refuse writes
-	closed   bool
+	// mu guards seg, the counters, failed and closed, and holds the index
+	// at exactly applied while a snapshot, a ship or a query (Serving)
+	// reads it; the index itself needs no lock to be read. unlock is
+	// mu.RUnlock, bound once so Serving allocates nothing.
+	mu     sync.RWMutex
+	unlock func()
+	ix     *tlx.Index
+	// applied is the LSN of the last record applied to ix. It is written
+	// only under mu's write side, after the index version it covers is
+	// published, and loaded by anyone: stable under either side of mu, and
+	// lock-free for the metrics gauge and AppliedLSN.
+	applied atomic.Uint64
+	seg     *segment
+	failed  error // a WAL write failed: memory and disk diverged, refuse writes
+	closed  bool
 
 	slots          *Slots // written only under snapMu after Open
 	snapLSN        uint64
 	snapTime       time.Time
 	slotBytes      int64 // size of the newest slot, the auto-snapshot threshold
-	bytesSinceSnap int64
+	bytesSinceSnap int64 // WAL bytes since the last rotation
+	// rotatedBytes is the WAL a snapshot rotated out before its slot was
+	// written: still needed, and still counted in Status, until that slot
+	// is durable.
+	rotatedBytes int64
 
 	replayed      int
 	recoveredFrom string
@@ -191,6 +194,7 @@ func Open(opts Options, build func() (*tlx.Index, error)) (*Store, error) {
 		trigger: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
+	s.unlock = s.mu.RUnlock
 	segs, err := scanSegments(opts.Dir)
 	if err != nil {
 		return nil, err
@@ -247,8 +251,8 @@ func (s *Store) initialize(build func() (*tlx.Index, error)) error {
 // recover takes the index the newest loadable slot holds at lsn, after
 // skipping skipped slots that did not verify, and replays the WAL tail.
 func (s *Store) recover(ix *tlx.Index, lsn uint64, skipped int, segs []fileEntry) error {
-	s.ix, s.applied, s.snapLSN = ix, lsn, lsn
-	s.appliedA.Store(lsn)
+	s.ix, s.snapLSN = ix, lsn
+	s.applied.Store(lsn)
 	s.recoveredFrom, s.fallbacks = s.slots.Newest(), skipped
 	if st, err := os.Stat(s.recoveredFrom); err == nil {
 		s.snapTime, s.slotBytes = st.ModTime(), st.Size()
@@ -281,9 +285,9 @@ func (s *Store) recover(ix *tlx.Index, lsn uint64, skipped int, segs []fileEntry
 		// record up to base existed when it was created: starting past the
 		// applied point means acknowledged records vanished (a corrupt
 		// record inside an earlier sealed segment, or a pruning accident).
-		if sd.base > s.applied {
+		if applied := s.applied.Load(); sd.base > applied {
 			return fmt.Errorf("%w: WAL gap: applied through %d but segment %s begins at %d",
-				ErrCorrupt, s.applied, sg.path, sd.base)
+				ErrCorrupt, applied, sg.path, sd.base)
 		}
 		if err := s.replay(sd.records, sg.path); err != nil {
 			return err
@@ -298,14 +302,14 @@ func (s *Store) recover(ix *tlx.Index, lsn uint64, skipped int, segs []fileEntry
 		}
 	}
 	if s.seg == nil {
-		seg, err := createSegment(s.opts.Dir, s.applied)
+		seg, err := createSegment(s.opts.Dir, s.applied.Load())
 		if err != nil {
 			return err
 		}
 		s.seg = seg
 	}
 	s.log.Info("store: recovered", "dir", s.opts.Dir, "from", s.recoveredFrom,
-		"replayed", s.replayed, "appliedLsn", s.applied, "fallbacks", s.fallbacks)
+		"replayed", s.replayed, "appliedLsn", s.applied.Load(), "fallbacks", s.fallbacks)
 	return nil
 }
 
@@ -321,7 +325,7 @@ func (s *Store) replay(recs []record, path string) error {
 	var tail []record
 	var attrs [][]float64
 	for _, rec := range recs {
-		through := s.applied + uint64(len(tail))
+		through := s.applied.Load() + uint64(len(tail))
 		if rec.lsn <= through {
 			continue
 		}
@@ -344,8 +348,7 @@ func (s *Store) replay(recs []record, path string) error {
 			return fmt.Errorf("%w: replay diverged at record %d: re-assigned id %d, acknowledged id %d",
 				ErrCorrupt, rec.lsn, res.ID, rec.id)
 		}
-		s.applied++
-		s.appliedA.Store(s.applied)
+		s.applied.Add(1)
 		s.replayed++
 	}
 	return nil
@@ -356,18 +359,20 @@ func (s *Store) replay(recs []record, path string) error {
 // answers from one published version.
 func (s *Store) Index() *tlx.Index { return s.ix }
 
-// Mutex returns the store lock. Writers hold it across a group's apply,
-// log and fsync; the serve layer holds its read side across a query, so a
-// write waits for the queries in flight and new queries wait for the
-// write. That is a scheduling policy, not a safety requirement: see
-// DESIGN §11 for what lock-free queries cost the writer.
-func (s *Store) Mutex() *sync.RWMutex { return &s.mu }
+// Serving returns the index and the LSN it reflects under the store's read
+// lock, and done, which releases it. The index is safe to read without the
+// lock; what holding it buys is writer priority: a group commit waits for
+// the reads in flight, and new reads wait for it, so its WAL fsync returns
+// without queueing behind running queries (DESIGN §11). The LSN cannot
+// move before done is called. Serving allocates nothing.
+func (s *Store) Serving() (ix *tlx.Index, lsn uint64, done func()) {
+	s.mu.RLock()
+	return s.ix, s.applied.Load(), s.unlock
+}
 
 // AppliedLSN returns the LSN of the last acknowledged insert without
-// taking the store lock: one atomic load, safe to call while the caller
-// already holds Mutex in either mode. It is the version stamp the serve
-// layer stamps every answer and every shipped index with.
-func (s *Store) AppliedLSN() uint64 { return s.appliedA.Load() }
+// taking the store lock: one atomic load.
+func (s *Store) AppliedLSN() uint64 { return s.applied.Load() }
 
 // Insert applies an option to the index and, if it was accepted, makes it
 // durable before acknowledging: the WAL record is fsync'd before Insert
@@ -386,13 +391,11 @@ func (s *Store) Insert(option []float64) (int, error) {
 // fewer than N fsyncs while every acknowledgement still waits for the
 // fsync covering its own record.
 func (s *Store) InsertLSN(option []float64) (int, uint64, error) {
-	res := s.commit(&insertReq{opts: [][]float64{option}, start: time.Now(),
-		done: make(chan insertGroupRes, 1)})
-	if res.err != nil {
-		return -1, s.appliedA.Load(), res.err
+	res, _, err := s.InsertBatchLSN([][]float64{option})
+	if err != nil {
+		return -1, s.applied.Load(), err
 	}
-	r := res.results[0]
-	return r.ID, r.LSN, r.Err
+	return res[0].ID, res[0].LSN, res[0].Err
 }
 
 // InsertBatchLSN applies a whole batch of options under one lock hold —
@@ -465,7 +468,8 @@ func (s *Store) processGroup(group []*insertReq) {
 		return
 	}
 	items := make([]BatchResult, total)
-	next := s.applied
+	base := s.applied.Load()
+	next := base
 	var nbytes int64
 	// The records are logged and fsync'd while the index rebuilds: once
 	// the batch's ids are known, the WAL needs nothing else from the index.
@@ -484,7 +488,7 @@ func (s *Store) processGroup(group []*insertReq) {
 			}
 			items[i] = BatchResult{ID: res.ID, LSN: next, Err: res.Err}
 		}
-		if werr == nil && next > s.applied {
+		if werr == nil && next > base {
 			werr = s.seg.sync()
 		}
 		return werr
@@ -500,11 +504,10 @@ func (s *Store) processGroup(group []*insertReq) {
 		deliverErr(group, fmt.Errorf("store: WAL append failed, store is now read-only: %v", werr))
 		return
 	}
-	logged := int(next - s.applied)
+	logged := int(next - base)
 	// One visibility bump for the whole group: readers and followers see the
 	// applied LSN jump from its old value to next in a single store.
-	s.applied = next
-	s.appliedA.Store(next)
+	s.applied.Store(next)
 	s.bytesSinceSnap += nbytes
 	trip := s.bytesSinceSnap >= s.slotBytes
 	s.mu.Unlock()
@@ -565,7 +568,7 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 		s.mu.Unlock()
 		return SnapshotInfo{}, errors.New("store: closed")
 	}
-	lsn := s.applied
+	lsn := s.applied.Load()
 	if lsn == s.snapLSN {
 		s.mu.Unlock()
 		return SnapshotInfo{LSN: lsn, UpToDate: true}, nil
@@ -587,6 +590,7 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	}
 	old := s.seg
 	s.seg = newSeg
+	s.rotatedBytes += s.bytesSinceSnap
 	s.bytesSinceSnap = 0
 	s.mu.Unlock()
 	if old != nil {
@@ -605,6 +609,7 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	s.snapLSN = lsn
 	s.snapTime = time.Now()
 	s.slotBytes = shipHeaderSize + int64(len(buf))
+	s.rotatedBytes = 0
 	s.mu.Unlock()
 	s.prune(prev)
 	took := time.Since(start)
@@ -677,11 +682,11 @@ func (s *Store) Status() Status {
 	defer s.mu.RUnlock()
 	return Status{
 		Dir:               s.opts.Dir,
-		AppliedLSN:        s.applied,
+		AppliedLSN:        s.applied.Load(),
 		SnapshotLSN:       s.snapLSN,
 		SnapshotAgeSec:    time.Since(s.snapTime).Seconds(),
-		WALRecords:        int(s.applied - s.snapLSN),
-		WALBytes:          s.bytesSinceSnap,
+		WALRecords:        int(s.applied.Load() - s.snapLSN),
+		WALBytes:          s.rotatedBytes + s.bytesSinceSnap,
 		RecordsReplayed:   s.replayed,
 		RecoveredFrom:     s.recoveredFrom,
 		SnapshotFallbacks: s.fallbacks,
