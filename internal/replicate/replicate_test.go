@@ -320,8 +320,9 @@ func TestFollowerResumesFromLocalSnapshot(t *testing.T) {
 	}
 
 	// History advances while the follower is down, and each round's
-	// snapshot rotates the primary's WAL; two snapshots are retained, so
-	// the segment holding the follower's LSN is pruned.
+	// snapshot rotates the primary's WAL; the log that held the follower's
+	// LSN is recycled, so the primary could not send it records from
+	// there even if followers took records.
 	for _, opt := range [][]float64{{0.97, 0.20}, {0.99, 0.99}, {0.20, 0.97}, {0.985, 0.5}} {
 		if _, err := st.Insert(opt); err != nil {
 			t.Fatal(err)
@@ -332,7 +333,7 @@ func TestFollowerResumesFromLocalSnapshot(t *testing.T) {
 	}
 	want := st.Status().AppliedLSN
 	if want <= first+2 {
-		t.Fatalf("primary at LSN %d: too few accepted inserts to prune past %d", want, first)
+		t.Fatalf("primary at LSN %d: too few accepted inserts to move past %d", want, first)
 	}
 	f3 := startFollower(t, Options{PrimaryURL: srv.URL, Dir: dir})
 	if got := f3.AppliedLSN(); got != want {
@@ -584,7 +585,7 @@ func slotInfos(t *testing.T, dir string) []os.FileInfo {
 }
 
 // TestFollowerDirOpensAsStore: a follower's directory holds slots and no
-// WAL segment, and opens as a primary's data directory at the LSN of its
+// WAL log, and opens as a primary's data directory at the LSN of its
 // newest slot — the way a directory in an older layout migrates.
 func TestFollowerDirOpensAsStore(t *testing.T) {
 	srv, st := newPrimary(t, t.TempDir())

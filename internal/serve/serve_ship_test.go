@@ -91,13 +91,14 @@ func TestSnapshotStreamEndpoint(t *testing.T) {
 }
 
 // TestSnapshotStreamTailAndGap covers the from= query: a from at the
-// primary's LSN gets the header alone, and any other from — one the WAL
-// has pruned past, or one beyond the primary's history — gets the whole
-// index at the primary's LSN.
+// primary's LSN gets the header alone, and any other from — one both
+// slots and the recycled logs have long moved past, or one beyond the
+// primary's history — gets the whole index at the primary's LSN.
 func TestSnapshotStreamTailAndGap(t *testing.T) {
 	srv, st := newStoreServer(t, t.TempDir())
 	stream := srv.URL + "/v1/admin/snapshot/stream"
-	// Rotate and prune the WAL far enough that LSN 1 is gone.
+	// Snapshot and rotate the WAL far enough that LSN 1 is in no slot and
+	// no log run.
 	for i := 0; i < 4; i++ {
 		body := fmt.Sprintf(`{"option":[0.9%d,0.9%d]}`, i, i)
 		if code := postJSON(t, srv.URL+"/v1/insert", body, nil); code != 200 {

@@ -65,22 +65,31 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// recordBoundaries returns the byte offsets at which each record of the
-// segment ends (offset 0 of the slice = header only, no records).
-func recordBoundaries(t *testing.T, path string) []int64 {
+// logPath is the path of log i of dir.
+func logPath(dir string, i int) string { return filepath.Join(dir, logNames[i]) }
+
+// logRun reads the run of the log at path and fails the test if anything
+// follows it.
+func logRun(t *testing.T, path string) []record {
 	t.Helper()
-	sd, err := readSegment(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sd.torn {
-		t.Fatalf("segment %s torn before damage", path)
+	recs, end := readRun(data)
+	if end != int64(len(data)) {
+		t.Fatalf("log %s holds %d bytes past its run before damage", path, int64(len(data))-end)
 	}
-	offs := []int64{segHeaderSize}
-	at := int64(segHeaderSize)
-	for _, rec := range sd.records {
-		at += int64(len(encodeRecord(rec)))
-		offs = append(offs, at)
+	return recs
+}
+
+// recordBoundaries returns the byte offsets at which each record of the
+// log's run ends (offset 0 of the slice = no records).
+func recordBoundaries(t *testing.T, path string) []int64 {
+	t.Helper()
+	offs := []int64{0}
+	for _, rec := range logRun(t, path) {
+		offs = append(offs, offs[len(offs)-1]+recordSize(rec))
 	}
 	return offs
 }
@@ -107,8 +116,7 @@ func TestCrashTornWALTail(t *testing.T) {
 	if len(accepted) < 4 {
 		t.Fatalf("test needs several accepted inserts, got %d", len(accepted))
 	}
-	walPath := segmentPath(base, 0)
-	offs := recordBoundaries(t, walPath)
+	offs := recordBoundaries(t, logPath(base, 0))
 	if len(offs) != len(accepted)+1 {
 		t.Fatalf("%d WAL records for %d accepted inserts", len(offs)-1, len(accepted))
 	}
@@ -119,7 +127,7 @@ func TestCrashTornWALTail(t *testing.T) {
 				continue
 			}
 			dir := copyDir(t, base)
-			if err := os.Truncate(segmentPath(dir, 0), cut); err != nil {
+			if err := os.Truncate(logPath(dir, 0), cut); err != nil {
 				t.Fatal(err)
 			}
 			s := reopen(t, dir)
@@ -144,10 +152,10 @@ func TestCrashTornWALTail(t *testing.T) {
 func TestCrashBitFlippedWALRecord(t *testing.T) {
 	base := t.TempDir()
 	accepted := crashedStore(t, base, testInserts(), 0)
-	offs := recordBoundaries(t, segmentPath(base, 0))
+	offs := recordBoundaries(t, logPath(base, 0))
 	j := len(accepted) / 2
 	dir := copyDir(t, base)
-	path := segmentPath(dir, 0)
+	path := logPath(dir, 0)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +172,41 @@ func TestCrashBitFlippedWALRecord(t *testing.T) {
 	assertSameAnswers(t, s.Index(), ref)
 }
 
+// TestCrashTornRecordBeforePersistedOne: a crash persisted the third
+// record of a group but tore the second, so the run ends at the first and
+// the third, never acknowledged, lies past it. Recovery must keep it from
+// ever joining the run: the next insert takes LSN 2, and a record of the
+// same size, and a later recovery must stop there rather than replay the
+// stale LSN 3 after it.
+func TestCrashTornRecordBeforePersistedOne(t *testing.T) {
+	dir := t.TempDir()
+	opts := arc(4, 0)
+	crashedStore(t, dir, opts[:3], 0)
+	offs := recordBoundaries(t, logPath(dir, 0))
+	blob, err := os.ReadFile(logPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[offs[1]+recHeaderSize+2] ^= 0x40 // inside record 2's payload
+	if err := os.WriteFile(logPath(dir, 0), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := reopen(t, dir)
+	if got := s.Status().AppliedLSN; got != 1 {
+		t.Fatalf("recovered through LSN %d, want 1", got)
+	}
+	if _, lsn, err := s.InsertLSN(opts[3]); err != nil || lsn != 2 {
+		t.Fatalf("insert after recovery: LSN %d, %v", lsn, err)
+	}
+	s.kill()
+	s = reopen(t, dir)
+	if got := s.Status().AppliedLSN; got != 2 {
+		t.Fatalf("recovered through LSN %d, want 2: the stale record joined the run", got)
+	}
+	ref, _ := reference(t, [][]float64{opts[0], opts[3]})
+	assertSameAnswers(t, s.Index(), ref)
+}
+
 // newestSlot is the path of the slot a load of dir takes.
 func newestSlot(t *testing.T, dir string) string {
 	t.Helper()
@@ -174,22 +217,34 @@ func newestSlot(t *testing.T, dir string) string {
 	return p.Newest()
 }
 
-// flipByte flips one bit at fraction at of the file at path.
+// flipByte flips one bit at fraction at of the file at path, in place: a
+// rewrite through a truncation would free the file's blocks, which costs
+// tens of milliseconds on a filesystem mounted with discard.
 func flipByte(t *testing.T, path string, at float64) {
 	t.Helper()
-	blob, err := os.ReadFile(path)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[int(at*float64(len(blob)))] ^= 0x10
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	off := int64(at * float64(st.Size()))
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x10
+	if _, err := f.WriteAt(b, off); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestCrashCorruptNewestSnapshot: the newest slot is damaged (bit rot, a
 // write torn by a crash); recovery must fall back to the other slot and
-// replay the full WAL chain across the rotation, losing nothing.
+// replay both logs across the rotation, losing nothing.
 func TestCrashCorruptNewestSnapshot(t *testing.T) {
 	base := t.TempDir()
 	inserts := testInserts()
@@ -225,63 +280,89 @@ func TestCrashAllSnapshotsCorrupt(t *testing.T) {
 	}
 }
 
-// TestCrashDuringSegmentRotation: a kill between a snapshot capture and the
-// new segment's first fsync leaves a header-less segment file; no record
-// was acknowledged into it, so recovery drops and recreates it.
-func TestCrashDuringSegmentRotation(t *testing.T) {
-	base := t.TempDir()
-	inserts := testInserts()
-	accepted := crashedStore(t, base, inserts, len(inserts)/2)
-	segs, err := scanSegments(base)
-	if err != nil {
-		t.Fatal(err)
+// arc returns n options on an arc beyond the test data: none dominates
+// another or is dominated, so each is accepted.
+func arc(n, from int) [][]float64 {
+	opts := make([][]float64, n)
+	for i := range opts {
+		a := float64(from+i+1) * math.Pi / 64
+		opts[i] = []float64{1.5 * math.Cos(a), 1.5 * math.Sin(a)}
 	}
-	newest := segs[len(segs)-1]
-	// Chop the newest segment below its header — but that segment holds
-	// acknowledged records, so first re-crash the scenario properly: only a
-	// segment with no durable records may be torn at creation. Rebuild the
-	// state: take a snapshot of everything, then tear the fresh segment.
-	s := reopen(t, base)
-	if _, err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	s.kill()
-	segs, err = scanSegments(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newest = segs[len(segs)-1]
-	if err := os.Truncate(newest.path, 5); err != nil {
-		t.Fatal(err)
-	}
-	s2 := reopen(t, base)
-	if got := s2.Status().AppliedLSN; got != uint64(len(accepted)) {
-		t.Fatalf("recovered %d records, want %d", got, len(accepted))
-	}
-	ref, _ := reference(t, accepted)
-	assertSameAnswers(t, s2.Index(), ref)
+	return opts
 }
 
-// TestCrashMissingSealedSegment: if a sealed segment disappears (or a
-// corrupt record hides its tail) while a later snapshot is also unusable,
+// TestCrashAfterRotation: the second snapshot recycles wal-a, which the
+// first eight records filled. A kill right after that rotation, before
+// wal-a's first append, or after k appends over its longer older run,
+// recovers every acknowledged insert — from the newest slot, and across the
+// rotation from the other one when the newest is bit-flipped — and the
+// recovered store appends where the next recovery finds it.
+func TestCrashAfterRotation(t *testing.T) {
+	const older, between = 8, 2
+	for _, k := range []int{0, 1, 3} {
+		base := t.TempDir()
+		s := openStore(t, base, Options{})
+		opts := arc(older+between+k+1, 0)
+		for i, opt := range opts[:len(opts)-1] {
+			if _, err := s.Insert(opt); err != nil {
+				t.Fatal(err)
+			}
+			if i == older-1 || i == older+between-1 {
+				if _, err := s.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		s.kill()
+		if fi, err := os.Stat(logPath(base, 0)); err != nil || fi.Size() != older*recordSize(record{attrs: opts[0]}) {
+			t.Fatalf("k=%d: wal-a does not hold its older run of %d records: %v, %v", k, older, fi, err)
+		}
+		for _, flip := range []bool{false, true} {
+			dir := copyDir(t, base)
+			if flip {
+				flipByte(t, newestSlot(t, dir), 0.5)
+			}
+			s := reopen(t, dir)
+			st := s.Status()
+			wantReplayed := k
+			if flip {
+				wantReplayed += between
+			}
+			if st.AppliedLSN != uint64(len(opts)-1) || st.RecordsReplayed != wantReplayed {
+				t.Fatalf("k=%d flip=%v: applied %d, replayed %d; want %d and %d",
+					k, flip, st.AppliedLSN, st.RecordsReplayed, len(opts)-1, wantReplayed)
+			}
+			ref, _ := reference(t, opts[:len(opts)-1])
+			assertSameAnswers(t, s.Index(), ref)
+			if _, err := s.Insert(opts[len(opts)-1]); err != nil {
+				t.Fatal(err)
+			}
+			s.kill()
+			ref, _ = reference(t, opts)
+			assertSameAnswers(t, reopen(t, dir).Index(), ref)
+		}
+	}
+}
+
+// TestCrashOlderLogCutShort: with the newest slot corrupt, recovery needs
+// the run of the log the older slot starts from; if that run is cut short,
 // acknowledged records are unreachable — recovery must fail loudly, never
-// serve a state with silent holes.
-func TestCrashMissingSealedSegment(t *testing.T) {
-	base := t.TempDir()
+// serve a state with silent holes. That holds with records after the newest
+// slot, where the next log's run leaves a gap, and without, where the
+// newest slot's header names the LSN the WAL must reach.
+func TestCrashOlderLogCutShort(t *testing.T) {
 	inserts := testInserts()
-	crashedStore(t, base, inserts, len(inserts)/2)
-	segs, err := scanSegments(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the newest slot so recovery needs the full WAL chain, then
-	// delete the sealed segment holding the first half of it.
-	flipByte(t, newestSlot(t, base), 0.5)
-	if err := os.Remove(segs[0].path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(Options{Dir: base, Logger: testLogger(t)}, nil); err == nil {
-		t.Fatal("recovery bridged a WAL gap")
+	for _, snapshotAfter := range []int{len(inserts) / 2, len(inserts)} {
+		base := t.TempDir()
+		crashedStore(t, base, inserts, snapshotAfter)
+		flipByte(t, newestSlot(t, base), 0.5)
+		offs := recordBoundaries(t, logPath(base, 0))
+		if err := os.Truncate(logPath(base, 0), offs[len(offs)-2]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(Options{Dir: base, Logger: testLogger(t)}, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("snapshot after %d: recovery over a cut-short log: %v", snapshotAfter, err)
+		}
 	}
 }
 
@@ -375,7 +456,10 @@ func TestRecoverRefusesNonFiniteRecord(t *testing.T) {
 		t.Fatalf("insert: id %d, %v", id, err)
 	}
 	s.mu.Lock()
-	_, err = s.seg.append(record{lsn: lsn + 1, id: int64(id) + 1, attrs: []float64{math.NaN(), 0.95}})
+	wal := s.logs[s.active]
+	if _, err = wal.writeRecord(record{lsn: lsn + 1, id: int64(id) + 1, attrs: []float64{math.NaN(), 0.95}}); err == nil {
+		err = wal.sync()
+	}
 	s.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -385,4 +469,61 @@ func TestRecoverRefusesNonFiniteRecord(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("replay of record %d failed", lsn+1)) {
 		t.Fatalf("recovery of a non-finite record: %v", err)
 	}
+}
+
+// TestFailedSnapshot: a snapshot whose slot write fails — the spare slot's
+// path is a directory, so the write meets EISDIR — errs and is counted;
+// inserts go on being acknowledged; once the path is restored a snapshot
+// succeeds; and a kill with the newest slot then bit-flipped recovers every
+// acknowledged insert from the other slot.
+func TestFailedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	opts := arc(9, 0)
+	insert := func(opts [][]float64) {
+		t.Helper()
+		for _, opt := range opts {
+			if id, err := s.Insert(opt); err != nil || id < 0 {
+				t.Fatalf("insert: id %d, %v", id, err)
+			}
+		}
+	}
+	insert(opts[:3])
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	insert(opts[3:5])
+	spare := s.slots.path(s.slots.spare)
+	if err := os.Rename(spare, spare+".away"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(spare, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	failures := snapshotFailuresTotal.Value()
+	if _, err := s.Snapshot(); err == nil {
+		t.Fatal("a snapshot into a directory succeeded")
+	}
+	if snapshotFailuresTotal.Value() <= failures {
+		t.Error("tlx_snapshot_failures_total did not rise")
+	}
+	insert(opts[5:7])
+	if err := os.Remove(spare); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(spare+".away", spare); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := s.Snapshot(); err != nil || info.UpToDate || info.LSN != 7 {
+		t.Fatalf("snapshot after the path was restored: %+v, %v", info, err)
+	}
+	insert(opts[7:])
+	s.kill()
+	flipByte(t, newestSlot(t, dir), 0.5)
+	r := reopen(t, dir)
+	if st := r.Status(); st.AppliedLSN != uint64(len(opts)) || st.SnapshotFallbacks != 1 {
+		t.Fatalf("recovered to %+v, want LSN %d after one fallback", st, len(opts))
+	}
+	ref, _ := reference(t, opts)
+	assertSameAnswers(t, r.Index(), ref)
 }

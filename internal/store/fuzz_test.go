@@ -1,79 +1,65 @@
 package store
 
 import (
-	"os"
-	"path/filepath"
+	"bytes"
 	"testing"
 )
 
-// FuzzWALReplay throws arbitrary bytes at the segment reader — the exact
-// code path recovery trusts with a crash-damaged file. It must never panic,
-// and whatever it accepts must satisfy the reader's own invariants: decoded
-// records round-trip through the encoder to the bytes on disk, and the
-// valid prefix never exceeds the file.
+// FuzzWALReplay throws arbitrary bytes at the run reader — the exact code
+// path recovery trusts with a crash-damaged or recycled log. It must never
+// panic, and whatever it accepts must satisfy the run's own invariants: the
+// records' LSNs go up by one, re-encoding them reproduces the bytes on disk,
+// and the run never passes the end of the file.
 func FuzzWALReplay(f *testing.F) {
-	// Seed corpus: a well-formed two-record segment, its torn truncations,
-	// a bit-flipped variant, a bare header, and junk.
-	dir := f.TempDir()
-	seg, err := createSegment(dir, 7)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i, rec := range []record{
-		{lsn: 8, id: 30, attrs: []float64{0.25, 0.5, 0.75}},
-		{lsn: 9, id: 31, attrs: []float64{0.1, 0.9}},
-	} {
-		if _, err := seg.append(rec); err != nil {
-			f.Fatalf("seed record %d: %v", i, err)
+	enc := func(recs ...record) []byte {
+		var b []byte
+		for _, rec := range recs {
+			b = append(b, encodeRecord(rec)...)
 		}
+		return b
 	}
-	seg.Close()
-	blob, err := os.ReadFile(seg.path)
-	if err != nil {
-		f.Fatal(err)
+	rec := func(lsn uint64) record {
+		return record{lsn: lsn, id: int64(20 + lsn), attrs: []float64{0.25, float64(lsn) / 64}}
 	}
-	f.Add(blob)
-	f.Add(blob[:len(blob)-3])
-	f.Add(blob[:segHeaderSize])
-	flipped := append([]byte(nil), blob...)
-	flipped[segHeaderSize+9] ^= 0x20
+	// Seed corpus: a two-record run; its torn truncation; a bit flip; a
+	// recycled log, whose run of two records lies over a longer, older run;
+	// a record torn over those stale bytes; an empty file; and junk.
+	run := enc(rec(8), rec(9))
+	f.Add(run)
+	f.Add(run[:len(run)-3])
+	flipped := bytes.Clone(run)
+	flipped[recHeaderSize+9] ^= 0x20
 	f.Add(flipped)
-	f.Add([]byte(segMagic))
+	recycled := enc(rec(3), rec(4), rec(5), rec(6))
+	copy(recycled, enc(rec(20), rec(21)))
+	f.Add(recycled)
+	torn := enc(rec(3), rec(4), rec(5), rec(6))
+	newer := enc(rec(20), rec(21))
+	copy(torn, newer[:len(newer)-len(newer)/4])
+	f.Add(torn)
 	f.Add([]byte{})
+	f.Add([]byte("TLVLWAL1 not a record"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "wal-fuzz.log")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+		recs, end := readRun(data)
+		if end < 0 || end > int64(len(data)) {
+			t.Fatalf("run ends at %d, outside [0, %d]", end, len(data))
 		}
-		sd, err := readSegment(path)
-		if err != nil {
-			return
-		}
-		if sd.validSize < segHeaderSize || sd.validSize > int64(len(data)) {
-			t.Fatalf("validSize %d outside [header, %d]", sd.validSize, len(data))
-		}
-		// Re-encoding the accepted records must reproduce the valid prefix
-		// byte for byte: the reader may not invent or reinterpret data.
-		at := int64(segHeaderSize)
-		for i, rec := range sd.records {
-			enc := encodeRecord(rec)
-			end := at + int64(len(enc))
-			if end > int64(len(data)) {
-				t.Fatalf("record %d extends past the file", i)
+		// Re-encoding the accepted records must reproduce the run byte for
+		// byte: the reader may not invent or reinterpret data.
+		var at int64
+		for i, rec := range recs {
+			if i > 0 && rec.lsn != recs[i-1].lsn+1 {
+				t.Fatalf("record %d has LSN %d after %d", i, rec.lsn, recs[i-1].lsn)
 			}
-			for j, b := range enc {
-				if data[at+int64(j)] != b {
-					t.Fatalf("record %d does not round-trip at byte %d", i, j)
-				}
+			b := encodeRecord(rec)
+			if at+int64(len(b)) > end || !bytes.Equal(data[at:at+int64(len(b))], b) {
+				t.Fatalf("record %d does not round-trip at offset %d", i, at)
 			}
-			at = end
+			at += int64(len(b))
 		}
-		if at != sd.validSize {
-			t.Fatalf("records end at %d but validSize is %d", at, sd.validSize)
-		}
-		if !sd.torn && sd.validSize != int64(len(data)) {
-			t.Fatal("untorn segment with trailing bytes")
+		if at != end {
+			t.Fatalf("records end at %d but the run at %d", at, end)
 		}
 	})
 }

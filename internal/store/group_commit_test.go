@@ -133,16 +133,14 @@ func TestGroupCommitAckOrdering(t *testing.T) {
 	close(acks)
 	fsyncs := walFsyncsTotal.Value() - fsyncsBefore
 	s.kill()
+	if lsn := s.Status().SnapshotLSN; lsn != 0 {
+		t.Fatalf("a snapshot ran at LSN %d and may have split the records over both logs", lsn)
+	}
 
-	sd, err := readSegment(segmentPath(dir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sd.torn {
-		t.Fatal("WAL torn after clean kill")
-	}
-	byLSN := make(map[uint64]record, len(sd.records))
-	for i, rec := range sd.records {
+	// No snapshot ran, so wal-a holds every record.
+	recs := logRun(t, logPath(dir, 0))
+	byLSN := make(map[uint64]record, len(recs))
+	for i, rec := range recs {
 		if rec.lsn != uint64(i+1) {
 			t.Fatalf("record %d has LSN %d", i, rec.lsn)
 		}
@@ -167,20 +165,20 @@ func TestGroupCommitAckOrdering(t *testing.T) {
 			}
 		}
 	}
-	if nacks != len(sd.records) {
-		t.Fatalf("%d acknowledgements for %d WAL records", nacks, len(sd.records))
+	if nacks != len(recs) {
+		t.Fatalf("%d acknowledgements for %d WAL records", nacks, len(recs))
 	}
-	if fsyncs > uint64(len(sd.records)) {
-		t.Errorf("%d fsyncs for %d records: more syncs than appends", fsyncs, len(sd.records))
+	if fsyncs > uint64(len(recs)) {
+		t.Errorf("%d fsyncs for %d records: more syncs than appends", fsyncs, len(recs))
 	}
 	t.Logf("group commit: %d records, %d fsyncs (%.2f fsyncs/record)",
-		len(sd.records), fsyncs, float64(fsyncs)/float64(len(sd.records)))
+		len(recs), fsyncs, float64(fsyncs)/float64(len(recs)))
 
 	// Recovery replays the interleaved history and re-derives every
 	// acknowledged id (the replay cross-check would fail otherwise).
 	rec := reopen(t, dir)
-	if rec.Status().AppliedLSN != uint64(len(sd.records)) {
-		t.Fatalf("recovered %d of %d records", rec.Status().AppliedLSN, len(sd.records))
+	if rec.Status().AppliedLSN != uint64(len(recs)) {
+		t.Fatalf("recovered %d of %d records", rec.Status().AppliedLSN, len(recs))
 	}
 }
 
@@ -210,18 +208,14 @@ func TestCrashTornGroupBoundary(t *testing.T) {
 	}
 	s.kill()
 
-	walPath := segmentPath(base, 0)
-	offs := recordBoundaries(t, walPath) // offs[k] = byte size holding k records
-	sd, err := readSegment(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	offs := recordBoundaries(t, logPath(base, 0)) // offs[k] = byte size holding k records
+	recs := logRun(t, logPath(base, 0))
 	replayPrefix := func(k int) *tlx.Index {
 		ix, err := tlx.Build(testData(30), testTau)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rec := range sd.records[:k] {
+		for _, rec := range recs[:k] {
 			if _, err := ix.Insert(rec.attrs); err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +225,7 @@ func TestCrashTornGroupBoundary(t *testing.T) {
 	for gi, lsn := range boundaries {
 		k := int(lsn)
 		dir := copyDir(t, base)
-		if err := os.Truncate(segmentPath(dir, 0), offs[k]); err != nil {
+		if err := os.Truncate(logPath(dir, 0), offs[k]); err != nil {
 			t.Fatal(err)
 		}
 		rec := reopen(t, dir)
@@ -245,7 +239,7 @@ func TestCrashTornGroupBoundary(t *testing.T) {
 		if gi+1 < len(boundaries) && boundaries[gi+1] > lsn {
 			cut := offs[k+1] - 1 // inside the group's first record
 			dir := copyDir(t, base)
-			if err := os.Truncate(segmentPath(dir, 0), cut); err != nil {
+			if err := os.Truncate(logPath(dir, 0), cut); err != nil {
 				t.Fatal(err)
 			}
 			rec := reopen(t, dir)
@@ -259,7 +253,7 @@ func TestCrashTornGroupBoundary(t *testing.T) {
 				// so keeping them is allowed — and they are valid history).
 				cut := offs[k+1]
 				dir := copyDir(t, base)
-				if err := os.Truncate(segmentPath(dir, 0), cut); err != nil {
+				if err := os.Truncate(logPath(dir, 0), cut); err != nil {
 					t.Fatal(err)
 				}
 				rec := reopen(t, dir)

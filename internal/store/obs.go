@@ -53,7 +53,7 @@ func registerStoreGauges(s *Store) {
 		"WAL record bytes accumulated since the last snapshot.", func() float64 {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
-			return float64(s.rotatedBytes + s.bytesSinceSnap)
+			return float64(s.walBytes)
 		})
 	obs.Default().GaugeFunc("tlx_store_read_only",
 		"1 when the store refuses writes after a WAL failure, else 0.", func() float64 {

@@ -47,7 +47,7 @@ func (h ShipHeader) encode() []byte {
 func ReadShipHeader(r io.Reader) (ShipHeader, error) {
 	var buf [shipHeaderSize]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return ShipHeader{}, fmt.Errorf("%w: ship header: %v", ErrCorrupt, err)
+		return ShipHeader{}, fmt.Errorf("%w: ship header: %w", ErrCorrupt, err)
 	}
 	if string(buf[:8]) != shipMagic {
 		return ShipHeader{}, fmt.Errorf("%w: bad ship magic", ErrCorrupt)

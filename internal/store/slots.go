@@ -9,8 +9,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	tlx "tlevelindex"
@@ -26,10 +24,10 @@ import (
 // other. A primary's store and a follower keep the same two files, so a
 // follower's directory opens as a primary's.
 //
-// A slot's first write creates its file without fsyncing the directory. In
-// a store the next WAL segment's creation does that, and it comes before any
-// prune that relies on the new slot; a follower that loses the entry in a
-// crash fetches the index again.
+// A store's Open creates both files, empty, beside its two WAL logs and
+// fsyncs the directory once. A follower's first write of a slot creates its
+// file, and Write fsyncs the directory right after. Later writes only
+// overwrite a slot; an empty one holds nothing, as a missing one.
 
 var slotNames = [2]string{"slot-a.idx", "slot-b.idx"}
 
@@ -51,8 +49,8 @@ func (p *Slots) Newest() string { return p.path(1 - p.spare) }
 
 // Load reads the newest slot that verifies onto the heap — a slot is
 // overwritten in place, so it is never mapped — and returns its index and
-// LSN; the other slot becomes the spare. A slot that exists but does not
-// verify is logged and counted in skipped. ix is nil when neither verifies.
+// LSN; the other slot becomes the spare. A slot that holds bytes but does
+// not verify is logged and counted in skipped. ix is nil when neither verifies.
 func (p *Slots) Load(log *slog.Logger) (ix *tlx.Index, lsn uint64, skipped int) {
 	var hdrs [2]ShipHeader
 	var errs [2]error
@@ -71,7 +69,8 @@ func (p *Slots) Load(log *slog.Logger) (ix *tlx.Index, lsn uint64, skipped int) 
 				return ix, hdrs[i].LSN, skipped
 			}
 		}
-		if !errors.Is(err, fs.ErrNotExist) {
+		// A slot that does not exist, or is still empty, holds nothing.
+		if !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, io.EOF) {
 			log.Warn("store: slot unusable; falling back", "path", p.path(i), "err", err)
 			skipped++
 		}
@@ -113,11 +112,17 @@ func (p *Slots) load(i int, h ShipHeader) (*tlx.Index, error) {
 
 // Write overwrites the spare slot in place with hdr and then hdr.Bytes
 // bytes of body, written as they are read, fsyncs it and reports how long
-// the fsync took. The slot then holds the newest index and the other one
+// the fsync took. When it creates the slot's file it fsyncs the directory
+// too. The slot then holds the newest index and the other one
 // becomes the spare, unless accept, given the body bytes, returns an error:
 // Write returns it and the slot stays the spare. accept may be nil.
 func (p *Slots) Write(hdr ShipHeader, body io.Reader, accept func([]byte) error) (time.Duration, error) {
-	f, err := os.OpenFile(p.path(p.spare), os.O_CREATE|os.O_WRONLY, 0o644)
+	f, created, err := openFile(p.path(p.spare), os.O_WRONLY)
+	if err == nil && created {
+		if err = syncDir(p.dir); err != nil {
+			f.Close()
+		}
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -156,42 +161,15 @@ func (p *Slots) Write(hdr ShipHeader, body io.Reader, accept func([]byte) error)
 	return fsync, err
 }
 
-const (
-	segmentPrefix = "wal-"
-	segmentSuffix = ".log"
-)
-
-// segmentPath names the segment with the given base LSN; the zero-padded
-// decimal makes lexicographic order numeric order.
-func segmentPath(dir string, base uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%020d%s", segmentPrefix, base, segmentSuffix))
-}
-
-// fileEntry is one WAL segment.
-type fileEntry struct {
-	lsn  uint64
-	path string
-}
-
-// scanSegments lists the WAL segments of dir by ascending base LSN: ReadDir
-// sorts by name, and the names are zero-padded.
-func scanSegments(dir string) ([]fileEntry, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+// openFile opens path with flag, creating the file if it is missing;
+// created reports whether it did.
+func openFile(path string, flag int) (f *os.File, created bool, err error) {
+	f, err = os.OpenFile(path, flag, 0)
+	if !errors.Is(err, fs.ErrNotExist) {
+		return f, false, err
 	}
-	var segs []fileEntry
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, segmentPrefix) || !strings.HasSuffix(name, segmentSuffix) {
-			continue
-		}
-		lsn, err := strconv.ParseUint(name[len(segmentPrefix):len(name)-len(segmentSuffix)], 10, 64)
-		if err == nil {
-			segs = append(segs, fileEntry{lsn: lsn, path: filepath.Join(dir, name)})
-		}
-	}
-	return segs, nil
+	f, err = os.OpenFile(path, flag|os.O_CREATE|os.O_EXCL, 0o644)
+	return f, err == nil, err
 }
 
 // syncDir fsyncs a directory so creations in it are durable.

@@ -28,16 +28,18 @@
 // # File layout
 //
 //	<dir>/slot-a.idx, slot-b.idx   ship stream: header with LSN, then X3 (see slots.go)
-//	<dir>/wal-<base>.log           records base+1.. (see wal.go for the format)
+//	<dir>/wal-a.log, wal-b.log     insert records, overwritten in place (see wal.go)
 //
-// A snapshot overwrites the older slot in place. If the newest slot is
-// corrupt (a write torn by a crash, bit rot), recovery falls back to the
-// other one and replays a correspondingly longer WAL suffix. Segments are
-// rotated at each snapshot and pruned once neither slot needs them. The
-// store snapshots from a background goroutine once the WAL holds as many
-// bytes since the newest slot as that slot does: a tail of any length
-// replays as one rebuild, so the bound only caps the directory, at about
-// three times the index.
+// Open creates whichever of the four is missing; after that nothing in the
+// directory is created, renamed or unlinked. A snapshot overwrites the
+// older slot in place and makes the other log the one appends go to,
+// written again from offset 0. If the newest slot is corrupt (a write torn
+// by a crash, bit rot), recovery falls back to the other one and replays
+// the records of both logs past it. The store snapshots from a background
+// goroutine once the WAL holds as many bytes since the newest slot as that
+// slot does: a tail of any length replays as one rebuild, so the bound
+// only caps the directory, at about four times the index (two slots, two
+// logs of about a slot's worth each).
 //
 // # Limitations
 //
@@ -49,11 +51,14 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,7 +83,7 @@ type Store struct {
 	opts Options
 	log  *slog.Logger
 
-	// mu guards seg, the counters, failed and closed, and holds the index
+	// mu guards the logs, the counters, failed and closed, and holds the index
 	// at exactly applied while a snapshot, a ship or a query (Serving)
 	// reads it; the index itself needs no lock to be read. unlock is
 	// mu.RUnlock, bound once so Serving allocates nothing.
@@ -90,19 +95,16 @@ type Store struct {
 	// published, and loaded by anyone: stable under either side of mu, and
 	// lock-free for the metrics gauge and AppliedLSN.
 	applied atomic.Uint64
-	seg     *segment
+	logs    [2]*walLog
+	active  int   // the log appends go to
 	failed  error // a WAL write failed: memory and disk diverged, refuse writes
 	closed  bool
 
-	slots          *Slots // written only under snapMu after Open
-	snapLSN        uint64
-	snapTime       time.Time
-	slotBytes      int64 // size of the newest slot, the auto-snapshot threshold
-	bytesSinceSnap int64 // WAL bytes since the last rotation
-	// rotatedBytes is the WAL a snapshot rotated out before its slot was
-	// written: still needed, and still counted in Status, until that slot
-	// is durable.
-	rotatedBytes int64
+	slots     *Slots // written only under snapMu after Open
+	snapLSN   uint64
+	snapTime  time.Time
+	slotBytes int64 // size of the newest slot, the auto-snapshot threshold
+	walBytes  int64 // WAL record bytes after the newest durable slot
 
 	replayed      int
 	recoveredFrom string
@@ -170,19 +172,33 @@ type GroupStats struct {
 	tlx.BatchInsertStats
 }
 
+// oldLayouts are the files of the layouts before the two slots and the two
+// logs. Open refuses a directory holding them rather than read it or build
+// over it.
+var oldLayouts = [...]struct{ glob, files, now string }{
+	{"snapshot-*.idx", "snapshot-<LSN>.idx files", "slot-a.idx and slot-b.idx"},
+	{"wal-" + strings.Repeat("[0-9]", 20) + ".log", "wal-<LSN>.log segments", "wal-a.log and wal-b.log"},
+}
+
 // Open recovers a Store from dir. A directory with no loadable slot and no
-// WAL segment has acknowledged nothing and is initialized from build: the
+// WAL record has acknowledged nothing and is initialized from build: the
 // fresh index is written as the slot at LSN 0 so later restarts never
 // rebuild. Otherwise build is ignored — state comes from the newest
-// loadable slot plus the WAL tail. Open fails rather than serve a directory
-// whose slots are both corrupt beside a WAL, or whose WAL has lost
-// acknowledged records anywhere but the torn tail.
+// loadable slot plus the WAL past it. Open fails rather than serve a
+// directory whose slots are both corrupt beside WAL records, or whose WAL
+// has lost acknowledged records anywhere but a torn tail.
 func Open(opts Options, build func() (*tlx.Index, error)) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("store: no data directory")
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
+	}
+	for _, old := range oldLayouts {
+		if m, _ := filepath.Glob(filepath.Join(opts.Dir, old.glob)); len(m) > 0 {
+			return nil, fmt.Errorf("store: %s holds %s, a layout this store no longer reads "+
+				"(it keeps %s); bootstrap a follower from the old primary and open its directory", opts.Dir, old.files, old.now)
+		}
 	}
 	if opts.Logger == nil {
 		opts.Logger = obs.NopLogger()
@@ -195,26 +211,22 @@ func Open(opts Options, build func() (*tlx.Index, error)) (*Store, error) {
 		done:    make(chan struct{}),
 	}
 	s.unlock = s.mu.RUnlock
-	segs, err := scanSegments(opts.Dir)
-	if err != nil {
-		return nil, err
+	runs, err := s.openFiles()
+	if err == nil {
+		ix, lsn, skipped := s.slots.Load(s.log)
+		switch {
+		case ix != nil:
+			err = s.recover(ix, lsn, skipped, slices.Concat(runs[0], runs[1]))
+		case len(runs[0])+len(runs[1]) > 0:
+			err = fmt.Errorf("%w: %s has WAL records but no loadable slot", ErrCorrupt, opts.Dir)
+		case build == nil:
+			err = fmt.Errorf("store: %s holds no index and no builder was given", opts.Dir)
+		default:
+			err = s.initialize(build)
+		}
 	}
-	ix, lsn, skipped := s.slots.Load(s.log)
-	if ix == nil {
-		if old, _ := filepath.Glob(filepath.Join(opts.Dir, "snapshot-*.idx")); len(old) > 0 {
-			return nil, fmt.Errorf("store: %s holds snapshot-<LSN>.idx files, a layout this store no longer reads "+
-				"(it keeps slot-a.idx and slot-b.idx); bootstrap a follower from the old primary and open its directory", opts.Dir)
-		}
-		if len(segs) > 0 {
-			return nil, fmt.Errorf("%w: %s has WAL segments but no loadable slot", ErrCorrupt, opts.Dir)
-		}
-		if build == nil {
-			return nil, fmt.Errorf("store: %s holds no index and no builder was given", opts.Dir)
-		}
-		if err := s.initialize(build); err != nil {
-			return nil, err
-		}
-	} else if err := s.recover(ix, lsn, skipped, segs); err != nil {
+	if err != nil {
+		s.closeLogs()
 		return nil, err
 	}
 	s.wg.Add(1)
@@ -223,9 +235,65 @@ func Open(opts Options, build func() (*tlx.Index, error)) (*Store, error) {
 	return s, nil
 }
 
-// initialize writes a freshly built index as the slot at LSN 0 and opens
-// the first WAL segment.
+// openFiles creates whichever of the two slots and the two logs is
+// missing, fsyncing the directory once after, so that the directory holds
+// the same four files from here on. It opens both logs and returns their
+// runs.
+func (s *Store) openFiles() (runs [2][]record, err error) {
+	created := false
+	for i := range slotNames {
+		f, c, err := openFile(s.slots.path(i), os.O_WRONLY)
+		if err != nil {
+			return runs, err
+		}
+		f.Close()
+		created = created || c
+	}
+	for i, name := range logNames {
+		var c bool
+		if s.logs[i], runs[i], c, err = openLog(filepath.Join(s.opts.Dir, name)); err != nil {
+			return runs, err
+		}
+		created = created || c
+	}
+	if created {
+		err = syncDir(s.opts.Dir)
+	}
+	return runs, err
+}
+
+// clearStale zeroes what follows each log's run. Open calls it only once it
+// has decided to serve the directory, so a directory it refuses keeps every
+// byte it held.
+func (s *Store) clearStale() error {
+	for _, l := range s.logs {
+		if err := l.clearStale(s.log); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// closeLogs closes the log files that are open.
+func (s *Store) closeLogs() error {
+	var err error
+	for i, l := range s.logs {
+		if l != nil {
+			if cerr := l.f.Close(); err == nil {
+				err = cerr
+			}
+			s.logs[i] = nil
+		}
+	}
+	return err
+}
+
+// initialize writes a freshly built index as the slot at LSN 0. The logs'
+// runs are empty, and appends start at the first.
 func (s *Store) initialize(build func() (*tlx.Index, error)) error {
+	if err := s.clearStale(); err != nil {
+		return err
+	}
 	ix, err := build()
 	if err != nil {
 		return err
@@ -237,11 +305,7 @@ func (s *Store) initialize(build func() (*tlx.Index, error)) error {
 	if _, err := s.slots.Write(ShipHeader{Bytes: int64(len(buf))}, bytes.NewReader(buf), nil); err != nil {
 		return err
 	}
-	seg, err := createSegment(s.opts.Dir, 0)
-	if err != nil {
-		return err
-	}
-	s.ix, s.seg, s.snapTime, s.recoveredFrom = ix, seg, time.Now(), "initial build"
+	s.ix, s.snapTime, s.recoveredFrom = ix, time.Now(), "initial build"
 	s.slotBytes = shipHeaderSize + int64(len(buf))
 	snapshotBytes.Set(float64(len(buf)))
 	s.log.Info("store: initialized", "dir", s.opts.Dir, "snapshotLsn", 0, "snapshotBytes", len(buf))
@@ -249,79 +313,56 @@ func (s *Store) initialize(build func() (*tlx.Index, error)) error {
 }
 
 // recover takes the index the newest loadable slot holds at lsn, after
-// skipping skipped slots that did not verify, and replays the WAL tail.
-func (s *Store) recover(ix *tlx.Index, lsn uint64, skipped int, segs []fileEntry) error {
+// skipping skipped slots that did not verify, and replays the records of
+// both logs' runs past it.
+func (s *Store) recover(ix *tlx.Index, lsn uint64, skipped int, recs []record) error {
 	s.ix, s.snapLSN = ix, lsn
 	s.applied.Store(lsn)
 	s.recoveredFrom, s.fallbacks = s.slots.Newest(), skipped
 	if st, err := os.Stat(s.recoveredFrom); err == nil {
 		s.snapTime, s.slotBytes = st.ModTime(), st.Size()
 	}
-	// Replay every segment in LSN order. Records at or below the snapshot
-	// LSN are already part of the loaded state and are skipped; a gap above
-	// it means acknowledged records were lost — refuse to serve.
-	for i, sg := range segs {
-		last := i == len(segs)-1
-		sd, err := readSegment(sg.path)
-		if err != nil {
-			if last && errors.Is(err, errShortHeader) {
-				// Torn during creation: no record was ever acknowledged
-				// into it. Replace it with a fresh segment below.
-				s.log.Warn("store: removing segment torn at creation", "path", sg.path)
-				os.Remove(sg.path)
-				segs = segs[:i]
-				break
-			}
-			return err
-		}
-		if sd.torn {
-			if !last {
-				s.log.Warn("store: sealed segment has a corrupt record", "path", sg.path)
-			} else {
-				s.log.Warn("store: truncating torn WAL tail", "path", sg.path, "validBytes", sd.validSize)
-			}
-		}
-		// A segment's base is the snapshot LSN it was rotated at, so every
-		// record up to base existed when it was created: starting past the
-		// applied point means acknowledged records vanished (a corrupt
-		// record inside an earlier sealed segment, or a pruning accident).
-		if applied := s.applied.Load(); sd.base > applied {
-			return fmt.Errorf("%w: WAL gap: applied through %d but segment %s begins at %d",
-				ErrCorrupt, applied, sg.path, sd.base)
-		}
-		if err := s.replay(sd.records, sg.path); err != nil {
-			return err
-		}
-		if last {
-			seg, err := openSegmentForAppend(sg.path, sd.base, sd.validSize)
-			if err != nil {
-				return err
-			}
-			s.seg = seg
-			s.bytesSinceSnap = sd.validSize - segHeaderSize
+	slices.SortFunc(recs, func(a, b record) int { return cmp.Compare(a.lsn, b.lsn) })
+	if err := s.replay(recs); err != nil {
+		return err
+	}
+	applied := s.applied.Load()
+	// A slot is written only at an LSN whose records are all durable, so a
+	// slot header that verifies past the applied point, even over a torn
+	// or rotted body, means acknowledged records were lost.
+	for i := range slotNames {
+		if h, err := s.slots.header(i); err == nil && h.LSN > applied {
+			return fmt.Errorf("%w: WAL gap: %s was written at LSN %d, but the WAL reaches only %d",
+				ErrCorrupt, s.slots.path(i), h.LSN, applied)
 		}
 	}
-	if s.seg == nil {
-		seg, err := createSegment(s.opts.Dir, s.applied.Load())
-		if err != nil {
-			return err
-		}
-		s.seg = seg
+	if err := s.clearStale(); err != nil {
+		return err
+	}
+	// Append to the log whose run ends at the applied LSN. When neither
+	// does, nothing was replayed and both runs are at or below the slot's
+	// LSN: the one that ends lower is recycled.
+	l := s.logs
+	if l[0].last != applied && (l[1].last == applied || l[1].last < l[0].last) {
+		s.active = 1
+	}
+	if l[s.active].last != applied {
+		l[s.active].recycle()
 	}
 	s.log.Info("store: recovered", "dir", s.opts.Dir, "from", s.recoveredFrom,
-		"replayed", s.replayed, "appliedLsn", s.applied.Load(), "fallbacks", s.fallbacks)
+		"replayed", s.replayed, "appliedLsn", applied, "fallbacks", s.fallbacks)
 	return nil
 }
 
-// replay applies the records of one segment (read from path) that lie
-// beyond the applied point as one InsertBatch: a batch that accepts
-// anything is one rebuild of the index over the grown pool, so a tail costs
-// one rebuild however long it is, and the result is the one the
-// acknowledged inserts produced however they were batched. Records at or
-// below the applied point are already part of the loaded state and are
-// skipped; a gap above it means acknowledged records were lost. Every
-// re-assigned id is checked against the id that was acknowledged.
-func (s *Store) replay(recs []record, path string) error {
+// replay applies the records, in LSN order, that lie beyond the applied
+// point as one InsertBatch: a batch that accepts anything is one rebuild of
+// the index over the grown pool, so a tail costs one rebuild however long
+// it is, and the result is the one the acknowledged inserts produced
+// however they were batched. Records at or below the applied point are
+// already part of the loaded state and are skipped; a gap above it means
+// acknowledged records were lost. Every re-assigned id is checked against
+// the id that was acknowledged.
+func (s *Store) replay(recs []record) error {
 	var tail []record
 	var attrs [][]float64
 	for _, rec := range recs {
@@ -330,10 +371,11 @@ func (s *Store) replay(recs []record, path string) error {
 			continue
 		}
 		if rec.lsn != through+1 {
-			return fmt.Errorf("%w: WAL gap: applied through %d, next record %d (%s)",
-				ErrCorrupt, through, rec.lsn, path)
+			return fmt.Errorf("%w: WAL gap: applied through %d, next record %d",
+				ErrCorrupt, through, rec.lsn)
 		}
 		tail, attrs = append(tail, rec), append(attrs, rec.attrs)
+		s.walBytes += recordSize(rec)
 	}
 	if len(tail) == 0 {
 		return nil
@@ -471,6 +513,7 @@ func (s *Store) processGroup(group []*insertReq) {
 	base := s.applied.Load()
 	next := base
 	var nbytes int64
+	wal := s.logs[s.active]
 	// The records are logged and fsync'd while the index rebuilds: once
 	// the batch's ids are known, the WAL needs nothing else from the index.
 	_, bstats, werr := s.ix.InsertBatchAlongside(all, func(results []tlx.InsertResult) error {
@@ -480,7 +523,7 @@ func (s *Store) processGroup(group []*insertReq) {
 				// Accepted or duplicate: exactly the options the sequential
 				// path logs, so replay re-derives identical ids.
 				next++
-				n, e := s.seg.writeRecord(record{lsn: next, id: int64(res.ID), attrs: all[i]})
+				n, e := wal.writeRecord(record{lsn: next, id: int64(res.ID), attrs: all[i]})
 				if e != nil {
 					werr = e
 				}
@@ -489,12 +532,12 @@ func (s *Store) processGroup(group []*insertReq) {
 			items[i] = BatchResult{ID: res.ID, LSN: next, Err: res.Err}
 		}
 		if werr == nil && next > base {
-			werr = s.seg.sync()
+			werr = wal.sync()
 		}
 		return werr
 	})
 	if werr != nil {
-		// The index dropped the group's version, but the segment may hold a
+		// The index dropped the group's version, but the log may hold a
 		// part of its records, which a later write would follow and replay
 		// would re-apply. Fail the store for writes; nothing in this group
 		// is acknowledged or visible.
@@ -508,8 +551,12 @@ func (s *Store) processGroup(group []*insertReq) {
 	// One visibility bump for the whole group: readers and followers see the
 	// applied LSN jump from its old value to next in a single store.
 	s.applied.Store(next)
-	s.bytesSinceSnap += nbytes
-	trip := s.bytesSinceSnap >= s.slotBytes
+	s.walBytes += nbytes
+	// Snapshot each time the WAL past the newest slot grows by that slot's
+	// size: once, and again for each further slot's worth while snapshots
+	// fail.
+	per := max(s.slotBytes, 1)
+	trip := (s.walBytes-nbytes)/per < s.walBytes/per
 	s.mu.Unlock()
 	if logged > 0 {
 		walGroupSize.Observe(float64(logged))
@@ -557,7 +604,12 @@ type SnapshotInfo struct {
 
 // Snapshot writes the current index into the older slot and rotates the
 // WAL. When the newest slot already covers every applied record it returns
-// immediately with UpToDate set.
+// immediately with UpToDate set. A failed snapshot changes no slot the
+// store relies on, and the logs keep every record past the newest durable
+// slot, so inserts go on being acknowledged. Until a later snapshot
+// succeeds the store relies on the newest slot alone: a failed write may
+// have torn the spare, and the rotation recycled the records its index
+// needed.
 func (s *Store) Snapshot() (SnapshotInfo, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -579,39 +631,30 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 		snapshotFailuresTotal.Inc()
 		return SnapshotInfo{}, err
 	}
-	// Rotate under the write lock: the new segment's base equals the
-	// serialized LSN exactly, which is what lets pruning reason about
-	// segment contents from file names alone.
-	newSeg, err := createSegment(s.opts.Dir, lsn)
-	if err != nil {
-		s.mu.Unlock()
-		snapshotFailuresTotal.Inc()
-		return SnapshotInfo{}, err
+	// Rotate under the write lock, with no I/O: the other log becomes the
+	// active one, written from offset 0, only if every record of its run
+	// is at or below snapLSN, the LSN of the slot this snapshot keeps.
+	// Otherwise — after a failed slot write — the active log stays, so a
+	// failure never recycles records the surviving slot needs.
+	if next := 1 - s.active; s.logs[next].last <= s.snapLSN {
+		s.logs[next].recycle()
+		s.active = next
 	}
-	old := s.seg
-	s.seg = newSeg
-	s.rotatedBytes += s.bytesSinceSnap
-	s.bytesSinceSnap = 0
+	captured := s.walBytes
 	s.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
 
 	if _, err := s.slots.Write(ShipHeader{LSN: lsn, Bytes: int64(len(buf))}, bytes.NewReader(buf), nil); err != nil {
-		// The rotation already happened; recovery simply replays through
-		// the rotated segments from the other slot.
 		snapshotFailuresTotal.Inc()
 		return SnapshotInfo{}, err
 	}
 	path := s.slots.Newest()
 	s.mu.Lock()
-	prev := s.snapLSN
 	s.snapLSN = lsn
 	s.snapTime = time.Now()
 	s.slotBytes = shipHeaderSize + int64(len(buf))
-	s.rotatedBytes = 0
+	// The bytes captured are the records up to lsn; what came after stays.
+	s.walBytes -= captured
 	s.mu.Unlock()
-	s.prune(prev)
 	took := time.Since(start)
 	snapshotsTotal.Inc()
 	snapshotSeconds.Observe(took.Seconds())
@@ -626,28 +669,8 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	}, nil
 }
 
-// prune deletes every WAL segment that neither slot could need: the older
-// slot holds the index at keepFrom. Failures are logged, not fatal: pruning
-// reruns at the next snapshot.
-func (s *Store) prune(keepFrom uint64) {
-	segs, err := scanSegments(s.opts.Dir)
-	if err != nil {
-		s.log.Warn("store: prune scan failed", "err", err)
-		return
-	}
-	// A segment with base b holds records b+1..b' only; once b' ≤ keepFrom
-	// it cannot matter, and b' is the next segment's base.
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i+1].lsn <= keepFrom {
-			if err := os.Remove(segs[i].path); err != nil {
-				s.log.Warn("store: prune failed", "path", segs[i].path, "err", err)
-			}
-		}
-	}
-}
-
 // autoSnapshotLoop snapshots each time processGroup finds the WAL bytes
-// since the newest slot at that slot's size.
+// since the newest slot grown by that slot's size.
 func (s *Store) autoSnapshotLoop() {
 	defer s.wg.Done()
 	for {
@@ -686,7 +709,7 @@ func (s *Store) Status() Status {
 		SnapshotLSN:       s.snapLSN,
 		SnapshotAgeSec:    time.Since(s.snapTime).Seconds(),
 		WALRecords:        int(s.applied.Load() - s.snapLSN),
-		WALBytes:          s.rotatedBytes + s.bytesSinceSnap,
+		WALBytes:          s.walBytes,
 		RecordsReplayed:   s.replayed,
 		RecoveredFrom:     s.recoveredFrom,
 		SnapshotFallbacks: s.fallbacks,
@@ -695,7 +718,7 @@ func (s *Store) Status() Status {
 }
 
 // Close stops the background snapshotter, writes a final slot (so a clean
-// stop never needs WAL replay), and releases the WAL file.
+// stop never needs WAL replay), and releases the WAL files.
 func (s *Store) Close() error {
 	s.once.Do(func() { close(s.done) })
 	s.wg.Wait()
@@ -710,27 +733,21 @@ func (s *Store) Close() error {
 	}
 	s.mu.Lock()
 	s.closed = true
-	if s.seg != nil {
-		if cerr := s.seg.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		s.seg = nil
+	if cerr := s.closeLogs(); err == nil {
+		err = cerr
 	}
 	s.mu.Unlock()
 	return err
 }
 
 // kill simulates a crash for tests: the background snapshotter stops and
-// the WAL file handle is dropped with no final snapshot, leaving the data
+// the WAL file handles are dropped with no final snapshot, leaving the data
 // directory exactly as fsync has it.
 func (s *Store) kill() {
 	s.once.Do(func() { close(s.done) })
 	s.wg.Wait()
 	s.mu.Lock()
 	s.closed = true
-	if s.seg != nil {
-		s.seg.Close()
-		s.seg = nil
-	}
+	s.closeLogs()
 	s.mu.Unlock()
 }

@@ -182,10 +182,16 @@ func TestFilteredInsertNotLogged(t *testing.T) {
 	}
 }
 
+// TestManualSnapshotAndPrune: a snapshot reports what it wrote, an idle
+// one is up to date, and nothing is ever pruned, because nothing needs to
+// be: after Open and after every one of many snapshots with inserts between
+// them, the data directory holds the same four files, each with the inode
+// it was created with.
 func TestManualSnapshotAndPrune(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
 	defer s.Close()
+	files := dirFiles(t, dir)
 	inserts := testInserts()
 	for _, opt := range inserts[:3] {
 		if _, err := s.Insert(opt); err != nil {
@@ -204,38 +210,54 @@ func TestManualSnapshotAndPrune(t *testing.T) {
 	if err != nil || !again.UpToDate {
 		t.Fatalf("idle snapshot: %+v err=%v", again, err)
 	}
-	// Both slots now exist. Each further snapshot overwrites one of them in
-	// place — the same two files, never renamed — and pruning holds the WAL
-	// at the segments the older slot needs: its own and the newest.
-	slots := slotFiles(t, dir)
-	for _, opt := range inserts[3:] {
-		if _, err := s.Insert(opt); err != nil {
-			t.Fatal(err)
+	// Both slots now exist. Each further snapshot overwrites one of them,
+	// and recycles a log, in place.
+	files = dirFiles(t, dir)
+	dup := testData(30)[s.Index().LevelOptions(1)[0]]
+	for i := 0; i < 24; i++ {
+		opts := [][]float64{dup}
+		if i < len(inserts)-3 {
+			opts = append(opts, inserts[3+i])
+		}
+		for _, opt := range opts {
+			if _, err := s.Insert(opt); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if _, err := s.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, fi := range slotFiles(t, dir) {
-		if !os.SameFile(fi, slots[i]) {
-			t.Errorf("%s is a new file: a snapshot replaced it instead of writing it in place", fi.Name())
+	after := dirFiles(t, dir)
+	for i, fi := range after {
+		if !os.SameFile(fi, files[i]) {
+			t.Errorf("%s is a new file: it was replaced instead of written in place", fi.Name())
 		}
 	}
-	var names []string
+}
+
+// dirFiles stats the files of dir and fails unless they are exactly the
+// two slots and the two logs.
+func dirFiles(t *testing.T, dir string) []os.FileInfo {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var names []string
+	var out []os.FileInfo
 	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
 		names = append(names, e.Name())
+		out = append(out, fi)
 	}
-	segs, err := scanSegments(dir)
-	if err != nil {
-		t.Fatal(err)
+	if want := []string{slotNames[0], slotNames[1], logNames[0], logNames[1]}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("data dir holds %v, want %v", names, want)
 	}
-	if len(names) != 4 || names[0] != "slot-a.idx" || names[1] != "slot-b.idx" || len(segs) != 2 {
-		t.Errorf("data dir holds %v, want two WAL segments and the two slots", names)
-	}
+	return out
 }
 
 // slotFiles stats the two slot files of dir.
@@ -352,39 +374,34 @@ func TestOpenEmptyDirWithoutBuilder(t *testing.T) {
 	}
 }
 
+// TestWALWithoutSnapshotRefused: a log record beside no loadable slot was
+// acknowledged over an index that is gone; Open refuses rather than build
+// over it.
 func TestWALWithoutSnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
-	seg, err := createSegment(dir, 0)
-	if err != nil {
+	rec := encodeRecord(record{lsn: 1, id: 30, attrs: []float64{0.97, 0.96}})
+	if err := os.WriteFile(filepath.Join(dir, logNames[1]), rec, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seg.Close()
-	if _, err := Open(Options{Dir: dir}, builder(testData(30))); err == nil {
-		t.Fatal("expected error for WAL segments without any snapshot")
+	if _, err := Open(Options{Dir: dir}, builder(testData(30))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over a WAL record without any slot: %v", err)
 	}
 }
 
 // TestTornFirstSlotRebuilds: a crash while the very first slot is written
-// leaves it torn and no WAL segment beside it. Nothing was acknowledged,
-// so Open builds the index again.
+// leaves it torn beside empty logs. Nothing was acknowledged, so Open
+// builds the index again.
 func TestTornFirstSlotRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
 	s.kill()
-	for _, name := range []string{slotNames[0], filepath.Base(segmentPath(dir, 0))} {
-		path := filepath.Join(dir, name)
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == slotNames[0] {
-			err = os.WriteFile(path, blob[:len(blob)/2], 0o644)
-		} else {
-			err = os.Remove(path)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	path := filepath.Join(dir, slotNames[0])
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob[:len(blob)/2], 0o644); err != nil {
+		t.Fatal(err)
 	}
 	s2 := openStore(t, dir, Options{})
 	defer s2.Close()
@@ -395,26 +412,31 @@ func TestTornFirstSlotRebuilds(t *testing.T) {
 	assertSameAnswers(t, s2.Index(), ref)
 }
 
-// TestOpenRefusesSnapshotLayout: a directory in the layout before the two
-// slots (snapshot-<LSN>.idx files) is refused with an error that names the
-// change, not read and not rebuilt over.
+// TestOpenRefusesSnapshotLayout: a directory in a layout before the two
+// slots and the two logs — snapshot-<LSN>.idx files, or slots beside
+// wal-<LSN>.log segments — is refused with an error that names the change,
+// not read, not rebuilt over and given no file of the new layout.
 func TestOpenRefusesSnapshotLayout(t *testing.T) {
-	dir := t.TempDir()
 	ix, err := tlx.Build(testData(30), testTau)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blob, _ := ix.AppendBinary(nil)
-	old := filepath.Join(dir, "snapshot-00000000000000000000.idx")
-	if err := os.WriteFile(old, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(Options{Dir: dir, Logger: testLogger(t)}, builder(testData(30)))
-	if err == nil || !strings.Contains(err.Error(), "slot-a.idx") || !strings.Contains(err.Error(), "snapshot-<LSN>.idx") {
-		t.Fatalf("Open over the snapshot layout: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, slotNames[0])); !os.IsNotExist(err) {
-		t.Error("Open wrote a slot beside the old layout")
+	for _, layout := range []struct{ old, was, now, absent string }{
+		{"snapshot-00000000000000000000.idx", "snapshot-<LSN>.idx", "slot-a.idx", slotNames[0]},
+		{"wal-00000000000000000000.log", "wal-<LSN>.log", "wal-a.log", logNames[0]},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, layout.old), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(Options{Dir: dir, Logger: testLogger(t)}, builder(testData(30)))
+		if err == nil || !strings.Contains(err.Error(), layout.now) || !strings.Contains(err.Error(), layout.was) {
+			t.Fatalf("Open over the %s layout: %v", layout.was, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, layout.absent)); !os.IsNotExist(err) {
+			t.Errorf("Open wrote %s beside the %s layout", layout.absent, layout.was)
+		}
 	}
 }
 

@@ -1,52 +1,45 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"log/slog"
 	"math"
 	"os"
+	"slices"
 	"time"
 )
 
-// The write-ahead log is a sequence of segment files, wal-<base>.log, where
-// base is the LSN of the snapshot the segment was opened at: a segment
-// created at snapshot n holds exactly the records n+1 .. n' (n' being the
-// next snapshot's LSN), because rotation happens under the store's write
-// lock at the moment the snapshot state is captured.
+// The write-ahead log is two fixed files, wal-a.log and wal-b.log. Each is
+// created once and afterwards only overwritten in place: appends go to the
+// active log, and a snapshot makes the other one active, written again from
+// offset 0 (see Store.Snapshot for when it may).
 //
-// Segment layout (all integers little-endian):
+// Record layout (all integers little-endian; a log has no header):
 //
-//	header:  8-byte magic "TLVLWAL1" | uint64 base LSN | uint32 CRC32(magic‖base)
 //	record:  uint32 payload length   | uint32 CRC32(payload) | payload
 //	payload: uint64 LSN | int64 acknowledged id | uint32 nattrs | nattrs × float64
 //
 // A record becomes durable — and the insert acknowledgeable — only after
-// the segment file is fsync'd past it. The reader therefore treats the
-// first malformed record as the torn tail of an interrupted write and
-// reports the byte offset where the valid prefix ends, so recovery can
-// truncate the file and append from there.
+// the log is fsync'd past it. A log's run is the records, read from offset
+// 0, that pass their CRC and whose LSNs go up by one; the first record that
+// fails either test ends it. What follows a run is a torn tail or an older
+// generation of the file, whose LSNs are all lower, so a run never reaches
+// into it.
+
+var logNames = [2]string{"wal-a.log", "wal-b.log"}
 
 const (
-	segMagic      = "TLVLWAL1"
-	segHeaderSize = 8 + 8 + 4
 	recHeaderSize = 4 + 4
 	// minPayload is the fixed part of a record payload (LSN, id, nattrs).
 	minPayload = 8 + 8 + 4
-	// maxPayload bounds a record so a corrupt length field cannot drive a
-	// giant allocation; 1<<20 float64 attributes is far beyond any option.
-	maxPayload = minPayload + 8*(1<<20)
 )
 
 // ErrCorrupt reports on-disk state the recovery procedure cannot use.
 var ErrCorrupt = errors.New("store: corrupt data")
-
-// errShortHeader distinguishes a segment torn during creation (no record
-// was ever acknowledged into it) from one with a damaged header.
-var errShortHeader = errors.New("store: segment shorter than its header")
 
 // record is one durable insert.
 type record struct {
@@ -55,10 +48,11 @@ type record struct {
 	attrs []float64
 }
 
+func recordSize(rec record) int64 { return recHeaderSize + minPayload + 8*int64(len(rec.attrs)) }
+
 func encodeRecord(rec record) []byte {
-	payload := minPayload + 8*len(rec.attrs)
-	buf := make([]byte, recHeaderSize+payload)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(payload))
+	buf := make([]byte, recordSize(rec))
+	binary.LittleEndian.PutUint32(buf[0:], uint32(len(buf)-recHeaderSize))
 	p := buf[recHeaderSize:]
 	binary.LittleEndian.PutUint64(p[0:], rec.lsn)
 	binary.LittleEndian.PutUint64(p[8:], uint64(rec.id))
@@ -92,174 +86,112 @@ func decodePayload(p []byte) (record, error) {
 	return rec, nil
 }
 
-// segment is the active WAL segment, open for appends.
-type segment struct {
-	f    *os.File
-	path string
-	base uint64
-	size int64
+// readRun returns the run of a log's bytes, read from offset 0, and the
+// offset where it ends. Whatever stops the run — a short or oversized
+// length, a CRC or payload mismatch, an LSN that does not follow — is left
+// for the caller to clear; the run never passes the end of data.
+func readRun(data []byte) (recs []record, end int64) {
+	for {
+		rest := data[end:]
+		if len(rest) < recHeaderSize {
+			return recs, end
+		}
+		n := binary.LittleEndian.Uint32(rest)
+		if n < minPayload || int64(n) > int64(len(rest)-recHeaderSize) {
+			return recs, end
+		}
+		p := rest[recHeaderSize : recHeaderSize+n]
+		if crc32.ChecksumIEEE(p) != binary.LittleEndian.Uint32(rest[4:]) {
+			return recs, end
+		}
+		rec, err := decodePayload(p)
+		if err != nil || (len(recs) > 0 && rec.lsn != recs[len(recs)-1].lsn+1) {
+			return recs, end
+		}
+		recs = append(recs, rec)
+		end += recHeaderSize + int64(n)
+	}
 }
 
-// createSegment writes a fresh segment with the given base LSN and makes it
-// durable (file and directory both fsync'd) before returning.
-func createSegment(dir string, base uint64) (*segment, error) {
-	path := segmentPath(dir, base)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+// walLog is one of the two log files, open for writing in place.
+type walLog struct {
+	f     *os.File
+	size  int64  // the end of the run: where the next record goes
+	last  uint64 // the LSN of the run's last record, 0 for an empty run
+	stale int64  // the bytes past the run, 0 when they are all zeros
+}
+
+// openLog opens the log at path, creating it if missing, and reads its
+// run.
+func openLog(path string) (l *walLog, recs []record, created bool, err error) {
+	f, created, err := openFile(path, os.O_RDWR)
 	if err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
-	hdr := make([]byte, segHeaderSize)
-	copy(hdr, segMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], base)
-	binary.LittleEndian.PutUint32(hdr[16:], crc32.ChecksumIEEE(hdr[:16]))
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &segment{f: f, path: path, base: base, size: segHeaderSize}, nil
-}
-
-// openSegmentForAppend reopens an existing segment whose valid prefix is
-// validSize bytes: the torn tail (if any) is truncated away so new records
-// land exactly after the last durable one.
-func openSegmentForAppend(path string, base uint64, validSize int64) (*segment, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	data, err := io.ReadAll(f)
 	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(validSize); err != nil {
 		f.Close()
-		return nil, err
+		return nil, nil, false, err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
+	recs, end := readRun(data)
+	l = &walLog{f: f, size: end}
+	if slices.ContainsFunc(data[end:], func(b byte) bool { return b != 0 }) {
+		l.stale = int64(len(data)) - end
 	}
-	return &segment{f: f, path: path, base: base, size: validSize}, nil
+	if len(recs) > 0 {
+		l.last = recs[len(recs)-1].lsn
+	}
+	return l, recs, created, nil
 }
 
-// writeRecord appends one record's bytes WITHOUT making them durable: the
-// caller must sync() before acknowledging anything written since the last
-// sync. Splitting the write from the fsync is what lets the group-commit
-// path lay down a whole group of records and pay the device one fsync for
-// all of them.
-func (s *segment) writeRecord(rec record) (int, error) {
+// clearStale overwrites what follows the run — torn bytes, or after a
+// recycle the older generation — with zeros, so that an unacknowledged
+// record persisted past a torn one can never become part of the run.
+// Zeros rather than a truncation: the file keeps its blocks, and freeing
+// blocks costs as much as an unlink (14–35 ms a truncation on an ext4 mount
+// with discard). The next append's fsync makes the zeros durable.
+func (l *walLog) clearStale(log *slog.Logger) error {
+	if l.stale == 0 {
+		return nil
+	}
+	log.Info("store: zeroing a WAL log past the end of its run", "path", l.f.Name(),
+		"runBytes", l.size, "zeroedBytes", l.stale)
+	_, err := l.f.WriteAt(make([]byte, l.stale), l.size)
+	l.stale = 0
+	return err
+}
+
+// recycle empties the run: the next record overwrites the file from offset
+// 0. It does no I/O.
+func (l *walLog) recycle() { l.size, l.last = 0, 0 }
+
+// writeRecord writes one record after the run WITHOUT making it durable:
+// the caller must sync() before acknowledging anything written since the
+// last sync. Splitting the write from the fsync is what lets the
+// group-commit path lay down a whole group of records and pay the device
+// one fsync for all of them.
+func (l *walLog) writeRecord(rec record) (int, error) {
 	buf := encodeRecord(rec)
 	writeStart := time.Now()
-	if _, err := s.f.Write(buf); err != nil {
+	if _, err := l.f.WriteAt(buf, l.size); err != nil {
 		return 0, err
 	}
 	walAppendSeconds.Observe(time.Since(writeStart).Seconds())
 	walAppendsTotal.Inc()
 	walAppendBytesTotal.Add(uint64(len(buf)))
-	s.size += int64(len(buf))
+	l.size += int64(len(buf))
+	l.last = rec.lsn
 	return len(buf), nil
 }
 
 // sync makes every record written so far durable. Records become
 // acknowledgeable only after their sync returns nil.
-func (s *segment) sync() error {
+func (l *walLog) sync() error {
 	syncStart := time.Now()
-	if err := s.f.Sync(); err != nil {
+	if err := l.f.Sync(); err != nil {
 		return err
 	}
 	walFsyncSeconds.Observe(time.Since(syncStart).Seconds())
 	walFsyncsTotal.Inc()
 	return nil
-}
-
-// append writes one record and fsyncs before returning: when append returns
-// nil the record is durable and the insert may be acknowledged.
-func (s *segment) append(rec record) (int, error) {
-	n, err := s.writeRecord(rec)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.sync(); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-func (s *segment) Close() error { return s.f.Close() }
-
-// segmentData is the parse result of one segment file.
-type segmentData struct {
-	base      uint64
-	records   []record
-	validSize int64 // bytes up to and including the last valid record
-	torn      bool  // the file continues past validSize with garbage
-}
-
-// readSegment parses a segment file. A malformed or truncated record stops
-// the scan and marks the segment torn at validSize; only a damaged header
-// is a hard error (errShortHeader when the file cannot even hold one).
-func readSegment(path string) (*segmentData, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if st.Size() < segHeaderSize {
-		return nil, errShortHeader
-	}
-	br := bufio.NewReader(f)
-	hdr := make([]byte, segHeaderSize)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, err
-	}
-	if string(hdr[:8]) != segMagic {
-		return nil, fmt.Errorf("%w: bad WAL magic in %s", ErrCorrupt, path)
-	}
-	if binary.LittleEndian.Uint32(hdr[16:]) != crc32.ChecksumIEEE(hdr[:16]) {
-		return nil, fmt.Errorf("%w: WAL header checksum in %s", ErrCorrupt, path)
-	}
-	sd := &segmentData{
-		base:      binary.LittleEndian.Uint64(hdr[8:]),
-		validSize: segHeaderSize,
-	}
-	fileSize := st.Size()
-	for sd.validSize < fileSize {
-		var rh [recHeaderSize]byte
-		if _, err := io.ReadFull(br, rh[:]); err != nil {
-			sd.torn = true
-			return sd, nil
-		}
-		payloadLen := binary.LittleEndian.Uint32(rh[0:])
-		wantCRC := binary.LittleEndian.Uint32(rh[4:])
-		if payloadLen < minPayload || payloadLen > maxPayload ||
-			sd.validSize+recHeaderSize+int64(payloadLen) > fileSize {
-			sd.torn = true
-			return sd, nil
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			sd.torn = true
-			return sd, nil
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			sd.torn = true
-			return sd, nil
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			sd.torn = true
-			return sd, nil
-		}
-		sd.records = append(sd.records, rec)
-		sd.validSize += recHeaderSize + int64(payloadLen)
-	}
-	return sd, nil
 }
