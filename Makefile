@@ -42,8 +42,8 @@ race:
 # schedules of TestCrashSchedules, the auto-snapshot trigger and inserts
 # racing snapshots. A flake that shows once in 30 runs of one of them needs
 # this many to show at all; the longer runs of ROADMAP items 5 and 21 land
-# here too. 2.5-4.5 minutes on 2 vCPU, nearly all of it unlink time in the
-# cleanup of TestSlotTornAtEveryByte's per-byte directory copies.
+# here too. TestSlotTornAtEveryByte rewrites one directory copy in place for
+# each cut, so the run frees almost no blocks.
 soak:
 	$(GO) test -race -count 20 ./internal/store \
 		-run '^(TestCrash.*|TestSlot.*|TestFailedSnapshot|TestAutoSnapshotByWALBytes|TestConcurrentInsertsAndSnapshots)$$'

@@ -205,7 +205,8 @@ func (ix *Index) utk(ctx context.Context, k int, lo, hi []float64) (*UTKResult, 
 		}
 	}
 	q := ix.startQuerySpan(ctx, "query.utk")
-	res, err := v.inner.UTKCtx(ctx, k, geom.NewBox(lo, hi))
+	// The box is a window of lo and hi, not a copy: the scan only reads it.
+	res, err := v.inner.UTKCtx(ctx, k, geom.Box{Lo: lo, Hi: hi})
 	q.finish(exportStats(res.Stats), err)
 	out := &UTKResult{Stats: exportStats(res.Stats)}
 	if err != nil {
@@ -215,10 +216,12 @@ func (ix *Index) utk(ctx context.Context, k int, lo, hi []float64) (*UTKResult, 
 	if n := len(res.Partitions); n > 0 { // none stays nil: "partitions":null on the wire
 		out.Partitions = make([]UTKPartition, n)
 	}
+	// Every partition holds k options: one slab holds them all.
+	slab := make([]int, len(res.Partitions)*k)
 	for i, p := range res.Partitions {
 		part := &out.Partitions[i]
 		part.Region = exportRegion(v.inner.RowsInto(p.Cell))
-		part.TopK = v.origIDs(p.TopK)
+		part.TopK = v.origIDsInto(slab[i*k:(i+1)*k:(i+1)*k], p.TopK)
 	}
 	return out, nil
 }

@@ -116,7 +116,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"UTKCtx", 12, func() {
+		{"UTKCtx", 4, func() { // the result, its partitions, one slab of their result sets, the options
 			if _, err := ix.UTKCtx(ctx, 3, box); err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,9 @@ import (
 	"tlevelindex/internal/geom"
 )
 
-// QueryStats reports traversal effort (the Table 5 metric).
+// QueryStats reports traversal effort (the Table 5 metric). Each query's
+// doc says what its two counts count; in ORU, VisitedCells is the cells
+// expanded and LPCalls the exact point-to-cell distances computed.
 type QueryStats struct {
 	VisitedCells int
 	LPCalls      int
@@ -119,6 +121,8 @@ func (ix *Index) UTKCtx(ctx context.Context, k int, box geom.Box) (*UTKResult, e
 	dim := ix.RDim()
 	boxes := ix.levelBoxes(k)
 	lo0, hi0 := box.Lo[0], box.Hi[0]
+	cells := qs.cells[:0] // the partitions' cells
+	defer func() { qs.cells = cells[:0] }()
 	for i, id := range ix.Levels[k] {
 		o := 2 * dim * i
 		if boxes[o+dim] < lo0 || boxes[o] > hi0 || !boxesMeet(boxes[o:o+dim], boxes[o+dim:o+2*dim], box) {
@@ -149,21 +153,27 @@ func (ix *Index) UTKCtx(ctx context.Context, k int, box geom.Box) (*UTKResult, e
 			hit = reg.Feasible()
 		}
 		if hit {
-			res.Partitions = append(res.Partitions, UTKPartition{Cell: id})
+			cells = append(cells, id)
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return &UTKResult{Stats: res.Stats}, err
 	}
-	// Assemble the answer: partitions are O(result) by definition; option
-	// ids are collected through a bitset into one reused slice and sorted
-	// once at the end.
+	// Assemble the answer: partitions are O(result) by definition, and
+	// every one is a level-k cell with k options, so one slab holds all
+	// their result sets; option ids are collected through a bitset into one
+	// reused slice and sorted once at the end.
+	if len(cells) > 0 { // none stays nil
+		res.Partitions = make([]UTKPartition, len(cells))
+	}
+	slab := make([]int32, len(cells)*k)
 	qs.optSeen.reset(len(ix.Pts))
 	opts := qs.opts[:0]
 	defer func() { qs.opts = opts[:0] }()
-	for i := range res.Partitions {
+	for i, id := range cells {
 		p := &res.Partitions[i]
-		p.TopK = ix.ResultSet(p.Cell)
+		p.Cell = id
+		p.TopK = ix.resultSetInto(id, slab[i*k:(i+1)*k:(i+1)*k])
 		for _, v := range p.TopK {
 			if !qs.optSeen.get(v) {
 				qs.optSeen.set(v)
@@ -228,11 +238,11 @@ type ORUResult struct {
 	Stats QueryStats
 }
 
-// oruEntry is a heap item: a cell and its distance to the query weight.
-// Entries enter the heap with a cheap lower bound (the largest violation of
-// a unit-normal halfspace is a valid distance lower bound); the exact
-// projection is computed lazily when the entry is popped, so far cells are
-// never projected.
+// oruEntry is a heap item: a cell and a lower bound on its distance to the
+// query weight. Entries enter the heap with a cheap bound (the largest
+// violation of a unit-normal halfspace is a valid distance lower bound);
+// exact marks a dist that is the cell's exact projection distance, which is
+// computed only for a popped cell that can add an option (see ORUCtx).
 type oruEntry struct {
 	cell  int32
 	dist  float64
@@ -286,15 +296,27 @@ func oruPop(h []oruEntry) (oruEntry, []oruEntry) {
 // merging each visited cell's option into the result (levels 1..k) until m
 // distinct options are collected. Rho is the distance of the last cell
 // whose option completed the result.
+//
+// The walk is best-first on a lower bound of each cell's distance, and
+// only a cell that can add an option (it holds one, at a level ≤ k, not
+// yet collected) has its exact distance computed: when it is popped on its
+// bound it goes back on the heap at that distance, and its option is taken
+// when it is popped again. Every other popped cell is expanded at its key.
+// That is sound because every key is at most its cell's distance and a
+// child's region lies inside the union of its parents' regions, a child
+// being pushed once one parent is expanded: no cell nearer than a popped
+// key is still unreached, so options come out in order of exact distance.
 func (ix *Index) ORU(k int, x []float64, m int) *ORUResult {
 	res, _ := ix.ORUCtx(context.Background(), k, x, m)
 	return res
 }
 
-// ORUCtx is ORU with cancellation checks between cell visits. When the
+// ORUCtx is ORU with cancellation checks between cell expansions. When the
 // traversal is abandoned it returns the context's error together with the
 // partial result: Stats reflects the work done up to the abandonment and
 // Options holds the options collected so far (fewer than m).
+// Stats.VisitedCells counts the cells expanded, Stats.LPCalls the exact
+// distances computed.
 func (ix *Index) ORUCtx(ctx context.Context, k int, x []float64, m int) (*ORUResult, error) {
 	res := &ORUResult{}
 	if k > ix.Tau {
@@ -310,7 +332,9 @@ func (ix *Index) ORUCtx(ctx context.Context, k int, x []float64, m int) (*ORURes
 	var e oruEntry
 	for len(h) > 0 && len(res.Options) < m {
 		e, h = oruPop(h)
-		if !e.exact {
+		c := &ix.Cells[e.cell]
+		adds := c.Opt != NoOption && int(c.Level) <= k && !qs.optSeen.get(c.Opt)
+		if adds && !e.exact {
 			d := ix.RowsInto(e.cell).DistanceTo(x)
 			res.Stats.LPCalls++
 			h = oruPush(h, oruEntry{cell: e.cell, dist: d, exact: true})
@@ -320,8 +344,7 @@ func (ix *Index) ORUCtx(ctx context.Context, k int, x []float64, m int) (*ORURes
 		if err := checkCtx(ctx, res.Stats.VisitedCells); err != nil {
 			return res, err
 		}
-		c := &ix.Cells[e.cell]
-		if c.Opt != NoOption && int(c.Level) <= k && !qs.optSeen.get(c.Opt) {
+		if adds {
 			qs.optSeen.set(c.Opt)
 			res.Options = append(res.Options, c.Opt)
 			res.Rho = e.dist

@@ -20,9 +20,11 @@ import (
 // nothing under test vouches for itself: refPrefHalfspace is the allocating
 // PrefHalfspace (own arithmetic, NewHalfspace's normalisation),
 // refRegionInto the regionIntoBuf enumeration over it, refUTKCtx the
-// level-by-level walk UTK made before the box column, and refORUCtx the
-// traversal body verbatim — a full Region per visit, samples before
-// separation.
+// level-by-level walk UTK made before the box column, refORUCtx the
+// eager traversal body verbatim — a full Region per visit, an exact
+// distance for every cell popped on its bound — and refLazyORUCtx the same
+// references under ORUCtx's rule, an exact distance only for a cell that
+// can add an option.
 
 func refPrefHalfspace(ri, rj []float64) geom.Halfspace {
 	d := len(ri)
@@ -171,6 +173,56 @@ func (ix *Index) refORUCtx(ctx context.Context, k int, x []float64, m int) (*ORU
 		}
 		c := &ix.Cells[e.cell]
 		if c.Opt != NoOption && int(c.Level) <= k && !qs.optSeen.get(c.Opt) {
+			qs.optSeen.set(c.Opt)
+			res.Options = append(res.Options, c.Opt)
+			res.Rho = e.dist
+			if len(res.Options) >= m {
+				break
+			}
+		}
+		if int(c.Level)+1 > k {
+			continue
+		}
+		for _, ch := range ix.childrenOf(e.cell) {
+			if qs.visited.get(ch) {
+				continue
+			}
+			qs.visited.set(ch)
+			lb := refMaxViolation(ix.refRegionInto(ch, qs.reg, &qs.rset), x)
+			h = oruPush(h, oruEntry{cell: ch, dist: lb})
+		}
+	}
+	return res, nil
+}
+
+func (ix *Index) refLazyORUCtx(ctx context.Context, k int, x []float64, m int) (*ORUResult, error) {
+	res := &ORUResult{}
+	if k > ix.Tau {
+		return res, ErrBeyondTau
+	}
+	qs := getScratch(ix.RDim())
+	defer putScratch(qs)
+	h := append(qs.heap[:0], oruEntry{cell: ix.Root(), dist: 0, exact: true})
+	defer func() { qs.heap = h[:0] }()
+	qs.visited.reset(len(ix.Cells))
+	qs.visited.set(ix.Root())
+	qs.optSeen.reset(len(ix.Pts))
+	var e oruEntry
+	for len(h) > 0 && len(res.Options) < m {
+		e, h = oruPop(h)
+		c := &ix.Cells[e.cell]
+		adds := c.Opt != NoOption && int(c.Level) <= k && !qs.optSeen.get(c.Opt)
+		if adds && !e.exact {
+			d := ix.refRegionInto(e.cell, qs.reg, &qs.rset).DistanceTo(x)
+			res.Stats.LPCalls++
+			h = oruPush(h, oruEntry{cell: e.cell, dist: d, exact: true})
+			continue
+		}
+		res.Stats.VisitedCells++
+		if err := checkCtx(ctx, res.Stats.VisitedCells); err != nil {
+			return res, err
+		}
+		if adds {
 			qs.optSeen.set(c.Opt)
 			res.Options = append(res.Options, c.Opt)
 			res.Rho = e.dist
@@ -467,8 +519,8 @@ func equalUTK(a, b *UTKResult) bool {
 // over seeded draws that include boxes with a face on the simplex boundary
 // (a boundary of every cell along it), boxes cornered on a cell vertex and
 // query points on a cell vertex, UTK returns the walk's Options and
-// partitions, ORU the reference traversal's Options, Rho (bitwise) and
-// QueryStats, and WhyNot the reference's nearest cell, distance and point.
+// partitions, ORU the eager reference traversal's Options and Rho (bitwise)
+// with at most its LPCalls and the lazy reference's QueryStats, and WhyNot the reference's nearest cell, distance and point.
 func TestTraversalsMatchReference(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct{ n, d, tau, draws int }{{3000, 3, 7, 1400}, {400, 4, 4, 700}} {
@@ -512,9 +564,11 @@ func TestTraversalsMatchReference(t *testing.T) {
 			m := 1 + rng.Intn(c.tau+6)
 			gotO, _ := ix.ORUCtx(ctx, k, x, m)
 			wantO, _ := ix.refORUCtx(ctx, k, x, m)
-			if gotO.Stats != wantO.Stats || !slices.Equal(gotO.Options, wantO.Options) ||
+			lazyO, _ := ix.refLazyORUCtx(ctx, k, x, m)
+			if gotO.Stats != lazyO.Stats || gotO.Stats.LPCalls > wantO.Stats.LPCalls ||
+				!slices.Equal(gotO.Options, wantO.Options) ||
 				math.Float64bits(gotO.Rho) != math.Float64bits(wantO.Rho) {
-				t.Fatalf("d=%d draw %d: ORU(k=%d, x=%v, m=%d)\n got %+v\nwant %+v", c.d, draw, k, x, m, gotO, wantO)
+				t.Fatalf("d=%d draw %d: ORU(k=%d, x=%v, m=%d)\n got %+v\nwant %+v (eager), stats %+v (lazy)", c.d, draw, k, x, m, gotO, wantO, lazyO.Stats)
 			}
 
 			if draw%10 != 0 {

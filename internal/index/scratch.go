@@ -18,6 +18,7 @@ type queryScratch struct {
 	optSeen bitset // option ids
 	heap    []oruEntry
 	opts    []int32
+	cells   []int32 // UTK's partition cells
 	rset    []int32 // result-set buffer threaded through regionIntoBuf
 	reg     *geom.Region
 

@@ -81,60 +81,96 @@ func TestDispatchAllocsRecorderOff(t *testing.T) {
 	}
 }
 
-// TestQueryBatchAllocsPerItem pins a 64-item top-k /v1/query/batch envelope
-// through the whole handler, recorder off, at ≤ 3 allocations and ≤ 210
-// bytes an item in steady state: the two of a top-k dispatch (above) plus
-// the envelope's own — the request's context, the recorder, the response —
-// shared by 64 items. The decoder hands out pooled queries, vectors and
-// items, so the body's size costs nothing per request. Excluded under
-// -race, which inflates allocation counts.
+// TestQueryBatchAllocsPerItem pins 64-item /v1/query/batch envelopes
+// through the whole handler, recorder off, in steady state, per item:
+//   - top-k on the hotel index at ≤ 3 allocations and ≤ 210 bytes: the two
+//     of a top-k dispatch (above) plus the envelope's own — the request's
+//     context, the recorder, the response — shared by 64 items;
+//   - UTK on the canonical benchmark index at ≤ 10.5 allocations and ≤ 800
+//     bytes: the index's answer (result, partitions, one slab of their
+//     result sets, options), the exported one (the same four), and the
+//     body with its partition list;
+//   - kSPR on that index at ≤ 4.5 allocations and ≤ 9,000 bytes: the
+//     index's result, the exported one and its regions, and the body. The
+//     response writer's row memo allocates nothing once pooled.
+//
+// The decoder hands out pooled queries, vectors and items, so the body's
+// size costs nothing per request. Excluded under -race, which inflates
+// allocation counts.
 func TestQueryBatchAllocsPerItem(t *testing.T) {
-	ix, err := tlx.Build(hotels, 3)
+	hotelIx, err := tlx.Build(hotels, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := NewHandler(ix, Config{TraceBuffer: -1}).Mux()
+	ix := serveBenchIndex(t)
 	const items = 64
-	var sb strings.Builder
-	sb.WriteString(`{"queries":[`)
-	for i := range items {
-		if i > 0 {
-			sb.WriteByte(',')
+	var focals []int
+	for f := 0; f < sbN && len(focals) < items; f++ {
+		if res, err := ix.KSPR(sbTau, f); err == nil && len(res.Regions) > 0 {
+			focals = append(focals, f)
 		}
-		w0 := 0.1 + 0.0125*float64(i)
-		fmt.Fprintf(&sb, `{"family":"topk","w":[%g,%g],"k":%d}`, w0, 1-w0, 1+i%3)
 	}
-	sb.WriteString(`]}`)
-	body := sb.String()
-	rd := strings.NewReader(body)
-	req := httptest.NewRequest(http.MethodPost, "/v1/query/batch", rd)
-	var w *httptest.ResponseRecorder
-	run := func() {
-		rd.Reset(body)
-		w = httptest.NewRecorder()
-		mux.ServeHTTP(w, req)
-	}
-	for range 100 {
-		run()
-	}
-	if w.Code != http.StatusOK || strings.Contains(w.Body.String(), `"error"`) || strings.Count(w.Body.String(), `"options"`) != items {
-		t.Fatalf("batch answered %d %s", w.Code, w.Body)
-	}
-	const runs = 100
-	per := testing.AllocsPerRun(runs, run) / items
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs * items)
-	t.Logf("64-item top-k batch: %.2f allocs, %.0f B per item", per, bytes)
-	if per > 3 {
-		t.Fatalf("64-item top-k batch = %.2f allocs/item, want <= 3", per)
-	}
-	if bytes > 210 {
-		t.Fatalf("64-item top-k batch = %.0f B/item, want <= 210", bytes)
+	for _, c := range []struct {
+		family   string
+		ix       *tlx.Index
+		item     func(i int) string
+		answer   string // in every item's result
+		allocs   float64
+		maxBytes float64
+	}{
+		{"topk", hotelIx, func(i int) string {
+			w0 := 0.1 + 0.0125*float64(i)
+			return fmt.Sprintf(`{"family":"topk","w":[%g,%g],"k":%d}`, w0, 1-w0, 1+i%3)
+		}, `"options"`, 3, 210},
+		{"utk", ix, func(i int) string {
+			lo0, lo1 := 0.05+0.01*float64(i), 0.6-0.008*float64(i)
+			return fmt.Sprintf(`{"family":"utk","lo":[%g,%g],"hi":[%g,%g],"k":%d}`, lo0, lo1, lo0+0.05, lo1+0.05, 1+i%sbTau)
+		}, `"partitionTopKSets":[[`, 10.5, 800},
+		{"kspr", ix, func(i int) string {
+			return fmt.Sprintf(`{"family":"kspr","focal":%d,"k":%d}`, focals[i%len(focals)], sbTau)
+		}, `"regions":[{`, 4.5, 9000},
+	} {
+		mux := NewHandler(c.ix, Config{TraceBuffer: -1}).Mux()
+		var sb strings.Builder
+		sb.WriteString(`{"queries":[`)
+		for i := range items {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			sb.WriteString(c.item(i))
+		}
+		sb.WriteString(`]}`)
+		body := sb.String()
+		rd := strings.NewReader(body)
+		req := httptest.NewRequest(http.MethodPost, "/v1/query/batch", rd)
+		var w *httptest.ResponseRecorder
+		run := func() {
+			rd.Reset(body)
+			w = httptest.NewRecorder()
+			mux.ServeHTTP(w, req)
+		}
+		for range 100 {
+			run()
+		}
+		if w.Code != http.StatusOK || strings.Contains(w.Body.String(), `"error"`) || strings.Count(w.Body.String(), c.answer) != items {
+			t.Fatalf("%s batch answered %d %s", c.family, w.Code, w.Body)
+		}
+		const runs = 100
+		per := testing.AllocsPerRun(runs, run) / items
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs * items)
+		t.Logf("64-item %s batch: %.2f allocs, %.0f B per item", c.family, per, bytes)
+		if per > c.allocs {
+			t.Fatalf("64-item %s batch = %.2f allocs/item, want <= %v", c.family, per, c.allocs)
+		}
+		if bytes > c.maxBytes {
+			t.Fatalf("64-item %s batch = %.0f B/item, want <= %v", c.family, bytes, c.maxBytes)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
@@ -442,7 +441,7 @@ func writeItems(w http.ResponseWriter, r *http.Request, items []queryItem, batch
 		sp.Set("bytes", float64(len(rw.b)))
 		if rw.rows > 0 {
 			sp.Set("rows", float64(rw.rows))
-			sp.Set("distinctRows", float64(len(rw.memo)))
+			sp.Set("distinctRows", float64(rw.memo.n))
 		}
 		sp.FinishTo(sc.Tracer)
 	}
@@ -562,14 +561,9 @@ func (rw *respWriter) array(isNil bool, n int, elem func(i int) error) error {
 // written; a repeat copies those bytes instead of formatting its floats.
 func (rw *respWriter) row(h *tlx.Halfspace) error {
 	rw.rows++
-	// A nil A renders null and an empty one [], so the key tells them apart.
-	rw.key = strconv.AppendBool(rw.key[:0], h.A == nil)
-	for _, f := range h.A {
-		rw.key = binary.LittleEndian.AppendUint64(rw.key, math.Float64bits(f))
-	}
-	rw.key = binary.LittleEndian.AppendUint64(rw.key, math.Float64bits(h.B))
-	if at, ok := rw.memo[string(rw.key)]; ok {
-		rw.b = append(rw.b, rw.b[at[0]:at[1]]...)
+	slot, hash := rw.memo.find(h)
+	if slot.row != nil {
+		rw.b = append(rw.b, rw.b[slot.off:slot.end]...)
 		return nil
 	}
 	off := len(rw.b)
@@ -579,8 +573,100 @@ func (rw *respWriter) row(h *tlx.Halfspace) error {
 	err = cmp.Or(err, rw.float(h.B)) // the first refused float, as encoding/json reports it
 	rw.b = append(rw.b, '}')
 	// A refused row is memoized too: the whole body is discarded.
-	rw.memo[string(rw.key)] = [2]int{off, len(rw.b)}
+	rw.memo.add(slot, rowSlot{row: h, hash: hash, off: off, end: len(rw.b)})
 	return err
+}
+
+// rowMemo is an open-addressed hash table of the distinct kSPR rows one body
+// holds: each entry points at a row's first occurrence, one of the index's
+// read-only rows, which outlive the body, and keeps the bytes b[off:end] it
+// was written as. It allocates only when it grows; reset drops every
+// pointer, so a pooled writer pins no index.
+type rowMemo struct {
+	slots []rowSlot // a power of two long, at most half full
+	n     int       // distinct rows held
+}
+
+type rowSlot struct {
+	row      *tlx.Halfspace // nil: empty
+	hash     uint64
+	off, end int
+}
+
+// find returns the slot holding a row equal to h bit for bit, or the empty
+// slot it would go into (row nil), and h's hash.
+func (m *rowMemo) find(h *tlx.Halfspace) (*rowSlot, uint64) {
+	if m.slots == nil {
+		m.slots = make([]rowSlot, 64)
+	}
+	hash := rowHash(h)
+	mask := uint64(len(m.slots) - 1)
+	for i := hash >> 32; ; i++ {
+		s := &m.slots[i&mask]
+		if s.row == nil || (s.hash == hash && sameRow(s.row, h)) {
+			return s, hash
+		}
+	}
+}
+
+// add fills the empty slot find returned, doubling the table when it gets
+// half full.
+func (m *rowMemo) add(slot *rowSlot, e rowSlot) {
+	*slot = e
+	m.n++
+	if 2*m.n <= len(m.slots) {
+		return
+	}
+	old := m.slots
+	m.slots = make([]rowSlot, 2*len(old))
+	mask := uint64(len(m.slots) - 1)
+	for _, s := range old {
+		if s.row == nil {
+			continue
+		}
+		i := s.hash >> 32
+		for m.slots[i&mask].row != nil {
+			i++
+		}
+		m.slots[i&mask] = s
+	}
+}
+
+// reset empties the table, keeping its slots.
+func (m *rowMemo) reset() {
+	if m.n > 0 {
+		clear(m.slots)
+		m.n = 0
+	}
+}
+
+// rowHash mixes a row's float bits; a nil A and an empty one hash apart,
+// as they render apart (null and []).
+func rowHash(h *tlx.Halfspace) uint64 {
+	const mul = 0x9E3779B97F4A7C15
+	x := uint64(len(h.A))
+	if h.A == nil {
+		x = 1 << 63
+	}
+	for _, f := range h.A {
+		x = (x ^ math.Float64bits(f)) * mul
+	}
+	x = (x ^ math.Float64bits(h.B)) * mul
+	return x ^ x>>29
+}
+
+// sameRow reports whether two rows render the same bytes: equal float
+// bits, and A nil in both or in neither.
+func sameRow(a, b *tlx.Halfspace) bool {
+	if (a.A == nil) != (b.A == nil) || len(a.A) != len(b.A) || math.Float64bits(a.B) != math.Float64bits(b.B) {
+		return false
+	}
+	for i, f := range a.A {
+		if math.Float64bits(f) != math.Float64bits(b.A[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // float appends f as encoding/json formats a float64: the shortest

@@ -338,16 +338,14 @@ type errorBody struct {
 type respWriter struct {
 	b   []byte
 	enc *json.Encoder
-	// memo maps a kSPR row's float bits (key is the scratch they are
-	// gathered in) to the bytes b[off:end] its first occurrence wrote; rows
-	// counts the kSPR rows appended.
-	memo map[string][2]int
-	key  []byte
+	// memo finds the bytes b[off:end] a kSPR row's first occurrence wrote
+	// (codec.go); rows counts the kSPR rows appended.
+	memo rowMemo
 	rows int
 }
 
 var respPool = sync.Pool{New: func() any {
-	rw := &respWriter{memo: make(map[string][2]int)}
+	rw := &respWriter{}
 	rw.enc = json.NewEncoder(rw)
 	return rw
 }}
@@ -400,11 +398,11 @@ func (rw *respWriter) send(w http.ResponseWriter, status int) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(rw.b) // headers are out; nothing useful to do on failure
-	if cap(rw.b) > maxPooledBytes || len(rw.memo) > maxPooledRows {
+	if cap(rw.b) > maxPooledBytes || rw.memo.n > maxPooledRows {
 		return
 	}
 	rw.b, rw.rows = rw.b[:0], 0
-	clear(rw.memo)
+	rw.memo.reset()
 	respPool.Put(rw)
 }
 

@@ -30,7 +30,7 @@ var (
 // serveBenchIndex builds the canonical benchmark index once. The
 // benchmarks never insert or query beyond tau, so sharing the index across
 // handlers is safe: every request is a pure lookup.
-func serveBenchIndex(b *testing.B) *tlx.Index {
+func serveBenchIndex(b testing.TB) *tlx.Index {
 	b.Helper()
 	sbOnce.Do(func() {
 		rng := rand.New(rand.NewSource(42))

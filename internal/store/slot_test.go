@@ -34,11 +34,14 @@ type slotHistory struct {
 	older, newest uint64
 }
 
-// eachSlotDamage copies h.dir once per damage case, applies the damage and
+// eachSlotDamage copies h.dir once, and for each damage case rewrites the
+// copy's files in place to h.dir's bytes with the damage applied, then
 // calls check on the copy with the LSN a load must land on, or with ok
-// false when neither slot may verify. A crash that tore the newest slot's
-// write left its first k bytes and the earlier bytes past them; cuts lists
-// the ks to try, every byte boundary of the slot when nil.
+// false when neither slot may verify. One copy, overwritten, frees no block
+// (a fresh copy per case made the run's time the disk's, in unlinks). A
+// crash that tore the newest slot's write left its first k bytes and the
+// earlier bytes past them; cuts lists the ks to try, every byte boundary of
+// the slot when nil.
 func eachSlotDamage(t *testing.T, h slotHistory, cuts []int, check func(t *testing.T, dir, damage string, want uint64, ok bool)) {
 	t.Helper()
 	p := store.NewSlots(h.dir)
@@ -56,20 +59,23 @@ func eachSlotDamage(t *testing.T, h slotHistory, cuts []int, check func(t *testi
 			cuts = append(cuts, k)
 		}
 	}
-	damage := func(name string, want uint64, ok bool, files map[string][]byte) {
-		dir := t.TempDir()
-		entries, err := os.ReadDir(h.dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			blob, damaged := files[e.Name()]
-			if !damaged {
-				blob = readFile(t, filepath.Join(h.dir, e.Name()))
+	entries, err := os.ReadDir(h.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		files[e.Name()] = readFile(t, filepath.Join(h.dir, e.Name()))
+	}
+	dir := t.TempDir()
+	damage := func(name string, want uint64, ok bool, damaged map[string][]byte) {
+		// check may have written any file (a store's final snapshot, a
+		// follower's install), so each is rewritten, damaged or not.
+		for file, blob := range files {
+			if d, ok := damaged[file]; ok {
+				blob = d
 			}
-			if err := os.WriteFile(filepath.Join(dir, e.Name()), blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			overwrite(t, filepath.Join(dir, file), blob)
 		}
 		check(t, dir, name, want, ok)
 	}
@@ -81,13 +87,34 @@ func eachSlotDamage(t *testing.T, h slotHistory, cuts []int, check func(t *testi
 		damage("torn at byte "+strconv.Itoa(k), h.older, true, map[string][]byte{newest: torn})
 	}
 	flipped := func(name string) []byte {
-		blob := readFile(t, filepath.Join(h.dir, name))
+		blob := append([]byte(nil), files[name]...)
 		blob[len(blob)/2] ^= 0x08
 		return blob
 	}
 	damage("newest bit-flipped", h.older, true, map[string][]byte{newest: flipped(newest)})
 	damage("other bit-flipped", h.newest, true, map[string][]byte{other: flipped(other)})
 	damage("both bit-flipped", 0, false, map[string][]byte{newest: flipped(newest), other: flipped(other)})
+}
+
+// overwrite makes the file at path hold blob: written in place, then cut
+// to len(blob). The files these tests write stay within one block, so no
+// cut frees one.
+func overwrite(t *testing.T, path string, blob []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt(blob, 0)
+	if err == nil {
+		err = f.Truncate(int64(len(blob)))
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func readFile(t *testing.T, path string) []byte {

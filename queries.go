@@ -79,7 +79,10 @@ func exportRegion(rows geom.Rows) Region {
 // and the queries built on it VisitedCells is the number of kSPR cells, and
 // for MaxRank it is 1 (0 when the option has no cell). UTK scans the level-k
 // cells' bounding boxes instead of walking down to them, so its VisitedCells
-// counts the cells whose box meets the query box.
+// counts the cells whose box meets the query box. ORU's VisitedCells counts
+// the cells its best-first walk expanded, and its LPCalls the exact
+// point-to-cell distances it computed: one for each cell that could add an
+// option when it came off the heap.
 type QueryStats struct {
 	VisitedCells int
 	LPCalls      int

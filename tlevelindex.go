@@ -385,7 +385,12 @@ func (v *version) origIDs(fids []int32) []int {
 	if len(fids) == 0 {
 		return nil
 	}
-	out := make([]int, len(fids))
+	return v.origIDsInto(make([]int, len(fids)), fids)
+}
+
+// origIDsInto maps filtered ids to dataset indices into out, which holds
+// len(fids) ints, and returns it.
+func (v *version) origIDsInto(out []int, fids []int32) []int {
 	for i, fid := range fids {
 		out[i] = v.inner.OrigIDs[fid]
 	}
