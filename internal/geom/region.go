@@ -77,6 +77,14 @@ type Region struct {
 	// recomputes it on demand.
 	span    [2]float64
 	spanSet bool
+
+	// loaded is the lp.Version of the workspace that last assembled HS for
+	// the LP predicates. A pooled workspace that still carries it holds
+	// these rows and the start phase 1 found over them, so a run of
+	// containment tests on one region pays one load and one phase 1. push
+	// (so Add, AddPref and Reset) and CopyFrom clear it; code that edits HS
+	// directly must do so before the region's first LP predicate.
+	loaded lp.Version
 }
 
 // NewRegion returns the full reduced preference simplex of dimension dim.
@@ -185,6 +193,7 @@ func (r *Region) push(h Halfspace) bool {
 	r.HS = append(r.HS, h)
 	r.keys = append(r.keys, k)
 	r.spanSet = false
+	r.loaded = lp.Version{}
 	r.hash += mix64(k)
 	if len(r.witness) == r.Dim && r.Dim > 0 {
 		if s := -h.Eval(r.witness); s < r.witnessSlack {
@@ -241,6 +250,7 @@ func (r *Region) CopyFrom(src *Region) *Region {
 	r.witnessSlack = src.witnessSlack
 	r.empty = src.empty
 	r.span, r.spanSet = src.span, src.spanSet
+	r.loaded = lp.Version{}
 	return r
 }
 
@@ -403,10 +413,13 @@ func (r *Region) maximize(a []float64) (float64, bool) {
 	return r.maxOver(ws, a)
 }
 
-// load assembles the region's rows in ws for any number of maxOver calls.
-// It returns false, and marks the region empty, when one of its halfspaces
-// is trivially empty.
+// load assembles the region's rows in ws for any number of maxOver calls,
+// unless ws holds them already. It returns false, and marks the region
+// empty, when one of its halfspaces is trivially empty.
 func (r *Region) load(ws *lp.Workspace) bool {
+	if ws.Version() == r.loaded {
+		return true
+	}
 	ws.Begin(r.Dim)
 	for _, h := range r.HS {
 		if triv, whole := h.Trivial(); triv {
@@ -418,6 +431,7 @@ func (r *Region) load(ws *lp.Workspace) bool {
 		}
 		copy(ws.AppendRow(h.B), h.A)
 	}
+	r.loaded = ws.Version()
 	return true
 }
 
@@ -542,54 +556,43 @@ func Classify(r *Region, h Halfspace) Rel {
 	if r.empty {
 		return RelInside // empty region: vacuous, callers prune separately
 	}
-	neg := h.Neg()
+	// Each side the witness leaves open costs one objective over the
+	// region's rows, loaded once.
+	inside, outside := true, true
 	if r.witnessIn() {
 		switch v := h.Eval(r.witness); {
 		case v > ContainTol:
 			witnessClassifies.Add(1)
-			// The witness escapes h: RelInside is impossible; decide between
-			// RelOutside and RelSplit with the one remaining LP.
-			min, ok := r.maximize(neg.A)
-			if !ok {
-				return RelInside
-			}
-			if min <= neg.B+ContainTol {
-				return RelOutside
-			}
-			return RelSplit
+			inside = false
 		case v < -ContainTol:
 			witnessClassifies.Add(1)
-			// The witness is strictly inside h: RelOutside is impossible.
-			max, ok := r.maximize(h.A)
-			if !ok {
-				return RelInside
-			}
-			if max <= h.B+ContainTol {
-				return RelInside
-			}
-			return RelSplit
+			outside = false
 		}
 	}
-	// Both sides are open: assemble the rows once and solve the two
-	// objectives over them.
 	ws := lp.Get()
 	defer lp.Put(ws)
 	if !r.load(ws) {
 		return RelInside // empty region: vacuous, callers prune separately
 	}
-	max, ok := r.maxOver(ws, h.A)
-	if !ok {
-		return RelInside
+	if inside {
+		max, ok := r.maxOver(ws, h.A)
+		if !ok || max <= h.B+ContainTol {
+			return RelInside
+		}
 	}
-	if max <= h.B+ContainTol {
-		return RelInside
-	}
-	min, ok := r.maxOver(ws, neg.A)
-	if !ok {
-		return RelInside
-	}
-	if min <= neg.B+ContainTol {
-		return RelOutside
+	if outside {
+		// The complement's normal is −h.A, negated into workspace memory.
+		neg := ws.Cost()
+		for j, v := range h.A {
+			neg[j] = -v
+		}
+		min, ok := r.maxOver(ws, neg)
+		if !ok {
+			return RelInside
+		}
+		if min <= -h.B+ContainTol {
+			return RelOutside
+		}
 	}
 	return RelSplit
 }

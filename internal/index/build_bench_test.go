@@ -5,13 +5,16 @@ import (
 	"testing"
 
 	"tlevelindex/datagen"
+	"tlevelindex/internal/lp"
 )
 
 // BenchmarkBuild is one PBA⁺ build per op of the load benchmark's data, IND
 // n=8000 seed 1, at its own shape (d=3, τ=9) and at d=4, τ=4, with the
 // default worker count. Beside ns/op and allocations it reports the index's
 // cells and its LP calls, so a change that moves ns/op by building a
-// different index shows in the same row. `make build-bench` gates it in
+// different index shows in the same row, and the simplex pivots per build
+// (lp.Pivots' delta over the timed builds, divided by them), so one that
+// moves it by pivoting less shows too. `make build-bench` gates it in
 // BENCH_build.json.
 func BenchmarkBuild(b *testing.B) {
 	for _, c := range []struct{ d, tau int }{{3, 9}, {4, 4}} {
@@ -19,6 +22,7 @@ func BenchmarkBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("d=%d,tau=%d", c.d, c.tau), func(b *testing.B) {
 			b.ReportAllocs()
 			var ix *Index
+			pivots := lp.Pivots()
 			for i := 0; i < b.N; i++ {
 				var err error
 				if ix, err = Build(data, Config{Algorithm: PBAPlus, Tau: c.tau}); err != nil {
@@ -27,6 +31,7 @@ func BenchmarkBuild(b *testing.B) {
 			}
 			b.ReportMetric(float64(ix.NumCells()), "cells")
 			b.ReportMetric(float64(ix.Stats.LPCalls), "lpcalls")
+			b.ReportMetric(float64(lp.Pivots()-pivots)/float64(b.N), "pivots")
 		})
 	}
 }

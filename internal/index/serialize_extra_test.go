@@ -132,10 +132,14 @@ func TestSizeBytesOnLoadedIndex(t *testing.T) {
 	}
 }
 
-// TestWriteToGolden pins the sha256 of the X3 bytes of two small seeded
-// PBA⁺ builds. The digests were taken from the per-value writer the append
-// encoder replaced: the two must write the same bytes, which is what lets a
-// file written by either load under the other.
+// TestWriteToGolden pins the sha256 of the X3 bytes of three seeded PBA⁺
+// builds. The first two digests were taken from the per-value writer the
+// append encoder replaced: the two must write the same bytes, which is what
+// lets a file written by either load under the other. The third, d=4 τ=4,
+// is the LP-heavy one (~145k LPs, most of them containment tests that share
+// their cell's constraint set): its digest was taken before the simplex kept
+// phase 1's start across the objectives of one constraint set, which must
+// change no verdict.
 func TestWriteToGolden(t *testing.T) {
 	for _, c := range []struct {
 		dist      datagen.Distribution
@@ -144,6 +148,7 @@ func TestWriteToGolden(t *testing.T) {
 	}{
 		{datagen.IND, 500, 3, 4, "62c73d5904a1b488e8e70ac07dd066e34320a0c4b1ddb37a44e8718da44e6a88"},
 		{datagen.ANTI, 300, 3, 3, "2fc28c93e81d26bea2b3d3382d7c274b629d3f22722a44dc4e7710ee30a18f8c"},
+		{datagen.IND, 2000, 4, 4, "2a12f5cc09848732de546e34538db94261545a4dfe1e5ebe1a1da3d96db60133"},
 	} {
 		ix := buildOrFail(t, datagen.Generate(c.dist, c.n, c.d, 1), Config{Algorithm: PBAPlus, Tau: c.tau})
 		var buf bytes.Buffer

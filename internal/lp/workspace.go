@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"tlevelindex/internal/pool"
 )
@@ -17,6 +18,14 @@ import (
 // for; a pivot swaps one label pair and rewrites the entering column in
 // place as the leaving variable's. Variables are labelled structurals
 // [0,n), slacks [n,n+m), x0 = n+m.
+//
+// Phase 1 never reads the objective, so the basic feasible tableau it
+// leaves (or its verdict that the rows are empty) is a function of the
+// assembled rows alone. The workspace keeps that start until Begin or
+// AppendRow changes the rows, and every later SolveMax copies it back and
+// runs phase 2 only: k objectives over one constraint set cost one phase 1
+// and k phase 2s, with each Result equal bit for bit to that of a fresh
+// workspace solving the same objective.
 //
 // One flat []float64 backs the tableau (rows addressed by stride, not
 // [][]float64) and a second holds the constraint matrix being assembled.
@@ -51,6 +60,19 @@ type Workspace struct {
 	basis        []int
 	nonbasic     []int
 
+	// The start phase 2 begins from for the current rows: set says it is
+	// computed, feasible that phase 1 found a basis. A start that phase 1
+	// pivoted to is saved in the start* buffers; otherwise it is the slack
+	// basis buildTableau lays out, and is laid out again.
+	set, feasible, saved bool
+	startTab             []float64
+	startBasis           []int
+	startNonbasic        []int
+
+	// id and gen make up Version: id is unique to the workspace, gen counts
+	// the changes to its rows.
+	id, gen uint64
+
 	pivots    uint64 // of the current SolveMax
 	exhausted bool   // iterate ran out of budget during the current SolveMax
 
@@ -60,6 +82,10 @@ type Workspace struct {
 
 // workspaces recycles Workspaces across goroutines; see Get and Put.
 var workspaces = pool.NewScratch(func() *Workspace { return new(Workspace) })
+
+// workspaceIDs numbers workspaces for Version, from 1: the zero Version is
+// no workspace's.
+var workspaceIDs atomic.Uint64
 
 // Get returns a Workspace from the shared pool. Pair it with Put.
 func Get() *Workspace { return workspaces.Get() }
@@ -75,6 +101,7 @@ func (ws *Workspace) Begin(n int) {
 	ws.m = 0
 	ws.a = ws.a[:0]
 	ws.b = ws.b[:0]
+	ws.changed()
 }
 
 // AppendRow adds the constraint row·x ≤ rhs and returns the zeroed
@@ -85,11 +112,33 @@ func (ws *Workspace) AppendRow(rhs float64) []float64 {
 	ws.a = growZero(ws.a, off+ws.n)
 	ws.b = append(ws.b, rhs)
 	ws.m++
+	ws.changed()
 	return ws.a[off : off+ws.n]
+}
+
+// changed records a change to the rows: the start is stale, and so is
+// every Version handed out before.
+func (ws *Workspace) changed() {
+	ws.set = false
+	ws.gen++
 }
 
 // Rows returns the number of constraints appended since Begin.
 func (ws *Workspace) Rows() int { return ws.m }
+
+// Version identifies the constraint set a workspace holds: its value
+// changes with every Begin and AppendRow, and no two workspaces share one.
+// A caller that assembled rows and noted the Version can tell, when it gets
+// a workspace again, whether that one still holds them, start included.
+type Version struct{ id, gen uint64 }
+
+// Version returns the workspace's current Version, never the zero one.
+func (ws *Workspace) Version() Version {
+	if ws.id == 0 {
+		ws.id = workspaceIDs.Add(1)
+	}
+	return Version{ws.id, ws.gen}
+}
 
 // Cost returns a zeroed objective vector of length n backed by workspace
 // memory, for callers that assemble the objective incrementally. It is
@@ -103,8 +152,9 @@ func (ws *Workspace) Cost() []float64 {
 // using the two-phase simplex method on the condensed tableau. Result.X
 // aliases workspace memory: it is valid until the next SolveMax, Begin, or
 // Put. The appended rows are left untouched, so several objectives can be
-// solved over one assembled constraint set. A warmed-up workspace performs
-// no heap allocations here.
+// solved over one assembled constraint set, and all but the first of them
+// start from the basis phase 1 found (or its infeasible verdict). A
+// warmed-up workspace performs no heap allocations here.
 func (ws *Workspace) SolveMax(c []float64) Result {
 	solveCount.Add(1)
 	ws.pivots, ws.exhausted = 0, false
@@ -131,7 +181,7 @@ func (ws *Workspace) solve(c []float64) Result {
 		ws.x = growZero(ws.x[:0], ws.n)
 		return Result{Status: Optimal, X: ws.x}
 	}
-	if worst := ws.buildTableau(); worst >= 0 && !ws.phase1(worst) {
+	if !ws.start() {
 		return Result{Status: Infeasible}
 	}
 	if ws.phase2(c) == phaseUnbounded {
@@ -143,6 +193,33 @@ func (ws *Workspace) solve(c []float64) Result {
 		obj += cj * x[j]
 	}
 	return Result{Status: Optimal, X: x, Objective: obj}
+}
+
+// start lays out the basic feasible tableau phase 2 begins from and reports
+// whether there is one. The first call over a constraint set runs phase 1
+// when the origin is infeasible and saves where it led; later calls copy
+// that back, bytes and labels, so phase 2 meets the tableau it would have
+// met after a phase 1 of its own.
+func (ws *Workspace) start() bool {
+	switch {
+	case !ws.set:
+		worst := ws.buildTableau()
+		ws.feasible = worst < 0 || ws.phase1(worst)
+		ws.set, ws.saved = true, worst >= 0 && ws.feasible
+		if ws.saved {
+			ws.startTab = append(ws.startTab[:0], ws.tab...)
+			ws.startBasis = append(ws.startBasis[:0], ws.basis...)
+			ws.startNonbasic = append(ws.startNonbasic[:0], ws.nonbasic...)
+		}
+	case !ws.feasible:
+	case ws.saved:
+		copy(ws.tab, ws.startTab)
+		copy(ws.basis, ws.startBasis)
+		copy(ws.nonbasic, ws.startNonbasic)
+	default:
+		ws.buildTableau() // the origin is feasible: the start is the slack basis
+	}
+	return ws.feasible
 }
 
 // row returns tableau row i (stride wide, rhs in the last slot).

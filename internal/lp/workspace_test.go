@@ -1,7 +1,9 @@
 package lp
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -168,6 +170,130 @@ func TestPivotsCounted(t *testing.T) {
 	}
 	if BudgetExhausted() != exhausted {
 		t.Fatal("a solved-to-optimality LP counted as budget-exhausted")
+	}
+}
+
+// sameResult reports whether two results agree bit for bit: status,
+// objective and maximizer.
+func sameResult(a, b Result) bool {
+	if a.Status != b.Status || math.Float64bits(a.Objective) != math.Float64bits(b.Objective) || len(a.X) != len(b.X) {
+		return false
+	}
+	for j, v := range a.X {
+		if math.Float64bits(v) != math.Float64bits(b.X[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSolveMaxReusesStart: objectives solved one after another over one
+// constraint set start from the phase-1 basis of the first, and each result
+// equals, bit for bit, the same objective solved on a fresh workspace; the
+// repeats make fewer pivots; and rows changed by AppendRow or Begin are
+// solved from a start of their own.
+func TestSolveMaxReusesStart(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	ws := new(Workspace)
+	fresh := func(p Problem, c []float64) (Result, uint64) {
+		f := new(Workspace)
+		loadWorkspace(f, p)
+		res := f.SolveMax(c)
+		res.X = slices.Clone(res.X)
+		return res, f.pivots
+	}
+	type shaped struct {
+		name string
+		p    Problem
+		want Status // of p.C
+	}
+	var probs []shaped
+	for trial := 0; trial < 40; trial++ {
+		n, m := 1+rng.Intn(6), 5+rng.Intn(60)
+		if trial%10 == 0 {
+			n, m = 2+rng.Intn(3), 400+rng.Intn(400) // tall
+		}
+		probs = append(probs,
+			shaped{"bounded", mixedLP(rng, shapeBounded, n, m, 0), Optimal},
+			shaped{"unbounded", mixedLP(rng, shapeUnbounded, n, m, 0), Unbounded},
+			shaped{"degenerate slab", mixedLP(rng, shapeSlab, n, m, 0), Optimal},
+			shaped{"empty slab", mixedLP(rng, shapeSlab, n, m, 1e-6), Infeasible},
+			shaped{"below zero", mixedLP(rng, shapeBelowZero, n, m, feasTol+1e-6), Infeasible},
+		)
+	}
+	var saved, freshPivots, reusedPivots uint64
+	for i, pr := range probs {
+		p, n := pr.p, len(pr.p.C)
+		objectives := [][]float64{p.C}
+		for len(objectives) < 5 {
+			objectives = append(objectives, unitRow(rng, n))
+		}
+		loadWorkspace(ws, p)
+		for k, c := range objectives {
+			want, wantPivots := fresh(p, c)
+			before := Pivots()
+			got := ws.SolveMax(c)
+			pivots := Pivots() - before
+			if k == 0 && got.Status != pr.want {
+				t.Fatalf("%s %d: status %v, built to be %v", pr.name, i, got.Status, pr.want)
+			}
+			if !sameResult(got, want) {
+				t.Fatalf("%s %d objective %d: %v %v at %v on a reused start, %v %v at %v fresh",
+					pr.name, i, k, got.Status, got.Objective, got.X, want.Status, want.Objective, want.X)
+			}
+			if k == 0 {
+				if pivots != wantPivots {
+					t.Fatalf("%s %d: first solve made %d pivots, a fresh one %d", pr.name, i, pivots, wantPivots)
+				}
+				continue
+			}
+			if pivots > wantPivots {
+				t.Fatalf("%s %d objective %d: %d pivots on a reused start, %d fresh", pr.name, i, k, pivots, wantPivots)
+			}
+			freshPivots += wantPivots
+			reusedPivots += pivots
+			if negatives(p.B) > 0 && pivots < wantPivots {
+				saved++
+			}
+		}
+	}
+	if saved == 0 || reusedPivots >= freshPivots {
+		t.Fatalf("repeated objectives made %d pivots against %d fresh (%d solves saved any)", reusedPivots, freshPivots, saved)
+	}
+	t.Logf("repeated objectives: %d pivots, %d fresh", reusedPivots, freshPivots)
+
+	// A row appended after a solve, or a new constraint set after Begin,
+	// must not be solved from the old start: each change here turns a
+	// nonempty set empty, which a kept start would still call optimal.
+	p := mixedLP(rng, shapeBounded, 3, 30, 0)
+	empty := func(q Problem) Problem {
+		u := unitRow(rng, 3)
+		for j := range u {
+			u[j] = math.Abs(u[j])
+		}
+		q.A = append(slices.Clone(q.A), u)
+		q.B = append(slices.Clone(q.B), -1)
+		return q
+	}
+	loadWorkspace(ws, p)
+	if res := ws.SolveMax(p.C); res.Status != Optimal {
+		t.Fatalf("status %v, want optimal", res.Status)
+	}
+	last := empty(p)
+	copy(ws.AppendRow(last.B[len(last.B)-1]), last.A[len(last.A)-1])
+	if res := ws.SolveMax(p.C); res.Status != Infeasible {
+		t.Fatalf("after AppendRow: status %v, want infeasible", res.Status)
+	}
+	// And back: Begin and the original rows must find the optimum again.
+	loadWorkspace(ws, p)
+	want, _ := fresh(p, p.C)
+	if res := ws.SolveMax(p.C); !sameResult(res, want) {
+		t.Fatalf("after Begin: %v %v, fresh %v %v", res.Status, res.Objective, want.Status, want.Objective)
+	}
+	q := empty(mixedLP(rng, shapeBounded, 3, 30, 0))
+	loadWorkspace(ws, q)
+	if res := ws.SolveMax(q.C); res.Status != Infeasible {
+		t.Fatalf("after Begin with other rows: status %v, want infeasible", res.Status)
 	}
 }
 

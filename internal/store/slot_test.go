@@ -40,9 +40,11 @@ type slotHistory struct {
 // false when neither slot may verify. One copy, overwritten, frees no block
 // (a fresh copy per case made the run's time the disk's, in unlinks). A
 // crash that tore the newest slot's write left its first k bytes and the
-// earlier bytes past them; cuts lists the ks to try, every byte boundary of
-// the slot when nil.
-func eachSlotDamage(t *testing.T, h slotHistory, cuts []int, check func(t *testing.T, dir, damage string, want uint64, ok bool)) {
+// earlier bytes past them; cuts, given the number of bytes the write wrote
+// (the slot's header and index: the file runs longer when the earlier index
+// was larger, and a cut past the last byte written tears nothing), lists
+// the ks to try, every byte boundary of the write when nil.
+func eachSlotDamage(t *testing.T, h slotHistory, cuts func(size int) []int, check func(t *testing.T, dir, damage string, want uint64, ok bool)) {
 	t.Helper()
 	p := store.NewSlots(h.dir)
 	if _, lsn, _ := p.Load(obs.NopLogger()); lsn != h.newest {
@@ -53,11 +55,14 @@ func eachSlotDamage(t *testing.T, h slotHistory, cuts []int, check func(t *testi
 	if newest == other {
 		other = "slot-b.idx"
 	}
-	written := readFile(t, filepath.Join(h.dir, newest))
+	written := readFile(t, filepath.Join(h.dir, newest))[:p.NewestBytes()]
+	var ks []int
 	if cuts == nil {
 		for k := 0; k < len(written); k++ {
-			cuts = append(cuts, k)
+			ks = append(ks, k)
 		}
+	} else {
+		ks = cuts(len(written))
 	}
 	entries, err := os.ReadDir(h.dir)
 	if err != nil {
@@ -79,7 +84,7 @@ func eachSlotDamage(t *testing.T, h slotHistory, cuts []int, check func(t *testi
 		}
 		check(t, dir, name, want, ok)
 	}
-	for _, k := range cuts {
+	for _, k := range ks {
 		torn := append([]byte(nil), written[:k]...)
 		if k < len(h.earlier) {
 			torn = append(torn, h.earlier[k:]...)
@@ -186,8 +191,7 @@ func TestSlotDamageStore(t *testing.T) {
 	st, h := storeHistory(t)
 	applied := st.AppliedLSN()
 	want, _ := st.Index().AppendBinary(nil)
-	size := len(readFile(t, filepath.Join(h.dir, "slot-a.idx")))
-	eachSlotDamage(t, h, someCuts(size), func(t *testing.T, dir, damage string, from uint64, ok bool) {
+	eachSlotDamage(t, h, someCuts, func(t *testing.T, dir, damage string, from uint64, ok bool) {
 		s, err := store.Open(store.Options{Dir: dir}, nil)
 		if !ok {
 			if !errors.Is(err, store.ErrCorrupt) {
@@ -257,8 +261,7 @@ func TestSlotDamageFollower(t *testing.T) {
 	if h.newest <= h.older {
 		t.Fatalf("follower slots at LSNs %d and %d: an insert was filtered", h.older, h.newest)
 	}
-	size := len(readFile(t, filepath.Join(h.dir, "slot-a.idx")))
-	eachSlotDamage(t, h, someCuts(size), func(t *testing.T, dir, damage string, lsn uint64, ok bool) {
+	eachSlotDamage(t, h, someCuts, func(t *testing.T, dir, damage string, lsn uint64, ok bool) {
 		f := follow(dir)
 		defer f.Close()
 		want := ""

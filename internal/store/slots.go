@@ -19,7 +19,10 @@ import (
 // TLXSHIP2 header with the LSN and byte count under its own CRC, then the
 // self-checksummed X3 bytes. A write overwrites the spare slot — the one not
 // holding the newest index — in place and fsyncs it; nothing is renamed or
-// unlinked. A crash mid-write tears only the spare, whose checksums then
+// unlinked, and nothing is cut: a file keeps the length of the longest
+// index it held, and what lies past its header's byte count is never read
+// (freeing blocks can take tens of milliseconds on a disk mounted with
+// discard). A crash mid-write tears only the spare, whose checksums then
 // fail, so a load takes the newest slot that verifies and falls back to the
 // other. A primary's store and a follower keep the same two files, so a
 // follower's directory opens as a primary's.
@@ -35,7 +38,8 @@ var slotNames = [2]string{"slot-a.idx", "slot-b.idx"}
 // safe for concurrent use.
 type Slots struct {
 	dir   string
-	spare int // the slot the next Write overwrites
+	spare int   // the slot the next Write overwrites
+	bytes int64 // header and index bytes of the newest slot
 }
 
 // NewSlots returns the slots of dir; nothing is read until Load.
@@ -46,6 +50,11 @@ func (p *Slots) path(i int) string { return filepath.Join(p.dir, slotNames[i]) }
 // Newest is the path of the slot holding the index Load found or Write
 // wrote last.
 func (p *Slots) Newest() string { return p.path(1 - p.spare) }
+
+// NewestBytes is the size of the newest slot's header and index, the bytes
+// its header counts: a slot file may run longer, past an index it held
+// before.
+func (p *Slots) NewestBytes() int64 { return p.bytes }
 
 // Load reads the newest slot that verifies onto the heap — a slot is
 // overwritten in place, so it is never mapped — and returns its index and
@@ -65,7 +74,7 @@ func (p *Slots) Load(log *slog.Logger) (ix *tlx.Index, lsn uint64, skipped int) 
 		err := errs[i]
 		if err == nil {
 			if ix, err = p.load(i, hdrs[i]); err == nil {
-				p.spare = 1 - i
+				p.spare, p.bytes = 1-i, shipHeaderSize+hdrs[i].Bytes
 				return ix, hdrs[i].LSN, skipped
 			}
 		}
@@ -75,7 +84,7 @@ func (p *Slots) Load(log *slog.Logger) (ix *tlx.Index, lsn uint64, skipped int) 
 			skipped++
 		}
 	}
-	p.spare = 0
+	p.spare, p.bytes = 0, 0
 	return nil, 0, skipped
 }
 
@@ -112,10 +121,11 @@ func (p *Slots) load(i int, h ShipHeader) (*tlx.Index, error) {
 
 // Write overwrites the spare slot in place with hdr and then hdr.Bytes
 // bytes of body, written as they are read, fsyncs it and reports how long
-// the fsync took. When it creates the slot's file it fsyncs the directory
-// too. The slot then holds the newest index and the other one
-// becomes the spare, unless accept, given the body bytes, returns an error:
-// Write returns it and the slot stays the spare. accept may be nil.
+// the fsync took; a file longer than that keeps its tail. When it creates
+// the slot's file it fsyncs the directory too. The slot then holds the
+// newest index and the other one becomes the spare, unless accept, given
+// the body bytes, returns an error: Write returns it and the slot stays the
+// spare. accept may be nil.
 func (p *Slots) Write(hdr ShipHeader, body io.Reader, accept func([]byte) error) (time.Duration, error) {
 	f, created, err := openFile(p.path(p.spare), os.O_WRONLY)
 	if err == nil && created {
@@ -139,10 +149,6 @@ func (p *Slots) Write(hdr ShipHeader, body io.Reader, accept func([]byte) error)
 	if err == nil && n != hdr.Bytes {
 		err = fmt.Errorf("%w: index stream truncated at %d of %d bytes", ErrCorrupt, n, hdr.Bytes)
 	}
-	if err == nil {
-		// A shorter index than the slot held leaves no stale tail behind.
-		err = f.Truncate(shipHeaderSize + n)
-	}
 	var fsync time.Duration
 	if err == nil {
 		start := time.Now()
@@ -156,7 +162,7 @@ func (p *Slots) Write(hdr ShipHeader, body io.Reader, accept func([]byte) error)
 		err = accept(kept.Bytes())
 	}
 	if err == nil {
-		p.spare = 1 - p.spare
+		p.spare, p.bytes = 1-p.spare, shipHeaderSize+n
 	}
 	return fsync, err
 }

@@ -103,7 +103,7 @@ type Store struct {
 	slots     *Slots // written only under snapMu after Open
 	snapLSN   uint64
 	snapTime  time.Time
-	slotBytes int64 // size of the newest slot, the auto-snapshot threshold
+	slotBytes int64 // the newest slot's header and index bytes, the auto-snapshot threshold
 	walBytes  int64 // WAL record bytes after the newest durable slot
 
 	replayed      int
@@ -306,7 +306,7 @@ func (s *Store) initialize(build func() (*tlx.Index, error)) error {
 		return err
 	}
 	s.ix, s.snapTime, s.recoveredFrom = ix, time.Now(), "initial build"
-	s.slotBytes = shipHeaderSize + int64(len(buf))
+	s.slotBytes = s.slots.NewestBytes()
 	snapshotBytes.Set(float64(len(buf)))
 	s.log.Info("store: initialized", "dir", s.opts.Dir, "snapshotLsn", 0, "snapshotBytes", len(buf))
 	return nil
@@ -319,8 +319,9 @@ func (s *Store) recover(ix *tlx.Index, lsn uint64, skipped int, recs []record) e
 	s.ix, s.snapLSN = ix, lsn
 	s.applied.Store(lsn)
 	s.recoveredFrom, s.fallbacks = s.slots.Newest(), skipped
+	s.slotBytes = s.slots.NewestBytes()
 	if st, err := os.Stat(s.recoveredFrom); err == nil {
-		s.snapTime, s.slotBytes = st.ModTime(), st.Size()
+		s.snapTime = st.ModTime()
 	}
 	slices.SortFunc(recs, func(a, b record) int { return cmp.Compare(a.lsn, b.lsn) })
 	if err := s.replay(recs); err != nil {
@@ -651,7 +652,7 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	s.mu.Lock()
 	s.snapLSN = lsn
 	s.snapTime = time.Now()
-	s.slotBytes = shipHeaderSize + int64(len(buf))
+	s.slotBytes = s.slots.NewestBytes()
 	// The bytes captured are the records up to lsn; what came after stays.
 	s.walBytes -= captured
 	s.mu.Unlock()

@@ -305,6 +305,59 @@ func TestAutoSnapshotByWALBytes(t *testing.T) {
 	}
 }
 
+// TestSmallerIndexOverLargerSlot: a slot write leaves a longer file as long
+// as it was, the smaller index written over a larger one loads, and a store
+// opened on it takes its auto-snapshot threshold from the slot header's
+// byte count, not from the file's stale tail.
+func TestSmallerIndexOverLargerSlot(t *testing.T) {
+	dir := t.TempDir()
+	encode := func(n int) []byte {
+		ix, err := tlx.Build(testData(n), testTau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := ix.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	big, small := encode(400), encode(30)
+	if len(small) >= len(big) {
+		t.Fatalf("indexes of %d and %d bytes, want the second smaller", len(big), len(small))
+	}
+	p := NewSlots(dir)
+	// slot-a, slot-b, then slot-a again: the small index over the big one,
+	// all at LSN 0, so slot-a is the one a load takes.
+	for _, buf := range [][]byte{big, big, small} {
+		if _, err := p.Write(ShipHeader{Bytes: int64(len(buf))}, bytes.NewReader(buf), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, slotNames[0])
+	if p.Newest() != path || p.NewestBytes() != shipHeaderSize+int64(len(small)) {
+		t.Fatalf("newest slot %s of %d bytes, want %s of %d", p.Newest(), p.NewestBytes(), path, shipHeaderSize+len(small))
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != shipHeaderSize+int64(len(big)) {
+		t.Fatalf("slot file after the smaller write: %v, %v; want its %d bytes kept", fi, err, shipHeaderSize+len(big))
+	}
+	ix, _, skipped := NewSlots(dir).Load(testLogger(t))
+	if ix == nil || skipped != 0 {
+		t.Fatalf("load: index %v, %d slots skipped", ix != nil, skipped)
+	}
+	if got, _ := ix.AppendBinary(nil); !bytes.Equal(got, small) {
+		t.Fatal("the loaded index is not the one written last")
+	}
+	s, err := Open(Options{Dir: dir, Logger: testLogger(t)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if want := shipHeaderSize + int64(len(small)); s.slotBytes != want {
+		t.Fatalf("auto-snapshot threshold %d bytes after reopen, want the header's %d", s.slotBytes, want)
+	}
+}
+
 func TestConcurrentInsertsAndSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
